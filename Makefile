@@ -34,10 +34,15 @@ lint-graph:
 witness:
 	dune exec bin/rrq_witness.exe
 
-# The simulation tester alone: explored schedules + crash-site sweep.
+# The simulation tester alone: explored schedules, then a crash-site
+# sweep of every correct scenario (each armed crash must fire and recover).
 sim:
 	dune exec bin/rrq_demo.exe -- check --budget 25
-	dune exec bin/rrq_demo.exe -- check --sites
+	dune exec bin/rrq_demo.exe -- check --scenario quickstart --sites
+	dune exec bin/rrq_demo.exe -- check --scenario quickstart-mm --sites
+	dune exec bin/rrq_demo.exe -- check --scenario ha --sites
+	dune exec bin/rrq_demo.exe -- check --scenario sharded --sites
+	dune exec bin/rrq_demo.exe -- check --scenario sharded-ha --sites
 
 # The failover campaign alone (also runs as part of `dune runtest`):
 # HA explorer + lag-bug catch + replication crash-site sweep, then the

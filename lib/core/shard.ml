@@ -299,6 +299,7 @@ let shard_service t msg =
 
 let attach ?(max_hops = 2) ?(untag_forward_bug = false) site map =
   let t = { sh_site = site; sh_map = map; max_hops; untag_forward_bug } in
+  Site.set_candidates site (fun dst -> shard_candidates t.sh_map dst);
   Site.on_boot site (fun s ->
       Net.add_service (Site.node s) "qm" (routed_service t);
       Net.add_service (Site.node s) "shard" (shard_service t));

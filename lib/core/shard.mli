@@ -74,7 +74,8 @@ type t
 val attach : ?max_hops:int -> ?untag_forward_bug:bool -> Site.t -> map -> t
 (** Wrap the site's ["qm"] service with the shard router and register the
     ["shard"] service (map install/query, registration pull); re-installed
-    on every boot. [max_hops] (default 2) bounds misroute relays.
+    on every boot. The site's cross-shard enqueues fail over along the
+    current map's candidates ({!Site.set_candidates}). [max_hops] (default 2) bounds misroute relays.
     [untag_forward_bug] (default false) is the {e designed anomaly} for the
     checker: the forwarder strips registration tags, so a retry that
     crosses a map change duplicates — fault-free it is harmless, under

@@ -94,6 +94,10 @@ type t = {
      must land on the promoted backup's own queues, not cross the wire. *)
   mutable standby : bool;
   mutable aliases : string list;
+  (* Failover candidates for a remote repository, itself first: a shard
+     router lists an HA shard's standby, so a cross-shard enqueue reaches
+     the promoted standby when the shard's primary is down. *)
+  mutable candidates : string -> string list;
 }
 
 let node t = t.site_node
@@ -103,6 +107,7 @@ let is_standby t = t.standby
 let set_aliases t names = t.aliases <- names
 let aliases t = t.aliases
 let is_local_name t dst = dst = site_name t || List.mem dst t.aliases
+let set_candidates t f = t.candidates <- f
 
 (* Raised (hence surfaced to callers as [Net.Service_error]) when a client
    operation reaches a standby; the clerk treats it like a dead node and
@@ -369,6 +374,7 @@ let create ?commit_policy ?(queues = []) ?(triggers = [])
       extra_boot = [];
       standby = false;
       aliases = [];
+      candidates = (fun dst -> [ dst ]);
     }
   in
   (* The placeholder components above exist only to fill the record; boot
@@ -435,14 +441,21 @@ let remote_enqueue t txn ~dst ~queue ?(props = []) ?(priority = 0) body =
     ignore (Qm.enqueue t.s_qm (Tm.txn_id txn) h ~props ~priority body)
   end
   else begin
-    match
-      Net.call t.site_node ~dst ~service:"qm-tx"
-        (Q_enqueue_tx { id = Tm.txn_id txn; queue; props; priority; body })
-    with
-    | R_eid _ -> Tm.join txn (remote_participant t ~rm_name:("qm@" ^ dst))
-    | _ -> raise (Aborted "remote enqueue: unexpected reply")
-    | exception (Net.Rpc_timeout | Net.Service_error _) ->
-      (* The remote may or may not hold the buffered op; if it does, its
-         janitor will abort the stale workspace. *)
-      raise (Aborted ("remote enqueue to " ^ dst ^ " failed"))
+    (* The candidate that accepts the update becomes the 2PC participant;
+       a standby refuses it. *)
+    let rec attempt = function
+      | [] -> raise (Aborted ("remote enqueue to " ^ dst ^ " failed"))
+      | node :: rest -> (
+        match
+          Net.call t.site_node ~dst:node ~service:"qm-tx"
+            (Q_enqueue_tx { id = Tm.txn_id txn; queue; props; priority; body })
+        with
+        | R_eid _ -> Tm.join txn (remote_participant t ~rm_name:("qm@" ^ node))
+        | _ -> raise (Aborted "remote enqueue: unexpected reply")
+        | exception (Net.Rpc_timeout | Net.Service_error _) ->
+          (* The remote may or may not hold the buffered op; if it does,
+             its janitor will abort the stale workspace. *)
+          attempt rest)
+    in
+    attempt (t.candidates dst)
   end

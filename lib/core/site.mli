@@ -82,6 +82,12 @@ val aliases : t -> string list
 val is_local_name : t -> string -> bool
 (** [dst] is this site's own name or one of its {!aliases}. *)
 
+val set_candidates : t -> (string -> string list) -> unit
+(** The failover candidates of a remote repository, the named node first
+    (default: just that node). {!remote_enqueue} tries them in order, so a
+    reply bound for an HA shard whose primary is down reaches the promoted
+    standby. {!Shard.attach} installs the shard map's candidate list. *)
+
 (** {1 Transactions} *)
 
 exception Aborted of string
@@ -101,7 +107,9 @@ val remote_enqueue :
 (** Enqueue into a queue on another site {e within} the given transaction:
     the remote QM buffers the update and joins the transaction as a 2PC
     participant. With [dst] equal to this site, a plain local enqueue.
-    @raise Aborted if the remote site is unreachable. *)
+    Otherwise the first of [dst]'s candidates ({!set_candidates}) that
+    accepts the update becomes the participant.
+    @raise Aborted if no candidate accepts. *)
 
 val remote_participant : t -> rm_name:string -> Rrq_txn.Tm.participant
 (** 2PC proxy for a resource manager named "kind\@node" on another site. *)
@@ -123,8 +131,7 @@ val remote_dequeue :
   t -> Rrq_txn.Tm.txn -> dst:string -> queue:string ->
   filter:Rrq_qm.Filter.t -> elem_view option
 (** Dequeue (non-blocking, filtered) from a queue on another site within
-    the given transaction; the remote QM joins as a 2PC participant. Used
-    by queue replication to mirror a dequeue on the backup copy (§11).
+    the given transaction; the remote QM joins as a 2PC participant.
     @raise Aborted if the remote site is unreachable. *)
 
 

@@ -176,7 +176,9 @@ let test_double_crash_sweep () =
 let crashed_site_in_trace ~site =
   Obs.reset ();
   Fun.protect ~finally:Obs.disable (fun () ->
-      let o = C.Scenario.quickstart_crash_at ~site ~hit:1 ~recover_after:1.0 in
+      let o =
+        C.Scenario.crash_at ~site ~hit:1 ~recover_after:1.0 C.Scenario.quickstart
+      in
       let fired =
         List.filter
           (fun (_, e) ->
@@ -194,7 +196,7 @@ let crashed_site_in_trace ~site =
         false (C.Scenario.failed o))
 
 let quickstart_sites () =
-  let sites = C.Scenario.quickstart_crash_sites () in
+  let sites = C.Scenario.crash_sites C.Scenario.quickstart in
   Alcotest.(check bool) "the probe finds a rich site space" true
     (List.length sites > 10);
   List.map fst sites
