@@ -160,6 +160,7 @@ let clear_shipper t =
 let shipping t = t.shipper <> None
 let shipped_lsn t = t.shipped_lsn
 let pending_ship t = List.length t.retained
+let ship_in_flight t = t.ship_leading
 let ships t = t.n_ships
 
 (* Ship every retained record the log has made durable, leader/follower

@@ -117,6 +117,10 @@ val shipped_lsn : t -> int
 val pending_ship : t -> int
 (** Retained records not yet shipped. *)
 
+val ship_in_flight : t -> bool
+(** A ship round is running its shipper callback. Its records are durable
+    here, and the fibers it covers are still waiting to apply them. *)
+
 val ship_now : t -> unit
 (** Ship every durable retained record now (the lagged mode's periodic
     drain; a no-op when nothing is pending or no shipper is installed). *)
