@@ -71,12 +71,12 @@ bench:
 	dune exec bench/main.exe
 
 # The perf-path smoke (also runs as part of `dune runtest`): B1 (queue op
-# micro-costs incl. the main-memory fast path), B12 (group commit), B13
-# (sharded scale-out) and B14 (adaptive policy) at tiny iteration counts —
+# micro-costs incl. the main-memory fast path), B12 (group commit, adaptive
+# vs immediate) and B13 (sharded scale-out) at tiny iteration counts —
 # exercises the measurement harness and the seal-reason counters, does not
 # produce meaningful numbers.
 bench-smoke:
-	dune exec bench/main.exe -- --smoke --only B1 --only B12 --only B13 --only B14
+	dune exec bench/main.exe -- --smoke --only B1 --only B12 --only B13
 
 clean:
 	dune clean

@@ -237,14 +237,6 @@ let sections =
             (Rrq_harness.E_shard.run ~reqs:(scaled 25) ()));
     };
     {
-      id = "B14";
-      heading = "B14 - adaptive group commit vs fixed window (sec. 10)";
-      produce =
-        (fun () ->
-          Rrq_harness.E_group_commit.table_b14
-            (Rrq_harness.E_group_commit.run_b14 ~jobs:(scaled 200) ()));
-    };
-    {
       id = "B15";
       heading = "B15 - failover latency of the HA pair (sec. 11)";
       produce =
@@ -307,7 +299,7 @@ let usage () =
   print_endline "usage: main.exe [--only ID]... [--json FILE] [--smoke]";
   print_endline "  --only ID    run only the section with this id (repeatable);";
   print_endline
-    "               ids: E1 E2 E3 B1 B2 B3 B4 B6 B7 B8 B9 B10 B11 B12 B13 B14 B15 A1";
+    "               ids: E1 E2 E3 B1 B2 B3 B4 B6 B7 B8 B9 B10 B11 B12 B13 B15 A1";
   print_endline "  --json FILE  also write the selected tables to FILE as JSON";
   print_endline
     "  --smoke      tiny iteration counts: exercise the harness, not measure";

@@ -3,13 +3,6 @@ module Sched = Rrq_sim.Sched
 
 type t = {
   cnode : Net.node;
-  (* Current candidate primary. [ring] holds every repository node the
-     clerk may talk to (configured system first); an unreachable or
-     standby-gated candidate rotates [system] to the next one, which is
-     all the client-side failover there is — duplicate suppression via
-     registration tags makes the retry against the new primary safe. *)
-  mutable system : string;
-  ring : string list;
   client_id : string;
   req_queue : string;
   reply_q : string;
@@ -21,14 +14,14 @@ type t = {
   mutable last_eid : int64 option;
   (* Virtual send time of the outstanding request, for the rtt metric. *)
   mutable sent_at : float option;
-  (* Shard routing ({!Shard}): when set, every operation is wrapped in
-     [Sh_routed] and sent to the owner of its routing key (then the
-     owner's backup candidates), instead of to [system]. Replies piggyback
-     newer maps; a fully unreachable owner triggers an explicit map
-     refresh, bounded by the same retry budget and backoff as the plain
-     ring rotation — a stale map can cost at most [retries] refresh
-     rounds, never an unbounded forwarding loop. *)
-  mutable smap : Shard.map option;
+  (* The only routing description ({!Shard}). An unsharded clerk holds a
+     version-0 map: one shard, the configured system, whose candidates are
+     its HA backups. Replies piggyback newer maps; an explicit refresh
+     follows a full round of failed candidates. Duplicate suppression via
+     registration tags makes every retry against another node safe. *)
+  mutable smap : Shard.map;
+  (* Per shard (keyed by its owner): the candidate that last answered. *)
+  current : (string, string) Hashtbl.t;
 }
 
 type connect_info = {
@@ -62,111 +55,88 @@ let transition t event =
               (Client_fsm.event_to_string event)
               (Client_fsm.state_to_string t.fsm)))
 
-let rotate t =
-  match t.ring with
-  | [] | [ _ ] -> ()
-  | ring ->
-    let rec next = function
-      | a :: b :: _ when a = t.system -> b
-      | _ :: tl -> next tl
-      | [] -> List.hd ring
-    in
-    t.system <- next ring
+(* The owner and failover candidates of the shard holding one of this
+   client's queues, under the current map. *)
+let key t queue = Shard.key_for t.smap ~queue ~registrant:t.client_id
+let candidates t queue = Shard.candidates t.smap (key t queue)
+
+let current t cands =
+  match Hashtbl.find_opt t.current (List.hd cands) with
+  | Some c when List.mem c cands -> c
+  | _ -> List.hd cands
+
+let rotate t cands =
+  let cur = current t cands in
+  let rec next = function
+    | a :: b :: _ when a = cur -> b
+    | _ :: tl -> next tl
+    | [] -> List.hd cands
+  in
+  Hashtbl.replace t.current (List.hd cands) (next cands)
 
 (* Adopt a newer shard map. The [shard.refresh] counter is the visible
    evidence of every map refresh, piggybacked or explicit. *)
 let install_map t (m : Shard.map) =
-  match t.smap with
-  | Some cur when m.Shard.version <= cur.Shard.version -> ()
-  | Some _ ->
-    t.smap <- Some m;
+  if m.Shard.version > t.smap.Shard.version then begin
+    t.smap <- m;
     Rrq_obs.Metrics.inc "shard.refresh"
-  | None -> t.smap <- Some m
+  end
 
 (* Explicit refresh: ask any repository the map names for its current map
    (used when every candidate for a key is unreachable — the map may have
-   moved the key from under us). *)
+   moved the key from under us). No router serves a version-0 map. *)
 let refresh_map t =
-  match t.smap with
-  | None -> ()
-  | Some m ->
-    let rec try_nodes = function
-      | [] -> ()
-      | dst :: rest -> (
-        match
-          Net.call t.cnode ~timeout:t.rpc_timeout ~dst ~service:"shard"
-            Shard.Sh_get_map
-        with
-        | Shard.Sh_map nm when nm.Shard.version > m.Shard.version ->
-          install_map t nm
-        | _ -> try_nodes rest
-        | exception (Net.Rpc_timeout | Net.Service_error _) -> try_nodes rest)
-    in
-    try_nodes (Shard.all_nodes m)
+  let m = t.smap in
+  if m.Shard.version > 0 then
+    ignore
+      (List.exists
+         (fun dst ->
+           match
+             Net.call t.cnode ~timeout:t.rpc_timeout ~dst ~service:"shard"
+               Shard.Sh_get_map
+           with
+           | Shard.Sh_map nm when nm.Shard.version > m.Shard.version ->
+             install_map t nm;
+             true
+           | _ -> false
+           | exception (Net.Rpc_timeout | Net.Service_error _) -> false)
+         (Shard.all_nodes m))
 
-(* The owner (under the current map) of one of this client's queues; the
-   configured [system] when not sharded. *)
-let home t queue =
-  match t.smap with
-  | None -> t.system
-  | Some m ->
-    Shard.owner m (Shard.key_for m ~queue ~registrant:t.client_id)
+(* Wrap an operation with the clerk's map version for the shard router. *)
+let routed t msg =
+  match t.smap.Shard.version with
+  | 0 -> msg
+  | version -> Shard.Sh_routed { version; hops = 0; inner = msg }
 
-let rpc ?(extra_timeout = 0.0) ?queue t msg =
-  match t.smap with
-  | None ->
-    let rec go attempts_left =
-      match
-        Net.call t.cnode
-          ~timeout:(t.rpc_timeout +. extra_timeout)
-          ~dst:t.system ~service:"qm" msg
-      with
-      | v -> v
-      | exception (Net.Rpc_timeout | Net.Service_error _) ->
-        if attempts_left <= 0 then
-          raise (Unavailable (Printf.sprintf "system %s unreachable" t.system))
-        else begin
-          rotate t;
-          Sched.sleep (0.5 *. t.rpc_timeout);
-          go (attempts_left - 1)
-        end
-    in
-    go t.retries
-  | Some _ ->
-    let q = match queue with Some q -> q | None -> t.req_queue in
-    let rec go attempts_left =
-      let m = match t.smap with Some m -> m | None -> assert false in
-      let key = Shard.key_for m ~queue:q ~registrant:t.client_id in
-      let rec try_cands = function
-        | [] -> None
-        | dst :: rest -> (
-          match
-            Net.call t.cnode
-              ~timeout:(t.rpc_timeout +. extra_timeout)
-              ~dst ~service:"qm"
-              (Shard.Sh_routed
-                 { version = m.Shard.version; hops = 0; inner = msg })
-          with
-          | Shard.Sh_reply { newer; inner } ->
-            (match newer with Some nm -> install_map t nm | None -> ());
-            Some inner
-          | other -> Some other
-          | exception (Net.Rpc_timeout | Net.Service_error _) ->
-            try_cands rest)
-      in
-      match try_cands (Shard.candidates m key) with
-      | Some v -> v
-      | None ->
-        if attempts_left <= 0 then
-          raise
-            (Unavailable (Printf.sprintf "shard owner of %s unreachable" key))
-        else begin
-          refresh_map t;
-          Sched.sleep (0.5 *. t.rpc_timeout);
-          go (attempts_left - 1)
-        end
-    in
-    go t.retries
+(* Send to the queue's shard's current candidate. A timeout or a standby's
+   refusal rotates that shard to its next candidate and backs off; a full
+   round of failures refreshes the map. [retries] bounds node attempts. *)
+let rpc ?(extra_timeout = 0.0) ~queue t msg =
+  let rec go attempts_left failed =
+    let cands = candidates t queue in
+    let dst = current t cands in
+    match
+      Net.call t.cnode
+        ~timeout:(t.rpc_timeout +. extra_timeout)
+        ~dst ~service:"qm" (routed t msg)
+    with
+    | Shard.Sh_reply { newer; inner } ->
+      Option.iter (install_map t) newer;
+      inner
+    | v -> v
+    | exception (Net.Rpc_timeout | Net.Service_error _) ->
+      if attempts_left <= 0 then
+        raise
+          (Unavailable (Printf.sprintf "%s unreachable (queue %s)" dst queue))
+      else begin
+        rotate t cands;
+        let round_failed = failed + 1 >= List.length cands in
+        if round_failed then refresh_map t;
+        Sched.sleep (0.5 *. t.rpc_timeout);
+        go (attempts_left - 1) (if round_failed then 0 else failed + 1)
+      end
+  in
+  go t.retries 0
 
 let do_connect t =
   (match rpc t ~queue:t.reply_q (Site.Q_create_queue t.reply_q) with
@@ -206,11 +176,21 @@ let do_connect t =
 let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
     ~req_queue ?reply_queue ?(rpc_timeout = 1.0) ?(retries = 10)
     ?(strict = false) () =
+  let smap =
+    match shard_map with
+    | Some m -> m
+    | None ->
+      {
+        Shard.version = 0;
+        shards = [ system ];
+        backups = [ (system, List.filter (fun b -> b <> system) backups) ];
+        sharded_queues = [];
+        pins = [];
+      }
+  in
   let t =
     {
       cnode = client_node;
-      system;
-      ring = system :: List.filter (fun b -> b <> system) backups;
       client_id;
       req_queue;
       reply_q =
@@ -222,7 +202,8 @@ let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
       last_rid = None;
       last_eid = None;
       sent_at = None;
-      smap = shard_map;
+      smap;
+      current = Hashtbl.create 4;
     }
   in
   let info = do_connect t in
@@ -244,9 +225,12 @@ let reply_queue t = t.reply_q
 
 (* The reply destination stamped into every request: the reply queue's
    owning shard under the current map (stable across map changes by the
-   {!Shard} non-sharded-queue constraint), or the plain system site. *)
+   {!Shard} non-sharded-queue constraint). After a failover the promoted
+   standby answers to that name too ({!Site.set_aliases}), and cross-shard
+   enqueues walk its candidates ({!Site.set_candidates}). *)
 let envelope t ~rid ?kind ?scratch ?step ~body () =
-  Envelope.make ~rid ~client_id:t.client_id ~reply_node:(home t t.reply_q)
+  Envelope.make ~rid ~client_id:t.client_id
+    ~reply_node:(Shard.owner t.smap (key t t.reply_q))
     ~reply_queue:t.reply_q ?kind ?scratch ?step body
 
 let send t ~rid ?(props = []) ?kind ?scratch ?step body =
@@ -297,11 +281,9 @@ let send_oneway t ~rid ?(props = []) body =
         body = Envelope.to_string env;
       }
   in
-  match t.smap with
-  | None -> Net.cast t.cnode ~dst:t.system ~service:"qm" op
-  | Some m ->
-    Net.cast t.cnode ~dst:(home t t.req_queue) ~service:"qm"
-      (Shard.Sh_routed { version = m.Shard.version; hops = 0; inner = op })
+  Net.cast t.cnode
+    ~dst:(current t (candidates t t.req_queue))
+    ~service:"qm" (routed t op)
 
 let decode_view = function
   | None -> None
@@ -390,6 +372,3 @@ let cancel_request_anywhere t ~sites ~rid =
 
 let last_sent_eid t = t.last_eid
 let state t = t.fsm
-let system t = t.system
-let shard_map t = t.smap
-let set_shard_map t m = install_map t m

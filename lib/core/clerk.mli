@@ -47,20 +47,23 @@ val connect :
   ?retries:int -> ?strict:bool -> unit -> t * connect_info
 (** Register the client with the request queue and its private reply queue
     (created-by-convention name ["reply." ^ client_id] unless given),
-    both on the [system] site. Returns the resynchronization info.
-    [backups] (default none) are candidate primaries for an HA pair
-    ({!Ha}): when the current system times out or rejects as a standby,
-    the clerk rotates to the next candidate and retries — mid-conversation
-    failover, with the registration-tag duplicate suppression making the
-    retried Send/Receive exactly-once.
-    [shard_map] switches the clerk to shard routing ({!Shard}): every
-    operation goes to the owner of its routing key (then the owner's
-    backup candidates), wrapped with the clerk's map version; replies
-    piggyback newer maps, and when every candidate is unreachable the
-    clerk refreshes the map explicitly. Both refresh paths are bounded by
-    the same [retries] budget and rotation backoff as the plain ring —
-    a stale map can never loop forever — and each adopted map increments
-    the [shard.refresh] counter ({!Rrq_obs.Metrics}).
+    each at the repository that owns it. Returns the resynchronization
+    info.
+    Routing: every operation goes to the shard that owns its queue under
+    a {!Shard} map — [shard_map] if given, else a version-0 map with one
+    shard, [system], whose failover candidates are [backups] (default
+    none, e.g. an {!Ha} standby). A version-0 map is never wrapped in
+    [Sh_routed] nor refreshed. Per shard the clerk sends to the candidate
+    that last answered; a timeout or a standby's refusal rotates that
+    shard to its next candidate and backs off [0.5 * rpc_timeout], and
+    once every candidate has failed in a row the clerk asks the map's
+    nodes for a newer map. Replies also piggyback newer maps; each
+    adoption increments the [shard.refresh] counter
+    ({!Rrq_obs.Metrics}). [retries] (default 10) bounds the node attempts
+    of one operation, so neither a dead shard nor a stale map loops
+    forever. Failover is mid-conversation: the registration tags make the
+    retried Send/Receive exactly-once. Replies are addressed to the reply
+    queue's owner, a name the promoted standby answers to.
     With [strict] (default false) every operation is checked against the
     fig. 1/7 state machine and {!Protocol_violation} is raised on an
     illegal sequence; retrying the {e same} Send or Receive is always
@@ -117,17 +120,6 @@ val cancel_request_anywhere : t -> sites:string list -> rid:string -> bool
     carrying this client's rid on any of the listed sites. Works after the
     request moved between queues (forwarding, pipelines), where the
     original eid no longer exists (§11's element-identity point). *)
-
-val system : t -> string
-(** The repository node the clerk currently believes is primary (shard
-    routing ignores it except as a fallback identity). *)
-
-val shard_map : t -> Shard.map option
-(** The shard map the clerk is currently routing by. *)
-
-val set_shard_map : t -> Shard.map -> unit
-(** Adopt [map] if it is newer than the current one (counted in
-    [shard.refresh] like any other adoption). *)
 
 val last_sent_eid : t -> int64 option
 

@@ -11,12 +11,20 @@
     key: [queue ^ "#" ^ registrant] for sharded queues, [queue] otherwise;
     owner: the pin if present, else FNV-1a hash modulo the shard list.
 
-    {b Routing.} A shard-aware clerk wraps every operation in [Sh_routed]
-    carrying its map version. The receiving repository serves the
-    operation if it owns the key under {e its} map, else relays it one hop
-    to the owner — never more than [max_hops] relays, so stale maps cannot
-    loop a request. Replies piggyback the newer map whenever the
-    requester's version lags (the clerk's refresh path).
+    {b Routing.} A clerk ({!Clerk}) routes every operation by a map: to
+    the current candidate of the shard owning the operation's key. It
+    wraps the operation in [Sh_routed] carrying its map version. The
+    receiving repository serves the operation if it owns the key under
+    {e its} map, else relays it one hop to the owner — never more than
+    [max_hops] relays, so stale maps cannot loop a request. Replies
+    piggyback the newer map whenever the requester's version lags (the
+    clerk's refresh path).
+
+    {b Version 0.} An unsharded clerk routes by a version-0 map: one shard
+    (its system node), with that node's HA backups as candidates. No
+    router is attached for it, so a version-0 clerk sends its operations
+    unwrapped and never asks for a newer map. Attached maps start at
+    version 1.
 
     {b Exactly-once across map changes.} A retried operation can reach a
     new owner that has no registration record for the client. For tagged
@@ -61,8 +69,9 @@ val owner : map -> string -> string
     @raise Invalid_argument on an empty shard list. *)
 
 val candidates : map -> string -> string list
-(** The owner followed by its backup candidates — the clerk's rotation
-    ring for one key. *)
+(** The owner of a routing key followed by its shard's backup candidates.
+    The clerk rotates through this list, per shard, on a timeout or a
+    standby's refusal; the head names the shard. *)
 
 val all_nodes : map -> string list
 (** Every repository node named by the map (shards then backups). *)

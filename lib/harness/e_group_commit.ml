@@ -5,8 +5,9 @@
    with auto-committed dequeues against a disk whose flushes take
    [sync_latency] virtual seconds each (and serialize on the device). Under
    [Immediate] every commit pays its own flush, so total throughput is
-   pinned near 1/sync_latency no matter how many servers run; under [Batch]
-   one flush covers a whole boatload of commits.
+   pinned near 1/sync_latency no matter how many servers run; under
+   [Adaptive] one flush covers a whole boatload of commits once the
+   servers outpace the device.
 
    All numbers come from the [Rrq_obs] registry: the QM's own
    auto-commit counter and latency histogram and group commit's sync
@@ -33,8 +34,6 @@ type row = {
 
 let policy_name = function
   | Group_commit.Immediate -> "immediate"
-  | Group_commit.Batch { max_delay; max_batch } ->
-    Printf.sprintf "batch (%.1fms/%d)" (max_delay *. 1000.0) max_batch
   | Group_commit.Adaptive { max_delay; max_batch } ->
     Printf.sprintf "adaptive (%.1fms/%d)" (max_delay *. 1000.0) max_batch
 
@@ -110,29 +109,25 @@ let one_run ~policy ~servers ~jobs ~sync_latency =
                   seal_reasons;
             }))
 
-let default_batch = Group_commit.Batch { max_delay = 0.0005; max_batch = 64 }
-
 let default_adaptive =
   Group_commit.Adaptive { max_delay = 0.0005; max_batch = 64 }
 
+(* Every server count from 1 to 16, not powers of two: Adaptive must match
+   Immediate at one server and scale past it at every count where the
+   device saturates, so no in-between count may hide a mistuned seal. *)
 let run ?(jobs = 200) ?(sync_latency = 0.001) () =
   List.concat_map
     (fun servers ->
       List.map
         (fun policy -> one_run ~policy ~servers ~jobs ~sync_latency)
-        [ Group_commit.Immediate; default_batch ])
-    [ 1; 2; 4; 8; 16 ]
-
-(* B14: every server count from 1 to 16 — the claim under test is that
-   Adaptive dominates pointwise, so the sweep must not skip the awkward
-   in-between counts where a fixed window is mistuned in both directions. *)
-let run_b14 ?(jobs = 200) ?(sync_latency = 0.001) () =
-  List.concat_map
-    (fun servers ->
-      List.map
-        (fun policy -> one_run ~policy ~servers ~jobs ~sync_latency)
-        [ Group_commit.Immediate; default_batch; default_adaptive ])
+        [ Group_commit.Immediate; default_adaptive ])
     (List.init 16 (fun i -> i + 1))
+
+let seals_cell seals =
+  match List.filter (fun (_, n) -> n > 0) seals with
+  | [] -> "-"
+  | nz ->
+    String.concat " " (List.map (fun (r, n) -> Printf.sprintf "%s:%d" r n) nz)
 
 let table rows =
   let t =
@@ -149,6 +144,7 @@ let table rows =
           "syncs/commit";
           "p50 commit (ms)";
           "p99 commit (ms)";
+          "seals";
         ]
   in
   List.iter
@@ -163,42 +159,6 @@ let table rows =
           Printf.sprintf "%.3f" r.syncs_per_commit;
           Printf.sprintf "%.2f" (r.commit_p50 *. 1000.0);
           Printf.sprintf "%.2f" (r.commit_p99 *. 1000.0);
-        ])
-    rows;
-  t
-
-let seals_cell seals =
-  match List.filter (fun (_, n) -> n > 0) seals with
-  | [] -> "-"
-  | nz ->
-    String.concat " " (List.map (fun (r, n) -> Printf.sprintf "%s:%d" r n) nz)
-
-let table_b14 rows =
-  let t =
-    Table.create
-      ~title:
-        "B14: adaptive vs fixed vs immediate group commit - 200 dequeues, 1ms flush (sec. 10)"
-      ~columns:
-        [
-          "policy";
-          "servers";
-          "commits";
-          "commits/s";
-          "syncs/commit";
-          "p50 commit (ms)";
-          "seals";
-        ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          r.policy;
-          string_of_int r.servers;
-          string_of_int r.commits;
-          Printf.sprintf "%.0f" r.commits_per_sec;
-          Printf.sprintf "%.3f" r.syncs_per_commit;
-          Printf.sprintf "%.2f" (r.commit_p50 *. 1000.0);
           seals_cell r.seals;
         ])
     rows;

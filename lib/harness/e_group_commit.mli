@@ -7,9 +7,10 @@
     of server parallelism. This experiment drains a preloaded queue with N
     concurrent server fibers over a disk whose flush occupies the device
     for a fixed virtual latency, comparing the [Immediate] (one sync per
-    commit) and [Batch] ({!Rrq_wal.Group_commit}) policies. The batch rows
-    should show syncs/commit well below 1 and throughput scaling with N,
-    while immediate rows stay pinned near [1/sync_latency]. *)
+    commit) and [Adaptive] ({!Rrq_wal.Group_commit}) policies. The adaptive
+    rows should match immediate at one server, then show syncs/commit well
+    below 1 and throughput scaling with N, while immediate rows stay pinned
+    near [1/sync_latency]. *)
 
 type row = {
   policy : string;
@@ -25,9 +26,6 @@ type row = {
           immediate) during the drain — see [Group_commit.seal_counts]. *)
 }
 
-val default_batch : Rrq_wal.Group_commit.policy
-(** 0.5ms accumulation window, 64-commit batches. *)
-
 val default_adaptive : Rrq_wal.Group_commit.policy
 (** Adaptive sealing, capped at a 0.5ms window and 64-commit batches. *)
 
@@ -39,17 +37,9 @@ val one_run :
   row
 
 val run : ?jobs:int -> ?sync_latency:float -> unit -> row list
-(** Sweep servers in [1; 2; 4; 8; 16] under both policies. Defaults: 200
-    jobs, 1ms per device flush. *)
-
-val run_b14 : ?jobs:int -> ?sync_latency:float -> unit -> row list
-(** B14: sweep every server count in [1..16] under [Immediate],
-    {!default_batch} and {!default_adaptive}. The claim under test:
-    adaptive commits/s >= max(immediate, batch) at every point, and
-    within 5% of immediate at one server. *)
+(** Sweep every server count in [1..16] under [Immediate] and
+    {!default_adaptive}. Defaults: 200 jobs, 1ms per device flush. *)
 
 val table : row list -> Rrq_util.Table.t
-
-val table_b14 : row list -> Rrq_util.Table.t
-(** Like {!table} but with a seal-reason column, so [--json] rows carry
-    the seal counters. *)
+(** One row per run, with a seal-reason column, so [--json] rows carry the
+    seal counters. *)

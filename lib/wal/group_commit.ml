@@ -5,7 +5,6 @@ module Codec = Rrq_util.Codec
 
 type policy =
   | Immediate
-  | Batch of { max_delay : float; max_batch : int }
   | Adaptive of { max_delay : float; max_batch : int }
 
 (* EWMA weight for inter-arrival samples. High enough to track a load
@@ -294,35 +293,7 @@ let force t =
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.inc ("gc.forces:" ^ Wal.name t.wal);
     match t.pol with
-    | Immediate ->
-      do_sync t;
-      observe_batch t `Immediate 1
-    | (Batch _ | Adaptive _) when not (Sched.in_fiber ()) ->
-      do_sync t;
-      observe_batch t `Immediate 1
-    | Batch { max_delay; max_batch } ->
-      if t.leading then begin
-        (* Follower: the leader's sync will cover our records (it flushes
-           everything appended up to the moment it runs). Park. *)
-        t.target <- max_batch;
-        board t lsn
-      end
-      else begin
-        t.leading <- true;
-        t.target <- max_batch;
-        (* Accumulation window: give concurrent committers a chance to
-           board; a full batch cuts it short. *)
-        let reason =
-          if max_delay > 0.0 && List.length t.waiters + 1 < max_batch then
-            (if Cond.wait_timeout t.full max_delay then `Full else `Timeout)
-          else `Full
-        in
-        do_sync t;
-        t.leading <- false;
-        let covered = wake_covered t in
-        observe_batch t reason (covered + 1)
-      end
-    | Adaptive { max_delay; max_batch } ->
+    | Adaptive { max_delay; max_batch } when Sched.in_fiber () ->
       if t.leading then board t lsn
       else begin
         (* Leader even when sealing immediately: committers arriving while
@@ -337,6 +308,11 @@ let force t =
         let covered = wake_covered t in
         observe_batch t reason (covered + 1)
       end
+    | Immediate | Adaptive _ ->
+      (* One direct sync: Immediate always, Adaptive outside a fiber,
+         where nothing can park. *)
+      do_sync t;
+      observe_batch t `Immediate 1
   end;
   (* Synchronous shipping gates the commit exactly like durability does:
      a committer's records must be on the backup before [force] returns.

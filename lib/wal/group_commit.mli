@@ -5,10 +5,10 @@
     dominant cost of every [Enqueue]/[Dequeue]. With one {!Rrq_storage.Disk}
     sync per transaction, N concurrent servers draining a queue pay N device
     flushes where one would do. This module coalesces them: committers call
-    {!force}, and under the [Batch] policy one caller becomes the {e leader}
-    — it waits a short accumulation window (cut short when the batch fills),
-    issues a single sync covering every record appended so far, and wakes
-    all parked {e followers} whose records made it out.
+    {!force}, and under the [Adaptive] policy one caller becomes the
+    {e leader} — it decides from the commit arrival rate whether to wait
+    for company, issues a single sync covering every record appended so
+    far, and wakes all parked {e followers} whose records made it out.
 
     The contract callers must follow (and all RMs/TMs in this repo do):
 
@@ -27,29 +27,24 @@
     window.
 
     [Immediate] (the default) preserves the historical one-sync-per-commit
-    behavior and works outside the simulator; [Batch] and [Adaptive] park
-    fibers and are only meaningful inside it (outside a fiber they degrade
-    to a direct sync). All policies charge the disk's [sync_latency] device
-    model when running in a fiber, so the simulator measures realistic
-    commit cost.
+    behavior and works outside the simulator; [Adaptive] parks fibers and
+    is only meaningful inside it (outside a fiber it degrades to a direct
+    sync). Both policies charge the disk's [sync_latency] device model
+    when running in a fiber, so the simulator measures realistic commit
+    cost.
 
-    [Batch]'s fixed window is a trade: it wins once several committers run
-    concurrently but taxes light load (B12: 667 vs 1000 commits/s at one
-    server). [Adaptive] closes that gap by estimating the commit arrival
-    rate — an EWMA of force-call inter-arrival time sampled from the
-    virtual clock — and sealing each batch by whichever rule fits the
-    estimate: seal immediately when the device keeps up ([`idle`]), seal
-    as soon as the predicted batch has boarded ([`rate`] / [`full`]), or
-    give up on stragglers after a bounded wait ([`timeout`]). Seal-reason
+    [Adaptive] estimates the commit arrival rate — an EWMA of force-call
+    inter-arrival time sampled from the virtual clock — and seals each
+    batch by whichever rule fits the estimate: seal immediately when the
+    device keeps up ([`idle`]), seal as soon as the predicted batch has
+    boarded ([`rate`] / [`full`]), or give up on stragglers after a
+    bounded wait ([`timeout`]). So light load costs what [Immediate] costs
+    and heavy load shares one flush among many commits (B12). Seal-reason
     counts are exported as [gc.seal.<reason>:<wal>] counters and on the
     [Batch_seal] trace event. *)
 
 type policy =
   | Immediate  (** Force at every commit: one sync per call (historical). *)
-  | Batch of { max_delay : float; max_batch : int }
-      (** Leader waits up to [max_delay] virtual seconds for company, or
-          until [max_batch] commits are aboard, then issues one sync for
-          the whole batch. *)
   | Adaptive of { max_delay : float; max_batch : int }
       (** Leader sizes the batch from the arrival-rate estimate: the
           target is [sync_latency / ewma_interarrival] commits (clamped to
@@ -74,7 +69,7 @@ val append_enc : t -> Rrq_util.Codec.encoder -> unit
 
 val force : t -> unit
 (** Make every record appended so far durable before returning. Under
-    [Batch] the calling fiber may be parked while a leader's sync covers
+    [Adaptive] the calling fiber may be parked while a leader's sync covers
     it. If the disk is dead (crash-point injection), returns without
     durability — mirroring the historical [append_sync] semantics where
     the process is about to be declared crashed anyway. *)
@@ -134,15 +129,15 @@ val forces : t -> int
 (** Number of {!force} calls that had undurable records to cover. *)
 
 val syncs : t -> int
-(** Number of physical device syncs issued by this batcher. Under [Batch]
-    with concurrent committers this is less than {!forces} — the whole
-    point. *)
+(** Number of physical device syncs issued by this batcher. Under
+    [Adaptive] with concurrent committers on a slow device this is less
+    than {!forces} — the whole point. *)
 
 val seal_counts : t -> (string * int) list
 (** How many batches sealed for each reason, as
     [("full" | "timeout" | "idle" | "rate" | "immediate") * count].
     [full]: the batch hit [max_batch]; [timeout]: the window expired;
-    [idle] (Adaptive): the rate estimate said batching would not pay, so
-    the leader sealed at once; [rate] (Adaptive): the predicted batch
-    boarded before the window closed; [immediate]: an [Immediate]-policy
-    force or an outside-fiber degrade. *)
+    [idle]: the rate estimate said batching would not pay, so the leader
+    sealed at once; [rate]: the predicted batch boarded before the window
+    closed; [immediate]: an [Immediate]-policy force or an outside-fiber
+    degrade. *)

@@ -109,21 +109,24 @@ let check_invariants ~point (tag, first_present, second_present, got) =
    path, which reorders the apply/force interleaving. *)
 let policies =
   [
-    ("immediate", None);
-    ( "batch",
+    ("immediate", None, 0.0);
+    ( "adaptive",
       Some
-        (Rrq_wal.Group_commit.Batch { max_delay = 0.0005; max_batch = 64 }) );
+        (Rrq_wal.Group_commit.Adaptive { max_delay = 0.0005; max_batch = 64 }),
+      (* a 1 ms flush, so concurrent committers actually batch *)
+      0.001 );
   ]
 
 let test_sweep () =
   List.iter
-    (fun (pname, commit_policy) ->
+    (fun (pname, commit_policy, sync_latency) ->
       (* The generic enumerator counts the durability boundaries on a clean
          run (point 0, which must also show the fully-durable end state),
          then freezes the disk at every boundary and audits recovery. *)
       let total_syncs =
         Rrq_check.Sweep.disk_sweep
-          ~make:(fun point -> Disk.create (Printf.sprintf "%s-sweep%d" pname point))
+          ~make:(fun point ->
+            Disk.create ~sync_latency (Printf.sprintf "%s-sweep%d" pname point))
           ~workload:(workload ?commit_policy)
           ~audit:(fun ~point disk ->
             let audit = recover_and_audit disk in

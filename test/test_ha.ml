@@ -278,35 +278,69 @@ module Kvdb = Rrq_kvdb.Kvdb
    lists hs0b as shard0's backup candidate); hs1 and hs2 are plain shard
    repositories. Client "ha" is pinned entirely onto the pair; client "hb"
    spans the healthy shards (requests on hs1, replies on hs2, so every one
-   of its requests commits through cross-shard 2PC). Killing hs0p mid-run
-   must fail client "ha" over to the promoted hs0b — same rids, duplicate
-   suppression from shipped registration state — while "hb" and its
-   in-flight cross-shard transactions never notice. *)
+   of its requests commits through cross-shard 2PC). *)
+let shard_ha_map =
+  {
+    Shard.version = 1;
+    shards = [ "hs0p"; "hs1"; "hs2" ];
+    backups = [ ("hs0p", [ "hs0b" ]) ];
+    sharded_queues = [ "req" ];
+    pins =
+      [
+        ("req#ha", "hs0p");
+        ("reply.ha", "hs0p");
+        ("req#hb", "hs1");
+        ("reply.hb", "hs2");
+      ];
+  }
+
+(* Builds the pair and the plain shards, with counting servers on each
+   serving node; returns the pair's sites, the standby's role and hs1, hs2. *)
+let shard_ha_world net =
+  let site name =
+    Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
+      (Net.make_node net name)
+  in
+  let plain name =
+    let s = site name in
+    ignore (Server.start s ~req_queue:"req" ~threads:2 Audit.counting_handler);
+    ignore (Shard.attach s shard_ha_map);
+    s
+  in
+  let site_p = site "hs0p" in
+  let site_b = site "hs0b" in
+  let serve ha =
+    ignore
+      (Server.start_here (Ha.site ha) ~req_queue:"req" ~threads:2
+         Audit.counting_handler)
+  in
+  let _ha_p =
+    Ha.attach ~mode:Ha.Sync ~on_serving:serve site_p ~peer:"hs0b"
+      ~role:Ha.Primary
+  in
+  let ha_b =
+    Ha.attach ~mode:Ha.Sync ~on_serving:serve site_b ~peer:"hs0p"
+      ~role:Ha.Standby
+  in
+  ignore (Shard.attach site_p shard_ha_map);
+  ignore (Shard.attach site_b shard_ha_map);
+  let site_1 = plain "hs1" in
+  let site_2 = plain "hs2" in
+  (site_p, site_b, ha_b, site_1, site_2)
+
+(* Killing hs0p mid-run must fail client "ha" over to the promoted hs0b —
+   same rids, duplicate suppression from shipped registration state — while
+   "hb" and its in-flight cross-shard transactions never notice. *)
 let test_shard_ha_failover () =
   let replies = ref 0 in
   let clients_done = ref 0 in
   let hb_done_at = ref infinity in
   let rids = [ "ha-r0"; "ha-r1"; "hb-r0"; "hb-r1" ] in
-  let smap =
-    {
-      Shard.version = 1;
-      shards = [ "hs0p"; "hs1"; "hs2" ];
-      backups = [ ("hs0p", [ "hs0b" ]) ];
-      sharded_queues = [ "req" ];
-      pins =
-        [
-          ("req#ha", "hs0p");
-          ("reply.ha", "hs0p");
-          ("req#hb", "hs1");
-          ("reply.hb", "hs2");
-        ];
-    }
-  in
   let client ~client_node ~client_id () =
     let rec connect n =
       match
-        Clerk.connect ~client_node ~system:"hs0p" ~shard_map:smap ~client_id
-          ~req_queue:"req" ~retries:8 ()
+        Clerk.connect ~client_node ~system:"hs0p" ~shard_map:shard_ha_map
+          ~client_id ~req_queue:"req" ~retries:8 ()
       with
       | clerk, _ -> clerk
       | exception Clerk.Unavailable _ when n > 0 ->
@@ -342,41 +376,7 @@ let test_shard_ha_failover () =
   in
   H.run_fiber' (fun s ->
       let net = Net.create ~latency:0.005 s (Rng.create 99) in
-      let plain name =
-        let site =
-          Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
-            (Net.make_node net name)
-        in
-        ignore
-          (Server.start site ~req_queue:"req" ~threads:2 Audit.counting_handler);
-        ignore (Shard.attach site smap);
-        site
-      in
-      let site_p =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
-          (Net.make_node net "hs0p")
-      in
-      let site_b =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
-          (Net.make_node net "hs0b")
-      in
-      let serve ha =
-        ignore
-          (Server.start_here (Ha.site ha) ~req_queue:"req" ~threads:2
-             Audit.counting_handler)
-      in
-      let _ha_p =
-        Ha.attach ~mode:Ha.Sync ~on_serving:serve site_p ~peer:"hs0b"
-          ~role:Ha.Primary
-      in
-      let ha_b =
-        Ha.attach ~mode:Ha.Sync ~on_serving:serve site_b ~peer:"hs0p"
-          ~role:Ha.Standby
-      in
-      ignore (Shard.attach site_p smap);
-      ignore (Shard.attach site_b smap);
-      let site_1 = plain "hs1" in
-      let site_2 = plain "hs2" in
+      let site_p, site_b, ha_b, site_1, site_2 = shard_ha_world net in
       let client_node = Net.make_node net "client" in
       Sched.at s 1.5 (fun () -> Site.crash_restart site_p ~after:8.0);
       ignore
@@ -429,10 +429,46 @@ let test_shard_ha_failover () =
         "all auditors passed"
         (Audit.findings_to_string findings))
 
+(* After the promotion the clerk stays on hs0b: only the first request
+   pays for finding hs0p dead. A clerk that tried the owner first on every
+   call would wait out a full rpc timeout on each Send and Receive. *)
+let test_shard_failover_sticks_to_standby () =
+  H.run_fiber' (fun s ->
+      let net = Net.create ~latency:0.005 s (Rng.create 99) in
+      let site_p, _, ha_b, _, _ = shard_ha_world net in
+      let clerk, _ =
+        Clerk.connect ~client_node:(Net.make_node net "client") ~system:"hs0p"
+          ~shard_map:shard_ha_map ~client_id:"ha" ~req_queue:"req" ()
+      in
+      let request rid =
+        ignore (Clerk.send clerk ~rid ("work:" ^ rid));
+        match Clerk.receive clerk ~timeout:2.0 () with
+        | Some env ->
+          Alcotest.(check string) "reply to the request" rid env.Envelope.rid
+        | None -> Alcotest.fail ("no reply to " ^ rid)
+      in
+      request "ha-r0";
+      (* The primary dies for good. *)
+      Site.crash site_p;
+      let deadline = Sched.clock () +. 10.0 in
+      while (not (Ha.is_serving ha_b)) && Sched.clock () < deadline do
+        Sched.sleep 0.1
+      done;
+      Alcotest.(check bool) "standby promoted" true (Ha.is_serving ha_b);
+      request "ha-r1";
+      let t0 = Sched.clock () in
+      List.iter request [ "ha-r2"; "ha-r3"; "ha-r4" ];
+      let took = Sched.clock () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "3 requests on the promoted standby took %.3f s" took)
+        true (took < 1.0))
+
 let shard_ha_suite =
   [
     Alcotest.test_case "HA pair as one shard: failover isolated" `Quick
       test_shard_ha_failover;
+    Alcotest.test_case "clerk stays on the promoted standby" `Quick
+      test_shard_failover_sticks_to_standby;
   ]
 
 (* --- distributed commit atomicity under a crash-time sweep ---------------- *)
