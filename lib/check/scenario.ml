@@ -171,8 +171,8 @@ let build_repo net topo repo =
 
 (* Faults run as scheduler callbacks at their planned virtual times,
    dispatched by node name. A crash while the node is already down is
-   skipped (deterministically), so overlapping faults cannot double-boot a
-   site. *)
+   skipped ([Net.crash_restart]), so overlapping faults cannot double-boot
+   a site. *)
 let inject sched net sites (plan : Plan.t) =
   List.iter
     (fun fault ->
@@ -181,9 +181,7 @@ let inject sched net sites (plan : Plan.t) =
         match List.assoc_opt node sites with
         | None -> ()
         | Some site ->
-          Sched.at sched at (fun () ->
-              if Net.is_up (Site.node site) then
-                Site.crash_restart site ~after:recover_after))
+          Sched.at sched at (fun () -> Site.crash_restart site ~after:recover_after))
       | Plan.Partition { a; b; at; heal_after } ->
         Sched.at sched at (fun () ->
             Net.partition net a b;

@@ -220,11 +220,11 @@ let apply_batch t stream batch =
   | S_qm ->
     let qm = Site.qm t.site in
     List.iter (fun (_, r) -> Qm.standby_apply qm r) batch;
-    Qm.standby_force qm
+    Qm.force_log qm
   | S_kv ->
     let kv = Site.kv t.site in
     List.iter (fun (_, r) -> Kvdb.standby_apply kv r) batch;
-    Kvdb.standby_force kv
+    Kvdb.force_log kv
   | S_tm -> (
     match t.tmship with
     | None -> ()
@@ -254,20 +254,24 @@ let install t ~qm_snap ~kv_snap =
    the primary forces (and in sync mode ships) its commit decision before
    delivering any participant commit, so a prepared transaction without a
    shipped decision cannot have released effects anywhere — presumed
-   abort. Idempotent, so a crash mid-promotion can simply redo it. *)
+   abort. Commits are written lazily, so both logs are forced once at the
+   end. Idempotent, so a crash mid-promotion can simply redo it. *)
 let resolve_in_doubt t =
   (* Only entries coordinated by the peer: a rebooted primary's own
      prepares resolve through its own TM's pending table (the normal
      resolver path), which knows outcomes this table cannot. *)
   let resolve p (id, coord) =
     if coord = t.peer then
-      if Hashtbl.mem t.decisions id then ignore (p.Tm.p_commit id)
+      if Hashtbl.mem t.decisions id then
+        ignore (p.Tm.p_commit id ~on_durable:ignore)
       else p.Tm.p_abort id
   in
   let qm = Site.qm t.site in
   List.iter (resolve (Qm.participant qm)) (Qm.in_doubt qm);
   let kv = Site.kv t.site in
-  List.iter (resolve (Kvdb.participant kv)) (Kvdb.in_doubt kv)
+  List.iter (resolve (Kvdb.participant kv)) (Kvdb.in_doubt kv);
+  Qm.force_log qm;
+  Kvdb.force_log kv
 
 (* Assume the serving-primary duties for this incarnation. Shared by
    promotion, by a reboot that finds a durable primary role, and by the

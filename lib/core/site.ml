@@ -140,9 +140,12 @@ let remote_participant t ~rm_name =
         | Some (R_bool b) -> b
         | Some _ | None -> false);
     p_commit =
-      (fun id ->
+      (fun id ~on_durable ->
+        (* The rm service forces the commit record before it answers. *)
         match rpc (RM_commit { rm = rm_name; id }) with
-        | Some (R_bool b) -> b
+        | Some (R_bool true) ->
+          on_durable ();
+          true
         | Some _ | None -> false);
     p_abort = (fun id -> ignore (rpc (RM_abort { rm = rm_name; id })));
     p_one_phase = (fun _ -> false) (* never used: p_is_local is false *);
@@ -154,6 +157,10 @@ let local_participant t rm_name =
   if rm_name = qm_rm_name t then Some (Qm.participant t.s_qm)
   else if rm_name = kv_rm_name t then Some (Kvdb.participant t.s_kv)
   else None
+
+let force_local_log t rm_name =
+  if rm_name = qm_rm_name t then Qm.force_log t.s_qm
+  else if rm_name = kv_rm_name t then Kvdb.force_log t.s_kv
 
 (* ---- services -------------------------------------------------------- *)
 
@@ -247,7 +254,12 @@ let rm_service t msg =
   match msg with
   | RM_prepare { rm; id; coordinator } ->
     R_bool ((find rm).Tm.p_prepare id ~coordinator)
-  | RM_commit { rm; id } -> R_bool ((find rm).Tm.p_commit id)
+  | RM_commit { rm; id } ->
+    (* A remote coordinator cannot see this node's log, so the lazily
+       written commit record is forced before the answer. *)
+    let ok = (find rm).Tm.p_commit id ~on_durable:ignore in
+    force_local_log t rm;
+    R_bool ok
   | RM_abort { rm; id } ->
     (find rm).Tm.p_abort id;
     Net.Ack
@@ -263,7 +275,9 @@ let tm_service t msg =
 (* ---- daemons --------------------------------------------------------- *)
 
 (* Resolve recovered in-doubt transactions by asking their coordinators;
-   presumed abort when the coordinator has no record. *)
+   presumed abort when the coordinator has no record. Each tick also forces
+   any log whose lazily written tail has waited a whole tick
+   ([Group_commit.flush_stale]). *)
 let resolver_daemon t () =
   let resolve_one (id, coord) ~commit ~abort =
     match
@@ -288,16 +302,20 @@ let resolver_daemon t () =
       List.iter
         (fun entry ->
           resolve_one entry
-            ~commit:(fun id -> ignore ((Qm.participant t.s_qm).Tm.p_commit id))
+            ~commit:(fun id ->
+              ignore ((Qm.participant t.s_qm).Tm.p_commit id ~on_durable:ignore))
             ~abort:(fun id -> (Qm.participant t.s_qm).Tm.p_abort id))
         (Qm.in_doubt t.s_qm);
       List.iter
         (fun entry ->
           resolve_one entry
-            ~commit:(fun id -> ignore ((Kvdb.participant t.s_kv).Tm.p_commit id))
+            ~commit:(fun id ->
+              ignore ((Kvdb.participant t.s_kv).Tm.p_commit id ~on_durable:ignore))
             ~abort:(fun id -> (Kvdb.participant t.s_kv).Tm.p_abort id))
         (Kvdb.in_doubt t.s_kv)
     end;
+    List.iter Rrq_wal.Group_commit.flush_stale
+      [ Tm.group_commit t.s_tm; Qm.group_commit t.s_qm; Kvdb.group_commit t.s_kv ];
     Sched.sleep_background 1.0;
     loop ()
   in

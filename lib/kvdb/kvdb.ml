@@ -131,8 +131,8 @@ let participant t =
         (* Locks are retained while in doubt. *)
         Base.prepare t id ~coordinator);
     p_commit =
-      (fun id ->
-        Base.commit_prepared t id;
+      (fun id ~on_durable ->
+        Base.commit_prepared t id ~on_durable;
         release_locks t id;
         true);
     p_abort =
@@ -160,10 +160,10 @@ let committed_bindings t =
 let checkpoint = Base.checkpoint
 let maybe_checkpoint = Base.maybe_checkpoint
 let live_log_bytes = Base.live_log_bytes
+let force_log = Base.force_log
 
 (* Replication hooks (primary-backup WAL shipping; see Rrq_core.Ha). *)
 let group_commit = Base.group_commit
 let encode_snapshot = Base.encode_snapshot
 let standby_apply = Base.standby_apply
-let standby_force = Base.standby_force
 let standby_install = Base.standby_install

@@ -66,6 +66,10 @@ val checkpoint : t -> unit
 val maybe_checkpoint : t -> every:int -> unit
 val live_log_bytes : t -> int
 
+val force_log : t -> unit
+(** Make every appended record durable: a two-phase commit delivered
+    through {!participant} appends its commit record without forcing it. *)
+
 (** {1 Replication hooks}
 
     Primary-backup WAL shipping (see {!Rrq_core.Ha}); re-exports of the
@@ -74,5 +78,4 @@ val live_log_bytes : t -> int
 val group_commit : t -> Rrq_wal.Group_commit.t
 val encode_snapshot : t -> string
 val standby_apply : t -> string -> unit
-val standby_force : t -> unit
 val standby_install : t -> string -> unit

@@ -166,9 +166,14 @@ let restart n =
   n.up <- true;
   n.boot_proc n
 
+(* A node that is already down is left alone: its pending restart would
+   otherwise be joined by a second one, and two live incarnations would
+   share one disk, each reading the other's unforced log tail. *)
 let crash_restart n ~after =
-  crash n;
-  Sched.at n.net.tsched (Sched.now n.net.tsched +. after) (fun () -> restart n)
+  if n.up then begin
+    crash n;
+    Sched.at n.net.tsched (Sched.now n.net.tsched +. after) (fun () -> restart n)
+  end
 
 let messages_sent t = t.n_sent
 let messages_dropped t = t.n_dropped

@@ -86,7 +86,8 @@ val restart : node -> unit
 (** Mark the node up and run its boot procedure. *)
 
 val crash_restart : node -> after:float -> unit
-(** Crash now and schedule a restart after a (virtual) delay. *)
+(** Crash now and schedule a restart after a (virtual) delay. A no-op on a
+    node that is already down, so overlapping faults cannot boot it twice. *)
 
 (** {1 Messaging} *)
 

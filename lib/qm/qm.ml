@@ -1224,9 +1224,12 @@ let prepare t id ~coordinator =
     Group_commit.force t.gc;
     true
 
-let commit_prepared t id =
-  match Hashtbl.find_opt t.prepared id with
-  | None -> release_locks t id
+(* The lazy commit record (see Group_commit): append and apply, release
+   the locks, but do not force. Page writes wait for the record to become
+   durable (write-ahead rule), and so does [on_durable]. *)
+let commit_prepared t id ~on_durable =
+  (match Hashtbl.find_opt t.prepared id with
+  | None -> ()
   | Some p ->
     (* Page targets must be resolved before apply removes dequeued
        elements from the index. *)
@@ -1234,9 +1237,9 @@ let commit_prepared t id =
     Group_commit.append t.gc (encode_record k_commit (Some id) "" []);
     List.iter (fun op -> apply t op.op_redo) p.p_ops;
     Hashtbl.remove t.prepared id;
-    Group_commit.force t.gc;
-    if pages <> [] then store_write t pages;
-    release_locks t id
+    if pages <> [] then Group_commit.when_durable t.gc (fun () -> store_write t pages));
+  release_locks t id;
+  Group_commit.when_durable t.gc on_durable
 
 (* Returning a dequeued element to its queue after an abort: bump its retry
    count durably; if the limit is hit, move it to the error queue instead
@@ -1293,8 +1296,8 @@ let participant t =
     Tm.part_name = t.qm_name;
     p_prepare = (fun id ~coordinator -> prepare t id ~coordinator);
     p_commit =
-      (fun id ->
-        commit_prepared t id;
+      (fun id ~on_durable ->
+        commit_prepared t id ~on_durable;
         true);
     p_abort = (fun id -> abort t id);
     p_one_phase =
@@ -1373,10 +1376,12 @@ let set_abort_callback t f = t.abort_cb <- f
 let set_alert_callback t f = t.alert_cb <- f
 let set_clock t f = t.clock <- f
 
-let checkpoint t = Wal.checkpoint t.wal (encode_snapshot t)
+let checkpoint t = Group_commit.checkpoint t.gc (encode_snapshot t)
 
 let maybe_checkpoint t ~every =
   if Wal.records_since_checkpoint t.wal >= every then checkpoint t
+
+let force_log t = Group_commit.force t.gc
 
 (* ---- replication hooks (primary-backup WAL shipping) ------------------ *)
 
@@ -1398,8 +1403,6 @@ let standby_apply t payload =
       Group_commit.append t.gc payload;
       replay_record t payload)
 
-let standby_force t = Group_commit.force t.gc
-
 let standby_install t snap =
   Hashtbl.reset t.queues;
   Eidtbl.reset t.index;
@@ -1412,7 +1415,7 @@ let standby_install t snap =
     ~finally:(fun () -> t.replaying <- false)
     (fun () -> restore_snapshot t snap);
   (* Restart our own log from the installed image. *)
-  Wal.checkpoint t.wal (encode_snapshot t)
+  Group_commit.checkpoint t.gc (encode_snapshot t)
 
 (* Durably open a fresh incarnation without reopening the repository — the
    promotion path: a new primary must never mint eids or auto-txids that

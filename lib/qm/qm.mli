@@ -277,6 +277,10 @@ val checkpoint : t -> unit
 val maybe_checkpoint : t -> every:int -> unit
 val live_log_bytes : t -> int
 
+val force_log : t -> unit
+(** Make every appended record durable: a two-phase commit delivered
+    through {!participant} appends its commit record without forcing it. *)
+
 val counts : t -> string -> int * int
 (** (total committed enqueues, total committed dequeues) for a queue in
     this incarnation. *)
@@ -292,14 +296,13 @@ val elements : t -> string -> Element.t list
     {!Rrq_wal.Group_commit.set_shipper} on {!group_commit}; the backup
     applies them with {!standby_apply} (which also appends them to its own
     log, so a backup crash recovers natively) and makes each batch durable
-    with {!standby_force} before acknowledging. {!standby_install}
+    with {!force_log} before acknowledging. {!standby_install}
     replaces the whole state from a primary {!snapshot_image} — the full
     resync after a gap or role change. *)
 
 val group_commit : t -> Rrq_wal.Group_commit.t
 val snapshot_image : t -> string
 val standby_apply : t -> string -> unit
-val standby_force : t -> unit
 val standby_install : t -> string -> unit
 
 val bump_incarnation : t -> unit

@@ -157,14 +157,17 @@ module Make (S : STATE) = struct
       Group_commit.force t.gc;
       true
 
-  let commit_prepared t id =
-    match Hashtbl.find_opt t.prepared_txns id with
+  (* The lazy commit record (see Group_commit): append and apply, but do
+     not force. [on_durable] runs once the record is durable; for an
+     already resolved transaction, once whatever resolved it is. *)
+  let commit_prepared t id ~on_durable =
+    (match Hashtbl.find_opt t.prepared_txns id with
     | None -> () (* already resolved (idempotent) *)
     | Some p ->
       Group_commit.append t.gc (encode_record k_commit (Some id) "" []);
       List.iter (S.apply t.st) p.redos;
-      Hashtbl.remove t.prepared_txns id;
-      Group_commit.force t.gc
+      Hashtbl.remove t.prepared_txns id);
+    Group_commit.when_durable t.gc on_durable
 
   let abort t id =
     Hashtbl.remove t.workspaces id;
@@ -185,6 +188,7 @@ module Make (S : STATE) = struct
     List.iter (S.apply t.st) redos;
     Group_commit.force t.gc
 
+  let force_log t = Group_commit.force t.gc
   let group_commit t = t.gc
 
   (* ---- warm-standby replication target --------------------------------
@@ -198,8 +202,6 @@ module Make (S : STATE) = struct
   let standby_apply t payload =
     Group_commit.append t.gc payload;
     replay t payload
-
-  let standby_force t = Group_commit.force t.gc
 
   let standby_install t snapshot =
     let d = Codec.decoder snapshot in
@@ -215,9 +217,9 @@ module Make (S : STATE) = struct
     done;
     t.st <- st;
     (* Restart our own log from the installed image. *)
-    Wal.checkpoint t.wal (encode_snapshot t)
+    Group_commit.checkpoint t.gc (encode_snapshot t)
 
-  let checkpoint t = Wal.checkpoint t.wal (encode_snapshot t)
+  let checkpoint t = Group_commit.checkpoint t.gc (encode_snapshot t)
 
   let maybe_checkpoint t ~every =
     if Wal.records_since_checkpoint t.wal >= every then checkpoint t

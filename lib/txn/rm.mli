@@ -9,7 +9,8 @@
     - transactions buffer redo records in a private workspace;
     - [commit_one_phase] durably logs the workspace then applies it;
     - [prepare] durably logs the workspace as in-doubt (with its
-      coordinator's name) and keeps it; [commit_prepared]/[abort] resolve it;
+      coordinator's name) and keeps it; [commit_prepared] (lazily logged)
+      and [abort] resolve it;
     - recovery replays the log over the latest checkpoint snapshot and
       rebuilds the in-doubt table, invoking [relock] so prepared
       transactions' locks are re-acquired before new work starts
@@ -72,9 +73,12 @@ module Make (S : STATE) : sig
       unless the transaction has no workspace here (then trivially yes with
       nothing recorded — a read-only participant). *)
 
-  val commit_prepared : t -> Txid.t -> unit
-  (** Apply and durably resolve an in-doubt transaction. Idempotent:
-      unknown transactions are treated as already resolved. *)
+  val commit_prepared : t -> Txid.t -> on_durable:(unit -> unit) -> unit
+  (** Apply an in-doubt transaction and append its commit record without
+      forcing it ({!Rrq_wal.Group_commit}'s lazy commit record): the
+      coordinator's durable decision already fixes the outcome. Runs
+      [on_durable] once the record is durable. Idempotent: unknown
+      transactions are treated as already resolved. *)
 
   val abort : t -> Txid.t -> unit
   (** Discard the workspace; durably resolve the transaction if it was
@@ -89,6 +93,9 @@ module Make (S : STATE) : sig
   val apply_now : t -> S.redo list -> unit
   (** Durably log and apply updates outside any transaction (auto-commit),
       e.g. the retry-counter bump on an aborted dequeue. *)
+
+  val force_log : t -> unit
+  (** Make every appended record durable (lazy commit records included). *)
 
   val group_commit : t -> Rrq_wal.Group_commit.t
   (** The commit-point batcher, exposed so a replication layer can install
@@ -105,10 +112,8 @@ module Make (S : STATE) : sig
 
   val standby_apply : t -> string -> unit
   (** Append one shipped record to our own log and replay it into memory.
-      Not forced — call {!standby_force} at batch end, before
-      acknowledging the batch to the primary. *)
-
-  val standby_force : t -> unit
+      Not forced — call {!force_log} at batch end, before acknowledging
+      the batch to the primary. *)
 
   val standby_install : t -> string -> unit
   (** Replace the whole state from a primary {!encode_snapshot} image

@@ -9,7 +9,7 @@ type outcome = Committed | Aborted
 type participant = {
   part_name : string;
   p_prepare : Txid.t -> coordinator:string -> bool;
-  p_commit : Txid.t -> bool;
+  p_commit : Txid.t -> on_durable:(unit -> unit) -> bool;
   p_abort : Txid.t -> unit;
   p_one_phase : Txid.t -> bool;
   p_has_work : Txid.t -> bool;
@@ -32,8 +32,8 @@ type t = {
   gc : Group_commit.t;
   inc : int;
   mutable next_n : int;
-  (* Commit decisions logged but not yet acknowledged by every participant:
-     txid -> unacked participant names. *)
+  (* Commit decisions logged but not yet retired: txid -> the participants
+     whose commit record is not yet known durable. *)
   pending : (Txid.t, string list ref) Hashtbl.t;
   (* Transactions currently inside the voting phase (decision not yet
      logged): queries about these must answer [`Pending]. *)
@@ -149,38 +149,57 @@ let finish txn outcome =
   txn.abort_hooks <- [];
   List.iter (fun f -> f ()) (List.rev hooks)
 
+let observe_pending t =
+  if Rrq_obs.enabled () then
+    Rrq_obs.Metrics.set_gauge ("tm.pending:" ^ t.tm_name)
+      (float_of_int (Hashtbl.length t.pending))
+
+(* Retire a decision. Invariant: an End record never precedes a
+   participant's durable commit record, so a recovered log names every
+   decision some participant may still need redelivered. End records
+   themselves are a cleanup optimization and need not be forced. *)
 let log_end t id =
   Hashtbl.remove t.pending id;
+  observe_pending t;
   Wal.append t.wal (encode_end id)
-(* End records are a cleanup optimization; they need not be forced. *)
 
-(* Retry commit delivery until every participant has acknowledged. *)
-let redeliver t id resolve =
-  let rec loop () =
-    match Hashtbl.find_opt t.pending id with
-    | None -> ()
-    | Some remaining ->
-      remaining :=
-        List.filter
-          (fun pname ->
-            match resolve pname with
-            | None -> true
-            | Some p -> not (Swallow.run ~default:false (fun () -> p.p_commit id)))
-          !remaining;
-      if !remaining = [] then log_end t id
-      else begin
-        Sched.sleep_background 1.0;
-        loop ()
-      end
+(* The one retirement counter: [pname]'s commit record for [id] is durable;
+   the last one to report retires the decision. *)
+let participant_durable t id pname =
+  match Hashtbl.find_opt t.pending id with
+  | None -> ()
+  | Some waiting ->
+    waiting := List.filter (fun n -> n <> pname) !waiting;
+    if !waiting = [] then log_end t id
+
+(* Deliver the decision to one participant; [false] means retry later. *)
+let deliver t id p =
+  Swallow.run ~default:false (fun () ->
+      p.p_commit id ~on_durable:(fun () -> participant_durable t id p.part_name))
+
+(* Retry delivery, once a second, to the named participants that have not
+   taken the decision yet. *)
+let rec redeliver t id resolve pnames =
+  let undelivered =
+    List.filter
+      (fun pname ->
+        match resolve pname with None -> true | Some p -> not (deliver t id p))
+      pnames
   in
-  loop ()
+  if undelivered <> [] then begin
+    Sched.sleep_background 1.0;
+    redeliver t id resolve undelivered
+  end
+
+let fork_redeliver t id resolve pnames =
+  ignore
+    (Sched.fork ~name:("redeliver:" ^ Txid.to_string id) (fun () ->
+         redeliver t id resolve pnames))
 
 let deliver_commits t id parts =
-  let unacked =
-    List.filter (fun p -> not (Swallow.run ~default:false (fun () -> p.p_commit id))) parts
-  in
-  if unacked = [] then log_end t id
-  else begin
+  let undelivered = List.filter (fun p -> not (deliver t id p)) parts in
+  Rrq_sim.Crashpoint.reach ("tm.delivered:" ^ t.tm_name);
+  if undelivered <> [] then begin
     (* Keep retrying in the background; closures remain valid while this
        incarnation lives, and recovery re-resolves by name otherwise. *)
     let by_name pname =
@@ -188,10 +207,7 @@ let deliver_commits t id parts =
       | Some p -> Some p
       | None -> t.resolver pname
     in
-    Hashtbl.replace t.pending id (ref (List.map (fun p -> p.part_name) unacked));
-    ignore
-      (Sched.fork ~name:("redeliver:" ^ Txid.to_string id) (fun () ->
-           redeliver t id by_name))
+    fork_redeliver t id by_name (List.map (fun p -> p.part_name) undelivered)
   end
 
 let commit t txn =
@@ -286,6 +302,7 @@ let commit t txn =
         Group_commit.force t.gc;
         Rrq_sim.Crashpoint.reach ("tm.decided:" ^ t.tm_name);
         Hashtbl.replace t.pending txn.id (ref pnames);
+        observe_pending t;
         Hashtbl.remove t.deciding txn.id;
         commit_done ();
         finish txn Committed;
@@ -324,11 +341,9 @@ let decision t id =
 let set_resolver t f = t.resolver <- f
 
 let recover_pending t =
+  observe_pending t;
   Hashtbl.iter
-    (fun id _remaining ->
-      ignore
-        (Sched.fork ~name:("redeliver:" ^ Txid.to_string id) (fun () ->
-             redeliver t id (fun pname -> t.resolver pname))))
+    (fun id waiting -> fork_redeliver t id t.resolver !waiting)
     t.pending
 
 let pending_decisions t = Hashtbl.fold (fun id _ acc -> id :: acc) t.pending []

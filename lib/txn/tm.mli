@@ -10,11 +10,18 @@
       transaction implicitly, and in-doubt participants that cannot find a
       logged decision are told to abort.
 
+    The forced writes of a two-phase commit are the participants' prepares
+    plus the decision. A participant on this node writes its commit record
+    lazily and the record rides the next force of its log (see
+    {!Rrq_wal.Group_commit}); a remote participant forces it before it
+    answers. So a two-RM commit on one node costs three forces, not five.
+
     The coordinator log also drives {e commit redelivery}: once a commit
     decision is logged, delivery to every participant is retried (across
     coordinator restarts, via {!set_resolver} + {!recover_pending}) until
-    all have acknowledged, after which an End record retires the
-    transaction. *)
+    all have taken it. The decision stays pending until every
+    participant's commit record is durable; only then does an End record
+    retire the transaction. *)
 
 type t
 
@@ -24,8 +31,12 @@ type participant = {
   part_name : string;  (** Stable name, resolvable after a restart. *)
   p_prepare : Txid.t -> coordinator:string -> bool;
       (** Force a yes-vote; [false] for a no-vote or an unreachable RM. *)
-  p_commit : Txid.t -> bool;
-      (** Deliver the commit decision; [true] once durably applied. *)
+  p_commit : Txid.t -> on_durable:(unit -> unit) -> bool;
+      (** Deliver the commit decision; [true] once applied, [false] to have
+          it redelivered. [on_durable] must run (once) when the commit
+          record is durable; a local RM runs it from
+          {!Rrq_wal.Group_commit.when_durable}, the remote proxy on a [true]
+          reply. *)
   p_abort : Txid.t -> unit;  (** Best-effort abort notice. *)
   p_one_phase : Txid.t -> bool;  (** Single-participant fast path. *)
   p_has_work : Txid.t -> bool;
@@ -96,7 +107,10 @@ val recover_pending : t -> unit
     Call from a fiber, after {!set_resolver}. *)
 
 val pending_decisions : t -> Txid.t list
-(** Commit decisions not yet acknowledged by all participants. *)
+(** Commit decisions not yet durable at every participant. This holds
+    after {!commit} returns, until later forces of the participants' logs
+    (or the site's idle flush) cover their commit records. The
+    [tm.pending:<tm>] gauge reports its length. *)
 
 val stats : t -> int * int
 (** (committed, aborted) counts for this incarnation. *)

@@ -45,6 +45,11 @@ type t = {
   mutable ship_leading : bool;
   mutable ship_waiters : (int * bool Sched.waker) list;
   mutable n_ships : int;
+  (* Durability callbacks ([when_durable]): (appended lsn, f), newest
+     first, run once the durable LSN covers lsn. [stale_mark] is the
+     appended LSN at the last [flush_stale] tick. *)
+  mutable on_durable : (int * (unit -> unit)) list;
+  mutable stale_mark : int;
 }
 
 let create ?(policy = Immediate) wal =
@@ -72,6 +77,8 @@ let create ?(policy = Immediate) wal =
     ship_leading = false;
     ship_waiters = [];
     n_ships = 0;
+    on_durable = [];
+    stale_mark = 0;
   }
 
 let policy t = t.pol
@@ -105,6 +112,24 @@ let append_enc t e =
   end
   else Wal.append_enc t.wal e
 
+(* Run, oldest first, every durability callback the durable LSN now
+   covers. Callbacks must not yield: they run inside whichever fiber
+   advanced the LSN. *)
+let fire_durable t =
+  if t.on_durable <> [] then begin
+    let durable = Wal.durable_lsn t.wal in
+    let ready, waiting =
+      List.partition (fun (lsn, _) -> lsn <= durable) t.on_durable
+    in
+    t.on_durable <- waiting;
+    List.iter (fun (_, f) -> f ()) (List.rev ready)
+  end
+
+let when_durable t f =
+  let lsn = Wal.appended_lsn t.wal in
+  if lsn <= Wal.durable_lsn t.wal then f ()
+  else t.on_durable <- (lsn, f) :: t.on_durable
+
 (* One physical flush, charged against the disk's device model when we can
    sleep (i.e. inside a fiber): the device serves one flush at a time, so
    concurrent immediate-mode committers queue on it. *)
@@ -114,7 +139,14 @@ let do_sync t =
      if wait > 0.0 then Sched.sleep wait);
   Wal.sync t.wal;
   t.n_syncs <- t.n_syncs + 1;
-  if Rrq_obs.enabled () then Rrq_obs.Metrics.inc ("gc.syncs:" ^ Wal.name t.wal)
+  if Rrq_obs.enabled () then Rrq_obs.Metrics.inc ("gc.syncs:" ^ Wal.name t.wal);
+  fire_durable t
+
+(* A checkpoint's snapshot holds the applied effects of every appended
+   record, so it advances the durable LSN like a sync does. *)
+let checkpoint t snapshot =
+  Wal.checkpoint t.wal snapshot;
+  fire_durable t
 
 (* Wake every parked follower the last sync covered. After a successful
    sync the durable LSN equals the appended LSN, which covers everyone who
@@ -325,3 +357,15 @@ let force t =
 let append_force t payload =
   append t payload;
   force t
+
+(* The idle bound on lazily written records: a tail that was already
+   appended at the previous tick and is still not durable gets one force.
+   While commits keep coming, some other force covers the tail first and
+   this never fires. *)
+let flush_stale t =
+  if Wal.durable_lsn t.wal < t.stale_mark then begin
+    if Rrq_obs.enabled () then
+      Rrq_obs.Metrics.inc ("gc.stale_flushes:" ^ Wal.name t.wal);
+    force t
+  end;
+  t.stale_mark <- Wal.appended_lsn t.wal

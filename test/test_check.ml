@@ -588,7 +588,17 @@ let test_recording_is_passive () =
     (Sched.trace_to_string recorded.C.Scenario.rec_outcome.C.Scenario.trace);
   Alcotest.(check int) "same replies"
     bare.C.Scenario.replies
-    recorded.C.Scenario.rec_outcome.C.Scenario.replies
+    recorded.C.Scenario.rec_outcome.C.Scenario.replies;
+  (* The lazy-commit metrics are among what it records: every decision is
+     retired at quiescence, and the idle tail was flushed by the tick. *)
+  let m = recorded.C.Scenario.rec_metrics in
+  Alcotest.(check (option (float 0.0))) "tm.pending recorded, drained"
+    (Some 0.0)
+    (List.assoc_opt "tm.pending:backend" m.Obs.Metrics.s_gauges);
+  Alcotest.(check bool) "gc.stale_flushes recorded" true
+    (List.exists
+       (fun (k, n) -> String.starts_with ~prefix:"gc.stale_flushes:" k && n > 0)
+       m.Obs.Metrics.s_counters)
 
 (* ---- property: auditors hold under arbitrary small fault schedules ------ *)
 

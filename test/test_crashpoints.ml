@@ -59,13 +59,13 @@ let recover_and_audit disk =
   List.iter
     (fun (id, _coord) ->
       match Tm.decision tm id with
-      | `Committed -> ignore ((Qm.participant qm).Tm.p_commit id)
+      | `Committed -> ignore ((Qm.participant qm).Tm.p_commit id ~on_durable:ignore)
       | `Aborted | `Pending -> (Qm.participant qm).Tm.p_abort id)
     (Qm.in_doubt qm);
   List.iter
     (fun (id, _coord) ->
       match Tm.decision tm id with
-      | `Committed -> ignore ((Kvdb.participant kv).Tm.p_commit id)
+      | `Committed -> ignore ((Kvdb.participant kv).Tm.p_commit id ~on_durable:ignore)
       | `Aborted | `Pending -> (Kvdb.participant kv).Tm.p_abort id)
     (Kvdb.in_doubt kv);
   let _, last = Qm.register qm ~queue:"q" ~registrant:"client" ~stable:true in

@@ -290,8 +290,13 @@ let prop_ha_prefix_consistent =
                 let id = Txid.make ~origin:"coord" ~inc:1 ~n:(1000 + i) in
                 ignore (Qm.enqueue qm id h ~priority:prio (Printf.sprintf "t%d" i));
                 let p = Qm.participant qm in
-                if p.Tm.p_prepare id ~coordinator:"coord" then
-                  ignore (p.Tm.p_commit id));
+                if p.Tm.p_prepare id ~coordinator:"coord" then begin
+                  (* The commit record is lazy: force it out, as the
+                     participant's next commit would, so the snapshot
+                     below is a shipped boundary. *)
+                  ignore (p.Tm.p_commit id ~on_durable:ignore);
+                  Gc.force (Qm.group_commit qm)
+                end);
               snaps := (!nship, state_of qm) :: !snaps)
             ops;
           let records = Array.of_list (List.rev !shipped) in
@@ -309,7 +314,7 @@ let prop_ha_prefix_consistent =
             for i = 0 to k - 1 do
               Qm.standby_apply bqm records.(i)
             done;
-            Qm.standby_force bqm;
+            Qm.force_log bqm;
             if state_of bqm <> expected_at k then begin
               ok := false;
               QCheck2.Test.fail_reportf

@@ -225,7 +225,7 @@ let test_prepared_dequeue_stays_locked_after_crash () =
       Alcotest.(check int) "present" 1 (Qm.depth qm2 "q");
       Alcotest.(check bool) "not dequeueable" true (deq qm2 h2 = None);
       (* commit resolves and removes it *)
-      ignore ((Qm.participant qm2).Tm.p_commit id);
+      ignore ((Qm.participant qm2).Tm.p_commit id ~on_durable:ignore);
       Alcotest.(check int) "gone after commit" 0 (Qm.depth qm2 "q"))
 
 let test_prepared_enqueue_applies_on_commit_after_crash () =
@@ -238,7 +238,7 @@ let test_prepared_enqueue_applies_on_commit_after_crash () =
       Disk.crash disk;
       let qm2 = Qm.open_qm disk ~name:"qm" in
       Alcotest.(check int) "invisible while in doubt" 0 (Qm.depth qm2 "q");
-      ignore ((Qm.participant qm2).Tm.p_commit id);
+      ignore ((Qm.participant qm2).Tm.p_commit id ~on_durable:ignore);
       Alcotest.(check int) "applied on commit" 1 (Qm.depth qm2 "q"))
 
 let test_checkpoint_equivalence () =

@@ -7,6 +7,9 @@ module Lock = Rrq_txn.Lock
 module Tm = Rrq_txn.Tm
 module Txid = Rrq_txn.Txid
 module Kvdb = Rrq_kvdb.Kvdb
+module Qm = Rrq_qm.Qm
+module Net = Rrq_net.Net
+module Site = Rrq_core.Site
 module H = Rrq_test_support.Sim_harness
 
 let tx n = Txid.make ~origin:"t" ~inc:1 ~n
@@ -281,10 +284,13 @@ let test_kv_prepared_survives_crash () =
       (* in doubt: invisible but recorded *)
       Alcotest.(check (option string)) "invisible" None (Kvdb.committed_value kv2 "a");
       let p2 = Kvdb.participant kv2 in
-      Alcotest.(check bool) "commit delivers" true (p2.Tm.p_commit id);
+      Alcotest.(check bool) "commit delivers" true
+        (p2.Tm.p_commit id ~on_durable:ignore);
       Alcotest.(check (option string)) "applied" (Some "1")
         (Kvdb.committed_value kv2 "a");
-      (* and survives another crash *)
+      (* and, once a later force covers the lazy commit record, survives
+         another crash *)
+      Kvdb.force_log kv2;
       Disk.crash disk;
       let kv3 = fresh_kv disk () in
       Alcotest.(check (option string)) "still applied" (Some "1")
@@ -310,7 +316,7 @@ let test_kv_indoubt_blocks_readers () =
                       read_done_at := Sched.clock ();
                       Kvdb.release_locks kv2 (tx 2)));
                Sched.sleep 5.0;
-               ignore ((Kvdb.participant kv2).Tm.p_commit id))))
+               ignore ((Kvdb.participant kv2).Tm.p_commit id ~on_durable:ignore))))
   in
   Alcotest.(check bool) "reader waited for resolution" true (!read_done_at >= 5.0)
 
@@ -350,24 +356,113 @@ let test_kv_checkpoint_recovery_equivalence () =
 
 (* --- TM / two-phase commit ------------------------------------------ *)
 
+(* A TM and two KV stores on one disk: a local two-RM transaction that put
+   x=1 at kva and y=2 at kvb, ready to commit. *)
+let two_rm_txn disk =
+  let tm = Tm.open_tm disk ~name:"tm1" in
+  let kva = Kvdb.open_kv disk ~name:"kva" in
+  let kvb = Kvdb.open_kv disk ~name:"kvb" in
+  let txn = Tm.begin_txn tm in
+  let id = Tm.txn_id txn in
+  Kvdb.put kva id "x" "1";
+  Kvdb.put kvb id "y" "2";
+  Tm.join txn (Kvdb.participant kva);
+  Tm.join txn (Kvdb.participant kvb);
+  (tm, kva, kvb, txn)
+
+let commit_ok tm txn =
+  match Tm.commit tm txn with
+  | Tm.Committed -> ()
+  | Tm.Aborted -> Alcotest.fail "should commit"
+
 let test_tm_two_rm_commit () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n1" in
-      let tm = Tm.open_tm disk ~name:"tm1" in
-      let kva = Kvdb.open_kv disk ~name:"kva" in
-      let kvb = Kvdb.open_kv disk ~name:"kvb" in
-      let txn = Tm.begin_txn tm in
-      let id = Tm.txn_id txn in
-      Kvdb.put kva id "x" "1";
-      Kvdb.put kvb id "y" "2";
-      Tm.join txn (Kvdb.participant kva);
-      Tm.join txn (Kvdb.participant kvb);
-      (match Tm.commit tm txn with
-      | Tm.Committed -> ()
-      | Tm.Aborted -> Alcotest.fail "should commit");
+      let tm, kva, kvb, txn = two_rm_txn disk in
+      commit_ok tm txn;
       Alcotest.(check (option string)) "x" (Some "1") (Kvdb.committed_value kva "x");
       Alcotest.(check (option string)) "y" (Some "2") (Kvdb.committed_value kvb "y");
-      Alcotest.(check (list pass)) "nothing pending" [] (Tm.pending_decisions tm))
+      (* The commit records are lazy: the decision stays until both are
+         durable, and each RM's next force retires its share. *)
+      Alcotest.(check int) "pending until durable" 1
+        (List.length (Tm.pending_decisions tm));
+      Kvdb.force_log kva;
+      Alcotest.(check int) "still waiting for kvb" 1
+        (List.length (Tm.pending_decisions tm));
+      Kvdb.force_log kvb;
+      Alcotest.(check (list pass)) "retired" [] (Tm.pending_decisions tm))
+
+(* The forced writes of a local two-RM commit are the two prepares and the
+   decision; the commit records ride later forces. *)
+let test_tm_two_rm_commit_syncs () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let tm, _, _, txn = two_rm_txn disk in
+      let before = Disk.sync_count disk in
+      commit_ok tm txn;
+      Alcotest.(check int) "prepare, prepare, decision" 3
+        (Disk.sync_count disk - before))
+
+(* The window the lazy commit records open: the node dies right after
+   [commit] returns, before anything forces the RM logs. Both RMs come back
+   in doubt, recovery redelivers the durable decision, and the request
+   (dequeue a job, count it, enqueue a reply) takes effect exactly once,
+   also when the already-applied decision is redelivered after a second
+   crash. *)
+let test_tm_crash_before_commit_records_durable () =
+  let disk = Disk.create "n1" in
+  let open_node () =
+    let tm = Tm.open_tm disk ~name:"tm1" in
+    let qm = Qm.open_qm disk ~name:"qm" in
+    let kv = Kvdb.open_kv disk ~name:"kv" in
+    Tm.set_resolver tm (fun pname ->
+        if pname = "qm" then Some (Qm.participant qm)
+        else if pname = "kv" then Some (Kvdb.participant kv)
+        else None);
+    (tm, qm, kv)
+  in
+  let recover () =
+    let tm, qm, kv = open_node () in
+    Tm.recover_pending tm;
+    Sched.sleep 0.1;
+    Qm.force_log qm;
+    Kvdb.force_log kv;
+    (tm, qm, kv)
+  in
+  let state (tm, qm, kv) =
+    ( Qm.depth qm "jobs",
+      Qm.depth qm "replies",
+      Kvdb.committed_value kv "n",
+      Tm.pending_decisions tm = [] )
+  in
+  let check what (jobs, replies, n, retired) =
+    Alcotest.(check int) (what ^ ": job consumed") 0 jobs;
+    Alcotest.(check int) (what ^ ": one reply") 1 replies;
+    Alcotest.(check (option string)) (what ^ ": counted once") (Some "1") n;
+    Alcotest.(check bool) (what ^ ": decision retired") true retired
+  in
+  H.run_fiber (fun () ->
+      let tm, qm, kv = open_node () in
+      List.iter (fun q -> Qm.create_queue qm q) [ "jobs"; "replies" ];
+      let h, _ = Qm.register qm ~queue:"jobs" ~registrant:"s" ~stable:false in
+      let hr, _ = Qm.register qm ~queue:"replies" ~registrant:"s" ~stable:false in
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "job"));
+      let txn = Tm.begin_txn tm in
+      let id = Tm.txn_id txn in
+      ignore (Qm.dequeue qm id h Qm.No_wait);
+      ignore (Kvdb.add kv id "n" 1);
+      ignore (Qm.enqueue qm id hr "reply");
+      Tm.join txn (Qm.participant qm);
+      Tm.join txn (Kvdb.participant kv);
+      commit_ok tm txn;
+      Disk.crash disk;
+      let tm2, qm2, kv2 = open_node () in
+      Alcotest.(check int) "qm in doubt" 1 (List.length (Qm.in_doubt qm2));
+      Alcotest.(check int) "kv in doubt" 1 (List.length (Kvdb.in_doubt kv2));
+      Alcotest.(check bool) "decision recovered" true (Tm.decision tm2 id = `Committed);
+      check "after recovery" (state (recover ()));
+      Disk.crash disk;
+      check "after a second recovery" (state (recover ())))
 
 let test_tm_vote_no_aborts_all () =
   H.run_fiber (fun () ->
@@ -382,7 +477,7 @@ let test_tm_vote_no_aborts_all () =
         {
           Tm.part_name = "naysayer";
           p_prepare = (fun _ ~coordinator:_ -> false);
-          p_commit = (fun _ -> true);
+          p_commit = (fun _ ~on_durable:_ -> true);
           p_abort = (fun _ -> ());
           p_one_phase = (fun _ -> true);
           p_has_work = (fun _ -> true);
@@ -411,6 +506,7 @@ let test_tm_coordinator_crash_before_decision_presumes_abort () =
 
 let test_tm_decision_survives_crash_and_redelivers () =
   let committed_value = ref None in
+  let retired = ref false in
   let _ =
     H.run (fun s ->
         let disk = Disk.create "n1" in
@@ -431,8 +527,8 @@ let test_tm_decision_survives_crash_and_redelivers () =
                  {
                    pb with
                    Tm.p_commit =
-                     (fun tid ->
-                       if !flaky_done then pb.Tm.p_commit tid
+                     (fun tid ~on_durable ->
+                       if !flaky_done then pb.Tm.p_commit tid ~on_durable
                        else begin
                          flaky_done := true;
                          false
@@ -445,11 +541,17 @@ let test_tm_decision_survives_crash_and_redelivers () =
                  (Tm.pending_decisions tm <> []);
                (* background redelivery retries after 1s *)
                Sched.sleep 3.0;
-               Alcotest.(check (list pass)) "retired" [] (Tm.pending_decisions tm);
-               committed_value := Kvdb.committed_value kvb "y")))
+               committed_value := Kvdb.committed_value kvb "y";
+               Alcotest.(check bool) "pending until the commit records are durable"
+                 true
+                 (Tm.pending_decisions tm <> []);
+               Kvdb.force_log kva;
+               Kvdb.force_log kvb;
+               retired := Tm.pending_decisions tm = [])))
   in
   Alcotest.(check (option string)) "kvb applied via redelivery" (Some "2")
-    !committed_value
+    !committed_value;
+  Alcotest.(check bool) "retired once durable" true !retired
 
 let test_tm_recover_pending_after_crash () =
   let final = ref None in
@@ -471,7 +573,7 @@ let test_tm_recover_pending_after_crash () =
                Kvdb.put kvb id "y" "2";
                Tm.join txn (Kvdb.participant kva);
                let pb = Kvdb.participant kvb in
-               Tm.join txn { pb with Tm.p_commit = (fun _ -> false) };
+               Tm.join txn { pb with Tm.p_commit = (fun _ ~on_durable:_ -> false) };
                match Tm.commit tm txn with
                | Tm.Committed -> ()
                | Tm.Aborted -> Alcotest.fail "should commit"));
@@ -492,11 +594,81 @@ let test_tm_recover_pending_after_crash () =
                      (Tm.pending_decisions tm2 <> []);
                    Tm.recover_pending tm2;
                    Sched.sleep 5.0;
+                   (* The redelivered commit records are lazy; a later force
+                      makes them durable and retires the decision. *)
+                   Kvdb.force_log kva2;
+                   Kvdb.force_log kvb2;
                    retired := Tm.pending_decisions tm2 = [];
                    final := Kvdb.committed_value kvb2 "y"))))
   in
   Alcotest.(check bool) "retired after recovery" true !retired;
   Alcotest.(check (option string)) "kvb eventually applied" (Some "2") !final
+
+(* The retirement invariant: an End record never precedes a participant's
+   durable commit record. A second transaction on two other RMs forces the
+   TM log (its decision) but not the first transaction's RM logs; were the
+   first decision already retired, that force would make its End durable,
+   and recovery would presume the still-in-doubt first transaction
+   aborted. *)
+let test_tm_end_waits_for_durable_commit_records () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let tm, _, _, txn = two_rm_txn disk in
+      let id = Tm.txn_id txn in
+      commit_ok tm txn;
+      let kvc = Kvdb.open_kv disk ~name:"kvc" in
+      let kvd = Kvdb.open_kv disk ~name:"kvd" in
+      let txn2 = Tm.begin_txn tm in
+      Kvdb.put kvc (Tm.txn_id txn2) "z" "3";
+      Kvdb.put kvd (Tm.txn_id txn2) "w" "4";
+      Tm.join txn2 (Kvdb.participant kvc);
+      Tm.join txn2 (Kvdb.participant kvd);
+      commit_ok tm txn2;
+      Disk.crash disk;
+      let tm' = Tm.open_tm disk ~name:"tm1" in
+      let kva' = Kvdb.open_kv disk ~name:"kva" in
+      Alcotest.(check int) "kva in doubt" 1 (List.length (Kvdb.in_doubt kva'));
+      Alcotest.(check bool) "first decision still logged" true
+        (Tm.decision tm' id = `Committed))
+
+(* With no further traffic, the site's 1 s resolver tick is what makes the
+   lazy commit records durable: the first tick marks the undurable tail, the
+   next forces it. *)
+let test_tm_idle_node_retires () =
+  let committed_at = ref 0.0 in
+  let pending_after_commit = ref 0 in
+  let retired_at = ref None in
+  let _ =
+    H.run (fun s ->
+        let net = Net.create s (Rrq_util.Rng.create 1) in
+        let site = Site.create ~queues:[ ("q", Qm.default_attrs) ] (Net.make_node net "n") in
+        ignore
+          (Sched.spawn s ~name:"flow" (fun () ->
+               Sched.sleep 0.5;
+               Site.with_txn site (fun txn ->
+                   let id = Tm.txn_id txn in
+                   let h, _ =
+                     Qm.register (Site.qm site) ~queue:"q" ~registrant:"w" ~stable:false
+                   in
+                   ignore (Qm.enqueue (Site.qm site) id h "x");
+                   Kvdb.put (Site.kv site) id "k" "v");
+               committed_at := Sched.clock ();
+               pending_after_commit := List.length (Tm.pending_decisions (Site.tm site));
+               while !retired_at = None && Sched.clock () < 10.0 do
+                 Sched.sleep 0.01;
+                 if Tm.pending_decisions (Site.tm site) = [] then
+                   retired_at := Some (Sched.clock ())
+               done)))
+  in
+  Alcotest.(check int) "pending after commit" 1 !pending_after_commit;
+  match !retired_at with
+  | None -> Alcotest.fail "decision never retired"
+  | Some t ->
+    Alcotest.(check bool)
+      (Printf.sprintf "retired within two ticks (%.2f s after commit)"
+         (t -. !committed_at))
+      true
+      (t -. !committed_at <= 2.0 +. 0.011)
 
 let test_tm_empty_and_single () =
   H.run_fiber (fun () ->
@@ -587,6 +759,14 @@ let kv_suite =
 let tm_suite =
   [
     Alcotest.test_case "two-RM 2PC commit" `Quick test_tm_two_rm_commit;
+    Alcotest.test_case "a local two-RM commit issues exactly 3 syncs" `Quick
+      test_tm_two_rm_commit_syncs;
+    Alcotest.test_case "crash before the commit records are durable" `Quick
+      test_tm_crash_before_commit_records_durable;
+    Alcotest.test_case "idle node retires its decision within two ticks" `Quick
+      test_tm_idle_node_retires;
+    Alcotest.test_case "End waits for the durable commit records" `Quick
+      test_tm_end_waits_for_durable_commit_records;
     Alcotest.test_case "no-vote aborts all" `Quick test_tm_vote_no_aborts_all;
     Alcotest.test_case "coordinator crash => presumed abort" `Quick
       test_tm_coordinator_crash_before_decision_presumes_abort;
