@@ -71,8 +71,9 @@ bench:
 	dune exec bench/main.exe
 
 # The perf-path smoke (also runs as part of `dune runtest`): B1 (queue op
-# micro-costs incl. the main-memory fast path), B12 (group commit, adaptive
-# vs immediate) and B13 (sharded scale-out) at tiny iteration counts —
+# micro-costs incl. the main-memory fast path), B12 (group commit against
+# the one-sync-per-commit ceiling) and B13 (sharded scale-out) at tiny
+# iteration counts —
 # exercises the measurement harness and the seal-reason counters, does not
 # produce meaningful numbers.
 bench-smoke:

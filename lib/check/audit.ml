@@ -105,14 +105,16 @@ let queue_integrity ~sites =
 (* Exactly-once re-derived from the trace stream alone, with no access to
    end state: every request that was sent or executed must have exactly one
    server execution whose transaction committed. Sound only when the trace
-   is complete (no ring wraparound) and crashes are plan-driven node
-   crashes under the Immediate commit policy: [Net.crash] kills fibers
-   before the disk loses unsynced buffers, and with no suspension between
-   the durable force and the commit event a killed-mid-commit fiber implies
-   a non-durable commit. A batched force parks follower fibers between the
-   covering sync and their commit events, and crashpoint-armed runs can
-   fire between force and event emission — so this auditor is not in the
-   standard set; [Scenario.run_recorded] applies it. *)
+   is complete (no ring wraparound) and no fiber can die between its
+   durable force and its commit event, which holds on runs without crashes
+   (partitions kill no fibers). A crash breaks it through two windows where
+   a committer is parked after its records are durable: a group-commit
+   follower waiting for the leader that synced it, and a Sync-mode HA
+   committer waiting for its ship ack. A fiber killed there leaves a
+   durable commit with no [Txn_commit] event, which reads as a lost
+   request. Crashpoint-armed runs can also fire between force and event.
+   So this auditor is not in the standard set; [Scenario.run_recorded]
+   applies it to crash-free plans. *)
 let exactly_once_trace () =
   make "exactly-once-trace" (fun () ->
       if not (Rrq_obs.enabled ()) then

@@ -73,7 +73,10 @@ val exactly_once_trace : unit -> auditor
 (** Exactly-once verified from the [Rrq_obs] trace stream alone: every
     request appearing in a [Clerk_send] or [Server_exec] event has exactly
     one [Server_exec] whose txid also appears in a [Txn_commit]. Requires
-    an enabled observability session whose ring never wrapped. Sound for
-    plan-driven crashes under the Immediate commit policy (see the
-    implementation note); not part of the standard auditor set —
-    {!Scenario.run_recorded} applies it. *)
+    an enabled observability session whose ring never wrapped. Sound only
+    on runs where no fiber can die between its durable force and its
+    commit event: runs without crashes. A crash can kill a group-commit
+    follower parked for its leader's wake-up, or a committer in the
+    Sync-mode HA ship wait, after its commit became durable but before the
+    event (see the implementation note). Not part of the standard auditor
+    set — {!Scenario.run_recorded} applies it to crash-free plans. *)

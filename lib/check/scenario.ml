@@ -59,7 +59,6 @@ type topology = {
   repos : repository list;  (** one per shard; the first is the entry *)
   shards : shards option;
   queue_attrs : Qm.attrs;
-  commit_policy : Rrq_wal.Group_commit.policy option;
   clients : int;
   reqs : int;  (** per client *)
   prefix : string;  (** client ids are [prefix ^ index] *)
@@ -131,9 +130,8 @@ type built = {
 
 let build_repo net topo repo =
   let create name =
-    Site.create ?commit_policy:topo.commit_policy
-      ~queues:[ ("req", topo.queue_attrs) ]
-      ~stale_timeout:3.0 (Net.make_node net name)
+    Site.create ~queues:[ ("req", topo.queue_attrs) ] ~stale_timeout:3.0
+      (Net.make_node net name)
   in
   let route site =
     Option.iter
@@ -465,7 +463,6 @@ let quickstart_world =
     repos = [ Single "backend" ];
     shards = None;
     queue_attrs = Qm.default_attrs;
-    commit_policy = None;
     clients = 2;
     reqs = 2;
     prefix = "c";
@@ -474,16 +471,14 @@ let quickstart_world =
 
 let quickstart = make "quickstart" quickstart_world
 
-(* Main-memory request queue + adaptive group commit: element payload and
-   order live purely in memory, only redo records hit the WAL, and recovery
-   rebuilds the queue from the redo scan. *)
+(* Main-memory request queue: element payload and order live purely in
+   memory, only redo records hit the WAL, and recovery rebuilds the queue
+   from the redo scan. *)
 let quickstart_mm =
   make "quickstart-mm"
     {
       quickstart_world with
       queue_attrs = { Qm.default_attrs with durability = Qm.Main_memory };
-      commit_policy =
-        Some (Rrq_wal.Group_commit.Adaptive { max_delay = 0.0005; max_batch = 64 });
     }
 
 let ha_world mode =
@@ -626,9 +621,19 @@ let run_recorded ?policy ?(trace_capacity = 262144) t plan =
   Rrq_obs.reset ~trace_capacity ();
   Fun.protect ~finally:Rrq_obs.disable (fun () ->
       let o = run ?policy t plan in
-      (* The trace auditor runs while the session is still enabled, so it
-         can see the events; its findings join the scenario's own. *)
-      let extra = Audit.run [ Audit.exactly_once_trace () ] in
+      (* The trace auditor is sound only when no fiber can die between its
+         durable force and its commit event, i.e. on crash-free plans (see
+         [Audit.exactly_once_trace]). It runs while the session is still
+         enabled, so it can see the events; its findings join the
+         scenario's own. *)
+      let crash_free =
+        List.for_all
+          (function Plan.Crash _ -> false | Plan.Partition _ -> true)
+          plan.Plan.faults
+      in
+      let extra =
+        if crash_free then Audit.run [ Audit.exactly_once_trace () ] else []
+      in
       {
         rec_outcome = { o with findings = o.findings @ extra };
         rec_metrics = Rrq_obs.Metrics.snapshot ();

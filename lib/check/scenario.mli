@@ -26,9 +26,9 @@ type outcome = {
 
 type topology
 (** The closed world a scenario builds: its repositories, the optional
-    shard map and its mid-run change, the request queue's durability class
-    and commit policy, the client count, requests per client and client-id
-    prefix, and an optional designed bug. *)
+    shard map and its mid-run change, the request queue's durability
+    class, the client count, requests per client and client-id prefix, and
+    an optional designed bug. *)
 
 type t = {
   name : string;
@@ -55,10 +55,9 @@ val quickstart : t
     finding here is a protocol bug. *)
 
 val quickstart_mm : t
-(** {!quickstart} over a [Main_memory] request queue with adaptive group
-    commit: element payload and queue order live purely in memory, only
-    redo records hit the WAL, and recovery rebuilds queue state from the
-    redo scan. Exactly-once must hold exactly as in the stable variant. *)
+(** {!quickstart} over a [Main_memory] request queue: element payload and
+    queue order live purely in memory, only redo records hit the WAL, and
+    recovery rebuilds queue state from the redo scan. Exactly-once must hold exactly as in the stable variant. *)
 
 val ha : t
 (** The HA pair ({!Rrq_core.Ha}): a primary and a warm standby joined by
@@ -154,13 +153,18 @@ val sweep :
 (** {1 Recorded runs}
 
     A run wrapped in an [Rrq_obs] session: metrics and the trace-event
-    stream are captured, and {!Audit.exactly_once_trace} re-verifies
-    exactly-once from the events alone. *)
+    stream are captured. On a plan with no crash faults,
+    {!Audit.exactly_once_trace} also re-verifies exactly-once from the
+    events alone. A crash can kill a fiber that is parked between its
+    durable force and its commit event — a group-commit follower waiting
+    for its leader's wake-up, or a committer in the Sync-mode ship wait —
+    which the trace cannot tell from a lost commit, so plans with crashes
+    get only the scenario's own auditors. *)
 
 type recorded = {
   rec_outcome : outcome;
       (** The scenario's outcome, with the trace auditor's findings
-          appended. *)
+          appended when the plan has no crash faults. *)
   rec_metrics : Rrq_obs.Metrics.snapshot;  (** Metrics at quiescence. *)
   rec_trace : string;  (** The JSON-lines trace dump. *)
 }

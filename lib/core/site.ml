@@ -83,7 +83,6 @@ type t = {
   mutable s_kv : Kvdb.t;
   queues : (string * Qm.attrs) list;
   triggers : Qm.trigger list;
-  commit_policy : Rrq_wal.Group_commit.policy option;
   checkpoint_every : int;
   stale_timeout : float;
   mutable extra_boot : (t -> unit) list; (* oldest first *)
@@ -338,14 +337,9 @@ let boot_site t nd =
   let disk = Net.disk nd in
   let name = Net.node_name nd in
   let sched = Net.sched (Net.network nd) in
-  let tm = Tm.open_tm ?commit_policy:t.commit_policy disk ~name in
-  let qm =
-    Qm.open_qm ?commit_policy:t.commit_policy ~triggers:t.triggers disk
-      ~name:("qm@" ^ name)
-  in
-  let kv =
-    Kvdb.open_kv ?commit_policy:t.commit_policy disk ~name:("kv@" ^ name)
-  in
+  let tm = Tm.open_tm disk ~name in
+  let qm = Qm.open_qm ~triggers:t.triggers disk ~name:("qm@" ^ name) in
+  let kv = Kvdb.open_kv disk ~name:("kv@" ^ name) in
   t.s_tm <- tm;
   t.s_qm <- qm;
   t.s_kv <- kv;
@@ -374,7 +368,7 @@ let boot_site t nd =
   Net.spawn_on nd ~name:(name ^ ":janitor") (janitor_daemon t);
   List.iter (fun f -> f t) t.extra_boot
 
-let create ?commit_policy ?(queues = []) ?(triggers = [])
+let create ?(queues = []) ?(triggers = [])
     ?(checkpoint_every = 500) ?(stale_timeout = 30.0) nd =
   let disk = Net.disk nd in
   let name = Net.node_name nd in
@@ -386,7 +380,6 @@ let create ?commit_policy ?(queues = []) ?(triggers = [])
       s_kv = Kvdb.open_kv disk ~name:("kv@" ^ name);
       queues;
       triggers;
-      commit_policy;
       checkpoint_every;
       stale_timeout;
       extra_boot = [];

@@ -27,19 +27,15 @@
 type t
 
 val create :
-  ?commit_policy:Rrq_wal.Group_commit.policy ->
   ?queues:(string * Rrq_qm.Qm.attrs) list ->
   ?triggers:Rrq_qm.Qm.trigger list ->
   ?checkpoint_every:int ->
   ?stale_timeout:float ->
   Rrq_net.Net.node ->
   t
-(** Configure the node's boot procedure and boot it now. [commit_policy]
-    (default [Immediate]) selects how the site's TM/QM/KV batch their
-    commit-point log forces (see {!Rrq_wal.Group_commit}); it is applied on
-    every boot, including after {!restart}. [checkpoint_every] (default 500
-    log records) and [stale_timeout] (default 30s of workspace idleness)
-    tune the janitor. *)
+(** Configure the node's boot procedure and boot it now; it runs again on
+    every {!restart}. [checkpoint_every] (default 500 log records) and
+    [stale_timeout] (default 30s of workspace idleness) tune the janitor. *)
 
 val node : t -> Rrq_net.Net.node
 val site_name : t -> string

@@ -1,9 +1,10 @@
 (* B13: sharded multi-repository scale-out. A fixed clerk population (16
    clients, ids chosen so their routing keys hash perfectly evenly) drives
    the same total load against 1, 2 and 4 shard repositories. Each shard
-   node's disk charges [sync_latency] virtual seconds per WAL force and
-   serializes them, so with one shard every force in the system queues on
-   one device; with N shards the forces run on N devices in parallel.
+   node's disk charges [sync_latency] virtual seconds per device flush and
+   serializes them, so with one shard every flush in the system queues on
+   one device (group commit lets concurrent forces share one); with N
+   shards the flushes run on N devices in parallel.
    Commits/s is the committed-transaction count from the [Rrq_obs]
    registry (2PC commits plus auto-commits, summed over shards) divided by
    the virtual time the clerk load took.

@@ -5,7 +5,7 @@
     request shard (conversation affinity — near-linear scaling),
     "scattered" puts every reply queue on a foreign shard so each request
     finishes with a cross-shard 2PC (pricing its two extra log forces).
-    Every shard disk charges a per-force [sync_latency], so commits/s
+    Every shard disk charges a per-flush [sync_latency], so commits/s
     measures how shards multiply log-force bandwidth; the speedup column
     is relative to the shared 1-shard row. *)
 

@@ -69,7 +69,7 @@ module Base = Rm.Make (State)
 
 type t = Base.t
 
-let open_kv ?commit_policy disk ~name = Base.open_rm ?commit_policy disk ~name
+let open_kv = Base.open_rm
 let name = Base.name
 
 let with_conflicts f =

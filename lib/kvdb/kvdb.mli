@@ -9,11 +9,7 @@
 
 type t
 
-val open_kv :
-  ?commit_policy:Rrq_wal.Group_commit.policy ->
-  Rrq_storage.Disk.t ->
-  name:string ->
-  t
+val open_kv : Rrq_storage.Disk.t -> name:string -> t
 (** Open (recovering from its WAL) the store named [name]. *)
 
 val name : t -> string

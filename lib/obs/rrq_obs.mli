@@ -101,7 +101,7 @@ module Event : sig
     | Wal_force of { wal : string; lsn : int }
     | Batch_seal of { wal : string; batch : int; reason : string }
         (** A group-commit batch sealed: [batch] committers covered by one
-            sync, [reason] one of full/timeout/idle/rate/immediate. *)
+            sync, [reason] one of full/timeout/idle/rate. *)
     | Crashpoint_fired of { site : string; hit : int }
     | Client_fsm of {
         client : string;

@@ -819,9 +819,9 @@ let log_now t ops =
     if pages <> [] then store_write t pages
   end
 
-let open_qm ?commit_policy ?(triggers = []) disk ~name:qm_name =
+let open_qm ?(triggers = []) disk ~name:qm_name =
   let wal, recovered = Wal.open_log disk ~name:(qm_name ^ ".qmlog") in
-  let gc = Group_commit.create ?policy:commit_policy wal in
+  let gc = Group_commit.create wal in
   let t =
     {
       qm_name;

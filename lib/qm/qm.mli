@@ -109,15 +109,13 @@ exception Conflict of string
 (** {1 Opening and DDL} *)
 
 val open_qm :
-  ?commit_policy:Rrq_wal.Group_commit.policy ->
   ?triggers:trigger list ->
   Rrq_storage.Disk.t ->
   name:string ->
   t
 (** Open (recovering) the repository called [name] on [disk]. Triggers are
     code configuration and must be re-supplied identically on every open.
-    [commit_policy] (default [Immediate]) selects how commit-point log
-    forces are batched; see {!Rrq_wal.Group_commit}. *)
+    Commit-point log forces go through {!Rrq_wal.Group_commit}. *)
 
 val name : t -> string
 

@@ -41,9 +41,11 @@ let sync_latency t = t.sync_latency
 
 (* The device serves one flush at a time: a sync requested at [now] starts
    when the previous one finishes and completes [sync_latency] later. The
-   caller (running in a fiber) sleeps for the returned duration before
-   issuing the actual [sync] — this is how the simulator charges realistic
-   cost per log force without the storage layer depending on the sim. *)
+   caller (a group-commit leader running in a fiber) sleeps for the
+   returned duration before issuing the actual [sync] — this is how the
+   simulator charges realistic cost per device flush, however many
+   commits the flush covers, without the storage layer depending on the
+   sim. *)
 let reserve_sync t ~now =
   let start = Float.max now t.busy_until in
   t.busy_until <- start +. t.sync_latency;

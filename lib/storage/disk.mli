@@ -29,11 +29,13 @@ val name : t -> string
 
     The disk itself is synchronous (it must stay usable outside the
     simulator), but it carries a cost model: one flush occupies the device
-    for [sync_latency] virtual seconds, and flushes serialize. Fiber code
-    that forces the log calls [reserve_sync] with the current virtual time,
+    for [sync_latency] virtual seconds, and flushes serialize. A
+    group-commit leader calls [reserve_sync] with the current virtual time,
     sleeps for the returned duration, then issues the real {!sync} — so
-    concurrent committers queue on the device exactly as they would on a
-    real WAL disk, which is what makes group commit measurable. *)
+    the flushes of a node's several logs queue on the device exactly as
+    they would on a real WAL disk, and the commits that board a leader's
+    batch share its one slot, which is what makes group commit
+    measurable. *)
 
 val sync_latency : t -> float
 (** Configured per-flush device occupancy (0.0 = free syncs). *)

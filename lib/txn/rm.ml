@@ -91,9 +91,9 @@ module Make (S : STATE) = struct
       t.prepared_txns;
     Codec.to_string e
 
-  let open_rm ?commit_policy disk ~name:rm_name =
+  let open_rm disk ~name:rm_name =
     let wal, recovered = Wal.open_log disk ~name:(rm_name ^ ".wal") in
-    let gc = Group_commit.create ?policy:commit_policy wal in
+    let gc = Group_commit.create wal in
     let st, prepared_txns =
       match recovered.Wal.snapshot with
       | None -> (S.empty (), Hashtbl.create 8)

@@ -44,14 +44,9 @@ end
 module Make (S : STATE) : sig
   type t
 
-  val open_rm :
-    ?commit_policy:Rrq_wal.Group_commit.policy ->
-    Rrq_storage.Disk.t ->
-    name:string ->
-    t
-  (** Open the RM, running recovery against its WAL. [commit_policy]
-      (default [Immediate]) selects how commit-point log forces are
-      batched; see {!Rrq_wal.Group_commit}. *)
+  val open_rm : Rrq_storage.Disk.t -> name:string -> t
+  (** Open the RM, running recovery against its WAL. Commit-point log
+      forces go through {!Rrq_wal.Group_commit}. *)
 
   val name : t -> string
   val state : t -> S.state

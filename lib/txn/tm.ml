@@ -68,9 +68,9 @@ let encode_end id =
   Txid.encode e id;
   Codec.to_string e
 
-let open_tm ?commit_policy disk ~name:tm_name =
+let open_tm disk ~name:tm_name =
   let wal, recovered = Wal.open_log disk ~name:(tm_name ^ ".tmlog") in
-  let gc = Group_commit.create ?policy:commit_policy wal in
+  let gc = Group_commit.create wal in
   let pending = Hashtbl.create 8 in
   let inc = ref 0 in
   List.iter

@@ -54,15 +54,10 @@ type participant = {
 type txn
 (** An open transaction handle. *)
 
-val open_tm :
-  ?commit_policy:Rrq_wal.Group_commit.policy ->
-  Rrq_storage.Disk.t ->
-  name:string ->
-  t
+val open_tm : Rrq_storage.Disk.t -> name:string -> t
 (** Open the TM named [name] (the coordinator identity participants will
     query), recovering its decision log and bumping its incarnation.
-    [commit_policy] (default [Immediate]) selects how decision-record
-    forces are batched; see {!Rrq_wal.Group_commit}. *)
+    Decision-record forces go through {!Rrq_wal.Group_commit}. *)
 
 val name : t -> string
 

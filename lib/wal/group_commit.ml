@@ -3,25 +3,25 @@ module Sched = Rrq_sim.Sched
 module Cond = Rrq_sim.Cond
 module Codec = Rrq_util.Codec
 
-type policy =
-  | Immediate
-  | Adaptive of { max_delay : float; max_batch : int }
+(* The batch bounds every log shares: a leader holds a batch open for at
+   most half a millisecond and seals it at 64 committers. *)
+let max_delay = 0.0005
+let max_batch = 64
 
 (* EWMA weight for inter-arrival samples. High enough to track a load
    shift within a handful of commits, low enough that one straggler does
-   not flip the policy. *)
+   not flip the seal decision. *)
 let alpha = 0.3
 
 type t = {
   wal : Wal.t;
   disk : Disk.t;
-  pol : policy;
   mutable leading : bool; (* a leader is inside its batch window / sync *)
   mutable waiters : (int * bool Sched.waker) list; (* parked followers *)
   full : Cond.t; (* signalled when the batch reaches the target *)
   mutable n_forces : int;
   mutable n_syncs : int;
-  (* Adaptive state: estimated commit inter-arrival (virtual seconds;
+  (* Sealing state: estimated commit inter-arrival (virtual seconds;
      0 until the first pair of arrivals) and the batch-size target the
      current leader computed from it. *)
   mutable ewma : float;
@@ -32,7 +32,6 @@ type t = {
   mutable s_timeout : int;
   mutable s_idle : int;
   mutable s_rate : int;
-  mutable s_immediate : int;
   (* Log shipping (primary-backup replication). While a shipper is
      installed every appended record is retained as (lsn, payload) until a
      ship round sends it; [shipped_lsn] is the replication analogue of the
@@ -52,11 +51,10 @@ type t = {
   mutable stale_mark : int;
 }
 
-let create ?(policy = Immediate) wal =
+let create wal =
   {
     wal;
     disk = Wal.disk wal;
-    pol = policy;
     leading = false;
     waiters = [];
     full = Cond.create ();
@@ -69,7 +67,6 @@ let create ?(policy = Immediate) wal =
     s_timeout = 0;
     s_idle = 0;
     s_rate = 0;
-    s_immediate = 0;
     shipper = None;
     ship_sync = true;
     retained = [];
@@ -81,7 +78,6 @@ let create ?(policy = Immediate) wal =
     stale_mark = 0;
   }
 
-let policy t = t.pol
 let wal t = t.wal
 let forces t = t.n_forces
 let syncs t = t.n_syncs
@@ -92,7 +88,6 @@ let seal_counts t =
     ("timeout", t.s_timeout);
     ("idle", t.s_idle);
     ("rate", t.s_rate);
-    ("immediate", t.s_immediate);
   ]
 
 let retain t payload =
@@ -132,7 +127,7 @@ let when_durable t f =
 
 (* One physical flush, charged against the disk's device model when we can
    sleep (i.e. inside a fiber): the device serves one flush at a time, so
-   concurrent immediate-mode committers queue on it. *)
+   the leaders of a node's several logs queue on it. *)
 let do_sync t =
   (if Disk.sync_latency t.disk > 0.0 && Sched.in_fiber () then
      let wait = Disk.reserve_sync t.disk ~now:(Sched.clock ()) in
@@ -151,8 +146,8 @@ let checkpoint t snapshot =
 (* Wake every parked follower the last sync covered. After a successful
    sync the durable LSN equals the appended LSN, which covers everyone who
    parked before it; if the disk died instead, wake everybody — their
-   commits are not durable, but neither would they have been under the
-   historical per-commit force, whose failure is equally silent. *)
+   commits are not durable, but a leader's own failed sync is equally
+   silent, and the node is about to be declared crashed. *)
 let wake_covered t =
   let durable = Wal.durable_lsn t.wal in
   let dead = Disk.is_dead t.disk in
@@ -242,7 +237,6 @@ let reason_name = function
   | `Timeout -> "timeout"
   | `Idle -> "idle"
   | `Rate -> "rate"
-  | `Immediate -> "immediate"
 
 (* A sealed batch = one physical sync amortised over [n] committers. *)
 let observe_batch t reason n =
@@ -250,8 +244,7 @@ let observe_batch t reason n =
   | `Full -> t.s_full <- t.s_full + 1
   | `Timeout -> t.s_timeout <- t.s_timeout + 1
   | `Idle -> t.s_idle <- t.s_idle + 1
-  | `Rate -> t.s_rate <- t.s_rate + 1
-  | `Immediate -> t.s_immediate <- t.s_immediate + 1);
+  | `Rate -> t.s_rate <- t.s_rate + 1);
   if Rrq_obs.enabled () then begin
     let wal = Wal.name t.wal in
     let reason = reason_name reason in
@@ -281,18 +274,18 @@ let board t lsn =
   if List.length t.waiters + 2 >= t.target then Cond.signal t.full;
   ignore (Sched.suspend (fun _ w -> t.waiters <- (lsn, w) :: t.waiters))
 
-(* Adaptive sealing: decide how long (if at all) this leader should hold
-   the batch open, wait accordingly, and report why the batch sealed.
+(* Sealing: decide how long (if at all) this leader should hold the batch
+   open, wait accordingly, and report why the batch sealed.
 
    The estimate [expected = sync_latency / ewma] is the number of commits
    that would arrive while one flush occupies the device. Below ~1.5 the
    device is keeping up — batching would only add latency, so seal
-   immediately ([`Idle]; this is what restores the 1-server Immediate
-   throughput that a fixed window gives away). Above it, the device is
+   immediately ([`Idle]; this keeps 1-server throughput at one flush per
+   commit, which a fixed window gives away). Above it, the device is
    the bottleneck: hold the batch for [target = min expected max_batch]
    boarders, with a window bounded by both [max_delay] and the time the
    estimate says those boarders need to show up. *)
-let adaptive_seal t ~max_delay ~max_batch =
+let seal t =
   let lat = Disk.sync_latency t.disk in
   let expected = if t.ewma > 0.0 then lat /. t.ewma else 0.0 in
   if expected < 1.5 then begin
@@ -316,35 +309,33 @@ let adaptive_seal t ~max_delay ~max_batch =
   end
 
 let force t =
-  (match t.pol with
-  | Adaptive _ when Sched.in_fiber () -> sample_arrival t
-  | _ -> ());
+  let in_fiber = Sched.in_fiber () in
+  if in_fiber then sample_arrival t;
   let lsn = Wal.appended_lsn t.wal in
   if lsn > Wal.durable_lsn t.wal && not (Disk.is_dead t.disk) then begin
     t.n_forces <- t.n_forces + 1;
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.inc ("gc.forces:" ^ Wal.name t.wal);
-    match t.pol with
-    | Adaptive { max_delay; max_batch } when Sched.in_fiber () ->
-      if t.leading then board t lsn
-      else begin
-        (* Leader even when sealing immediately: committers arriving while
-           our sync occupies the device park as followers and are covered
-           by it (the sync flushes everything appended before it runs), so
-           an idle-mode Adaptive log never does worse than Immediate and
-           picks up piggybackers for free. *)
-        t.leading <- true;
-        let reason = adaptive_seal t ~max_delay ~max_batch in
-        do_sync t;
-        t.leading <- false;
-        let covered = wake_covered t in
-        observe_batch t reason (covered + 1)
-      end
-    | Immediate | Adaptive _ ->
-      (* One direct sync: Immediate always, Adaptive outside a fiber,
-         where nothing can park. *)
+    if not in_fiber then begin
+      (* Nothing can park or wait outside a fiber: the caller leads a batch
+         of one and seals it at once with one direct sync. *)
       do_sync t;
-      observe_batch t `Immediate 1
+      observe_batch t `Idle 1
+    end
+    else if t.leading then board t lsn
+    else begin
+      (* Leader even when sealing immediately: committers arriving while
+         our sync occupies the device park as followers and are covered
+         by it (the sync flushes everything appended before it runs), so
+         an idle seal still costs one flush per commit at worst and picks
+         up piggybackers for free. *)
+      t.leading <- true;
+      let reason = seal t in
+      do_sync t;
+      t.leading <- false;
+      let covered = wake_covered t in
+      observe_batch t reason (covered + 1)
+    end
   end;
   (* Synchronous shipping gates the commit exactly like durability does:
      a committer's records must be on the backup before [force] returns.

@@ -4,11 +4,12 @@
     still must log updates, which makes the commit-point log force the
     dominant cost of every [Enqueue]/[Dequeue]. With one {!Rrq_storage.Disk}
     sync per transaction, N concurrent servers draining a queue pay N device
-    flushes where one would do. This module coalesces them: committers call
-    {!force}, and under the [Adaptive] policy one caller becomes the
-    {e leader} — it decides from the commit arrival rate whether to wait
-    for company, issues a single sync covering every record appended so
-    far, and wakes all parked {e followers} whose records made it out.
+    flushes where one would do. This module coalesces them, and it is the
+    only way a log is forced: committers call {!force}, and one caller
+    becomes the {e leader} — it decides from the commit arrival rate
+    whether to wait for company, issues a single sync covering every record
+    appended so far, and wakes all parked {e followers} whose records made
+    it out.
 
     The contract callers must follow (and all RMs/TMs in this repo do):
 
@@ -36,38 +37,32 @@
     {!flush_stale} bounds how long such a record stays in the buffer when
     no later force comes.
 
-    [Immediate] (the default) preserves the historical one-sync-per-commit
-    behavior and works outside the simulator; [Adaptive] parks fibers and
-    is only meaningful inside it (outside a fiber it degrades to a direct
-    sync). Both policies charge the disk's [sync_latency] device model
-    when running in a fiber, so the simulator measures realistic commit
-    cost.
+    Sealing parks fibers, so it only happens inside the simulator.
+    Outside a fiber nothing can park: {!force} issues one direct sync and
+    counts it as an [idle] seal of one. Inside a fiber each sync is charged
+    against the disk's [sync_latency] device model, so the simulator
+    measures realistic commit cost.
 
-    [Adaptive] estimates the commit arrival rate — an EWMA of force-call
+    The leader estimates the commit arrival rate — an EWMA of force-call
     inter-arrival time sampled from the virtual clock — and seals each
-    batch by whichever rule fits the estimate: seal immediately when the
-    device keeps up ([`idle`]), seal as soon as the predicted batch has
-    boarded ([`rate`] / [`full`]), or give up on stragglers after a
-    bounded wait ([`timeout`]). So light load costs what [Immediate] costs
-    and heavy load shares one flush among many commits (B12). Seal-reason
-    counts are exported as [gc.seal.<reason>:<wal>] counters and on the
-    [Batch_seal] trace event. *)
+    batch by whichever rule fits the estimate. The target batch is
+    [sync_latency / ewma_interarrival] commits, at most 64, and the window
+    is at most 0.5 ms:
+    - [idle]: the estimate is below ~1.5 commits per flush, so the device
+      keeps up and the leader seals at once;
+    - [rate] / [full]: the predicted batch (or 64 committers) boarded;
+    - [timeout]: the window expired before the stragglers came.
 
-type policy =
-  | Immediate  (** Force at every commit: one sync per call (historical). *)
-  | Adaptive of { max_delay : float; max_batch : int }
-      (** Leader sizes the batch from the arrival-rate estimate: the
-          target is [sync_latency / ewma_interarrival] commits (clamped to
-          [max_batch]), the window is bounded by [max_delay], and an
-          estimate below ~1.5 commits per flush seals immediately, which
-          makes light load behave like [Immediate]. *)
+    So light load costs one flush per commit, and heavy load shares one
+    flush among many commits (B12). Seal-reason counts are exported as
+    [gc.seal.<reason>:<wal>] counters and on the [Batch_seal] trace
+    event. *)
 
 type t
 
-val create : ?policy:policy -> Wal.t -> t
-(** Batcher for [wal]. Default policy is [Immediate]. *)
+val create : Wal.t -> t
+(** Batcher for [wal]. *)
 
-val policy : t -> policy
 val wal : t -> Wal.t
 
 val append : t -> string -> unit
@@ -78,9 +73,8 @@ val append_enc : t -> Rrq_util.Codec.encoder -> unit
     the zero-copy path main-memory commits use. *)
 
 val force : t -> unit
-(** Make every record appended so far durable before returning. Under
-    [Adaptive] the calling fiber may be parked while a leader's sync covers
-    it. If the disk is dead (crash-point injection), returns without
+(** Make every record appended so far durable before returning. A
+    calling fiber may be parked while a leader's sync covers it. If the disk is dead (crash-point injection), returns without
     durability — mirroring the historical [append_sync] semantics where
     the process is about to be declared crashed anyway. *)
 
@@ -157,15 +151,14 @@ val forces : t -> int
 (** Number of {!force} calls that had undurable records to cover. *)
 
 val syncs : t -> int
-(** Number of physical device syncs issued by this batcher. Under
-    [Adaptive] with concurrent committers on a slow device this is less
-    than {!forces} — the whole point. *)
+(** Number of physical device syncs issued by this batcher. With
+    concurrent committers on a slow device this is less than {!forces} —
+    the whole point. *)
 
 val seal_counts : t -> (string * int) list
 (** How many batches sealed for each reason, as
-    [("full" | "timeout" | "idle" | "rate" | "immediate") * count].
-    [full]: the batch hit [max_batch]; [timeout]: the window expired;
+    [("full" | "timeout" | "idle" | "rate") * count].
+    [full]: the batch hit 64 committers; [timeout]: the window expired;
     [idle]: the rate estimate said batching would not pay, so the leader
-    sealed at once; [rate]: the predicted batch boarded before the window
-    closed; [immediate]: an [Immediate]-policy force or an outside-fiber
-    degrade. *)
+    sealed at once (every force outside a fiber is one); [rate]: the
+    predicted batch boarded before the window closed. *)

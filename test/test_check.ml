@@ -600,6 +600,26 @@ let test_recording_is_passive () =
        (fun (k, n) -> String.starts_with ~prefix:"gc.stale_flushes:" k && n > 0)
        m.Obs.Metrics.s_counters)
 
+(* Recording must not change a verdict. On this HA plan the primary
+   crashes while a committer of a durable transaction is parked in the
+   Sync-mode ship wait, before its commit event: the trace alone reads that
+   request as lost, so the trace auditor must stay off for plans with
+   crashes and the recorded verdict must equal the unrecorded one. *)
+let test_recorded_crash_verdict () =
+  let plan =
+    C.Plan.of_string
+      "seed=54 policy=fifo crash:primary@1.17+1.24 \
+       part:client/primary@2.03+2.60 part:client/primary@2.19+1.88"
+  in
+  let bare = C.Scenario.run C.Scenario.ha plan in
+  let recorded = C.Scenario.run_recorded C.Scenario.ha plan in
+  Alcotest.(check string) "unrecorded verdict" "all auditors passed"
+    (C.Audit.findings_to_string bare.C.Scenario.findings);
+  Alcotest.(check string) "recorded verdict equals unrecorded"
+    (C.Audit.findings_to_string bare.C.Scenario.findings)
+    (C.Audit.findings_to_string
+       recorded.C.Scenario.rec_outcome.C.Scenario.findings)
+
 (* ---- property: auditors hold under arbitrary small fault schedules ------ *)
 
 let prop_quickstart_audits_hold =
@@ -687,6 +707,8 @@ let () =
             test_recorded_determinism;
           Alcotest.test_case "recording is passive" `Quick
             test_recording_is_passive;
+          Alcotest.test_case "crash plan: recorded verdict unchanged" `Quick
+            test_recorded_crash_verdict;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:true prop_quickstart_audits_hold ] );

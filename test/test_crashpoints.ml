@@ -23,15 +23,15 @@ module H = Rrq_test_support.Sim_harness
 module C = Rrq_check
 module Obs = Rrq_obs
 
-let open_world ?commit_policy disk =
-  let tm = Tm.open_tm ?commit_policy disk ~name:"node" in
-  let qm = Qm.open_qm ?commit_policy disk ~name:"qm@node" in
-  let kv = Kvdb.open_kv ?commit_policy disk ~name:"kv@node" in
+let open_world disk =
+  let tm = Tm.open_tm disk ~name:"node" in
+  let qm = Qm.open_qm disk ~name:"qm@node" in
+  let kv = Kvdb.open_kv disk ~name:"kv@node" in
   Qm.create_queue qm "q";
   (tm, qm, kv)
 
-let workload ?commit_policy disk =
-  let tm, qm, kv = open_world ?commit_policy disk in
+let workload disk =
+  let tm, qm, kv = open_world disk in
   let h, _ = Qm.register qm ~queue:"q" ~registrant:"client" ~stable:true in
   (* op1: tagged enqueue (auto-commit) *)
   ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h ~tag:"r1" "first"));
@@ -104,22 +104,15 @@ let check_invariants ~point (tag, first_present, second_present, got) =
   if tag = Some "r2" then
     Alcotest.(check bool) (ctx "I4 tag r2 => got") true got
 
-(* The same invariants must hold whether commit points force the log
-   one-by-one (Immediate, the default) or through the batched group-commit
-   path, which reorders the apply/force interleaving. *)
-let policies =
-  [
-    ("immediate", None, 0.0);
-    ( "adaptive",
-      Some
-        (Rrq_wal.Group_commit.Adaptive { max_delay = 0.0005; max_batch = 64 }),
-      (* a 1 ms flush, so concurrent committers actually batch *)
-      0.001 );
-  ]
+(* The same invariants must hold whether group commit seals every force
+   at once (a free device: one sync per force) or batches them (a 1 ms
+   flush, so concurrent committers board a leader's sync), which reorders
+   the apply/force interleaving. *)
+let latencies = [ ("0ms", 0.0); ("1ms", 0.001) ]
 
 let test_sweep () =
   List.iter
-    (fun (pname, commit_policy, sync_latency) ->
+    (fun (pname, sync_latency) ->
       (* The generic enumerator counts the durability boundaries on a clean
          run (point 0, which must also show the fully-durable end state),
          then freezes the disk at every boundary and audits recovery. *)
@@ -127,7 +120,7 @@ let test_sweep () =
         Rrq_check.Sweep.disk_sweep
           ~make:(fun point ->
             Disk.create ~sync_latency (Printf.sprintf "%s-sweep%d" pname point))
-          ~workload:(workload ?commit_policy)
+          ~workload
           ~audit:(fun ~point disk ->
             let audit = recover_and_audit disk in
             check_invariants ~point audit;
@@ -143,7 +136,7 @@ let test_sweep () =
       Alcotest.(check bool)
         (pname ^ ": workload has enough sync points")
         true (total_syncs > 8))
-    policies
+    latencies
 
 (* The same sweep, but the crash lands during the *recovery* of the first
    crash (double failures, paper-grade paranoia). *)

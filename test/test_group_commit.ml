@@ -17,10 +17,8 @@ module Element = Rrq_qm.Element
 module Rng = Rrq_util.Rng
 module H = Rrq_test_support.Sim_harness
 
-let adaptive = Group_commit.Adaptive { max_delay = 0.0005; max_batch = 64 }
-
 (* A 1 ms flush: slow enough that concurrent committers outpace the device,
-   so the adaptive policy batches instead of sealing every force at once. *)
+   so group commit batches instead of sealing every force at once. *)
 let sync_latency = 0.001
 
 (* ---- WAL-level batching ------------------------------------------------ *)
@@ -31,7 +29,7 @@ let test_wal_batching_coalesces () =
   H.run_fiber (fun () ->
       let disk = Disk.create ~sync_latency "gc" in
       let wal, _ = Wal.open_log disk ~name:"log" in
-      let gc = Group_commit.create ~policy:adaptive wal in
+      let gc = Group_commit.create wal in
       let n = 10 in
       let fibers =
         List.init n (fun i ->
@@ -52,14 +50,18 @@ let test_wal_batching_coalesces () =
       let _, r = Wal.open_log disk ~name:"log" in
       Alcotest.(check int) "all records durable" n (List.length r.Wal.records))
 
-(* Outside a fiber the Adaptive policy must degrade to a direct sync rather
-   than touch the scheduler. *)
+(* Outside a fiber group commit must degrade to a direct sync rather than
+   touch the scheduler, and count it as an idle seal of one. *)
 let test_force_outside_fiber () =
   let disk = Disk.create "gc" in
   let wal, _ = Wal.open_log disk ~name:"log" in
-  let gc = Group_commit.create ~policy:adaptive wal in
+  let gc = Group_commit.create wal in
   Group_commit.append_force gc "solo";
   Alcotest.(check int) "synced directly" 1 (Group_commit.syncs gc);
+  Alcotest.(check (list (pair string int)))
+    "one idle seal"
+    [ ("full", 0); ("timeout", 0); ("idle", 1); ("rate", 0) ]
+    (Group_commit.seal_counts gc);
   Disk.crash disk;
   let _, r = Wal.open_log disk ~name:"log" in
   Alcotest.(check (list string)) "durable" [ "solo" ] r.Wal.records
@@ -68,7 +70,7 @@ let test_force_outside_fiber () =
 let test_force_idempotent () =
   let disk = Disk.create "gc" in
   let wal, _ = Wal.open_log disk ~name:"log" in
-  let gc = Group_commit.create ~policy:adaptive wal in
+  let gc = Group_commit.create wal in
   Group_commit.append_force gc "a";
   let syncs = Group_commit.syncs gc in
   Group_commit.force gc;
@@ -103,7 +105,7 @@ let test_when_durable () =
 (* ---- acked-commit durability under crash points ------------------------ *)
 
 (* Preload a queue, then drain it with [servers] concurrent auto-committed
-   dequeues under the Adaptive policy while the disk is rigged to die at sync
+   dequeues through group commit while the disk is rigged to die at sync
    boundary [point]. Returns (acked eids, eids remaining after recovery,
    preloaded eids). *)
 let drain_with_crash ~torn ~servers ~jobs ~point =
@@ -113,7 +115,7 @@ let drain_with_crash ~torn ~servers ~jobs ~point =
           Disk.create ~sync_latency ~torn_writes:true ~rng:(Rng.create 11) "gc"
         else Disk.create ~sync_latency "gc"
       in
-      let qm = Qm.open_qm ~commit_policy:adaptive disk ~name:"qm" in
+      let qm = Qm.open_qm disk ~name:"qm" in
       Qm.create_queue qm "q";
       let h, _ = Qm.register qm ~queue:"q" ~registrant:"c" ~stable:false in
       let preloaded =
@@ -197,58 +199,55 @@ let test_acked_commit_sweep_torn () =
       (drain_with_crash ~torn:true ~servers ~jobs ~point:(Some point))
   done
 
-(* ---- adaptive policy: low-concurrency regression fix ------------------- *)
+(* ---- adaptive sealing: low-concurrency regression fix ----------------- *)
+
+(* One sync per commit serializes on the device, so its throughput is the
+   device ceiling 1/sync_latency at every server count (B12). *)
+let ceiling = 1.0 /. sync_latency
+
+let drain servers =
+  Rrq_harness.E_group_commit.one_run ~servers ~jobs:200 ~sync_latency
 
 (* A fixed batch window at 1 server would cost a window's worth of latency
-   per commit. Adaptive sealing must detect the idle device and degrade to
-   immediate forces: 1-server throughput within 5% of the Immediate
-   baseline, while still batching (beating Immediate) once enough servers
-   contend for the device. *)
+   per commit. Adaptive sealing must detect the idle device and seal every
+   force at once: 1-server throughput within 5% of the device ceiling,
+   while still batching (beating the ceiling) once enough servers contend
+   for the device. *)
 let test_adaptive_single_server_parity () =
-  let run policy =
-    Rrq_harness.E_group_commit.one_run ~policy ~servers:1 ~jobs:200
-      ~sync_latency:0.001
-  in
-  let imm = run Group_commit.Immediate in
-  let ada = run Rrq_harness.E_group_commit.default_adaptive in
+  let ada = drain 1 in
   Alcotest.(check bool)
-    (Printf.sprintf "adaptive within 5%% of immediate (%.0f vs %.0f)"
-       ada.commits_per_sec imm.commits_per_sec)
+    (Printf.sprintf "within 5%% of the device ceiling (%.0f vs %.0f)"
+       ada.commits_per_sec ceiling)
     true
-    (ada.commits_per_sec >= 0.95 *. imm.commits_per_sec)
+    (ada.commits_per_sec >= 0.95 *. ceiling)
 
 let test_adaptive_batches_under_load () =
-  let run policy servers =
-    Rrq_harness.E_group_commit.one_run ~policy ~servers ~jobs:200
-      ~sync_latency:0.001
-  in
-  let imm = run Group_commit.Immediate 8 in
-  let ada = run Rrq_harness.E_group_commit.default_adaptive 8 in
+  let ada = drain 8 in
   Alcotest.(check bool)
-    (Printf.sprintf "adaptive batches at 8 servers (%.0f >= %.0f)"
-       ada.commits_per_sec imm.commits_per_sec)
+    (Printf.sprintf "batches at 8 servers (%.0f >= %.0f)" ada.commits_per_sec
+       ceiling)
     true
-    (ada.commits_per_sec >= imm.commits_per_sec);
+    (ada.commits_per_sec >= ceiling);
   Alcotest.(check bool) "adaptive syncs per commit below 1 under load" true
     (ada.syncs_per_commit < 1.0)
 
 (* ---- 2PC decision durability under the batched force ------------------- *)
 
-(* A two-RM transaction committed under the Adaptive policy: if the
+(* A two-RM transaction committed through group commit: if the
    coordinator reported Committed while its disk was alive, the decision
    (and both RMs' effects) must survive any crash point; the decision is
    never observable before it is durable. *)
 let twopc_with_crash ~point =
   H.run_fiber (fun () ->
       let disk = Disk.create ~sync_latency "gc" in
-      let open_world ?commit_policy () =
-        let tm = Tm.open_tm ?commit_policy disk ~name:"node" in
-        let qm = Qm.open_qm ?commit_policy disk ~name:"qm@node" in
-        let kv = Kvdb.open_kv ?commit_policy disk ~name:"kv@node" in
+      let open_world () =
+        let tm = Tm.open_tm disk ~name:"node" in
+        let qm = Qm.open_qm disk ~name:"qm@node" in
+        let kv = Kvdb.open_kv disk ~name:"kv@node" in
         Qm.create_queue qm "q";
         (tm, qm, kv)
       in
-      let tm, qm, kv = open_world ~commit_policy:adaptive () in
+      let tm, qm, kv = open_world () in
       let h, _ = Qm.register qm ~queue:"q" ~registrant:"c" ~stable:false in
       ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "first"));
       (match point with Some p -> Disk.kill_after_syncs disk p | None -> ());
@@ -310,7 +309,7 @@ let () =
         ] );
       ( "adaptive",
         [
-          Alcotest.test_case "1-server commits/s within 5% of immediate"
+          Alcotest.test_case "1-server commits/s within 5% of device ceiling"
             `Quick test_adaptive_single_server_parity;
           Alcotest.test_case "batches under load" `Quick
             test_adaptive_batches_under_load;
