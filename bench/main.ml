@@ -79,7 +79,7 @@ let bench_kv_put () =
     incr n;
     let id = Rrq_txn.Txid.make ~origin:"b" ~inc:1 ~n:!n in
     Kvdb.put kv id ("k" ^ string_of_int (!n mod 512)) "v";
-    ignore ((Kvdb.participant kv).Tm.p_one_phase id)
+    Kvdb.commit kv id
 
 let b1_ops =
   [

@@ -2,16 +2,10 @@ module Net = Rrq_net.Net
 module Sched = Rrq_sim.Sched
 module Crashpoint = Rrq_sim.Crashpoint
 module Disk = Rrq_storage.Disk
-module Wal = Rrq_wal.Wal
 module Group_commit = Rrq_wal.Group_commit
+module Node_log = Rrq_txn.Node_log
 module Tm = Rrq_txn.Tm
-module Txid = Rrq_txn.Txid
 module Qm = Rrq_qm.Qm
-module Kvdb = Rrq_kvdb.Kvdb
-
-type stream = S_tm | S_qm | S_kv
-
-let stream_to_string = function S_tm -> "tm" | S_qm -> "qm" | S_kv -> "kv"
 
 type role = Primary | Standby
 
@@ -20,13 +14,13 @@ let role_to_string = function Primary -> "primary" | Standby -> "standby"
 type mode = Sync | Lagged of float
 
 type Net.payload +=
-  | Ship of { epoch : int; stream : stream; batch : (int * string) list }
+  | Ship of { epoch : int; batch : (int * string) list }
   | Ship_ok
   | Ship_stale of int  (** Receiver's (higher) epoch: the sender is deposed. *)
   | Hb of { epoch : int; synced : bool }
       (** [synced]: the standby has installed a snapshot this incarnation. *)
   | Hb_ok of int
-  | Ha_install of { epoch : int; qm_snap : string; kv_snap : string }
+  | Ha_install of { epoch : int; snap : string }
   | Ha_query
   | R_ha_role of { role : role; epoch : int }
 
@@ -51,10 +45,6 @@ type t = {
      heartbeats say so, and the primary answers by resyncing it. *)
   mutable link_up : bool;
   mutable synced : bool;
-  (* Standby side: shipped TM decision stream, kept in its own WAL so a
-     backup crash recovers the decision table natively. *)
-  mutable tmship : Wal.t option;
-  decisions : (Txid.t, unit) Hashtbl.t;
   mutable applied_bytes : int;
   (* Accounting. *)
   mutable n_ship_batches : int;
@@ -105,20 +95,11 @@ let ship_batches t = t.n_ship_batches
 let applied_bytes t = t.applied_bytes
 let last_promote_at t = t.last_promote_at
 
-let gcs t =
-  [
-    (S_tm, Tm.group_commit (Site.tm t.site));
-    (S_qm, Qm.group_commit (Site.qm t.site));
-    (S_kv, Kvdb.group_commit (Site.kv t.site));
-  ]
-
-let pending_ship t =
-  List.fold_left (fun acc (_, gc) -> acc + Group_commit.pending_ship gc) 0 (gcs t)
+(* The node log's batcher: the one stream this node ships. *)
+let gc t = Node_log.group_commit (Site.log t.site)
+let pending_ship t = Group_commit.pending_ship (gc t)
 
 (* ---- primary: degrade / shipping ------------------------------------- *)
-
-let clear_shippers t =
-  List.iter (fun (_, gc) -> Group_commit.clear_shipper gc) (gcs t)
 
 (* Peer lost (or deposed us): stop shipping and run standalone; the link
    daemon keeps probing and re-establishes with a full snapshot resync. *)
@@ -127,7 +108,7 @@ let degrade t =
     t.link_up <- false;
     t.synced <- false;
     t.n_degrades <- t.n_degrades + 1;
-    clear_shippers t
+    Group_commit.clear_shipper (gc t)
   end
 
 (* A peer with a higher epoch answered: this node was failed over while it
@@ -144,13 +125,13 @@ let ship_rpc t msg =
 
 (* The shipper callback, run inside a ship-leader fiber (committers parked
    behind it in sync mode). Must not raise: failures degrade the link. *)
-let ship t stream batch =
+let ship t batch =
   if t.link_up then begin
     while t.link_up && not t.synced do
       Sched.sleep_background 0.01
     done;
     if t.link_up then begin
-      match ship_rpc t (Ship { epoch = t.epoch; stream; batch }) with
+      match ship_rpc t (Ship { epoch = t.epoch; batch }) with
       | Ship_ok ->
         t.n_ship_batches <- t.n_ship_batches + 1;
         (* The backup holds the batch; the primary has not yet released the
@@ -162,45 +143,34 @@ let ship t stream batch =
     end
   end
 
-(* No committer may sit between append and apply while we capture: a fiber
-   parked in a log force has appended records the snapshot cannot see and
-   the (about-to-be-installed) shipper will never retain. The same holds
-   for a ship round still in flight — its RPC to a dead standby incarnation
-   can outlive the link, holding a durable commit decision unapplied.
-   Quiesce first. *)
-let quiesced t =
-  List.for_all
-    (fun (_, gc) ->
-      let w = Group_commit.wal gc in
-      Wal.appended_lsn w = Wal.durable_lsn w && not (Group_commit.ship_in_flight gc))
-    (gcs t)
-
 let attempt_resync t =
   match ship_rpc t Ha_query with
   | R_ha_role { role = Primary; epoch } when epoch > t.epoch -> deposed t
   | R_ha_role { role = Standby; _ } | R_ha_role { role = Primary; _ } ->
-    (* Peer reachable and not ahead of us: bring it up to date. Force the
-       logs out rather than waiting for them to drain on their own: a
-       lazily appended record with no force of its own (a TM end record,
-       say) would keep the appended LSN ahead of the durable LSN forever.
-       A committer parked mid-force is covered by the same sync, and the
-       loop re-checks until the logs hold still. *)
-    while not (quiesced t) do
-      List.iter (fun (_, gc) -> Group_commit.force gc) (gcs t);
+    (* Peer reachable and not ahead of us: bring it up to date. No
+       committer may sit between append and apply while we capture: a
+       fiber parked in a log force has appended records the snapshot
+       cannot see and the (about-to-be-installed) shipper will never
+       retain. The same holds for a ship round still in flight — its RPC
+       to a dead standby incarnation can outlive the link, holding a
+       durable commit unapplied. Force the log out rather than waiting for
+       it to drain on its own: a lazily appended record with no force of
+       its own (a TM End record) would keep the appended LSN ahead of the
+       durable LSN forever. A committer parked mid-force is covered by the
+       same sync, and the loop re-checks until the log holds still. *)
+    let log = Site.log t.site in
+    while not (Node_log.quiet log) do
+      Node_log.force log;
       Sched.sleep_background 0.005
     done;
-    (* From here to the last [set_shipper] there must be no yield: the
-       snapshots and the retained-record sets must cut the three logs at
-       one instant. Ship rounds triggered meanwhile park on [synced]. *)
-    let qm_snap = Qm.snapshot_image (Site.qm t.site) in
-    let kv_snap = Kvdb.encode_snapshot (Site.kv t.site) in
-    let sync = t.mode = Sync in
-    List.iter
-      (fun (stream, gc) -> Group_commit.set_shipper ~sync gc (ship t stream))
-      (gcs t);
+    (* From here to [set_shipper] there must be no yield: the snapshot and
+       the retained-record set must cut the log at one instant. Ship
+       rounds triggered meanwhile park on [synced]. *)
+    let snap = Node_log.snapshot log in
+    Group_commit.set_shipper ~sync:(t.mode = Sync) (gc t) (ship t);
     t.link_up <- true;
     t.synced <- false;
-    (match ship_rpc t (Ha_install { epoch = t.epoch; qm_snap; kv_snap }) with
+    (match ship_rpc t (Ha_install { epoch = t.epoch; snap }) with
     | Net.Ack ->
       t.synced <- true;
       t.n_resyncs <- t.n_resyncs + 1
@@ -215,69 +185,24 @@ let attempt_resync t =
 let batch_bytes batch =
   List.fold_left (fun acc (_, r) -> acc + String.length r) 0 batch
 
-let apply_batch t stream batch =
-  (match stream with
-  | S_qm ->
-    let qm = Site.qm t.site in
-    List.iter (fun (_, r) -> Qm.standby_apply qm r) batch;
-    Qm.force_log qm
-  | S_kv ->
-    let kv = Site.kv t.site in
-    List.iter (fun (_, r) -> Kvdb.standby_apply kv r) batch;
-    Kvdb.force_log kv
-  | S_tm -> (
-    match t.tmship with
-    | None -> ()
-    | Some w ->
-      List.iter
-        (fun (_, r) ->
-          Wal.append w r;
-          match Tm.shipped_decision r with
-          | Some id -> Hashtbl.replace t.decisions id ()
-          | None -> ())
-        batch;
-      Wal.sync w));
+let apply_batch t batch =
+  Node_log.standby_apply (Site.log t.site) (List.map snd batch);
   t.applied_bytes <- t.applied_bytes + batch_bytes batch
 
-let install t ~qm_snap ~kv_snap =
-  Qm.standby_install (Site.qm t.site) qm_snap;
-  Kvdb.standby_install (Site.kv t.site) kv_snap;
-  (match t.tmship with
-  | Some w -> Wal.checkpoint w ""
-  | None -> ());
-  Hashtbl.reset t.decisions;
+let install t snap =
+  Node_log.standby_install (Site.log t.site) snap;
   t.applied_bytes <- 0
 
 (* ---- promotion -------------------------------------------------------- *)
-
-(* Resolve the standby's shipped prepares from the shipped decision stream:
-   the primary forces (and in sync mode ships) its commit decision before
-   delivering any participant commit, so a prepared transaction without a
-   shipped decision cannot have released effects anywhere — presumed
-   abort. Commits are written lazily, so both logs are forced once at the
-   end. Idempotent, so a crash mid-promotion can simply redo it. *)
-let resolve_in_doubt t =
-  (* Only entries coordinated by the peer: a rebooted primary's own
-     prepares resolve through its own TM's pending table (the normal
-     resolver path), which knows outcomes this table cannot. *)
-  let resolve p (id, coord) =
-    if coord = t.peer then
-      if Hashtbl.mem t.decisions id then
-        ignore (p.Tm.p_commit id ~on_durable:ignore)
-      else p.Tm.p_abort id
-  in
-  let qm = Site.qm t.site in
-  List.iter (resolve (Qm.participant qm)) (Qm.in_doubt qm);
-  let kv = Site.kv t.site in
-  List.iter (resolve (Kvdb.participant kv)) (Kvdb.in_doubt kv);
-  Qm.force_log qm;
-  Kvdb.force_log kv
 
 (* Assume the serving-primary duties for this incarnation. Shared by
    promotion, by a reboot that finds a durable primary role, and by the
    initial boot of the configured primary. *)
 let rec become_serving t =
-  resolve_in_doubt t;
+  (* The node log holds the commit decisions the primary logged (shipped,
+     or in the resync snapshot); their remote participants may still wait
+     for delivery. *)
+  Tm.recover_pending (Site.tm t.site);
   (* Replies addressed to the late peer's reply queues are ours now. *)
   Site.set_aliases t.site [ t.peer ];
   Site.set_standby t.site false;
@@ -295,8 +220,7 @@ and link_daemon t () =
       else
         match t.mode with
         | Sync -> ()
-        | Lagged _ ->
-          List.iter (fun (_, gc) -> Group_commit.ship_now gc) (gcs t)
+        | Lagged _ -> Group_commit.ship_now (gc t)
     end;
     Sched.sleep_background interval;
     loop ()
@@ -376,18 +300,18 @@ let ha_service t msg =
     end
     else failwith "ha: standby does not answer heartbeats"
   | Ha_query -> R_ha_role { role = t.role; epoch = t.epoch }
-  | Ship { epoch; stream; batch } ->
+  | Ship { epoch; batch } ->
     if epoch < t.epoch || t.role = Primary then Ship_stale t.epoch
     else begin
-      apply_batch t stream batch;
+      apply_batch t batch;
       (* The batch is durable here but the primary has not seen the ack. *)
       Crashpoint.reach "ship.applied";
       Ship_ok
     end
-  | Ha_install { epoch; qm_snap; kv_snap } ->
+  | Ha_install { epoch; snap } ->
     if epoch < t.epoch || t.role = Primary then Ship_stale t.epoch
     else begin
-      install t ~qm_snap ~kv_snap;
+      install t snap;
       if epoch > t.epoch then write_role t Standby epoch;
       t.synced <- true;
       Net.Ack
@@ -421,17 +345,7 @@ let boot_hook t site =
   | None -> write_role t t.role t.epoch);
   t.link_up <- false;
   t.synced <- false;
-  Hashtbl.reset t.decisions;
   t.applied_bytes <- 0;
-  let w, recovered = Wal.open_log (Net.disk nd) ~name:"tmship" in
-  t.tmship <- Some w;
-  List.iter
-    (fun r ->
-      t.applied_bytes <- t.applied_bytes + String.length r;
-      match Tm.shipped_decision r with
-      | Some id -> Hashtbl.replace t.decisions id ()
-      | None -> ())
-    recovered.Wal.records;
   Net.add_service nd "ha" (ha_service t);
   match t.role with
   | Standby ->
@@ -463,8 +377,6 @@ let attach ?(mode = Sync) ?(heartbeat_every = 0.25) ?(miss_limit = 3)
       epoch = 1;
       link_up = false;
       synced = false;
-      tmship = None;
-      decisions = Hashtbl.create 16;
       applied_bytes = 0;
       n_ship_batches = 0;
       n_failovers = 0;

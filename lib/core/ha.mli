@@ -3,7 +3,7 @@
     protocol).
 
     The {e primary} runs the normal site stack and ships every sealed WAL
-    batch of its three recoverable components (TM, QM, KV) to the {e
+    batch of its node log (which its TM, QM and KV store share) to the {e
     standby} over the network, reusing {!Rrq_wal.Group_commit}'s
     leader/follower machinery: in [Sync] mode a commit-point force does not
     return until the backup has acknowledged the batch — the replication
@@ -11,11 +11,12 @@
     retained records every [d] seconds and releases replies speculatively
     (the window the failover test campaign probes).
 
-    The {e standby} appends shipped QM/KV records into its own logs and
-    replays them into memory at once (warm by construction); shipped TM
-    decision records land in a separate [tmship] log that doubles as the
-    promotion-time outcome table. A standby rejects clerk-facing requests
-    ({!Site.set_standby}), so clerks fail over by rotation.
+    The {e standby} appends shipped records into its own node log and
+    replays each section into its TM, QM or KV store at once (warm by
+    construction), so it holds the primary's unretired commit decisions
+    too. A resync installs one node snapshot, which carries them as well.
+    A standby rejects clerk-facing requests ({!Site.set_standby}), so
+    clerks fail over by rotation.
 
     {b Failover}: the standby heartbeats the primary; after [miss_limit]
     consecutive misses plus one confirmation probe it promotes — provided
@@ -23,13 +24,12 @@
     a crash may lack commits the primary made alone, so its heartbeats ask
     for a resync and it never promotes before one: if the primary dies
     first, the pair waits for it. A promoting standby durably
-    flips its role file (atomic, no intervening yield), resolves shipped
-    in-doubt transactions from the shipped decision stream (presumed abort
-    for prepares whose decision never arrived: the primary ships the
-    decision before delivering any participant commit), bumps the QM
+    flips its role file (atomic, no intervening yield), bumps the QM
     incarnation so fresh eids and auto-txids cannot collide with the old
-    primary's, aliases the dead primary's node name so in-flight replies
-    land locally, opens the gates and starts serving. A primary that lost
+    primary's, redelivers the primary's unretired commit decisions to
+    their remote participants (the primary ships a decision before it
+    delivers it), aliases the dead primary's node name so in-flight
+    replies land locally, opens the gates and starts serving. A primary that lost
     its peer, or hears that a restarted peer holds no snapshot, degrades
     to standalone and periodically retries; the link is
     re-established with a full snapshot resync. A restarting ex-primary
@@ -41,10 +41,6 @@
     batch, primary about to continue), ["ship.applied"] (batch durable on
     the backup, ack in flight), ["ha.heartbeat_miss"] (takeover decision
     made), ["ha.promote"] (promotion underway). *)
-
-type stream = S_tm | S_qm | S_kv
-
-val stream_to_string : stream -> string
 
 type role = Primary | Standby
 
@@ -95,8 +91,8 @@ val shipping : t -> bool
 (** The primary's link is up: shippers installed, peer synced or syncing. *)
 
 val pending_ship : t -> int
-(** Durable-but-unshipped records across the three streams (the exposure
-    window of [Lagged] mode; 0 in steady-state [Sync] mode). *)
+(** Durable-but-unshipped records of the node log (the exposure window of
+    [Lagged] mode; 0 in steady-state [Sync] mode). *)
 
 val failovers : t -> int
 val degrades : t -> int

@@ -1,6 +1,7 @@
 module Net = Rrq_net.Net
 module Sched = Rrq_sim.Sched
 module Tm = Rrq_txn.Tm
+module Node_log = Rrq_txn.Node_log
 module Txid = Rrq_txn.Txid
 module Lock = Rrq_txn.Lock
 module Qm = Rrq_qm.Qm
@@ -78,6 +79,7 @@ exception Aborted of string
 
 type t = {
   site_node : Net.node;
+  mutable s_log : Node_log.t;
   mutable s_tm : Tm.t;
   mutable s_qm : Qm.t;
   mutable s_kv : Kvdb.t;
@@ -113,6 +115,7 @@ let set_candidates t f = t.candidates <- f
    rotates to the next candidate primary. *)
 let standby_guard t =
   if t.standby then failwith ("ha: " ^ site_name t ^ " is a standby")
+let log t = t.s_log
 let tm t = t.s_tm
 let qm t = t.s_qm
 let kv t = t.s_kv
@@ -133,33 +136,26 @@ let remote_participant t ~rm_name =
   in
   {
     Tm.part_name = rm_name;
+    p_local = None;
     p_prepare =
       (fun id ~coordinator ->
         match rpc (RM_prepare { rm = rm_name; id; coordinator }) with
         | Some (R_bool b) -> b
         | Some _ | None -> false);
     p_commit =
-      (fun id ~on_durable ->
-        (* The rm service forces the commit record before it answers. *)
+      (fun id ->
+        (* The rm service answers once the commit record is durable. *)
         match rpc (RM_commit { rm = rm_name; id }) with
-        | Some (R_bool true) ->
-          on_durable ();
-          true
+        | Some (R_bool b) -> b
         | Some _ | None -> false);
     p_abort = (fun id -> ignore (rpc (RM_abort { rm = rm_name; id })));
-    p_one_phase = (fun _ -> false) (* never used: p_is_local is false *);
     p_has_work = (fun _ -> true) (* only joined after a successful remote op *);
-    p_is_local = false;
   }
 
 let local_participant t rm_name =
   if rm_name = qm_rm_name t then Some (Qm.participant t.s_qm)
   else if rm_name = kv_rm_name t then Some (Kvdb.participant t.s_kv)
   else None
-
-let force_local_log t rm_name =
-  if rm_name = qm_rm_name t then Qm.force_log t.s_qm
-  else if rm_name = kv_rm_name t then Kvdb.force_log t.s_kv
 
 (* ---- services -------------------------------------------------------- *)
 
@@ -253,12 +249,7 @@ let rm_service t msg =
   match msg with
   | RM_prepare { rm; id; coordinator } ->
     R_bool ((find rm).Tm.p_prepare id ~coordinator)
-  | RM_commit { rm; id } ->
-    (* A remote coordinator cannot see this node's log, so the lazily
-       written commit record is forced before the answer. *)
-    let ok = (find rm).Tm.p_commit id ~on_durable:ignore in
-    force_local_log t rm;
-    R_bool ok
+  | RM_commit { rm; id } -> R_bool ((find rm).Tm.p_commit id)
   | RM_abort { rm; id } ->
     (find rm).Tm.p_abort id;
     Net.Ack
@@ -274,9 +265,7 @@ let tm_service t msg =
 (* ---- daemons --------------------------------------------------------- *)
 
 (* Resolve recovered in-doubt transactions by asking their coordinators;
-   presumed abort when the coordinator has no record. Each tick also forces
-   any log whose lazily written tail has waited a whole tick
-   ([Group_commit.flush_stale]). *)
+   presumed abort when the coordinator has no record. *)
 let resolver_daemon t () =
   let resolve_one (id, coord) ~commit ~abort =
     match
@@ -295,26 +284,19 @@ let resolver_daemon t () =
   let rec loop () =
     if not t.standby then begin
       (* A standby's in-doubt entries come from shipped prepares whose
-         outcomes arrive via the shipped TM decision stream; presumed-abort
-         resolution here would diverge from the primary. Promotion resolves
-         them instead. *)
-      List.iter
-        (fun entry ->
-          resolve_one entry
-            ~commit:(fun id ->
-              ignore ((Qm.participant t.s_qm).Tm.p_commit id ~on_durable:ignore))
-            ~abort:(fun id -> (Qm.participant t.s_qm).Tm.p_abort id))
-        (Qm.in_doubt t.s_qm);
-      List.iter
-        (fun entry ->
-          resolve_one entry
-            ~commit:(fun id ->
-              ignore ((Kvdb.participant t.s_kv).Tm.p_commit id ~on_durable:ignore))
-            ~abort:(fun id -> (Kvdb.participant t.s_kv).Tm.p_abort id))
-        (Kvdb.in_doubt t.s_kv)
+         outcomes the primary resolves and ships; presumed-abort
+         resolution here would diverge from the primary. *)
+      let resolve p in_doubt =
+        List.iter
+          (fun entry ->
+            resolve_one entry
+              ~commit:(fun id -> ignore (p.Tm.p_commit id))
+              ~abort:p.Tm.p_abort)
+          in_doubt
+      in
+      resolve (Qm.participant t.s_qm) (Qm.in_doubt t.s_qm);
+      resolve (Kvdb.participant t.s_kv) (Kvdb.in_doubt t.s_kv)
     end;
-    List.iter Rrq_wal.Group_commit.flush_stale
-      [ Tm.group_commit t.s_tm; Qm.group_commit t.s_qm; Kvdb.group_commit t.s_kv ];
     Sched.sleep_background 1.0;
     loop ()
   in
@@ -325,21 +307,28 @@ let janitor_daemon t () =
     Sched.sleep_background t.stale_timeout;
     ignore (Qm.abort_stale t.s_qm ~older_than:t.stale_timeout);
     Qm.observe_queues t.s_qm;
-    Qm.maybe_checkpoint t.s_qm ~every:t.checkpoint_every;
-    Kvdb.maybe_checkpoint t.s_kv ~every:t.checkpoint_every;
+    Node_log.maybe_checkpoint t.s_log ~every:t.checkpoint_every;
     loop ()
   in
   loop ()
 
 (* ---- boot ------------------------------------------------------------ *)
 
+(* One log for the node's TM, QM and KV store, so a transaction touching
+   only them commits with one record and one force. *)
+let open_node ~triggers nd =
+  let name = Net.node_name nd in
+  let log = Node_log.open_log (Net.disk nd) ~name in
+  let tm = Tm.attach log ~name in
+  let qm = Qm.attach ~triggers log ~name:("qm@" ^ name) in
+  let kv = Kvdb.attach log ~name:("kv@" ^ name) in
+  (log, tm, qm, kv)
+
 let boot_site t nd =
-  let disk = Net.disk nd in
   let name = Net.node_name nd in
   let sched = Net.sched (Net.network nd) in
-  let tm = Tm.open_tm disk ~name in
-  let qm = Qm.open_qm ~triggers:t.triggers disk ~name:("qm@" ^ name) in
-  let kv = Kvdb.open_kv disk ~name:("kv@" ^ name) in
+  let log, tm, qm, kv = open_node ~triggers:t.triggers nd in
+  t.s_log <- log;
   t.s_tm <- tm;
   t.s_qm <- qm;
   t.s_kv <- kv;
@@ -363,21 +352,23 @@ let boot_site t nd =
   Net.add_service nd "rm" (rm_service t);
   Net.add_service nd "tm" (tm_service t);
   Net.spawn_on nd ~name:(name ^ ":recovery") (fun () ->
-      Tm.recover_pending tm;
+      (* A standby's decisions are the primary's to deliver; promotion
+         redelivers them (Ha). *)
+      if not t.standby then Tm.recover_pending tm;
       resolver_daemon t ());
   Net.spawn_on nd ~name:(name ^ ":janitor") (janitor_daemon t);
   List.iter (fun f -> f t) t.extra_boot
 
 let create ?(queues = []) ?(triggers = [])
     ?(checkpoint_every = 500) ?(stale_timeout = 30.0) nd =
-  let disk = Net.disk nd in
-  let name = Net.node_name nd in
+  let log, tm, qm, kv = open_node ~triggers nd in
   let t =
     {
       site_node = nd;
-      s_tm = Tm.open_tm disk ~name;
-      s_qm = Qm.open_qm disk ~name:("qm@" ^ name);
-      s_kv = Kvdb.open_kv disk ~name:("kv@" ^ name);
+      s_log = log;
+      s_tm = tm;
+      s_qm = qm;
+      s_kv = kv;
       queues;
       triggers;
       checkpoint_every;

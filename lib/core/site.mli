@@ -2,18 +2,23 @@
     KV store, wired together with the RPC services that make the paper's
     System Model (fig. 4) work across nodes.
 
+    The three components share one node log ({!Rrq_txn.Node_log}), so a
+    transaction that touches only this site's QM and KV commits with one
+    record and one force; two-phase commit is left for participants on
+    other sites.
+
     The site's boot procedure (run at creation and after every restart)
-    re-opens the three recoverable components from the node's disk,
-    re-creates the configured queues, re-registers services, and spawns the
-    recovery daemons:
+    re-opens the node log and its three recoverable components, re-creates
+    the configured queues, re-registers services, and spawns the recovery
+    daemons:
 
     - the TM's commit-redelivery fibers for logged-but-unacknowledged
-      decisions;
+      decisions (a standby leaves its decisions to promotion);
     - an in-doubt resolver that asks each prepared transaction's
       coordinator for its fate (presumed abort on no record);
     - a janitor that unilaterally aborts stale unprepared workspaces (a
       dequeuer whose node died must not pin its element forever) and takes
-      periodic checkpoints.
+      periodic checkpoints of the node log.
 
     Services exposed to other nodes:
     - ["qm"]: the clerk-facing queue operations (register, tagged
@@ -39,11 +44,12 @@ val create :
 
 val node : t -> Rrq_net.Net.node
 val site_name : t -> string
+val log : t -> Rrq_txn.Node_log.t
 val tm : t -> Rrq_txn.Tm.t
 val qm : t -> Rrq_qm.Qm.t
 val kv : t -> Rrq_kvdb.Kvdb.t
-(** Accessors return the {e current} incarnation's components — do not
-    cache them across a crash/restart. *)
+(** Accessors return the {e current} incarnation's log and components —
+    do not cache them across a crash/restart. *)
 
 val qm_rm_name : t -> string
 val kv_rm_name : t -> string
@@ -63,8 +69,9 @@ val on_boot : t -> (t -> unit) -> unit
 val set_standby : t -> bool -> unit
 (** A standby site rejects clerk-facing ["qm"] and ["qm-tx"] requests (the
     clerk fails over to another candidate) and suspends presumed-abort
-    in-doubt resolution: shipped prepares are resolved by the promotion
-    protocol from the shipped TM decision stream, never guessed locally. *)
+    in-doubt resolution and commit redelivery: the primary resolves
+    shipped prepares and delivers shipped decisions, and promotion takes
+    over what is left. *)
 
 val is_standby : t -> bool
 
@@ -93,9 +100,9 @@ exception Aborted of string
 
 val with_txn : t -> (Rrq_txn.Tm.txn -> 'a) -> 'a
 (** Run [f] in a fresh transaction and commit. The QM and KV of this site
-    are joined automatically; remote participants join via
-    {!remote_enqueue}. Aborts (and re-raises {!Aborted}) if [f] raises or
-    any participant refuses. *)
+    are joined automatically and commit as one record on the node log;
+    remote participants join via {!remote_enqueue}. Aborts (and re-raises
+    {!Aborted}) if [f] raises or any participant refuses. *)
 
 val remote_enqueue :
   t -> Rrq_txn.Tm.txn -> dst:string -> queue:string ->

@@ -77,7 +77,7 @@ let one_run ~servers ~jobs ~sync_latency =
                 ~after:(Rrq_obs.Metrics.snapshot ())
             in
             let commits = Rrq_obs.Metrics.find_counter d "qm.auto_commits:qm" in
-            let syncs = Rrq_obs.Metrics.find_counter d "gc.syncs:qm.qmlog" in
+            let syncs = Rrq_obs.Metrics.find_counter d "gc.syncs:qm.log" in
             let lat = Rrq_obs.Metrics.histogram d "qm.commit.latency:qm" in
             (* Poll granularity must not skew throughput: stop the clock at
                the last commit, not at the poll that noticed it. *)
@@ -98,7 +98,7 @@ let one_run ~servers ~jobs ~sync_latency =
                   (fun r ->
                     ( r,
                       Rrq_obs.Metrics.find_counter d
-                        ("gc.seal." ^ r ^ ":qm.qmlog") ))
+                        ("gc.seal." ^ r ^ ":qm.log") ))
                   seal_reasons;
               sync_latency;
             }))

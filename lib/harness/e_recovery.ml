@@ -42,7 +42,7 @@ let one_run ~ops ~checkpoint_every =
         if i mod 2 = 0 then
           ignore (Qm.auto_commit !qm (fun id -> Qm.dequeue !qm id h Qm.No_wait));
         match checkpoint_every with
-        | Some every -> Qm.maybe_checkpoint !qm ~every
+        | Some every -> Rrq_txn.Node_log.maybe_checkpoint (Qm.log !qm) ~every
         | None -> ()
       done;
       let log_bytes = Qm.live_log_bytes !qm in

@@ -63,12 +63,15 @@ module State = struct
         let key = match r with Put (k, _) | Del k -> k in
         Lock.acquire st.locks id ~key X)
       redos
+
+  let kind = Rrq_txn.Node_log.Kv
 end
 
 module Base = Rm.Make (State)
 
 type t = Base.t
 
+let attach = Base.attach
 let open_kv = Base.open_rm
 let name = Base.name
 
@@ -123,16 +126,22 @@ let transfer_locks t ~from ~to_ =
 let release_locks t id =
   Lock.release_all (Base.state t).State.locks id
 
+(* The workspace as a part of a commit record; the locks go once it is
+   durable. *)
+let stage t id =
+  { (Base.stage t id) with Rrq_txn.Node_log.durable = (fun () -> release_locks t id) }
+
 let participant t =
   {
     Tm.part_name = Base.name t;
+    p_local = Some (Base.log t, stage t);
     p_prepare =
       (fun id ~coordinator ->
         (* Locks are retained while in doubt. *)
         Base.prepare t id ~coordinator);
     p_commit =
-      (fun id ~on_durable ->
-        Base.commit_prepared t id ~on_durable;
+      (fun id ->
+        Base.commit_prepared t id;
         release_locks t id;
         true);
     p_abort =
@@ -140,14 +149,10 @@ let participant t =
         Base.abort t id;
         Lock.cancel_waits (Base.state t).State.locks id;
         release_locks t id);
-    p_one_phase =
-      (fun id ->
-        Base.commit_one_phase t id;
-        release_locks t id;
-        true);
     p_has_work = (fun id -> Base.has_workspace t id || Base.is_prepared t id);
-    p_is_local = true;
   }
+
+let commit t id = Rrq_txn.Node_log.commit (Base.log t) [ stage t id ]
 
 let in_doubt = Base.in_doubt
 
@@ -157,13 +162,4 @@ let committed_bindings t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) (Base.state t).State.data []
   |> List.sort compare
 
-let checkpoint = Base.checkpoint
-let maybe_checkpoint = Base.maybe_checkpoint
-let live_log_bytes = Base.live_log_bytes
-let force_log = Base.force_log
-
-(* Replication hooks (primary-backup WAL shipping; see Rrq_core.Ha). *)
-let group_commit = Base.group_commit
-let encode_snapshot = Base.encode_snapshot
-let standby_apply = Base.standby_apply
-let standby_install = Base.standby_install
+let checkpoint t = Rrq_txn.Node_log.checkpoint (Base.log t)

@@ -2,15 +2,20 @@
     back-end servers read and write while processing requests (paper §2).
 
     Strict two-phase locking per key (shared for reads, exclusive for
-    writes), redo-only logging via {!Rrq_txn.Rm}, and participation in the
-    node TM's one- or two-phase commit. Transactions see their own buffered
-    writes. Locks are released by the commit/abort paths of
-    {!participant}. *)
+    writes), redo-only logging on the node log via {!Rrq_txn.Rm}, and
+    participation in the node TM's commit: a section of its one commit
+    record, or two-phase commit for a coordinator on another log.
+    Transactions see their own buffered writes. Locks are released by the
+    commit/abort paths of {!participant}. *)
 
 type t
 
+val attach : Rrq_txn.Node_log.t -> name:string -> t
+(** Attach the store named [name] to a node log, recovering its
+    sections. *)
+
 val open_kv : Rrq_storage.Disk.t -> name:string -> t
-(** Open (recovering from its WAL) the store named [name]. *)
+(** [attach] to a node log of its own named [name]. *)
 
 val name : t -> string
 
@@ -37,6 +42,11 @@ val participant : t -> Rrq_txn.Tm.participant
 (** Enlist this store in a transaction. All lock release goes through the
     returned closures. *)
 
+val commit : t -> Rrq_txn.Txid.t -> unit
+(** Commit the transaction's writes with this store alone: one record,
+    one force, then release its locks. What {!Rrq_txn.Tm.commit} does
+    when this store is the only participant, for callers without a TM. *)
+
 val transfer_locks : t -> from:Rrq_txn.Txid.t -> to_:Rrq_txn.Txid.t -> unit
 (** Move every lock of one transaction to another without releasing: the
     lock-inheritance technique that makes a chain of transactions
@@ -59,19 +69,4 @@ val committed_bindings : t -> (string * string) list
 (** All committed key/value pairs, sorted by key (audit helper). *)
 
 val checkpoint : t -> unit
-val maybe_checkpoint : t -> every:int -> unit
-val live_log_bytes : t -> int
-
-val force_log : t -> unit
-(** Make every appended record durable: a two-phase commit delivered
-    through {!participant} appends its commit record without forcing it. *)
-
-(** {1 Replication hooks}
-
-    Primary-backup WAL shipping (see {!Rrq_core.Ha}); re-exports of the
-    {!Rrq_txn.Rm.Make} standby surface. *)
-
-val group_commit : t -> Rrq_wal.Group_commit.t
-val encode_snapshot : t -> string
-val standby_apply : t -> string -> unit
-val standby_install : t -> string -> unit
+(** Checkpoint the store's node log (every RM attached to it). *)

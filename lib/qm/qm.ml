@@ -1,7 +1,6 @@
 module Codec = Rrq_util.Codec
-module Wal = Rrq_wal.Wal
-module Group_commit = Rrq_wal.Group_commit
 module Disk = Rrq_storage.Disk
+module Node_log = Rrq_txn.Node_log
 module Lock = Rrq_txn.Lock
 module Tm = Rrq_txn.Tm
 module Txid = Rrq_txn.Txid
@@ -118,13 +117,16 @@ type prep = { p_coord : string; p_ops : ws_op list (* oldest first *) }
 
 type t = {
   qm_name : string;
-  wal : Wal.t;
-  gc : Group_commit.t;
+  log : Node_log.t;
   queues : (string, queue) Hashtbl.t;
   index : (string * Element.t) Eidtbl.t;
   regs : (string * string, reg) Hashtbl.t;
   locks : Lock.t;
   workspaces : (Txid.t, ws) Hashtbl.t;
+  (* Workspaces a TM took for its commit record and has not written yet
+     (it may still be waiting for remote votes): out of [abort_stale]'s
+     reach, and what [abort] restores if the votes go against it. *)
+  staged : (Txid.t, ws_op list) Hashtbl.t;
   prepared : (Txid.t, prep) Hashtbl.t;
   triggers : (string, trigger list) Hashtbl.t;
   mutable incarnations : int;
@@ -136,8 +138,8 @@ type t = {
   mutable internal_seq : float;
   mutable auto_n : int;
   (* Reused by the main-memory commit encode: one buffer per QM instead of
-     one fresh encoder + string per record. Commit paths fill and hand it
-     to [Group_commit.append_enc] without yielding in between. *)
+     one fresh encoder per section. Commit paths fill and hand it to
+     [Node_log.commit] without yielding in between. *)
   scratch : Codec.encoder;
   auto_origin : string; (* qm_name ^ "!auto", hoisted off the commit path *)
   (* Page image buffer for the stable queue store's read-modify-write. *)
@@ -289,20 +291,22 @@ let decode_ws_op d =
   let op_redo = decode_redo d in
   { op_redo; op_errq }
 
-(* Log record kinds (framing around redo lists). *)
+(* Section kinds (framing around redo lists). *)
 let k_one_phase = 1
 let k_prepare = 2
 let k_commit = 3
 let k_abort = 4
 let k_now = 5
 
-let encode_record kind txid_opt coordinator ops =
-  let e = Codec.encoder () in
+let encode_record_into e kind txid_opt coordinator ops =
   Codec.u8 e kind;
   Codec.option Txid.encode e txid_opt;
   Codec.string e coordinator;
   Codec.list encode_ws_op e ops;
-  Codec.to_string e
+  e
+
+let encode_record kind txid_opt coordinator ops =
+  encode_record_into (Codec.encoder ()) kind txid_opt coordinator ops
 
 let decode_record payload =
   let d = Codec.decoder payload in
@@ -609,7 +613,7 @@ let qstore_file t qn q =
   match q.qstore with
   | Some f -> f
   | None ->
-    let f = Disk.open_file (Wal.disk t.wal) (t.qm_name ^ ".qstore." ^ qn) in
+    let f = Disk.open_file (Node_log.disk t.log) (t.qm_name ^ ".qstore." ^ qn) in
     q.qstore <- Some f;
     f
 
@@ -649,24 +653,25 @@ let store_write t pages =
         Disk.write_page f t.page)
     pages
 
-(* Append one commit-point record, choosing the encode route. [all_mm]
-   records (only main-memory queues touched) are encoded into the QM's
-   scratch buffer and framed straight into the device's pending bytes — no
-   fresh encoder, no [to_string], no frame copy (this is what "no stable
-   read-back or copy on the hot path" buys in B1). Everything else keeps
-   the historical allocate-and-copy route. Both routes produce the same
-   record bytes, so replay cannot tell them apart. *)
-let append_record t kind txid_opt coordinator ops ~all_mm =
-  if all_mm then begin
-    let e = t.scratch in
-    Codec.reset e;
-    Codec.u8 e kind;
-    Codec.option Txid.encode e txid_opt;
-    Codec.string e coordinator;
-    Codec.list encode_ws_op e ops;
-    Group_commit.append_enc t.gc e
-  end
-  else Group_commit.append t.gc (encode_record kind txid_opt coordinator ops)
+(* One commit-point section, choosing the encode route. [all_mm] sections
+   (only main-memory queues touched) are encoded into the QM's scratch
+   buffer, which the node log copies straight into its record — no fresh
+   encoder, no [to_string] (this is what "no stable read-back or copy on
+   the hot path" buys in B1). Everything else keeps the historical
+   allocate route. Both routes produce the same bytes, so replay cannot
+   tell them apart. *)
+let section t kind txid_opt coordinator ops ~all_mm =
+  let e =
+    if all_mm then begin
+      Codec.reset t.scratch;
+      t.scratch
+    end
+    else Codec.encoder ()
+  in
+  encode_record_into e kind txid_opt coordinator ops
+
+let part ?redo ?(apply = ignore) ?(durable = ignore) () =
+  { Node_log.kind = Node_log.Qm; redo; apply; durable }
 
 (* ---- snapshot / recovery ------------------------------------------- *)
 
@@ -803,35 +808,60 @@ let relock_prepared t =
         p.p_ops)
     t.prepared
 
-let log_now t ops =
+(* The logged subset of [ops] (volatile-queue updates are applied but
+   never logged) as a part of a commit record: its section, its in-memory
+   effects, and the in-place page writes that follow the force
+   (write-ahead rule). A part held across a yield must not use the
+   scratch buffer ([scratch:false]). *)
+let commit_part t ?txid ?(scratch = true) ops =
   let any_volatile, all_mm, pages = classify_ops t ops in
+  let all_mm = all_mm && scratch in
   let stable =
     if any_volatile then List.filter (fun op -> redo_is_stable t op.op_redo) ops
     else ops
   in
-  (* Group-commit discipline: append, apply in memory without yielding, then
-     force (which may park the fiber). *)
-  if stable <> [] then append_record t k_now None "" stable ~all_mm;
-  List.iter (fun op -> apply t op.op_redo) ops;
-  if stable <> [] then begin
-    Group_commit.force t.gc;
-    (* In-place page updates follow the log force (write-ahead rule). *)
-    if pages <> [] then store_write t pages
-  end
+  let redo =
+    if stable = [] then None
+    else
+      let kind = if txid = None then k_now else k_one_phase in
+      Some (section t kind txid "" stable ~all_mm)
+  in
+  part ?redo
+    ~apply:(fun () -> List.iter (fun op -> apply t op.op_redo) ops)
+    ~durable:(fun () -> if pages <> [] then store_write t pages)
+    ()
 
-let open_qm ?(triggers = []) disk ~name:qm_name =
-  let wal, recovered = Wal.open_log disk ~name:(qm_name ^ ".qmlog") in
-  let gc = Group_commit.create wal in
+let log_now t ops = Node_log.commit t.log [ commit_part t ops ]
+
+(* The QM's half of HA: a standby replays shipped sections and installs a
+   primary's image. [replaying] suppresses alert callbacks and trigger side
+   effects exactly as recovery replay does. No locks are re-asserted: a
+   standby runs no competing transactions. *)
+let replaying t f =
+  t.replaying <- true;
+  Fun.protect ~finally:(fun () -> t.replaying <- false) f
+
+let install t snap =
+  Hashtbl.reset t.queues;
+  Eidtbl.reset t.index;
+  Hashtbl.reset t.regs;
+  Hashtbl.reset t.workspaces;
+  Hashtbl.reset t.staged;
+  Hashtbl.reset t.prepared;
+  t.ws_cache <- None;
+  Option.iter (fun snap -> replaying t (fun () -> restore_snapshot t snap)) snap
+
+let attach ?(triggers = []) log ~name:qm_name =
   let t =
     {
       qm_name;
-      wal;
-      gc;
+      log;
       queues = Hashtbl.create 16;
       index = Eidtbl.create 256;
       regs = Hashtbl.create 32;
       locks = Lock.create ~name:"qm" ();
       workspaces = Hashtbl.create 16;
+      staged = Hashtbl.create 8;
       prepared = Hashtbl.create 8;
       triggers = Hashtbl.create 4;
       incarnations = 0;
@@ -857,15 +887,24 @@ let open_qm ?(triggers = []) disk ~name:qm_name =
       in
       Hashtbl.replace t.triggers trig.on_queue (cur @ [ trig ]))
     triggers;
-  (match recovered.Wal.snapshot with
-  | Some snap -> restore_snapshot t snap
-  | None -> ());
-  List.iter (replay_record t) recovered.Wal.records;
+  let snap, records =
+    Node_log.attach log Node_log.Qm
+      {
+        Node_log.snapshot = (fun () -> encode_snapshot t);
+        replay = (fun r -> replaying t (fun () -> replay_record t r));
+        install = install t;
+      }
+  in
+  Option.iter (restore_snapshot t) snap;
+  List.iter (replay_record t) records;
   relock_prepared t;
   t.replaying <- false;
   (* Bump the incarnation durably so eids and auto-txids never repeat. *)
   log_now t [ { op_redo = RIncarnation; op_errq = None } ];
   t
+
+let open_qm ?triggers disk ~name =
+  attach ?triggers (Node_log.open_log disk ~name) ~name
 
 let name t = t.qm_name
 
@@ -1187,25 +1226,31 @@ let release_locks t id =
   Lock.cancel_waits t.locks id;
   Lock.release_all t.locks id
 
-let commit_one_phase t id =
+(* The workspace as a part of a commit record; the locks go once it is
+   durable. With [staged] (a TM's commit, which may wait for remote votes
+   between staging and writing the record), the ops stay restorable by
+   [abort] until the record is applied. *)
+let stage ?(staged = false) t id =
   match ws_find t id with
-  | None -> release_locks t id
+  | None -> part ~durable:(fun () -> release_locks t id) ()
   | Some ws ->
-    let ops = List.rev ws.ops in
     ws_remove t id;
-    let any_volatile, all_mm, pages = classify_ops t ops in
-    let stable =
-      if any_volatile then
-        List.filter (fun op -> redo_is_stable t op.op_redo) ops
-      else ops
-    in
-    if stable <> [] then append_record t k_one_phase (Some id) "" stable ~all_mm;
-    List.iter (fun op -> apply t op.op_redo) ops;
-    if stable <> [] then begin
-      Group_commit.force t.gc;
-      if pages <> [] then store_write t pages
-    end;
-    release_locks t id
+    let ops = List.rev ws.ops in
+    if staged then Hashtbl.replace t.staged id ops;
+    let p = commit_part t ~txid:id ~scratch:(not staged) ops in
+    {
+      p with
+      apply =
+        (fun () ->
+          if staged then Hashtbl.remove t.staged id;
+          p.apply ());
+      durable =
+        (fun () ->
+          p.durable ();
+          release_locks t id);
+    }
+
+let commit t id = Node_log.commit t.log [ stage t id ]
 
 let prepare t id ~coordinator =
   match ws_find t id with
@@ -1219,27 +1264,34 @@ let prepare t id ~coordinator =
         List.filter (fun op -> redo_is_stable t op.op_redo) ops
       else ops
     in
-    append_record t k_prepare (Some id) coordinator stable ~all_mm;
-    Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops };
-    Group_commit.force t.gc;
+    Node_log.commit t.log
+      [
+        part
+          ~redo:(section t k_prepare (Some id) coordinator stable ~all_mm)
+          ~apply:(fun () ->
+            Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops })
+          ();
+      ];
     true
 
-(* The lazy commit record (see Group_commit): append and apply, release
-   the locks, but do not force. Page writes wait for the record to become
-   durable (write-ahead rule), and so does [on_durable]. *)
-let commit_prepared t id ~on_durable =
+let commit_prepared t id =
   (match Hashtbl.find_opt t.prepared id with
-  | None -> ()
+  | None -> () (* already resolved (idempotent) *)
   | Some p ->
     (* Page targets must be resolved before apply removes dequeued
        elements from the index. *)
     let _, _, pages = classify_ops t p.p_ops in
-    Group_commit.append t.gc (encode_record k_commit (Some id) "" []);
-    List.iter (fun op -> apply t op.op_redo) p.p_ops;
-    Hashtbl.remove t.prepared id;
-    if pages <> [] then Group_commit.when_durable t.gc (fun () -> store_write t pages));
-  release_locks t id;
-  Group_commit.when_durable t.gc on_durable
+    Node_log.commit t.log
+      [
+        part
+          ~redo:(encode_record k_commit (Some id) "" [])
+          ~apply:(fun () ->
+            List.iter (fun op -> apply t op.op_redo) p.p_ops;
+            Hashtbl.remove t.prepared id)
+          ~durable:(fun () -> if pages <> [] then store_write t pages)
+          ();
+      ]);
+  release_locks t id
 
 (* Returning a dequeued element to its queue after an abort: bump its retry
    count durably; if the limit is hit, move it to the error queue instead
@@ -1271,41 +1323,51 @@ let restore_element t op =
     []
 
 let abort t id =
-  let restore ops =
-    let fixups = List.concat_map (restore_element t) ops in
-    if fixups <> [] then log_now t fixups
+  let unwritten =
+    match ws_find t id with
+    | Some ws ->
+      ws_remove t id;
+      List.rev ws.ops
+    | None -> (
+      match Hashtbl.find_opt t.staged id with
+      | Some ops ->
+        Hashtbl.remove t.staged id;
+        ops
+      | None -> [])
   in
-  (match ws_find t id with
-  | Some ws ->
-    ws_remove t id;
-    restore (List.rev ws.ops)
-  | None -> ());
-  (match Hashtbl.find_opt t.prepared id with
-  | Some p ->
-    Group_commit.append t.gc (encode_record k_abort (Some id) "" []);
-    Hashtbl.remove t.prepared id;
-    restore p.p_ops;
-    (* [restore]'s own force covers the abort record when there were
-       fixups; this one covers the bare-abort case (no-op otherwise). *)
-    Group_commit.force t.gc
-  | None -> ());
+  let resolved, prepared_ops =
+    match Hashtbl.find_opt t.prepared id with
+    | Some p ->
+      ( [
+          part
+            ~redo:(encode_record k_abort (Some id) "" [])
+            ~apply:(fun () -> Hashtbl.remove t.prepared id)
+            ();
+        ],
+        p.p_ops )
+    | None -> ([], [])
+  in
+  (* The abort record and the durable fixups of every returned element
+     are one record. *)
+  let fixups =
+    match List.concat_map (restore_element t) (unwritten @ prepared_ops) with
+    | [] -> []
+    | fixups -> [ commit_part t fixups ]
+  in
+  Node_log.commit t.log (resolved @ fixups);
   release_locks t id
 
 let participant t =
   {
     Tm.part_name = t.qm_name;
+    p_local = Some (t.log, stage ~staged:true t);
     p_prepare = (fun id ~coordinator -> prepare t id ~coordinator);
     p_commit =
-      (fun id ~on_durable ->
-        commit_prepared t id ~on_durable;
+      (fun id ->
+        commit_prepared t id;
         true);
     p_abort = (fun id -> abort t id);
-    p_one_phase =
-      (fun id ->
-        commit_one_phase t id;
-        true);
     p_has_work = (fun id -> ws_mem t id || Hashtbl.mem t.prepared id);
-    p_is_local = true;
   }
 
 let auto_commit t f =
@@ -1317,7 +1379,7 @@ let auto_commit t f =
     (* Only count transactions that buffered work: polling an empty queue
        auto-commits too, and counting those would skew commit rates. *)
     let worked = ws_mem t id in
-    commit_one_phase t id;
+    commit t id;
     if worked && Rrq_obs.enabled () then begin
       Rrq_obs.Metrics.inc ("qm.auto_commits:" ^ t.qm_name);
       Rrq_obs.Metrics.observe
@@ -1376,46 +1438,8 @@ let set_abort_callback t f = t.abort_cb <- f
 let set_alert_callback t f = t.alert_cb <- f
 let set_clock t f = t.clock <- f
 
-let checkpoint t = Group_commit.checkpoint t.gc (encode_snapshot t)
-
-let maybe_checkpoint t ~every =
-  if Wal.records_since_checkpoint t.wal >= every then checkpoint t
-
-let force_log t = Group_commit.force t.gc
-
-(* ---- replication hooks (primary-backup WAL shipping) ------------------ *)
-
-let group_commit t = t.gc
-let snapshot_image t = encode_snapshot t
-
-(* The backup half of shipping (see Rrq_core.Ha and Rrq_txn.Rm): append the
-   shipped record verbatim into our OWN log, then replay it into memory —
-   the standby stays warm, and a backup crash recovers through the native
-   path. [replaying] suppresses alert callbacks and trigger side effects
-   exactly as recovery replay does. No locks are re-asserted: a standby
-   runs no competing transactions, and promotion resolves every in-doubt
-   entry before serving. *)
-let standby_apply t payload =
-  t.replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.replaying <- false)
-    (fun () ->
-      Group_commit.append t.gc payload;
-      replay_record t payload)
-
-let standby_install t snap =
-  Hashtbl.reset t.queues;
-  Eidtbl.reset t.index;
-  Hashtbl.reset t.regs;
-  Hashtbl.reset t.workspaces;
-  Hashtbl.reset t.prepared;
-  t.ws_cache <- None;
-  t.replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> t.replaying <- false)
-    (fun () -> restore_snapshot t snap);
-  (* Restart our own log from the installed image. *)
-  Group_commit.checkpoint t.gc (encode_snapshot t)
+let checkpoint t = Node_log.checkpoint t.log
+let log t = t.log
 
 (* Durably open a fresh incarnation without reopening the repository — the
    promotion path: a new primary must never mint eids or auto-txids that
@@ -1423,7 +1447,7 @@ let standby_install t snap =
 let bump_incarnation t =
   log_now t [ { op_redo = RIncarnation; op_errq = None } ]
 
-let live_log_bytes t = Wal.live_log_bytes t.wal
+let live_log_bytes t = Node_log.live_log_bytes t.log
 
 let counts t qn =
   let q = get_queue t qn in

@@ -108,16 +108,21 @@ exception Conflict of string
 
 (** {1 Opening and DDL} *)
 
+val attach : ?triggers:trigger list -> Rrq_txn.Node_log.t -> name:string -> t
+(** Attach the repository called [name] to a node log, recovering its
+    sections. Triggers are code configuration and must be re-supplied
+    identically on every open. *)
+
 val open_qm :
   ?triggers:trigger list ->
   Rrq_storage.Disk.t ->
   name:string ->
   t
-(** Open (recovering) the repository called [name] on [disk]. Triggers are
-    code configuration and must be re-supplied identically on every open.
-    Commit-point log forces go through {!Rrq_wal.Group_commit}. *)
+(** A standalone repository: [attach] to a node log of its own named
+    [name] on [disk]. *)
 
 val name : t -> string
+val log : t -> Rrq_txn.Node_log.t
 
 val create_queue : t -> ?attrs:attrs -> string -> unit
 (** Durably create a queue (no-op if it exists, so node setup code can be
@@ -238,6 +243,11 @@ val kill_where : t -> Filter.t -> int
 val participant : t -> Rrq_txn.Tm.participant
 (** Enlist the QM in a transaction. *)
 
+val commit : t -> Rrq_txn.Txid.t -> unit
+(** Commit the transaction's operations with this QM alone: one record,
+    one force. What {!Rrq_txn.Tm.commit} does when the QM is the only
+    participant, for callers without a TM. *)
+
 val auto_commit : t -> (Rrq_txn.Txid.t -> 'a) -> 'a
 (** Run one or more QM operations as a standalone atomic action: effects
     are durable and visible when the call returns (the paper's
@@ -272,12 +282,9 @@ val set_clock : t -> (unit -> float) -> unit
 (** {1 Maintenance and introspection} *)
 
 val checkpoint : t -> unit
-val maybe_checkpoint : t -> every:int -> unit
-val live_log_bytes : t -> int
+(** Checkpoint the QM's node log (every RM attached to it). *)
 
-val force_log : t -> unit
-(** Make every appended record durable: a two-phase commit delivered
-    through {!participant} appends its commit record without forcing it. *)
+val live_log_bytes : t -> int
 
 val counts : t -> string -> int * int
 (** (total committed enqueues, total committed dequeues) for a queue in
@@ -287,21 +294,10 @@ val elements : t -> string -> Element.t list
 (** Snapshot of a queue's current elements in dequeue order (tests and
     audits). *)
 
-(** {1 Replication hooks}
+(** {1 Replication hook}
 
-    The queue manager as a primary-backup replication endpoint (see
-    {!Rrq_core.Ha}). The primary ships its WAL records through
-    {!Rrq_wal.Group_commit.set_shipper} on {!group_commit}; the backup
-    applies them with {!standby_apply} (which also appends them to its own
-    log, so a backup crash recovers natively) and makes each batch durable
-    with {!force_log} before acknowledging. {!standby_install}
-    replaces the whole state from a primary {!snapshot_image} — the full
-    resync after a gap or role change. *)
-
-val group_commit : t -> Rrq_wal.Group_commit.t
-val snapshot_image : t -> string
-val standby_apply : t -> string -> unit
-val standby_install : t -> string -> unit
+    A standby's QM follows its primary through its node log
+    ({!Rrq_txn.Node_log.standby_apply}, {!Rrq_txn.Node_log.standby_install}). *)
 
 val bump_incarnation : t -> unit
 (** Durably open a fresh incarnation without reopening the repository —

@@ -30,7 +30,7 @@ val reach : string -> unit
     registry is enabled; when enabled, counts the hit and fires the armed
     crash action if this is exactly the armed (site, hit). Site names should
     be stable and include the component instance (e.g.
-    ["wal.sync:node.tmlog"]), so multi-node scenarios stay distinguishable. *)
+    ["wal.sync:node.log"]), so multi-node scenarios stay distinguishable. *)
 
 val reset : unit -> unit
 (** Enable the registry and clear all counts and any armed action. Call at

@@ -1,0 +1,161 @@
+module Codec = Rrq_util.Codec
+module Wal = Rrq_wal.Wal
+module Group_commit = Rrq_wal.Group_commit
+
+type kind = Tm | Qm | Kv
+
+let kinds = [ Tm; Qm; Kv ]
+let code = function Tm -> 1 | Qm -> 2 | Kv -> 3
+
+let of_code = function
+  | 1 -> Tm
+  | 2 -> Qm
+  | 3 -> Kv
+  | n -> raise (Codec.Decode_error (Printf.sprintf "node log: bad kind %d" n))
+
+type rm = {
+  snapshot : unit -> string;
+  replay : string -> unit;
+  install : string option -> unit;
+}
+
+type part = {
+  kind : kind;
+  redo : Codec.encoder option;
+  apply : unit -> unit;
+  durable : unit -> unit;
+}
+
+type t = {
+  wal : Wal.t;
+  gc : Group_commit.t;
+  mutable rms : (kind * rm) list;
+  (* What recovery found, per kind, until that kind's RM attaches. *)
+  mutable recovered : (kind * (string option * string list)) list;
+  (* Every record is built here: one buffer per node, never held across a
+     yield. *)
+  scratch : Codec.encoder;
+}
+
+(* Both records and checkpoints are a count, then (kind code, section)
+   pairs. *)
+let decode_sections s =
+  let d = Codec.decoder s in
+  let n = Codec.get_u8 d in
+  List.init n (fun _ ->
+      let kind = of_code (Codec.get_u8 d) in
+      (kind, Codec.get_string d))
+
+let encode_sections e sections =
+  Codec.u8 e (List.length sections);
+  List.iter
+    (fun (kind, s) ->
+      Codec.u8 e (code kind);
+      Codec.string e s)
+    sections
+
+let open_log disk ~name =
+  let wal, recovered = Wal.open_log disk ~name:(name ^ ".log") in
+  let snap = Option.map decode_sections recovered.Wal.snapshot in
+  (* One pass over the records, newest first per kind. *)
+  let records = Hashtbl.create 3 in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (kind, s) ->
+          Hashtbl.replace records kind
+            (s :: Option.value ~default:[] (Hashtbl.find_opt records kind)))
+        (decode_sections r))
+    recovered.Wal.records;
+  let recovered =
+    List.map
+      (fun kind ->
+        let section = Option.bind snap (List.assoc_opt kind) in
+        let rs = Option.value ~default:[] (Hashtbl.find_opt records kind) in
+        (kind, (section, List.rev rs)))
+      kinds
+  in
+  {
+    wal;
+    gc = Group_commit.create wal;
+    rms = [];
+    recovered;
+    scratch = Codec.encoder ();
+  }
+
+let disk t = Wal.disk t.wal
+let group_commit t = t.gc
+
+let attach t kind rm =
+  if List.mem_assoc kind t.rms then invalid_arg "Node_log.attach: kind already attached";
+  t.rms <- t.rms @ [ (kind, rm) ];
+  let found = Option.value ~default:(None, []) (List.assoc_opt kind t.recovered) in
+  t.recovered <- List.remove_assoc kind t.recovered;
+  found
+
+(* ---- commit ----------------------------------------------------------- *)
+
+let append_sections t sections =
+  let e = t.scratch in
+  Codec.reset e;
+  Codec.u8 e (List.length sections);
+  List.iter
+    (fun (kind, body) ->
+      Codec.u8 e (code kind);
+      Codec.nested e body)
+    sections;
+  Group_commit.append_enc t.gc e
+
+let commit t parts =
+  let sections =
+    List.filter_map (fun p -> Option.map (fun e -> (p.kind, e)) p.redo) parts
+  in
+  if sections <> [] then append_sections t sections;
+  List.iter (fun p -> p.apply ()) parts;
+  if sections <> [] then Group_commit.force t.gc;
+  List.iter (fun p -> p.durable ()) parts
+
+let append_lazy t kind body = append_sections t [ (kind, body) ]
+let force t = Group_commit.force t.gc
+
+(* ---- checkpoints ------------------------------------------------------ *)
+
+let snapshot t =
+  let e = Codec.encoder () in
+  encode_sections e (List.map (fun (kind, rm) -> (kind, rm.snapshot ())) t.rms);
+  Codec.to_string e
+
+(* The snapshot holds the applied effects of every appended record (commit
+   applies before it yields), so the checkpoint makes them all durable. *)
+let checkpoint t = Wal.checkpoint t.wal (snapshot t)
+
+let maybe_checkpoint t ~every =
+  if Wal.records_since_checkpoint t.wal >= every then checkpoint t
+
+let live_log_bytes t = Wal.live_log_bytes t.wal
+
+(* ---- replication ------------------------------------------------------ *)
+
+let quiet t =
+  Wal.appended_lsn t.wal = Wal.durable_lsn t.wal
+  && not (Group_commit.ship_in_flight t.gc)
+
+(* Shipped records are appended verbatim, so a standby crash recovers them
+   through [open_log] like its own. *)
+let standby_apply t records =
+  List.iter
+    (fun r ->
+      Group_commit.append t.gc r;
+      List.iter
+        (fun (kind, s) ->
+          match List.assoc_opt kind t.rms with
+          | Some rm -> rm.replay s
+          | None -> ())
+        (decode_sections r))
+    records;
+  Group_commit.force t.gc
+
+let standby_install t snap =
+  let sections = decode_sections snap in
+  List.iter (fun (kind, rm) -> rm.install (List.assoc_opt kind sections)) t.rms;
+  checkpoint t

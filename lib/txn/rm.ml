@@ -1,7 +1,4 @@
 module Codec = Rrq_util.Codec
-module Wal = Rrq_wal.Wal
-module Group_commit = Rrq_wal.Group_commit
-module Disk = Rrq_storage.Disk
 
 module type STATE = sig
   type state
@@ -14,6 +11,7 @@ module type STATE = sig
   val snapshot : Codec.encoder -> state -> unit
   val restore : Codec.decoder -> state
   val relock : state -> Txid.t -> redo list -> unit
+  val kind : Node_log.kind
 end
 
 module Make (S : STATE) = struct
@@ -21,62 +19,48 @@ module Make (S : STATE) = struct
 
   type t = {
     rm_name : string;
-    wal : Wal.t;
-    gc : Group_commit.t;
+    log : Node_log.t;
     mutable st : S.state; (* replaced wholesale by a standby install *)
     workspaces : (Txid.t, S.redo list ref) Hashtbl.t; (* newest first *)
     prepared_txns : (Txid.t, prepared) Hashtbl.t;
   }
 
-  (* Log record kinds. *)
+  (* Section kinds. *)
   let k_one_phase = 1
   let k_prepare = 2
   let k_commit = 3
   let k_abort = 4
-  let k_apply_now = 5
 
-  let encode_record kind txid_opt coordinator redos =
+  let encode_record kind txid coordinator redos =
     let e = Codec.encoder () in
     Codec.u8 e kind;
-    Codec.option Txid.encode e txid_opt;
+    Txid.encode e txid;
     Codec.string e coordinator;
     Codec.list S.encode_redo e redos;
-    Codec.to_string e
+    e
 
   let decode_record payload =
     let d = Codec.decoder payload in
     let kind = Codec.get_u8 d in
-    let txid = Codec.get_option Txid.decode d in
+    let id = Txid.decode d in
     let coordinator = Codec.get_string d in
     let redos = Codec.get_list S.decode_redo d in
-    (kind, txid, coordinator, redos)
+    (kind, id, coordinator, redos)
 
   let replay t payload =
-    let kind, txid, coordinator, redos = decode_record payload in
+    let kind, id, coordinator, redos = decode_record payload in
     match kind with
-    | k when k = k_one_phase || k = k_apply_now ->
-      List.iter (S.apply t.st) redos
-    | k when k = k_prepare -> begin
-      match txid with
-      | Some id -> Hashtbl.replace t.prepared_txns id { coordinator; redos }
-      | None -> failwith "rm: prepare record without txid"
-    end
+    | k when k = k_one_phase -> List.iter (S.apply t.st) redos
+    | k when k = k_prepare ->
+      Hashtbl.replace t.prepared_txns id { coordinator; redos }
     | k when k = k_commit -> begin
-      match txid with
-      | Some id -> begin
-        match Hashtbl.find_opt t.prepared_txns id with
-        | Some p ->
-          List.iter (S.apply t.st) p.redos;
-          Hashtbl.remove t.prepared_txns id
-        | None -> () (* resolved before the snapshot; duplicate record *)
-      end
-      | None -> failwith "rm: commit record without txid"
+      match Hashtbl.find_opt t.prepared_txns id with
+      | Some p ->
+        List.iter (S.apply t.st) p.redos;
+        Hashtbl.remove t.prepared_txns id
+      | None -> () (* resolved before the snapshot; duplicate record *)
     end
-    | k when k = k_abort -> begin
-      match txid with
-      | Some id -> Hashtbl.remove t.prepared_txns id
-      | None -> failwith "rm: abort record without txid"
-    end
+    | k when k = k_abort -> Hashtbl.remove t.prepared_txns id
     | k -> failwith (Printf.sprintf "rm: unknown record kind %d" k)
 
   let encode_snapshot t =
@@ -91,34 +75,53 @@ module Make (S : STATE) = struct
       t.prepared_txns;
     Codec.to_string e
 
-  let open_rm disk ~name:rm_name =
-    let wal, recovered = Wal.open_log disk ~name:(rm_name ^ ".wal") in
-    let gc = Group_commit.create wal in
-    let st, prepared_txns =
-      match recovered.Wal.snapshot with
-      | None -> (S.empty (), Hashtbl.create 8)
-      | Some snap ->
-        let d = Codec.decoder snap in
-        let st = S.restore d in
-        let n = Codec.get_int d in
-        let tbl = Hashtbl.create 8 in
-        for _ = 1 to n do
-          let id = Txid.decode d in
-          let coordinator = Codec.get_string d in
-          let redos = Codec.get_list S.decode_redo d in
-          Hashtbl.replace tbl id { coordinator; redos }
-        done;
-        (st, tbl)
-    in
+  (* State and in-doubt table from a checkpoint section ([None]: empty). *)
+  let restore t snap =
+    Hashtbl.reset t.prepared_txns;
+    Hashtbl.reset t.workspaces;
+    match snap with
+    | None -> t.st <- S.empty ()
+    | Some snap ->
+      let d = Codec.decoder snap in
+      t.st <- S.restore d;
+      let n = Codec.get_int d in
+      for _ = 1 to n do
+        let id = Txid.decode d in
+        let coordinator = Codec.get_string d in
+        let redos = Codec.get_list S.decode_redo d in
+        Hashtbl.replace t.prepared_txns id { coordinator; redos }
+      done
+
+  (* A standby replays shipped sections and installs a primary's snapshot
+     through the same functions recovery uses. Locks are not re-asserted
+     there: a standby runs no competing transactions. *)
+  let attach log ~name:rm_name =
     let t =
-      { rm_name; wal; gc; st; workspaces = Hashtbl.create 16; prepared_txns }
+      {
+        rm_name;
+        log;
+        st = S.empty ();
+        workspaces = Hashtbl.create 16;
+        prepared_txns = Hashtbl.create 8;
+      }
     in
-    List.iter (replay t) recovered.Wal.records;
+    let snap, records =
+      Node_log.attach log S.kind
+        {
+          Node_log.snapshot = (fun () -> encode_snapshot t);
+          replay = replay t;
+          install = restore t;
+        }
+    in
+    restore t snap;
+    List.iter (replay t) records;
     (* Re-assert exclusions for transactions still in doubt. *)
     Hashtbl.iter (fun id p -> S.relock t.st id p.redos) t.prepared_txns;
     t
 
+  let open_rm disk ~name = attach (Node_log.open_log disk ~name) ~name
   let name t = t.rm_name
+  let log t = t.log
   let state t = t.st
 
   let add_redo t id redo =
@@ -133,17 +136,19 @@ module Make (S : STATE) = struct
 
   let has_workspace t id = Hashtbl.mem t.workspaces id
 
-  let commit_one_phase t id =
+  let part ?redo ?(apply = ignore) () =
+    { Node_log.kind = S.kind; redo; apply; durable = ignore }
+
+  let stage t id =
     match Hashtbl.find_opt t.workspaces id with
-    | None -> ()
+    | None -> part ()
     | Some ws ->
       let redos = List.rev !ws in
       Hashtbl.remove t.workspaces id;
-      (* Group-commit discipline: append, apply in memory without yielding,
-         then force (which may park the fiber) before acknowledging. *)
-      Group_commit.append t.gc (encode_record k_one_phase (Some id) "" redos);
-      List.iter (S.apply t.st) redos;
-      Group_commit.force t.gc
+      part
+        ~redo:(encode_record k_one_phase id "" redos)
+        ~apply:(fun () -> List.iter (S.apply t.st) redos)
+        ()
 
   let prepare t id ~coordinator =
     match Hashtbl.find_opt t.workspaces id with
@@ -151,79 +156,43 @@ module Make (S : STATE) = struct
     | Some ws ->
       let redos = List.rev !ws in
       Hashtbl.remove t.workspaces id;
-      Group_commit.append t.gc
-        (encode_record k_prepare (Some id) coordinator redos);
-      Hashtbl.replace t.prepared_txns id { coordinator; redos };
-      Group_commit.force t.gc;
+      Node_log.commit t.log
+        [
+          part
+            ~redo:(encode_record k_prepare id coordinator redos)
+            ~apply:(fun () ->
+              Hashtbl.replace t.prepared_txns id { coordinator; redos })
+            ();
+        ];
       true
 
-  (* The lazy commit record (see Group_commit): append and apply, but do
-     not force. [on_durable] runs once the record is durable; for an
-     already resolved transaction, once whatever resolved it is. *)
-  let commit_prepared t id ~on_durable =
-    (match Hashtbl.find_opt t.prepared_txns id with
+  let commit_prepared t id =
+    match Hashtbl.find_opt t.prepared_txns id with
     | None -> () (* already resolved (idempotent) *)
     | Some p ->
-      Group_commit.append t.gc (encode_record k_commit (Some id) "" []);
-      List.iter (S.apply t.st) p.redos;
-      Hashtbl.remove t.prepared_txns id);
-    Group_commit.when_durable t.gc on_durable
+      Node_log.commit t.log
+        [
+          part
+            ~redo:(encode_record k_commit id "" [])
+            ~apply:(fun () ->
+              List.iter (S.apply t.st) p.redos;
+              Hashtbl.remove t.prepared_txns id)
+            ();
+        ]
 
   let abort t id =
     Hashtbl.remove t.workspaces id;
-    match Hashtbl.find_opt t.prepared_txns id with
-    | None -> ()
-    | Some _ ->
-      Group_commit.append t.gc (encode_record k_abort (Some id) "" []);
-      Hashtbl.remove t.prepared_txns id;
-      Group_commit.force t.gc
+    if Hashtbl.mem t.prepared_txns id then
+      Node_log.commit t.log
+        [
+          part
+            ~redo:(encode_record k_abort id "" [])
+            ~apply:(fun () -> Hashtbl.remove t.prepared_txns id)
+            ();
+        ]
 
   let is_prepared t id = Hashtbl.mem t.prepared_txns id
 
   let in_doubt t =
     Hashtbl.fold (fun id p acc -> (id, p.coordinator) :: acc) t.prepared_txns []
-
-  let apply_now t redos =
-    Group_commit.append t.gc (encode_record k_apply_now None "" redos);
-    List.iter (S.apply t.st) redos;
-    Group_commit.force t.gc
-
-  let force_log t = Group_commit.force t.gc
-  let group_commit t = t.gc
-
-  (* ---- warm-standby replication target --------------------------------
-     The backup side of WAL shipping: shipped records are appended verbatim
-     into this RM's OWN log (so a backup crash recovers through the native
-     path) and replayed into memory immediately — the standby is warm by
-     construction. Locks are not re-asserted here: a standby runs no
-     competing transactions, and promotion resolves every in-doubt entry
-     before serving. *)
-
-  let standby_apply t payload =
-    Group_commit.append t.gc payload;
-    replay t payload
-
-  let standby_install t snapshot =
-    let d = Codec.decoder snapshot in
-    let st = S.restore d in
-    let n = Codec.get_int d in
-    Hashtbl.reset t.prepared_txns;
-    Hashtbl.reset t.workspaces;
-    for _ = 1 to n do
-      let id = Txid.decode d in
-      let coordinator = Codec.get_string d in
-      let redos = Codec.get_list S.decode_redo d in
-      Hashtbl.replace t.prepared_txns id { coordinator; redos }
-    done;
-    t.st <- st;
-    (* Restart our own log from the installed image. *)
-    Group_commit.checkpoint t.gc (encode_snapshot t)
-
-  let checkpoint t = Group_commit.checkpoint t.gc (encode_snapshot t)
-
-  let maybe_checkpoint t ~every =
-    if Wal.records_since_checkpoint t.wal >= every then checkpoint t
-
-  let records_since_checkpoint t = Wal.records_since_checkpoint t.wal
-  let live_log_bytes t = Wal.live_log_bytes t.wal
 end

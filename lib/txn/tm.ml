@@ -1,19 +1,16 @@
 module Codec = Rrq_util.Codec
 module Swallow = Rrq_util.Swallow
-module Wal = Rrq_wal.Wal
-module Group_commit = Rrq_wal.Group_commit
 module Sched = Rrq_sim.Sched
 
 type outcome = Committed | Aborted
 
 type participant = {
   part_name : string;
+  p_local : (Node_log.t * (Txid.t -> Node_log.part)) option;
   p_prepare : Txid.t -> coordinator:string -> bool;
-  p_commit : Txid.t -> on_durable:(unit -> unit) -> bool;
+  p_commit : Txid.t -> bool;
   p_abort : Txid.t -> unit;
-  p_one_phase : Txid.t -> bool;
   p_has_work : Txid.t -> bool;
-  p_is_local : bool;
 }
 
 type status = Active | Finished of outcome
@@ -28,12 +25,11 @@ type txn = {
 
 type t = {
   tm_name : string;
-  wal : Wal.t;
-  gc : Group_commit.t;
-  inc : int;
+  log : Node_log.t;
+  mutable inc : int;
   mutable next_n : int;
-  (* Commit decisions logged but not yet retired: txid -> the participants
-     whose commit record is not yet known durable. *)
+  (* Commit decisions logged but not yet retired: txid -> the remote
+     participants that have not acknowledged the commit yet. *)
   pending : (Txid.t, string list ref) Hashtbl.t;
   (* Transactions currently inside the voting phase (decision not yet
      logged): queries about these must answer [`Pending]. *)
@@ -45,7 +41,7 @@ type t = {
   mutable n_aborted : int;
 }
 
-(* Log record kinds. *)
+(* Section kinds. *)
 let k_incarnation = 1
 let k_decision = 2
 let k_end = 3
@@ -53,53 +49,98 @@ let k_end = 3
 let encode_incarnation () =
   let e = Codec.encoder () in
   Codec.u8 e k_incarnation;
-  Codec.to_string e
+  e
 
 let encode_decision id parts =
   let e = Codec.encoder () in
   Codec.u8 e k_decision;
   Txid.encode e id;
   Codec.list Codec.string e parts;
-  Codec.to_string e
+  e
 
 let encode_end id =
   let e = Codec.encoder () in
   Codec.u8 e k_end;
   Txid.encode e id;
+  e
+
+let replay t section =
+  let d = Codec.decoder section in
+  let kind = Codec.get_u8 d in
+  if kind = k_incarnation then t.inc <- t.inc + 1
+  else if kind = k_decision then begin
+    let id = Txid.decode d in
+    let parts = Codec.get_list Codec.get_string d in
+    Hashtbl.replace t.pending id (ref parts)
+  end
+  else if kind = k_end then Hashtbl.remove t.pending (Txid.decode d)
+  else failwith "tm: unknown log record"
+
+(* The checkpoint section: the incarnation and the unretired decisions. *)
+let encode_snapshot t =
+  let e = Codec.encoder () in
+  Codec.int e t.inc;
+  Codec.list
+    (Codec.pair Txid.encode (Codec.list Codec.string))
+    e
+    (Hashtbl.fold (fun id w acc -> (id, !w) :: acc) t.pending []);
   Codec.to_string e
 
-let open_tm disk ~name:tm_name =
-  let wal, recovered = Wal.open_log disk ~name:(tm_name ^ ".tmlog") in
-  let gc = Group_commit.create wal in
-  let pending = Hashtbl.create 8 in
-  let inc = ref 0 in
-  List.iter
-    (fun payload ->
-      let d = Codec.decoder payload in
-      let kind = Codec.get_u8 d in
-      if kind = k_incarnation then incr inc
-      else if kind = k_decision then begin
-        let id = Txid.decode d in
-        let parts = Codec.get_list Codec.get_string d in
-        Hashtbl.replace pending id (ref parts)
-      end
-      else if kind = k_end then Hashtbl.remove pending (Txid.decode d)
-      else failwith "tm: unknown log record")
-    recovered.Wal.records;
-  Group_commit.append_force gc (encode_incarnation ());
-  {
-    tm_name;
-    wal;
-    gc;
-    inc = !inc + 1;
-    next_n = 0;
-    pending;
-    deciding = Hashtbl.create 8;
-    live = Hashtbl.create 16;
-    resolver = (fun _ -> None);
-    n_committed = 0;
-    n_aborted = 0;
-  }
+let decode_snapshot snap =
+  let d = Codec.decoder snap in
+  let inc = Codec.get_int d in
+  let pending =
+    Codec.get_list (Codec.get_pair Txid.decode (Codec.get_list Codec.get_string)) d
+  in
+  (inc, pending)
+
+(* State from a checkpoint section: recovery's, or a primary's on a
+   standby, which takes the primary's unretired decisions for promotion to
+   redeliver. The incarnation only grows: txids carry this TM's own name,
+   so a smaller shipped number would let it mint ids it already used. *)
+let install t snap =
+  Hashtbl.reset t.pending;
+  Option.iter
+    (fun snap ->
+      let inc, pending = decode_snapshot snap in
+      t.inc <- max t.inc inc;
+      List.iter (fun (id, parts) -> Hashtbl.replace t.pending id (ref parts)) pending)
+    snap
+
+let tm_part ?(apply = ignore) ?(durable = ignore) redo =
+  { Node_log.kind = Node_log.Tm; redo = Some redo; apply; durable }
+
+let attach log ~name:tm_name =
+  let t =
+    {
+      tm_name;
+      log;
+      inc = 0;
+      next_n = 0;
+      pending = Hashtbl.create 8;
+      deciding = Hashtbl.create 8;
+      live = Hashtbl.create 16;
+      resolver = (fun _ -> None);
+      n_committed = 0;
+      n_aborted = 0;
+    }
+  in
+  let snap, records =
+    Node_log.attach log Node_log.Tm
+      {
+        Node_log.snapshot = (fun () -> encode_snapshot t);
+        replay = replay t;
+        install = install t;
+      }
+  in
+  install t snap;
+  List.iter (replay t) records;
+  (* A new incarnation, durable before the first txid is minted. *)
+  Node_log.commit log
+    [ tm_part ~apply:(fun () -> t.inc <- t.inc + 1) (encode_incarnation ()) ];
+  t
+
+let open_tm disk ~name = attach (Node_log.open_log disk ~name) ~name
 
 let name t = t.tm_name
 
@@ -155,27 +196,26 @@ let observe_pending t =
       (float_of_int (Hashtbl.length t.pending))
 
 (* Retire a decision. Invariant: an End record never precedes a
-   participant's durable commit record, so a recovered log names every
-   decision some participant may still need redelivered. End records
-   themselves are a cleanup optimization and need not be forced. *)
+   participant's acknowledgement, and a participant acknowledges only once
+   its commit record is durable, so a recovered log names every decision
+   some participant may still need redelivered. End records themselves are
+   a cleanup optimization and need not be forced. *)
 let log_end t id =
   Hashtbl.remove t.pending id;
   observe_pending t;
-  Wal.append t.wal (encode_end id)
+  Node_log.append_lazy t.log Node_log.Tm (encode_end id)
 
-(* The one retirement counter: [pname]'s commit record for [id] is durable;
-   the last one to report retires the decision. *)
-let participant_durable t id pname =
-  match Hashtbl.find_opt t.pending id with
-  | None -> ()
-  | Some waiting ->
-    waiting := List.filter (fun n -> n <> pname) !waiting;
-    if !waiting = [] then log_end t id
-
-(* Deliver the decision to one participant; [false] means retry later. *)
+(* Deliver the decision to one participant; [false] means retry later. The
+   last participant to acknowledge retires the decision. *)
 let deliver t id p =
-  Swallow.run ~default:false (fun () ->
-      p.p_commit id ~on_durable:(fun () -> participant_durable t id p.part_name))
+  let acked = Swallow.run ~default:false (fun () -> p.p_commit id) in
+  (if acked then
+     match Hashtbl.find_opt t.pending id with
+     | None -> ()
+     | Some waiting ->
+       waiting := List.filter (fun n -> n <> p.part_name) !waiting;
+       if !waiting = [] then log_end t id);
+  acked
 
 (* Retry delivery, once a second, to the named participants that have not
    taken the decision yet. *)
@@ -258,31 +298,36 @@ let commit t txn =
         (List.rev txn.participants)
     in
     List.iter (fun p -> Swallow.unit (fun () -> p.p_abort txn.id)) workless;
-    match parts with
-    | [] ->
+    (* Participants on this TM's node log join one commit record; the rest
+       (other nodes, other logs) are two-phase commit participants. *)
+    let local, remote =
+      List.partition_map
+        (fun p ->
+          match p.p_local with
+          | Some (log, stage) when log == t.log -> Either.Left stage
+          | Some _ | None -> Either.Right p)
+        parts
+    in
+    let stage_local () = List.map (fun stage -> stage txn.id) local in
+    if remote = [] then begin
+      Node_log.commit t.log (stage_local ());
+      Rrq_sim.Crashpoint.reach ("tm.decided:" ^ t.tm_name);
       commit_done ();
       finish txn Committed;
       Committed
-    | [ p ] when p.p_is_local ->
-      if Swallow.run ~default:false (fun () -> p.p_one_phase txn.id) then begin
-        commit_done ();
-        finish txn Committed;
-        Committed
-      end
-      else begin
-        abort_done ();
-        Swallow.unit (fun () -> p.p_abort txn.id);
-        finish txn Aborted;
-        Aborted
-      end
-    | _ :: _ ->
+    end
+    else begin
       Hashtbl.replace t.deciding txn.id ();
+      (* The local parts are taken before the votes, which can take a
+         while: an RM's janitor must not abort a workspace the record will
+         carry. A no vote aborts them like the rest. *)
+      let local_parts = stage_local () in
       let all_yes =
         List.for_all
           (fun p ->
             Swallow.run ~default:false (fun () ->
                 p.p_prepare txn.id ~coordinator:t.tm_name))
-          parts
+          remote
       in
       if not all_yes then begin
         Hashtbl.remove t.deciding txn.id;
@@ -292,23 +337,31 @@ let commit t txn =
         Aborted
       end
       else begin
-        let pnames = List.map (fun p -> p.part_name) parts in
+        let pnames = List.map (fun p -> p.part_name) remote in
         Rrq_sim.Crashpoint.reach ("tm.prepared:" ^ t.tm_name);
-        (* The txn stays in [deciding] (answering [`Pending]) until the
-           decision record is durable: under a batched force this fiber may
-           park here, and resolvers must not observe a commit outcome that a
-           crash could still revoke. *)
-        Group_commit.append t.gc (encode_decision txn.id pnames);
-        Group_commit.force t.gc;
+        (* The local updates and the decision are one record. The decision
+           is applied with the record, so a checkpoint cut while this fiber
+           is parked in the force keeps it, but the txn stays in [deciding]
+           (answering [`Pending]) until the record is durable: resolvers
+           must not observe a commit outcome that a crash could still
+           revoke. *)
+        Node_log.commit t.log
+          (local_parts
+          @ [
+              tm_part
+                ~apply:(fun () ->
+                  Hashtbl.replace t.pending txn.id (ref pnames);
+                  observe_pending t)
+                ~durable:(fun () -> Hashtbl.remove t.deciding txn.id)
+                (encode_decision txn.id pnames);
+            ]);
         Rrq_sim.Crashpoint.reach ("tm.decided:" ^ t.tm_name);
-        Hashtbl.replace t.pending txn.id (ref pnames);
-        observe_pending t;
-        Hashtbl.remove t.deciding txn.id;
         commit_done ();
         finish txn Committed;
-        deliver_commits t txn.id parts;
+        deliver_commits t txn.id remote;
         Committed
       end
+    end
   end
 
 let abort t txn =
@@ -334,8 +387,8 @@ let force_abort t id =
     true
 
 let decision t id =
-  if Hashtbl.mem t.pending id then `Committed
-  else if Hashtbl.mem t.deciding id then `Pending
+  if Hashtbl.mem t.deciding id then `Pending
+  else if Hashtbl.mem t.pending id then `Committed
   else `Aborted (* presumed abort: no logged decision, not deciding *)
 
 let set_resolver t f = t.resolver <- f
@@ -348,15 +401,3 @@ let recover_pending t =
 
 let pending_decisions t = Hashtbl.fold (fun id _ acc -> id :: acc) t.pending []
 let stats t = (t.n_committed, t.n_aborted)
-
-let group_commit t = t.gc
-
-(* Under presumed abort only COMMIT decisions are logged, so a shipped TM
-   record either names a committed transaction or is bookkeeping
-   (incarnation/end) the backup can ignore. *)
-let shipped_decision payload =
-  let d = Codec.decoder payload in
-  match Codec.get_u8 d with
-  | k when k = k_decision -> Some (Txid.decode d)
-  | _ -> None
-  | exception Codec.Decode_error _ -> None

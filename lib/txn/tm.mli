@@ -1,27 +1,29 @@
 (** Transaction manager: transaction lifecycle and atomic commitment.
 
-    Each node runs one TM. A transaction collects {e participants} (resource
-    managers, local or remote proxies). Commit uses:
+    Each node runs one TM, sharing the node's log ({!Node_log}) with the
+    node's resource managers. A transaction collects {e participants}
+    (resource managers, local or remote proxies). Commit uses:
 
-    - nothing at all for read-only transactions,
-    - one-phase commit when a single participant did work,
-    - presumed-abort two-phase commit otherwise: the only forced coordinator
-      write is the commit decision; a crash before that point aborts the
-      transaction implicitly, and in-doubt participants that cannot find a
-      logged decision are told to abort.
-
-    The forced writes of a two-phase commit are the participants' prepares
-    plus the decision. A participant on this node writes its commit record
-    lazily and the record rides the next force of its log (see
-    {!Rrq_wal.Group_commit}); a remote participant forces it before it
-    answers. So a two-RM commit on one node costs three forces, not five.
+    - nothing at all for read-only transactions;
+    - one record and one force when every participant that did work
+      writes the TM's own node log: each contributes its redo section to
+      the record ({!Node_log.commit}), with no prepare, decision or End
+      record. Paper §5's server transaction (dequeue the request, update
+      the database, enqueue the reply) is this case;
+    - presumed-abort two-phase commit for the participants on other logs
+      (another node's RMs through the ["rm"] service, or an RM with a log
+      of its own): they prepare, and once all vote yes the TM writes the
+      local participants' redo and the commit decision as that one
+      record. A crash before it is durable aborts the transaction
+      implicitly, and in-doubt participants that cannot find a logged
+      decision are told to abort.
 
     The coordinator log also drives {e commit redelivery}: once a commit
-    decision is logged, delivery to every participant is retried (across
-    coordinator restarts, via {!set_resolver} + {!recover_pending}) until
-    all have taken it. The decision stays pending until every
-    participant's commit record is durable; only then does an End record
-    retire the transaction. *)
+    decision is logged, delivery to every remote participant is retried
+    (across coordinator restarts, via {!set_resolver} +
+    {!recover_pending}) until all have acknowledged it. A participant
+    acknowledges only once its commit record is durable; an End record
+    then retires the transaction. *)
 
 type t
 
@@ -29,35 +31,36 @@ type outcome = Committed | Aborted
 
 type participant = {
   part_name : string;  (** Stable name, resolvable after a restart. *)
+  p_local : (Node_log.t * (Txid.t -> Node_log.part)) option;
+      (** The node log this RM writes and how it hands its workspace to a
+          commit record there ({!Node_log.part}); [None] for a proxy of an
+          RM on another node. A participant on the coordinator's log joins
+          the coordinator's one commit record. *)
   p_prepare : Txid.t -> coordinator:string -> bool;
       (** Force a yes-vote; [false] for a no-vote or an unreachable RM. *)
-  p_commit : Txid.t -> on_durable:(unit -> unit) -> bool;
-      (** Deliver the commit decision; [true] once applied, [false] to have
-          it redelivered. [on_durable] must run (once) when the commit
-          record is durable; a local RM runs it from
-          {!Rrq_wal.Group_commit.when_durable}, the remote proxy on a [true]
-          reply. *)
+  p_commit : Txid.t -> bool;
+      (** Deliver the commit decision; [true] once the commit record is
+          durable at the participant, [false] to have it redelivered. *)
   p_abort : Txid.t -> unit;  (** Best-effort abort notice. *)
-  p_one_phase : Txid.t -> bool;  (** Single-participant fast path. *)
   p_has_work : Txid.t -> bool;
       (** Whether the RM buffered any update for this transaction. Workless
           participants are excused from commitment with an abort notice
           (which only releases their read locks), so a transaction that
-          wrote at one RM and only read at others still commits one-phase. *)
-  p_is_local : bool;
-      (** Whether the RM is co-located with the coordinator. The one-phase
-          fast path applies only to a single {e local} participant: a lone
-          remote participant still gets a logged decision, because a lost
-          acknowledgement would otherwise leave its outcome unknowable. *)
+          wrote at one RM and only read at others involves only the
+          first. *)
 }
 
 type txn
 (** An open transaction handle. *)
 
+val attach : Node_log.t -> name:string -> t
+(** Attach the TM named [name] (the coordinator identity participants will
+    query) to a node log, recovering its incarnation and unretired
+    decisions and durably bumping its incarnation, so txids never repeat
+    across crashes and checkpoints. *)
+
 val open_tm : Rrq_storage.Disk.t -> name:string -> t
-(** Open the TM named [name] (the coordinator identity participants will
-    query), recovering its decision log and bumping its incarnation.
-    Decision-record forces go through {!Rrq_wal.Group_commit}. *)
+(** [attach] to a node log of its own named [name]. *)
 
 val name : t -> string
 
@@ -102,22 +105,8 @@ val recover_pending : t -> unit
     Call from a fiber, after {!set_resolver}. *)
 
 val pending_decisions : t -> Txid.t list
-(** Commit decisions not yet durable at every participant. This holds
-    after {!commit} returns, until later forces of the participants' logs
-    (or the site's idle flush) cover their commit records. The
-    [tm.pending:<tm>] gauge reports its length. *)
+(** Commit decisions not yet acknowledged by every remote participant.
+    The [tm.pending:<tm>] gauge reports its length. *)
 
 val stats : t -> int * int
 (** (committed, aborted) counts for this incarnation. *)
-
-(** {1 Replication hooks (primary-backup WAL shipping)} *)
-
-val group_commit : t -> Rrq_wal.Group_commit.t
-(** The commit-point batcher, so a replication layer can ship the TM's
-    decision log ({!Rrq_wal.Group_commit.set_shipper}). *)
-
-val shipped_decision : string -> Txid.t option
-(** Decode one shipped TM log record: [Some id] if it is a commit-decision
-    record (under presumed abort only commit decisions are logged), [None]
-    for bookkeeping records (incarnation, end) or undecodable input. The
-    backup uses these to resolve in-doubt RM entries at promotion. *)

@@ -45,6 +45,12 @@ let string e s =
   int e (String.length s);
   raw e s
 
+let nested e src =
+  int e src.pos;
+  ensure e src.pos;
+  Bytes.blit src.buf 0 e.buf e.pos src.pos;
+  e.pos <- e.pos + src.pos
+
 let option f b = function
   | None -> u8 b 0
   | Some v -> u8 b 1; f b v

@@ -44,6 +44,11 @@ val float : encoder -> float -> unit
 val string : encoder -> string -> unit
 (** Append a length-prefixed string. *)
 
+val nested : encoder -> encoder -> unit
+(** [nested e src] appends [src]'s contents as a length-prefixed string:
+    the bytes [string e (to_string src)] writes, without the intermediate
+    string. A record made of sections encoded by several owners uses it. *)
+
 val raw : encoder -> string -> unit
 (** Append bytes verbatim, with no length prefix (for framing layers that
     track lengths themselves). *)

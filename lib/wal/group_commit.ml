@@ -44,11 +44,6 @@ type t = {
   mutable ship_leading : bool;
   mutable ship_waiters : (int * bool Sched.waker) list;
   mutable n_ships : int;
-  (* Durability callbacks ([when_durable]): (appended lsn, f), newest
-     first, run once the durable LSN covers lsn. [stale_mark] is the
-     appended LSN at the last [flush_stale] tick. *)
-  mutable on_durable : (int * (unit -> unit)) list;
-  mutable stale_mark : int;
 }
 
 let create wal =
@@ -74,11 +69,8 @@ let create wal =
     ship_leading = false;
     ship_waiters = [];
     n_ships = 0;
-    on_durable = [];
-    stale_mark = 0;
   }
 
-let wal t = t.wal
 let forces t = t.n_forces
 let syncs t = t.n_syncs
 
@@ -107,41 +99,16 @@ let append_enc t e =
   end
   else Wal.append_enc t.wal e
 
-(* Run, oldest first, every durability callback the durable LSN now
-   covers. Callbacks must not yield: they run inside whichever fiber
-   advanced the LSN. *)
-let fire_durable t =
-  if t.on_durable <> [] then begin
-    let durable = Wal.durable_lsn t.wal in
-    let ready, waiting =
-      List.partition (fun (lsn, _) -> lsn <= durable) t.on_durable
-    in
-    t.on_durable <- waiting;
-    List.iter (fun (_, f) -> f ()) (List.rev ready)
-  end
-
-let when_durable t f =
-  let lsn = Wal.appended_lsn t.wal in
-  if lsn <= Wal.durable_lsn t.wal then f ()
-  else t.on_durable <- (lsn, f) :: t.on_durable
-
 (* One physical flush, charged against the disk's device model when we can
    sleep (i.e. inside a fiber): the device serves one flush at a time, so
-   the leaders of a node's several logs queue on it. *)
+   the leaders of every log on one disk queue on it. *)
 let do_sync t =
   (if Disk.sync_latency t.disk > 0.0 && Sched.in_fiber () then
      let wait = Disk.reserve_sync t.disk ~now:(Sched.clock ()) in
      if wait > 0.0 then Sched.sleep wait);
   Wal.sync t.wal;
   t.n_syncs <- t.n_syncs + 1;
-  if Rrq_obs.enabled () then Rrq_obs.Metrics.inc ("gc.syncs:" ^ Wal.name t.wal);
-  fire_durable t
-
-(* A checkpoint's snapshot holds the applied effects of every appended
-   record, so it advances the durable LSN like a sync does. *)
-let checkpoint t snapshot =
-  Wal.checkpoint t.wal snapshot;
-  fire_durable t
+  if Rrq_obs.enabled () then Rrq_obs.Metrics.inc ("gc.syncs:" ^ Wal.name t.wal)
 
 (* Wake every parked follower the last sync covered. After a successful
    sync the durable LSN equals the appended LSN, which covers everyone who
@@ -348,15 +315,3 @@ let force t =
 let append_force t payload =
   append t payload;
   force t
-
-(* The idle bound on lazily written records: a tail that was already
-   appended at the previous tick and is still not durable gets one force.
-   While commits keep coming, some other force covers the tail first and
-   this never fires. *)
-let flush_stale t =
-  if Wal.durable_lsn t.wal < t.stale_mark then begin
-    if Rrq_obs.enabled () then
-      Rrq_obs.Metrics.inc ("gc.stale_flushes:" ^ Wal.name t.wal);
-    force t
-  end;
-  t.stale_mark <- Wal.appended_lsn t.wal

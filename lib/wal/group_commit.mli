@@ -27,15 +27,8 @@
     crash-point suite in [test/test_group_commit.ml] sweeps exactly this
     window.
 
-    There is one exception to step 3. A two-phase-commit participant on
-    the coordinator's node writes its commit record {e lazily}: it appends
-    and applies the record, releases its locks and returns without forcing,
-    because the coordinator's durable decision already fixes the outcome
-    and recovery redelivers it. The coordinator learns of durability
-    through {!when_durable} and keeps its decision until then, so a crash
-    before some later force covers the record only re-runs the delivery.
-    {!flush_stale} bounds how long such a record stays in the buffer when
-    no later force comes.
+    A node's resource managers share one log and one batcher
+    ({!Rrq_txn.Node_log}), which follows this contract for all of them.
 
     Sealing parks fibers, so it only happens inside the simulator.
     Outside a fiber nothing can park: {!force} issues one direct sync and
@@ -63,8 +56,6 @@ type t
 val create : Wal.t -> t
 (** Batcher for [wal]. *)
 
-val wal : t -> Wal.t
-
 val append : t -> string -> unit
 (** Buffer a record at the log tail (same as [Wal.append]). *)
 
@@ -80,24 +71,6 @@ val force : t -> unit
 
 val append_force : t -> string -> unit
 (** [append] then [force]. *)
-
-val when_durable : t -> (unit -> unit) -> unit
-(** [when_durable t f] runs [f] once every record appended so far is
-    durable: at once if it already is, else right after the sync or
-    checkpoint that covers it, inside the fiber that ran it. It issues no
-    sync of its own, and [f] must not yield. If the disk dies first, [f]
-    never runs (the node is about to be declared crashed). *)
-
-val checkpoint : t -> string -> unit
-(** [Wal.checkpoint] with [snapshot], which makes every appended record
-    durable; runs the {!when_durable} callbacks it covers. *)
-
-val flush_stale : t -> unit
-(** The idle bound on lazily written records, called on a periodic tick
-    (the site's 1 s resolver tick). Forces the log when records that were
-    already appended at the previous call are still not durable. Under load
-    another force covers them first and this does nothing. Each force it
-    issues counts in the [gc.stale_flushes:<wal>] metric. *)
 
 (** {1 Log shipping (primary-backup replication)}
 

@@ -253,10 +253,11 @@ let test_crash_site_sweep () =
    request queue in [Main_memory] durability, element payload and order
    live purely in memory, only redo records hit the WAL, and recovery
    rebuilds queue state from the redo scan. Crashing at every WAL sync
-   boundary (before and after the force) and every 2PC decision point must
-   still leave exactly-once intact — the same invariant the stable sweep
-   checks, now with no stable queue image to fall back on. *)
-let mm_swept_prefixes = [ "wal.sync:"; "wal.synced:"; "tm.prepared"; "tm.decided" ]
+   boundary (before and after the force) and every commit decision point
+   must still leave exactly-once intact — the same invariant the stable
+   sweep checks, now with no stable queue image to fall back on. The
+   server's transaction is local to the node log, so it never prepares. *)
+let mm_swept_prefixes = [ "wal.sync:"; "wal.synced:"; "tm.decided" ]
 
 let test_mm_crash_sweep () =
   let visited, failures =
@@ -354,11 +355,13 @@ let test_ha_crash_site_sweep () =
         (Printf.sprintf "probe reaches %s" site)
         true (List.mem_assoc site visited))
     [ "ship.sent"; "ship.applied"; "ha.heartbeat_miss"; "ha.promote" ];
+  (* One shipped stream per node (the node log): a commit is one ship
+     round. *)
   let combos = combos visited in
   Alcotest.(check bool)
     (Printf.sprintf "swept a substantial replication site space (%d combos)"
        combos)
-    true (combos >= 50);
+    true (combos >= 30);
   Alcotest.(check (list string))
     "every replication crash point failed over cleanly" [] failures
 
@@ -452,7 +455,7 @@ let test_sharded_crash_site_sweep () =
       "shard.map_install:shard1";
       "shard.map_install:shard2";
       "tm.prepared:shard1";
-      "wal.sync:qm@shard2.qmlog";
+      "wal.sync:shard2.log";
     ];
   let combos = combos visited in
   Alcotest.(check bool)
@@ -589,16 +592,12 @@ let test_recording_is_passive () =
   Alcotest.(check int) "same replies"
     bare.C.Scenario.replies
     recorded.C.Scenario.rec_outcome.C.Scenario.replies;
-  (* The lazy-commit metrics are among what it records: every decision is
-     retired at quiescence, and the idle tail was flushed by the tick. *)
+  (* The commit-redelivery gauge is among what it records: no decision is
+     left pending at quiescence. *)
   let m = recorded.C.Scenario.rec_metrics in
   Alcotest.(check (option (float 0.0))) "tm.pending recorded, drained"
     (Some 0.0)
-    (List.assoc_opt "tm.pending:backend" m.Obs.Metrics.s_gauges);
-  Alcotest.(check bool) "gc.stale_flushes recorded" true
-    (List.exists
-       (fun (k, n) -> String.starts_with ~prefix:"gc.stale_flushes:" k && n > 0)
-       m.Obs.Metrics.s_counters)
+    (List.assoc_opt "tm.pending:backend" m.Obs.Metrics.s_gauges)
 
 (* Recording must not change a verdict. On this HA plan the primary
    crashes while a committer of a durable transaction is parked in the
@@ -665,7 +664,7 @@ let () =
         [ Alcotest.test_case "exhaustive site sweep" `Slow test_crash_site_sweep ] );
       ( "main-memory",
         [
-          Alcotest.test_case "mm crash sweep: wal.sync/synced, tm.prepared/decided"
+          Alcotest.test_case "mm crash sweep: wal.sync/synced, tm.decided"
             `Slow test_mm_crash_sweep;
           Alcotest.test_case "mm explorer plan suite" `Slow test_mm_explore;
         ] );

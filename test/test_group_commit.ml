@@ -77,31 +77,6 @@ let test_force_idempotent () =
   Group_commit.force gc;
   Alcotest.(check int) "no extra syncs" syncs (Group_commit.syncs gc)
 
-(* when_durable: the callback waits for the sync that covers everything
-   appended before it was registered, runs at once on a durable log, and a
-   checkpoint counts as covering. It never issues a sync itself. *)
-let test_when_durable () =
-  let disk = Disk.create "gc" in
-  let wal, _ = Wal.open_log disk ~name:"log" in
-  let gc = Group_commit.create wal in
-  let fired = ref [] in
-  let note name () = fired := name :: !fired in
-  Group_commit.append gc "a";
-  Group_commit.when_durable gc (note "covering");
-  Group_commit.append gc "b";
-  Alcotest.(check (list string)) "waits for a sync" [] !fired;
-  Alcotest.(check int) "issues no sync" 0 (Group_commit.syncs gc);
-  Group_commit.force gc;
-  Alcotest.(check (list string)) "fires on the covering sync" [ "covering" ] !fired;
-  Group_commit.when_durable gc (note "durable");
-  Alcotest.(check (list string)) "fires at once when durable"
-    [ "durable"; "covering" ] !fired;
-  Group_commit.append gc "c";
-  Group_commit.when_durable gc (note "checkpoint");
-  Group_commit.checkpoint gc "snapshot";
-  Alcotest.(check (list string)) "a checkpoint covers too"
-    [ "checkpoint"; "durable"; "covering" ] !fired
-
 (* ---- acked-commit durability under crash points ------------------------ *)
 
 (* Preload a queue, then drain it with [servers] concurrent auto-committed
@@ -265,7 +240,7 @@ let twopc_with_crash ~point =
         List.iter
           (fun (txid, _coord) ->
             match Tm.decision tm' txid with
-            | `Committed -> ignore (participant.Tm.p_commit txid ~on_durable:ignore)
+            | `Committed -> ignore (participant.Tm.p_commit txid)
             | `Aborted | `Pending -> participant.Tm.p_abort txid)
           in_doubt
       in
@@ -305,7 +280,6 @@ let () =
           Alcotest.test_case "force outside fiber" `Quick
             test_force_outside_fiber;
           Alcotest.test_case "force is idempotent" `Quick test_force_idempotent;
-          Alcotest.test_case "when_durable" `Quick test_when_durable;
         ] );
       ( "adaptive",
         [

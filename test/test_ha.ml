@@ -147,6 +147,65 @@ let test_idle_restarted_standby_still_promotes () =
       ignore (Qm.auto_commit qm_b (fun id -> Qm.enqueue qm_b id hb "two"));
       Alcotest.(check int) "promoted standby serves" 2 (Qm.depth qm_b "rq"))
 
+(* A decision the primary logged for a remote participant is still
+   pending (the participant is cut off from the primary) when a restarted
+   standby is resynced. The node snapshot carries it, so when the primary
+   dies for good the promoted standby delivers it, and the participant
+   commits exactly once instead of waiting in doubt on a dead
+   coordinator. *)
+let test_snapshot_carries_pending_decision () =
+  H.run_fiber' (fun s ->
+      let net = Net.create ~latency:0.005 s (Rng.create 78) in
+      let site name =
+        Site.create ~queues:[ ("rq", Qm.default_attrs) ] ~stale_timeout:2.0
+          (Net.make_node net name)
+      in
+      let a = site "siteA" and b = site "siteB" and r = site "siteR" in
+      let ha_a = Ha.attach ~ship_timeout:0.3 a ~peer:"siteB" ~role:Ha.Primary in
+      let ha_b = Ha.attach ~ship_timeout:0.3 b ~peer:"siteA" ~role:Ha.Standby in
+      let wait_until ?(limit = 10.0) cond =
+        let deadline = Sched.clock () +. limit in
+        while (not (cond ())) && Sched.clock () < deadline do
+          Sched.sleep 0.05
+        done
+      in
+      wait_until (fun () -> Ha.is_serving ha_a && Ha.shipping ha_a);
+      (* The standby is down while the primary commits alone. *)
+      Site.crash b;
+      (* The remote participant votes yes, then is cut off from the
+         primary before the decision reaches it. *)
+      Rrq_sim.Crashpoint.reset ();
+      Fun.protect ~finally:Rrq_sim.Crashpoint.disable (fun () ->
+          Rrq_sim.Crashpoint.arm ~site:"tm.prepared:siteA" ~hit:1 (fun () ->
+              Net.partition net "siteA" "siteR");
+          Site.with_txn a (fun txn ->
+              let qm = Site.qm a in
+              let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:false in
+              ignore (Qm.enqueue qm (Tm.txn_id txn) h "local");
+              Site.remote_enqueue a txn ~dst:"siteR" ~queue:"rq" "remote"));
+      Alcotest.(check int) "decision pending at the primary" 1
+        (List.length (Tm.pending_decisions (Site.tm a)));
+      Alcotest.(check int) "participant in doubt" 1
+        (List.length (Qm.in_doubt (Site.qm r)));
+      (* The standby returns and is resynced from a snapshot cut while the
+         decision is pending. *)
+      let resyncs = Ha.resyncs ha_a in
+      Site.restart b;
+      wait_until (fun () -> Ha.resyncs ha_a > resyncs);
+      Alcotest.(check bool) "resynced" true (Ha.resyncs ha_a > resyncs);
+      Alcotest.(check int) "the snapshot carried the decision" 1
+        (List.length (Tm.pending_decisions (Site.tm b)));
+      (* The primary dies for good. *)
+      Site.crash a;
+      wait_until (fun () -> Ha.is_serving ha_b);
+      Alcotest.(check int) "standby promoted" 1 (Ha.failovers ha_b);
+      wait_until (fun () -> Tm.pending_decisions (Site.tm b) = []);
+      Sched.sleep 5.0;
+      Alcotest.(check (list pass)) "decision retired" [] (Tm.pending_decisions (Site.tm b));
+      Alcotest.(check int) "participant resolved" 0 (List.length (Qm.in_doubt (Site.qm r)));
+      Alcotest.(check int) "remote effect exactly once" 1 (Qm.depth (Site.qm r) "rq");
+      Alcotest.(check int) "local effect exactly once" 1 (Qm.depth (Site.qm b) "rq"))
+
 let ha_suite =
   [
     Alcotest.test_case "sync ship mirrors queue state" `Quick
@@ -156,6 +215,8 @@ let ha_suite =
       test_peer_down_degrades_then_resyncs;
     Alcotest.test_case "standby restarted while idle is resynced, promotes"
       `Quick test_idle_restarted_standby_still_promotes;
+    Alcotest.test_case "resync snapshot carries a pending decision" `Quick
+      test_snapshot_carries_pending_decision;
   ]
 
 (* --- failover: the scenario world under kills around every HA step ------- *)
@@ -237,15 +298,15 @@ let test_stale_standby_never_promotes () =
 
 let test_resync_waits_for_ship_in_flight () =
   (* The standby of shard0 dies while a ship round of the primary is in
-     flight, during the first request's cross-shard commit. The ship RPC
-     hangs until its 2 s timeout. The standby is back at t~1.07 and its
-     heartbeat asks for a resync, but the snapshot must wait for that
-     round: taken earlier, it misses the commit, durable on the primary
-     but unapplied, so the standby promotes at the primary's death (t=2),
-     re-executes the request, and the returning primary commits a second
-     reply. The primary dies before the round ends, so the pair waits. *)
+     flight, during the first requests' commits. The ship RPC hangs until
+     its 2 s timeout. The standby is back at t~1.07 and its heartbeat asks
+     for a resync, but the snapshot must wait for that round: the round
+     holds commits durable on the primary that a snapshot cut beside it
+     races, and the stale round's timeout would tear down the new link.
+     The primary dies (t=2) before the round ends, so the pair waits for
+     it instead of promoting a standby resynced mid-round. *)
   check_pass ~failovers:0 "resync behind a ship in flight"
-    (Scenario.crash_at ~site:"wal.sync:qm@standby0.qmlog" ~hit:6
+    (Scenario.crash_at ~site:"wal.sync:standby0.log" ~hit:6
        ~recover_after:1.0 Scenario.sharded_ha)
 
 let failover_suite =

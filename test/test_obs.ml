@@ -4,8 +4,8 @@
      interval diff, lookup helpers and the two renderings (text, JSON);
    - disabled mode really is a no-op (the registry and the trace stream
      stay untouched);
-   - the lazy-commit metrics of the commit path ([tm.pending],
-     [gc.stale_flushes]), recorded when on and absent when off;
+   - the commit-redelivery gauge of the commit path ([tm.pending]),
+     recorded when on and absent when off;
    - the trace ring buffer: bounded, wraps around dropping oldest first,
      and timestamps come from the pluggable clock;
    - the event codec: to_string/of_string round-trips every constructor,
@@ -132,16 +132,16 @@ let test_disabled_noop () =
   Alcotest.(check int) "accumulated data stays readable" 1
     (Obs.Metrics.counter "live")
 
-(* ---- lazy-commit metrics ------------------------------------------------ *)
+(* ---- commit-redelivery metrics ----------------------------------------- *)
 
 module Disk = Rrq_storage.Disk
-module Group_commit = Rrq_wal.Group_commit
+module Sched = Rrq_sim.Sched
 module Tm = Rrq_txn.Tm
 module Kvdb = Rrq_kvdb.Kvdb
 
-(* A local two-RM commit leaves its decision pending on the lazy commit
-   records; two idle ticks flush each RM log once and drain it. *)
-let lazy_commit_run () =
+(* A two-phase commit whose second participant misses the first delivery
+   keeps its decision pending; the redelivery a second later retires it. *)
+let pending_run () =
   Rrq_test_support.Sim_harness.run_fiber (fun () ->
       let disk = Disk.create "n1" in
       let tm = Tm.open_tm disk ~name:"tm1" in
@@ -152,40 +152,40 @@ let lazy_commit_run () =
       Kvdb.put kva id "x" "1";
       Kvdb.put kvb id "y" "2";
       Tm.join txn (Kvdb.participant kva);
-      Tm.join txn (Kvdb.participant kvb);
+      let pb = Kvdb.participant kvb in
+      let missed = ref false in
+      Tm.join txn
+        {
+          pb with
+          Tm.p_commit =
+            (fun id ->
+              if !missed then pb.Tm.p_commit id
+              else begin
+                missed := true;
+                false
+              end);
+        };
       ignore (Tm.commit tm txn);
       let pending = Obs.Metrics.gauge "tm.pending:tm1" in
-      let tick () =
-        List.iter
-          (fun kv -> Group_commit.flush_stale (Kvdb.group_commit kv))
-          [ kva; kvb ]
-      in
-      tick ();
-      tick ();
+      Sched.sleep 2.0;
       (pending, Tm.pending_decisions tm = []))
 
-let test_lazy_commit_metrics () =
+let test_pending_metrics () =
   with_obs (fun () ->
-      let pending, retired = lazy_commit_run () in
-      Alcotest.(check (float 0.0)) "tm.pending while the records are lazy" 1.0
-        pending;
-      Alcotest.(check bool) "retired after two ticks" true retired;
+      let pending, retired = pending_run () in
+      Alcotest.(check (float 0.0)) "tm.pending while a delivery is missing"
+        1.0 pending;
+      Alcotest.(check bool) "retired by the redelivery" true retired;
       Alcotest.(check (float 0.0)) "tm.pending drained" 0.0
-        (Obs.Metrics.gauge "tm.pending:tm1");
-      Alcotest.(check int) "one stale flush per RM log" 1
-        (Obs.Metrics.counter "gc.stale_flushes:kva.wal");
-      Alcotest.(check int) "one stale flush per RM log" 1
-        (Obs.Metrics.counter "gc.stale_flushes:kvb.wal"));
-  (* Recording off: the same run creates neither metric. *)
+        (Obs.Metrics.gauge "tm.pending:tm1"));
+  (* Recording off: the same run creates no gauge. *)
   Obs.reset ();
   Obs.disable ();
-  let _, retired = lazy_commit_run () in
+  let _, retired = pending_run () in
   Alcotest.(check bool) "same outcome with recording off" true retired;
   let snap = Obs.Metrics.snapshot () in
   Alcotest.(check bool) "no tm.pending gauge" false
-    (List.mem_assoc "tm.pending:tm1" snap.Obs.Metrics.s_gauges);
-  Alcotest.(check int) "no stale-flush counter" 0
-    (Obs.Metrics.sum_counters ~prefix:"gc.stale_flushes:")
+    (List.mem_assoc "tm.pending:tm1" snap.Obs.Metrics.s_gauges)
 
 (* ---- trace ring buffer -------------------------------------------------- *)
 
@@ -319,8 +319,7 @@ let () =
           Alcotest.test_case "text and JSON renderings" `Quick test_renderings;
           Alcotest.test_case "disabled mode is a no-op" `Quick
             test_disabled_noop;
-          Alcotest.test_case "tm.pending and gc.stale_flushes" `Quick
-            test_lazy_commit_metrics;
+          Alcotest.test_case "tm.pending" `Quick test_pending_metrics;
         ] );
       ( "trace",
         [

@@ -249,11 +249,12 @@ let prop_ha_prefix_consistent =
     (fun ops ->
       H.run_fiber (fun () ->
           let module Gc = Rrq_wal.Group_commit in
+          let module Node_log = Rrq_txn.Node_log in
           let disk = Disk.create "p" in
           let qm = Qm.open_qm disk ~name:"qmp" in
           let shipped = ref [] in
           let nship = ref 0 in
-          Gc.set_shipper ~sync:true (Qm.group_commit qm) (fun batch ->
+          Gc.set_shipper ~sync:true (Node_log.group_commit (Qm.log qm)) (fun batch ->
               List.iter
                 (fun (_, r) ->
                   shipped := r :: !shipped;
@@ -261,7 +262,7 @@ let prop_ha_prefix_consistent =
                 batch);
           Qm.create_queue qm "q";
           let h, _ = Qm.register qm ~queue:"q" ~registrant:"p" ~stable:true in
-          Gc.force (Qm.group_commit qm);
+          Node_log.force (Qm.log qm);
           let state_of m =
             (* A short prefix may predate the queue-creation record. *)
             match Qm.elements m "q" with
@@ -290,13 +291,8 @@ let prop_ha_prefix_consistent =
                 let id = Txid.make ~origin:"coord" ~inc:1 ~n:(1000 + i) in
                 ignore (Qm.enqueue qm id h ~priority:prio (Printf.sprintf "t%d" i));
                 let p = Qm.participant qm in
-                if p.Tm.p_prepare id ~coordinator:"coord" then begin
-                  (* The commit record is lazy: force it out, as the
-                     participant's next commit would, so the snapshot
-                     below is a shipped boundary. *)
-                  ignore (p.Tm.p_commit id ~on_durable:ignore);
-                  Gc.force (Qm.group_commit qm)
-                end);
+                if p.Tm.p_prepare id ~coordinator:"coord" then
+                  ignore (p.Tm.p_commit id));
               snaps := (!nship, state_of qm) :: !snaps)
             ops;
           let records = Array.of_list (List.rev !shipped) in
@@ -311,10 +307,8 @@ let prop_ha_prefix_consistent =
           let ok = ref true in
           for k = 0 to total do
             let bqm = Qm.open_qm (Disk.create "b") ~name:"qmb" in
-            for i = 0 to k - 1 do
-              Qm.standby_apply bqm records.(i)
-            done;
-            Qm.force_log bqm;
+            Node_log.standby_apply (Qm.log bqm)
+              (Array.to_list (Array.sub records 0 k));
             if state_of bqm <> expected_at k then begin
               ok := false;
               QCheck2.Test.fail_reportf

@@ -84,7 +84,7 @@ let test_txn_visibility () =
       ignore (Qm.enqueue qm id h "pending");
       Alcotest.(check int) "invisible before commit" 0 (Qm.depth qm "q");
       Alcotest.(check bool) "not dequeueable" true (deq qm h = None);
-      ignore ((Qm.participant qm).Tm.p_one_phase id);
+      Qm.commit qm id;
       Alcotest.(check string) "visible after commit" "pending" (payload_of (deq qm h)))
 
 let test_skip_locked () =
@@ -99,8 +99,8 @@ let test_skip_locked () =
       (* second, concurrent dequeuer skips the locked head (paper 10) *)
       let e2 = Qm.dequeue qm id2 h Qm.No_wait in
       Alcotest.(check string) "t2 skips to b" "b" (payload_of e2);
-      ignore ((Qm.participant qm).Tm.p_one_phase id1);
-      ignore ((Qm.participant qm).Tm.p_one_phase id2);
+      Qm.commit qm id1;
+      Qm.commit qm id2;
       Alcotest.(check int) "both gone" 0 (Qm.depth qm "q"))
 
 let test_abort_returns_element () =
@@ -225,7 +225,7 @@ let test_prepared_dequeue_stays_locked_after_crash () =
       Alcotest.(check int) "present" 1 (Qm.depth qm2 "q");
       Alcotest.(check bool) "not dequeueable" true (deq qm2 h2 = None);
       (* commit resolves and removes it *)
-      ignore ((Qm.participant qm2).Tm.p_commit id ~on_durable:ignore);
+      ignore ((Qm.participant qm2).Tm.p_commit id);
       Alcotest.(check int) "gone after commit" 0 (Qm.depth qm2 "q"))
 
 let test_prepared_enqueue_applies_on_commit_after_crash () =
@@ -238,7 +238,7 @@ let test_prepared_enqueue_applies_on_commit_after_crash () =
       Disk.crash disk;
       let qm2 = Qm.open_qm disk ~name:"qm" in
       Alcotest.(check int) "invisible while in doubt" 0 (Qm.depth qm2 "q");
-      ignore ((Qm.participant qm2).Tm.p_commit id ~on_durable:ignore);
+      ignore ((Qm.participant qm2).Tm.p_commit id);
       Alcotest.(check int) "applied on commit" 1 (Qm.depth qm2 "q"))
 
 let test_checkpoint_equivalence () =
@@ -499,7 +499,7 @@ let test_read_and_read_locked () =
       ignore (Qm.dequeue qm id h Qm.No_wait);
       (* reads ignore write-locks (paper 10) *)
       Alcotest.(check bool) "readable while locked" true (Qm.read qm eid <> None);
-      ignore ((Qm.participant qm).Tm.p_one_phase id);
+      Qm.commit qm id;
       Alcotest.(check bool) "gone after commit" true (Qm.read qm eid = None))
 
 (* --- blocking, sets, strict fifo ---------------------------------------- *)
@@ -580,7 +580,7 @@ let test_strict_fifo_serializes () =
                let el = Qm.dequeue qm id h Qm.No_wait in
                order := ("t1:" ^ payload_of el) :: !order;
                Sched.sleep 5.0;
-               ignore ((Qm.participant qm).Tm.p_one_phase id);
+               Qm.commit qm id;
                order := "t1:commit" :: !order));
         ignore
           (Sched.spawn s ~name:"t2" (fun () ->
@@ -589,7 +589,7 @@ let test_strict_fifo_serializes () =
                (* blocks on the queue lock until t1 commits *)
                let el = Qm.dequeue qm id h Qm.No_wait in
                order := ("t2:" ^ payload_of el) :: !order;
-               ignore ((Qm.participant qm).Tm.p_one_phase id))))
+               Qm.commit qm id)))
   in
   Alcotest.(check (list string)) "strict order"
     [ "t1:a"; "t1:commit"; "t2:b" ] (List.rev !order)

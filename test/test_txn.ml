@@ -8,8 +8,7 @@ module Tm = Rrq_txn.Tm
 module Txid = Rrq_txn.Txid
 module Kvdb = Rrq_kvdb.Kvdb
 module Qm = Rrq_qm.Qm
-module Net = Rrq_net.Net
-module Site = Rrq_core.Site
+module Node_log = Rrq_txn.Node_log
 module H = Rrq_test_support.Sim_harness
 
 let tx n = Txid.make ~origin:"t" ~inc:1 ~n
@@ -219,8 +218,7 @@ let test_kv_commit_durable () =
       let id = tx 1 in
       Kvdb.put kv id "a" "1";
       Kvdb.put kv id "b" "2";
-      let p = Kvdb.participant kv in
-      Alcotest.(check bool) "one-phase ok" true (p.Tm.p_one_phase id);
+      Kvdb.commit kv id;
       Disk.crash disk;
       let kv2 = fresh_kv disk () in
       Alcotest.(check (option string)) "a" (Some "1") (Kvdb.committed_value kv2 "a");
@@ -237,7 +235,7 @@ let test_kv_abort_discards () =
       (* the lock was released: a new transaction can take the key at once *)
       let id2 = tx 2 in
       Kvdb.put kv id2 "a" "2";
-      ignore ((Kvdb.participant kv).Tm.p_one_phase id2);
+      Kvdb.commit kv id2;
       Alcotest.(check (option string)) "second txn wins" (Some "2")
         (Kvdb.committed_value kv "a"))
 
@@ -258,7 +256,7 @@ let test_kv_add_helper () =
       let id = tx 1 in
       Alcotest.(check int) "0+5" 5 (Kvdb.add kv id "c" 5);
       Alcotest.(check int) "5+3" 8 (Kvdb.add kv id "c" 3);
-      ignore ((Kvdb.participant kv).Tm.p_one_phase id);
+      Kvdb.commit kv id;
       Alcotest.(check (option string)) "committed" (Some "8")
         (Kvdb.committed_value kv "c"))
 
@@ -284,13 +282,10 @@ let test_kv_prepared_survives_crash () =
       (* in doubt: invisible but recorded *)
       Alcotest.(check (option string)) "invisible" None (Kvdb.committed_value kv2 "a");
       let p2 = Kvdb.participant kv2 in
-      Alcotest.(check bool) "commit delivers" true
-        (p2.Tm.p_commit id ~on_durable:ignore);
+      Alcotest.(check bool) "commit delivers" true (p2.Tm.p_commit id);
       Alcotest.(check (option string)) "applied" (Some "1")
         (Kvdb.committed_value kv2 "a");
-      (* and, once a later force covers the lazy commit record, survives
-         another crash *)
-      Kvdb.force_log kv2;
+      (* and the forced commit record survives another crash *)
       Disk.crash disk;
       let kv3 = fresh_kv disk () in
       Alcotest.(check (option string)) "still applied" (Some "1")
@@ -316,7 +311,7 @@ let test_kv_indoubt_blocks_readers () =
                       read_done_at := Sched.clock ();
                       Kvdb.release_locks kv2 (tx 2)));
                Sched.sleep 5.0;
-               ignore ((Kvdb.participant kv2).Tm.p_commit id ~on_durable:ignore))))
+               ignore ((Kvdb.participant kv2).Tm.p_commit id))))
   in
   Alcotest.(check bool) "reader waited for resolution" true (!read_done_at >= 5.0)
 
@@ -340,13 +335,13 @@ let test_kv_checkpoint_recovery_equivalence () =
       for i = 1 to 20 do
         let id = tx i in
         Kvdb.put kv id (Printf.sprintf "k%d" (i mod 5)) (string_of_int i);
-        ignore ((Kvdb.participant kv).Tm.p_one_phase id)
+        Kvdb.commit kv id
       done;
       Kvdb.checkpoint kv;
       for i = 21 to 30 do
         let id = tx i in
         Kvdb.put kv id (Printf.sprintf "k%d" (i mod 5)) (string_of_int i);
-        ignore ((Kvdb.participant kv).Tm.p_one_phase id)
+        Kvdb.commit kv id
       done;
       let before = Kvdb.committed_bindings kv in
       Disk.crash disk;
@@ -354,10 +349,11 @@ let test_kv_checkpoint_recovery_equivalence () =
       Alcotest.(check (list (pair string string))) "same state" before
         (Kvdb.committed_bindings kv2))
 
-(* --- TM / two-phase commit ------------------------------------------ *)
+(* --- TM / commit ------------------------------------------------------ *)
 
-(* A TM and two KV stores on one disk: a local two-RM transaction that put
-   x=1 at kva and y=2 at kvb, ready to commit. *)
+(* A TM and two KV stores on one disk, each with a log of its own: a
+   two-phase commit that puts x=1 at kva and y=2 at kvb, ready to
+   commit. *)
 let two_rm_txn disk =
   let tm = Tm.open_tm disk ~name:"tm1" in
   let kva = Kvdb.open_kv disk ~name:"kva" in
@@ -369,6 +365,14 @@ let two_rm_txn disk =
   Tm.join txn (Kvdb.participant kva);
   Tm.join txn (Kvdb.participant kvb);
   (tm, kva, kvb, txn)
+
+(* A node: the TM, a QM and a KV store sharing one node log. *)
+let open_node disk =
+  let log = Node_log.open_log disk ~name:"n1" in
+  let tm = Tm.attach log ~name:"n1" in
+  let qm = Qm.attach log ~name:"qm" in
+  let kv = Kvdb.attach log ~name:"kv" in
+  (log, tm, qm, kv)
 
 let commit_ok tm txn =
   match Tm.commit tm txn with
@@ -382,36 +386,42 @@ let test_tm_two_rm_commit () =
       commit_ok tm txn;
       Alcotest.(check (option string)) "x" (Some "1") (Kvdb.committed_value kva "x");
       Alcotest.(check (option string)) "y" (Some "2") (Kvdb.committed_value kvb "y");
-      (* The commit records are lazy: the decision stays until both are
-         durable, and each RM's next force retires its share. *)
-      Alcotest.(check int) "pending until durable" 1
-        (List.length (Tm.pending_decisions tm));
-      Kvdb.force_log kva;
-      Alcotest.(check int) "still waiting for kvb" 1
-        (List.length (Tm.pending_decisions tm));
-      Kvdb.force_log kvb;
+      (* Both participants acknowledged a durable commit record, so the
+         decision is retired at once. *)
       Alcotest.(check (list pass)) "retired" [] (Tm.pending_decisions tm))
 
-(* The forced writes of a local two-RM commit are the two prepares and the
-   decision; the commit records ride later forces. *)
-let test_tm_two_rm_commit_syncs () =
+(* The server transaction of paper §5 on one node: the dequeue, the
+   database update and the reply enqueue are one record and one force —
+   no prepare, no decision, no End. *)
+let test_tm_local_commit_one_sync () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n1" in
-      let tm, _, _, txn = two_rm_txn disk in
+      let _, tm, qm, kv = open_node disk in
+      Qm.create_queue qm "q";
+      let h, _ = Qm.register qm ~queue:"q" ~registrant:"s" ~stable:false in
+      let txn = Tm.begin_txn tm in
+      let id = Tm.txn_id txn in
+      ignore (Qm.enqueue qm id h "reply");
+      Kvdb.put kv id "k" "v";
+      Tm.join txn (Qm.participant qm);
+      Tm.join txn (Kvdb.participant kv);
       let before = Disk.sync_count disk in
       commit_ok tm txn;
-      Alcotest.(check int) "prepare, prepare, decision" 3
-        (Disk.sync_count disk - before))
+      Alcotest.(check int) "one record, one force" 1 (Disk.sync_count disk - before);
+      Alcotest.(check (list pass)) "no decision logged" [] (Tm.pending_decisions tm);
+      Alcotest.(check int) "reply visible" 1 (Qm.depth qm "q");
+      Alcotest.(check (option string)) "write visible" (Some "v")
+        (Kvdb.committed_value kv "k"))
 
-(* The window the lazy commit records open: the node dies right after
-   [commit] returns, before anything forces the RM logs. Both RMs come back
-   in doubt, recovery redelivers the durable decision, and the request
-   (dequeue a job, count it, enqueue a reply) takes effect exactly once,
-   also when the already-applied decision is redelivered after a second
-   crash. *)
+(* The window between a durable decision and its delivery: the node dies
+   after the coordinator logged the decision and before either participant
+   (each on a log of its own) took it. Both RMs come back in doubt,
+   recovery redelivers the decision, and the request (dequeue a job, count
+   it, enqueue a reply) takes effect exactly once, also when the
+   already-applied decision is redelivered after a second crash. *)
 let test_tm_crash_before_commit_records_durable () =
   let disk = Disk.create "n1" in
-  let open_node () =
+  let open_world () =
     let tm = Tm.open_tm disk ~name:"tm1" in
     let qm = Qm.open_qm disk ~name:"qm" in
     let kv = Kvdb.open_kv disk ~name:"kv" in
@@ -422,11 +432,9 @@ let test_tm_crash_before_commit_records_durable () =
     (tm, qm, kv)
   in
   let recover () =
-    let tm, qm, kv = open_node () in
+    let tm, qm, kv = open_world () in
     Tm.recover_pending tm;
     Sched.sleep 0.1;
-    Qm.force_log qm;
-    Kvdb.force_log kv;
     (tm, qm, kv)
   in
   let state (tm, qm, kv) =
@@ -441,8 +449,9 @@ let test_tm_crash_before_commit_records_durable () =
     Alcotest.(check (option string)) (what ^ ": counted once") (Some "1") n;
     Alcotest.(check bool) (what ^ ": decision retired") true retired
   in
+  let undelivered (p : Tm.participant) = { p with Tm.p_commit = (fun _ -> false) } in
   H.run_fiber (fun () ->
-      let tm, qm, kv = open_node () in
+      let tm, qm, kv = open_world () in
       List.iter (fun q -> Qm.create_queue qm q) [ "jobs"; "replies" ];
       let h, _ = Qm.register qm ~queue:"jobs" ~registrant:"s" ~stable:false in
       let hr, _ = Qm.register qm ~queue:"replies" ~registrant:"s" ~stable:false in
@@ -452,17 +461,51 @@ let test_tm_crash_before_commit_records_durable () =
       ignore (Qm.dequeue qm id h Qm.No_wait);
       ignore (Kvdb.add kv id "n" 1);
       ignore (Qm.enqueue qm id hr "reply");
-      Tm.join txn (Qm.participant qm);
-      Tm.join txn (Kvdb.participant kv);
+      Tm.join txn (undelivered (Qm.participant qm));
+      Tm.join txn (undelivered (Kvdb.participant kv));
       commit_ok tm txn;
       Disk.crash disk;
-      let tm2, qm2, kv2 = open_node () in
+      let tm2, qm2, kv2 = open_world () in
       Alcotest.(check int) "qm in doubt" 1 (List.length (Qm.in_doubt qm2));
       Alcotest.(check int) "kv in doubt" 1 (List.length (Kvdb.in_doubt kv2));
       Alcotest.(check bool) "decision recovered" true (Tm.decision tm2 id = `Committed);
       check "after recovery" (state (recover ()));
       Disk.crash disk;
       check "after a second recovery" (state (recover ())))
+
+(* The retirement invariant: an End record never precedes a participant's
+   acknowledgement, which it gives only once its commit record is durable.
+   kvb misses the delivery; a second transaction then forces the TM log
+   (its decision record). Were the first decision already retired, that
+   force would make its End durable, and recovery would presume the
+   still-in-doubt first transaction aborted. *)
+let test_tm_end_waits_for_durable_commit_records () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let tm = Tm.open_tm disk ~name:"tm1" in
+      let kva = Kvdb.open_kv disk ~name:"kva" in
+      let kvb = Kvdb.open_kv disk ~name:"kvb" in
+      let txn = Tm.begin_txn tm in
+      let id = Tm.txn_id txn in
+      Kvdb.put kva id "x" "1";
+      Kvdb.put kvb id "y" "2";
+      Tm.join txn (Kvdb.participant kva);
+      Tm.join txn { (Kvdb.participant kvb) with Tm.p_commit = (fun _ -> false) };
+      commit_ok tm txn;
+      let kvc = Kvdb.open_kv disk ~name:"kvc" in
+      let kvd = Kvdb.open_kv disk ~name:"kvd" in
+      let txn2 = Tm.begin_txn tm in
+      Kvdb.put kvc (Tm.txn_id txn2) "z" "3";
+      Kvdb.put kvd (Tm.txn_id txn2) "w" "4";
+      Tm.join txn2 (Kvdb.participant kvc);
+      Tm.join txn2 (Kvdb.participant kvd);
+      commit_ok tm txn2;
+      Disk.crash disk;
+      let tm' = Tm.open_tm disk ~name:"tm1" in
+      let kvb' = Kvdb.open_kv disk ~name:"kvb" in
+      Alcotest.(check int) "kvb in doubt" 1 (List.length (Kvdb.in_doubt kvb'));
+      Alcotest.(check bool) "first decision still logged" true
+        (Tm.decision tm' id = `Committed))
 
 let test_tm_vote_no_aborts_all () =
   H.run_fiber (fun () ->
@@ -476,12 +519,11 @@ let test_tm_vote_no_aborts_all () =
       Tm.join txn
         {
           Tm.part_name = "naysayer";
+          p_local = None;
           p_prepare = (fun _ ~coordinator:_ -> false);
-          p_commit = (fun _ ~on_durable:_ -> true);
+          p_commit = (fun _ -> true);
           p_abort = (fun _ -> ());
-          p_one_phase = (fun _ -> true);
           p_has_work = (fun _ -> true);
-          p_is_local = true;
         };
       (match Tm.commit tm txn with
       | Tm.Aborted -> ()
@@ -506,6 +548,7 @@ let test_tm_coordinator_crash_before_decision_presumes_abort () =
 
 let test_tm_decision_survives_crash_and_redelivers () =
   let committed_value = ref None in
+  let pending_after_commit = ref false in
   let retired = ref false in
   let _ =
     H.run (fun s ->
@@ -521,37 +564,30 @@ let test_tm_decision_survives_crash_and_redelivers () =
                Kvdb.put kvb id "y" "2";
                Tm.join txn (Kvdb.participant kva);
                (* kvb's commit delivery fails the first time around *)
-               let flaky_done = ref false in
                let pb = Kvdb.participant kvb in
+               let missed = ref false in
                Tm.join txn
                  {
                    pb with
                    Tm.p_commit =
-                     (fun tid ~on_durable ->
-                       if !flaky_done then pb.Tm.p_commit tid ~on_durable
+                     (fun tid ->
+                       if !missed then pb.Tm.p_commit tid
                        else begin
-                         flaky_done := true;
+                         missed := true;
                          false
                        end);
                  };
-               (match Tm.commit tm txn with
-               | Tm.Committed -> ()
-               | Tm.Aborted -> Alcotest.fail "should commit");
-               Alcotest.(check bool) "decision pending" true
-                 (Tm.pending_decisions tm <> []);
+               commit_ok tm txn;
+               pending_after_commit := Tm.pending_decisions tm <> [];
                (* background redelivery retries after 1s *)
                Sched.sleep 3.0;
                committed_value := Kvdb.committed_value kvb "y";
-               Alcotest.(check bool) "pending until the commit records are durable"
-                 true
-                 (Tm.pending_decisions tm <> []);
-               Kvdb.force_log kva;
-               Kvdb.force_log kvb;
                retired := Tm.pending_decisions tm = [])))
   in
+  Alcotest.(check bool) "decision pending" true !pending_after_commit;
   Alcotest.(check (option string)) "kvb applied via redelivery" (Some "2")
     !committed_value;
-  Alcotest.(check bool) "retired once durable" true !retired
+  Alcotest.(check bool) "retired once acknowledged" true !retired
 
 let test_tm_recover_pending_after_crash () =
   let final = ref None in
@@ -573,7 +609,7 @@ let test_tm_recover_pending_after_crash () =
                Kvdb.put kvb id "y" "2";
                Tm.join txn (Kvdb.participant kva);
                let pb = Kvdb.participant kvb in
-               Tm.join txn { pb with Tm.p_commit = (fun _ ~on_durable:_ -> false) };
+               Tm.join txn { pb with Tm.p_commit = (fun _ -> false) };
                match Tm.commit tm txn with
                | Tm.Committed -> ()
                | Tm.Aborted -> Alcotest.fail "should commit"));
@@ -594,95 +630,200 @@ let test_tm_recover_pending_after_crash () =
                      (Tm.pending_decisions tm2 <> []);
                    Tm.recover_pending tm2;
                    Sched.sleep 5.0;
-                   (* The redelivered commit records are lazy; a later force
-                      makes them durable and retires the decision. *)
-                   Kvdb.force_log kva2;
-                   Kvdb.force_log kvb2;
                    retired := Tm.pending_decisions tm2 = [];
                    final := Kvdb.committed_value kvb2 "y"))))
   in
   Alcotest.(check bool) "retired after recovery" true !retired;
   Alcotest.(check (option string)) "kvb eventually applied" (Some "2") !final
 
-(* The retirement invariant: an End record never precedes a participant's
-   durable commit record. A second transaction on two other RMs forces the
-   TM log (its decision) but not the first transaction's RM logs; were the
-   first decision already retired, that force would make its End durable,
-   and recovery would presume the still-in-doubt first transaction
-   aborted. *)
-let test_tm_end_waits_for_durable_commit_records () =
-  H.run_fiber (fun () ->
-      let disk = Disk.create "n1" in
-      let tm, _, _, txn = two_rm_txn disk in
-      let id = Tm.txn_id txn in
-      commit_ok tm txn;
-      let kvc = Kvdb.open_kv disk ~name:"kvc" in
-      let kvd = Kvdb.open_kv disk ~name:"kvd" in
-      let txn2 = Tm.begin_txn tm in
-      Kvdb.put kvc (Tm.txn_id txn2) "z" "3";
-      Kvdb.put kvd (Tm.txn_id txn2) "w" "4";
-      Tm.join txn2 (Kvdb.participant kvc);
-      Tm.join txn2 (Kvdb.participant kvd);
-      commit_ok tm txn2;
-      Disk.crash disk;
-      let tm' = Tm.open_tm disk ~name:"tm1" in
-      let kva' = Kvdb.open_kv disk ~name:"kva" in
-      Alcotest.(check int) "kva in doubt" 1 (List.length (Kvdb.in_doubt kva'));
-      Alcotest.(check bool) "first decision still logged" true
-        (Tm.decision tm' id = `Committed))
-
-(* With no further traffic, the site's 1 s resolver tick is what makes the
-   lazy commit records durable: the first tick marks the undurable tail, the
-   next forces it. *)
-let test_tm_idle_node_retires () =
-  let committed_at = ref 0.0 in
-  let pending_after_commit = ref 0 in
-  let retired_at = ref None in
-  let _ =
-    H.run (fun s ->
-        let net = Net.create s (Rrq_util.Rng.create 1) in
-        let site = Site.create ~queues:[ ("q", Qm.default_attrs) ] (Net.make_node net "n") in
-        ignore
-          (Sched.spawn s ~name:"flow" (fun () ->
-               Sched.sleep 0.5;
-               Site.with_txn site (fun txn ->
-                   let id = Tm.txn_id txn in
-                   let h, _ =
-                     Qm.register (Site.qm site) ~queue:"q" ~registrant:"w" ~stable:false
-                   in
-                   ignore (Qm.enqueue (Site.qm site) id h "x");
-                   Kvdb.put (Site.kv site) id "k" "v");
-               committed_at := Sched.clock ();
-               pending_after_commit := List.length (Tm.pending_decisions (Site.tm site));
-               while !retired_at = None && Sched.clock () < 10.0 do
-                 Sched.sleep 0.01;
-                 if Tm.pending_decisions (Site.tm site) = [] then
-                   retired_at := Some (Sched.clock ())
-               done)))
-  in
-  Alcotest.(check int) "pending after commit" 1 !pending_after_commit;
-  match !retired_at with
-  | None -> Alcotest.fail "decision never retired"
-  | Some t ->
-    Alcotest.(check bool)
-      (Printf.sprintf "retired within two ticks (%.2f s after commit)"
-         (t -. !committed_at))
-      true
-      (t -. !committed_at <= 2.0 +. 0.011)
-
 let test_tm_empty_and_single () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n1" in
-      let tm = Tm.open_tm disk ~name:"tm1" in
+      let _, tm, _, kv = open_node disk in
       let txn = Tm.begin_txn tm in
       Alcotest.(check bool) "empty commits" true (Tm.commit tm txn = Tm.Committed);
-      let kva = Kvdb.open_kv disk ~name:"kva" in
       let txn2 = Tm.begin_txn tm in
-      Kvdb.put kva (Tm.txn_id txn2) "x" "1";
-      Tm.join txn2 (Kvdb.participant kva);
-      Alcotest.(check bool) "single commits one-phase" true
+      Kvdb.put kv (Tm.txn_id txn2) "x" "1";
+      Tm.join txn2 (Kvdb.participant kv);
+      Alcotest.(check bool) "single commits with one record" true
         (Tm.commit tm txn2 = Tm.Committed);
       Alcotest.(check (list pass)) "no 2pc pending" [] (Tm.pending_decisions tm))
+
+(* Every buffer has a bound: the node log, which holds the TM's decisions
+   and End records, shrinks at each checkpoint however many two-phase
+   commits ran before it. *)
+let test_node_log_bounded_by_checkpoints () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let log, tm, _, kv = open_node disk in
+      let remote = Kvdb.open_kv disk ~name:"remote" in
+      let live = ref [] in
+      for i = 1 to 400 do
+        let txn = Tm.begin_txn tm in
+        let id = Tm.txn_id txn in
+        Kvdb.put kv id "local" (string_of_int i);
+        Kvdb.put remote id "remote" (string_of_int i);
+        Tm.join txn (Kvdb.participant kv);
+        Tm.join txn (Kvdb.participant remote);
+        commit_ok tm txn;
+        Node_log.maybe_checkpoint log ~every:50;
+        live := Node_log.live_log_bytes log :: !live
+      done;
+      let first, last =
+        List.filteri (fun i _ -> i >= 200) !live, List.filteri (fun i _ -> i < 200) !live
+      in
+      let peak l = List.fold_left max 0 l in
+      Alcotest.(check bool)
+        (Printf.sprintf "bounded: peak %d over the last 200, %d over the first"
+           (peak last) (peak first))
+        true
+        (peak last <= peak first && peak last < 32 * 1024);
+      Alcotest.(check (list pass)) "every decision retired" [] (Tm.pending_decisions tm))
+
+(* A checkpoint cut while a two-phase commit is parked in the force of its
+   one record keeps the decision: the snapshot holds the local update the
+   record carries, so it must hold the decision too, or recovery would
+   presume abort for the prepared remote participant. *)
+let test_checkpoint_during_decision_force () =
+  let disk = Disk.create ~sync_latency:0.001 "n1" in
+  let outcome = ref None in
+  let _ =
+    H.run (fun s ->
+        ignore
+          (Sched.spawn s ~name:"flow" (fun () ->
+               let log, tm, _, kv = open_node disk in
+               let remote = Kvdb.open_kv disk ~name:"remote" in
+               let txn = Tm.begin_txn tm in
+               let id = Tm.txn_id txn in
+               Kvdb.put kv id "local" "1";
+               Kvdb.put remote id "remote" "1";
+               Tm.join txn (Kvdb.participant kv);
+               let pr = Kvdb.participant remote in
+               Tm.join txn
+                 {
+                   pr with
+                   Tm.p_prepare =
+                     (fun id ~coordinator ->
+                       let yes = pr.Tm.p_prepare id ~coordinator in
+                       (* Runs once the coordinator parks in its force. *)
+                       ignore
+                         (Sched.fork ~name:"ckpt" (fun () -> Node_log.checkpoint log));
+                       yes);
+                   p_commit = (fun _ -> false);
+                 };
+               commit_ok tm txn;
+               Disk.crash disk;
+               let _, tm', _, kv' = open_node disk in
+               outcome := Some (Tm.decision tm' id, Kvdb.committed_value kv' "local"))))
+  in
+  match !outcome with
+  | None -> Alcotest.fail "flow did not finish"
+  | Some (decision, local) ->
+    Alcotest.(check (option string)) "local update recovered" (Some "1") local;
+    Alcotest.(check bool) "decision recovered with it" true (decision = `Committed)
+
+(* Txids carry the TM's incarnation. A checkpoint truncates the
+   incarnation records, so the count must live in the snapshot: ids minted
+   after a checkpoint, a crash and a reboot never repeat earlier ones. *)
+let test_txids_unique_across_checkpoint_and_crash () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let ids = ref [] in
+      let mint tm =
+        for _ = 1 to 3 do
+          let txn = Tm.begin_txn tm in
+          ids := Tm.txn_id txn :: !ids;
+          commit_ok tm txn
+        done
+      in
+      for _ = 1 to 3 do
+        let log, tm, _, _ = open_node disk in
+        mint tm;
+        Node_log.checkpoint log;
+        mint tm;
+        Disk.crash disk
+      done;
+      let distinct = List.sort_uniq Txid.compare !ids in
+      Alcotest.(check int) "no txid repeats" (List.length !ids) (List.length distinct))
+
+(* The one commit record of a server transaction (dequeue the request,
+   update the database, enqueue the reply) is atomic: a crash that keeps
+   any proper prefix of it (a torn write) loses all three effects, and
+   only the whole record brings all three. Every prefix length is laid
+   down on a fresh disk and recovered. *)
+let test_one_record_atomic_under_torn_writes () =
+  let setup disk =
+    let log, tm, qm, kv = open_node disk in
+    if not (Qm.queue_exists qm "req") then begin
+      Qm.create_queue qm "req";
+      Qm.create_queue qm "reply"
+    end;
+    (log, tm, qm, kv)
+  in
+  let effects disk =
+    let _, _, qm, kv = setup disk in
+    (Qm.depth qm "req" = 0, Qm.depth qm "reply" = 1, Kvdb.committed_value kv "acct" = Some "1")
+  in
+  let files disk =
+    List.filter_map
+      (fun f -> Option.map (fun c -> (f, c)) (Disk.read_file disk f))
+      (List.sort compare (Disk.list_files disk))
+  in
+  let before, after =
+    H.run_fiber (fun () ->
+        let disk = Disk.create "n1" in
+        let log, tm, qm, kv = setup disk in
+        let h, _ = Qm.register qm ~queue:"req" ~registrant:"c" ~stable:false in
+        let hr, _ = Qm.register qm ~queue:"reply" ~registrant:"s" ~stable:false in
+        ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "request"));
+        Node_log.force log;
+        let before = files disk in
+        let txn = Tm.begin_txn tm in
+        let id = Tm.txn_id txn in
+        ignore (Qm.dequeue qm id h Qm.No_wait);
+        ignore (Kvdb.add kv id "acct" 1);
+        ignore (Qm.enqueue qm id hr "reply");
+        Tm.join txn (Qm.participant qm);
+        Tm.join txn (Kvdb.participant kv);
+        commit_ok tm txn;
+        (before, files disk))
+  in
+  (* The commit appended one frame to the log's active segment (the queue
+     page files change too, but recovery never reads them). *)
+  let seg, record =
+    match
+      List.filter_map
+        (fun (f, c) ->
+          let old = Option.value ~default:"" (List.assoc_opt f before) in
+          let k = String.length old in
+          let segment = String.starts_with ~prefix:".seg" (Filename.extension f) in
+          if segment && String.length c > k && String.sub c 0 k = old then
+            Some (f, String.sub c k (String.length c - k))
+          else None)
+        after
+    with
+    | [ one ] -> one
+    | l -> Alcotest.failf "expected one grown log segment, got %d" (List.length l)
+  in
+  let n = String.length record in
+  Alcotest.(check bool) "a framed record" true (n > 16);
+  for keep = 0 to n do
+    H.run_fiber (fun () ->
+        let disk = Disk.create (Printf.sprintf "torn%d" keep) in
+        List.iter
+          (fun (f, c) ->
+            let c = if f = seg then c ^ String.sub record 0 keep else c in
+            let file = Disk.open_file disk f in
+            Disk.append file c;
+            Disk.sync file)
+          before;
+        let consumed, replied, written = effects disk in
+        let all = keep = n in
+        let ctx what = Printf.sprintf "prefix %d/%d: %s" keep n what in
+        Alcotest.(check bool) (ctx "request consumed") all consumed;
+        Alcotest.(check bool) (ctx "reply enqueued") all replied;
+        Alcotest.(check bool) (ctx "database written") all written)
+  done
 
 let test_tm_abort_releases () =
   H.run_fiber (fun () ->
@@ -759,12 +900,10 @@ let kv_suite =
 let tm_suite =
   [
     Alcotest.test_case "two-RM 2PC commit" `Quick test_tm_two_rm_commit;
-    Alcotest.test_case "a local two-RM commit issues exactly 3 syncs" `Quick
-      test_tm_two_rm_commit_syncs;
+    Alcotest.test_case "a local two-RM commit issues exactly one sync" `Quick
+      test_tm_local_commit_one_sync;
     Alcotest.test_case "crash before the commit records are durable" `Quick
       test_tm_crash_before_commit_records_durable;
-    Alcotest.test_case "idle node retires its decision within two ticks" `Quick
-      test_tm_idle_node_retires;
     Alcotest.test_case "End waits for the durable commit records" `Quick
       test_tm_end_waits_for_durable_commit_records;
     Alcotest.test_case "no-vote aborts all" `Quick test_tm_vote_no_aborts_all;
@@ -775,6 +914,14 @@ let tm_suite =
     Alcotest.test_case "recover_pending after crash" `Quick
       test_tm_recover_pending_after_crash;
     Alcotest.test_case "empty + single participant" `Quick test_tm_empty_and_single;
+    Alcotest.test_case "node log bounded by checkpoints" `Quick
+      test_node_log_bounded_by_checkpoints;
+    Alcotest.test_case "checkpoint during a decision force keeps the decision"
+      `Quick test_checkpoint_during_decision_force;
+    Alcotest.test_case "txids unique across checkpoint, crash, reboot" `Quick
+      test_txids_unique_across_checkpoint_and_crash;
+    Alcotest.test_case "one commit record is atomic under torn writes" `Quick
+      test_one_record_atomic_under_torn_writes;
     Alcotest.test_case "abort releases" `Quick test_tm_abort_releases;
     Alcotest.test_case "hooks" `Quick test_tm_hooks;
     Alcotest.test_case "txid roundtrip" `Quick test_txid_roundtrip;
