@@ -128,10 +128,16 @@ type built = {
   failovers : unit -> int;
 }
 
+(* An HA pair's disks take 4 ms to flush, about a network hop: a ship
+   round is on the wire while its primary's sync runs, so a crash can leave
+   the standby holding records the primary lost. Off the hop's 5 ms
+   lattice, so plan times (a 10 ms grid) can land inside a sync. *)
+let pair_sync_latency = 0.004
+
 let build_repo net topo repo =
-  let create name =
+  let create ?sync_latency name =
     Site.create ~queues:[ ("req", topo.queue_attrs) ] ~stale_timeout:3.0
-      (Net.make_node net name)
+      (Net.make_node ?sync_latency net name)
   in
   let route site =
     Option.iter
@@ -149,8 +155,8 @@ let build_repo net topo repo =
     route site;
     { sites = [ (name, site) ]; auth = (fun () -> site); failovers = (fun () -> 0) }
   | Pair { primary; standby; mode } ->
-    let site_p = create primary in
-    let site_b = create standby in
+    let site_p = create ~sync_latency:pair_sync_latency primary in
+    let site_b = create ~sync_latency:pair_sync_latency standby in
     (* Servers run only on the serving node. *)
     let on_serving ha =
       ignore

@@ -1,5 +1,6 @@
 module Net = Rrq_net.Net
 module Sched = Rrq_sim.Sched
+module Cond = Rrq_sim.Cond
 module Crashpoint = Rrq_sim.Crashpoint
 module Disk = Rrq_storage.Disk
 module Group_commit = Rrq_wal.Group_commit
@@ -15,12 +16,18 @@ type mode = Sync | Lagged of float
 
 type Net.payload +=
   | Ship of { epoch : int; batch : (int * string) list }
+      (** Records with their primary LSNs, in LSN order. *)
   | Ship_ok
   | Ship_stale of int  (** Receiver's (higher) epoch: the sender is deposed. *)
+  | Ship_refused
+      (** The standby holds no snapshot of this incarnation, or the batch
+          does not continue its stream: the sender must resync it. *)
   | Hb of { epoch : int; synced : bool }
       (** [synced]: the standby has installed a snapshot this incarnation. *)
   | Hb_ok of int
-  | Ha_install of { epoch : int; snap : string }
+  | Ha_install of { epoch : int; snap : string; cut : int }
+      (** [cut]: the primary LSN the snapshot covers; the stream goes on
+          from [cut + 1]. *)
   | Ha_query
   | R_ha_role of { role : role; epoch : int }
 
@@ -46,6 +53,14 @@ type t = {
   mutable link_up : bool;
   mutable synced : bool;
   mutable applied_bytes : int;
+  (* Standby side: the primary LSN of the last record applied, and a
+     condition signalled when it moves. Batches of overlapping ship rounds
+     can arrive out of order; each waits for its predecessor. *)
+  mutable applied_lsn : int;
+  applied : Cond.t;
+  mutable installs : int; (* snapshots installed; a new one starts a new stream *)
+  (* Primary side: ship RPCs awaiting their answer. *)
+  mutable ships_in_flight : int;
   (* Accounting. *)
   mutable n_ship_batches : int;
   mutable n_failovers : int;
@@ -99,6 +114,10 @@ let last_promote_at t = t.last_promote_at
 let gc t = Node_log.group_commit (Site.log t.site)
 let pending_ship t = Group_commit.pending_ship (gc t)
 
+(* Metrics are per node: [ha.<name>:<node>]. *)
+let metric t name = "ha." ^ name ^ ":" ^ Net.node_name (Site.node t.site)
+let count t name = if Rrq_obs.enabled () then Rrq_obs.Metrics.inc (metric t name)
+
 (* ---- primary: degrade / shipping ------------------------------------- *)
 
 (* Peer lost (or deposed us): stop shipping and run standalone; the link
@@ -108,6 +127,7 @@ let degrade t =
     t.link_up <- false;
     t.synced <- false;
     t.n_degrades <- t.n_degrades + 1;
+    count t "degrades";
     Group_commit.clear_shipper (gc t)
   end
 
@@ -123,23 +143,43 @@ let ship_rpc t msg =
   Net.call (Site.node t.site) ~timeout:t.ship_timeout ~dst:t.peer ~service:"ha"
     msg
 
-(* The shipper callback, run inside a ship-leader fiber (committers parked
-   behind it in sync mode). Must not raise: failures degrade the link. *)
+let set_in_flight t n =
+  t.ships_in_flight <- n;
+  if Rrq_obs.enabled () then
+    Rrq_obs.Metrics.set_gauge (metric t "ships_in_flight") (float_of_int n)
+
+(* The shipper callback, run in the fiber of one ship round (committers
+   parked behind it in sync mode; other rounds may be in flight). Must not
+   raise: failures degrade the link. *)
 let ship t batch =
   if t.link_up then begin
     while t.link_up && not t.synced do
       Sched.sleep_background 0.01
     done;
     if t.link_up then begin
-      match ship_rpc t (Ship { epoch = t.epoch; batch }) with
-      | Ship_ok ->
+      (* The round holds its records, and the primary's sync of them may
+         still be running: nothing of it has left this node. *)
+      Crashpoint.reach "ship.start";
+      count t "ship_rounds";
+      set_in_flight t (t.ships_in_flight + 1);
+      let sent_at = if Rrq_obs.enabled () then Sched.clock () else 0.0 in
+      let reply =
+        match ship_rpc t (Ship { epoch = t.epoch; batch }) with
+        | reply -> Some reply
+        | exception (Net.Rpc_timeout | Net.Service_error _) -> None
+      in
+      set_in_flight t (t.ships_in_flight - 1);
+      match reply with
+      | Some Ship_ok ->
         t.n_ship_batches <- t.n_ship_batches + 1;
+        if Rrq_obs.enabled () then
+          Rrq_obs.Metrics.observe (metric t "ship_rtt_ms")
+            ((Sched.clock () -. sent_at) *. 1000.0);
         (* The backup holds the batch; the primary has not yet released the
            committer (sync mode) nor replied to any client. *)
         Crashpoint.reach "ship.sent"
-      | Ship_stale _ -> deposed t
-      | _ -> degrade t
-      | exception (Net.Rpc_timeout | Net.Service_error _) -> degrade t
+      | Some (Ship_stale _) -> deposed t
+      | Some _ | None -> degrade t
     end
   end
 
@@ -163,17 +203,21 @@ let attempt_resync t =
       Node_log.force log;
       Sched.sleep_background 0.005
     done;
+    (* The standby is unsynced now, and stays so until the install. *)
+    Crashpoint.reach "ha.resync";
     (* From here to [set_shipper] there must be no yield: the snapshot and
        the retained-record set must cut the log at one instant. Ship
        rounds triggered meanwhile park on [synced]. *)
     let snap = Node_log.snapshot log in
     Group_commit.set_shipper ~sync:(t.mode = Sync) (gc t) (ship t);
+    let cut = Group_commit.shipped_lsn (gc t) in
     t.link_up <- true;
     t.synced <- false;
-    (match ship_rpc t (Ha_install { epoch = t.epoch; snap }) with
+    (match ship_rpc t (Ha_install { epoch = t.epoch; snap; cut }) with
     | Net.Ack ->
       t.synced <- true;
-      t.n_resyncs <- t.n_resyncs + 1
+      t.n_resyncs <- t.n_resyncs + 1;
+      count t "resyncs"
     | Ship_stale _ -> deposed t
     | _ -> degrade t
     | exception (Net.Rpc_timeout | Net.Service_error _) -> degrade t)
@@ -185,12 +229,44 @@ let attempt_resync t =
 let batch_bytes batch =
   List.fold_left (fun acc (_, r) -> acc + String.length r) 0 batch
 
-let apply_batch t batch =
-  Node_log.standby_apply (Site.log t.site) (List.map snd batch);
-  t.applied_bytes <- t.applied_bytes + batch_bytes batch
+let set_applied t lsn =
+  t.applied_lsn <- lsn;
+  Cond.broadcast t.applied
 
-let install t snap =
+(* Wait, for at most half the sender's ship timeout, until a batch that
+   starts at primary LSN [first] continues the applied stream. The batch
+   of an overlapping earlier round can be overtaken on the wire; past the
+   bound it is taken as lost. Returns whether the batch may apply: it
+   continues the stream, and no snapshot install started a new stream
+   (whose LSNs may reuse this batch's) while it waited. *)
+let await_turn t first =
+  let stream = t.installs in
+  let deadline = Sched.clock () +. (t.ship_timeout /. 2.0) in
+  if t.synced && first > t.applied_lsn + 1 then count t "ships_overtaken";
+  while
+    t.synced && first > t.applied_lsn + 1 && t.installs = stream
+    && Sched.clock () < deadline
+  do
+    ignore (Cond.wait_timeout t.applied (deadline -. Sched.clock ()))
+  done;
+  t.synced && first <= t.applied_lsn + 1 && t.installs = stream
+
+(* Apply the records of [batch] past [applied_lsn] (a prefix already
+   applied is skipped), then force them: a standby acknowledges only what
+   its own log holds. Records are appended and replayed before the force
+   yields, so the next batch may apply behind them at once. *)
+let apply_batch t batch =
+  let fresh = List.filter (fun (lsn, _) -> lsn > t.applied_lsn) batch in
+  (match List.rev fresh with
+  | (last, _) :: _ -> set_applied t last
+  | [] -> ());
+  Node_log.standby_apply (Site.log t.site) (List.map snd fresh);
+  t.applied_bytes <- t.applied_bytes + batch_bytes fresh
+
+let install t snap ~cut =
   Node_log.standby_install (Site.log t.site) snap;
+  t.installs <- t.installs + 1;
+  set_applied t cut;
   t.applied_bytes <- 0
 
 (* ---- promotion -------------------------------------------------------- *)
@@ -235,6 +311,7 @@ let promote t =
      primary (crash after — boot redoes the idempotent remainder). *)
   write_role t Primary (t.epoch + 1);
   t.n_failovers <- t.n_failovers + 1;
+  count t "promotions";
   t.last_promote_at <- (if Sched.in_fiber () then Sched.clock () else 0.0);
   if t.cold then
     (* Cold-standby model for the benchmark: the shipped log was stored but
@@ -299,19 +376,28 @@ let ha_service t msg =
       Hb_ok t.epoch
     end
     else failwith "ha: standby does not answer heartbeats"
-  | Ha_query -> R_ha_role { role = t.role; epoch = t.epoch }
+  | Ha_query ->
+    (* The asking primary may be back from a crash that lost records it
+       had already shipped here (a round overlaps the primary's own sync).
+       It will serve without them, so this node must not take over with
+       them: it stays unsynced until the resync snapshot replaces them. *)
+    if t.role = Standby then t.synced <- false;
+    R_ha_role { role = t.role; epoch = t.epoch }
   | Ship { epoch; batch } ->
+    let first = match batch with (lsn, _) :: _ -> lsn | [] -> 0 in
+    let in_turn = epoch >= t.epoch && t.role = Standby && await_turn t first in
     if epoch < t.epoch || t.role = Primary then Ship_stale t.epoch
+    else if not in_turn then Ship_refused
     else begin
       apply_batch t batch;
       (* The batch is durable here but the primary has not seen the ack. *)
       Crashpoint.reach "ship.applied";
       Ship_ok
     end
-  | Ha_install { epoch; snap } ->
+  | Ha_install { epoch; snap; cut } ->
     if epoch < t.epoch || t.role = Primary then Ship_stale t.epoch
     else begin
-      install t snap;
+      install t snap ~cut;
       if epoch > t.epoch then write_role t Standby epoch;
       t.synced <- true;
       Net.Ack
@@ -346,6 +432,8 @@ let boot_hook t site =
   t.link_up <- false;
   t.synced <- false;
   t.applied_bytes <- 0;
+  t.applied_lsn <- 0;
+  set_in_flight t 0;
   Net.add_service nd "ha" (ha_service t);
   match t.role with
   | Standby ->
@@ -378,6 +466,10 @@ let attach ?(mode = Sync) ?(heartbeat_every = 0.25) ?(miss_limit = 3)
       link_up = false;
       synced = false;
       applied_bytes = 0;
+      applied_lsn = 0;
+      applied = Cond.create ();
+      installs = 0;
+      ships_in_flight = 0;
       n_ship_batches = 0;
       n_failovers = 0;
       n_degrades = 0;

@@ -2,28 +2,33 @@
     WAL shipping (paper §11 taken from the two-copy demo to a full role
     protocol).
 
-    The {e primary} runs the normal site stack and ships every sealed WAL
-    batch of its node log (which its TM, QM and KV store share) to the {e
-    standby} over the network, reusing {!Rrq_wal.Group_commit}'s
-    leader/follower machinery: in [Sync] mode a commit-point force does not
-    return until the backup has acknowledged the batch — the replication
-    analogue of the durability-before-reply rule — while [Lagged d] drains
-    retained records every [d] seconds and releases replies speculatively
-    (the window the failover test campaign probes).
+    The {e primary} runs the normal site stack and ships every record of
+    its node log (which its TM, QM and KV store share) to the {e standby}
+    over the network, in the ship rounds of {!Rrq_wal.Group_commit}: in
+    [Sync] mode a commit-point force starts the round for its records
+    alongside its local sync and does not return until the backup has
+    acknowledged them — the replication analogue of the
+    durability-before-reply rule — while [Lagged d] drains retained
+    records every [d] seconds and releases replies speculatively (the
+    window the failover test campaign probes).
 
-    The {e standby} appends shipped records into its own node log and
-    replays each section into its TM, QM or KV store at once (warm by
-    construction), so it holds the primary's unretired commit decisions
-    too. A resync installs one node snapshot, which carries them as well.
-    A standby rejects clerk-facing requests ({!Site.set_standby}), so
-    clerks fail over by rotation.
+    The {e standby} appends shipped records into its own node log, in
+    primary-LSN order (a batch that overtook its predecessor waits for
+    it), replays each section into its TM, QM or KV store at once (warm by
+    construction) and forces its log before it acknowledges. It holds the
+    primary's unretired commit decisions too. A resync installs one node
+    snapshot, which carries them as well. A standby rejects clerk-facing
+    requests ({!Site.set_standby}), so clerks fail over by rotation.
 
     {b Failover}: the standby heartbeats the primary; after [miss_limit]
     consecutive misses plus one confirmation probe it promotes — provided
     this incarnation has installed a resync snapshot. A standby back from
     a crash may lack commits the primary made alone, so its heartbeats ask
-    for a resync and it never promotes before one: if the primary dies
-    first, the pair waits for it. A promoting standby durably
+    for a resync, it refuses ship rounds, and it never promotes before a
+    resync: if the primary dies first, the pair waits for it. A primary
+    back from a crash may have lost records its standby holds (a round
+    leaves while the primary's own sync runs), so its role query unsyncs
+    the standby the same way. A promoting standby durably
     flips its role file (atomic, no intervening yield), bumps the QM
     incarnation so fresh eids and auto-txids cannot collide with the old
     primary's, redelivers the primary's unretired commit decisions to
@@ -37,10 +42,16 @@
     the peer meanwhile promoted (higher epoch), which makes double
     failover (back onto the recovered ex-primary) work.
 
-    Crash sites for the failover campaign: ["ship.sent"] (backup holds the
-    batch, primary about to continue), ["ship.applied"] (batch durable on
-    the backup, ack in flight), ["ha.heartbeat_miss"] (takeover decision
-    made), ["ha.promote"] (promotion underway). *)
+    Crash sites for the failover campaign: ["ship.start"] (a round holds
+    its records, nothing sent), ["ship.sent"] (backup holds the batch,
+    primary about to continue), ["ship.applied"] (batch durable on the
+    backup, ack in flight), ["ha.resync"] (the standby answered the resync
+    query, no install sent), ["ha.heartbeat_miss"] (takeover decision
+    made), ["ha.promote"] (promotion underway).
+
+    Metrics, per node: counters [ha.ship_rounds], [ha.ships_overtaken],
+    [ha.degrades], [ha.resyncs], [ha.promotions]; gauge
+    [ha.ships_in_flight]; series [ha.ship_rtt_ms]. *)
 
 type role = Primary | Standby
 
@@ -91,8 +102,8 @@ val shipping : t -> bool
 (** The primary's link is up: shippers installed, peer synced or syncing. *)
 
 val pending_ship : t -> int
-(** Durable-but-unshipped records of the node log (the exposure window of
-    [Lagged] mode; 0 in steady-state [Sync] mode). *)
+(** Records of the node log not yet in a ship round (the exposure window
+    of [Lagged] mode). *)
 
 val failovers : t -> int
 val degrades : t -> int

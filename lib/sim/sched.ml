@@ -157,7 +157,10 @@ type t = {
   mutable fg_timers : int; (* non-background timers still in the heap *)
   mutable seq : int;
   mutable next_fid : int;
-  mutable fiber_table : fiber list;
+  (* Live fibers only, by fid: a fiber leaves when it finishes, dies or is
+     killed, so the table is as large as the live population, not the
+     run's history. *)
+  fibers : (int, fiber) Hashtbl.t;
   mutable errors : (string * exn) list;
   pol : policy;
   prng : Rrq_util.Rng.t option; (* priority source for Random_priority *)
@@ -183,7 +186,7 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
     fg_timers = 0;
     seq = 0;
     next_fid = 0;
-    fiber_table = [];
+    fibers = Hashtbl.create 64;
     errors = [];
     pol = policy;
     prng =
@@ -308,10 +311,15 @@ let sleep_background d =
 let yield () =
   suspend (fun sched w -> push_ready sched (fun () -> ignore (wake w ())))
 
+(* A fiber that finished, died or was killed: it never runs again. *)
+let kill t fib =
+  fib.live <- false;
+  Hashtbl.remove t.fibers fib.fid
+
 let rec spawn t ?group ~name body =
   t.next_fid <- t.next_fid + 1;
   let fib = { fid = t.next_fid; name; group; live = true } in
-  t.fiber_table <- fib :: t.fiber_table;
+  Hashtbl.replace t.fibers fib.fid fib;
   push_ready t (fun () -> if fib.live then start t fib body);
   fib
 
@@ -319,10 +327,10 @@ and start t fib body =
   let open Effect.Deep in
   match_with body ()
     {
-      retc = (fun () -> fib.live <- false);
+      retc = (fun () -> kill t fib);
       exnc =
         (fun e ->
-          fib.live <- false;
+          kill t fib;
           (* An injected crash is a kill, not a program failure: the fiber
              unwound exactly as a crashed process disappears. *)
           match e with
@@ -353,19 +361,24 @@ and start t fib body =
 
 let fork ?name body = Effect.perform (Fork (name, body))
 
-let kill _t fib = fib.live <- false
-
 let kill_group t group =
-  List.iter
-    (fun fib -> if fib.live && fib.group = Some group then fib.live <- false)
-    t.fiber_table
+  Hashtbl.filter_map_inplace
+    (fun _ fib ->
+      if fib.group = Some group then begin
+        fib.live <- false;
+        None
+      end
+      else Some fib)
+    t.fibers
 
 let alive fib = fib.live
 let fiber_name fib = fib.name
 let fiber_group fib = fib.group
 
 let live_fibers t =
-  List.rev_map (fun f -> f.name) (List.filter (fun f -> f.live) t.fiber_table)
+  Hashtbl.fold (fun _ f acc -> f :: acc) t.fibers []
+  |> List.sort (fun a b -> compare a.fid b.fid)
+  |> List.map (fun f -> f.name)
 
 let failures t = List.rev t.errors
 

@@ -8,6 +8,9 @@ module Codec = Rrq_util.Codec
 let max_delay = 0.0005
 let max_batch = 64
 
+(* Ship rounds a log keeps in flight at once. *)
+let max_rounds = 2
+
 (* EWMA weight for inter-arrival samples. High enough to track a load
    shift within a handful of commits, low enough that one straggler does
    not flip the seal decision. *)
@@ -34,17 +37,25 @@ type t = {
   mutable s_rate : int;
   (* Log shipping (primary-backup replication). While a shipper is
      installed every appended record is retained as (lsn, payload) until a
-     ship round sends it; [shipped_lsn] is the replication analogue of the
-     durable LSN. In sync mode [force] will not return to a committer until
-     the ship watermark covers its records. *)
+     ship round takes it. Rounds overlap: each covers the records appended
+     since the previous one ([sent_lsn]), and [shipped_lsn] — the
+     replication analogue of the durable LSN — advances only over a
+     contiguous prefix of acknowledged rounds. In sync mode [force] will not
+     return to a committer until both watermarks cover its records. *)
   mutable shipper : ((int * string) list -> unit) option;
   mutable ship_sync : bool;
+  mutable syncing : bool; (* the leader's sync is under way *)
   mutable retained : (int * string) list; (* newest first *)
+  mutable sent_lsn : int;
   mutable shipped_lsn : int;
-  mutable ship_leading : bool;
-  mutable ship_waiters : (int * bool Sched.waker) list;
+  mutable rounds : round list; (* this shipper's unacknowledged suffix, oldest first *)
+  mutable starting : bool; (* a round's fiber is yet to take its records *)
+  mutable in_flight : int; (* rounds whose fiber is running *)
+  mutable ship_waiters : (int * unit Sched.waker) list;
   mutable n_ships : int;
 }
+
+and round = { hi : int; mutable acked : bool }
 
 let create wal =
   {
@@ -64,9 +75,13 @@ let create wal =
     s_rate = 0;
     shipper = None;
     ship_sync = true;
+    syncing = false;
     retained = [];
+    sent_lsn = 0;
     shipped_lsn = 0;
-    ship_leading = false;
+    rounds = [];
+    starting = false;
+    in_flight = 0;
     ship_waiters = [];
     n_ships = 0;
   }
@@ -131,73 +146,100 @@ let set_shipper ?(sync = true) t f =
   t.shipper <- Some f;
   t.ship_sync <- sync;
   (* The installer is responsible for bringing the peer up to date first
-     (snapshot install); shipping starts from the current durable tail. *)
+     (snapshot install); shipping starts from the current tail. *)
   t.retained <- [];
-  t.shipped_lsn <- Wal.durable_lsn t.wal
+  t.rounds <- [];
+  t.sent_lsn <- Wal.appended_lsn t.wal;
+  t.shipped_lsn <- t.sent_lsn
 
-(* Wake every parked ship waiter, covered or not: a waiter whose lsn the
-   finished round did not cover must get a chance to elect itself the next
-   leader (its record arrived after the leader snapshotted the durable
-   horizon, so no running leader will ever cover it). Woken fibers re-enter
-   [ensure_shipped], which returns when covered and leads otherwise. *)
+(* Wake the ship waiters whose records [shipped_lsn] now covers, or all of
+   them when the shipper is gone (they run on unshipped). *)
 let wake_shipped t =
-  let ws = t.ship_waiters in
-  t.ship_waiters <- [];
-  List.iter (fun (_, w) -> ignore (Sched.wake w true)) (List.rev ws)
+  let ready, parked =
+    List.partition
+      (fun (lsn, _) -> t.shipper = None || lsn <= t.shipped_lsn)
+      t.ship_waiters
+  in
+  t.ship_waiters <- parked;
+  List.iter (fun (_, w) -> ignore (Sched.wake w ())) (List.rev ready)
 
 let clear_shipper t =
   t.shipper <- None;
   t.retained <- [];
+  t.rounds <- [];
   wake_shipped t
 
 let shipping t = t.shipper <> None
 let shipped_lsn t = t.shipped_lsn
 let pending_ship t = List.length t.retained
-let ship_in_flight t = t.ship_leading
+let ship_in_flight t = t.in_flight > 0
 let ships t = t.n_ships
 
-(* Ship every retained record the log has made durable, leader/follower
-   style: one fiber drains and sends the batch while others needing
-   coverage park; the leader's watermark advance covers them. The shipper
-   callback may block (it does an RPC); it must not raise — connection
-   management (degrade, resync) is its owner's job. *)
-let rec ensure_shipped t lsn =
-  (* Only durable records ship (the backup must never be ahead of the
-     primary's log); if the disk died the sync never covered [lsn] and the
-     node is about to be declared crashed — bail rather than spin. *)
-  let lsn = min lsn (Wal.durable_lsn t.wal) in
-  if t.shipper <> None && lsn > t.shipped_lsn then begin
-    if t.ship_leading then begin
-      ignore
-        (Sched.suspend (fun _ w -> t.ship_waiters <- (lsn, w) :: t.ship_waiters));
-      ensure_shipped t lsn
-    end
-    else begin
-      t.ship_leading <- true;
-      let durable = Wal.durable_lsn t.wal in
-      let batch, rest = List.partition (fun (l, _) -> l <= durable) t.retained in
-      t.retained <- rest;
-      let batch = List.sort compare batch in
-      Fun.protect
-        ~finally:(fun () ->
-          t.ship_leading <- false;
-          wake_shipped t)
-        (fun () ->
-          (match t.shipper with
-          | Some ship when batch <> [] ->
-            ship batch;
-            t.n_ships <- t.n_ships + 1
-          | _ -> ());
-          (* The shipper may have been cleared (degrade) mid-send; only a
-             still-connected stream advances the watermark. *)
-          if t.shipper <> None then t.shipped_lsn <- max t.shipped_lsn durable);
-      ensure_shipped t lsn
-    end
+(* Advance [shipped_lsn] over the acknowledged prefix of the rounds. A round
+   acknowledged ahead of an earlier one waits for it: the peer applies in
+   LSN order, so a later ack does not vouch for an earlier round. *)
+let rec advance t =
+  match t.rounds with
+  | r :: rest when r.acked ->
+    t.rounds <- rest;
+    t.shipped_lsn <- r.hi;
+    advance t
+  | _ -> wake_shipped t
+
+(* Start a ship round. The shipper callback blocks for its round trip, so
+   the round runs in a fiber of its own and the caller goes on to its local
+   sync. The round takes its records when that fiber first runs: every
+   record appended by then, so committers woken at the same instant (a
+   reply dequeue woken by the commit that enqueued it) share one round
+   instead of starting one each. At most [max_rounds] rounds are in flight;
+   past that, committers wait for a round to finish, and it starts the
+   next one for all of them. The callback must not raise: a failed round
+   is the owner's to handle (degrade), and clearing the shipper drops the
+   round with the rest of the stream. *)
+let rec launch t =
+  if
+    t.shipper <> None && t.retained <> [] && (not t.starting)
+    && t.in_flight < max_rounds
+  then begin
+    t.starting <- true;
+    t.in_flight <- t.in_flight + 1;
+    ignore
+      (Sched.fork ~name:"ship" (fun () ->
+           Fun.protect
+             ~finally:(fun () -> t.in_flight <- t.in_flight - 1)
+             (fun () ->
+               t.starting <- false;
+               match (t.shipper, t.retained) with
+               | Some ship, (hi, _) :: _ ->
+                 let batch = List.rev t.retained in
+                 let r = { hi; acked = false } in
+                 t.retained <- [];
+                 t.sent_lsn <- hi;
+                 t.rounds <- t.rounds @ [ r ];
+                 t.n_ships <- t.n_ships + 1;
+                 ship batch;
+                 r.acked <- true;
+                 advance t
+               | _ -> ());
+           if List.exists (fun (lsn, _) -> lsn > t.sent_lsn) t.ship_waiters then
+             launch t))
   end
 
-(* One asynchronous ship round covering everything durable so far — the
-   lagged-shipping mode's periodic drain. *)
-let ship_now t = ensure_shipped t (Wal.durable_lsn t.wal)
+(* Park until [shipped_lsn] covers [lsn], starting the round that carries
+   it if none has. If the disk died the node is about to be declared
+   crashed: bail rather than wait. *)
+let rec await_shipped t lsn =
+  if t.shipper <> None && lsn > t.shipped_lsn && not (Disk.is_dead t.disk)
+  then begin
+    if lsn > t.sent_lsn then launch t;
+    Sched.suspend (fun _ w -> t.ship_waiters <- (lsn, w) :: t.ship_waiters);
+    await_shipped t lsn
+  end
+
+(* Ship every retained record now and wait for the round — the lagged
+   mode's periodic drain; a no-op when nothing is pending or no shipper is
+   installed. *)
+let ship_now t = await_shipped t (Wal.appended_lsn t.wal)
 
 let reason_name = function
   | `Full -> "full"
@@ -279,6 +321,7 @@ let force t =
   let in_fiber = Sched.in_fiber () in
   if in_fiber then sample_arrival t;
   let lsn = Wal.appended_lsn t.wal in
+  let ship = t.ship_sync && in_fiber in
   if lsn > Wal.durable_lsn t.wal && not (Disk.is_dead t.disk) then begin
     t.n_forces <- t.n_forces + 1;
     if Rrq_obs.enabled () then
@@ -289,7 +332,12 @@ let force t =
       do_sync t;
       observe_batch t `Idle 1
     end
-    else if t.leading then board t lsn
+    else if t.leading then begin
+      (* A leader already past its window will not take these records into
+         its ship round: start the next round at once. *)
+      if ship && t.syncing then launch t;
+      board t lsn
+    end
     else begin
       (* Leader even when sealing immediately: committers arriving while
          our sync occupies the device park as followers and are covered
@@ -298,7 +346,12 @@ let force t =
          up piggybackers for free. *)
       t.leading <- true;
       let reason = seal t in
+      (* Synchronous shipping overlaps the ship round with the local sync,
+         so a commit waits for the slower of the two, not their sum. *)
+      if ship then launch t;
+      t.syncing <- true;
       do_sync t;
+      t.syncing <- false;
       t.leading <- false;
       let covered = wake_covered t in
       observe_batch t reason (covered + 1)
@@ -309,8 +362,7 @@ let force t =
      This also covers the follower/skip cases above — a fiber whose
      records were already durable (so the body never ran) still must not
      proceed past an unshipped suffix. *)
-  if t.ship_sync && t.shipper <> None && Sched.in_fiber () then
-    ensure_shipped t lsn
+  if ship then await_shipped t lsn
 
 let append_force t payload =
   append t payload;

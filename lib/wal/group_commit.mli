@@ -76,44 +76,55 @@ val append_force : t -> string -> unit
 
     A {e shipper} turns this batcher into the sending half of a
     primary-backup log-shipping channel: while one is installed, every
-    appended record is retained as an [(lsn, payload)] pair and a ship
-    round sends the durable prefix of the retained set to the callback in
-    LSN order, advancing the {e shipped LSN} watermark (the replication
-    analogue of the durable LSN). Ship rounds use the same leader/follower
-    protocol as batched syncs, so concurrent committers amortise one send.
+    appended record is retained as an [(lsn, payload)] pair until a {e ship
+    round} hands it to the callback. A round carries every record appended
+    since the previous round, in LSN order, and runs the callback in a
+    fiber of its own. Rounds overlap: a committer whose records missed the
+    rounds already in flight starts the next one at once. The {e shipped
+    LSN} watermark (the replication analogue of the durable LSN) advances
+    only over a contiguous prefix of finished rounds, so the peer must
+    apply rounds in LSN order.
 
-    In [sync] mode (the default) {!force} does not return until the
-    caller's records are shipped — the replication counterpart of the
-    durability-before-reply rule: a transaction is only acknowledged once
-    the backup could take over without losing it. With [sync:false] the
-    owner must drain with {!ship_now} periodically; replies may then be
-    released ahead of the backup (speculative replies), which is exactly
-    the window the HA failover tests probe. *)
+    In [sync] mode (the default) {!force} starts the round that carries the
+    caller's records alongside its local sync (the leader starts it when
+    its batch seals), and does not return until both the durable LSN and
+    the shipped LSN cover them: a commit waits for the slower of its sync
+    and its round trip, not their sum. This is the replication counterpart
+    of the durability-before-reply rule: a transaction is only
+    acknowledged once the backup could take over without losing it.
+    Records may reach the peer before they are durable here, so after a
+    crash the peer can hold records this log lost; the owner must not let
+    the peer take over with them (see [Ha]). With [sync:false] the owner
+    must drain with {!ship_now} periodically; replies may then be released
+    ahead of the backup (speculative replies), which is exactly the window
+    the HA failover tests probe. *)
 
 val set_shipper : ?sync:bool -> t -> ((int * string) list -> unit) -> unit
 (** Install the shipping callback. The callback receives a batch of
     [(lsn, record)] pairs in LSN order and must deliver them (it may
     block; it must not raise — degrade handling belongs to the owner).
     Installation resets the retained set and sets the shipped watermark
-    to the current durable LSN: the installer is responsible for bringing
+    to the current appended LSN: the installer is responsible for bringing
     the peer up to date first (snapshot install). *)
 
 val clear_shipper : t -> unit
-(** Stop shipping (peer lost / degraded); wakes any fiber parked on a
-    ship round. *)
+(** Stop shipping (peer lost / degraded); wakes every fiber waiting for a
+    ship round. Rounds still in flight finish, but no longer count. *)
 
 val shipping : t -> bool
 val shipped_lsn : t -> int
 val pending_ship : t -> int
-(** Retained records not yet shipped. *)
+(** Retained records not yet in a ship round. *)
 
 val ship_in_flight : t -> bool
-(** A ship round is running its shipper callback. Its records are durable
-    here, and the fibers it covers are still waiting to apply them. *)
+(** Some ship round is still running its shipper callback (possibly for a
+    shipper since cleared). The fibers it covers may still be waiting to
+    finish their commits. *)
 
 val ship_now : t -> unit
-(** Ship every durable retained record now (the lagged mode's periodic
-    drain; a no-op when nothing is pending or no shipper is installed). *)
+(** Ship every retained record now and wait for the round (the lagged
+    mode's periodic drain; a no-op when nothing is pending or no shipper
+    is installed). *)
 
 (** {1 Accounting} *)
 

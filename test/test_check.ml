@@ -336,6 +336,30 @@ let test_ha_lagged_caught_and_shrunk () =
   Alcotest.(check bool) "repro line carries the plan" true
     (String.length line > String.length (C.Plan.to_string minimal))
 
+(* A designed plan for the standby-ahead corner. At t=1.097 the primary
+   ships a round whose local sync ends at t=1.101; the crash at t=1.1 lands
+   between the two, so the standby applies records the primary's disk
+   loses. The primary is back at t=1.13 and asks the standby its role, which
+   unsyncs it; the second crash (t=1.14) comes before the resync's install.
+   The standby must wait six seconds for the primary rather than promote
+   with records the primary never had, and the returning primary's resync
+   replaces them. *)
+let test_ha_standby_ahead_plan () =
+  let plan =
+    C.Plan.make ~seed:0 ~policy:`Fifo
+      ~faults:
+        [
+          C.Plan.Crash { node = "primary"; at = 1.1; recover_after = 0.03 };
+          C.Plan.Crash { node = "primary"; at = 1.14; recover_after = 6.0 };
+        ]
+  in
+  let o = C.Scenario.run C.Scenario.ha plan in
+  Alcotest.(check string) "auditors" "all auditors passed"
+    (C.Audit.findings_to_string o.C.Scenario.findings);
+  Alcotest.(check int) "every reply delivered" o.C.Scenario.requests
+    o.C.Scenario.replies;
+  Alcotest.(check int) "the standby never promoted" 0 o.C.Scenario.failovers
+
 (* Crash-site sweep over the replication machinery: kill the primary at
    every reach of every ship- and ha-prefixed site the probe discovers (the probe
    plan itself kills the primary at t=2, so the heartbeat-miss/promote
@@ -619,6 +643,31 @@ let test_recorded_crash_verdict () =
     (C.Audit.findings_to_string
        recorded.C.Scenario.rec_outcome.C.Scenario.findings)
 
+(* The HA layer's metrics, over a failover: the primary dies at t=2 and
+   the backup takes over, then resyncs the returning ex-primary. Recording
+   them must not perturb the run either. *)
+let test_recorded_ha_metrics () =
+  let plan = C.Scenario.ha.C.Scenario.probe in
+  let bare = C.Scenario.run C.Scenario.ha plan in
+  let recorded = C.Scenario.run_recorded C.Scenario.ha plan in
+  Alcotest.(check string) "same decision trace with recording on"
+    (Sched.trace_to_string bare.C.Scenario.trace)
+    (Sched.trace_to_string recorded.C.Scenario.rec_outcome.C.Scenario.trace);
+  let m = recorded.C.Scenario.rec_metrics in
+  let counter = Obs.Metrics.find_counter m in
+  let rounds = counter "ha.ship_rounds:primary" in
+  Alcotest.(check bool) "ship rounds counted" true (rounds > 0);
+  let rtt = Obs.Metrics.histogram m "ha.ship_rtt_ms:primary" in
+  Alcotest.(check bool) "a round trip per acknowledged round" true
+    (Rrq_util.Histogram.count rtt > 0 && Rrq_util.Histogram.count rtt <= rounds);
+  Alcotest.(check (float 0.0)) "no round left in flight" 0.0
+    (Obs.Metrics.find_gauge m "ha.ships_in_flight:primary");
+  Alcotest.(check int) "one promotion" 1 (counter "ha.promotions:backup");
+  Alcotest.(check int) "the primary resynced its standby once" 1
+    (counter "ha.resyncs:primary");
+  Alcotest.(check int) "the promoted backup resynced the ex-primary" 1
+    (counter "ha.resyncs:backup")
+
 (* ---- property: auditors hold under arbitrary small fault schedules ------ *)
 
 let prop_quickstart_audits_hold =
@@ -676,6 +725,8 @@ let () =
             test_ha_lagged_caught_and_shrunk;
           Alcotest.test_case "replication crash-site sweep: ship.*, ha.*"
             `Slow test_ha_crash_site_sweep;
+          Alcotest.test_case "designed plan: standby ahead of its primary" `Quick
+            test_ha_standby_ahead_plan;
         ] );
       ( "sharded",
         [
@@ -708,6 +759,8 @@ let () =
             test_recording_is_passive;
           Alcotest.test_case "crash plan: recorded verdict unchanged" `Quick
             test_recorded_crash_verdict;
+          Alcotest.test_case "HA metrics over a failover" `Quick
+            test_recorded_ha_metrics;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:true prop_quickstart_audits_hold ] );

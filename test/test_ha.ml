@@ -27,15 +27,16 @@ module H = Rrq_test_support.Sim_harness
 
 (* --- the HA pair: shipping, degrade, resync ------------------------------ *)
 
-let make_ha_pair ?(mode = Ha.Sync) ?(ship_timeout = 0.3) s =
-  let net = Net.create ~latency:0.005 s (Rng.create 77) in
+let make_ha_pair ?(mode = Ha.Sync) ?(ship_timeout = 0.3) ?jitter ?sync_latency
+    ?(seed = 77) s =
+  let net = Net.create ~latency:0.005 ?jitter s (Rng.create seed) in
   let a =
     Site.create ~queues:[ ("rq", Qm.default_attrs) ] ~stale_timeout:2.0
-      (Net.make_node net "siteA")
+      (Net.make_node ?sync_latency net "siteA")
   in
   let b =
     Site.create ~queues:[ ("rq", Qm.default_attrs) ] ~stale_timeout:2.0
-      (Net.make_node net "siteB")
+      (Net.make_node ?sync_latency net "siteB")
   in
   let ha_a = Ha.attach ~mode ~ship_timeout a ~peer:"siteB" ~role:Ha.Primary in
   let ha_b = Ha.attach ~mode ~ship_timeout b ~peer:"siteA" ~role:Ha.Standby in
@@ -206,6 +207,178 @@ let test_snapshot_carries_pending_decision () =
       Alcotest.(check int) "remote effect exactly once" 1 (Qm.depth (Site.qm r) "rq");
       Alcotest.(check int) "local effect exactly once" 1 (Qm.depth (Site.qm b) "rq"))
 
+(* A standby back from a crash holds only what its own disk kept, so it
+   refuses the first ship round instead of applying it onto that state,
+   and the primary degrades on the refusal and resyncs at once — without
+   waiting for the standby's next heartbeat to report it unsynced. *)
+let test_unsynced_standby_refuses_ship () =
+  H.run_fiber' (fun s ->
+      let a, b, ha_a, _ = make_ha_pair s in
+      let qm = Site.qm a in
+      let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:false in
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "one"));
+      let degrades = Ha.degrades ha_a and resyncs = Ha.resyncs ha_a in
+      Site.crash b;
+      Site.restart b;
+      let t0 = Sched.clock () in
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "two"));
+      (* One ship round trip: far less than the standby's heartbeat period. *)
+      Alcotest.(check bool) "commit returned within a round trip" true
+        (Sched.clock () -. t0 < 0.05);
+      Alcotest.(check int) "degraded on the refused ship" (degrades + 1)
+        (Ha.degrades ha_a);
+      let deadline = Sched.clock () +. 5.0 in
+      while Ha.resyncs ha_a = resyncs && Sched.clock () < deadline do
+        Sched.sleep 0.05
+      done;
+      Alcotest.(check int) "resynced" (resyncs + 1) (Ha.resyncs ha_a);
+      Alcotest.(check (list int64)) "standby caught up" (eids a "rq") (eids b "rq"))
+
+(* Two ship rounds in flight at once on a network with jitter: a commit
+   made while the previous commit's local sync is under way starts the
+   next round at once, and the later round can reach the standby first.
+   The standby holds it until its predecessor arrives and applies both in
+   LSN order, so its queue ends up equal to the primary's. *)
+let test_overtaken_round_applied_in_order () =
+  Rrq_obs.reset ();
+  Fun.protect ~finally:Rrq_obs.disable (fun () ->
+      H.run_fiber' (fun s ->
+          let a, b, _, _ =
+            make_ha_pair ~jitter:0.004 ~sync_latency:0.005 ~seed:5 s
+          in
+          let qm = Site.qm a in
+          let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:false in
+          for i = 1 to 20 do
+            let done_ = ref 0 in
+            List.iter
+              (fun (delay, body) ->
+                ignore
+                  (Sched.fork (fun () ->
+                       Sched.sleep delay;
+                       ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h body));
+                       incr done_)))
+              [ (0.0, Printf.sprintf "first%d" i); (0.001, Printf.sprintf "second%d" i) ];
+            while !done_ < 2 do
+              Sched.sleep 0.005
+            done
+          done;
+          Alcotest.(check bool) "a later round overtook an earlier one" true
+            (Rrq_obs.Metrics.counter "ha.ships_overtaken:siteB" > 0);
+          Alcotest.(check int) "forty elements" 40 (Qm.depth qm "rq");
+          Alcotest.(check (list int64)) "standby applied in order" (eids a "rq")
+            (eids b "rq")))
+
+(* A batch waiting for a lost predecessor belongs to its primary's stream
+   of the time. The first round is dropped by a partition and the second,
+   started during the first's sync, reaches the standby and waits there.
+   The primary then crash-restarts and resyncs the standby with a new
+   stream whose LSNs start over; the waiting batch must be refused, not
+   applied once the new stream reaches its LSNs. *)
+let test_waiting_batch_dropped_by_resync () =
+  H.run_fiber' (fun s ->
+      let a, b, ha_a, _ =
+        make_ha_pair ~ship_timeout:10.0 ~sync_latency:0.005 s
+      in
+      let net = Net.network (Site.node a) in
+      let qm = Site.qm a in
+      let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:false in
+      let commit body =
+        Net.spawn_on (Site.node a) ~name:body (fun () ->
+            ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h body)))
+      in
+      Net.partition net "siteA" "siteB";
+      commit "dropped";
+      Sched.sleep 0.001;
+      Net.heal net "siteA" "siteB";
+      commit "waiting";
+      Sched.sleep 0.05;
+      let resyncs = Ha.resyncs ha_a in
+      Site.crash_restart a ~after:0.1;
+      let deadline = Sched.clock () +. 5.0 in
+      while Ha.resyncs ha_a = resyncs && Sched.clock () < deadline do
+        Sched.sleep 0.05
+      done;
+      Alcotest.(check int) "resynced" (resyncs + 1) (Ha.resyncs ha_a);
+      let qm = Site.qm a in
+      let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:false in
+      for i = 1 to 20 do
+        ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h (string_of_int i)))
+      done;
+      Sched.sleep 6.0;
+      Alcotest.(check int) "both early commits survived the restart" 22
+        (Qm.depth qm "rq");
+      Alcotest.(check (list int64)) "standby equals primary" (eids a "rq")
+        (eids b "rq"))
+
+(* The standby can be ahead of its primary: a ship round leaves while the
+   primary's own sync of the same records is still running. Here the
+   primary dies at the end of the sync of a commit record, after the
+   round carrying it left: the standby holds a commit decision, for a
+   remote participant, that the primary's disk lost. The primary comes
+   back, asks the standby its role (which unsyncs it) and then serves
+   without the decision, so it presumes an abort and the participant
+   aborts. The pair is cut apart before the resync lands, and the primary
+   dies again: the standby must not promote with the decision the primary
+   never had, or the participant would be told both outcomes. Once the
+   primary is back, its resync replaces the standby's stale records. *)
+let test_standby_ahead_never_promotes () =
+  H.run_fiber' (fun s ->
+      let net = Net.create ~latency:0.005 s (Rng.create 79) in
+      let site ?sync_latency name =
+        Site.create ~queues:[ ("rq", Qm.default_attrs) ] ~stale_timeout:2.0
+          (Net.make_node ?sync_latency net name)
+      in
+      let a = site ~sync_latency:0.005 "siteA"
+      and b = site ~sync_latency:0.005 "siteB"
+      and r = site "siteR" in
+      let ha_a = Ha.attach ~ship_timeout:0.3 a ~peer:"siteB" ~role:Ha.Primary in
+      let ha_b = Ha.attach ~ship_timeout:0.3 b ~peer:"siteA" ~role:Ha.Standby in
+      let wait_until ?(limit = 10.0) cond =
+        let deadline = Sched.clock () +. limit in
+        while (not (cond ())) && Sched.clock () < deadline do
+          Sched.sleep 0.05
+        done
+      in
+      wait_until (fun () -> Ha.is_serving ha_a && Ha.shipping ha_a);
+      let qm = Site.qm a in
+      let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:false in
+      let depth site = Qm.depth (Site.qm site) "rq" in
+      Rrq_sim.Crashpoint.reset ();
+      Fun.protect ~finally:Rrq_sim.Crashpoint.disable (fun () ->
+          Rrq_sim.Crashpoint.arm ~site:"wal.sync:siteA.log" ~hit:1 (fun () ->
+              Site.crash_restart a ~after:0.1;
+              (* Back up, the primary resyncs the standby once it has
+                 answered: cut the pair apart there, so no install lands. *)
+              Rrq_sim.Crashpoint.arm ~site:"ha.resync" ~hit:1 (fun () ->
+                  Net.partition net "siteA" "siteB");
+              Rrq_sim.Crashpoint.crash ());
+          Net.spawn_on (Site.node a) ~name:"txn" (fun () ->
+              Site.with_txn a (fun txn ->
+                  ignore (Qm.enqueue qm (Tm.txn_id txn) h "local");
+                  Site.remote_enqueue a txn ~dst:"siteR" ~queue:"rq" "remote"));
+          wait_until (fun () ->
+              Ha.is_serving ha_a && Net.partitioned net "siteA" "siteB"));
+      Alcotest.(check int) "the primary lost the commit" 0 (depth a);
+      Alcotest.(check int) "the standby holds it" 1 (depth b);
+      wait_until (fun () -> Qm.in_doubt (Site.qm r) = []);
+      Alcotest.(check int) "participant resolved" 0 (List.length (Qm.in_doubt (Site.qm r)));
+      Alcotest.(check int) "participant aborted" 0 (depth r);
+      (* The primary dies for good, before any resync reached the standby. *)
+      Site.crash a;
+      Sched.sleep 5.0;
+      Alcotest.(check int) "standby did not promote" 0 (Ha.failovers ha_b);
+      Alcotest.(check int) "participant still aborted" 0 (depth r);
+      (* The primary returns; its resync replaces the standby's records. *)
+      Net.heal net "siteA" "siteB";
+      let resyncs = Ha.resyncs ha_a in
+      Site.restart a;
+      wait_until (fun () -> Ha.resyncs ha_a > resyncs);
+      Alcotest.(check int) "standby resynced" (resyncs + 1) (Ha.resyncs ha_a);
+      Alcotest.(check int) "standby dropped the lost commit" 0 (depth b);
+      Sched.sleep 5.0;
+      Alcotest.(check int) "participant aborted exactly once" 0 (depth r);
+      Alcotest.(check int) "nothing in doubt" 0 (List.length (Qm.in_doubt (Site.qm r))))
+
 let ha_suite =
   [
     Alcotest.test_case "sync ship mirrors queue state" `Quick
@@ -217,6 +390,14 @@ let ha_suite =
       `Quick test_idle_restarted_standby_still_promotes;
     Alcotest.test_case "resync snapshot carries a pending decision" `Quick
       test_snapshot_carries_pending_decision;
+    Alcotest.test_case "unsynced standby refuses a ship, primary resyncs" `Quick
+      test_unsynced_standby_refuses_ship;
+    Alcotest.test_case "overtaken ship round applied in LSN order" `Quick
+      test_overtaken_round_applied_in_order;
+    Alcotest.test_case "standby ahead of a rejoined primary never promotes"
+      `Quick test_standby_ahead_never_promotes;
+    Alcotest.test_case "batch waiting across a resync is refused" `Quick
+      test_waiting_batch_dropped_by_resync;
   ]
 
 (* --- failover: the scenario world under kills around every HA step ------- *)

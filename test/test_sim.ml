@@ -252,6 +252,51 @@ let test_many_fibers () =
   in
   Alcotest.(check int) "all delivered" (n * (n + 1) / 2) !total
 
+(* The scheduler forgets a fiber once it finishes, dies or is killed: a
+   long run that spawns a fiber per RPC must not keep every one it ever
+   had. 100k fibers, in waves of 100, half finishing and half killed with
+   their group while blocked, leave the scheduler's live heap as it was. *)
+let test_fiber_table_bounded () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let s = Sched.create ~trace_limit:0 () in
+  let before = live_words () in
+  ignore
+    (Sched.spawn s ~name:"spawner" (fun () ->
+         for _ = 1 to 1000 do
+           for i = 1 to 100 do
+             let group = if i mod 2 = 0 then "doomed" else "done" in
+             ignore
+               (Sched.spawn s ~group ~name:"f" (fun () ->
+                    if group = "doomed" then Sched.suspend (fun _ _ -> ())))
+           done;
+           Sched.yield ();
+           Sched.kill_group s "doomed"
+         done;
+         ignore (Sched.fork ~name:"last" (fun () -> Sched.sleep 1.0))));
+  Sched.run s;
+  let after = live_words () in
+  Alcotest.(check (list string)) "nothing left alive" [] (Sched.live_fibers s);
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew %d words over 100k fibers" (after - before))
+    true
+    (after - before < 20_000)
+
+let test_live_fibers_in_spawn_order () =
+  let s = Sched.create () in
+  let c : int Chan.t = Chan.create () in
+  List.iter
+    (fun (name, group) ->
+      ignore (Sched.spawn s ~group ~name (fun () -> ignore (Chan.recv c))))
+    [ ("a", "x"); ("b", "y"); ("c", "x"); ("d", "y"); ("e", "x") ];
+  ignore (Sched.spawn s ~name:"quick" (fun () -> ()));
+  Sched.run s;
+  Sched.kill_group s "y";
+  Alcotest.(check (list string)) "spawn order, killed and finished gone"
+    [ "a"; "c"; "e" ] (Sched.live_fibers s)
+
 let suite =
   [
     Alcotest.test_case "sleep ordering" `Quick test_sleep_order;
@@ -273,6 +318,10 @@ let suite =
     Alcotest.test_case "live fibers reports blocked" `Quick
       test_live_fibers_reports_blocked;
     Alcotest.test_case "many fibers" `Quick test_many_fibers;
+    Alcotest.test_case "fiber table bounded by the live set" `Quick
+      test_fiber_table_bounded;
+    Alcotest.test_case "live fibers in spawn order" `Quick
+      test_live_fibers_in_spawn_order;
   ]
 
 let () = Alcotest.run "rrq-sim" [ ("sched", suite) ]
