@@ -7,6 +7,7 @@ module Group_commit = Rrq_wal.Group_commit
 module Node_log = Rrq_txn.Node_log
 module Tm = Rrq_txn.Tm
 module Qm = Rrq_qm.Qm
+module Kvdb = Rrq_kvdb.Kvdb
 
 type role = Primary | Standby
 
@@ -318,6 +319,11 @@ let promote t =
        not replayed, so promotion pays a scan at recovery bandwidth. *)
     Sched.sleep (float_of_int t.applied_bytes /. t.replay_bytes_per_sec);
   Qm.bump_incarnation (Site.qm t.site);
+  (* The primary's in-doubt work (its staged records' sections, remote
+     coordinators' prepares) must stay invisible to the servers that start
+     here. *)
+  Qm.relock_in_doubt (Site.qm t.site);
+  Kvdb.relock_in_doubt (Site.kv t.site);
   become_serving t
 
 (* Standby-side monitor: probe the primary every [hb_every]; after

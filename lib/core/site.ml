@@ -67,13 +67,17 @@ type Net.payload +=
       body : string;
     }
   | Q_dequeue_tx of { id : Txid.t; queue : string; filter : Filter.t }
+  | R_tx_eid of { eid : int64; inc : int }
+  | R_tx_element of { elem : elem_view option; inc : int }
   | T_decision of Txid.t
   | R_decision of [ `Committed | `Aborted | `Pending ]
   | T_force_abort of Txid.t
-  | RM_prepare of { rm : string; id : Txid.t; coordinator : string }
+  | RM_prepare of { rm : string; id : Txid.t; coordinator : string; inc : int }
   | RM_commit of { rm : string; id : Txid.t }
   | RM_abort of { rm : string; id : Txid.t }
-  | RM_has_work of { rm : string; id : Txid.t }
+  | RM_status of { rm : string; id : Txid.t }
+  | R_status of Tm.rm_status
+  | RM_forget of { rm : string; ids : Txid.t list }
 
 exception Aborted of string
 
@@ -128,33 +132,63 @@ let rm_node rm_name =
   | Some i -> String.sub rm_name (i + 1) (String.length rm_name - i - 1)
   | None -> rm_name
 
-let remote_participant t ~rm_name =
+(* [inc] is the incarnation the remote node reported with the
+   operation that made it a participant; the prepare carries it back to
+   that node. The other requests go to whichever of the RM's repository
+   candidates serves now (a standby refuses them): after a failover that
+   is the promoted standby, which holds the RM's log. *)
+let proxy t ~rm_name ~inc =
   let dst = rm_node rm_name in
-  let rpc msg =
-    try Some (Net.call t.site_node ~dst ~service:"rm" msg)
-    with Net.Rpc_timeout | Net.Service_error _ -> None
+  let serving ?timeout msg =
+    let rec ask = function
+      | [] -> None
+      | node :: rest -> (
+        match Net.call t.site_node ?timeout ~dst:node ~service:"rm" msg with
+        | reply -> Some reply
+        | exception (Net.Rpc_timeout | Net.Service_error _) -> ask rest)
+    in
+    ask (t.candidates dst)
   in
   {
     Tm.part_name = rm_name;
     p_local = None;
     p_prepare =
       (fun id ~coordinator ->
-        match rpc (RM_prepare { rm = rm_name; id; coordinator }) with
-        | Some (R_bool b) -> b
-        | Some _ | None -> false);
+        let reply =
+          Net.call_async t.site_node ~dst ~service:"rm"
+            (RM_prepare { rm = rm_name; id; coordinator; inc })
+        in
+        fun () ->
+          match reply () with
+          | R_bool b -> b
+          | _ -> false
+          | exception (Net.Rpc_timeout | Net.Service_error _) -> false);
     p_commit =
       (fun id ->
         (* The rm service answers once the commit record is durable. *)
-        match rpc (RM_commit { rm = rm_name; id }) with
+        match serving (RM_commit { rm = rm_name; id }) with
         | Some (R_bool b) -> b
         | Some _ | None -> false);
-    p_abort = (fun id -> ignore (rpc (RM_abort { rm = rm_name; id })));
+    p_abort = (fun id -> ignore (serving (RM_abort { rm = rm_name; id })));
     p_has_work = (fun _ -> true) (* only joined after a successful remote op *);
+    p_status =
+      (fun id ->
+        match serving ~timeout:1.0 (RM_status { rm = rm_name; id }) with
+        | Some (R_status s) -> Some s
+        | Some _ | None -> None);
+    p_forget =
+      (fun ids -> Net.cast t.site_node ~dst ~service:"rm" (RM_forget { rm = rm_name; ids }));
   }
 
+(* A proxy rebuilt by name carries no incarnation: it redelivers, asks and
+   aborts, and a prepare through it votes no. *)
+let remote_participant t ~rm_name = proxy t ~rm_name ~inc:(-1)
+
+(* This site's RMs, also under the names of the peers it answers for. *)
 let local_participant t rm_name =
-  if rm_name = qm_rm_name t then Some (Qm.participant t.s_qm)
-  else if rm_name = kv_rm_name t then Some (Kvdb.participant t.s_kv)
+  if not (is_local_name t (rm_node rm_name)) then None
+  else if String.starts_with ~prefix:"qm@" rm_name then Some (Qm.participant t.s_qm)
+  else if String.starts_with ~prefix:"kv@" rm_name then Some (Kvdb.participant t.s_kv)
   else None
 
 (* ---- services -------------------------------------------------------- *)
@@ -230,30 +264,39 @@ let qm_tx_service t msg =
       Qm.register qm ~queue ~registrant:("pipeline@" ^ queue) ~stable:false
     in
     let eid = Qm.enqueue qm id h ~props ~priority body in
-    R_eid eid
+    R_tx_eid { eid; inc = Qm.incarnation qm }
   | Q_dequeue_tx { id; queue; filter } ->
     let qm = t.s_qm in
     let h, _ =
       Qm.register qm ~queue ~registrant:("pipeline@" ^ queue) ~stable:false
     in
     let el = Qm.dequeue qm id h ~filter Qm.No_wait in
-    R_element (Option.map view_of_element el)
+    R_tx_element { elem = Option.map view_of_element el; inc = Qm.incarnation qm }
   | _ -> raise (Invalid_argument "qm-tx service: unexpected message")
 
+(* A standby's RMs change only by shipping: it refuses every request,
+   and the caller tries the next candidate. *)
 let rm_service t msg =
+  standby_guard t;
   let find rm =
     match local_participant t rm with
     | Some p -> p
     | None -> raise (Invalid_argument ("unknown rm " ^ rm))
   in
   match msg with
-  | RM_prepare { rm; id; coordinator } ->
-    R_bool ((find rm).Tm.p_prepare id ~coordinator)
+  | RM_prepare { rm; id; coordinator; inc } ->
+    (* The work was buffered in incarnation [inc]; a restart since lost
+       it, even if later operations rebuilt part of the workspace. *)
+    R_bool (inc = Qm.incarnation t.s_qm && (find rm).Tm.p_prepare id ~coordinator ())
   | RM_commit { rm; id } -> R_bool ((find rm).Tm.p_commit id)
   | RM_abort { rm; id } ->
     (find rm).Tm.p_abort id;
     Net.Ack
-  | RM_has_work { rm; id } -> R_bool ((find rm).Tm.p_has_work id)
+  | RM_status { rm; id } ->
+    R_status (Option.value ~default:`Unknown ((find rm).Tm.p_status id))
+  | RM_forget { rm; ids } ->
+    (find rm).Tm.p_forget ids;
+    Net.Ack
   | _ -> raise (Invalid_argument "rm service: unexpected message")
 
 let tm_service t msg =
@@ -263,6 +306,29 @@ let tm_service t msg =
   | _ -> raise (Invalid_argument "tm service: unexpected message")
 
 (* ---- daemons --------------------------------------------------------- *)
+
+(* A commit still remembered a second later has lost its forget (a dropped
+   message, a coordinator crash): ask the coordinator, and forget it once
+   the outcome is no longer pending there, i.e. its decision record is
+   durable. Returns what is remembered now, for the next round. *)
+let release_leaked t seen =
+  let remembered =
+    List.sort_uniq Txid.compare (Qm.remembered t.s_qm @ Kvdb.remembered t.s_kv)
+  in
+  List.iter
+    (fun id ->
+      if List.exists (Txid.equal id) seen then
+        match
+          Net.call t.site_node ~timeout:1.0 ~dst:id.Txid.origin ~service:"tm"
+            (T_decision id)
+        with
+        | R_decision (`Committed | `Aborted) ->
+          (Qm.participant t.s_qm).Tm.p_forget [ id ];
+          (Kvdb.participant t.s_kv).Tm.p_forget [ id ]
+        | _ -> ()
+        | exception (Net.Rpc_timeout | Net.Service_error _) -> ())
+    remembered;
+  remembered
 
 (* Resolve recovered in-doubt transactions by asking their coordinators;
    presumed abort when the coordinator has no record. *)
@@ -281,26 +347,33 @@ let resolver_daemon t () =
      reply enqueue) and the coordinator crashed before deciding. Only this
      poller ever resolves that doubt, so it keeps polling for the node's
      lifetime rather than exiting once the recovery-time entries drain. *)
-  let rec loop () =
-    if not t.standby then begin
-      (* A standby's in-doubt entries come from shipped prepares whose
-         outcomes the primary resolves and ships; presumed-abort
-         resolution here would diverge from the primary. *)
-      let resolve p in_doubt =
-        List.iter
-          (fun entry ->
-            resolve_one entry
-              ~commit:(fun id -> ignore (p.Tm.p_commit id))
-              ~abort:p.Tm.p_abort)
-          in_doubt
-      in
-      resolve (Qm.participant t.s_qm) (Qm.in_doubt t.s_qm);
-      resolve (Kvdb.participant t.s_kv) (Kvdb.in_doubt t.s_kv)
-    end;
+  let rec loop seen =
+    let seen =
+      if t.standby then []
+      else begin
+        (* A standby's in-doubt entries come from shipped prepares whose
+           outcomes the primary resolves and ships; presumed-abort
+           resolution here would diverge from the primary. The in-doubt
+           sections of this node's own staged records are its TM's to
+           resolve (Tm.recover_pending). *)
+        let resolve p in_doubt =
+          List.iter
+            (fun ((_, coord) as entry) ->
+              if not (is_local_name t coord) then
+                resolve_one entry
+                  ~commit:(fun id -> ignore (p.Tm.p_commit id))
+                  ~abort:p.Tm.p_abort)
+            in_doubt
+        in
+        resolve (Qm.participant t.s_qm) (Qm.in_doubt t.s_qm);
+        resolve (Kvdb.participant t.s_kv) (Kvdb.in_doubt t.s_kv);
+        release_leaked t seen
+      end
+    in
     Sched.sleep_background 1.0;
-    loop ()
+    loop seen
   in
-  loop ()
+  loop []
 
 let janitor_daemon t () =
   let rec loop () =
@@ -338,12 +411,18 @@ let boot_site t nd =
      its coordinator lives (paper §7). *)
   Qm.set_abort_callback qm (fun id ->
       if id.Txid.origin = name then ignore (Tm.force_abort tm id)
-      else
+      else begin
+        (* Gone before the call yields, so a prepare from the remote
+           coordinator meanwhile votes no. *)
+        (Qm.participant qm).Tm.p_abort id;
         try
           ignore
             (Net.call nd ~dst:id.Txid.origin ~service:"tm" (T_force_abort id))
-        with Net.Rpc_timeout | Net.Service_error _ -> ());
-  Tm.set_resolver tm (fun rm_name ->
+        with Net.Rpc_timeout | Net.Service_error _ -> ()
+      end);
+  Tm.set_resolver tm
+    ~locals:[ Qm.participant qm; Kvdb.participant kv ]
+    (fun rm_name ->
       match local_participant t rm_name with
       | Some p -> Some p
       | None -> Some (remote_participant t ~rm_name));
@@ -427,9 +506,9 @@ let remote_dequeue t txn ~dst ~queue ~filter =
       Net.call t.site_node ~dst ~service:"qm-tx"
         (Q_dequeue_tx { id = Tm.txn_id txn; queue; filter })
     with
-    | R_element v ->
-      if v <> None then Tm.join txn (remote_participant t ~rm_name:("qm@" ^ dst));
-      v
+    | R_tx_element { elem; inc } ->
+      if elem <> None then Tm.join txn (proxy t ~rm_name:("qm@" ^ dst) ~inc);
+      elem
     | _ -> raise (Aborted "remote dequeue: unexpected reply")
     | exception (Net.Rpc_timeout | Net.Service_error _) ->
       raise (Aborted ("remote dequeue from " ^ dst ^ " failed"))
@@ -452,7 +531,7 @@ let remote_enqueue t txn ~dst ~queue ?(props = []) ?(priority = 0) body =
           Net.call t.site_node ~dst:node ~service:"qm-tx"
             (Q_enqueue_tx { id = Tm.txn_id txn; queue; props; priority; body })
         with
-        | R_eid _ -> Tm.join txn (remote_participant t ~rm_name:("qm@" ^ node))
+        | R_tx_eid { inc; _ } -> Tm.join txn (proxy t ~rm_name:("qm@" ^ node) ~inc)
         | _ -> raise (Aborted "remote enqueue: unexpected reply")
         | exception (Net.Rpc_timeout | Net.Service_error _) ->
           (* The remote may or may not hold the buffered op; if it does,

@@ -4,8 +4,8 @@
 
     The three components share one node log ({!Rrq_txn.Node_log}), so a
     transaction that touches only this site's QM and KV commits with one
-    record and one force; two-phase commit is left for participants on
-    other sites.
+    record and one force; participants on other sites commit by the TM's
+    parallel commit.
 
     The site's boot procedure (run at creation and after every restart)
     re-opens the node log and its three recoverable components, re-creates
@@ -15,7 +15,9 @@
     - the TM's commit-redelivery fibers for logged-but-unacknowledged
       decisions (a standby leaves its decisions to promotion);
     - an in-doubt resolver that asks each prepared transaction's
-      coordinator for its fate (presumed abort on no record);
+      coordinator for its fate (abort on no record), leaving the sections
+      of this node's own staged records to its TM, and asks about commits
+      it has remembered for over a second (their forget was lost);
     - a janitor that unilaterally aborts stale unprepared workspaces (a
       dequeuer whose node died must not pin its element forever) and takes
       periodic checkpoints of the node log.
@@ -26,7 +28,9 @@
       read-last, kill, deregister);
     - ["qm-tx"]: transactional remote enqueue (a pipeline stage pushing to
       the next site's queue inside its transaction);
-    - ["rm"]: two-phase-commit participation for this site's QM and KV;
+    - ["rm"]: commit participation for this site's QM and KV: prepare,
+      commit, abort, a recovering coordinator's status query and
+      forgets;
     - ["tm"]: coordinator decision queries and remote force-abort. *)
 
 type t
@@ -115,7 +119,11 @@ val remote_enqueue :
     @raise Aborted if no candidate accepts. *)
 
 val remote_participant : t -> rm_name:string -> Rrq_txn.Tm.participant
-(** 2PC proxy for a resource manager named "kind\@node" on another site. *)
+(** Commit proxy for a resource manager named "kind\@node" on another
+    site, rebuilt by name (for redelivery and recovery). It carries no
+    incarnation, so a prepare through it votes no: a participant joins a
+    transaction through the operation that did its work
+    ({!remote_enqueue}, {!remote_dequeue}). *)
 
 (** {1 Element views (wire-friendly copies)} *)
 
@@ -185,13 +193,27 @@ type Rrq_net.Net.payload +=
       queue : string;
       filter : Rrq_qm.Filter.t;
     }
+  | R_tx_eid of { eid : int64; inc : int }
+      (** A transactional operation's reply carries the QM's incarnation
+          ({!Rrq_qm.Qm.incarnation}), which the prepare repeats. *)
+  | R_tx_element of { elem : elem_view option; inc : int }
   | T_decision of Rrq_txn.Txid.t
   | R_decision of [ `Committed | `Aborted | `Pending ]
   | T_force_abort of Rrq_txn.Txid.t
-  | RM_prepare of { rm : string; id : Rrq_txn.Txid.t; coordinator : string }
+  | RM_prepare of {
+      rm : string;
+      id : Rrq_txn.Txid.t;
+      coordinator : string;
+      inc : int;  (** Votes no unless the RM's node is still in it. *)
+    }
   | RM_commit of { rm : string; id : Rrq_txn.Txid.t }
   | RM_abort of { rm : string; id : Rrq_txn.Txid.t }
-  | RM_has_work of { rm : string; id : Rrq_txn.Txid.t }
+  | RM_status of { rm : string; id : Rrq_txn.Txid.t }
+      (** A recovering coordinator's question ({!Rrq_txn.Tm.participant}'s
+          [p_status]); answered with [R_status]. *)
+  | R_status of Rrq_txn.Tm.rm_status
+  | RM_forget of { rm : string; ids : Rrq_txn.Txid.t list }
+      (** One-way: these commits' decision records are durable. *)
 
 val clerk_service : t -> Rrq_net.Net.payload -> Rrq_net.Net.payload
 (** The ["qm"] service body: one clerk-facing queue operation against this

@@ -128,33 +128,52 @@ let release_locks t id =
 
 (* The workspace as a part of a commit record; the locks go once it is
    durable. *)
-let stage t id =
-  { (Base.stage t id) with Rrq_txn.Node_log.durable = (fun () -> release_locks t id) }
+let with_release t id (p : Rrq_txn.Node_log.part) =
+  { p with Rrq_txn.Node_log.durable = (fun () -> release_locks t id) }
+
+let stage t id = with_release t id (Base.stage t id)
+
+let abort t id =
+  Base.abort t id;
+  Lock.cancel_waits (Base.state t).State.locks id;
+  release_locks t id
 
 let participant t =
   {
     Tm.part_name = Base.name t;
-    p_local = Some (Base.log t, stage t);
+    p_local =
+      Some
+        {
+          Tm.l_log = Base.log t;
+          l_stage = stage t;
+          (* Locks are retained while in doubt. *)
+          l_prepare = Base.prepare_part t;
+          l_decide = (fun id -> with_release t id (Base.decide_part t id));
+        };
     p_prepare =
       (fun id ~coordinator ->
-        (* Locks are retained while in doubt. *)
-        Base.prepare t id ~coordinator);
+        let yes = Base.prepare t id ~coordinator in
+        fun () -> yes);
     p_commit =
       (fun id ->
         Base.commit_prepared t id;
         release_locks t id;
         true);
-    p_abort =
-      (fun id ->
-        Base.abort t id;
-        Lock.cancel_waits (Base.state t).State.locks id;
-        release_locks t id);
+    p_abort = abort t;
     p_has_work = (fun id -> Base.has_workspace t id || Base.is_prepared t id);
+    p_status =
+      (fun id ->
+        let s = Base.status t id in
+        if s = `Unknown then abort t id;
+        Some s);
+    p_forget = Base.forget t;
   }
 
 let commit t id = Rrq_txn.Node_log.commit (Base.log t) [ stage t id ]
 
 let in_doubt = Base.in_doubt
+let relock_in_doubt = Base.relock_in_doubt
+let remembered = Base.remembered
 
 let committed_value t key = Hashtbl.find_opt (Base.state t).State.data key
 

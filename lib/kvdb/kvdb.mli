@@ -61,6 +61,14 @@ val in_doubt : t -> (Rrq_txn.Txid.t * string) list
 (** Prepared-but-unresolved transactions with their coordinator names; the
     hosting node's resolver daemon polls the coordinators for these. *)
 
+val relock_in_doubt : t -> unit
+(** Re-take the locks of in-doubt transactions: a promoted standby's
+    replay did not. *)
+
+val remembered : t -> Rrq_txn.Txid.t list
+(** Transactions committed for a remote coordinator that has not yet
+    reported its decision record durable. *)
+
 val committed_value : t -> string -> string option
 (** Read the committed state directly, without locks or a transaction —
     for audits and tests, not for servers. *)

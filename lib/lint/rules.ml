@@ -741,12 +741,14 @@ let r8_prim c =
   | Some "Net", ("call" | "cast") -> `Hard
   | _ -> `No
 
-(* Appends of recovery-optional bookkeeping whose loss is unobservable:
-   the TM's END record (Tm.log_end) is appended after the commit decision
-   was already forced, purely to let recovery skip resolved transactions —
-   the paper's own lazy-END optimization. Chasing that taint upward would
-   mark every committed transaction undurable forever. *)
-let r8_lazy = [ "Tm.log_end" ]
+(* Node_log.append is the one unforced append, and its contract is that a
+   crash losing the record is recoverable: the TM's END record (the
+   paper's lazy-END optimization), a parallel commit's decision record
+   (the commit point is the forced staged record plus the participants'
+   votes, which recovery asks for) and a participant's forgets. Chasing
+   that taint upward would mark every committed transaction undurable
+   forever. *)
+let r8_lazy = [ "Node_log.append" ]
 
 let r8_targets cg c =
   List.filter

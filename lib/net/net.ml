@@ -132,7 +132,8 @@ let run_service dst ~service ~request reply_k =
            in
            reply_k reply))
 
-let call src ?(timeout = 5.0) ~dst ~service request =
+(* Send a request; its reply (if any) fills the returned cell. *)
+let send_request src ~dst ~service request =
   let t = src.net in
   t.next_rpc <- t.next_rpc + 1;
   let rpc_id = t.next_rpc in
@@ -142,12 +143,23 @@ let call src ?(timeout = 5.0) ~dst ~service request =
       run_service dnode ~service ~request (fun reply ->
           transmit t ~src:dnode.nname ~dst:src.nname (fun _src_node ->
               Ivar.fill iv reply)));
+  (rpc_id, iv)
+
+let await_reply src (rpc_id, iv) timeout =
   let result = Ivar.read_timeout iv timeout in
   Hashtbl.remove src.pending rpc_id;
   match result with
   | None -> raise Rpc_timeout
   | Some (Ok_reply v) -> v
   | Some (Err_reply msg) -> raise (Service_error msg)
+
+let call src ?(timeout = 5.0) ~dst ~service request =
+  await_reply src (send_request src ~dst ~service request) timeout
+
+let call_async src ?(timeout = 5.0) ~dst ~service request =
+  let deadline = Sched.now src.net.tsched +. timeout in
+  let sent = send_request src ~dst ~service request in
+  fun () -> await_reply src sent (Float.max 0.0 (deadline -. Sched.now src.net.tsched))
 
 let cast src ~dst ~service request =
   transmit src.net ~src:src.nname ~dst (fun dnode ->

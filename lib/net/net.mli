@@ -97,6 +97,13 @@ val call :
     @raise Rpc_timeout
     @raise Service_error *)
 
+val call_async :
+  node -> ?timeout:float -> dst:string -> service:string -> payload ->
+  unit -> payload
+(** Send the request now and return how to wait for its reply: {!call}
+    split in two, so a caller can overlap the round trip with its own
+    work. The timeout runs from the send. *)
+
 val cast : node -> dst:string -> service:string -> payload -> unit
 (** One-way message: no reply, no delivery guarantee (the paper's
     "one-way message" Send optimization, §5). *)

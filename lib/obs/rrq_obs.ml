@@ -215,6 +215,9 @@ module Event = struct
     | Txn_begin of { tm : string; txid : string }
     | Txn_commit of { tm : string; txid : string }
     | Txn_abort of { tm : string; txid : string }
+    | Txn_staged of { tm : string; txid : string }
+    | Txn_vote of { tm : string; txid : string; rm : string; yes : bool }
+    | Txn_resolve of { tm : string; txid : string; commit : bool }
     | Wal_append of { wal : string; lsn : int; bytes : int }
     | Wal_force of { wal : string; lsn : int }
     | Batch_seal of { wal : string; batch : int; reason : string }
@@ -263,6 +266,13 @@ module Event = struct
     | Txn_begin { tm; txid } -> ("begin", [ ("tm", tm); ("txid", txid) ])
     | Txn_commit { tm; txid } -> ("commit", [ ("tm", tm); ("txid", txid) ])
     | Txn_abort { tm; txid } -> ("abort", [ ("tm", tm); ("txid", txid) ])
+    | Txn_staged { tm; txid } -> ("staged", [ ("tm", tm); ("txid", txid) ])
+    | Txn_vote { tm; txid; rm; yes } ->
+      ( "vote",
+        [ ("tm", tm); ("txid", txid); ("rm", rm); ("yes", string_of_bool yes) ] )
+    | Txn_resolve { tm; txid; commit } ->
+      ( "resolve",
+        [ ("tm", tm); ("txid", txid); ("commit", string_of_bool commit) ] )
     | Wal_append { wal; lsn; bytes } ->
       ( "wappend",
         [ ("wal", wal); ("lsn", string_of_int lsn); ("bytes", string_of_int bytes) ]
@@ -368,6 +378,11 @@ module Event = struct
     | [ "begin"; tm; txid ] -> Txn_begin { tm; txid }
     | [ "commit"; tm; txid ] -> Txn_commit { tm; txid }
     | [ "abort"; tm; txid ] -> Txn_abort { tm; txid }
+    | [ "staged"; tm; txid ] -> Txn_staged { tm; txid }
+    | [ "vote"; tm; txid; rm; yes ] ->
+      Txn_vote { tm; txid; rm; yes = bool_of_string yes }
+    | [ "resolve"; tm; txid; commit ] ->
+      Txn_resolve { tm; txid; commit = bool_of_string commit }
     | [ "wappend"; wal; lsn; bytes ] ->
       Wal_append { wal; lsn = int_of_string lsn; bytes = int_of_string bytes }
     | [ "wforce"; wal; lsn ] -> Wal_force { wal; lsn = int_of_string lsn }
@@ -391,7 +406,8 @@ module Event = struct
     | _ -> failwith ("Rrq_obs.Event.of_string: unparseable event: " ^ s)
 
   (* Numeric-looking fields stay numeric in JSON for easy jq filtering. *)
-  let numeric_fields = [ "lsn"; "bytes"; "batch"; "hit"; "found"; "version" ]
+  let numeric_fields =
+    [ "lsn"; "bytes"; "batch"; "hit"; "found"; "version"; "yes"; "commit" ]
 
   let to_json_line ~ts t =
     let kind, fs = fields t in

@@ -97,6 +97,14 @@ module Event : sig
     | Txn_begin of { tm : string; txid : string }
     | Txn_commit of { tm : string; txid : string }
     | Txn_abort of { tm : string; txid : string }
+    | Txn_staged of { tm : string; txid : string }
+        (** A parallel commit's staged record is durable (its votes may
+            still be outstanding). *)
+    | Txn_vote of { tm : string; txid : string; rm : string; yes : bool }
+        (** A remote participant's vote reached the coordinator. *)
+    | Txn_resolve of { tm : string; txid : string; commit : bool }
+        (** Recovery resolved a staged transaction that had no decision
+            record, after asking every participant. *)
     | Wal_append of { wal : string; lsn : int; bytes : int }
     | Wal_force of { wal : string; lsn : int }
     | Batch_seal of { wal : string; batch : int; reason : string }

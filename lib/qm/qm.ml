@@ -123,11 +123,10 @@ type t = {
   regs : (string * string, reg) Hashtbl.t;
   locks : Lock.t;
   workspaces : (Txid.t, ws) Hashtbl.t;
-  (* Workspaces a TM took for its commit record and has not written yet
-     (it may still be waiting for remote votes): out of [abort_stale]'s
-     reach, and what [abort] restores if the votes go against it. *)
-  staged : (Txid.t, ws_op list) Hashtbl.t;
   prepared : (Txid.t, prep) Hashtbl.t;
+  (* Transactions committed for a remote coordinator whose decision record
+     may not be durable yet: recovery there asks this QM. *)
+  remembered : (Txid.t, unit) Hashtbl.t;
   triggers : (string, trigger list) Hashtbl.t;
   mutable incarnations : int;
   mutable next_eid_low : int64;
@@ -291,12 +290,18 @@ let decode_ws_op d =
   let op_redo = decode_redo d in
   { op_redo; op_errq }
 
-(* Section kinds (framing around redo lists). *)
+(* Section kinds (framing around redo lists). The resolutions of an
+   in-doubt transaction carry only its txid: [k_commit] inside its
+   coordinator's decision record, [k_commit_kept] for a remote
+   coordinator's commit, remembered until a [k_forget] section (a list of
+   txids), and [k_abort]. *)
 let k_one_phase = 1
 let k_prepare = 2
 let k_commit = 3
 let k_abort = 4
 let k_now = 5
+let k_commit_kept = 6
+let k_forget = 7
 
 let encode_record_into e kind txid_opt coordinator ops =
   Codec.u8 e kind;
@@ -305,16 +310,17 @@ let encode_record_into e kind txid_opt coordinator ops =
   Codec.list encode_ws_op e ops;
   e
 
-let encode_record kind txid_opt coordinator ops =
-  encode_record_into (Codec.encoder ()) kind txid_opt coordinator ops
+let encode_resolution kind id =
+  let e = Codec.encoder () in
+  Codec.u8 e kind;
+  Txid.encode e id;
+  e
 
-let decode_record payload =
-  let d = Codec.decoder payload in
-  let kind = Codec.get_u8 d in
-  let txid = Codec.get_option Txid.decode d in
-  let coordinator = Codec.get_string d in
-  let ops = Codec.get_list decode_ws_op d in
-  (kind, txid, coordinator, ops)
+let encode_forget ids =
+  let e = Codec.encoder () in
+  Codec.u8 e k_forget;
+  Codec.list Txid.encode e ids;
+  e
 
 (* ---- state helpers -------------------------------------------------- *)
 
@@ -716,6 +722,7 @@ let encode_snapshot t =
       Codec.list encode_ws_op e
         (List.filter (fun op -> redo_is_stable t op.op_redo) p.p_ops))
     t.prepared;
+  Codec.list Txid.encode e (Hashtbl.fold (fun id () acc -> id :: acc) t.remembered []);
   Codec.to_string e
 
 let restore_snapshot t snap =
@@ -756,38 +763,44 @@ let restore_snapshot t snap =
     let coord = Codec.get_string d in
     let ops = Codec.get_list decode_ws_op d in
     Hashtbl.replace t.prepared id { p_coord = coord; p_ops = ops }
-  done
+  done;
+  List.iter
+    (fun id -> Hashtbl.replace t.remembered id ())
+    (Codec.get_list Txid.decode d)
+
+(* Apply an in-doubt transaction, remembering it for [k_commit_kept]. *)
+let resolve_commit t id ~keep =
+  match Hashtbl.find_opt t.prepared id with
+  | Some p ->
+    List.iter (fun op -> apply t op.op_redo) p.p_ops;
+    Hashtbl.remove t.prepared id;
+    if keep then Hashtbl.replace t.remembered id ()
+  | None -> ()
 
 let replay_record t payload =
-  let kind, txid, coordinator, ops = decode_record payload in
-  if kind = k_one_phase || kind = k_now then
-    List.iter (fun op -> apply t op.op_redo) ops
-  else if kind = k_prepare then begin
-    match txid with
-    | Some id -> Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops }
-    | None -> failwith "qm: prepare record without txid"
+  let d = Codec.decoder payload in
+  let kind = Codec.get_u8 d in
+  if kind = k_forget then
+    List.iter (Hashtbl.remove t.remembered) (Codec.get_list Txid.decode d)
+  else if kind = k_commit || kind = k_commit_kept then
+    resolve_commit t (Txid.decode d) ~keep:(kind = k_commit_kept)
+  else if kind = k_abort then Hashtbl.remove t.prepared (Txid.decode d)
+  else begin
+    let txid = Codec.get_option Txid.decode d in
+    let coordinator = Codec.get_string d in
+    let ops = Codec.get_list decode_ws_op d in
+    if kind = k_one_phase || kind = k_now then
+      List.iter (fun op -> apply t op.op_redo) ops
+    else
+      match txid with
+      | Some id when kind = k_prepare ->
+        Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops }
+      | _ -> failwith (Printf.sprintf "qm: bad record kind %d" kind)
   end
-  else if kind = k_commit then begin
-    match txid with
-    | Some id -> begin
-      match Hashtbl.find_opt t.prepared id with
-      | Some p ->
-        List.iter (fun op -> apply t op.op_redo) p.p_ops;
-        Hashtbl.remove t.prepared id
-      | None -> ()
-    end
-    | None -> failwith "qm: commit record without txid"
-  end
-  else if kind = k_abort then begin
-    match txid with
-    | Some id -> Hashtbl.remove t.prepared id
-    | None -> failwith "qm: abort record without txid"
-  end
-  else failwith (Printf.sprintf "qm: unknown record kind %d" kind)
 
 (* Re-assert the volatile exclusions of in-doubt transactions: dequeued
    elements stay locked, strict-FIFO queue locks are re-taken. *)
-let relock_prepared t =
+let relock_in_doubt t =
   Hashtbl.iter
     (fun id p ->
       List.iter
@@ -846,8 +859,8 @@ let install t snap =
   Eidtbl.reset t.index;
   Hashtbl.reset t.regs;
   Hashtbl.reset t.workspaces;
-  Hashtbl.reset t.staged;
   Hashtbl.reset t.prepared;
+  Hashtbl.reset t.remembered;
   t.ws_cache <- None;
   Option.iter (fun snap -> replaying t (fun () -> restore_snapshot t snap)) snap
 
@@ -861,8 +874,8 @@ let attach ?(triggers = []) log ~name:qm_name =
       regs = Hashtbl.create 32;
       locks = Lock.create ~name:"qm" ();
       workspaces = Hashtbl.create 16;
-      staged = Hashtbl.create 8;
       prepared = Hashtbl.create 8;
+      remembered = Hashtbl.create 8;
       triggers = Hashtbl.create 4;
       incarnations = 0;
       next_eid_low = 0L;
@@ -897,7 +910,7 @@ let attach ?(triggers = []) log ~name:qm_name =
   in
   Option.iter (restore_snapshot t) snap;
   List.iter (replay_record t) records;
-  relock_prepared t;
+  relock_in_doubt t;
   t.replaying <- false;
   (* Bump the incarnation durably so eids and auto-txids never repeat. *)
   log_now t [ { op_redo = RIncarnation; op_errq = None } ];
@@ -1227,34 +1240,22 @@ let release_locks t id =
   Lock.release_all t.locks id
 
 (* The workspace as a part of a commit record; the locks go once it is
-   durable. With [staged] (a TM's commit, which may wait for remote votes
-   between staging and writing the record), the ops stay restorable by
-   [abort] until the record is applied. *)
-let stage ?(staged = false) t id =
+   durable. *)
+let stage t id =
   match ws_find t id with
   | None -> part ~durable:(fun () -> release_locks t id) ()
   | Some ws ->
     ws_remove t id;
-    let ops = List.rev ws.ops in
-    if staged then Hashtbl.replace t.staged id ops;
-    let p = commit_part t ~txid:id ~scratch:(not staged) ops in
-    {
-      p with
-      apply =
-        (fun () ->
-          if staged then Hashtbl.remove t.staged id;
-          p.apply ());
-      durable =
-        (fun () ->
-          p.durable ();
-          release_locks t id);
-    }
+    let p = commit_part t ~txid:id (List.rev ws.ops) in
+    { p with durable = (fun () -> p.durable (); release_locks t id) }
 
 let commit t id = Node_log.commit t.log [ stage t id ]
 
-let prepare t id ~coordinator =
+(* The workspace as an in-doubt section, for a parallel commit's staged
+   record or a prepare record of its own. Locks stay held. *)
+let prepare_part t id ~coordinator =
   match ws_find t id with
-  | None -> true
+  | None -> part ()
   | Some ws ->
     let ops = List.rev ws.ops in
     ws_remove t id;
@@ -1264,34 +1265,65 @@ let prepare t id ~coordinator =
         List.filter (fun op -> redo_is_stable t op.op_redo) ops
       else ops
     in
-    Node_log.commit t.log
-      [
-        part
-          ~redo:(section t k_prepare (Some id) coordinator stable ~all_mm)
-          ~apply:(fun () ->
-            Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops })
-          ();
-      ];
-    true
+    part
+      ~redo:(section t k_prepare (Some id) coordinator stable ~all_mm)
+      ~apply:(fun () ->
+        Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops })
+      ()
 
-let commit_prepared t id =
-  (match Hashtbl.find_opt t.prepared id with
-  | None -> () (* already resolved (idempotent) *)
+(* A coordinator asks only an RM that did work, so a missing workspace (a
+   crash or the janitor discarded it) votes no. *)
+let prepare t id ~coordinator =
+  if ws_mem t id then begin
+    Node_log.commit t.log [ prepare_part t id ~coordinator ];
+    true
+  end
+  else Hashtbl.mem t.prepared id
+
+(* Commit an in-doubt transaction as a part; [keep] remembers it. *)
+let resolve_part t id ~keep =
+  match Hashtbl.find_opt t.prepared id with
+  | None -> part ~durable:(fun () -> release_locks t id) ()
   | Some p ->
     (* Page targets must be resolved before apply removes dequeued
        elements from the index. *)
     let _, _, pages = classify_ops t p.p_ops in
-    Node_log.commit t.log
+    part
+      ~redo:(encode_resolution (if keep then k_commit_kept else k_commit) id)
+      ~apply:(fun () -> resolve_commit t id ~keep)
+      ~durable:(fun () ->
+        if pages <> [] then store_write t pages;
+        release_locks t id)
+      ()
+
+let decide_part t id = resolve_part t id ~keep:false
+
+let observe_remembered t =
+  if Rrq_obs.enabled () then
+    Rrq_obs.Metrics.set_gauge ("rm.remembered:" ^ t.qm_name)
+      (float_of_int (Hashtbl.length t.remembered))
+
+(* The coordinator's decision record may not be durable yet: keep the txid
+   until it says so ([forget]). *)
+let commit_prepared t id =
+  Node_log.commit t.log [ resolve_part t id ~keep:true ];
+  observe_remembered t
+
+let forget t ids =
+  match List.filter (Hashtbl.mem t.remembered) ids with
+  | [] -> ()
+  | known ->
+    Node_log.append t.log
       [
         part
-          ~redo:(encode_record k_commit (Some id) "" [])
-          ~apply:(fun () ->
-            List.iter (fun op -> apply t op.op_redo) p.p_ops;
-            Hashtbl.remove t.prepared id)
-          ~durable:(fun () -> if pages <> [] then store_write t pages)
+          ~redo:(encode_forget known)
+          ~apply:(fun () -> List.iter (Hashtbl.remove t.remembered) known)
           ();
-      ]);
-  release_locks t id
+      ];
+    observe_remembered t
+
+let remembered t = Hashtbl.fold (fun id () acc -> id :: acc) t.remembered []
+let incarnation t = t.incarnations
 
 (* Returning a dequeued element to its queue after an abort: bump its retry
    count durably; if the limit is hit, move it to the error queue instead
@@ -1328,19 +1360,14 @@ let abort t id =
     | Some ws ->
       ws_remove t id;
       List.rev ws.ops
-    | None -> (
-      match Hashtbl.find_opt t.staged id with
-      | Some ops ->
-        Hashtbl.remove t.staged id;
-        ops
-      | None -> [])
+    | None -> []
   in
   let resolved, prepared_ops =
     match Hashtbl.find_opt t.prepared id with
     | Some p ->
       ( [
           part
-            ~redo:(encode_record k_abort (Some id) "" [])
+            ~redo:(encode_resolution k_abort id)
             ~apply:(fun () -> Hashtbl.remove t.prepared id)
             ();
         ],
@@ -1357,17 +1384,39 @@ let abort t id =
   Node_log.commit t.log (resolved @ fixups);
   release_locks t id
 
+(* A recovering coordinator's question; [`Unknown] discards the
+   workspace, so a late prepare votes no. *)
+let status t id =
+  if Hashtbl.mem t.prepared id then `Prepared
+  else if Hashtbl.mem t.remembered id then `Committed
+  else begin
+    if ws_mem t id then abort t id;
+    `Unknown
+  end
+
 let participant t =
   {
     Tm.part_name = t.qm_name;
-    p_local = Some (t.log, stage ~staged:true t);
-    p_prepare = (fun id ~coordinator -> prepare t id ~coordinator);
+    p_local =
+      Some
+        {
+          Tm.l_log = t.log;
+          l_stage = stage t;
+          l_prepare = prepare_part t;
+          l_decide = decide_part t;
+        };
+    p_prepare =
+      (fun id ~coordinator ->
+        let yes = prepare t id ~coordinator in
+        fun () -> yes);
     p_commit =
       (fun id ->
         commit_prepared t id;
         true);
     p_abort = (fun id -> abort t id);
     p_has_work = (fun id -> ws_mem t id || Hashtbl.mem t.prepared id);
+    p_status = (fun id -> Some (status t id));
+    p_forget = forget t;
   }
 
 let auto_commit t f =
@@ -1398,10 +1447,12 @@ let abort_stale t ~older_than =
       (fun id ws acc -> if ws.activity < cutoff then id :: acc else acc)
       []
   in
+  (* The owner hears first: an owner on this node must not commit without
+     the workspace while its abort record is being forced. *)
   List.iter
     (fun id ->
-      abort t id;
-      t.abort_cb id)
+      t.abort_cb id;
+      abort t id)
     stale;
   List.length stale
 

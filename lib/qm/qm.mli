@@ -266,6 +266,21 @@ val in_doubt : t -> (Rrq_txn.Txid.t * string) list
 (** Prepared-but-unresolved transactions and their coordinators, for the
     hosting node's resolver daemon. *)
 
+val remembered : t -> Rrq_txn.Txid.t list
+(** Transactions this QM committed for a remote coordinator that has not
+    yet reported its decision record durable (the [rm.remembered:<qm>]
+    gauge): the hosting node asks about ones it keeps too long. *)
+
+val relock_in_doubt : t -> unit
+(** Re-assert the exclusions of in-doubt transactions (their dequeued
+    elements stay invisible). Recovery does this; a standby, whose replay
+    skips it, must do it when promoted. *)
+
+val incarnation : t -> int
+(** The durable incarnation, bumped at every attach and promotion. A
+    remote transactional operation reports it, and the prepare carries it
+    back: a different number means the buffered work may be lost. *)
+
 val set_abort_callback : t -> (Rrq_txn.Txid.t -> unit) -> unit
 (** How [kill_element] aborts the transaction holding an element (normally
     the node TM's force-abort). *)

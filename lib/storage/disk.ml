@@ -1,5 +1,10 @@
 type file_state = {
   fname : string;
+  (* Durable contents: [spilled] chunks (newest first) then [durable]. A
+     growing log moves its synced bytes into chunks of [spill_at] bytes,
+     so it never holds a doubling buffer as large as itself. *)
+  mutable spilled : string list;
+  mutable spilled_len : int;
   mutable durable : Buffer.t;
   mutable pending : Buffer.t;
   owner : t;
@@ -56,7 +61,14 @@ let open_file t fname =
   | Some f -> f
   | None ->
     let f =
-      { fname; durable = Buffer.create 256; pending = Buffer.create 256; owner = t }
+      {
+        fname;
+        spilled = [];
+        spilled_len = 0;
+        durable = Buffer.create 256;
+        pending = Buffer.create 256;
+        owner = t;
+      }
     in
     Hashtbl.add t.files fname f;
     f
@@ -122,13 +134,21 @@ let append_sub f buf ~pos ~len =
    size, paid as a full page of copying per update. Neither call counts as
    a log force: crash countdowns ([kill_after_syncs]) tick on [sync] only,
    and a write on a dead disk is lost exactly like an unsynced append. *)
+let spill_at = 65536
+
+let unspill f =
+  f.spilled <- [];
+  f.spilled_len <- 0
+
 let read_page f page =
   let n = min (Buffer.length f.durable) (Bytes.length page) in
   if n > 0 then Buffer.blit f.durable 0 page 0 n
 
+(* A page file is one page: it never spills. *)
 let write_page f page =
   let t = f.owner in
   if not t.dead then begin
+    unspill f;
     Buffer.clear f.durable;
     Buffer.add_bytes f.durable page;
     Buffer.clear f.pending;
@@ -142,23 +162,31 @@ let sync f =
     if n > 0 then begin
       Buffer.add_buffer f.durable f.pending;
       Buffer.clear f.pending;
-      t.synced_bytes <- t.synced_bytes + n
+      t.synced_bytes <- t.synced_bytes + n;
+      if Buffer.length f.durable >= spill_at then begin
+        f.spilled <- Buffer.contents f.durable :: f.spilled;
+        f.spilled_len <- f.spilled_len + Buffer.length f.durable;
+        Buffer.clear f.durable
+      end
     end;
     t.sync_count <- t.sync_count + 1
   end
 
 let sync_all t = Hashtbl.iter (fun _ f -> sync f) t.files
 
-let read f = Buffer.contents f.durable ^ Buffer.contents f.pending
-let read_durable f = Buffer.contents f.durable
-let size f = Buffer.length f.durable + Buffer.length f.pending
-let durable_size f = Buffer.length f.durable
+let read_durable f =
+  String.concat "" (List.rev (Buffer.contents f.durable :: f.spilled))
+
+let read f = read_durable f ^ Buffer.contents f.pending
+let durable_size f = f.spilled_len + Buffer.length f.durable
+let size f = durable_size f + Buffer.length f.pending
 
 let replace_atomic t fname contents =
   if allow_durability t then begin
     let f = open_file t fname in
     let fresh = Buffer.create (String.length contents) in
     Buffer.add_string fresh contents;
+    unspill f;
     f.durable <- fresh;
     Buffer.clear f.pending;
     t.synced_bytes <- t.synced_bytes + String.length contents;

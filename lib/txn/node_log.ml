@@ -106,17 +106,32 @@ let append_sections t sections =
     sections;
   Group_commit.append_enc t.gc e
 
-let commit t parts =
+(* Append the parts' sections as one record (none if no part logs
+   anything) and apply every part; whether anything was appended. *)
+let append_apply t parts =
   let sections =
     List.filter_map (fun p -> Option.map (fun e -> (p.kind, e)) p.redo) parts
   in
   if sections <> [] then append_sections t sections;
   List.iter (fun p -> p.apply ()) parts;
-  if sections <> [] then Group_commit.force t.gc;
+  sections <> []
+
+let commit t parts =
+  if append_apply t parts then Group_commit.force t.gc;
   List.iter (fun p -> p.durable ()) parts
 
-let append_lazy t kind body = append_sections t [ (kind, body) ]
+let append t parts =
+  ignore (append_apply t parts);
+  List.iter (fun p -> p.durable ()) parts
+
 let force t = Group_commit.force t.gc
+let tail t = Wal.appended_lsn t.wal
+
+let force_upto t lsn =
+  if
+    lsn > Wal.durable_lsn t.wal
+    || (Group_commit.shipping t.gc && lsn > Group_commit.shipped_lsn t.gc)
+  then force t
 
 (* ---- checkpoints ------------------------------------------------------ *)
 

@@ -7,9 +7,10 @@
     local transaction that needs no two-phase commit. This module is that
     recovery manager's log. Every record is a list of {e sections}, each
     tagged with the kind of resource manager that owns it, so one record
-    carries a whole local transaction: the QM's dequeue and enqueue, the
-    KV store's writes and, when remote participants voted yes, the TM's
-    commit decision. The WAL frames and checksums the record as one unit,
+    carries a whole local transaction: the QM's dequeue and enqueue and
+    the KV store's writes. A transaction with remote participants writes
+    two records: a staged one (the local sections as in-doubt, and the TM's
+    list of remote participants) and the decision. The WAL frames and checksums the record as one unit,
     so a crash keeps all of its sections or none of them. Paper §5's
     server transaction is one record and one force.
 
@@ -74,14 +75,25 @@ val commit : t -> part list -> unit
     forced. This is the {!Rrq_wal.Group_commit} discipline (append, apply
     without yielding, force before acknowledging) in one place. *)
 
-val append_lazy : t -> kind -> Rrq_util.Codec.encoder -> unit
-(** Append a bookkeeping record that needs no force of its own: it rides
-    the next force. Its loss in a crash must be harmless (the TM's End
-    record). *)
+val append : t -> part list -> unit
+(** {!commit} without the force: append the record, apply every part and
+    run every [durable] at once. The record rides the next force (anyone's
+    {!commit} or {!force}), so its loss in a crash must be recoverable:
+    the TM's End records, a parallel commit's staged record (which the TM
+    forces itself) and its decision record (which recovery re-derives by
+    asking the participants), a participant's forgets. *)
 
 val force : t -> unit
 (** Make every appended record durable (and, in sync shipping mode,
     shipped). *)
+
+val tail : t -> int
+(** The LSN of the last appended record. *)
+
+val force_upto : t -> int -> unit
+(** {!force}, unless the records up to this LSN are already durable (and
+    shipped, while a shipper is installed): under load other commits'
+    forces usually have covered them. *)
 
 (** {1 Checkpoints} *)
 

@@ -11,7 +11,11 @@
       on that log;
     - [prepare] durably logs the workspace as in-doubt (with its
       coordinator's name) and keeps it, for a coordinator on another
-      log; [commit_prepared] and [abort] resolve it;
+      log; [commit_prepared] and [abort] resolve it, and a commit stays
+      remembered until the coordinator reports its decision durable;
+    - [prepare_part] and [decide_part] are the same two steps as sections
+      of a parallel commit's staged and decision records, for a
+      coordinator on this log;
     - recovery replays this RM's sections of the node log over its
       checkpoint section and rebuilds the in-doubt table, invoking
       [relock] so prepared transactions' locks are re-acquired before new
@@ -71,19 +75,45 @@ module Make (S : STATE) : sig
       applied in memory by the record's commit. No section for an empty
       workspace. *)
 
+  val prepare_part : t -> Txid.t -> coordinator:string -> Node_log.part
+  (** Take the workspace as the in-doubt section of a parallel commit's
+      staged record on this log (no section for an empty workspace). *)
+
   val prepare : t -> Txid.t -> coordinator:string -> bool
-  (** Vote yes: durably record the workspace as in-doubt. Always votes yes
-      unless the transaction has no workspace here (then trivially yes with
-      nothing recorded — a read-only participant). *)
+  (** Vote: durably record the workspace as in-doubt and vote yes. The
+      coordinator only asks an RM that did work, so a missing workspace (a
+      crash or the janitor discarded it) votes no, unless the transaction
+      is already prepared here. *)
+
+  val decide_part : t -> Txid.t -> Node_log.part
+  (** Commit an in-doubt transaction inside its coordinator's decision
+      record on this log. Nothing is remembered: the record is the
+      coordinator's own. *)
 
   val commit_prepared : t -> Txid.t -> unit
-  (** Apply an in-doubt transaction and force its commit record.
-      Idempotent: unknown transactions are treated as already
-      resolved. *)
+  (** Apply an in-doubt transaction, force its commit record and remember
+      the txid as committed until {!forget}: the coordinator's decision
+      record may not be durable yet, and its recovery asks {!status}.
+      Idempotent: unknown transactions are treated as already resolved. *)
 
   val abort : t -> Txid.t -> unit
   (** Discard the workspace; durably resolve the transaction if it was
       prepared. Idempotent. *)
+
+  val status : t -> Txid.t -> [ `Prepared | `Committed | `Unknown ]
+  (** What a recovering coordinator learns about a staged transaction.
+      [`Unknown] discards any workspace, so a late prepare votes no. *)
+
+  val forget : t -> Txid.t list -> unit
+  (** The coordinators' decision records are durable: drop these txids from
+      the committed memory (logged without a force of its own). *)
+
+  val remembered : t -> Txid.t list
+  (** The committed memory; its size is the [rm.remembered:<rm>] gauge. *)
+
+  val relock_in_doubt : t -> unit
+  (** Re-assert the exclusions of in-doubt transactions ([S.relock]):
+      recovery does, a promoted standby must. *)
 
   val is_prepared : t -> Txid.t -> bool
 

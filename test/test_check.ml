@@ -406,6 +406,26 @@ let test_sharded_explore () =
   Alcotest.(check int) "every schedule passed" 200 report.C.Explore.passed;
   Alcotest.(check bool) "no failure" true (report.C.Explore.failure = None)
 
+(* A designed plan for the parallel commit's participant memory. Around
+   t=1.34 shard1 commits two cross-shard replies: each staged record is
+   forced and each participant votes yes and takes the commit, but the
+   second decision record is appended without a force and is still
+   unforced at t=1.5 (the settle round that would force it comes half a
+   second after the commit), when shard1 dies. Its recovery finds the
+   staged record alone and asks the participant, which remembers the
+   commit: recovery commits, the request is not run again and its reply
+   arrives once. *)
+let test_sharded_unsettled_decision_plan () =
+  let plan =
+    C.Plan.make ~seed:0 ~policy:`Fifo
+      ~faults:[ C.Plan.Crash { node = "shard1"; at = 1.5; recover_after = 1.0 } ]
+  in
+  let o = C.Scenario.run C.Scenario.sharded plan in
+  Alcotest.(check string) "auditors" "all auditors passed"
+    (C.Audit.findings_to_string o.C.Scenario.findings);
+  Alcotest.(check int) "every reply delivered" o.C.Scenario.requests
+    o.C.Scenario.replies
+
 (* The designed misroute-during-map-change anomaly: forwarders that strip
    registration tags. Fault-free every request is forwarded at most once and
    nothing retries, so it passes; a fault that costs an acknowledgment
@@ -456,7 +476,7 @@ let test_sharded_anomaly_caught_and_shrunk () =
    and 2PC sites (their names embed the shard node, so the victim is the
    shard that reached the site). The fault-free probe still performs the
    map change, so shard.forward (stale-pin relays), shard.map_install and
-   cross-shard tm.prepared/tm.decided are all on the map. *)
+   cross-shard tm.staged/tm.prepared/tm.decided are all on the map. *)
 let shard_swept_prefixes = [ "shard."; "wal."; "tm." ]
 
 let test_sharded_crash_site_sweep () =
@@ -478,6 +498,7 @@ let test_sharded_crash_site_sweep () =
       "shard.map_install:shard0";
       "shard.map_install:shard1";
       "shard.map_install:shard2";
+      "tm.staged:shard1";
       "tm.prepared:shard1";
       "wal.sync:shard2.log";
     ];
@@ -505,12 +526,38 @@ let test_sharded_ha_explore () =
   Alcotest.(check int) "every schedule passed" 200 report.C.Explore.passed;
   Alcotest.(check bool) "no failure" true (report.C.Explore.failure = None)
 
+(* A designed plan for a janitor abort racing a commit. With shard0 down
+   from 0.57 to 1.76 and shard1 from 1.24 to 3.16, a server transaction on
+   the recovered shard0 waits on a lock held by one stuck calling the dead
+   shard1, and both go stale. The janitor aborts both; while the second's
+   abort record is being forced, its owner (released by the first's
+   abort) commits without the dequeue the janitor undid, and the request
+   runs twice. The owner must hear of the abort before the janitor
+   yields. *)
+let test_sharded_ha_janitor_race_plan () =
+  let plan =
+    C.Plan.make ~seed:125017 ~policy:`Fifo
+      ~faults:
+        [
+          C.Plan.Crash { node = "shard0"; at = 0.57; recover_after = 1.19 };
+          C.Plan.Crash { node = "shard1"; at = 1.24; recover_after = 1.92 };
+        ]
+  in
+  let o = C.Scenario.run C.Scenario.sharded_ha plan in
+  Alcotest.(check string) "auditors" "all auditors passed"
+    (C.Audit.findings_to_string o.C.Scenario.findings)
+
 (* Kill the pair primary at every reach of every ship and ha crash site
-   (the probe plan itself kills it at t=2, so promotion is on the map). *)
+   (the probe plan itself kills it at t=2, so promotion is on the map), and
+   wherever a parallel commit's staged record is durable with its votes
+   outstanding: the pair primary's own (its promoted standby resolves the
+   staged record) and the other shards' (the pair primary is their
+   participant). *)
 let test_sharded_ha_crash_site_sweep () =
   let visited, failures =
     sweep
-      ~only:(fun site -> List.exists (fun p -> starts_with p site) ha_swept_prefixes)
+      ~only:(fun site ->
+        List.exists (fun p -> starts_with p site) ("tm.staged:" :: ha_swept_prefixes))
       ~victim:"shard0" ~recover_after:4.0 C.Scenario.sharded_ha
   in
   List.iter
@@ -518,7 +565,14 @@ let test_sharded_ha_crash_site_sweep () =
       Alcotest.(check bool)
         (Printf.sprintf "probe reaches %s" site)
         true (List.mem_assoc site visited))
-    [ "ship.sent"; "ship.applied"; "ha.heartbeat_miss"; "ha.promote" ];
+    [
+      "ship.sent";
+      "ship.applied";
+      "ha.heartbeat_miss";
+      "ha.promote";
+      "tm.staged:shard0";
+      "tm.staged:shard1";
+    ];
   let combos = combos visited in
   Alcotest.(check bool)
     (Printf.sprintf "swept a substantial replication site space (%d combos)"
@@ -736,13 +790,17 @@ let () =
             test_sharded_anomaly_caught_and_shrunk;
           Alcotest.test_case "shard crash-site sweep: shard.*, wal.*, tm.*"
             `Slow test_sharded_crash_site_sweep;
+          Alcotest.test_case "designed plan: coordinator dies before its decision is durable"
+            `Quick test_sharded_unsettled_decision_plan;
         ] );
       ( "sharded-ha",
         [
           Alcotest.test_case "HA shard explorer: 200 random fault plans" `Slow
             test_sharded_ha_explore;
-          Alcotest.test_case "HA shard crash-site sweep: ship.*, ha.*" `Slow
-            test_sharded_ha_crash_site_sweep;
+          Alcotest.test_case "HA shard crash-site sweep: ship.*, ha.*, tm.staged:*"
+            `Slow test_sharded_ha_crash_site_sweep;
+          Alcotest.test_case "designed plan: janitor abort races a commit" `Quick
+            test_sharded_ha_janitor_race_plan;
         ] );
       ( "registry",
         [

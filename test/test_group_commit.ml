@@ -236,6 +236,14 @@ let twopc_with_crash ~point =
       let acked = outcome = Tm.Committed && not (Disk.is_dead disk) in
       Disk.revive disk;
       let tm', qm', kv' = open_world () in
+      (* A staged record recovered without its decision is resolved by
+         asking the participants first. *)
+      Tm.set_resolver tm' (fun pname ->
+          if pname = "qm@node" then Some (Qm.participant qm')
+          else if pname = "kv@node" then Some (Kvdb.participant kv')
+          else None);
+      Tm.recover_pending tm';
+      Sched.sleep 0.05;
       let resolve in_doubt participant =
         List.iter
           (fun (txid, _coord) ->

@@ -358,8 +358,11 @@ let test_standby_ahead_never_promotes () =
                   Site.remote_enqueue a txn ~dst:"siteR" ~queue:"rq" "remote"));
           wait_until (fun () ->
               Ha.is_serving ha_a && Net.partitioned net "siteA" "siteB"));
+      (* The lost sync carried the transaction's staged record: the
+         standby holds its in-doubt enqueue. *)
       Alcotest.(check int) "the primary lost the commit" 0 (depth a);
-      Alcotest.(check int) "the standby holds it" 1 (depth b);
+      Alcotest.(check int) "the standby holds it" 1
+        (List.length (Qm.in_doubt (Site.qm b)));
       wait_until (fun () -> Qm.in_doubt (Site.qm r) = []);
       Alcotest.(check int) "participant resolved" 0 (List.length (Qm.in_doubt (Site.qm r)));
       Alcotest.(check int) "participant aborted" 0 (depth r);
@@ -715,51 +718,215 @@ let shard_ha_suite =
 
 (* --- distributed commit atomicity under a crash-time sweep ---------------- *)
 
-(* A transaction enqueues on two sites via 2PC while site B crashes at a
-   swept offset. Whatever the timing, after recovery both queues must agree
-   (both have the element or neither). *)
-let atomicity_at_crash_time crash_at =
+(* Sites A (queue qa) and B (queue qb) on a 5 ms network. *)
+let two_sites ?sync_latency ?(stale_timeout = 1.0) s =
+  let net = Net.create s (Rng.create 7) in
+  let site queue name =
+    Site.create ~queues:[ (queue, Qm.default_attrs) ] ~stale_timeout
+      (Net.make_node ?sync_latency net name)
+  in
+  (net, site "qa" "siteA", site "qb" "siteB")
+
+let depth site queue = Qm.depth (Site.qm site) queue
+
+(* Run [f] in a transaction on A, in a fiber of A's (so a crash of A kills
+   it); [result] gets its outcome if it returns. *)
+let spawn_txn a f =
+  let result = ref None in
+  Net.spawn_on (Site.node a) ~name:"txn" (fun () ->
+      result :=
+        Some
+          (match Site.with_txn a f with
+          | () -> Tm.Committed
+          | exception Site.Aborted _ -> Tm.Aborted));
+  result
+
+(* Enqueue "x" locally on A and remotely on B. *)
+let enqueue_both a txn =
+  let h, _ = Qm.register (Site.qm a) ~queue:"qa" ~registrant:"t" ~stable:false in
+  ignore (Qm.enqueue (Site.qm a) (Tm.txn_id txn) h "x");
+  Site.remote_enqueue a txn ~dst:"siteB" ~queue:"qb" "x"
+
+(* A transaction enqueues on two sites while the coordinator A or the
+   participant B crashes at a swept offset. Whatever the timing, after
+   recovery both queues must agree (both have the element or neither). *)
+let atomicity_at_crash_time ~victim crash_at =
   H.run_fiber' (fun s ->
-      let net = Net.create s (Rng.create 7) in
-      let a =
-        Site.create ~queues:[ ("qa", Qm.default_attrs) ] ~stale_timeout:1.0
-          (Net.make_node net "siteA")
-      in
-      let b =
-        Site.create ~queues:[ ("qb", Qm.default_attrs) ] ~stale_timeout:1.0
-          (Net.make_node net "siteB")
-      in
-      Sched.at s crash_at (fun () -> Site.crash_restart b ~after:1.0);
-      let committed =
-        match
-          Site.with_txn a (fun txn ->
-              let h, _ =
-                Qm.register (Site.qm a) ~queue:"qa" ~registrant:"t" ~stable:false
-              in
-              ignore (Qm.enqueue (Site.qm a) (Tm.txn_id txn) h "x");
-              Site.remote_enqueue a txn ~dst:"siteB" ~queue:"qb" "x")
-        with
-        | () -> true
-        | exception Site.Aborted _ -> false
-      in
-      (* allow in-doubt resolution and commit redelivery to settle *)
+      let _, a, b = two_sites s in
+      Sched.at s crash_at (fun () ->
+          Site.crash_restart (if victim = `Coordinator then a else b) ~after:1.0);
+      let result = spawn_txn a (enqueue_both a) in
+      (* allow recovery, resolution and commit redelivery to settle *)
       Sched.sleep 15.0;
-      let da = Qm.depth (Site.qm a) "qa" in
-      let db = Qm.depth (Site.qm b) "qb" in
-      (committed, da, db))
+      (!result, depth a "qa", depth b "qb"))
 
 let test_2pc_atomic_under_crash_sweep () =
   List.iter
-    (fun crash_at ->
-      let committed, da, db = atomicity_at_crash_time crash_at in
-      let tag = Printf.sprintf "crash at %.3f (committed=%b)" crash_at committed in
+    (fun (victim, crash_at) ->
+      let result, da, db = atomicity_at_crash_time ~victim crash_at in
+      let tag =
+        Printf.sprintf "%s crash at %.3f (committed=%b)"
+          (if victim = `Coordinator then "coordinator" else "participant")
+          crash_at (result = Some Tm.Committed)
+      in
       Alcotest.(check bool)
         (tag ^ ": both or neither")
         true
         ((da = 1 && db = 1) || (da = 0 && db = 0));
-      if committed then
-        Alcotest.(check int) (tag ^ ": committed implies both") 1 da)
-    [ 0.001; 0.004; 0.008; 0.012; 0.016; 0.02; 0.03; 0.05 ]
+      if result = Some Tm.Committed then
+        Alcotest.(check int) (tag ^ ": committed implies both") 1 da;
+      if result = Some Tm.Aborted then
+        Alcotest.(check int) (tag ^ ": aborted implies neither") 0 da)
+    (List.concat_map
+       (fun victim ->
+         List.map
+           (fun t -> (victim, t))
+           [ 0.001; 0.004; 0.008; 0.012; 0.016; 0.02; 0.03; 0.05 ])
+       [ `Participant; `Coordinator ])
+
+(* The participant loses its buffered work before the prepare: it
+   crash-restarts, or crash-restarts between two operations of the
+   transaction. Either way it must vote no, and nothing commits. *)
+let test_lost_work_votes_no () =
+  List.iter
+    (fun second_op ->
+      let result, da, db =
+        H.run_fiber' (fun s ->
+            let _, a, b = two_sites s in
+            let result =
+              spawn_txn a (fun txn ->
+                  enqueue_both a txn;
+                  Site.crash_restart b ~after:0.05;
+                  Sched.sleep 0.5;
+                  if second_op then
+                    Site.remote_enqueue a txn ~dst:"siteB" ~queue:"qb" "y")
+            in
+            Sched.sleep 15.0;
+            (!result, depth a "qa", depth b "qb"))
+      in
+      let tag = if second_op then "restart between ops" else "restart before prepare" in
+      Alcotest.(check bool) (tag ^ ": aborted") true (result = Some Tm.Aborted);
+      Alcotest.(check int) (tag ^ ": nothing local") 0 da;
+      Alcotest.(check int) (tag ^ ": nothing remote") 0 db)
+    [ false; true ]
+
+(* --- parallel commit: the designed cases ---------------------------------- *)
+
+(* Arm a one-shot action at a crash site for the rest of [f]. *)
+let armed ~site action f =
+  Rrq_sim.Crashpoint.reset ();
+  Fun.protect ~finally:Rrq_sim.Crashpoint.disable (fun () ->
+      Rrq_sim.Crashpoint.arm ~site ~hit:1 action;
+      f ())
+
+(* The coordinator dies after B voted yes and took the commit, before A's
+   decision record is durable (it is not forced, and the settle fiber has
+   not run). A's recovery finds the staged record alone; B remembers the
+   commit, so recovery commits: the request is consumed once and its reply
+   is queued once. *)
+let test_participant_remembers_commit () =
+  H.run_fiber' (fun s ->
+      let _, a, b = two_sites ~sync_latency:0.005 s in
+      let qm = Site.qm a in
+      let h, _ = Qm.register qm ~queue:"qa" ~registrant:"t" ~stable:false in
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "request"));
+      armed ~site:"tm.delivered:siteA"
+        (fun () ->
+          Alcotest.(check int) "B remembers the commit" 1
+            (List.length (Qm.remembered (Site.qm b)));
+          Site.crash_restart a ~after:0.5;
+          Rrq_sim.Crashpoint.crash ())
+        (fun () ->
+          ignore
+            (spawn_txn a (fun txn ->
+                 let h, _ = Qm.register (Site.qm a) ~queue:"qa" ~registrant:"t" ~stable:false in
+                 ignore (Qm.dequeue (Site.qm a) (Tm.txn_id txn) h Qm.No_wait);
+                 Site.remote_enqueue a txn ~dst:"siteB" ~queue:"qb" "reply"));
+          Sched.sleep 5.0);
+      Alcotest.(check int) "request consumed" 0 (depth a "qa");
+      Alcotest.(check int) "one reply" 1 (depth b "qb");
+      Alcotest.(check int) "nothing in doubt at A" 0 (List.length (Qm.in_doubt (Site.qm a)));
+      Alcotest.(check int) "B forgot the commit" 0 (List.length (Qm.remembered (Site.qm b))))
+
+(* The coordinator dies with its staged record durable while B, which
+   buffered the enqueue, is cut off from it, so B never prepared. Once the
+   link heals, recovery's status query finds only B's workspace (B's
+   janitor would take half a minute): B answers unknown and discards it,
+   recovery aborts, and a prepare arriving late votes no and leaves
+   nothing behind. *)
+let test_status_discards_workspace () =
+  H.run_fiber' (fun s ->
+      let net, a, b = two_sites ~stale_timeout:30.0 s in
+      let id = ref None in
+      armed ~site:"tm.staged:siteA"
+        (fun () ->
+          Site.crash_restart a ~after:0.5;
+          Rrq_sim.Crashpoint.crash ())
+        (fun () ->
+          ignore
+            (spawn_txn a (fun txn ->
+                 id := Some (Tm.txn_id txn);
+                 enqueue_both a txn;
+                 Net.partition net "siteA" "siteB"));
+          Sched.sleep 2.0);
+      let id = Option.get !id in
+      Alcotest.(check bool) "undecided while B is unreachable" true
+        (Tm.decision (Site.tm a) id = `Pending);
+      Net.heal net "siteA" "siteB";
+      Sched.sleep 2.0;
+      Alcotest.(check bool) "recovery aborted" true (Tm.decision (Site.tm a) id = `Aborted);
+      let late =
+        Net.call (Site.node a) ~dst:"siteB" ~service:"rm"
+          (Site.RM_prepare
+             { rm = "qm@siteB"; id; coordinator = "siteA"; inc = Qm.incarnation (Site.qm b) })
+      in
+      Alcotest.(check bool) "the late prepare votes no" true (late = Site.R_bool false);
+      Alcotest.(check int) "B keeps nothing in doubt" 0 (List.length (Qm.in_doubt (Site.qm b)));
+      Alcotest.(check int) "nothing at A" 0 (depth a "qa");
+      Alcotest.(check int) "nothing at B" 0 (depth b "qb"))
+
+(* B prepares but its yes vote is lost (the link is cut during its prepare
+   force), so A's prepare times out and [Tm.commit] returns [Aborted]; A
+   dies at once. The abort record was forced before the outcome was
+   returned, so recovery does not find B prepared and commit. A first
+   transaction registers B's queue, so B's next sync is the prepare. *)
+let test_forced_abort_survives_crash () =
+  H.run_fiber' (fun s ->
+      let net, a, b = two_sites ~sync_latency:0.005 s in
+      ignore (spawn_txn a (enqueue_both a));
+      Sched.sleep 1.0;
+      let result = ref None in
+      armed ~site:"wal.sync:siteB.log"
+        (fun () -> Net.partition net "siteA" "siteB")
+        (fun () ->
+          Net.spawn_on (Site.node a) ~name:"txn" (fun () ->
+              result :=
+                Some
+                  (match Site.with_txn a (enqueue_both a) with
+                  | () -> Tm.Committed
+                  | exception Site.Aborted _ -> Tm.Aborted);
+              Site.crash_restart a ~after:0.5);
+          Sched.sleep 12.0);
+      Alcotest.(check bool) "the prepare timed out: aborted" true (!result = Some Tm.Aborted);
+      Net.heal net "siteA" "siteB";
+      Sched.sleep 5.0;
+      Alcotest.(check int) "only the first transaction at A" 1 (depth a "qa");
+      Alcotest.(check int) "only the first transaction at B" 1 (depth b "qb");
+      Alcotest.(check int) "B resolved" 0 (List.length (Qm.in_doubt (Site.qm b))))
+
+(* Participants remember commits only until the coordinator's decision
+   records are durable: a quiet second after a burst, nothing is left. *)
+let test_commit_memory_drains () =
+  H.run_fiber' (fun s ->
+      let _, a, b = two_sites ~sync_latency:0.005 s in
+      for _ = 1 to 5 do
+        ignore (spawn_txn a (enqueue_both a))
+      done;
+      Sched.sleep 0.1;
+      Alcotest.(check int) "all committed" 5 (depth b "qb");
+      Alcotest.(check bool) "B remembers them" true (Qm.remembered (Site.qm b) <> []);
+      Sched.sleep 1.0;
+      Alcotest.(check int) "B forgot them" 0 (List.length (Qm.remembered (Site.qm b))))
 
 (* --- content-based scheduling (ranked dequeue, paper 11) ------------------ *)
 
@@ -827,6 +994,20 @@ let atomicity_suite =
   [
     Alcotest.test_case "2PC atomic under crash sweep" `Quick
       test_2pc_atomic_under_crash_sweep;
+    Alcotest.test_case "a participant that lost its work votes no" `Quick
+      test_lost_work_votes_no;
+  ]
+
+let parallel_commit_suite =
+  [
+    Alcotest.test_case "participant memory: recovery commits" `Quick
+      test_participant_remembers_commit;
+    Alcotest.test_case "status discards the workspace: recovery aborts" `Quick
+      test_status_discards_workspace;
+    Alcotest.test_case "forced abort survives a crash" `Quick
+      test_forced_abort_survives_crash;
+    Alcotest.test_case "commit memory drains in a quiet second" `Quick
+      test_commit_memory_drains;
   ]
 
 let scheduling_suite =
@@ -842,6 +1023,7 @@ let () =
       ("ha", ha_suite);
       ("failover", failover_suite);
       ("sharded-failover", shard_ha_suite);
+      ("parallel-commit", parallel_commit_suite);
       ("atomicity", atomicity_suite);
       ("scheduling", scheduling_suite);
     ]

@@ -170,6 +170,59 @@ let pending_run () =
       Sched.sleep 2.0;
       (pending, Tm.pending_decisions tm = []))
 
+(* A parallel commit with a participant on a log of its own: the staged
+   record, the vote and the decision are traced, the prepare round is
+   measured, and the participant's memory of the commit is a gauge that
+   the settle round drains. Then a second commit loses its unforced
+   decision record in a crash; recovery resolves the staged record by
+   asking the participant, which is traced and counted. *)
+let test_parallel_commit_observed () =
+  with_obs (fun () ->
+      let disk = Disk.create "n1" in
+      let commit tm kv =
+        let txn = Tm.begin_txn tm in
+        Kvdb.put kv (Tm.txn_id txn) "x" "1";
+        Tm.join txn (Kvdb.participant kv);
+        ignore (Tm.commit tm txn)
+      in
+      let remembered, drained, staged_after =
+        Rrq_test_support.Sim_harness.run_fiber (fun () ->
+            let tm = Tm.open_tm disk ~name:"tm1" in
+            let kv = Kvdb.open_kv disk ~name:"kv" in
+            commit tm kv;
+            let remembered = Obs.Metrics.gauge "rm.remembered:kv" in
+            Sched.sleep 1.0;
+            let drained = Obs.Metrics.gauge "rm.remembered:kv" in
+            commit tm kv;
+            Disk.crash disk;
+            let tm = Tm.open_tm disk ~name:"tm1" in
+            let kv = Kvdb.open_kv disk ~name:"kv" in
+            Tm.set_resolver tm (fun pname ->
+                if pname = "kv" then Some (Kvdb.participant kv) else None);
+            Tm.recover_pending tm;
+            Sched.sleep 0.1;
+            (remembered, drained, Obs.Metrics.gauge "tm.staged:tm1"))
+      in
+      let kinds =
+        List.map
+          (fun (_, e) -> List.hd (String.split_on_char '|' (Obs.Event.to_string e)))
+          (Obs.Trace.events ())
+      in
+      let count k = List.length (List.filter (( = ) k) kinds) in
+      Alcotest.(check int) "two staged records traced" 2 (count "staged");
+      Alcotest.(check int) "two votes traced" 2 (count "vote");
+      Alcotest.(check int) "one resolution traced" 1 (count "resolve");
+      Alcotest.(check int) "resolved as a commit" 1
+        (Obs.Metrics.counter "tm.staged_resolved.commit:tm1");
+      Alcotest.(check int) "no resolution aborted" 0
+        (Obs.Metrics.counter "tm.staged_resolved.abort:tm1");
+      Alcotest.(check (float 0.0)) "nothing left staged" 0.0 staged_after;
+      Alcotest.(check (float 0.0)) "the participant remembers the commit" 1.0 remembered;
+      Alcotest.(check (float 0.0)) "and forgets it once settled" 0.0 drained;
+      Alcotest.(check int) "prepare rounds measured" 2
+        (Rrq_util.Histogram.count
+           (Obs.Metrics.histogram (Obs.Metrics.snapshot ()) "tm.prepare.latency:tm1")))
+
 let test_pending_metrics () =
   with_obs (fun () ->
       let pending, retired = pending_run () in
@@ -260,6 +313,11 @@ let all_variants =
         Server_exec { server = s; rid = "r"; txid = s };
         Shard_forward { node = s; owner = "shard1"; version = 3 };
         Shard_map_install { node = "shard2"; version = 41 };
+        Txn_staged { tm = s; txid = "t" };
+        Txn_vote { tm = "tm"; txid = s; rm = s; yes = true };
+        Txn_vote { tm = s; txid = "t"; rm = "kv"; yes = false };
+        Txn_resolve { tm = s; txid = s; commit = true };
+        Txn_resolve { tm = "tm"; txid = "t"; commit = false };
       ])
     nasty
 
@@ -320,6 +378,8 @@ let () =
           Alcotest.test_case "disabled mode is a no-op" `Quick
             test_disabled_noop;
           Alcotest.test_case "tm.pending" `Quick test_pending_metrics;
+          Alcotest.test_case "parallel commit: events, rounds, memory" `Quick
+            test_parallel_commit_observed;
         ] );
       ( "trace",
         [

@@ -291,7 +291,7 @@ let prop_ha_prefix_consistent =
                 let id = Txid.make ~origin:"coord" ~inc:1 ~n:(1000 + i) in
                 ignore (Qm.enqueue qm id h ~priority:prio (Printf.sprintf "t%d" i));
                 let p = Qm.participant qm in
-                if p.Tm.p_prepare id ~coordinator:"coord" then
+                if p.Tm.p_prepare id ~coordinator:"coord" () then
                   ignore (p.Tm.p_commit id));
               snaps := (!nship, state_of qm) :: !snaps)
             ops;

@@ -217,7 +217,7 @@ let test_prepared_dequeue_stays_locked_after_crash () =
       let id = tx 1 in
       ignore (Qm.dequeue qm id h Qm.No_wait);
       Alcotest.(check bool) "prepare ok" true
-        ((Qm.participant qm).Tm.p_prepare id ~coordinator:"c");
+        ((Qm.participant qm).Tm.p_prepare id ~coordinator:"c" ());
       Disk.crash disk;
       let qm2 = Qm.open_qm disk ~name:"qm" in
       let h2, _ = Qm.register qm2 ~queue:"q" ~registrant:"tester" ~stable:true in
@@ -234,7 +234,7 @@ let test_prepared_enqueue_applies_on_commit_after_crash () =
       let qm, h, _ = setup disk "q" in
       let id = tx 1 in
       ignore (Qm.enqueue qm id h "deferred");
-      ignore ((Qm.participant qm).Tm.p_prepare id ~coordinator:"c");
+      ignore ((Qm.participant qm).Tm.p_prepare id ~coordinator:"c" ());
       Disk.crash disk;
       let qm2 = Qm.open_qm disk ~name:"qm" in
       Alcotest.(check int) "invisible while in doubt" 0 (Qm.depth qm2 "q");

@@ -276,7 +276,7 @@ let test_kv_prepared_survives_crash () =
       let id = tx 1 in
       Kvdb.put kv id "a" "1";
       let p = Kvdb.participant kv in
-      Alcotest.(check bool) "prepared" true (p.Tm.p_prepare id ~coordinator:"c");
+      Alcotest.(check bool) "prepared" true (p.Tm.p_prepare id ~coordinator:"c" ());
       Disk.crash disk;
       let kv2 = fresh_kv disk () in
       (* in doubt: invisible but recorded *)
@@ -301,7 +301,7 @@ let test_kv_indoubt_blocks_readers () =
           (Sched.spawn s ~name:"flow" (fun () ->
                let id = tx 1 in
                Kvdb.put kv id "a" "1";
-               ignore ((Kvdb.participant kv).Tm.p_prepare id ~coordinator:"c");
+               ignore ((Kvdb.participant kv).Tm.p_prepare id ~coordinator:"c" ());
                Disk.crash disk;
                let kv2 = fresh_kv disk () in
                ignore
@@ -321,7 +321,7 @@ let test_kv_abort_prepared () =
       let kv = fresh_kv disk () in
       let id = tx 1 in
       Kvdb.put kv id "a" "1";
-      ignore ((Kvdb.participant kv).Tm.p_prepare id ~coordinator:"c");
+      ignore ((Kvdb.participant kv).Tm.p_prepare id ~coordinator:"c" ());
       (Kvdb.participant kv).Tm.p_abort id;
       Disk.crash disk;
       let kv2 = fresh_kv disk () in
@@ -414,8 +414,9 @@ let test_tm_local_commit_one_sync () =
         (Kvdb.committed_value kv "k"))
 
 (* The window between a durable decision and its delivery: the node dies
-   after the coordinator logged the decision and before either participant
-   (each on a log of its own) took it. Both RMs come back in doubt,
+   after the coordinator's decision record became durable (the settle
+   fiber forces it within a fraction of a second) and before either
+   participant (each on a log of its own) took it. Both RMs come back in doubt,
    recovery redelivers the decision, and the request (dequeue a job, count
    it, enqueue a reply) takes effect exactly once, also when the
    already-applied decision is redelivered after a second crash. *)
@@ -464,6 +465,7 @@ let test_tm_crash_before_commit_records_durable () =
       Tm.join txn (undelivered (Qm.participant qm));
       Tm.join txn (undelivered (Kvdb.participant kv));
       commit_ok tm txn;
+      Sched.sleep 0.8;
       Disk.crash disk;
       let tm2, qm2, kv2 = open_world () in
       Alcotest.(check int) "qm in doubt" 1 (List.length (Qm.in_doubt qm2));
@@ -520,10 +522,12 @@ let test_tm_vote_no_aborts_all () =
         {
           Tm.part_name = "naysayer";
           p_local = None;
-          p_prepare = (fun _ ~coordinator:_ -> false);
+          p_prepare = (fun _ ~coordinator:_ () -> false);
           p_commit = (fun _ -> true);
           p_abort = (fun _ -> ());
           p_has_work = (fun _ -> true);
+          p_status = (fun _ -> Some `Unknown);
+          p_forget = ignore;
         };
       (match Tm.commit tm txn with
       | Tm.Aborted -> ()
@@ -541,7 +545,7 @@ let test_tm_coordinator_crash_before_decision_presumes_abort () =
       Kvdb.put kva id "x" "1";
       (* Participant prepares, then the coordinator "crashes" before logging
          a decision. *)
-      ignore ((Kvdb.participant kva).Tm.p_prepare id ~coordinator:"tm1");
+      ignore ((Kvdb.participant kva).Tm.p_prepare id ~coordinator:"tm1" ());
       Disk.crash disk;
       let tm2 = Tm.open_tm disk ~name:"tm1" in
       Alcotest.(check bool) "presumed abort" true (Tm.decision tm2 id = `Aborted))
@@ -680,10 +684,11 @@ let test_node_log_bounded_by_checkpoints () =
         (peak last <= peak first && peak last < 32 * 1024);
       Alcotest.(check (list pass)) "every decision retired" [] (Tm.pending_decisions tm))
 
-(* A checkpoint cut while a two-phase commit is parked in the force of its
-   one record keeps the decision: the snapshot holds the local update the
-   record carries, so it must hold the decision too, or recovery would
-   presume abort for the prepared remote participant. *)
+(* A checkpoint cut while a parallel commit is parked in the force of its
+   staged record keeps the decision: the snapshot holds the local in-doubt
+   section the record carries, so it must hold the TM's staged entry (or,
+   cut after the votes, the decision) too, or recovery could never commit
+   the local update the prepared remote participant's commit goes with. *)
 let test_checkpoint_during_decision_force () =
   let disk = Disk.create ~sync_latency:0.001 "n1" in
   let outcome = ref None in
@@ -713,7 +718,19 @@ let test_checkpoint_during_decision_force () =
                  };
                commit_ok tm txn;
                Disk.crash disk;
-               let _, tm', _, kv' = open_node disk in
+               let _, tm', qm', kv' = open_node disk in
+               let remote' = Kvdb.open_kv disk ~name:"remote" in
+               (* Recovery asks the remote participant about a staged
+                  record it found without a decision. This one never takes
+                  the commit, so the decision stays pending. *)
+               Tm.set_resolver tm'
+                 ~locals:[ Qm.participant qm'; Kvdb.participant kv' ]
+                 (fun pname ->
+                   if pname = "remote" then
+                     Some { (Kvdb.participant remote') with Tm.p_commit = (fun _ -> false) }
+                   else None);
+               Tm.recover_pending tm';
+               Sched.sleep 0.1;
                outcome := Some (Tm.decision tm' id, Kvdb.committed_value kv' "local"))))
   in
   match !outcome with
