@@ -1,7 +1,6 @@
 module Codec = Rrq_util.Codec
 module Lock = Rrq_txn.Lock
 module Rm = Rrq_txn.Rm
-module Tm = Rrq_txn.Tm
 module Txid = Rrq_txn.Txid
 
 exception Conflict of string
@@ -32,9 +31,13 @@ module State = struct
     | 2 -> Del (Codec.get_string d)
     | n -> raise (Codec.Decode_error (Printf.sprintf "kvdb: bad redo kind %d" n))
 
-  let apply st = function
+  let apply st ~live:_ = function
     | Put (k, v) -> Hashtbl.replace st.data k v
     | Del k -> Hashtbl.remove st.data k
+
+  let logged _ _ = true
+  let on_durable _ _ = ignore
+  let abort_fixups _ ~stale:_ _ = []
 
   let snapshot e st =
     Codec.int e (Hashtbl.length st.data);
@@ -44,15 +47,17 @@ module State = struct
         Codec.string e v)
       st.data
 
-  let restore d =
-    let st = empty () in
-    let n = Codec.get_int d in
-    for _ = 1 to n do
-      let k = Codec.get_string d in
-      let v = Codec.get_string d in
-      Hashtbl.replace st.data k v
-    done;
-    st
+  let restore st d =
+    Hashtbl.reset st.data;
+    Option.iter
+      (fun d ->
+        let n = Codec.get_int d in
+        for _ = 1 to n do
+          let k = Codec.get_string d in
+          let v = Codec.get_string d in
+          Hashtbl.replace st.data k v
+        done)
+      d
 
   (* An in-doubt transaction's writes stay invisible by re-acquiring its
      exclusive locks. Recovery runs with no competing transactions, so these
@@ -64,6 +69,8 @@ module State = struct
         Lock.acquire st.locks id ~key X)
       redos
 
+  let locks st = st.locks
+  let clock _ = 0.0
   let kind = Rrq_txn.Node_log.Kv
 end
 
@@ -71,8 +78,8 @@ module Base = Rm.Make (State)
 
 type t = Base.t
 
-let attach = Base.attach
-let open_kv = Base.open_rm
+let attach log ~name = Base.attach log ~name (State.empty ())
+let open_kv disk ~name = attach (Rrq_txn.Node_log.open_log disk ~name) ~name
 let name = Base.name
 
 let with_conflicts f =
@@ -126,51 +133,8 @@ let transfer_locks t ~from ~to_ =
 let release_locks t id =
   Lock.release_all (Base.state t).State.locks id
 
-(* The workspace as a part of a commit record; the locks go once it is
-   durable. *)
-let with_release t id (p : Rrq_txn.Node_log.part) =
-  { p with Rrq_txn.Node_log.durable = (fun () -> release_locks t id) }
-
-let stage t id = with_release t id (Base.stage t id)
-
-let abort t id =
-  Base.abort t id;
-  Lock.cancel_waits (Base.state t).State.locks id;
-  release_locks t id
-
-let participant t =
-  {
-    Tm.part_name = Base.name t;
-    p_local =
-      Some
-        {
-          Tm.l_log = Base.log t;
-          l_stage = stage t;
-          (* Locks are retained while in doubt. *)
-          l_prepare = Base.prepare_part t;
-          l_decide = (fun id -> with_release t id (Base.decide_part t id));
-        };
-    p_prepare =
-      (fun id ~coordinator ->
-        let yes = Base.prepare t id ~coordinator in
-        fun () -> yes);
-    p_commit =
-      (fun id ->
-        Base.commit_prepared t id;
-        release_locks t id;
-        true);
-    p_abort = abort t;
-    p_has_work = (fun id -> Base.has_workspace t id || Base.is_prepared t id);
-    p_status =
-      (fun id ->
-        let s = Base.status t id in
-        if s = `Unknown then abort t id;
-        Some s);
-    p_forget = Base.forget t;
-  }
-
-let commit t id = Rrq_txn.Node_log.commit (Base.log t) [ stage t id ]
-
+let participant = Base.participant
+let commit = Base.commit
 let in_doubt = Base.in_doubt
 let relock_in_doubt = Base.relock_in_doubt
 let remembered = Base.remembered

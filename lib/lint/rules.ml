@@ -260,11 +260,11 @@ let r3_check_ident ctx loc comps =
       layers
 
 (* Qm state is also mutated by writing [Element] record fields directly
-   (status, delivery_count, abort_code); outside lib/qm that bypasses the
-   deferred-update path entirely. Matched both qualified
+   (status, delivery_count, stale_count, abort_code); outside lib/qm that
+   bypasses the deferred-update path entirely. Matched both qualified
    ([el.Element.status <- ...]) and — for the field names unique to
    Element — bare ([el.delivery_count <- ...] under an open). *)
-let element_only_fields = [ "delivery_count"; "abort_code" ]
+let element_only_fields = [ "delivery_count"; "stale_count"; "abort_code" ]
 
 let r3_check_setfield ctx loc lid =
   let comps = flatten lid in

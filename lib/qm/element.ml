@@ -9,6 +9,7 @@ type t = {
   priority : int;
   enq_time : float;
   mutable delivery_count : int;
+  mutable stale_count : int;
   mutable abort_code : string option;
   mutable status : status;
 }
@@ -21,6 +22,7 @@ let make ~eid ~payload ~props ~priority ~enq_time =
     priority;
     enq_time;
     delivery_count = 0;
+    stale_count = 0;
     abort_code = None;
     status = Ready;
   }
@@ -52,6 +54,7 @@ let decode d =
     priority;
     enq_time;
     delivery_count;
+    stale_count = 0;
     abort_code;
     status = Ready;
   }

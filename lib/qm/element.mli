@@ -2,9 +2,9 @@
 
     An element is the unit stored in a queue: an uninterpreted payload plus
     application-visible properties (used for content-based retrieval), a
-    priority, and bookkeeping the QM maintains — the delivery (abort) count
-    that drives error-queue handling, and the abort code stamped when the
-    element is moved to an error queue. *)
+    priority, and bookkeeping the QM maintains — the delivery (abort) and
+    stale-return counts that drive error-queue handling, and the abort code
+    stamped when the element is moved to an error queue. *)
 
 type status =
   | Ready  (** Visible and dequeueable. *)
@@ -20,6 +20,10 @@ type t = {
   priority : int;  (** Higher priorities dequeue first. *)
   enq_time : float;  (** Submission (virtual) time; FIFO tie-break. *)
   mutable delivery_count : int;
+  mutable stale_count : int;
+      (** Returns by the janitor: aborts of an idle workspace that held the
+          element. Not failed deliveries; bounded on their own. Not part of
+          {!encode}: the QM's checkpoint carries the rare nonzero ones. *)
   mutable abort_code : string option;
   mutable status : status;
 }
@@ -35,6 +39,7 @@ val key : t -> int * float * int64
 (** Dequeue-order sort key: (-priority, enq_time, eid) — smallest first. *)
 
 val encode : Rrq_util.Codec.encoder -> t -> unit
-(** Serialize (status is not persisted; decoded elements are [Ready]). *)
+(** Serialize (status and stale count are not persisted; decoded elements
+    are [Ready] with no stale returns). *)
 
 val decode : Rrq_util.Codec.decoder -> t

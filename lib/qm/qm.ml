@@ -109,44 +109,35 @@ type redo =
   | RDestroy of string
   | RSet_stopped of string * bool
   | RAlter of string * attrs
+  | RStale of int64
 
-type ws_op = { op_redo : redo; op_errq : string option }
+(* A logged update; a dequeue carries the error queue its caller named. *)
+type op = { op_redo : redo; op_errq : string option }
 
-type ws = { mutable ops : ws_op list (* newest first *); mutable activity : float }
-type prep = { p_coord : string; p_ops : ws_op list (* oldest first *) }
+let plain redo = { op_redo = redo; op_errq = None }
 
-type t = {
+(* The queue manager's state under Rm.Make: its transactional plumbing
+   (workspaces, in-doubt and remembered tables, records) is Rm's. *)
+type state = {
   qm_name : string;
-  log : Node_log.t;
+  disk : Disk.t;
   queues : (string, queue) Hashtbl.t;
   index : (string * Element.t) Eidtbl.t;
   regs : (string * string, reg) Hashtbl.t;
   locks : Lock.t;
-  workspaces : (Txid.t, ws) Hashtbl.t;
-  prepared : (Txid.t, prep) Hashtbl.t;
-  (* Transactions committed for a remote coordinator whose decision record
-     may not be durable yet: recovery there asks this QM. *)
-  remembered : (Txid.t, unit) Hashtbl.t;
   triggers : (string, trigger list) Hashtbl.t;
   mutable incarnations : int;
   mutable next_eid_low : int64;
-  mutable replaying : bool;
   mutable abort_cb : Txid.t -> unit;
   mutable alert_cb : string -> int -> unit;
   mutable clock : unit -> float;
   mutable internal_seq : float;
   mutable auto_n : int;
-  (* Reused by the main-memory commit encode: one buffer per QM instead of
-     one fresh encoder per section. Commit paths fill and hand it to
-     [Node_log.commit] without yielding in between. *)
-  scratch : Codec.encoder;
   auto_origin : string; (* qm_name ^ "!auto", hoisted off the commit path *)
-  (* Page image buffer for the stable queue store's read-modify-write. *)
+  (* Page image buffer, and its update's encoder, for the stable queue
+     store's read-modify-write. *)
   page : Bytes.t;
-  (* One-slot workspace cache: the single open transaction of the default
-     auto-commit flow bypasses the Txid-keyed [workspaces] table entirely.
-     Invariant: a cached workspace is NOT in the table. *)
-  mutable ws_cache : (Txid.t * ws) option;
+  page_enc : Codec.encoder;
 }
 
 (* ---- codecs -------------------------------------------------------- *)
@@ -236,6 +227,9 @@ let encode_redo e = function
     Codec.u8 e 13;
     Codec.string e q;
     encode_attrs e a
+  | RStale eid ->
+    Codec.u8 e 14;
+    Codec.i64 e eid
 
 let decode_redo d =
   match Codec.get_u8 d with
@@ -279,53 +273,22 @@ let decode_redo d =
     let q = Codec.get_string d in
     let a = decode_attrs d in
     RAlter (q, a)
+  | 14 -> RStale (Codec.get_i64 d)
   | n -> raise (Codec.Decode_error (Printf.sprintf "qm: bad redo tag %d" n))
 
-let encode_ws_op e op =
+let encode_op e op =
   Codec.option Codec.string e op.op_errq;
   encode_redo e op.op_redo
 
-let decode_ws_op d =
+let decode_op d =
   let op_errq = Codec.get_option Codec.get_string d in
   let op_redo = decode_redo d in
   { op_redo; op_errq }
 
-(* Section kinds (framing around redo lists). The resolutions of an
-   in-doubt transaction carry only its txid: [k_commit] inside its
-   coordinator's decision record, [k_commit_kept] for a remote
-   coordinator's commit, remembered until a [k_forget] section (a list of
-   txids), and [k_abort]. *)
-let k_one_phase = 1
-let k_prepare = 2
-let k_commit = 3
-let k_abort = 4
-let k_now = 5
-let k_commit_kept = 6
-let k_forget = 7
-
-let encode_record_into e kind txid_opt coordinator ops =
-  Codec.u8 e kind;
-  Codec.option Txid.encode e txid_opt;
-  Codec.string e coordinator;
-  Codec.list encode_ws_op e ops;
-  e
-
-let encode_resolution kind id =
-  let e = Codec.encoder () in
-  Codec.u8 e kind;
-  Txid.encode e id;
-  e
-
-let encode_forget ids =
-  let e = Codec.encoder () in
-  Codec.u8 e k_forget;
-  Codec.list Txid.encode e ids;
-  e
-
 (* ---- state helpers -------------------------------------------------- *)
 
-let get_queue t qn =
-  match Hashtbl.find_opt t.queues qn with
+let get_queue s qn =
+  match Hashtbl.find_opt s.queues qn with
   | Some q -> q
   | None -> raise (No_such_queue qn)
 
@@ -345,60 +308,62 @@ let make_queue qname qattrs =
 let default_error_queue q =
   match q.qattrs.error_queue with Some n -> n | None -> q.qname ^ ".err"
 
-let ensure_queue t qn attrs =
-  if not (Hashtbl.mem t.queues qn) then
-    Hashtbl.replace t.queues qn (make_queue qn attrs)
+let ensure_queue s qn attrs =
+  if not (Hashtbl.mem s.queues qn) then
+    Hashtbl.replace s.queues qn (make_queue qn attrs)
 
 let queue_depth q = Emap.cardinal q.elems
 
-let check_alert t q =
-  if not t.replaying then
+(* [live] is false in recovery and standby replay: no callbacks, no
+   counters. *)
+let check_alert s ~live q =
+  if live then
     match q.qattrs.alert_threshold with
     | Some thr ->
       let d = queue_depth q in
       if d >= thr && not q.alerted then begin
         q.alerted <- true;
-        t.alert_cb q.qname d
+        s.alert_cb q.qname d
       end
       else if d < thr then q.alerted <- false
     | None -> ()
 
-let remove_element t eid =
-  match Eidtbl.find_opt t.index eid with
+let remove_element s eid =
+  match Eidtbl.find_opt s.index eid with
   | None -> None
   | Some (qn, el) ->
-    let q = get_queue t qn in
+    let q = get_queue s qn in
     q.elems <- Emap.remove (Element.key el) q.elems;
-    Eidtbl.remove t.index eid;
+    Eidtbl.remove s.index eid;
     (match q.qattrs.alert_threshold with
     | Some thr when queue_depth q < thr -> q.alerted <- false
     | _ -> ());
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.set_gauge
-        (Printf.sprintf "qm.depth:%s/%s" t.qm_name q.qname)
+        (Printf.sprintf "qm.depth:%s/%s" s.qm_name q.qname)
         (float_of_int (queue_depth q));
     Some (q, el)
 
 (* Insert, following redirection, then fire any completed trigger group. *)
-let rec insert_element t qn el =
-  let q = get_queue t qn in
+let rec insert_element s ~live qn el =
+  let q = get_queue s qn in
   match q.qattrs.redirect_to with
-  | Some target when target <> qn && Hashtbl.mem t.queues target ->
-    insert_element t target el
+  | Some target when target <> qn && Hashtbl.mem s.queues target ->
+    insert_element s ~live target el
   | _ ->
     q.elems <- Emap.add (Element.key el) el q.elems;
-    Eidtbl.replace t.index el.Element.eid (q.qname, el);
-    if not t.replaying then q.n_enq <- q.n_enq + 1;
+    Eidtbl.replace s.index el.Element.eid (q.qname, el);
+    if live then q.n_enq <- q.n_enq + 1;
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.set_gauge
-        (Printf.sprintf "qm.depth:%s/%s" t.qm_name q.qname)
+        (Printf.sprintf "qm.depth:%s/%s" s.qm_name q.qname)
         (float_of_int (queue_depth q));
     Cond.signal q.nonempty;
-    check_alert t q;
-    check_triggers t q el
+    check_alert s ~live q;
+    check_triggers s ~live q el
 
-and check_triggers t q el =
-  match Hashtbl.find_opt t.triggers q.qname with
+and check_triggers s ~live q el =
+  match Hashtbl.find_opt s.triggers q.qname with
   | None -> ()
   | Some trigs ->
     List.iter
@@ -419,27 +384,27 @@ and check_triggers t q el =
           if members <> [] && trig.complete members then begin
             let outputs = trig.make members in
             List.iter
-              (fun m -> ignore (remove_element t m.Element.eid))
+              (fun m -> ignore (remove_element s m.Element.eid))
               members;
             List.iter
               (fun (target, payload, props) ->
-                let eid = fresh_eid t in
+                let eid = fresh_eid s in
                 let out =
                   Element.make ~eid ~payload ~props ~priority:0
-                    ~enq_time:(now t)
+                    ~enq_time:(now s)
                 in
-                insert_element t target out)
+                insert_element s ~live target out)
               outputs
           end)
       trigs
 
-and fresh_eid t =
-  t.next_eid_low <- Int64.add t.next_eid_low 1L;
-  Int64.add (Int64.mul (Int64.of_int t.incarnations) 0x100000000L) t.next_eid_low
+and fresh_eid s =
+  s.next_eid_low <- Int64.add s.next_eid_low 1L;
+  Int64.add (Int64.mul (Int64.of_int s.incarnations) 0x100000000L) s.next_eid_low
 
-and now t =
-  t.internal_seq <- t.internal_seq +. 1.0;
-  t.clock () +. (t.internal_seq *. 1e-9)
+and now s =
+  s.internal_seq <- s.internal_seq +. 1.0;
+  s.clock () +. (s.internal_seq *. 1e-9)
 
 (* Trigger outputs allocate eids at apply time. During replay this re-runs
    with the same incarnation counter state as the original run *only if*
@@ -447,162 +412,127 @@ and now t =
    apply order equals log order. Post-crash incarnation bumps keep fresh
    eids unique anyway. *)
 
-let apply t op =
+let apply s ~live op =
   (* Operation counters live here (not in the workspace path) so they count
-     committed effects only, and the [replaying] guard keeps recovery from
-     double-counting a run's history. *)
-  let live = not t.replaying && Rrq_obs.enabled () in
-  match op with
-  | RCreate (qn, a) -> ensure_queue t qn a
+     committed effects only, and [live] keeps recovery from double-counting
+     a run's history. *)
+  let obs = live && Rrq_obs.enabled () in
+  match op.op_redo with
+  | RCreate (qn, a) -> ensure_queue s qn a
   | REnq (qn, el) ->
-    if live then Rrq_obs.Metrics.inc ("qm.enqueues:" ^ t.qm_name);
-    insert_element t qn el
+    if obs then Rrq_obs.Metrics.inc ("qm.enqueues:" ^ s.qm_name);
+    insert_element s ~live qn el
   | RDeq eid -> begin
-    match remove_element t eid with
+    match remove_element s eid with
     | Some (q, el) ->
-      if not t.replaying then q.n_deq <- q.n_deq + 1;
-      if live then begin
-        Rrq_obs.Metrics.inc ("qm.dequeues:" ^ t.qm_name);
+      if live then q.n_deq <- q.n_deq + 1;
+      if obs then begin
+        Rrq_obs.Metrics.inc ("qm.dequeues:" ^ s.qm_name);
         Rrq_obs.Metrics.observe
-          (Printf.sprintf "qm.wait:%s/%s" t.qm_name q.qname)
-          (t.clock () -. el.Element.enq_time)
+          (Printf.sprintf "qm.wait:%s/%s" s.qm_name q.qname)
+          (s.clock () -. el.Element.enq_time)
       end
     | None -> ()
   end
   | RKill eid ->
-    if live then Rrq_obs.Metrics.inc ("qm.kills:" ^ t.qm_name);
-    ignore (remove_element t eid)
+    if obs then Rrq_obs.Metrics.inc ("qm.kills:" ^ s.qm_name);
+    ignore (remove_element s eid)
   | RBump eid -> begin
-    match Eidtbl.find_opt t.index eid with
+    match Eidtbl.find_opt s.index eid with
     | Some (_, el) ->
       el.Element.delivery_count <- el.Element.delivery_count + 1;
-      if live then begin
-        Rrq_obs.Metrics.inc ("qm.bumps:" ^ t.qm_name);
+      if obs then begin
+        Rrq_obs.Metrics.inc ("qm.bumps:" ^ s.qm_name);
         Rrq_obs.Metrics.observe
-          ("qm.abort_count:" ^ t.qm_name)
+          ("qm.abort_count:" ^ s.qm_name)
           (float_of_int el.Element.delivery_count)
       end
     | None -> ()
   end
+  | RStale eid -> begin
+    match Eidtbl.find_opt s.index eid with
+    | Some (_, el) -> el.Element.stale_count <- el.Element.stale_count + 1
+    | None -> ()
+  end
   | RMove_error (eid, errq, code) -> begin
-    match remove_element t eid with
+    match remove_element s eid with
     | None -> ()
     | Some (_, el) ->
       el.Element.abort_code <- Some code;
       el.Element.status <- Element.Ready;
-      if live then begin
-        Rrq_obs.Metrics.inc ("qm.spills:" ^ t.qm_name);
+      if obs then begin
+        Rrq_obs.Metrics.inc ("qm.spills:" ^ s.qm_name);
         Rrq_obs.Trace.emit
           (Rrq_obs.Event.Error_spill
-             { qm = t.qm_name; error_queue = errq; eid; code })
+             { qm = s.qm_name; error_queue = errq; eid; code })
       end;
-      ensure_queue t errq
+      ensure_queue s errq
         { default_attrs with retry_limit = max_int; error_queue = Some errq };
-      insert_element t errq el
+      insert_element s ~live errq el
   end
   | RRegister (r, qn, stable) ->
-    if not (Hashtbl.mem t.regs (r, qn)) then
-      Hashtbl.replace t.regs (r, qn)
+    if not (Hashtbl.mem s.regs (r, qn)) then
+      Hashtbl.replace s.regs (r, qn)
         { r_registrant = r; r_queue = qn; r_stable = stable; r_last = None }
-  | RDeregister (r, qn) -> Hashtbl.remove t.regs (r, qn)
+  | RDeregister (r, qn) -> Hashtbl.remove s.regs (r, qn)
   | RSet_last (r, qn, l) -> begin
-    match Hashtbl.find_opt t.regs (r, qn) with
+    match Hashtbl.find_opt s.regs (r, qn) with
     | Some reg -> reg.r_last <- l
     | None -> ()
   end
   | RIncarnation ->
-    t.incarnations <- t.incarnations + 1;
-    t.next_eid_low <- 0L
+    s.incarnations <- s.incarnations + 1;
+    s.next_eid_low <- 0L
   | RDestroy qn -> begin
-    match Hashtbl.find_opt t.queues qn with
+    match Hashtbl.find_opt s.queues qn with
     | None -> ()
     | Some q ->
-      Emap.iter (fun _ el -> Eidtbl.remove t.index el.Element.eid) q.elems;
-      Hashtbl.remove t.queues qn;
+      Emap.iter (fun _ el -> Eidtbl.remove s.index el.Element.eid) q.elems;
+      Hashtbl.remove s.queues qn;
       let doomed =
         Hashtbl.fold
           (fun key reg acc -> if reg.r_queue = qn then key :: acc else acc)
-          t.regs []
+          s.regs []
       in
-      List.iter (Hashtbl.remove t.regs) doomed
+      List.iter (Hashtbl.remove s.regs) doomed
   end
   | RSet_stopped (qn, flag) -> begin
-    match Hashtbl.find_opt t.queues qn with
+    match Hashtbl.find_opt s.queues qn with
     | Some q ->
       q.stopped <- flag;
       if not flag then Cond.broadcast q.nonempty
     | None -> ()
   end
   | RAlter (qn, a) -> begin
-    match Hashtbl.find_opt t.queues qn with
+    match Hashtbl.find_opt s.queues qn with
     | Some q ->
       q.qattrs <- a;
-      check_alert t q
+      check_alert s ~live q
     | None -> ()
   end
 
-(* A redo is logged iff every queue it touches is recoverable (stable or
-   main-memory); registration records are always logged. Volatile-queue
-   updates are applied but never logged — they cost no forced writes and
-   evaporate on crash. Main-memory queues are logged like stable ones (the
-   redo record IS their durability), they just take the cheaper encode
-   route at commit. *)
-let redo_is_stable t = function
-  | RCreate (_, _) -> true (* DDL is durable even for volatile queues *)
-  | REnq (qn, _) -> begin
-    match Hashtbl.find_opt t.queues qn with
-    | Some q -> q.qattrs.durability <> Volatile
-    | None -> true
+(* The queue an element update touches, resolved before apply (a dequeue's
+   index entry is gone after it). *)
+let element_queue s = function
+  | REnq (qn, _) -> Hashtbl.find_opt s.queues qn
+  | RDeq eid | RKill eid | RBump eid | RStale eid | RMove_error (eid, _, _) -> begin
+    match Eidtbl.find_opt s.index eid with
+    | Some (qn, _) -> Hashtbl.find_opt s.queues qn
+    | None -> None
   end
-  | RDeq eid | RKill eid | RBump eid | RMove_error (eid, _, _) -> begin
-    match Eidtbl.find_opt t.index eid with
-    | Some (qn, _) -> (get_queue t qn).qattrs.durability <> Volatile
-    | None -> true
-  end
-  | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation -> true
-  | RDestroy _ | RSet_stopped _ | RAlter _ -> true
+  | RCreate _ | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
+  | RDestroy _ | RSet_stopped _ | RAlter _ ->
+    None
 
-(* One classification pass per commit, resolving each op's queue durability
-   exactly once (this replaced a [List.filter] + [List.for_all] pair that
-   re-resolved every op). Returns:
-   - [any_volatile]: some op touches a volatile queue, so the logged set is
-     a strict subset of [ops] (recomputed with {!redo_is_stable} — rare);
-   - [all_mm]: every op touches a main-memory queue, making the record
-     eligible for the zero-copy scratch encode;
-   - [pages]: the element updates on [Stable] queues that owe an in-place
-     queue-page write, with their queue resolved before any effect is
-     applied (a dequeue's index entry is gone after apply). *)
-let classify_ops t ops =
-  let any_volatile = ref false in
-  let all_mm = ref (ops <> []) in
-  let pages = ref [] in
-  let on_queue qn op =
-    match Hashtbl.find_opt t.queues qn with
-    | None -> all_mm := false
-    | Some q -> begin
-      match q.qattrs.durability with
-      | Main_memory -> ()
-      | Volatile ->
-        any_volatile := true;
-        all_mm := false
-      | Stable ->
-        all_mm := false;
-        pages := (qn, op.op_redo) :: !pages
-    end
-  in
-  List.iter
-    (fun op ->
-      match op.op_redo with
-      | REnq (qn, _) -> on_queue qn op
-      | RDeq eid | RKill eid | RBump eid | RMove_error (eid, _, _) -> begin
-        match Eidtbl.find_opt t.index eid with
-        | Some (qn, _) -> on_queue qn op
-        | None -> all_mm := false
-      end
-      | RCreate _ | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
-      | RDestroy _ | RSet_stopped _ | RAlter _ -> all_mm := false)
-    ops;
-  (!any_volatile, !all_mm, List.rev !pages)
+(* A redo is logged iff the queue it touches is recoverable (stable or
+   main-memory); DDL and registration records are always logged.
+   Volatile-queue updates are applied but never logged — they cost no
+   forced writes and evaporate on crash. Main-memory queues are logged like
+   stable ones: the redo record IS their durability. *)
+let logged s op =
+  match element_queue s op.op_redo with
+  | Some q -> q.qattrs.durability <> Volatile
+  | None -> true
 
 (* Disk-resident queue modeling (paper secs. 2 and 10): every committed
    element update on a [Stable] queue pays a read-modify-write of the
@@ -615,22 +545,22 @@ let classify_ops t ops =
    as a log force, and ignored by recovery — the WAL stays authoritative. *)
 let page_size = 4096
 
-let qstore_file t qn q =
+let qstore_file s qn q =
   match q.qstore with
   | Some f -> f
   | None ->
-    let f = Disk.open_file (Node_log.disk t.log) (t.qm_name ^ ".qstore." ^ qn) in
+    let f = Disk.open_file s.disk (s.qm_name ^ ".qstore." ^ qn) in
     q.qstore <- Some f;
     f
 
-let store_write t pages =
+let store_write s pages =
   List.iter
     (fun (qn, redo) ->
-      match Hashtbl.find_opt t.queues qn with
+      match Hashtbl.find_opt s.queues qn with
       | None -> () (* queue destroyed in the same transaction *)
       | Some q ->
-        let f = qstore_file t qn q in
-        let e = t.scratch in
+        let f = qstore_file s qn q in
+        let e = s.page_enc in
         Codec.reset e;
         (match redo with
         | REnq (_, el) ->
@@ -642,7 +572,7 @@ let store_write t pages =
         | RKill eid ->
           Codec.u8 e 3;
           Codec.i64 e eid
-        | RBump eid ->
+        | RBump eid | RStale eid ->
           Codec.u8 e 4;
           Codec.i64 e eid
         | RMove_error (eid, _, _) ->
@@ -651,39 +581,66 @@ let store_write t pages =
         | RCreate _ | RRegister _ | RDeregister _ | RSet_last _
         | RIncarnation | RDestroy _ | RSet_stopped _ | RAlter _ -> ());
         (* read back ... *)
-        Disk.read_page f t.page;
+        Disk.read_page f s.page;
         (* ... modify in place ... *)
         let len = min (Codec.length e) page_size in
-        Bytes.blit (Codec.bytes e) 0 t.page 0 len;
+        Bytes.blit (Codec.bytes e) 0 s.page 0 len;
         (* ... write the whole page *)
-        Disk.write_page f t.page)
+        Disk.write_page f s.page)
     pages
 
-(* One commit-point section, choosing the encode route. [all_mm] sections
-   (only main-memory queues touched) are encoded into the QM's scratch
-   buffer, which the node log copies straight into its record — no fresh
-   encoder, no [to_string] (this is what "no stable read-back or copy on
-   the hot path" buys in B1). Everything else keeps the historical
-   allocate route. Both routes produce the same bytes, so replay cannot
-   tell them apart. *)
-let section t kind txid_opt coordinator ops ~all_mm =
-  let e =
-    if all_mm then begin
-      Codec.reset t.scratch;
-      t.scratch
-    end
-    else Codec.encoder ()
+(* The in-place page writes that follow the force (write-ahead rule). *)
+let on_durable s ops =
+  let pages =
+    List.filter_map
+      (fun op ->
+        match element_queue s op.op_redo with
+        | Some q when q.qattrs.durability = Stable -> Some (q.qname, op.op_redo)
+        | _ -> None)
+      ops
   in
-  encode_record_into e kind txid_opt coordinator ops
+  if pages = [] then ignore else fun () -> store_write s pages
 
-let part ?redo ?(apply = ignore) ?(durable = ignore) () =
-  { Node_log.kind = Node_log.Qm; redo; apply; durable }
+(* How many times the janitor may return an element before it goes to the
+   error queue: a request whose owner keeps stalling (its reply shard never
+   returns) still leaves the loop, long after any failed-delivery bound. *)
+let stale_limit = 100
+
+(* Returning a dequeued element to its queue after an abort. A failed
+   delivery bumps its retry count durably, a janitor return (the owner
+   stalled) its stale count; at the bound it moves to the error queue
+   instead (§4.2). *)
+let restore_element s ~stale op =
+  match op.op_redo with
+  | RDeq eid -> begin
+    match Eidtbl.find_opt s.index eid with
+    | None -> []
+    | Some (qn, el) ->
+      let q = get_queue s qn in
+      el.Element.status <- Element.Ready;
+      Cond.signal q.nonempty;
+      let count, limit, mark, what =
+        if stale then (el.Element.stale_count, stale_limit, RStale eid, "stalled")
+        else (el.Element.delivery_count, q.qattrs.retry_limit, RBump eid, "aborted")
+      in
+      if count + 1 >= limit then begin
+        let errq =
+          match op.op_errq with Some e -> e | None -> default_error_queue q
+        in
+        let code = Printf.sprintf "%s %d times" what (count + 1) in
+        [ plain mark; plain (RMove_error (eid, errq, code)) ]
+      end
+      else [ plain mark ]
+  end
+  | RCreate _ | REnq _ | RKill _ | RBump _ | RStale _ | RMove_error _
+  | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation | RDestroy _
+  | RSet_stopped _ | RAlter _ ->
+    []
 
 (* ---- snapshot / recovery ------------------------------------------- *)
 
-let encode_snapshot t =
-  let e = Codec.encoder () in
-  Codec.int e t.incarnations;
+let snapshot e s =
+  Codec.int e s.incarnations;
   (* recoverable queues only: volatile contents die with the process
      anyway. Main-memory queues must be included — the checkpoint deletes
      the segments holding their redo records, so the snapshot is the
@@ -691,7 +648,7 @@ let encode_snapshot t =
   let stable_queues =
     Hashtbl.fold
       (fun _ q acc -> if q.qattrs.durability <> Volatile then q :: acc else acc)
-      t.queues []
+      s.queues []
     |> List.sort (fun a b -> compare a.qname b.qname)
   in
   Codec.int e (List.length stable_queues);
@@ -703,270 +660,202 @@ let encode_snapshot t =
       Emap.iter (fun _ el -> Element.encode e el) q.elems)
     stable_queues;
   let stopped_queues =
-    Hashtbl.fold (fun qn q acc -> if q.stopped then qn :: acc else acc) t.queues []
+    Hashtbl.fold (fun qn q acc -> if q.stopped then qn :: acc else acc) s.queues []
   in
   Codec.list Codec.string e (List.sort compare stopped_queues);
-  Codec.int e (Hashtbl.length t.regs);
+  Codec.int e (Hashtbl.length s.regs);
   Hashtbl.iter
     (fun (r, qn) reg ->
       Codec.string e r;
       Codec.string e qn;
       Codec.bool e reg.r_stable;
       Codec.option encode_last_op e reg.r_last)
-    t.regs;
-  Codec.int e (Hashtbl.length t.prepared);
-  Hashtbl.iter
-    (fun id p ->
-      Txid.encode e id;
-      Codec.string e p.p_coord;
-      Codec.list encode_ws_op e
-        (List.filter (fun op -> redo_is_stable t op.op_redo) p.p_ops))
-    t.prepared;
-  Codec.list Txid.encode e (Hashtbl.fold (fun id () acc -> id :: acc) t.remembered []);
-  Codec.to_string e
+    s.regs;
+  Codec.list
+    (Codec.pair Codec.i64 Codec.int)
+    e
+    (Eidtbl.fold
+       (fun eid (_, el) acc ->
+         if el.Element.stale_count > 0 then (eid, el.Element.stale_count) :: acc else acc)
+       s.index [])
 
-let restore_snapshot t snap =
-  let d = Codec.decoder snap in
-  t.incarnations <- Codec.get_int d;
-  let nq = Codec.get_int d in
-  for _ = 1 to nq do
-    let qn = Codec.get_string d in
-    let a = decode_attrs d in
-    let q = make_queue qn a in
-    Hashtbl.replace t.queues qn q;
-    let ne = Codec.get_int d in
-    for _ = 1 to ne do
-      let el = Element.decode d in
-      q.elems <- Emap.add (Element.key el) el q.elems;
-      Eidtbl.replace t.index el.Element.eid (qn, el)
-    done
-  done;
-  let stopped_queues = Codec.get_list Codec.get_string d in
-  List.iter
-    (fun qn ->
-      match Hashtbl.find_opt t.queues qn with
-      | Some q -> q.stopped <- true
-      | None -> ())
-    stopped_queues;
-  let nr = Codec.get_int d in
-  for _ = 1 to nr do
-    let r = Codec.get_string d in
-    let qn = Codec.get_string d in
-    let stable = Codec.get_bool d in
-    let last = Codec.get_option decode_last_op d in
-    Hashtbl.replace t.regs (r, qn)
-      { r_registrant = r; r_queue = qn; r_stable = stable; r_last = last }
-  done;
-  let np = Codec.get_int d in
-  for _ = 1 to np do
-    let id = Txid.decode d in
-    let coord = Codec.get_string d in
-    let ops = Codec.get_list decode_ws_op d in
-    Hashtbl.replace t.prepared id { p_coord = coord; p_ops = ops }
-  done;
-  List.iter
-    (fun id -> Hashtbl.replace t.remembered id ())
-    (Codec.get_list Txid.decode d)
-
-(* Apply an in-doubt transaction, remembering it for [k_commit_kept]. *)
-let resolve_commit t id ~keep =
-  match Hashtbl.find_opt t.prepared id with
-  | Some p ->
-    List.iter (fun op -> apply t op.op_redo) p.p_ops;
-    Hashtbl.remove t.prepared id;
-    if keep then Hashtbl.replace t.remembered id ()
-  | None -> ()
-
-let replay_record t payload =
-  let d = Codec.decoder payload in
-  let kind = Codec.get_u8 d in
-  if kind = k_forget then
-    List.iter (Hashtbl.remove t.remembered) (Codec.get_list Txid.decode d)
-  else if kind = k_commit || kind = k_commit_kept then
-    resolve_commit t (Txid.decode d) ~keep:(kind = k_commit_kept)
-  else if kind = k_abort then Hashtbl.remove t.prepared (Txid.decode d)
-  else begin
-    let txid = Codec.get_option Txid.decode d in
-    let coordinator = Codec.get_string d in
-    let ops = Codec.get_list decode_ws_op d in
-    if kind = k_one_phase || kind = k_now then
-      List.iter (fun op -> apply t op.op_redo) ops
-    else
-      match txid with
-      | Some id when kind = k_prepare ->
-        Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops }
-      | _ -> failwith (Printf.sprintf "qm: bad record kind %d" kind)
-  end
-
-(* Re-assert the volatile exclusions of in-doubt transactions: dequeued
-   elements stay locked, strict-FIFO queue locks are re-taken. *)
-let relock_in_doubt t =
-  Hashtbl.iter
-    (fun id p ->
+(* In place: the clock, callbacks, triggers and lock table stay. *)
+let restore s d =
+  Hashtbl.reset s.queues;
+  Eidtbl.reset s.index;
+  Hashtbl.reset s.regs;
+  Option.iter
+    (fun d ->
+      s.incarnations <- Codec.get_int d;
+      let nq = Codec.get_int d in
+      for _ = 1 to nq do
+        let qn = Codec.get_string d in
+        let a = decode_attrs d in
+        let q = make_queue qn a in
+        Hashtbl.replace s.queues qn q;
+        let ne = Codec.get_int d in
+        for _ = 1 to ne do
+          let el = Element.decode d in
+          q.elems <- Emap.add (Element.key el) el q.elems;
+          Eidtbl.replace s.index el.Element.eid (qn, el)
+        done
+      done;
+      let stopped_queues = Codec.get_list Codec.get_string d in
       List.iter
-        (fun op ->
-          match op.op_redo with
-          | RDeq eid -> begin
-            match Eidtbl.find_opt t.index eid with
-            | Some (qn, el) ->
-              el.Element.status <- Element.Deq_pending id;
-              let q = get_queue t qn in
-              if q.qattrs.strict_fifo then
-                Lock.acquire t.locks id ~key:("q:" ^ qn) Lock.X
-            | None -> ()
-          end
-          | RCreate _ | REnq _ | RKill _ | RBump _ | RMove_error _
-          | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation
-          | RDestroy _ | RSet_stopped _ | RAlter _ -> ())
-        p.p_ops)
-    t.prepared
+        (fun qn ->
+          match Hashtbl.find_opt s.queues qn with
+          | Some q -> q.stopped <- true
+          | None -> ())
+        stopped_queues;
+      let nr = Codec.get_int d in
+      for _ = 1 to nr do
+        let r = Codec.get_string d in
+        let qn = Codec.get_string d in
+        let stable = Codec.get_bool d in
+        let last = Codec.get_option decode_last_op d in
+        Hashtbl.replace s.regs (r, qn)
+          { r_registrant = r; r_queue = qn; r_stable = stable; r_last = last }
+      done;
+      List.iter
+        (fun (eid, n) ->
+          match Eidtbl.find_opt s.index eid with
+          | Some (_, el) -> el.Element.stale_count <- n
+          | None -> ())
+        (Codec.get_list (Codec.get_pair Codec.get_i64 Codec.get_int) d))
+    d
 
-(* The logged subset of [ops] (volatile-queue updates are applied but
-   never logged) as a part of a commit record: its section, its in-memory
-   effects, and the in-place page writes that follow the force
-   (write-ahead rule). A part held across a yield must not use the
-   scratch buffer ([scratch:false]). *)
-let commit_part t ?txid ?(scratch = true) ops =
-  let any_volatile, all_mm, pages = classify_ops t ops in
-  let all_mm = all_mm && scratch in
-  let stable =
-    if any_volatile then List.filter (fun op -> redo_is_stable t op.op_redo) ops
-    else ops
-  in
-  let redo =
-    if stable = [] then None
-    else
-      let kind = if txid = None then k_now else k_one_phase in
-      Some (section t kind txid "" stable ~all_mm)
-  in
-  part ?redo
-    ~apply:(fun () -> List.iter (fun op -> apply t op.op_redo) ops)
-    ~durable:(fun () -> if pages <> [] then store_write t pages)
-    ()
+(* Re-assert the volatile exclusions of an in-doubt transaction: dequeued
+   elements stay locked, strict-FIFO queue locks are re-taken. *)
+let relock s id ops =
+  List.iter
+    (fun op ->
+      match op.op_redo with
+      | RDeq eid -> begin
+        match Eidtbl.find_opt s.index eid with
+        | Some (qn, el) ->
+          el.Element.status <- Element.Deq_pending id;
+          let q = get_queue s qn in
+          if q.qattrs.strict_fifo then
+            Lock.acquire s.locks id ~key:("q:" ^ qn) Lock.X
+        | None -> ()
+      end
+      | RCreate _ | REnq _ | RKill _ | RBump _ | RStale _ | RMove_error _
+      | RRegister _ | RDeregister _ | RSet_last _ | RIncarnation | RDestroy _
+      | RSet_stopped _ | RAlter _ ->
+        ())
+    ops
 
-let log_now t ops = Node_log.commit t.log [ commit_part t ops ]
+module Queue_state = struct
+  type nonrec state = state
+  type redo = op
 
-(* The QM's half of HA: a standby replays shipped sections and installs a
-   primary's image. [replaying] suppresses alert callbacks and trigger side
-   effects exactly as recovery replay does. No locks are re-asserted: a
-   standby runs no competing transactions. *)
-let replaying t f =
-  t.replaying <- true;
-  Fun.protect ~finally:(fun () -> t.replaying <- false) f
+  let kind = Node_log.Qm
+  let encode_redo = encode_op
+  let decode_redo = decode_op
+  let apply = apply
+  let logged = logged
+  let on_durable = on_durable
+  let abort_fixups s ~stale ops = List.concat_map (restore_element s ~stale) ops
+  let snapshot = snapshot
+  let restore = restore
+  let relock = relock
+  let locks s = s.locks
+  let clock s = s.clock ()
+end
 
-let install t snap =
-  Hashtbl.reset t.queues;
-  Eidtbl.reset t.index;
-  Hashtbl.reset t.regs;
-  Hashtbl.reset t.workspaces;
-  Hashtbl.reset t.prepared;
-  Hashtbl.reset t.remembered;
-  t.ws_cache <- None;
-  Option.iter (fun snap -> replaying t (fun () -> restore_snapshot t snap)) snap
+module Base = Rrq_txn.Rm.Make (Queue_state)
+
+type t = Base.t
+
+let log_now t redo = Base.commit_now t [ plain redo ]
 
 let attach ?(triggers = []) log ~name:qm_name =
-  let t =
+  let s =
     {
       qm_name;
-      log;
+      disk = Node_log.disk log;
       queues = Hashtbl.create 16;
       index = Eidtbl.create 256;
       regs = Hashtbl.create 32;
       locks = Lock.create ~name:"qm" ();
-      workspaces = Hashtbl.create 16;
-      prepared = Hashtbl.create 8;
-      remembered = Hashtbl.create 8;
       triggers = Hashtbl.create 4;
       incarnations = 0;
       next_eid_low = 0L;
-      replaying = true;
       abort_cb = (fun _ -> ());
       alert_cb = (fun _ _ -> ());
       clock = (fun () -> 0.0);
       internal_seq = 0.0;
       auto_n = 0;
-      scratch = Codec.encoder ();
       auto_origin = qm_name ^ "!auto";
       page = Bytes.make page_size '\000';
-      ws_cache = None;
+      page_enc = Codec.encoder ();
     }
   in
   List.iter
     (fun trig ->
       let cur =
-        match Hashtbl.find_opt t.triggers trig.on_queue with
+        match Hashtbl.find_opt s.triggers trig.on_queue with
         | Some l -> l
         | None -> []
       in
-      Hashtbl.replace t.triggers trig.on_queue (cur @ [ trig ]))
+      Hashtbl.replace s.triggers trig.on_queue (cur @ [ trig ]))
     triggers;
-  let snap, records =
-    Node_log.attach log Node_log.Qm
-      {
-        Node_log.snapshot = (fun () -> encode_snapshot t);
-        replay = (fun r -> replaying t (fun () -> replay_record t r));
-        install = install t;
-      }
-  in
-  Option.iter (restore_snapshot t) snap;
-  List.iter (replay_record t) records;
-  relock_in_doubt t;
-  t.replaying <- false;
+  let t = Base.attach log ~name:qm_name s in
   (* Bump the incarnation durably so eids and auto-txids never repeat. *)
-  log_now t [ { op_redo = RIncarnation; op_errq = None } ];
+  log_now t RIncarnation;
   t
 
 let open_qm ?triggers disk ~name =
   attach ?triggers (Node_log.open_log disk ~name) ~name
 
-let name t = t.qm_name
+let name = Base.name
 
 (* ---- DDL ------------------------------------------------------------ *)
 
 let create_queue t ?(attrs = default_attrs) qn =
-  if not (Hashtbl.mem t.queues qn) then
-    log_now t [ { op_redo = RCreate (qn, attrs); op_errq = None } ]
+  if not (Hashtbl.mem (Base.state t).queues qn) then log_now t (RCreate (qn, attrs))
 
 let alter_queue t qn attrs =
-  let q = get_queue t qn in
+  let q = get_queue (Base.state t) qn in
   if q.qattrs.durability <> attrs.durability then
     invalid_arg "Qm.alter_queue: durability class is immutable";
-  log_now t [ { op_redo = RAlter (qn, attrs); op_errq = None } ]
+  log_now t (RAlter (qn, attrs))
 
 let destroy_queue t qn =
-  ignore (get_queue t qn);
-  log_now t [ { op_redo = RDestroy qn; op_errq = None } ]
+  ignore (get_queue (Base.state t) qn);
+  log_now t (RDestroy qn)
 
 let stop_queue t qn =
-  ignore (get_queue t qn);
-  log_now t [ { op_redo = RSet_stopped (qn, true); op_errq = None } ]
+  ignore (get_queue (Base.state t) qn);
+  log_now t (RSet_stopped (qn, true))
 
 let start_queue t qn =
-  ignore (get_queue t qn);
-  log_now t [ { op_redo = RSet_stopped (qn, false); op_errq = None } ]
+  ignore (get_queue (Base.state t) qn);
+  log_now t (RSet_stopped (qn, false))
 
-let queue_stopped t qn = (get_queue t qn).stopped
+let queue_stopped t qn = (get_queue (Base.state t) qn).stopped
 
-let queue_exists t qn = Hashtbl.mem t.queues qn
+let queue_exists t qn = Hashtbl.mem (Base.state t).queues qn
 
 let queue_names t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.queues [] |> List.sort compare
+  Hashtbl.fold (fun k _ acc -> k :: acc) (Base.state t).queues [] |> List.sort compare
 
-let depth t qn = queue_depth (get_queue t qn)
+let depth t qn = queue_depth (get_queue (Base.state t) qn)
 
 (* ---- registration ---------------------------------------------------- *)
 
 let register t ~queue ~registrant ~stable =
-  if not (Hashtbl.mem t.queues queue) then raise (No_such_queue queue);
+  let s = Base.state t in
+  if not (Hashtbl.mem s.queues queue) then raise (No_such_queue queue);
   let h = { h_registrant = registrant; h_queue = queue } in
-  match Hashtbl.find_opt t.regs (registrant, queue) with
+  match Hashtbl.find_opt s.regs (registrant, queue) with
   | Some reg -> (h, if reg.r_stable then reg.r_last else None)
   | None ->
-    log_now t [ { op_redo = RRegister (registrant, queue, stable); op_errq = None } ];
+    log_now t (RRegister (registrant, queue, stable));
     (h, None)
 
-let reg_of t h =
-  match Hashtbl.find_opt t.regs (h.h_registrant, h.h_queue) with
+let reg_of s h =
+  match Hashtbl.find_opt s.regs (h.h_registrant, h.h_queue) with
   | Some reg -> reg
   | None ->
     raise (Not_registered (Printf.sprintf "%s@%s" h.h_registrant h.h_queue))
@@ -975,84 +864,39 @@ let reg_of t h =
    peer repository can be probed for duplicate-suppression evidence
    (shard registration pull) without perturbing its durable state. *)
 let lookup_registration t ~queue ~registrant =
-  match Hashtbl.find_opt t.regs (registrant, queue) with
+  match Hashtbl.find_opt (Base.state t).regs (registrant, queue) with
   | Some reg when reg.r_stable -> reg.r_last
   | _ -> None
 
 let deregister t h =
-  ignore (reg_of t h);
-  log_now t
-    [ { op_redo = RDeregister (h.h_registrant, h.h_queue); op_errq = None } ]
+  ignore (reg_of (Base.state t) h);
+  log_now t (RDeregister (h.h_registrant, h.h_queue))
 
 let handle_queue h = h.h_queue
 let handle_registrant h = h.h_registrant
 
-(* ---- workspaces ------------------------------------------------------ *)
-
-(* All workspace access goes through these: the one-slot [ws_cache] holds
-   the most recent transaction's workspace OUTSIDE the table, so the
-   common one-open-transaction flow (auto-commit) never pays a Txid-keyed
-   hash. A second concurrent transaction spills the cached one back into
-   the table. *)
-let ws_find t id =
-  match t.ws_cache with
-  | Some (cid, ws) when Txid.equal cid id -> Some ws
-  | _ -> Hashtbl.find_opt t.workspaces id
-
-let ws_mem t id =
-  match ws_find t id with Some _ -> true | None -> false
-
-let ws_remove t id =
-  match t.ws_cache with
-  | Some (cid, _) when Txid.equal cid id -> t.ws_cache <- None
-  | _ -> Hashtbl.remove t.workspaces id
-
-let ws_fold t f acc =
-  let acc = Hashtbl.fold f t.workspaces acc in
-  match t.ws_cache with Some (id, ws) -> f id ws acc | None -> acc
-
-let ws_of t id =
-  match ws_find t id with
-  | Some ws ->
-    ws.activity <- t.clock ();
-    ws
-  | None ->
-    let ws = { ops = []; activity = t.clock () } in
-    (match t.ws_cache with
-    | Some (cid, cws) -> Hashtbl.replace t.workspaces cid cws
-    | None -> ());
-    t.ws_cache <- Some (id, ws);
-    ws
-
-let add_op t id op =
-  let ws = ws_of t id in
-  ws.ops <- op :: ws.ops
-
 (* ---- data manipulation ----------------------------------------------- *)
 
 let enqueue t id h ?tag ?(props = []) ?(priority = 0) payload =
-  let reg = reg_of t h in
-  if (get_queue t h.h_queue).stopped then raise (Stopped h.h_queue);
-  let eid = fresh_eid t in
-  let el = Element.make ~eid ~payload ~props ~priority ~enq_time:(now t) in
-  add_op t id { op_redo = REnq (h.h_queue, el); op_errq = None };
+  let s = Base.state t in
+  let reg = reg_of s h in
+  if (get_queue s h.h_queue).stopped then raise (Stopped h.h_queue);
+  let eid = fresh_eid s in
+  let el = Element.make ~eid ~payload ~props ~priority ~enq_time:(now s) in
+  Base.add_redo t id (plain (REnq (h.h_queue, el)));
   (match tag with
   | Some tag when reg.r_stable ->
-    add_op t id
-      {
-        op_redo =
-          RSet_last
+    Base.add_redo t id
+      (plain
+         (RSet_last
             ( h.h_registrant,
               h.h_queue,
-              Some { op_kind = `Enqueue; tag; op_eid = eid; element_copy = Some el }
-            );
-        op_errq = None;
-      }
+              Some { op_kind = `Enqueue; tag; op_eid = eid; element_copy = Some el } )))
   | _ -> ());
   if Rrq_obs.enabled () then
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Enqueue
-         { qm = t.qm_name; queue = h.h_queue; eid; txid = Txid.to_string id });
+         { qm = s.qm_name; queue = h.h_queue; eid; txid = Txid.to_string id });
   eid
 
 let select_ready ?rank q filter =
@@ -1088,15 +932,14 @@ let select_ready ?rank q filter =
 (* [reg] is the caller's already-resolved registration for [h] — dequeue
    validates it up front, so resolving it again here would be a second
    hash of the same key on every dequeue. *)
-let take t id h ~reg ?tag ?errq q el =
+let take t id h ~reg ?tag ?errq el =
   el.Element.status <- Element.Deq_pending id;
-  add_op t id { op_redo = RDeq el.Element.eid; op_errq = errq };
+  Base.add_redo t id { op_redo = RDeq el.Element.eid; op_errq = errq };
   (match tag with
   | Some tag when reg.r_stable ->
-    add_op t id
-      {
-        op_redo =
-          RSet_last
+    Base.add_redo t id
+      (plain
+         (RSet_last
             ( h.h_registrant,
               h.h_queue,
               Some
@@ -1105,16 +948,13 @@ let take t id h ~reg ?tag ?errq q el =
                   tag;
                   op_eid = el.Element.eid;
                   element_copy = Some el;
-                } );
-        op_errq = None;
-      }
+                } )))
   | _ -> ());
-  ignore q;
   if Rrq_obs.enabled () then
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Dequeue
          {
-           qm = t.qm_name;
+           qm = Base.name t;
            queue = h.h_queue;
            eid = el.Element.eid;
            txid = Txid.to_string id;
@@ -1127,18 +967,19 @@ let with_lock_conflicts f =
   | Lock.Cancelled -> raise (Conflict "cancelled")
 
 let dequeue t id h ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
-  let reg = reg_of t h in
-  let q = get_queue t h.h_queue in
+  let s = Base.state t in
+  let reg = reg_of s h in
+  let q = get_queue s h.h_queue in
   if q.stopped then raise (Stopped h.h_queue);
   if q.qattrs.strict_fifo then
     with_lock_conflicts (fun () ->
-        Lock.acquire t.locks id ~key:("q:" ^ q.qname) Lock.X);
+        Lock.acquire s.locks id ~key:("q:" ^ q.qname) Lock.X);
   let deadline =
-    match wait with Timeout d -> Some (t.clock () +. d) | No_wait | Block -> None
+    match wait with Timeout d -> Some (s.clock () +. d) | No_wait | Block -> None
   in
   let rec attempt () =
     match select_ready ?rank q filter with
-    | Some el -> Some (take t id h ~reg ?tag ?errq:error_queue q el)
+    | Some el -> Some (take t id h ~reg ?tag ?errq:error_queue el)
     | None -> begin
       match wait with
       | No_wait -> None
@@ -1147,8 +988,8 @@ let dequeue t id h ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
         attempt ()
       | Timeout _ -> begin
         match deadline with
-        | Some dl when t.clock () < dl ->
-          if Cond.wait_timeout q.nonempty (dl -. t.clock ()) then attempt ()
+        | Some dl when s.clock () < dl ->
+          if Cond.wait_timeout q.nonempty (dl -. s.clock ()) then attempt ()
           else None
         | _ -> None
       end
@@ -1157,11 +998,12 @@ let dequeue t id h ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
   attempt ()
 
 let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
+  let s = Base.state t in
   let queues =
-    List.map (fun h -> (h, reg_of t h, get_queue t h.h_queue)) hs
+    List.map (fun h -> (h, reg_of s h, get_queue s h.h_queue)) hs
   in
   let deadline =
-    match wait with Timeout d -> Some (t.clock () +. d) | No_wait | Block -> None
+    match wait with Timeout d -> Some (s.clock () +. d) | No_wait | Block -> None
   in
   let rec attempt () =
     let best =
@@ -1171,14 +1013,14 @@ let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
           | None -> acc
           | Some el -> begin
             match acc with
-            | Some (_, _, _, best_el)
+            | Some (_, _, best_el)
               when Element.key best_el <= Element.key el -> acc
-            | _ -> Some (h, reg, q, el)
+            | _ -> Some (h, reg, el)
           end)
         None queues
     in
     match best with
-    | Some (h, reg, q, el) -> Some (h, take t id h ~reg ?tag q el)
+    | Some (h, reg, el) -> Some (h, take t id h ~reg ?tag el)
     | None -> begin
       let conds = List.map (fun (_, _, q) -> q.nonempty) queues in
       match wait with
@@ -1188,8 +1030,8 @@ let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
         attempt ()
       | Timeout _ -> begin
         match deadline with
-        | Some dl when t.clock () < dl ->
-          if Cond.wait_any ~timeout:(dl -. t.clock ()) conds then attempt ()
+        | Some dl when s.clock () < dl ->
+          if Cond.wait_any ~timeout:(dl -. s.clock ()) conds then attempt ()
           else attempt () (* deadline re-checked at loop head *)
         | _ -> None
       end
@@ -1198,20 +1040,21 @@ let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
   attempt ()
 
 let read t eid =
-  match Eidtbl.find_opt t.index eid with
+  let s = Base.state t in
+  match Eidtbl.find_opt s.index eid with
   | Some (qn, el) ->
     if Rrq_obs.enabled () then
       Rrq_obs.Trace.emit
-        (Rrq_obs.Event.Read { qm = t.qm_name; queue = qn; found = true });
+        (Rrq_obs.Event.Read { qm = s.qm_name; queue = qn; found = true });
     Some el
   | None ->
     if Rrq_obs.enabled () then
       Rrq_obs.Trace.emit
-        (Rrq_obs.Event.Read { qm = t.qm_name; queue = ""; found = false });
+        (Rrq_obs.Event.Read { qm = s.qm_name; queue = ""; found = false });
     None
 
 let read_last t h =
-  match (reg_of t h).r_last with
+  match (reg_of (Base.state t) h).r_last with
   | Some { element_copy; _ } -> element_copy
   | None -> None
 
@@ -1219,253 +1062,73 @@ let read_last t h =
    (the site janitor) and before metric dumps, since age only decays as the
    clock advances, not on queue activity. *)
 let observe_queues t =
+  let s = Base.state t in
   if Rrq_obs.enabled () then
     Hashtbl.iter
       (fun qn q ->
         Rrq_obs.Metrics.set_gauge
-          (Printf.sprintf "qm.depth:%s/%s" t.qm_name qn)
+          (Printf.sprintf "qm.depth:%s/%s" s.qm_name qn)
           (float_of_int (queue_depth q));
         let age =
           match Emap.min_binding_opt q.elems with
-          | Some (_, el) -> t.clock () -. el.Element.enq_time
+          | Some (_, el) -> s.clock () -. el.Element.enq_time
           | None -> 0.0
         in
-        Rrq_obs.Metrics.set_gauge (Printf.sprintf "qm.age:%s/%s" t.qm_name qn) age)
-      t.queues
+        Rrq_obs.Metrics.set_gauge (Printf.sprintf "qm.age:%s/%s" s.qm_name qn) age)
+      s.queues
 
 (* ---- commitment ------------------------------------------------------ *)
 
-let release_locks t id =
-  Lock.cancel_waits t.locks id;
-  Lock.release_all t.locks id
-
-(* The workspace as a part of a commit record; the locks go once it is
-   durable. *)
-let stage t id =
-  match ws_find t id with
-  | None -> part ~durable:(fun () -> release_locks t id) ()
-  | Some ws ->
-    ws_remove t id;
-    let p = commit_part t ~txid:id (List.rev ws.ops) in
-    { p with durable = (fun () -> p.durable (); release_locks t id) }
-
-let commit t id = Node_log.commit t.log [ stage t id ]
-
-(* The workspace as an in-doubt section, for a parallel commit's staged
-   record or a prepare record of its own. Locks stay held. *)
-let prepare_part t id ~coordinator =
-  match ws_find t id with
-  | None -> part ()
-  | Some ws ->
-    let ops = List.rev ws.ops in
-    ws_remove t id;
-    let any_volatile, all_mm, _pages = classify_ops t ops in
-    let stable =
-      if any_volatile then
-        List.filter (fun op -> redo_is_stable t op.op_redo) ops
-      else ops
-    in
-    part
-      ~redo:(section t k_prepare (Some id) coordinator stable ~all_mm)
-      ~apply:(fun () ->
-        Hashtbl.replace t.prepared id { p_coord = coordinator; p_ops = ops })
-      ()
-
-(* A coordinator asks only an RM that did work, so a missing workspace (a
-   crash or the janitor discarded it) votes no. *)
-let prepare t id ~coordinator =
-  if ws_mem t id then begin
-    Node_log.commit t.log [ prepare_part t id ~coordinator ];
-    true
-  end
-  else Hashtbl.mem t.prepared id
-
-(* Commit an in-doubt transaction as a part; [keep] remembers it. *)
-let resolve_part t id ~keep =
-  match Hashtbl.find_opt t.prepared id with
-  | None -> part ~durable:(fun () -> release_locks t id) ()
-  | Some p ->
-    (* Page targets must be resolved before apply removes dequeued
-       elements from the index. *)
-    let _, _, pages = classify_ops t p.p_ops in
-    part
-      ~redo:(encode_resolution (if keep then k_commit_kept else k_commit) id)
-      ~apply:(fun () -> resolve_commit t id ~keep)
-      ~durable:(fun () ->
-        if pages <> [] then store_write t pages;
-        release_locks t id)
-      ()
-
-let decide_part t id = resolve_part t id ~keep:false
-
-let observe_remembered t =
-  if Rrq_obs.enabled () then
-    Rrq_obs.Metrics.set_gauge ("rm.remembered:" ^ t.qm_name)
-      (float_of_int (Hashtbl.length t.remembered))
-
-(* The coordinator's decision record may not be durable yet: keep the txid
-   until it says so ([forget]). *)
-let commit_prepared t id =
-  Node_log.commit t.log [ resolve_part t id ~keep:true ];
-  observe_remembered t
-
-let forget t ids =
-  match List.filter (Hashtbl.mem t.remembered) ids with
-  | [] -> ()
-  | known ->
-    Node_log.append t.log
-      [
-        part
-          ~redo:(encode_forget known)
-          ~apply:(fun () -> List.iter (Hashtbl.remove t.remembered) known)
-          ();
-      ];
-    observe_remembered t
-
-let remembered t = Hashtbl.fold (fun id () acc -> id :: acc) t.remembered []
-let incarnation t = t.incarnations
-
-(* Returning a dequeued element to its queue after an abort: bump its retry
-   count durably; if the limit is hit, move it to the error queue instead
-   (§4.2). *)
-let restore_element t op =
-  match op.op_redo with
-  | RDeq eid -> begin
-    match Eidtbl.find_opt t.index eid with
-    | None -> []
-    | Some (qn, el) ->
-      let q = get_queue t qn in
-      el.Element.status <- Element.Ready;
-      Cond.signal q.nonempty;
-      let bump = { op_redo = RBump eid; op_errq = None } in
-      if el.Element.delivery_count + 1 >= q.qattrs.retry_limit then begin
-        let errq =
-          match op.op_errq with Some e -> e | None -> default_error_queue q
-        in
-        let code =
-          Printf.sprintf "aborted %d times" (el.Element.delivery_count + 1)
-        in
-        [ bump; { op_redo = RMove_error (eid, errq, code); op_errq = None } ]
-      end
-      else [ bump ]
-  end
-  | RCreate _ | REnq _ | RKill _ | RBump _ | RMove_error _ | RRegister _
-  | RDeregister _ | RSet_last _ | RIncarnation | RDestroy _ | RSet_stopped _
-  | RAlter _ ->
-    []
-
-let abort t id =
-  let unwritten =
-    match ws_find t id with
-    | Some ws ->
-      ws_remove t id;
-      List.rev ws.ops
-    | None -> []
-  in
-  let resolved, prepared_ops =
-    match Hashtbl.find_opt t.prepared id with
-    | Some p ->
-      ( [
-          part
-            ~redo:(encode_resolution k_abort id)
-            ~apply:(fun () -> Hashtbl.remove t.prepared id)
-            ();
-        ],
-        p.p_ops )
-    | None -> ([], [])
-  in
-  (* The abort record and the durable fixups of every returned element
-     are one record. *)
-  let fixups =
-    match List.concat_map (restore_element t) (unwritten @ prepared_ops) with
-    | [] -> []
-    | fixups -> [ commit_part t fixups ]
-  in
-  Node_log.commit t.log (resolved @ fixups);
-  release_locks t id
-
-(* A recovering coordinator's question; [`Unknown] discards the
-   workspace, so a late prepare votes no. *)
-let status t id =
-  if Hashtbl.mem t.prepared id then `Prepared
-  else if Hashtbl.mem t.remembered id then `Committed
-  else begin
-    if ws_mem t id then abort t id;
-    `Unknown
-  end
-
-let participant t =
-  {
-    Tm.part_name = t.qm_name;
-    p_local =
-      Some
-        {
-          Tm.l_log = t.log;
-          l_stage = stage t;
-          l_prepare = prepare_part t;
-          l_decide = decide_part t;
-        };
-    p_prepare =
-      (fun id ~coordinator ->
-        let yes = prepare t id ~coordinator in
-        fun () -> yes);
-    p_commit =
-      (fun id ->
-        commit_prepared t id;
-        true);
-    p_abort = (fun id -> abort t id);
-    p_has_work = (fun id -> ws_mem t id || Hashtbl.mem t.prepared id);
-    p_status = (fun id -> Some (status t id));
-    p_forget = forget t;
-  }
+let participant = Base.participant
+let commit = Base.commit
+let remembered = Base.remembered
+let incarnation t = (Base.state t).incarnations
 
 let auto_commit t f =
-  t.auto_n <- t.auto_n + 1;
-  let id = Txid.make ~origin:t.auto_origin ~inc:t.incarnations ~n:t.auto_n in
-  let t0 = if Rrq_obs.enabled () then t.clock () else 0.0 in
+  let s = Base.state t in
+  s.auto_n <- s.auto_n + 1;
+  let id = Txid.make ~origin:s.auto_origin ~inc:s.incarnations ~n:s.auto_n in
+  let t0 = if Rrq_obs.enabled () then s.clock () else 0.0 in
   match f id with
   | v ->
     (* Only count transactions that buffered work: polling an empty queue
        auto-commits too, and counting those would skew commit rates. *)
-    let worked = ws_mem t id in
+    let worked = Base.has_workspace t id in
     commit t id;
     if worked && Rrq_obs.enabled () then begin
-      Rrq_obs.Metrics.inc ("qm.auto_commits:" ^ t.qm_name);
+      Rrq_obs.Metrics.inc ("qm.auto_commits:" ^ s.qm_name);
       Rrq_obs.Metrics.observe
-        ("qm.commit.latency:" ^ t.qm_name)
-        (t.clock () -. t0)
+        ("qm.commit.latency:" ^ s.qm_name)
+        (s.clock () -. t0)
     end;
     v
   | exception e ->
-    abort t id;
+    Base.abort t id;
     raise e
 
+(* A janitor abort returns what the workspace held without counting a
+   failed delivery. The owner hears first: an owner on this node must not
+   commit without the workspace while its abort record is being forced. *)
 let abort_stale t ~older_than =
-  let cutoff = t.clock () -. older_than in
-  let stale =
-    ws_fold t
-      (fun id ws acc -> if ws.activity < cutoff then id :: acc else acc)
-      []
-  in
-  (* The owner hears first: an owner on this node must not commit without
-     the workspace while its abort record is being forced. *)
+  let stale = Base.mark_stale t ~older_than in
   List.iter
     (fun id ->
-      t.abort_cb id;
-      abort t id)
+      (Base.state t).abort_cb id;
+      Base.abort t id)
     stale;
   List.length stale
 
 let kill_element t eid =
-  match Eidtbl.find_opt t.index eid with
+  let s = Base.state t in
+  match Eidtbl.find_opt s.index eid with
   | None -> false
   | Some (_, el) ->
     (match el.Element.status with
-    | Element.Deq_pending id -> t.abort_cb id
+    | Element.Deq_pending id -> s.abort_cb id
     | Element.Ready -> ());
     (* The abort may have moved it to an error queue; chase the eid. *)
-    if Eidtbl.mem t.index eid then begin
-      log_now t [ { op_redo = RKill eid; op_errq = None } ];
+    if Eidtbl.mem s.index eid then begin
+      log_now t (RKill eid);
       true
     end
     else false
@@ -1474,7 +1137,7 @@ let kill_where t filter =
   let victims =
     Eidtbl.fold
       (fun eid (_, el) acc -> if Filter.matches filter el then eid :: acc else acc)
-      t.index []
+      (Base.state t).index []
   in
   List.fold_left
     (fun n eid -> if kill_element t eid then n + 1 else n)
@@ -1482,28 +1145,26 @@ let kill_where t filter =
 
 (* ---- callbacks / maintenance ---------------------------------------- *)
 
-let in_doubt t =
-  Hashtbl.fold (fun id p acc -> (id, p.p_coord) :: acc) t.prepared []
+let in_doubt = Base.in_doubt
+let relock_in_doubt = Base.relock_in_doubt
+let set_abort_callback t f = (Base.state t).abort_cb <- f
+let set_alert_callback t f = (Base.state t).alert_cb <- f
+let set_clock t f = (Base.state t).clock <- f
 
-let set_abort_callback t f = t.abort_cb <- f
-let set_alert_callback t f = t.alert_cb <- f
-let set_clock t f = t.clock <- f
-
-let checkpoint t = Node_log.checkpoint t.log
-let log t = t.log
+let log = Base.log
+let checkpoint t = Node_log.checkpoint (log t)
 
 (* Durably open a fresh incarnation without reopening the repository — the
    promotion path: a new primary must never mint eids or auto-txids that
    collide with ones the old primary handed out. *)
-let bump_incarnation t =
-  log_now t [ { op_redo = RIncarnation; op_errq = None } ]
+let bump_incarnation t = log_now t RIncarnation
 
-let live_log_bytes t = Node_log.live_log_bytes t.log
+let live_log_bytes t = Node_log.live_log_bytes (log t)
 
 let counts t qn =
-  let q = get_queue t qn in
+  let q = get_queue (Base.state t) qn in
   (q.n_enq, q.n_deq)
 
 let elements t qn =
-  let q = get_queue t qn in
+  let q = get_queue (Base.state t) qn in
   Emap.fold (fun _ el acc -> el :: acc) q.elems [] |> List.rev

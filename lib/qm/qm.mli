@@ -14,7 +14,9 @@
     - {b Error queues} (§4.2): an element dequeued by [n] successively
       aborting transactions is moved, marked with an abort code, to an
       error queue, preventing cyclic restart of a poisonous request. The
-      retry counter is durable.
+      retry counter is durable. A janitor abort of an idle workspace is
+      not a failed delivery: it counts a stale return instead, bounded on
+      its own by {!stale_limit}.
     - {b Persistent registration with operation tags} (§4.3): the QM
       durably remembers, per (registrant, queue), the kind/tag/eid and
       element copy of the last tagged operation — updated atomically with
@@ -30,13 +32,16 @@
       group in a queue completes (all replies of a fork arrived) and
       replaces the group with new elements — the fork/join join-side.
 
-    Durability follows the deferred-update discipline of {!Rrq_txn.Rm}, with
-    two QM-specific twists: updates to volatile queues are applied at commit
-    but never logged, so they cost no forced writes and vanish on crash; and
-    main-memory queues are fully recoverable but keep element payloads and
-    queue order purely in memory — only their redo records hit the WAL,
-    through a zero-copy encode, and recovery rebuilds the queue from the
-    redo scan (the paper's §10 "queue as main-memory database" design). *)
+    The QM's transactional plumbing is {!Rrq_txn.Rm.Make} of its queue
+    state, the same participant implementation the KV store uses (§5: the
+    QM is one resource manager inside the server's transaction). The
+    queue state supplies two twists through its hooks: updates to volatile
+    queues are applied at commit but never logged, so they cost no forced
+    writes and vanish on crash; and main-memory queues are fully
+    recoverable but keep element payloads and queue order purely in
+    memory — only their redo records hit the WAL, and recovery rebuilds
+    the queue from the redo scan (the paper's §10 "queue as main-memory
+    database" design). *)
 
 type t
 
@@ -53,9 +58,8 @@ type durability =
   | Volatile  (** Applied at commit, never logged; contents die on crash. *)
   | Main_memory
       (** Recoverable like [Stable] — same redo records, same replay, same
-          checkpoint snapshots — but commits encode straight from a reused
-          buffer into the log device with no intermediate string, and
-          nothing on the hot path reads stable storage back. *)
+          checkpoint snapshots — but nothing on the hot path writes or
+          reads a queue page. *)
 
 type attrs = {
   durability : durability;
@@ -203,7 +207,8 @@ val dequeue :
     highest rank (content-based scheduling, §11 — "highest dollar amount
     first"). The element is immediately invisible to other dequeuers; it
     returns (with its retry count bumped, durably) if the transaction
-    aborts. [error_queue] overrides the queue's attribute for this call. *)
+    aborts, or with its stale count bumped if {!abort_stale} aborts it.
+    [error_queue] overrides the queue's attribute for this call. *)
 
 val dequeue_set :
   t -> Rrq_txn.Txid.t -> handle list -> ?tag:string -> ?filter:Filter.t ->
@@ -257,8 +262,15 @@ val auto_commit : t -> (Rrq_txn.Txid.t -> 'a) -> 'a
 val abort_stale : t -> older_than:float -> int
 (** Unilaterally abort active (unprepared) workspaces idle longer than the
     bound — the QM-side timeout that frees elements locked by a dequeuer
-    whose node died (prepared transactions are never touched). Returns how
-    many were aborted. *)
+    whose node died or who waits on one (prepared transactions are never
+    touched). The owner hears first, through the abort callback. A stalled
+    owner is no failed delivery: a returned element keeps its retry count
+    and bumps its stale count instead. Returns how many were aborted. *)
+
+val stale_limit : int
+(** Stale returns after which an element moves to the error queue (abort
+    code ["stalled <n> times"]), so a request whose owner stalls forever
+    still leaves the loop. Far above any retry limit. *)
 
 (** {1 Callbacks installed by the hosting node} *)
 

@@ -4,32 +4,44 @@ module type STATE = sig
   type state
   type redo
 
-  val empty : unit -> state
+  val kind : Node_log.kind
   val encode_redo : Codec.encoder -> redo -> unit
   val decode_redo : Codec.decoder -> redo
-  val apply : state -> redo -> unit
+  val apply : state -> live:bool -> redo -> unit
+  val logged : state -> redo -> bool
+  val on_durable : state -> redo list -> unit -> unit
+  val abort_fixups : state -> stale:bool -> redo list -> redo list
   val snapshot : Codec.encoder -> state -> unit
-  val restore : Codec.decoder -> state
+  val restore : state -> Codec.decoder option -> unit
   val relock : state -> Txid.t -> redo list -> unit
-  val kind : Node_log.kind
+  val locks : state -> Lock.t
+  val clock : state -> float
 end
 
 module Make (S : STATE) = struct
   type prepared = { coordinator : string; redos : S.redo list }
 
+  type workspace = {
+    mutable ops : S.redo list; (* newest first *)
+    mutable activity : float;
+    mutable stale : bool;
+  }
+
   type t = {
     rm_name : string;
     log : Node_log.t;
-    mutable st : S.state; (* replaced wholesale by a standby install *)
-    workspaces : (Txid.t, S.redo list ref) Hashtbl.t; (* newest first *)
-    prepared_txns : (Txid.t, prepared) Hashtbl.t;
+    st : S.state;
+    workspaces : workspace Txid.Tbl.t;
+    prepared_txns : prepared Txid.Tbl.t;
     (* Transactions committed for a remote coordinator whose decision
        record may not be durable yet: recovery there asks this RM. *)
-    remembered : (Txid.t, unit) Hashtbl.t;
+    remembered : unit Txid.Tbl.t;
   }
 
-  (* Section kinds. The resolutions of an in-doubt transaction carry only
-     its txid: [k_commit] inside its coordinator's decision record,
+  (* Section kinds. A one-phase or prepare section carries its txid (none
+     for updates outside a transaction), its coordinator ("" for one
+     phase) and its redos. The resolutions of an in-doubt transaction carry
+     only its txid: [k_commit] inside its coordinator's decision record,
      [k_commit_kept] for a remote coordinator's commit, remembered until
      [k_forget] (a list of txids), and [k_abort]. *)
   let k_one_phase = 1
@@ -39,10 +51,10 @@ module Make (S : STATE) = struct
   let k_commit_kept = 5
   let k_forget = 6
 
-  let encode_record kind txid coordinator redos =
+  let encode_record kind id coordinator redos =
     let e = Codec.encoder () in
     Codec.u8 e kind;
-    Txid.encode e txid;
+    Codec.option Txid.encode e id;
     Codec.string e coordinator;
     Codec.list S.encode_redo e redos;
     e
@@ -62,86 +74,87 @@ module Make (S : STATE) = struct
   let observe_remembered t =
     if Rrq_obs.enabled () then
       Rrq_obs.Metrics.set_gauge ("rm.remembered:" ^ t.rm_name)
-        (float_of_int (Hashtbl.length t.remembered))
+        (float_of_int (Txid.Tbl.length t.remembered))
 
   (* Apply an in-doubt transaction, remembering it for [k_commit_kept]. *)
-  let resolve_commit t id ~keep =
-    match Hashtbl.find_opt t.prepared_txns id with
+  let resolve_commit t id ~keep ~live =
+    match Txid.Tbl.find_opt t.prepared_txns id with
     | Some p ->
-      List.iter (S.apply t.st) p.redos;
-      Hashtbl.remove t.prepared_txns id;
-      if keep then Hashtbl.replace t.remembered id ()
+      List.iter (S.apply t.st ~live) p.redos;
+      Txid.Tbl.remove t.prepared_txns id;
+      if keep then Txid.Tbl.replace t.remembered id ()
     | None -> () (* resolved before the snapshot; duplicate record *)
 
+  (* Recovery and a standby's shipped sections: never live. *)
   let replay t payload =
     let d = Codec.decoder payload in
     let kind = Codec.get_u8 d in
     if kind = k_forget then
-      List.iter (Hashtbl.remove t.remembered) (Codec.get_list Txid.decode d)
+      List.iter (Txid.Tbl.remove t.remembered) (Codec.get_list Txid.decode d)
+    else if kind = k_commit || kind = k_commit_kept then
+      resolve_commit t (Txid.decode d) ~keep:(kind = k_commit_kept) ~live:false
+    else if kind = k_abort then Txid.Tbl.remove t.prepared_txns (Txid.decode d)
     else begin
-      let id = Txid.decode d in
-      if kind = k_commit || kind = k_commit_kept then
-        resolve_commit t id ~keep:(kind = k_commit_kept)
-      else if kind = k_abort then Hashtbl.remove t.prepared_txns id
-      else begin
-        let coordinator = Codec.get_string d in
-        let redos = Codec.get_list S.decode_redo d in
-        if kind = k_one_phase then List.iter (S.apply t.st) redos
-        else if kind = k_prepare then
-          Hashtbl.replace t.prepared_txns id { coordinator; redos }
-        else failwith (Printf.sprintf "rm: unknown record kind %d" kind)
-      end
+      let id = Codec.get_option Txid.decode d in
+      let coordinator = Codec.get_string d in
+      let redos = Codec.get_list S.decode_redo d in
+      match id with
+      | _ when kind = k_one_phase -> List.iter (S.apply t.st ~live:false) redos
+      | Some id when kind = k_prepare ->
+        Txid.Tbl.replace t.prepared_txns id { coordinator; redos }
+      | _ -> failwith (Printf.sprintf "rm: bad record kind %d" kind)
     end
 
   let encode_snapshot t =
     let e = Codec.encoder () in
     S.snapshot e t.st;
-    Codec.int e (Hashtbl.length t.prepared_txns);
-    Hashtbl.iter
+    Codec.int e (Txid.Tbl.length t.prepared_txns);
+    Txid.Tbl.iter
       (fun id p ->
         Txid.encode e id;
         Codec.string e p.coordinator;
-        Codec.list S.encode_redo e p.redos)
+        Codec.list S.encode_redo e (List.filter (S.logged t.st) p.redos))
       t.prepared_txns;
-    Codec.list Txid.encode e (Hashtbl.fold (fun id () acc -> id :: acc) t.remembered []);
+    Codec.list Txid.encode e (Txid.Tbl.fold (fun id () acc -> id :: acc) t.remembered []);
     Codec.to_string e
 
-  (* State and in-doubt table from a checkpoint section ([None]: empty). *)
+  (* State and in-doubt table from a checkpoint section ([None]: empty),
+     in place: the state keeps whatever it holds besides its contents. *)
   let restore t snap =
-    Hashtbl.reset t.prepared_txns;
-    Hashtbl.reset t.workspaces;
-    Hashtbl.reset t.remembered;
-    match snap with
-    | None -> t.st <- S.empty ()
-    | Some snap ->
-      let d = Codec.decoder snap in
-      t.st <- S.restore d;
-      let n = Codec.get_int d in
-      for _ = 1 to n do
-        let id = Txid.decode d in
-        let coordinator = Codec.get_string d in
-        let redos = Codec.get_list S.decode_redo d in
-        Hashtbl.replace t.prepared_txns id { coordinator; redos }
-      done;
-      List.iter
-        (fun id -> Hashtbl.replace t.remembered id ())
-        (Codec.get_list Txid.decode d)
+    Txid.Tbl.reset t.prepared_txns;
+    Txid.Tbl.reset t.workspaces;
+    Txid.Tbl.reset t.remembered;
+    let d = Option.map Codec.decoder snap in
+    S.restore t.st d;
+    Option.iter
+      (fun d ->
+        let n = Codec.get_int d in
+        for _ = 1 to n do
+          let id = Txid.decode d in
+          let coordinator = Codec.get_string d in
+          let redos = Codec.get_list S.decode_redo d in
+          Txid.Tbl.replace t.prepared_txns id { coordinator; redos }
+        done;
+        List.iter
+          (fun id -> Txid.Tbl.replace t.remembered id ())
+          (Codec.get_list Txid.decode d))
+      d
 
   let relock_in_doubt t =
-    Hashtbl.iter (fun id p -> S.relock t.st id p.redos) t.prepared_txns
+    Txid.Tbl.iter (fun id p -> S.relock t.st id p.redos) t.prepared_txns
 
   (* A standby replays shipped sections and installs a primary's snapshot
      through the same functions recovery uses. Locks are not re-asserted
      there: a standby runs no competing transactions. *)
-  let attach log ~name:rm_name =
+  let attach log ~name:rm_name st =
     let t =
       {
         rm_name;
         log;
-        st = S.empty ();
-        workspaces = Hashtbl.create 16;
-        prepared_txns = Hashtbl.create 8;
-        remembered = Hashtbl.create 8;
+        st;
+        workspaces = Txid.Tbl.create 16;
+        prepared_txns = Txid.Tbl.create 8;
+        remembered = Txid.Tbl.create 8;
       }
     in
     let snap, records =
@@ -158,111 +171,200 @@ module Make (S : STATE) = struct
     relock_in_doubt t;
     t
 
-  let open_rm disk ~name = attach (Node_log.open_log disk ~name) ~name
   let name t = t.rm_name
   let log t = t.log
   let state t = t.st
 
   let add_redo t id redo =
-    match Hashtbl.find_opt t.workspaces id with
-    | Some ws -> ws := redo :: !ws
-    | None -> Hashtbl.add t.workspaces id (ref [ redo ])
+    let now = S.clock t.st in
+    match Txid.Tbl.find_opt t.workspaces id with
+    | Some ws ->
+      ws.ops <- redo :: ws.ops;
+      ws.activity <- now
+    | None ->
+      Txid.Tbl.add t.workspaces id { ops = [ redo ]; activity = now; stale = false }
 
   let workspace t id =
-    match Hashtbl.find_opt t.workspaces id with
-    | Some ws -> List.rev !ws
+    match Txid.Tbl.find_opt t.workspaces id with
+    | Some ws -> List.rev ws.ops
     | None -> []
 
-  let has_workspace t id = Hashtbl.mem t.workspaces id
+  let has_workspace t id = Txid.Tbl.mem t.workspaces id
 
-  let part ?redo ?(apply = ignore) () =
-    { Node_log.kind = S.kind; redo; apply; durable = ignore }
+  (* Detach a transaction's workspace. *)
+  let take t id =
+    match Txid.Tbl.find_opt t.workspaces id with
+    | None -> None
+    | Some ws ->
+      Txid.Tbl.remove t.workspaces id;
+      Some ws
 
+  let part ?redo ?(apply = ignore) ?(durable = ignore) () =
+    { Node_log.kind = S.kind; redo; apply; durable }
+
+  let release t id () = Lock.release_all (S.locks t.st) id
+
+  (* Updates applied at once: the logged ones as a one-phase section (none
+     if nothing is logged), then the state's post-durable action, resolved
+     before apply changes what it depends on. *)
+  let one_phase t id redos ~durable =
+    let after = S.on_durable t.st redos in
+    let redo =
+      match List.filter (S.logged t.st) redos with
+      | [] -> None
+      | logged -> Some (encode_record k_one_phase id "" logged)
+    in
+    part ?redo
+      ~apply:(fun () -> List.iter (S.apply t.st ~live:true) redos)
+      ~durable:(fun () ->
+        after ();
+        durable ())
+      ()
+
+  let commit_now t redos =
+    Node_log.commit t.log [ one_phase t None redos ~durable:ignore ]
+
+  (* The workspace as a part of a commit record; the locks go once it is
+     durable. *)
   let stage t id =
-    match Hashtbl.find_opt t.workspaces id with
-    | None -> part ()
-    | Some ws ->
-      let redos = List.rev !ws in
-      Hashtbl.remove t.workspaces id;
-      part
-        ~redo:(encode_record k_one_phase id "" redos)
-        ~apply:(fun () -> List.iter (S.apply t.st) redos)
-        ()
+    match take t id with
+    | None -> part ~durable:(release t id) ()
+    | Some ws -> one_phase t (Some id) (List.rev ws.ops) ~durable:(release t id)
 
+  let commit t id = Node_log.commit t.log [ stage t id ]
+
+  (* The workspace as an in-doubt section, for a parallel commit's staged
+     record or a prepare record of its own. Locks stay held. *)
   let prepare_part t id ~coordinator =
-    match Hashtbl.find_opt t.workspaces id with
+    match take t id with
     | None -> part ()
     | Some ws ->
-      let redos = List.rev !ws in
-      Hashtbl.remove t.workspaces id;
+      let redos = List.rev ws.ops in
+      let logged = List.filter (S.logged t.st) redos in
       part
-        ~redo:(encode_record k_prepare id coordinator redos)
-        ~apply:(fun () -> Hashtbl.replace t.prepared_txns id { coordinator; redos })
+        ~redo:(encode_record k_prepare (Some id) coordinator logged)
+        ~apply:(fun () -> Txid.Tbl.replace t.prepared_txns id { coordinator; redos })
         ()
 
+  (* A coordinator asks only an RM that did work, so a missing workspace (a
+     crash or the janitor discarded it) votes no. *)
   let prepare t id ~coordinator =
-    if Hashtbl.mem t.workspaces id then begin
+    if Txid.Tbl.mem t.workspaces id then begin
       Node_log.commit t.log [ prepare_part t id ~coordinator ];
       true
     end
-    else Hashtbl.mem t.prepared_txns id
+    else Txid.Tbl.mem t.prepared_txns id
 
-  let decide_part t id =
-    if Hashtbl.mem t.prepared_txns id then
+  (* Commit an in-doubt transaction as a part; [keep] remembers it. *)
+  let resolve_part t id ~keep =
+    match Txid.Tbl.find_opt t.prepared_txns id with
+    | None -> part ~durable:(release t id) ()
+    | Some p ->
+      let after = S.on_durable t.st p.redos in
       part
-        ~redo:(encode_resolution k_commit id)
-        ~apply:(fun () -> resolve_commit t id ~keep:false)
+        ~redo:(encode_resolution (if keep then k_commit_kept else k_commit) id)
+        ~apply:(fun () -> resolve_commit t id ~keep ~live:true)
+        ~durable:(fun () ->
+          after ();
+          release t id ())
         ()
-    else part ()
 
+  (* The coordinator's decision record may not be durable yet: keep the txid
+     until it says so ([forget]). *)
   let commit_prepared t id =
-    if Hashtbl.mem t.prepared_txns id then begin
-      Node_log.commit t.log
-        [
-          part
-            ~redo:(encode_resolution k_commit_kept id)
-            ~apply:(fun () -> resolve_commit t id ~keep:true)
-            ();
-        ];
-      observe_remembered t
-    end
+    Node_log.commit t.log [ resolve_part t id ~keep:true ];
+    observe_remembered t
 
   let abort t id =
-    Hashtbl.remove t.workspaces id;
-    if Hashtbl.mem t.prepared_txns id then
-      Node_log.commit t.log
-        [
-          part
-            ~redo:(encode_resolution k_abort id)
-            ~apply:(fun () -> Hashtbl.remove t.prepared_txns id)
-            ();
-        ]
+    let unwritten, stale =
+      match take t id with
+      | Some ws -> (List.rev ws.ops, ws.stale)
+      | None -> ([], false)
+    in
+    let resolved, prepared =
+      match Txid.Tbl.find_opt t.prepared_txns id with
+      | Some p ->
+        ( [
+            part
+              ~redo:(encode_resolution k_abort id)
+              ~apply:(fun () -> Txid.Tbl.remove t.prepared_txns id)
+              ();
+          ],
+          p.redos )
+      | None -> ([], [])
+    in
+    (* The abort section and the fixups of what the transaction held are
+       one record. *)
+    let fixups =
+      match S.abort_fixups t.st ~stale (unwritten @ prepared) with
+      | [] -> []
+      | redos -> [ one_phase t None redos ~durable:ignore ]
+    in
+    Node_log.commit t.log (resolved @ fixups);
+    release t id ()
 
+  let mark_stale t ~older_than =
+    let cutoff = S.clock t.st -. older_than in
+    Txid.Tbl.fold
+      (fun id ws acc ->
+        if ws.activity < cutoff then begin
+          ws.stale <- true;
+          id :: acc
+        end
+        else acc)
+      t.workspaces []
+
+  (* A recovering coordinator's question; [`Unknown] aborts the
+     transaction here, so a late prepare votes no. *)
   let status t id =
-    if Hashtbl.mem t.prepared_txns id then `Prepared
-    else if Hashtbl.mem t.remembered id then `Committed
+    if Txid.Tbl.mem t.prepared_txns id then `Prepared
+    else if Txid.Tbl.mem t.remembered id then `Committed
     else begin
-      Hashtbl.remove t.workspaces id;
+      abort t id;
       `Unknown
     end
 
   let forget t ids =
-    match List.filter (Hashtbl.mem t.remembered) ids with
+    match List.filter (Txid.Tbl.mem t.remembered) ids with
     | [] -> ()
     | known ->
       Node_log.append t.log
         [
           part
             ~redo:(encode_forget known)
-            ~apply:(fun () -> List.iter (Hashtbl.remove t.remembered) known)
+            ~apply:(fun () -> List.iter (Txid.Tbl.remove t.remembered) known)
             ();
         ];
       observe_remembered t
 
-  let remembered t = Hashtbl.fold (fun id () acc -> id :: acc) t.remembered []
+  let participant t =
+    {
+      Tm.part_name = t.rm_name;
+      p_local =
+        Some
+          {
+            Tm.l_log = t.log;
+            l_stage = stage t;
+            l_prepare = prepare_part t;
+            l_decide = (fun id -> resolve_part t id ~keep:false);
+          };
+      p_prepare =
+        (fun id ~coordinator ->
+          let yes = prepare t id ~coordinator in
+          fun () -> yes);
+      p_commit =
+        (fun id ->
+          commit_prepared t id;
+          true);
+      p_abort = abort t;
+      p_has_work =
+        (fun id -> Txid.Tbl.mem t.workspaces id || Txid.Tbl.mem t.prepared_txns id);
+      p_status = (fun id -> Some (status t id));
+      p_forget = forget t;
+    }
 
-  let is_prepared t id = Hashtbl.mem t.prepared_txns id
+  let remembered t = Txid.Tbl.fold (fun id () acc -> id :: acc) t.remembered []
 
   let in_doubt t =
-    Hashtbl.fold (fun id p acc -> (id, p.coordinator) :: acc) t.prepared_txns []
+    Txid.Tbl.fold (fun id p acc -> (id, p.coordinator) :: acc) t.prepared_txns []
 end

@@ -9,6 +9,9 @@ type t = { origin : string; inc : int; n : int }
 val make : origin:string -> inc:int -> n:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
+module Tbl : Hashtbl.S with type key = t
+(** A hash table keyed by txid, with a monomorphic hash and equality. *)
+
 val to_string : t -> string
 val encode : Rrq_util.Codec.encoder -> t -> unit
 val decode : Rrq_util.Codec.decoder -> t

@@ -547,6 +547,30 @@ let test_sharded_ha_janitor_race_plan () =
   Alcotest.(check string) "auditors" "all auditors passed"
     (C.Audit.findings_to_string o.C.Scenario.findings)
 
+(* A designed plan for a stall that is not a failed delivery. shard0's pair
+   fails over to its standby at 0.62, and shard1, where s0-r1's reply
+   goes, is down from 1.91 to 3.73 and from 5.94 to 9.37. The standby's
+   server transactions for s0-r1 stall on calls to the dead shard, and the
+   janitor (3 s stale timeout) aborts them twice; a server abort follows.
+   Counted as three failed deliveries, those returns reached the retry
+   limit and moved the request to the error queue unprocessed, so no reply
+   ever came. A janitor abort must return the request without a bump. *)
+let test_sharded_ha_stall_plan () =
+  let plan =
+    C.Plan.make ~seed:304037 ~policy:`Fifo
+      ~faults:
+        [
+          C.Plan.Crash { node = "shard0"; at = 0.62; recover_after = 2.67 };
+          C.Plan.Crash { node = "shard1"; at = 1.91; recover_after = 1.82 };
+          C.Plan.Crash { node = "shard1"; at = 5.94; recover_after = 3.43 };
+        ]
+  in
+  let o = C.Scenario.run C.Scenario.sharded_ha plan in
+  Alcotest.(check string) "auditors" "all auditors passed"
+    (C.Audit.findings_to_string o.C.Scenario.findings);
+  Alcotest.(check int) "every reply delivered" o.C.Scenario.requests
+    o.C.Scenario.replies
+
 (* Kill the pair primary at every reach of every ship and ha crash site
    (the probe plan itself kills it at t=2, so promotion is on the map), and
    wherever a parallel commit's staged record is durable with its votes
@@ -801,6 +825,8 @@ let () =
             `Slow test_sharded_ha_crash_site_sweep;
           Alcotest.test_case "designed plan: janitor abort races a commit" `Quick
             test_sharded_ha_janitor_race_plan;
+          Alcotest.test_case "designed plan: a stalled request is no failed delivery"
+            `Quick test_sharded_ha_stall_plan;
         ] );
       ( "registry",
         [

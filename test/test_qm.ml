@@ -613,6 +613,83 @@ let test_abort_stale () =
   in
   ()
 
+(* A janitor abort is not a failed delivery: the element comes back with
+   its retry count unchanged, while a server abort still counts one. Both
+   counts are durable. *)
+let test_stale_abort_is_not_a_failed_delivery () =
+  let _ =
+    H.run (fun s ->
+        let disk = Disk.create "n" in
+        let qm, h, _ = setup disk "q" in
+        Qm.set_clock qm (fun () -> Sched.now s);
+        ignore
+          (Sched.spawn s ~name:"flow" (fun () ->
+               ignore (enq qm h "a");
+               let delivery_count qm =
+                 match Qm.elements qm "q" with
+                 | [ el ] -> el.Element.delivery_count
+                 | _ -> Alcotest.fail "expected one element"
+               in
+               ignore (Qm.dequeue qm (tx 1) h Qm.No_wait);
+               Sched.sleep 10.0;
+               Alcotest.(check int) "one stale txn aborted" 1
+                 (Qm.abort_stale qm ~older_than:5.0);
+               Alcotest.(check int) "janitor abort: no failed delivery" 0
+                 (delivery_count qm);
+               ignore (Qm.dequeue qm (tx 2) h Qm.No_wait);
+               (Qm.participant qm).Tm.p_abort (tx 2);
+               Alcotest.(check int) "server abort: one failed delivery" 1
+                 (delivery_count qm);
+               Disk.crash disk;
+               Alcotest.(check int) "durable" 1
+                 (delivery_count (Qm.open_qm disk ~name:"qm")))))
+  in
+  ()
+
+(* Stale returns have their own bound: an element whose owner keeps
+   stalling reaches the error queue after [Qm.stale_limit] janitor aborts,
+   its retry count untouched. The stale count survives a checkpoint and a
+   crash. *)
+let test_stale_returns_bounded () =
+  let _ =
+    H.run (fun s ->
+        let disk = Disk.create "n" in
+        let qm, h, _ = setup disk "q" in
+        Qm.set_clock qm (fun () -> Sched.now s);
+        ignore
+          (Sched.spawn s ~name:"flow" (fun () ->
+               ignore (enq qm h "a");
+               let stall qm n =
+                 ignore (Qm.dequeue qm (tx n) h Qm.No_wait);
+                 Sched.sleep 10.0;
+                 ignore (Qm.abort_stale qm ~older_than:5.0)
+               in
+               stall qm 1;
+               Qm.checkpoint qm;
+               Disk.crash disk;
+               let qm = Qm.open_qm disk ~name:"qm" in
+               Qm.set_clock qm (fun () -> Sched.now s);
+               (match Qm.elements qm "q" with
+               | [ el ] ->
+                 Alcotest.(check int) "stale count survives a checkpoint" 1
+                   el.Element.stale_count
+               | _ -> Alcotest.fail "expected one element");
+               for n = 2 to Qm.stale_limit - 1 do
+                 stall qm n
+               done;
+               Alcotest.(check int) "still in its queue" 1 (Qm.depth qm "q");
+               stall qm Qm.stale_limit;
+               Alcotest.(check int) "main queue empty" 0 (Qm.depth qm "q");
+               match Qm.elements qm "q.err" with
+               | [ el ] ->
+                 Alcotest.(check int) "no failed delivery" 0 el.Element.delivery_count;
+                 Alcotest.(check (option string)) "abort code"
+                   (Some (Printf.sprintf "stalled %d times" Qm.stale_limit))
+                   el.Element.abort_code
+               | _ -> Alcotest.fail "expected exactly one error element")))
+  in
+  ()
+
 let test_auto_commit_exception_aborts () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n" in
@@ -823,6 +900,9 @@ let blocking =
     Alcotest.test_case "stop/start queue" `Quick test_stop_start_queue;
     Alcotest.test_case "destroy queue" `Quick test_destroy_queue;
     Alcotest.test_case "alter queue" `Quick test_alter_queue;
+    Alcotest.test_case "janitor abort is not a failed delivery" `Quick
+      test_stale_abort_is_not_a_failed_delivery;
+    Alcotest.test_case "stale returns bounded" `Quick test_stale_returns_bounded;
   ]
 
 let () =

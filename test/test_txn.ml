@@ -8,6 +8,8 @@ module Tm = Rrq_txn.Tm
 module Txid = Rrq_txn.Txid
 module Kvdb = Rrq_kvdb.Kvdb
 module Qm = Rrq_qm.Qm
+module Element = Rrq_qm.Element
+module Filter = Rrq_qm.Filter
 module Node_log = Rrq_txn.Node_log
 module H = Rrq_test_support.Sim_harness
 
@@ -880,6 +882,153 @@ let test_txid_roundtrip () =
   Alcotest.(check bool) "roundtrip" true (Txid.equal id (Txid.decode d));
   Alcotest.(check string) "to_string" "node-7.3.42" (Txid.to_string id)
 
+(* --- One participant protocol over both RMs ------------------------------ *)
+
+(* An RM as its coordinator sees it, through its [Tm.participant] record,
+   with what a test needs to give it work and watch that work: [take]
+   buffers a transaction's update, [applied] says the update is committed
+   state, and [free] that nothing the transaction took is held any more. *)
+type rm_view = {
+  p : Tm.participant;
+  take : Txid.t -> unit;
+  applied : Txid.t -> bool;
+  free : Txid.t -> bool;
+  in_doubt : unit -> Txid.t list;
+  remembered : unit -> Txid.t list;
+  checkpoint : unit -> unit;
+}
+
+(* Both open their RM on the node log "n" of [disk], recovering it. *)
+
+(* The KV store's update is a write of a key of the transaction's own. It
+   is free once another transaction can write the key: a held lock blocks
+   that write and the test's fiber never completes. *)
+let kv_view disk =
+  let kv = Kvdb.attach (Node_log.open_log disk ~name:"n") ~name:"kv" in
+  let p = Kvdb.participant kv in
+  let key id = "k:" ^ Txid.to_string id in
+  {
+    p;
+    take = (fun id -> Kvdb.put kv id (key id) "v");
+    applied = (fun id -> Kvdb.committed_value kv (key id) = Some "v");
+    free =
+      (fun id ->
+        let probe = Txid.make ~origin:"probe" ~inc:1 ~n:0 in
+        Kvdb.put kv probe (key id) "w";
+        p.Tm.p_abort probe;
+        true);
+    in_doubt = (fun () -> List.map fst (Kvdb.in_doubt kv));
+    remembered = (fun () -> Kvdb.remembered kv);
+    checkpoint = (fun () -> Kvdb.checkpoint kv);
+  }
+
+(* The QM's update is the dequeue of an element of the transaction's own.
+   It is free once the element is back to [Ready]. *)
+let qm_view disk =
+  let qm = Qm.attach (Node_log.open_log disk ~name:"n") ~name:"qm" in
+  Qm.create_queue qm "q";
+  let h, _ = Qm.register qm ~queue:"q" ~registrant:"t" ~stable:false in
+  let tag id = Filter.Prop_eq ("txn", Txid.to_string id) in
+  let element id =
+    List.find_opt (fun el -> Filter.matches (tag id) el) (Qm.elements qm "q")
+  in
+  {
+    p = Qm.participant qm;
+    take =
+      (fun id ->
+        ignore
+          (Qm.auto_commit qm (fun a ->
+               Qm.enqueue qm a h ~props:[ ("txn", Txid.to_string id) ] "x"));
+        if Qm.dequeue qm id h ~filter:(tag id) Qm.No_wait = None then
+          Alcotest.fail "nothing to dequeue");
+    applied = (fun id -> element id = None);
+    free =
+      (fun id ->
+        match element id with
+        | Some el -> el.Element.status = Element.Ready
+        | None -> false);
+    in_doubt = (fun () -> List.map fst (Qm.in_doubt qm));
+    remembered = (fun () -> Qm.remembered qm);
+    checkpoint = (fun () -> Qm.checkpoint qm);
+  }
+
+let rm_views = [ ("kvdb", kv_view); ("qm", qm_view) ]
+let sorted ids = List.sort Txid.compare ids
+let txids =
+  Alcotest.testable (fun f id -> Format.pp_print_string f (Txid.to_string id)) Txid.equal
+
+(* A recovering coordinator's status question about work this RM never
+   prepared: [`Unknown], and the transaction is aborted here, so what it
+   took is free and a late prepare votes no. *)
+let test_rm_status_unknown_aborts view () =
+  H.run_fiber (fun () ->
+      let rm = view (Disk.create "n1") in
+      let id = tx 1 in
+      rm.take id;
+      Alcotest.(check bool) "has work" true (rm.p.Tm.p_has_work id);
+      Alcotest.(check bool) "unknown" true (rm.p.Tm.p_status id = Some `Unknown);
+      Alcotest.(check bool) "workspace gone" false (rm.p.Tm.p_has_work id);
+      Alcotest.(check bool) "free again" true (rm.free id);
+      Alcotest.(check bool) "a late prepare votes no" false
+        (rm.p.Tm.p_prepare id ~coordinator:"c" ());
+      Alcotest.(check bool) "not applied" false (rm.applied id))
+
+(* A remote coordinator's commit: idempotent, and remembered until the
+   coordinator says its decision record is durable. *)
+let test_rm_commit_remembered_until_forget view () =
+  H.run_fiber (fun () ->
+      let rm = view (Disk.create "n1") in
+      let id = tx 1 in
+      rm.take id;
+      Alcotest.(check bool) "votes yes" true (rm.p.Tm.p_prepare id ~coordinator:"c" ());
+      Alcotest.(check bool) "in doubt" true (rm.p.Tm.p_status id = Some `Prepared);
+      Alcotest.(check bool) "commit" true (rm.p.Tm.p_commit id);
+      Alcotest.(check bool) "commit again" true (rm.p.Tm.p_commit id);
+      Alcotest.(check bool) "applied" true (rm.applied id);
+      Alcotest.(check (list txids)) "remembered" [ id ] (rm.remembered ());
+      Alcotest.(check bool) "status committed" true
+        (rm.p.Tm.p_status id = Some `Committed);
+      rm.p.Tm.p_forget [ id ];
+      Alcotest.(check (list txids)) "forgotten" [] (rm.remembered ());
+      Alcotest.(check bool) "a late commit is harmless" true (rm.p.Tm.p_commit id);
+      Alcotest.(check bool) "still applied" true (rm.applied id))
+
+(* The in-doubt and remembered sets survive a checkpoint and a crash. *)
+let test_rm_checkpoint_keeps_doubt_and_memory view () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let rm = view disk in
+      let doubtful = tx 1 and kept = tx 2 in
+      List.iter
+        (fun id ->
+          rm.take id;
+          Alcotest.(check bool) "votes yes" true
+            (rm.p.Tm.p_prepare id ~coordinator:"c" ()))
+        [ doubtful; kept ];
+      ignore (rm.p.Tm.p_commit kept);
+      rm.checkpoint ();
+      Disk.crash disk;
+      let rm = view disk in
+      Alcotest.(check (list txids)) "in doubt" [ doubtful ] (sorted (rm.in_doubt ()));
+      Alcotest.(check (list txids)) "remembered" [ kept ] (sorted (rm.remembered ()));
+      Alcotest.(check bool) "committed work applied" true (rm.applied kept);
+      Alcotest.(check bool) "in-doubt work not applied" false (rm.applied doubtful);
+      Alcotest.(check bool) "commit resolves the doubt" true (rm.p.Tm.p_commit doubtful);
+      Alcotest.(check bool) "applied" true (rm.applied doubtful))
+
+let participant_suite =
+  List.concat_map
+    (fun (rm, view) ->
+      [
+        Alcotest.test_case (rm ^ ": unknown status aborts") `Quick
+          (test_rm_status_unknown_aborts view);
+        Alcotest.test_case (rm ^ ": commit remembered until forget") `Quick
+          (test_rm_commit_remembered_until_forget view);
+        Alcotest.test_case (rm ^ ": checkpoint keeps doubt and memory") `Quick
+          (test_rm_checkpoint_keeps_doubt_and_memory view);
+      ])
+    rm_views
+
 let lock_suite =
   [
     Alcotest.test_case "S/S compatible" `Quick test_lock_shared_compatible;
@@ -946,4 +1095,9 @@ let tm_suite =
 
 let () =
   Alcotest.run "rrq-txn"
-    [ ("lock", lock_suite); ("kvdb", kv_suite); ("tm", tm_suite) ]
+    [
+      ("lock", lock_suite);
+      ("kvdb", kv_suite);
+      ("tm", tm_suite);
+      ("rm", participant_suite);
+    ]
