@@ -43,6 +43,7 @@ sim:
 	dune exec bin/rrq_demo.exe -- check --scenario ha --sites
 	dune exec bin/rrq_demo.exe -- check --scenario sharded --sites
 	dune exec bin/rrq_demo.exe -- check --scenario sharded-ha --sites
+	dune exec bin/rrq_demo.exe -- check --scenario chain --sites
 
 # The failover campaign alone (also runs as part of `dune runtest`):
 # HA explorer + lag-bug catch + replication crash-site sweep, then the

@@ -2,8 +2,9 @@
 
    - `rrq_demo experiments [NAME...]` prints the EXPERIMENTS.md tables
      (all of them, or a subset by name: e1 e2 e3 b2 b3 b4 b6 b7 b8);
-   - `rrq_demo soak` runs seeded randomized crash/partition schedules and
-     exits non-zero if exactly-once was ever violated. *)
+   - `rrq_demo check` explores fault plans over a checker scenario, sweeps
+     its crash sites or replays one plan, and exits non-zero on a finding;
+   - `rrq_demo stats` dumps a recorded fault-free run's metrics. *)
 
 open Cmdliner
 module H = Rrq_harness
@@ -45,45 +46,6 @@ let experiments_cmd =
   Cmd.v
     (Cmd.info "experiments" ~doc:"Print the EXPERIMENTS.md tables")
     Term.(const run $ names)
-
-let soak_cmd =
-  let seeds =
-    Arg.(value & opt int 5 & info [ "seeds"; "n" ] ~docv:"N"
-           ~doc:"Number of random schedules to try (seeds 1..N).")
-  in
-  let clients =
-    Arg.(value & opt int 6 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent clients.")
-  in
-  let per_client =
-    Arg.(value & opt int 8 & info [ "per-client" ] ~docv:"K"
-           ~doc:"Requests per client.")
-  in
-  let drop =
-    Arg.(value & opt float 0.05 & info [ "drop" ] ~docv:"P"
-           ~doc:"Message drop probability.")
-  in
-  let chain =
-    Arg.(value & flag & info [ "chain" ]
-           ~doc:"Soak the 3-site multi-transaction pipeline instead (money \
-                 conservation audit).")
-  in
-  let run seeds clients per_client drop chain =
-    let results =
-      List.init seeds (fun i ->
-          if chain then H.E_soak.run_chain ~seed:(i + 1) ()
-          else H.E_soak.run ~seed:(i + 1) ~clients ~per_client ~drop ())
-    in
-    Table.print (H.E_soak.table results);
-    if List.for_all H.E_soak.ok results then
-      print_endline "soak: exactly-once held under every schedule"
-    else begin
-      print_endline "soak: VIOLATION detected";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "soak" ~doc:"Randomized crash/partition soak of exactly-once")
-    Term.(const run $ seeds $ clients $ per_client $ drop $ chain)
 
 module C = Rrq_check
 
@@ -253,4 +215,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "rrq_demo" ~doc)
-          [ experiments_cmd; soak_cmd; check_cmd; stats_cmd ]))
+          [ experiments_cmd; check_cmd; stats_cmd ]))

@@ -1,7 +1,7 @@
 (** The invariant/auditor registry: one place defining what "correct" means
     for an explored schedule, unifying the exactly-once ledger, conservation
     and queue-integrity checks that were previously scattered through the
-    experiment harness. Every explored schedule, soak run and crash sweep is
+    experiment harness. Every explored schedule and crash sweep is
     audited through the same registry. *)
 
 (** {1 The exactly-once execution ledger} *)

@@ -4,11 +4,11 @@
    Every scenario is one [topology] value, and one function ([build])
    turns any topology into a world. The topology lists the repositories
    (one per shard, each a single site or an HA pair), an optional shard map
-   with a mid-run change, the request queue's durability class and commit
-   policy, the client population and an optional designed bug. [build]
-   creates the sites, attaches the HA and shard roles, starts the counting
-   servers, runs the clients and audits the quiesced world with the same
-   auditor set every time. *)
+   with a mid-run change, the request queue's durability class, the
+   workload, the network's drop rate, the client population and an
+   optional designed bug. [build] creates the sites, attaches the HA and
+   shard roles, starts the workload's servers, runs the clients and audits
+   the quiesced world with the workload's auditor set. *)
 
 module Sched = Rrq_sim.Sched
 module Crashpoint = Rrq_sim.Crashpoint
@@ -23,6 +23,8 @@ module Envelope = Rrq_core.Envelope
 module Ha = Rrq_core.Ha
 module Shard = Rrq_core.Shard
 module Kvdb = Rrq_kvdb.Kvdb
+module Tm = Rrq_txn.Tm
+module Pipeline = Rrq_core.Pipeline
 
 type outcome = {
   findings : Audit.finding list;
@@ -32,6 +34,7 @@ type outcome = {
   replies : int;
   virtual_time : float;
   failovers : int;
+  totals : (string * int) list;
 }
 
 (* ---- topologies --------------------------------------------------------- *)
@@ -55,10 +58,18 @@ type bug =
   | Untagging_forwarder
       (** Shard routers strip registration tags when relaying a misroute. *)
 
+type workload =
+  | Requests  (** one-transaction requests to a counting server on ["req"] *)
+  | Chain
+      (** the §6 transfer pipeline over three single repositories: debit
+          on the first, credit on the second, clearing on the third *)
+
 type topology = {
   repos : repository list;  (** one per shard; the first is the entry *)
   shards : shards option;
   queue_attrs : Qm.attrs;
+  workload : workload;
+  drop_rate : float;  (** each message is lost with this probability *)
   clients : int;
   reqs : int;  (** per client *)
   prefix : string;  (** client ids are [prefix ^ index] *)
@@ -134,9 +145,14 @@ type built = {
    lattice, so plan times (a 10 ms grid) can land inside a sync. *)
 let pair_sync_latency = 0.004
 
+(* A request world's repositories host the request queue and the counting
+   servers; a chain's get their queues and servers from [Pipeline.install]. *)
 let build_repo net topo repo =
+  let requests = topo.workload = Requests in
   let create ?sync_latency name =
-    Site.create ~queues:[ ("req", topo.queue_attrs) ] ~stale_timeout:3.0
+    Site.create
+      ~queues:(if requests then [ ("req", topo.queue_attrs) ] else [])
+      ~stale_timeout:3.0
       (Net.make_node ?sync_latency net name)
   in
   let route site =
@@ -151,7 +167,8 @@ let build_repo net topo repo =
   match repo with
   | Single name ->
     let site = create name in
-    ignore (Server.start site ~req_queue:"req" ~threads:2 Audit.counting_handler);
+    if requests then
+      ignore (Server.start site ~req_queue:"req" ~threads:2 Audit.counting_handler);
     route site;
     { sites = [ (name, site) ]; auth = (fun () -> site); failovers = (fun () -> 0) }
   | Pair { primary; standby; mode } ->
@@ -172,6 +189,60 @@ let build_repo net topo repo =
       auth = (fun () -> if Ha.is_serving ha_b then site_b else site_p);
       failovers = (fun () -> Ha.failovers ha_p + Ha.failovers ha_b);
     }
+
+(* The §6 funds transfer (fig. 6): each stage is one transaction on its own
+   repository, and moves the request on to the next stage's queue. *)
+let amount = 100
+let opening_balance = 1000
+
+let transfer_stages site_a site_b site_c =
+  [
+    {
+      Pipeline.stage_site = site_a;
+      in_queue = "debit";
+      work =
+        (fun site txn env ->
+          ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "acct:src" (-amount));
+          (env.Envelope.body, "debited"));
+      compensate = None;
+    };
+    {
+      Pipeline.stage_site = site_b;
+      in_queue = "credit";
+      work =
+        (fun site txn env ->
+          ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "acct:dst" amount);
+          (env.Envelope.body, "credited"));
+      compensate = None;
+    };
+    {
+      Pipeline.stage_site = site_c;
+      in_queue = "clear";
+      work =
+        (fun site txn env ->
+          ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "cleared" 1);
+          ("ok:" ^ env.Envelope.rid, ""));
+      compensate = None;
+    };
+  ]
+
+(* Start the workload's servers on the built repositories and return the
+   queue clients send to. A chain's first repository opens the source
+   account at boot, before its stage server starts, until the opening is
+   durable: like a site's configured queues, it is part of the world, and
+   a crash that loses it is no crash of a chain. *)
+let install_workload topo repos =
+  match topo.workload with
+  | Requests -> "req"
+  | Chain ->
+    let site i = (List.nth repos i).auth () in
+    Site.on_boot (site 0) (fun bank_a ->
+        let kv = Site.kv bank_a in
+        if Kvdb.committed_value kv "acct:src" = None then
+          Site.with_txn bank_a (fun txn ->
+              Kvdb.put kv (Tm.txn_id txn) "acct:src" (string_of_int opening_balance)));
+    Pipeline.entry_queue
+      (Pipeline.install (transfer_stages (site 0) (site 1) (site 2)))
 
 (* Faults run as scheduler callbacks at their planned virtual times,
    dispatched by node name. A crash while the node is already down is
@@ -236,14 +307,14 @@ let count received rid =
    never report a lost request. With a shard map it starts from the
    initial map and pauses between requests, so the second one straddles
    the map change (later is fine: the map only gets newer). *)
-let clerk_client topo ~client_node ~received ~replies client_id =
+let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
   let entry = List.hd topo.repos in
   let backups = if topo.shards = None then List.tl (nodes entry) else [] in
   let shard_map = Option.map (fun sh -> sh.map) topo.shards in
   let rec connect n =
     match
       Clerk.connect ~client_node ~system:(primary entry) ~backups ?shard_map
-        ~client_id ~req_queue:"req" ~retries:8 ()
+        ~client_id ~req_queue ~retries:8 ()
     with
     | clerk, _ -> clerk
     | exception Clerk.Unavailable _ when n > 0 ->
@@ -377,27 +448,54 @@ let change_map client_node sh =
   in
   push (Shard.all_nodes sh.next)
 
-(* One auditor set for every world: executions, their summed ledger and
-   reply delivery over the authoritative repositories; structure and
-   in-doubt survivors over every site. *)
-let auditors repos ~rids ~received =
+let balance site key =
+  match Kvdb.committed_value (Site.kv site) key with
+  | Some v -> Option.value ~default:0 (int_of_string_opt v)
+  | None -> 0
+
+(* The workload's auditors, with the named totals they read from the
+   authoritative repositories. A request world: exactly-once over the
+   counting handler's executions and their summed ledger. A chain executes
+   each request once per stage: it conserves money, and counts its credits
+   and clearings, which a lost or repeated stage moves off their expected
+   values. Both: reply delivery over the authoritative repositories;
+   structure and in-doubt survivors over every site. *)
+let auditors topo repos ~rids ~received =
   let auth () = List.map (fun r -> r.auth ()) repos in
   let every () = List.concat_map (fun r -> List.map snd r.sites) repos in
-  let total site =
-    match Kvdb.committed_value (Site.kv site) "total" with
-    | Some v -> Option.value ~default:0 (int_of_string_opt v)
-    | None -> 0
+  let requests = List.length rids in
+  let totals, workload_auditors =
+    match topo.workload with
+    | Requests ->
+      let total () =
+        List.fold_left (fun acc site -> acc + balance site "total") 0 (auth ())
+      in
+      ( [ ("exec-total", total) ],
+        [
+          Audit.exactly_once ~sites:auth ~rids:(fun () -> rids);
+          Audit.conservation ~name:"exec-total" ~expected:requests ~actual:total;
+        ] )
+    | Chain ->
+      let at i key () = balance ((List.nth repos i).auth ()) key in
+      let src = at 0 "acct:src" and dst = at 1 "acct:dst" and cleared = at 2 "cleared" in
+      ( [ ("src", src); ("dst", dst); ("cleared", cleared) ],
+        [
+          Audit.conservation ~name:"money" ~expected:opening_balance
+            ~actual:(fun () -> src () + dst ());
+          Audit.conservation ~name:"credited" ~expected:(amount * requests)
+            ~actual:dst;
+          Audit.conservation ~name:"cleared" ~expected:requests ~actual:cleared;
+        ] )
   in
-  [
-    Audit.exactly_once ~sites:auth ~rids:(fun () -> rids);
-    Audit.conservation ~name:"exec-total" ~expected:(List.length rids)
-      ~actual:(fun () -> List.fold_left (fun acc s -> acc + total s) 0 (auth ()));
-    Audit.reply_delivery ~sites:auth
-      ~received:(fun rid -> Option.value ~default:0 (Hashtbl.find_opt received rid))
-      ~rids:(fun () -> rids);
-    Audit.queue_integrity ~sites:every;
-    Audit.no_in_doubt ~sites:every;
-  ]
+  ( totals,
+    workload_auditors
+    @ [
+        Audit.reply_delivery ~sites:auth
+          ~received:(fun rid -> Option.value ~default:0 (Hashtbl.find_opt received rid))
+          ~rids:(fun () -> rids);
+        Audit.queue_integrity ~sites:every;
+        Audit.no_in_doubt ~sites:every;
+      ] )
 
 (* [armed] is [(site, hit, victim, recover_after)]: see [arm]. *)
 let build ?armed ?policy t (plan : Plan.t) =
@@ -407,15 +505,17 @@ let build ?armed ?policy t (plan : Plan.t) =
   let replies = ref 0 in
   let received = Hashtbl.create 16 in
   let body () =
-    let (findings, vt, failovers), sched =
+    let (findings, vt, failovers, totals), sched =
       Runner.run_scenario_traced ~policy:pol (fun s ->
           let net =
-            Net.create ~latency:0.005 s (Rng.create ((plan.Plan.seed * 7) + 1))
+            Net.create ~latency:0.005 ~drop_rate:topo.drop_rate s
+              (Rng.create ((plan.Plan.seed * 7) + 1))
           in
           (* Armed before the repositories boot, so hits count from the
              same origin as the probe's. *)
           Option.iter (arm s net) armed;
           let repos = List.map (build_repo net topo) topo.repos in
+          let req_queue = install_workload topo repos in
           let client_node = Net.make_node net "client" in
           inject s net (List.concat_map (fun r -> r.sites) repos) plan;
           fun () ->
@@ -434,7 +534,8 @@ let build ?armed ?policy t (plan : Plan.t) =
                 (fun c id ->
                   ignore
                     (Sched.fork ~name:(Printf.sprintf "client%d" c) (fun () ->
-                         clerk_client topo ~client_node ~received ~replies id;
+                         clerk_client topo ~client_node ~req_queue ~received
+                           ~replies id;
                          incr done_)))
                 (client_ids topo);
               ignore (Runner.await ~timeout:300.0 (fun () -> !done_ = topo.clients)));
@@ -442,9 +543,11 @@ let build ?armed ?policy t (plan : Plan.t) =
                pair failover, rejoin and resync *)
             let pair = List.exists (function Pair _ -> true | _ -> false) topo.repos in
             Sched.sleep (if pair then 25.0 else 20.0);
-            ( Audit.run (auditors repos ~rids ~received),
+            let totals, auditors = auditors topo repos ~rids ~received in
+            ( Audit.run auditors,
               Sched.clock (),
-              List.fold_left (fun n r -> n + r.failovers ()) 0 repos ))
+              List.fold_left (fun n r -> n + r.failovers ()) 0 repos,
+              List.map (fun (name, read) -> (name, read ())) totals ))
     in
     {
       findings;
@@ -454,6 +557,7 @@ let build ?armed ?policy t (plan : Plan.t) =
       replies = !replies;
       virtual_time = vt;
       failovers;
+      totals;
     }
   in
   match armed with
@@ -469,6 +573,8 @@ let quickstart_world =
     repos = [ Single "backend" ];
     shards = None;
     queue_attrs = Qm.default_attrs;
+    workload = Requests;
+    drop_rate = 0.0;
     clients = 2;
     reqs = 2;
     prefix = "c";
@@ -486,6 +592,14 @@ let quickstart_mm =
       quickstart_world with
       queue_attrs = { Qm.default_attrs with durability = Qm.Main_memory };
     }
+
+(* The quickstart world on a lossy network: every message, requests,
+   replies and acks alike, is dropped with probability 0.08, so the clerk's
+   retries and the QM's tag-based duplicate suppression carry every
+   request. *)
+let quickstart_lossy =
+  make "quickstart-lossy"
+    { quickstart_world with drop_rate = 0.08; clients = 4; reqs = 5 }
 
 let ha_world mode =
   {
@@ -554,16 +668,33 @@ let buggy_clerk =
       bug = Some Blind_resend_client;
     }
 
+(* The §6 transfer chain: 4 clients each send one transfer of 100 from
+   bankA's source account through bankB's credit to the clearing house.
+   Plans crash any of the three banks and cut client-bankA, bankA-bankB and
+   bankB-clearing. *)
+let chain =
+  make "chain"
+    {
+      quickstart_world with
+      repos = [ Single "bankA"; Single "bankB"; Single "clearing" ];
+      workload = Chain;
+      clients = 4;
+      reqs = 1;
+      prefix = "t";
+    }
+
 let all =
   [
     quickstart;
     quickstart_mm;
+    quickstart_lossy;
     ha;
     ha_lagged;
     sharded;
     sharded_buggy;
     sharded_ha;
     buggy_clerk;
+    chain;
   ]
 
 let by_name n = List.find_opt (fun t -> t.name = n) all
@@ -629,16 +760,18 @@ let run_recorded ?policy ?(trace_capacity = 262144) t plan =
       let o = run ?policy t plan in
       (* The trace auditor is sound only when no fiber can die between its
          durable force and its commit event, i.e. on crash-free plans (see
-         [Audit.exactly_once_trace]). It runs while the session is still
-         enabled, so it can see the events; its findings join the
-         scenario's own. *)
-      let crash_free =
-        List.for_all
-          (function Plan.Crash _ -> false | Plan.Partition _ -> true)
-          plan.Plan.faults
+         [Audit.exactly_once_trace]), and it counts one committed execution
+         per request, where a chain commits one per stage. It runs while
+         the session is still enabled, so it can see the events; its
+         findings join the scenario's own. *)
+      let auditable =
+        t.topology.workload = Requests
+        && List.for_all
+             (function Plan.Crash _ -> false | Plan.Partition _ -> true)
+             plan.Plan.faults
       in
       let extra =
-        if crash_free then Audit.run [ Audit.exactly_once_trace () ] else []
+        if auditable then Audit.run [ Audit.exactly_once_trace () ] else []
       in
       {
         rec_outcome = { o with findings = o.findings @ extra };

@@ -2,15 +2,23 @@
     quiescence and audit themselves through the {!Audit} registry.
 
     Every scenario is one {!topology}, turned into a world the same way:
-    the repositories (one per shard, each a single site or an HA pair) with
-    a 2-thread counting server on the serving node, shard routing and a
-    mid-run map change when the topology has a shard map, and clerks that
-    send tagged requests and count every reply they receive per rid. Every
-    world is audited by the same auditor set: exactly-once,
-    [conservation:exec-total] (the counting handler's summed ledger) and
-    reply-delivery over the authoritative repositories — a promoted
-    standby, else the primary — plus queue-integrity and no-in-doubt over
-    every site. *)
+    the repositories (one per shard, each a single site or an HA pair) on a
+    network with the topology's drop rate, the workload's servers, shard
+    routing and a mid-run map change when the topology has a shard map, and
+    clerks that send tagged requests and count every reply they receive per
+    rid. The workload is one of two:
+    - one-transaction requests to a 2-thread counting server on the serving
+      node, audited by exactly-once and [conservation:exec-total] (the
+      counting handler's summed ledger);
+    - the §6 funds-transfer chain ({!Rrq_core.Pipeline}) over three
+      repositories, debit, credit and clearing, audited by
+      [conservation:money] (source plus destination stays 1000),
+      [conservation:credited] (100 per transfer) and
+      [conservation:cleared] (one per transfer).
+
+    Every world is also audited by reply-delivery over the authoritative
+    repositories — a promoted standby, else the primary — and by
+    queue-integrity and no-in-doubt over every site. *)
 
 type outcome = {
   findings : Audit.finding list;  (** Empty iff every auditor passed. *)
@@ -22,13 +30,17 @@ type outcome = {
   replies : int;  (** Replies the clients actually received. *)
   virtual_time : float;  (** Virtual time at quiescence. *)
   failovers : int;  (** Standby promotions across every HA pair. *)
+  totals : (string * int) list;
+      (** The audited totals at quiescence, by name: ["exec-total"] for a
+          request world; ["src"], ["dst"] and ["cleared"] for a chain. *)
 }
 
 type topology
 (** The closed world a scenario builds: its repositories, the optional
     shard map and its mid-run change, the request queue's durability
-    class, the client count, requests per client and client-id prefix, and
-    an optional designed bug. *)
+    class, the workload (requests or a transfer chain), the network's
+    message drop rate, the client count, requests per client and client-id
+    prefix, and an optional designed bug. *)
 
 type t = {
   name : string;
@@ -58,6 +70,12 @@ val quickstart_mm : t
 (** {!quickstart} over a [Main_memory] request queue: element payload and
     queue order live purely in memory, only redo records hit the WAL, and
     recovery rebuilds queue state from the redo scan. Exactly-once must hold exactly as in the stable variant. *)
+
+val quickstart_lossy : t
+(** {!quickstart} with 4 clerks x 5 requests on a network that drops each
+    message with probability 0.08: the clerk's retries and the QM's
+    tag-based duplicate suppression must still deliver every request
+    exactly once. *)
 
 val ha : t
 (** The HA pair ({!Rrq_core.Ha}): a primary and a warm standby joined by
@@ -103,6 +121,15 @@ val buggy_clerk : t
     fault-free; duplicates requests under crashes and partitions that
     overlap its active window. The explorer must find (and the shrinker
     minimize) this violation. *)
+
+val chain : t
+(** The paper's multi-transaction request (§6, fig. 6): 4 clerks each send
+    one transfer of 100 into a three-stage pipeline — debit [acct:src] on
+    [bankA] (opened at 1000), credit [acct:dst] on [bankB], count it on
+    [clearing] — each stage one transaction that moves the request to the
+    next stage's queue. The plan space crashes any of the three and cuts
+    client-bankA, bankA-bankB and bankB-clearing; no failure may break a
+    chain. *)
 
 val all : t list
 val by_name : string -> t option
@@ -153,9 +180,10 @@ val sweep :
 (** {1 Recorded runs}
 
     A run wrapped in an [Rrq_obs] session: metrics and the trace-event
-    stream are captured. On a plan with no crash faults,
+    stream are captured. On a request world's plan with no crash faults,
     {!Audit.exactly_once_trace} also re-verifies exactly-once from the
-    events alone. A crash can kill a fiber that is parked between its
+    events alone (a chain executes each request once per stage, which that
+    auditor would read as duplicates). A crash can kill a fiber that is parked between its
     durable force and its commit event — a group-commit follower waiting
     for its leader's wake-up, or a committer in the Sync-mode ship wait —
     which the trace cannot tell from a lost commit, so plans with crashes
@@ -164,7 +192,7 @@ val sweep :
 type recorded = {
   rec_outcome : outcome;
       (** The scenario's outcome, with the trace auditor's findings
-          appended when the plan has no crash faults. *)
+          appended when it applies. *)
   rec_metrics : Rrq_obs.Metrics.snapshot;  (** Metrics at quiescence. *)
   rec_trace : string;  (** The JSON-lines trace dump. *)
 }

@@ -370,5 +370,4 @@ let cancel_request_anywhere t ~sites ~rid =
       | exception (Net.Rpc_timeout | Net.Service_error _) -> false)
     sites
 
-let last_sent_eid t = t.last_eid
 let state t = t.fsm

@@ -121,7 +121,5 @@ val cancel_request_anywhere : t -> sites:string list -> rid:string -> bool
     request moved between queues (forwarding, pipelines), where the
     original eid no longer exists (§11's element-identity point). *)
 
-val last_sent_eid : t -> int64 option
-
 val state : t -> Client_fsm.state
 (** The client's current fig. 1/7 state (tracked even when not strict). *)

@@ -98,10 +98,14 @@ let install ?(threads = 1) ?(inherit_locks = false) stage_list =
           invalid_arg "Pipeline.install: lock inheritance needs a single site")
       stages
   end;
+  (* Created at every boot, like a site's configured queues: a crash before
+     the creation is durable must not leave the stage's restarted server
+     without its queue. *)
   Array.iter
     (fun st ->
-      Qm.create_queue (Site.qm st.stage_site) st.in_queue;
-      Qm.create_queue (Site.qm st.stage_site) (comp_queue_name st.in_queue))
+      Site.on_boot st.stage_site (fun site ->
+          Qm.create_queue (Site.qm site) st.in_queue;
+          Qm.create_queue (Site.qm site) (comp_queue_name st.in_queue)))
     stages;
   Array.iteri
     (fun i st ->

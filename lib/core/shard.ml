@@ -66,7 +66,6 @@ type t = {
 }
 
 let site t = t.sh_site
-let current_map t = t.sh_map
 
 (* The queue/registrant pair that decides where an operation lives. Keyless
    operations (kill by eid) are served wherever the clerk sent them. *)
@@ -157,11 +156,8 @@ let serve_local t op =
           match (intent, local) with
           | _, None -> false
           | `Register, Some _ -> true
-          | `Enqueue tg, Some l -> l.Qm.op_kind = `Enqueue && l.Qm.tag = tg
-          | `Dequeue tg, Some l ->
-            l.Qm.op_kind = `Dequeue
-            && Tag.rid_piece l.Qm.tag <> None
-            && Tag.rid_piece l.Qm.tag = Tag.rid_piece tg
+          | (#Tag.op as op), Some l ->
+            Tag.repeats op ~kind:l.Qm.op_kind ~tag:l.Qm.tag
         in
         if local_matches then None
         else begin
@@ -171,11 +167,8 @@ let serve_local t op =
               (fun rv ->
                 match intent with
                 | `Register -> local = None
-                | `Enqueue tg -> rv.rv_kind = `Enqueue && rv.rv_tag = tg
-                | `Dequeue tg ->
-                  rv.rv_kind = `Dequeue
-                  && Tag.rid_piece rv.rv_tag <> None
-                  && Tag.rid_piece rv.rv_tag = Tag.rid_piece tg)
+                | #Tag.op as op ->
+                  Tag.repeats op ~kind:rv.rv_kind ~tag:rv.rv_tag)
               records
           in
           match (matched, unreachable) with

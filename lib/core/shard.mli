@@ -91,7 +91,6 @@ val attach : ?max_hops:int -> ?untag_forward_bug:bool -> Site.t -> map -> t
     faults the explorer must catch it. *)
 
 val site : t -> Site.t
-val current_map : t -> map
 
 val install : t -> map -> unit
 (** Locally adopt [map] if its version is newer (test setup; remote

@@ -66,9 +66,7 @@ type Net.payload +=
       priority : int;
       body : string;
     }
-  | Q_dequeue_tx of { id : Txid.t; queue : string; filter : Filter.t }
   | R_tx_eid of { eid : int64; inc : int }
-  | R_tx_element of { elem : elem_view option; inc : int }
   | T_decision of Txid.t
   | R_decision of [ `Committed | `Aborted | `Pending ]
   | T_force_abort of Txid.t
@@ -123,8 +121,6 @@ let log t = t.s_log
 let tm t = t.s_tm
 let qm t = t.s_qm
 let kv t = t.s_kv
-let qm_rm_name t = "qm@" ^ site_name t
-let kv_rm_name t = "kv@" ^ site_name t
 
 (* rm names are "kind@node"; the node part addresses the hosting site. *)
 let rm_node rm_name =
@@ -207,7 +203,8 @@ let clerk_service t msg =
     let h, last = Qm.register qm ~queue ~registrant ~stable:true in
     let duplicate =
       match (tag, last) with
-      | Some tg, Some l -> l.Qm.op_kind = `Enqueue && l.Qm.tag = tg
+      | Some tg, Some l ->
+        Tag.repeats (`Enqueue tg) ~kind:l.Qm.op_kind ~tag:l.Qm.tag
       | _ -> false
     in
     (match (duplicate, last) with
@@ -222,9 +219,7 @@ let clerk_service t msg =
     let duplicate =
       match (tag, last) with
       | Some tg, Some l ->
-        l.Qm.op_kind = `Dequeue
-        && Tag.rid_piece l.Qm.tag <> None
-        && Tag.rid_piece l.Qm.tag = Tag.rid_piece tg
+        Tag.repeats (`Dequeue tg) ~kind:l.Qm.op_kind ~tag:l.Qm.tag
       | _ -> false
     in
     if duplicate then
@@ -265,13 +260,6 @@ let qm_tx_service t msg =
     in
     let eid = Qm.enqueue qm id h ~props ~priority body in
     R_tx_eid { eid; inc = Qm.incarnation qm }
-  | Q_dequeue_tx { id; queue; filter } ->
-    let qm = t.s_qm in
-    let h, _ =
-      Qm.register qm ~queue ~registrant:("pipeline@" ^ queue) ~stable:false
-    in
-    let el = Qm.dequeue qm id h ~filter Qm.No_wait in
-    R_tx_element { elem = Option.map view_of_element el; inc = Qm.incarnation qm }
   | _ -> raise (Invalid_argument "qm-tx service: unexpected message")
 
 (* A standby's RMs change only by shipping: it refuses every request,
@@ -492,27 +480,6 @@ let with_txn t f =
     | Lock.Deadlock m -> raise (Aborted ("deadlock: " ^ m))
     | Lock.Cancelled -> raise (Aborted "cancelled")
     | e -> raise e)
-
-let remote_dequeue t txn ~dst ~queue ~filter =
-  if is_local_name t dst then begin
-    let h, _ =
-      Qm.register t.s_qm ~queue ~registrant:("pipeline@" ^ queue) ~stable:false
-    in
-    Option.map view_of_element
-      (Qm.dequeue t.s_qm (Tm.txn_id txn) h ~filter Qm.No_wait)
-  end
-  else begin
-    match
-      Net.call t.site_node ~dst ~service:"qm-tx"
-        (Q_dequeue_tx { id = Tm.txn_id txn; queue; filter })
-    with
-    | R_tx_element { elem; inc } ->
-      if elem <> None then Tm.join txn (proxy t ~rm_name:("qm@" ^ dst) ~inc);
-      elem
-    | _ -> raise (Aborted "remote dequeue: unexpected reply")
-    | exception (Net.Rpc_timeout | Net.Service_error _) ->
-      raise (Aborted ("remote dequeue from " ^ dst ^ " failed"))
-  end
 
 let remote_enqueue t txn ~dst ~queue ?(props = []) ?(priority = 0) body =
   if is_local_name t dst then begin

@@ -55,10 +55,6 @@ val kv : t -> Rrq_kvdb.Kvdb.t
 (** Accessors return the {e current} incarnation's log and components —
     do not cache them across a crash/restart. *)
 
-val qm_rm_name : t -> string
-val kv_rm_name : t -> string
-(** Globally-unique resource manager names ("qm\@node", "kv\@node"). *)
-
 val crash : t -> unit
 val restart : t -> unit
 val crash_restart : t -> after:float -> unit
@@ -123,7 +119,7 @@ val remote_participant : t -> rm_name:string -> Rrq_txn.Tm.participant
     site, rebuilt by name (for redelivery and recovery). It carries no
     incarnation, so a prepare through it votes no: a participant joins a
     transaction through the operation that did its work
-    ({!remote_enqueue}, {!remote_dequeue}). *)
+    ({!remote_enqueue}). *)
 
 (** {1 Element views (wire-friendly copies)} *)
 
@@ -137,14 +133,6 @@ type elem_view = {
 }
 
 val view_of_element : Rrq_qm.Element.t -> elem_view
-
-val remote_dequeue :
-  t -> Rrq_txn.Tm.txn -> dst:string -> queue:string ->
-  filter:Rrq_qm.Filter.t -> elem_view option
-(** Dequeue (non-blocking, filtered) from a queue on another site within
-    the given transaction; the remote QM joins as a 2PC participant.
-    @raise Aborted if the remote site is unreachable. *)
-
 
 (** {1 Messages of the services (exposed for clerk/baselines)} *)
 
@@ -188,15 +176,9 @@ type Rrq_net.Net.payload +=
       priority : int;
       body : string;
     }
-  | Q_dequeue_tx of {
-      id : Rrq_txn.Txid.t;
-      queue : string;
-      filter : Rrq_qm.Filter.t;
-    }
   | R_tx_eid of { eid : int64; inc : int }
       (** A transactional operation's reply carries the QM's incarnation
           ({!Rrq_qm.Qm.incarnation}), which the prepare repeats. *)
-  | R_tx_element of { elem : elem_view option; inc : int }
   | T_decision of Rrq_txn.Txid.t
   | R_decision of [ `Committed | `Aborted | `Pending ]
   | T_force_abort of Rrq_txn.Txid.t

@@ -19,3 +19,11 @@ let unpack tag =
 
 let rid_piece tag = fst (unpack tag)
 let ckpt_piece tag = snd (unpack tag)
+
+type op = [ `Enqueue of string | `Dequeue of string ]
+
+let repeats op ~kind ~tag =
+  match op with
+  | `Enqueue tg -> kind = `Enqueue && tag = tg
+  | `Dequeue tg ->
+    kind = `Dequeue && rid_piece tag <> None && rid_piece tag = rid_piece tg

@@ -16,3 +16,12 @@ val rid_piece : string -> string option
 
 val ckpt_piece : string -> string option
 (** The checkpoint component (Receive tags only). *)
+
+type op = [ `Enqueue of string | `Dequeue of string ]
+(** A tagged queue operation: its kind and its tag. *)
+
+val repeats : [< op ] -> kind:[ `Enqueue | `Dequeue ] -> tag:string -> bool
+(** Whether the operation repeats a registration's last operation ([kind],
+    [tag]) — the QM's duplicate suppression (§4.3): an Enqueue repeats an
+    Enqueue with the same tag, a Dequeue a Dequeue whose tag carries the
+    same rid. *)

@@ -10,119 +10,25 @@ module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
 module Pipeline = Rrq_core.Pipeline
 module Table = Rrq_util.Table
+module Scenario = Rrq_check.Scenario
+module Plan = Rrq_check.Plan
 module Histogram = Rrq_util.Histogram
 
 let amount = 100
 
-let balance site key =
-  match Kvdb.committed_value (Site.kv site) key with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 0)
-  | None -> 0
-
 (* ---- E2: crash matrix ------------------------------------------------- *)
 
-type crash_row = {
-  crash_site : string;
-  transfers : int;
-  completed : int;
-  src_balance : int;
-  dst_balance : int;
-  cleared : int;
-  conserved : bool;
-}
-
-let transfer_stages site_a site_b site_c =
-  [
-    {
-      Pipeline.stage_site = site_a;
-      in_queue = "debit";
-      work =
-        (fun site txn env ->
-          ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "acct:src" (-amount));
-          (env.Envelope.body, "debited"));
-      compensate = None;
-    };
-    {
-      Pipeline.stage_site = site_b;
-      in_queue = "credit";
-      work =
-        (fun site txn env ->
-          ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "acct:dst" amount);
-          (env.Envelope.body, "credited"));
-      compensate = None;
-    };
-    {
-      Pipeline.stage_site = site_c;
-      in_queue = "clear";
-      work =
-        (fun site txn env ->
-          ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "cleared" 1);
-          ("ok:" ^ env.Envelope.rid, ""));
-      compensate = None;
-    };
-  ]
-
-let one_crash_run ~crash_site ~transfers ~seed =
-  Common.run_scenario (fun s ->
-      let net = Net.create s (Rng.create seed) in
-      let site_a = Site.create ~stale_timeout:2.0 (Net.make_node net "bankA") in
-      let site_b = Site.create ~stale_timeout:2.0 (Net.make_node net "bankB") in
-      let site_c = Site.create ~stale_timeout:2.0 (Net.make_node net "clearing") in
-      let pipeline = Pipeline.install (transfer_stages site_a site_b site_c) in
-      let client_node = Net.make_node net "client" in
-      Site.with_txn site_a (fun txn ->
-          Kvdb.put (Site.kv site_a) (Tm.txn_id txn) "acct:src" "1000");
-      (match crash_site with
-      | "none" -> ()
-      | name ->
-        let site =
-          match name with
-          | "bankA" -> site_a
-          | "bankB" -> site_b
-          | _ -> site_c
-        in
-        Sched.at s 0.4 (fun () -> Site.crash_restart site ~after:3.0));
-      fun () ->
-        let completed = ref 0 in
-        for i = 1 to transfers do
-          ignore
-            (Sched.fork ~name:(Printf.sprintf "cl%d" i) (fun () ->
-                 let clerk, _ =
-                   Clerk.connect ~client_node
-                     ~system:(Pipeline.entry_site pipeline)
-                     ~client_id:(Printf.sprintf "c%d" i)
-                     ~req_queue:(Pipeline.entry_queue pipeline) ()
-                 in
-                 let rid = Printf.sprintf "t%d" i in
-                 ignore (Clerk.send clerk ~rid "xfer");
-                 let rec get n =
-                   if n > 30 then ()
-                   else begin
-                     match Clerk.receive clerk ~timeout:3.0 () with
-                     | Some _ -> incr completed
-                     | None -> get (n + 1)
-                   end
-                 in
-                 get 0))
-        done;
-        ignore (Common.await ~timeout:120.0 (fun () -> !completed = transfers));
-        Sched.sleep 5.0;
-        let src = balance site_a "acct:src" in
-        let dst = balance site_b "acct:dst" in
-        let cleared = balance site_c "cleared" in
-        {
-          crash_site;
-          transfers;
-          completed = !completed;
-          src_balance = src;
-          dst_balance = dst;
-          cleared;
-          conserved = src + dst = 1000 && dst = amount * transfers;
-        })
-
-let run_crash_matrix ?(transfers = 4) () =
+(* E2 runs the checker's chain scenario: fault-free, then with each site
+   crashed at t=0.4 and restarted 3 s later. *)
+let run_crash_matrix () =
+  let chain = Scenario.chain in
   List.map
-    (fun crash_site -> one_crash_run ~crash_site ~transfers ~seed:17)
+    (fun crashed ->
+      let faults =
+        if crashed = "none" then []
+        else [ Plan.Crash { node = crashed; at = 0.4; recover_after = 3.0 } ]
+      in
+      (crashed, Scenario.run chain { chain.Scenario.probe with Plan.faults }))
     [ "none"; "bankA"; "bankB"; "clearing" ]
 
 let crash_table rows =
@@ -133,16 +39,18 @@ let crash_table rows =
         [ "crashed site"; "transfers"; "completed"; "src"; "dst"; "cleared"; "conserved" ]
   in
   List.iter
-    (fun r ->
+    (fun (crashed, (o : Scenario.outcome)) ->
+      let total name = List.assoc name o.totals in
+      let src = total "src" and dst = total "dst" in
       Table.add_row t
         [
-          r.crash_site;
-          string_of_int r.transfers;
-          string_of_int r.completed;
-          string_of_int r.src_balance;
-          string_of_int r.dst_balance;
-          string_of_int r.cleared;
-          (if r.conserved then "yes" else "NO");
+          crashed;
+          string_of_int o.requests;
+          string_of_int o.replies;
+          string_of_int src;
+          string_of_int dst;
+          string_of_int (total "cleared");
+          (if src + dst = 1000 && dst = amount * o.requests then "yes" else "NO");
         ])
     rows;
   t

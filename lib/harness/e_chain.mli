@@ -1,9 +1,9 @@
 (** Experiments on multi-transaction requests (paper §6).
 
-    {b E2 — unbreakable chains}: a three-site funds-transfer pipeline
-    (debit / credit / clearinghouse-log) is subjected to a crash of each
-    site in turn while transfers are in flight; every transfer must
-    complete exactly once and money must be conserved.
+    {b E2 — unbreakable chains}: the checker's three-site funds-transfer
+    scenario (debit / credit / clearinghouse-log) is run fault-free and
+    with a crash of each site in turn; every transfer must complete
+    exactly once and money must be conserved.
 
     {b B6 — chain vs. one long transaction}: the same business transaction
     executed as a 3-stage chain versus one long transaction, under
@@ -15,24 +15,12 @@
     concurrent invariant reader; inheritance eliminates the
     between-transactions anomalies at a throughput cost (§6). *)
 
-val transfer_stages :
-  Rrq_core.Site.t -> Rrq_core.Site.t -> Rrq_core.Site.t ->
-  Rrq_core.Pipeline.stage list
-(** The canonical debit/credit/clearing-log pipeline used by E2 and the
-    chain soak. *)
+val run_crash_matrix : unit -> (string * Rrq_check.Scenario.outcome) list
+(** The {!Rrq_check.Scenario.chain} scenario fault-free (["none"]) and
+    with each of its three sites crashed at t=0.4 for 3 s, by crashed
+    site. *)
 
-type crash_row = {
-  crash_site : string;
-  transfers : int;
-  completed : int;
-  src_balance : int;  (** Expected [1000 - 100 * transfers]. *)
-  dst_balance : int;  (** Expected [100 * transfers]. *)
-  cleared : int;
-  conserved : bool;
-}
-
-val run_crash_matrix : ?transfers:int -> unit -> crash_row list
-val crash_table : crash_row list -> Rrq_util.Table.t
+val crash_table : (string * Rrq_check.Scenario.outcome) list -> Rrq_util.Table.t
 
 type contention_row = {
   design : string;

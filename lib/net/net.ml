@@ -24,9 +24,9 @@ type node = {
 and t = {
   tsched : Sched.t;
   rng : Rng.t;
-  mutable latency : float;
+  latency : float;
   mutable jitter : float;
-  mutable drop_rate : float;
+  drop_rate : float;
   cuts : (string * string, unit) Hashtbl.t;
   nodes : (string, node) Hashtbl.t;
   mutable n_sent : int;
@@ -49,8 +49,6 @@ let create ?(latency = 0.005) ?(jitter = 0.0) ?(drop_rate = 0.0) tsched rng =
   }
 
 let sched t = t.tsched
-let set_drop_rate t r = t.drop_rate <- r
-let set_latency t l = t.latency <- l
 
 let pair a b = if a <= b then (a, b) else (b, a)
 

@@ -37,8 +37,6 @@ val create :
     (default 0), dropping each message with probability [drop_rate]. *)
 
 val sched : t -> Rrq_sim.Sched.t
-val set_drop_rate : t -> float -> unit
-val set_latency : t -> float -> unit
 
 val partition : t -> string -> string -> unit
 (** Cut both directions between two nodes. *)

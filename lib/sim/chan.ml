@@ -31,6 +31,5 @@ let recv_timeout t d =
         Sched.at sched (Sched.now sched +. d) (fun () ->
             ignore (Sched.wake w None)))
 
-let try_recv t = Queue.take_opt t.values
 let length t = Queue.length t.values
 let clear t = Queue.clear t.values

@@ -18,9 +18,6 @@ val recv : 'a t -> 'a
 val recv_timeout : 'a t -> float -> 'a option
 (** Like [recv] but gives up after the virtual duration, returning [None]. *)
 
-val try_recv : 'a t -> 'a option
-(** Non-blocking receive. *)
-
 val length : 'a t -> int
 (** Number of queued (undelivered) values. *)
 

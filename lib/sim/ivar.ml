@@ -14,8 +14,6 @@ let fill t v =
     t.readers <- [];
     List.iter (fun w -> ignore (Sched.wake w (Some v))) readers
 
-let is_filled t = t.value <> None
-
 let read t =
   match t.value with
   | Some v -> v

@@ -11,8 +11,6 @@ val fill : 'a t -> 'a -> unit
 (** Set the value and wake all readers. Subsequent fills are ignored (a
     duplicated response message must not crash the caller). *)
 
-val is_filled : 'a t -> bool
-
 val read : 'a t -> 'a
 (** Block until filled. *)
 

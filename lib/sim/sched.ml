@@ -372,7 +372,6 @@ let kill_group t group =
     t.fibers
 
 let alive fib = fib.live
-let fiber_name fib = fib.name
 let fiber_group fib = fib.group
 
 let live_fibers t =

@@ -105,7 +105,6 @@ val kill_group : t -> string -> unit
 val alive : fiber -> bool
 (** Whether the fiber has neither finished nor been killed. *)
 
-val fiber_name : fiber -> string
 val fiber_group : fiber -> string option
 
 val live_fibers : t -> string list

@@ -269,24 +269,8 @@ let transfer t ~from ~to_ =
       keys;
     Hashtbl.remove t.held from)
 
-let held_keys t tx =
-  match Hashtbl.find_opt t.held tx with
-  | None -> []
-  | Some keys ->
-    Hashtbl.fold
-      (fun key () acc ->
-        match Hashtbl.find_opt t.table key with
-        | None -> acc
-        | Some e -> begin
-          match current_mode e tx with
-          | Some m -> (key, m) :: acc
-          | None -> acc
-        end)
-      keys []
-
 let locked t ~key =
   match Hashtbl.find_opt t.table key with
   | None -> false
   | Some e -> e.granted <> []
 
-let waiting_count t = Hashtbl.length t.waits

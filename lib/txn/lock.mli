@@ -59,11 +59,6 @@ val cancel_waits : t -> Txid.t -> unit
 val transfer : t -> from:Txid.t -> to_:Txid.t -> unit
 (** Move all locks held by [from] to [to_] (merging modes). *)
 
-val held_keys : t -> Txid.t -> (string * mode) list
-(** Locks currently held by the transaction. *)
-
 val locked : t -> key:string -> bool
 (** Whether anyone holds the key (test/diagnostic helper). *)
 
-val waiting_count : t -> int
-(** Number of blocked requests (diagnostics). *)

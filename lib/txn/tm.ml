@@ -391,14 +391,15 @@ let abort_staged t id ~locals ~remote =
   Node_log.force t.log;
   List.iter (fun p -> Swallow.unit (fun () -> p.p_abort id)) remote
 
+let notify_abort txn =
+  List.iter (fun p -> Swallow.unit (fun () -> p.p_abort txn.id)) (List.rev txn.participants)
+
 let commit t txn =
   match txn.status with
   | Finished Aborted ->
     (* Force-aborted earlier: re-notify so locks or buffers acquired since
        the abort are cleaned up (participant aborts are idempotent). *)
-    List.iter
-      (fun p -> Swallow.unit (fun () -> p.p_abort txn.id))
-      (List.rev txn.participants);
+    notify_abort txn;
     Aborted
   | Finished Committed -> Committed
   | Active -> begin
@@ -507,14 +508,19 @@ let commit t txn =
 
 let abort t txn =
   match txn.status with
-  | Finished _ -> ()
+  | Finished Committed -> ()
+  | Finished Aborted ->
+    (* Force-aborted earlier, as in [commit]: the owner may have taken
+       locks since (a lock wait granted just before the abort), which
+       nothing else would ever release. *)
+    notify_abort txn
   | Active ->
     Hashtbl.remove t.live txn.id;
     (* Before the notices, which may yield: an owner that reaches [commit]
        meanwhile must find the transaction aborted, not commit what the
        aborted participants no longer hold. *)
     txn.status <- Finished Aborted;
-    List.iter (fun p -> Swallow.unit (fun () -> p.p_abort txn.id)) (List.rev txn.participants);
+    notify_abort txn;
     t.n_aborted <- t.n_aborted + 1;
     if Rrq_obs.enabled () then begin
       Rrq_obs.Metrics.inc ("tm.aborts:" ^ t.tm_name);

@@ -11,14 +11,6 @@ let fnv1a64_sub s ~pos ~len =
 
 let fnv1a64 s = fnv1a64_sub s ~pos:0 ~len:(String.length s)
 
-let fnv1a64_bytes b ~pos ~len =
-  let h = ref offset_basis in
-  for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (Bytes.unsafe_get b i)));
-    h := Int64.mul !h prime
-  done;
-  !h
-
 (* Word-wise FNV-1a variant in native-int arithmetic (mod 2^63). Byte-wise
    FNV costs ~1.5ns/byte — boxed int64 ops per byte — which makes the
    checksum the single most expensive part of logging a commit record.

@@ -6,9 +6,6 @@ val fnv1a64 : string -> int64
 val fnv1a64_sub : string -> pos:int -> len:int -> int64
 (** Checksum of the substring [pos, pos+len). *)
 
-val fnv1a64_bytes : Bytes.t -> pos:int -> len:int -> int64
-(** Same over a byte buffer, without copying it to a string first. *)
-
 val frame64 : string -> int64
 (** Word-wise FNV-1a variant in unboxed native-int arithmetic (mod 2^63):
     ~8x cheaper than {!fnv1a64} and what the WAL frames records with.

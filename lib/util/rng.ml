@@ -30,18 +30,6 @@ let exponential t ~mean =
   let u = if u <= 0.0 then 1e-12 else u in
   -. mean *. log u
 
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 (* Zipf via the Gray et al. quick generator (as in YCSB), with the zeta
    constant memoized per (n, theta). *)
 let zeta_cache : (int * float, float) Hashtbl.t = Hashtbl.create 8

@@ -32,12 +32,6 @@ val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean (for inter-arrival
     times). *)
 
-val pick : t -> 'a array -> 'a
-(** Uniformly chosen array element. The array must be non-empty. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val zipf : t -> n:int -> theta:float -> int
 (** Zipf-distributed value in [0, n): a skewed hot-spot distribution used for
     hot-account workloads. [theta] in (0,1); larger is more skewed. *)

@@ -23,6 +23,12 @@
      world with shard0 a synchronous HA pair pass every auditor, and
      killing the pair primary at every ship and ha crash site fails over
      cleanly;
+   - the transfer chain (paper §6): E2's plans, designed crashes inside the
+     middle stage's parallel commit and in the stage queues' creation,
+     >= 200 random fault plans and a sweep of every crash site, each armed
+     crash firing, keep money conserved and every stage applied once;
+   - the lossy network: the quickstart world dropping 8% of messages
+     passes explored fault plans;
    - the whole registry: in every scenario, arming the first hit of every
      probed crash site really fires the crash. *)
 
@@ -172,20 +178,28 @@ let test_explore_buggy_and_shrink () =
     (String.length line > String.length (C.Plan.to_string minimal))
 
 (* A scenario run is a pure function of its plan: same plan, same outcome,
-   same decision trace. *)
+   same decision trace — on a request world, the transfer chain and the
+   lossy network, whose drops come from the plan's seed. *)
 let test_outcome_determinism () =
-  let plan = C.Explore.plan_of_index C.Scenario.quickstart ~seed:5 3 in
-  let o1 = C.Scenario.run C.Scenario.quickstart plan in
-  let o2 = C.Scenario.run C.Scenario.quickstart plan in
-  Alcotest.(check string) "same findings"
-    (C.Audit.findings_to_string o1.C.Scenario.findings)
-    (C.Audit.findings_to_string o2.C.Scenario.findings);
-  Alcotest.(check int) "same replies" o1.C.Scenario.replies o2.C.Scenario.replies;
-  Alcotest.(check (float 0.0)) "same virtual time" o1.C.Scenario.virtual_time
-    o2.C.Scenario.virtual_time;
-  Alcotest.(check string) "same decision trace"
-    (Sched.trace_to_string o1.C.Scenario.trace)
-    (Sched.trace_to_string o2.C.Scenario.trace)
+  List.iter
+    (fun scenario ->
+      let name = scenario.C.Scenario.name in
+      let plan = C.Explore.plan_of_index scenario ~seed:5 3 in
+      let o1 = C.Scenario.run scenario plan in
+      let o2 = C.Scenario.run scenario plan in
+      Alcotest.(check string) (name ^ ": same findings")
+        (C.Audit.findings_to_string o1.C.Scenario.findings)
+        (C.Audit.findings_to_string o2.C.Scenario.findings);
+      Alcotest.(check int) (name ^ ": same replies") o1.C.Scenario.replies
+        o2.C.Scenario.replies;
+      Alcotest.(check (list (pair string int))) (name ^ ": same totals")
+        o1.C.Scenario.totals o2.C.Scenario.totals;
+      Alcotest.(check (float 0.0)) (name ^ ": same virtual time")
+        o1.C.Scenario.virtual_time o2.C.Scenario.virtual_time;
+      Alcotest.(check string) (name ^ ": same decision trace")
+        (Sched.trace_to_string o1.C.Scenario.trace)
+        (Sched.trace_to_string o2.C.Scenario.trace))
+    [ C.Scenario.quickstart; C.Scenario.chain; C.Scenario.quickstart_lossy ]
 
 (* Replaying a recorded trace through the Replay policy reproduces the
    identical audit outcome — on a failing schedule of the buggy clerk. *)
@@ -477,6 +491,30 @@ let test_sharded_anomaly_caught_and_shrunk () =
    shard that reached the site). The fault-free probe still performs the
    map change, so shard.forward (stale-pin relays), shard.map_install and
    cross-shard tm.staged/tm.prepared/tm.decided are all on the map. *)
+(* A designed plan for a lock taken under a force-aborted transaction.
+   shard1 runs s2-r1 and holds the counting handler's "total" lock while
+   the reply enqueue waits on the dead shard0; s1-r1's transaction waits
+   for that lock. At t=6 the janitor aborts both: the first abort's release
+   grants the lock to the second, the second's abort releases it again,
+   and its owner, woken by the grant, takes the lock anew for its read.
+   When its own abort found the transaction already aborted and released
+   nothing, that lock stayed held for good, every later try of both
+   requests stalled on it, and both were lost. *)
+let test_sharded_lock_after_abort_plan () =
+  let plan =
+    C.Plan.make ~seed:83011 ~policy:`Fifo
+      ~faults:
+        [
+          C.Plan.Crash { node = "shard0"; at = 1.31; recover_after = 3.32 };
+          C.Plan.Crash { node = "shard2"; at = 3.55; recover_after = 3.08 };
+        ]
+  in
+  let o = C.Scenario.run C.Scenario.sharded plan in
+  Alcotest.(check string) "auditors" "all auditors passed"
+    (C.Audit.findings_to_string o.C.Scenario.findings);
+  Alcotest.(check int) "every reply delivered" o.C.Scenario.requests
+    o.C.Scenario.replies
+
 let shard_swept_prefixes = [ "shard."; "wal."; "tm." ]
 
 let test_sharded_crash_site_sweep () =
@@ -605,6 +643,92 @@ let test_sharded_ha_crash_site_sweep () =
   Alcotest.(check (list string))
     "every replication crash point of the HA shard failed over cleanly" []
     failures
+
+(* ---- the §6 transfer chain ---------------------------------------------- *)
+
+(* A clean chain run: every auditor passed, every transfer replied, and the
+   audited totals are the expected balances. *)
+let check_transfers (o : C.Scenario.outcome) =
+  Alcotest.(check string) "auditors" "all auditors passed"
+    (C.Audit.findings_to_string o.findings);
+  Alcotest.(check int) "every transfer replied" o.requests o.replies;
+  Alcotest.(check (list (pair string int))) "balances"
+    [ ("src", 600); ("dst", 400); ("cleared", 4) ]
+    o.totals
+
+(* E2's plans: fault-free, and each of the three banks crashed at t=0.4 and
+   restarted 3 s later. *)
+let test_chain_e2_plans () =
+  let probe = C.Scenario.chain.C.Scenario.probe in
+  List.iter
+    (fun faults -> check_transfers (C.Scenario.run C.Scenario.chain { probe with faults }))
+    ([]
+    :: List.map
+         (fun node -> [ C.Plan.Crash { node; at = 0.4; recover_after = 3.0 } ])
+         [ "bankA"; "bankB"; "clearing" ])
+
+(* A designed crash inside the middle stage's parallel commit. bankB's
+   credit transaction forwards the transfer to the clearing house's queue,
+   so it forces a staged record while its prepare to clearing is in
+   flight; bankB dies once the first such record is durable. Its recovery
+   must settle the staged record with its participant, so the credit is
+   neither lost nor applied twice. *)
+let test_chain_staged_crash () =
+  let site = "tm.staged:bankB" in
+  let o = C.Scenario.crash_at ~site ~hit:1 ~recover_after:1.0 C.Scenario.chain in
+  Alcotest.(check bool) "the armed crash fired" true (C.Scenario.crash_fired o ~site);
+  check_transfers o
+
+(* A designed crash for the stage queues. bankB dies in the sync that would
+   make its "credit" queue durable, while the pipeline is installed. Its
+   stage server restarts with the site, and its queue must be there too:
+   when the pipeline created its queues only once, the restarted server
+   failed on a missing queue. *)
+let test_chain_queue_creation_crash () =
+  let site = "wal.sync:bankB.log" in
+  let o = C.Scenario.crash_at ~site ~hit:5 ~recover_after:1.0 C.Scenario.chain in
+  Alcotest.(check bool) "the armed crash fired" true (C.Scenario.crash_fired o ~site);
+  check_transfers o
+
+let test_chain_explore () =
+  let report = C.Explore.run ~budget:200 ~seed:1 C.Scenario.chain in
+  Alcotest.(check int) "explored the whole budget" 200 report.C.Explore.explored;
+  Alcotest.(check int) "every schedule passed" 200 report.C.Explore.passed;
+  Alcotest.(check bool) "no failure" true (report.C.Explore.failure = None)
+
+(* Kill the reaching bank at every reach of every crash site of the chain:
+   each stage's WAL syncs, 2PC steps and parallel-commit staging, and the
+   server and clerk steps. Every armed crash must fire and recover to a
+   clean audit. *)
+let test_chain_crash_site_sweep () =
+  let visited, crashes = C.Scenario.sweep ~recover_after:1.0 C.Scenario.chain in
+  List.iter
+    (fun site ->
+      Alcotest.(check bool)
+        (Printf.sprintf "probe reaches %s" site)
+        true (List.mem_assoc site visited))
+    [ "server.handled:credit"; "tm.staged:bankA"; "tm.staged:bankB"; "tm.prepared:clearing" ];
+  Alcotest.(check int) "every armed crash fired" (combos visited)
+    (List.length (List.filter (fun (c : C.Scenario.crash) -> c.fired) crashes));
+  Alcotest.(check (list string)) "every chain crash point recovered cleanly" []
+    (List.filter_map
+       (fun (c : C.Scenario.crash) ->
+         if c.findings = [] then None
+         else
+           Some
+             (Printf.sprintf "%s hit %d: %s" c.site c.hit
+                (C.Audit.findings_to_string c.findings)))
+       crashes)
+
+(* ---- the lossy network ---------------------------------------------------- *)
+
+(* The quickstart world with every message dropped with probability 0.08,
+   under explored crash and partition plans. *)
+let test_lossy_explore budget () =
+  let report = C.Explore.run ~budget ~seed:1 C.Scenario.quickstart_lossy in
+  Alcotest.(check int) "explored the whole budget" budget report.C.Explore.explored;
+  Alcotest.(check int) "every schedule passed" budget report.C.Explore.passed;
+  Alcotest.(check bool) "no failure" true (report.C.Explore.failure = None)
 
 (* ---- every scenario: armed crashes fire --------------------------------- *)
 
@@ -816,6 +940,8 @@ let () =
             `Slow test_sharded_crash_site_sweep;
           Alcotest.test_case "designed plan: coordinator dies before its decision is durable"
             `Quick test_sharded_unsettled_decision_plan;
+          Alcotest.test_case "designed plan: a lock taken after a force-abort is released"
+            `Quick test_sharded_lock_after_abort_plan;
         ] );
       ( "sharded-ha",
         [
@@ -827,6 +953,25 @@ let () =
             test_sharded_ha_janitor_race_plan;
           Alcotest.test_case "designed plan: a stalled request is no failed delivery"
             `Quick test_sharded_ha_stall_plan;
+        ] );
+      ( "chain",
+        [
+          Alcotest.test_case "E2's four plans" `Quick test_chain_e2_plans;
+          Alcotest.test_case "designed crash: middle stage's staged record" `Quick
+            test_chain_staged_crash;
+          Alcotest.test_case "designed crash: stage queue creation" `Quick
+            test_chain_queue_creation_crash;
+          Alcotest.test_case "chain explorer: 200 random fault plans" `Slow
+            test_chain_explore;
+          Alcotest.test_case "chain crash-site sweep: every armed crash fires" `Slow
+            test_chain_crash_site_sweep;
+        ] );
+      ( "lossy",
+        [
+          Alcotest.test_case "lossy smoke: 3 fault plans" `Quick
+            (test_lossy_explore 3);
+          Alcotest.test_case "lossy explorer: 200 fault plans" `Slow
+            (test_lossy_explore 200);
         ] );
       ( "registry",
         [
