@@ -39,7 +39,6 @@ witness:
 sim:
 	dune exec bin/rrq_demo.exe -- check --budget 25
 	dune exec bin/rrq_demo.exe -- check --scenario quickstart --sites
-	dune exec bin/rrq_demo.exe -- check --scenario quickstart-mm --sites
 	dune exec bin/rrq_demo.exe -- check --scenario ha --sites
 	dune exec bin/rrq_demo.exe -- check --scenario sharded --sites
 	dune exec bin/rrq_demo.exe -- check --scenario sharded-ha --sites
@@ -72,7 +71,7 @@ bench:
 	dune exec bench/main.exe
 
 # The perf-path smoke (also runs as part of `dune runtest`): B1 (queue op
-# micro-costs incl. the main-memory fast path), B12 (group commit against
+# micro-costs, stable against volatile queues), B12 (group commit against
 # the one-sync-per-commit ceiling) and B13 (sharded scale-out) at tiny
 # iteration counts —
 # exercises the measurement harness and the seal-reason counters, does not

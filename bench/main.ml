@@ -42,7 +42,6 @@ let bench_roundtrip durability () =
 
 let bench_stable_roundtrip = bench_roundtrip Qm.Stable
 let bench_volatile_roundtrip = bench_roundtrip Qm.Volatile
-let bench_mm_roundtrip = bench_roundtrip Qm.Main_memory
 
 let bench_tagged_roundtrip () =
   let disk = Disk.create "bench" in
@@ -84,7 +83,6 @@ let bench_kv_put () =
 let b1_ops =
   [
     ("stable enq+deq (128B)", bench_stable_roundtrip);
-    ("main-memory enq+deq (128B)", bench_mm_roundtrip);
     ("volatile enq+deq (128B)", bench_volatile_roundtrip);
     ("tagged enq+deq (ckpt)", bench_tagged_roundtrip);
     ("read by eid", bench_read);

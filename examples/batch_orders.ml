@@ -39,7 +39,7 @@ let () =
   in
 
   (* Branch -> HQ forwarding (one element per transaction, 2PC). *)
-  Forwarder.start branch ~local_queue:"outbox" ~dst:"hq" ~remote_queue:"orders" ();
+  Forwarder.start branch ~local_queue:"outbox" ~dst:"hq" ~remote_queue:"orders";
 
   (* The WAN is down while the morning orders arrive. *)
   Net.partition net "branch" "hq";

@@ -95,7 +95,7 @@ let () =
          in
          (match
             Interactive.pseudo_client clerk ~rid:"bk1" ~body:"book a seat"
-              ~respond ()
+              ~respond
           with
          | Some reply -> Printf.printf "[client] final: %S\n" reply.Envelope.body
          | None -> print_endline "[client] conversation failed");

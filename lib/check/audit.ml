@@ -126,41 +126,52 @@ let exactly_once_trace () =
       else begin
         let committed = Hashtbl.create 64 in
         let sent = Hashtbl.create 16 in
-        let execs : (string, string list) Hashtbl.t = Hashtbl.create 16 in
+        (* Executions by (rid, queue): each stage of a chain runs the same
+           rid once from its own queue. *)
+        let execs : (string * string, string list) Hashtbl.t =
+          Hashtbl.create 16
+        in
         List.iter
           (fun (_ts, ev) ->
             match ev with
             | Rrq_obs.Event.Txn_commit { txid; _ } ->
               Hashtbl.replace committed txid ()
             | Rrq_obs.Event.Clerk_send { rid; _ } -> Hashtbl.replace sent rid ()
-            | Rrq_obs.Event.Server_exec { rid; txid; _ } ->
+            | Rrq_obs.Event.Server_exec { rid; queue; txid; _ } ->
               let prev =
-                Option.value ~default:[] (Hashtbl.find_opt execs rid)
+                Option.value ~default:[] (Hashtbl.find_opt execs (rid, queue))
               in
-              Hashtbl.replace execs rid (txid :: prev)
+              Hashtbl.replace execs (rid, queue) (txid :: prev)
             | _ -> ())
           (Rrq_obs.Trace.events ());
-        let rids =
-          List.sort_uniq compare
-            (Hashtbl.fold (fun r () acc -> r :: acc) sent []
-            @ Hashtbl.fold (fun r _ acc -> r :: acc) execs [])
+        let stages =
+          List.sort compare
+            (Hashtbl.fold (fun key txids acc -> (key, txids) :: acc) execs [])
         in
-        if rids = [] then Some "trace contains no requests to audit"
+        if stages = [] && Hashtbl.length sent = 0 then
+          Some "trace contains no requests to audit"
         else begin
+          let unexecuted =
+            Hashtbl.fold
+              (fun rid () acc ->
+                if List.exists (fun ((r, _), _) -> r = rid) stages then acc
+                else (rid ^ ": lost (no execution in trace)") :: acc)
+              sent []
+          in
           let problems =
-            List.filter_map
-              (fun rid ->
-                let n =
-                  List.length
-                    (List.filter (Hashtbl.mem committed)
-                       (Option.value ~default:[] (Hashtbl.find_opt execs rid)))
-                in
-                if n = 0 then
-                  Some (rid ^ ": lost (no committed execution in trace)")
-                else if n > 1 then
-                  Some (Printf.sprintf "%s: %d committed executions" rid n)
-                else None)
-              rids
+            List.sort compare unexecuted
+            @ List.filter_map
+                (fun ((rid, queue), txids) ->
+                  let n = List.length (List.filter (Hashtbl.mem committed) txids) in
+                  if n = 0 then
+                    Some
+                      (Printf.sprintf "%s@%s: lost (no committed execution in trace)"
+                         rid queue)
+                  else if n > 1 then
+                    Some
+                      (Printf.sprintf "%s@%s: %d committed executions" rid queue n)
+                  else None)
+                stages
           in
           match problems with
           | [] -> None

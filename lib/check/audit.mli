@@ -71,8 +71,10 @@ val no_in_doubt : sites:(unit -> Rrq_core.Site.t list) -> auditor
 
 val exactly_once_trace : unit -> auditor
 (** Exactly-once verified from the [Rrq_obs] trace stream alone: every
-    request appearing in a [Clerk_send] or [Server_exec] event has exactly
-    one [Server_exec] whose txid also appears in a [Txn_commit]. Requires
+    request appearing in a [Clerk_send] event has a [Server_exec], and
+    every (request, queue) pair of a [Server_exec] has exactly one whose
+    txid also appears in a [Txn_commit] — each stage of a
+    multi-transaction request runs once from its own queue. Requires
     an enabled observability session whose ring never wrapped. Sound only
     on runs where no fiber can die between its durable force and its
     commit event: runs without crashes. A crash can kill a group-commit

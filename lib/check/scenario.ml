@@ -67,7 +67,6 @@ type workload =
 type topology = {
   repos : repository list;  (** one per shard; the first is the entry *)
   shards : shards option;
-  queue_attrs : Qm.attrs;
   workload : workload;
   drop_rate : float;  (** each message is lost with this probability *)
   clients : int;
@@ -151,7 +150,7 @@ let build_repo net topo repo =
   let requests = topo.workload = Requests in
   let create ?sync_latency name =
     Site.create
-      ~queues:(if requests then [ ("req", topo.queue_attrs) ] else [])
+      ~queues:(if requests then [ ("req", Qm.default_attrs) ] else [])
       ~stale_timeout:3.0
       (Net.make_node ?sync_latency net name)
   in
@@ -572,7 +571,6 @@ let quickstart_world =
   {
     repos = [ Single "backend" ];
     shards = None;
-    queue_attrs = Qm.default_attrs;
     workload = Requests;
     drop_rate = 0.0;
     clients = 2;
@@ -582,16 +580,6 @@ let quickstart_world =
   }
 
 let quickstart = make "quickstart" quickstart_world
-
-(* Main-memory request queue: element payload and order live purely in
-   memory, only redo records hit the WAL, and recovery rebuilds the queue
-   from the redo scan. *)
-let quickstart_mm =
-  make "quickstart-mm"
-    {
-      quickstart_world with
-      queue_attrs = { Qm.default_attrs with durability = Qm.Main_memory };
-    }
 
 (* The quickstart world on a lossy network: every message, requests,
    replies and acks alike, is dropped with probability 0.08, so the clerk's
@@ -686,7 +674,6 @@ let chain =
 let all =
   [
     quickstart;
-    quickstart_mm;
     quickstart_lossy;
     ha;
     ha_lagged;
@@ -760,15 +747,13 @@ let run_recorded ?policy ?(trace_capacity = 262144) t plan =
       let o = run ?policy t plan in
       (* The trace auditor is sound only when no fiber can die between its
          durable force and its commit event, i.e. on crash-free plans (see
-         [Audit.exactly_once_trace]), and it counts one committed execution
-         per request, where a chain commits one per stage. It runs while
-         the session is still enabled, so it can see the events; its
-         findings join the scenario's own. *)
+         [Audit.exactly_once_trace]). It runs while the session is still
+         enabled, so it can see the events; its findings join the
+         scenario's own. *)
       let auditable =
-        t.topology.workload = Requests
-        && List.for_all
-             (function Plan.Crash _ -> false | Plan.Partition _ -> true)
-             plan.Plan.faults
+        List.for_all
+          (function Plan.Crash _ -> false | Plan.Partition _ -> true)
+          plan.Plan.faults
       in
       let extra =
         if auditable then Audit.run [ Audit.exactly_once_trace () ] else []

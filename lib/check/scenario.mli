@@ -66,11 +66,6 @@ val quickstart : t
     tagged requests. Must satisfy every auditor under {e any} plan — a
     finding here is a protocol bug. *)
 
-val quickstart_mm : t
-(** {!quickstart} over a [Main_memory] request queue: element payload and
-    queue order live purely in memory, only redo records hit the WAL, and
-    recovery rebuilds queue state from the redo scan. Exactly-once must hold exactly as in the stable variant. *)
-
 val quickstart_lossy : t
 (** {!quickstart} with 4 clerks x 5 requests on a network that drops each
     message with probability 0.08: the clerk's retries and the QM's

@@ -4,7 +4,10 @@ module Tm = Rrq_txn.Tm
 module Qm = Rrq_qm.Qm
 module Element = Rrq_qm.Element
 
-let start site ~local_queue ~dst ~remote_queue ?(retry_every = 1.0) () =
+(* How long the daemon backs off after a failed move. *)
+let retry_every = 1.0
+
+let start site ~local_queue ~dst ~remote_queue =
   Site.on_boot site (fun site ->
       Net.spawn_on (Site.node site)
         ~name:(Printf.sprintf "fwd:%s->%s/%s" local_queue dst remote_queue)

@@ -14,11 +14,9 @@
     remote enqueue). *)
 
 val start :
-  Site.t -> local_queue:string -> dst:string -> remote_queue:string ->
-  ?retry_every:float -> unit -> unit
+  Site.t -> local_queue:string -> dst:string -> remote_queue:string -> unit
 (** Start (and restart with the site) a forwarder daemon. When the remote
-    site is unreachable the daemon backs off for [retry_every] (default
-    1.0) and tries again. *)
+    site is unreachable the daemon backs off for 1.0 s and tries again. *)
 
 val forwarded : Site.t -> local_queue:string -> int
 (** Elements moved out of the local queue so far (committed dequeues). *)

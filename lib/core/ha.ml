@@ -36,8 +36,6 @@ type t = {
   site : Site.t;
   peer : string;
   mode : mode;
-  hb_every : float;
-  miss_limit : int;
   ship_timeout : float;
   cold : bool;
   replay_bytes_per_sec : float;
@@ -326,12 +324,15 @@ let promote t =
   Kvdb.relock_in_doubt (Site.kv t.site);
   become_serving t
 
-(* Standby-side monitor: probe the primary every [hb_every]; after
+(* Standby-side monitor: probe the primary every [hb_every] seconds; after
    [miss_limit] consecutive misses, confirm once more and take over. *)
+let hb_every = 0.25
+let miss_limit = 3
+
 let monitor_daemon t () =
   let probe () =
     match
-      Net.call (Site.node t.site) ~timeout:t.hb_every ~dst:t.peer
+      Net.call (Site.node t.site) ~timeout:hb_every ~dst:t.peer
         ~service:"ha" (Hb { epoch = t.epoch; synced = t.synced })
     with
     | Hb_ok _ -> true
@@ -339,13 +340,13 @@ let monitor_daemon t () =
     | exception (Net.Rpc_timeout | Net.Service_error _) -> false
   in
   let rec loop misses ~since =
-    Sched.sleep_background t.hb_every;
+    Sched.sleep_background hb_every;
     if t.role = Standby then
       if probe () then loop 0 ~since:0.0
       else begin
         let since = if misses = 0 then Sched.clock () else since in
         let misses = misses + 1 in
-        if misses < t.miss_limit then loop misses ~since
+        if misses < miss_limit then loop misses ~since
         else if probe () then loop 0 ~since:0.0 (* final confirmation *)
         else if not t.synced then
           (* Back from a crash and not yet resynced: the primary may have
@@ -452,8 +453,7 @@ let boot_hook t site =
     Site.set_standby t.site true;
     Net.spawn_on nd ~name:"ha:rejoin" (fun () -> rejoin_check t)
 
-let attach ?(mode = Sync) ?(heartbeat_every = 0.25) ?(miss_limit = 3)
-    ?(ship_timeout = 2.0) ?(cold = false)
+let attach ?(mode = Sync) ?(ship_timeout = 2.0) ?(cold = false)
     ?(replay_bytes_per_sec = 256.0 *. 1024.0 *. 1024.0)
     ?(on_serving = fun _ -> ()) site ~peer ~role =
   let t =
@@ -461,8 +461,6 @@ let attach ?(mode = Sync) ?(heartbeat_every = 0.25) ?(miss_limit = 3)
       site;
       peer;
       mode;
-      hb_every = heartbeat_every;
-      miss_limit;
       ship_timeout;
       cold;
       replay_bytes_per_sec;

@@ -20,7 +20,7 @@
     snapshot, which carries them as well. A standby rejects clerk-facing
     requests ({!Site.set_standby}), so clerks fail over by rotation.
 
-    {b Failover}: the standby heartbeats the primary; after [miss_limit]
+    {b Failover}: the standby heartbeats the primary every 0.25 s; after 3
     consecutive misses plus one confirmation probe it promotes — provided
     this incarnation has installed a resync snapshot. A standby back from
     a crash may lack commits the primary made alone, so its heartbeats ask
@@ -67,8 +67,6 @@ type t
 
 val attach :
   ?mode:mode ->
-  ?heartbeat_every:float ->
-  ?miss_limit:int ->
   ?ship_timeout:float ->
   ?cold:bool ->
   ?replay_bytes_per_sec:float ->
@@ -77,8 +75,8 @@ val attach :
   peer:string ->
   role:role ->
   t
-(** Attach the HA role protocol to a site (defaults: [Sync] mode,
-    heartbeat every 0.25s, 3 misses, 2.0s ship timeout, warm standby).
+(** Attach the HA role protocol to a site (defaults: [Sync] mode, 2.0s
+    ship timeout, warm standby; failover as described above).
     Registers a boot hook, so the role (read back from the durable role
     file) survives crash/restart. [on_serving] runs each time this node
     assumes serving-primary duty — boot as primary, or promotion — and is

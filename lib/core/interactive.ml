@@ -21,7 +21,10 @@ let pseudo_server site ~req_queue ?threads handler =
             step = env.Envelope.step + 1;
           })
 
-let pseudo_client clerk ~rid ~body ~respond ?(max_turns = 100) () =
+(* The legs a conversation may take before the client gives up. *)
+let max_turns = 100
+
+let pseudo_client clerk ~rid ~body ~respond =
   ignore (Clerk.send clerk ~rid body);
   let rec turn i =
     if i > max_turns then None

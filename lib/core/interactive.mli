@@ -39,12 +39,11 @@ val pseudo_server :
 
 val pseudo_client :
   Clerk.t -> rid:string -> body:string ->
-  respond:(step:int -> output:string -> string) -> ?max_turns:int -> unit ->
-  Envelope.t option
+  respond:(step:int -> output:string -> string) -> Envelope.t option
 (** Drive a conversation from the client: send the opening request, then
     answer each intermediate output via [respond] (fig. 7's
     Req-Sent ↔ Intermediate-I/O cycle) until the final reply, which is
-    returned ([None] if [max_turns] (default 100) is exceeded). *)
+    returned ([None] after 100 intermediate legs). *)
 
 (** {1 Single-transaction conversations} *)
 

@@ -27,6 +27,7 @@ let execute site txn ~registrant h el handler =
       (Rrq_obs.Event.Server_exec
          {
            server = registrant;
+           queue;
            rid = env.Envelope.rid;
            txid = Rrq_txn.Txid.to_string (Tm.txn_id txn);
          });

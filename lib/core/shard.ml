@@ -61,7 +61,6 @@ type Net.payload +=
 type t = {
   sh_site : Site.t;
   mutable sh_map : map;
-  max_hops : int;
   untag_forward_bug : bool;
 }
 
@@ -209,6 +208,8 @@ let dequeue_wait = function
    requester's version lags, which is how clerks refresh after a change.
    Un-routed payloads pass straight through to the plain clerk service, so
    non-shard-aware clients keep working against a shard-attached site. *)
+let max_hops = 2
+
 let routed_service t msg =
   let site = t.sh_site in
   let name = Site.site_name site in
@@ -232,10 +233,10 @@ let routed_service t msg =
             (Rrq_obs.Event.Shard_forward { node = name; owner = own; version })
         end;
         Crashpoint.reach ("shard.forward:" ^ name);
-        if hops >= t.max_hops then
+        if hops >= max_hops then
           failwith
             (Printf.sprintf "shard: %s -> %s exceeds forward hop bound %d" name
-               own t.max_hops);
+               own max_hops);
         let inner = if t.untag_forward_bug then strip_tag inner else inner in
         (* Stay under the requester's own timeout (its base rpc timeout
            plus the dequeue wait), so the relay's answer can still reach
@@ -290,8 +291,8 @@ let shard_service t msg =
            (Qm.lookup_registration (Site.qm site) ~queue ~registrant))
   | _ -> raise (Invalid_argument "shard service: unexpected message")
 
-let attach ?(max_hops = 2) ?(untag_forward_bug = false) site map =
-  let t = { sh_site = site; sh_map = map; max_hops; untag_forward_bug } in
+let attach ?(untag_forward_bug = false) site map =
+  let t = { sh_site = site; sh_map = map; untag_forward_bug } in
   Site.set_candidates site (fun dst -> shard_candidates t.sh_map dst);
   Site.on_boot site (fun s ->
       Net.add_service (Site.node s) "qm" (routed_service t);

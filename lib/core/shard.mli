@@ -16,7 +16,7 @@
     wraps the operation in [Sh_routed] carrying its map version. The
     receiving repository serves the operation if it owns the key under
     {e its} map, else relays it one hop to the owner — never more than
-    [max_hops] relays, so stale maps cannot loop a request. Replies
+    2 relays, so stale maps cannot loop a request. Replies
     piggyback the newer map whenever the requester's version lags (the
     clerk's refresh path).
 
@@ -80,11 +80,11 @@ val all_nodes : map -> string list
 
 type t
 
-val attach : ?max_hops:int -> ?untag_forward_bug:bool -> Site.t -> map -> t
+val attach : ?untag_forward_bug:bool -> Site.t -> map -> t
 (** Wrap the site's ["qm"] service with the shard router and register the
     ["shard"] service (map install/query, registration pull); re-installed
     on every boot. The site's cross-shard enqueues fail over along the
-    current map's candidates ({!Site.set_candidates}). [max_hops] (default 2) bounds misroute relays.
+    current map's candidates ({!Site.set_candidates}).
     [untag_forward_bug] (default false) is the {e designed anomaly} for the
     checker: the forwarder strips registration tags, so a retry that
     crosses a map change duplicates — fault-free it is harmless, under

@@ -19,14 +19,15 @@ let amount = 100
 (* ---- E2: crash matrix ------------------------------------------------- *)
 
 (* E2 runs the checker's chain scenario: fault-free, then with each site
-   crashed at t=0.4 and restarted 3 s later. *)
+   crashed at t=0.1, while the transfers are in flight (the fault-free run
+   finishes them by t≈0.3), and restarted 3 s later. *)
 let run_crash_matrix () =
   let chain = Scenario.chain in
   List.map
     (fun crashed ->
       let faults =
         if crashed = "none" then []
-        else [ Plan.Crash { node = crashed; at = 0.4; recover_after = 3.0 } ]
+        else [ Plan.Crash { node = crashed; at = 0.1; recover_after = 3.0 } ]
       in
       (crashed, Scenario.run chain { chain.Scenario.probe with Plan.faults }))
     [ "none"; "bankA"; "bankB"; "clearing" ]

@@ -17,8 +17,8 @@
 
 val run_crash_matrix : unit -> (string * Rrq_check.Scenario.outcome) list
 (** The {!Rrq_check.Scenario.chain} scenario fault-free (["none"]) and
-    with each of its three sites crashed at t=0.4 for 3 s, by crashed
-    site. *)
+    with each of its three sites crashed at t=0.1, mid-chain, for 3 s, by
+    crashed site. *)
 
 val crash_table : (string * Rrq_check.Scenario.outcome) list -> Rrq_util.Table.t
 

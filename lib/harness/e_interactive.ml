@@ -59,7 +59,6 @@ let pseudo_run ~seed =
             ~respond:(fun ~step:_ ~output:_ ->
               incr prompts;
               "ans")
-            ()
         in
         (* Cancellability probe in a fresh conversation: after the first
            output, the original request element is already consumed by the

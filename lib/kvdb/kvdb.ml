@@ -36,7 +36,6 @@ module State = struct
     | Del k -> Hashtbl.remove st.data k
 
   let logged _ _ = true
-  let on_durable _ _ = ignore
   let abort_fixups _ ~stale:_ _ = []
 
   let snapshot e st =

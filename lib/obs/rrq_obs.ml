@@ -230,7 +230,12 @@ module Event = struct
       }
     | Clerk_send of { client : string; rid : string; eid : int64 }
     | Clerk_receive of { client : string; rid : string }
-    | Server_exec of { server : string; rid : string; txid : string }
+    | Server_exec of {
+        server : string;
+        queue : string;
+        rid : string;
+        txid : string;
+      }
     | Shard_forward of { node : string; owner : string; version : int }
     | Shard_map_install of { node : string; version : int }
 
@@ -295,8 +300,9 @@ module Event = struct
       ("send", [ ("client", client); ("rid", rid); ("eid", Int64.to_string eid) ])
     | Clerk_receive { client; rid } ->
       ("receive", [ ("client", client); ("rid", rid) ])
-    | Server_exec { server; rid; txid } ->
-      ("exec", [ ("server", server); ("rid", rid); ("txid", txid) ])
+    | Server_exec { server; queue; rid; txid } ->
+      ( "exec",
+        [ ("server", server); ("queue", queue); ("rid", rid); ("txid", txid) ] )
     | Shard_forward { node; owner; version } ->
       ( "shfwd",
         [ ("node", node); ("owner", owner); ("version", string_of_int version) ]
@@ -398,7 +404,8 @@ module Event = struct
     | [ "send"; client; rid; eid ] ->
       Clerk_send { client; rid; eid = Int64.of_string eid }
     | [ "receive"; client; rid ] -> Clerk_receive { client; rid }
-    | [ "exec"; server; rid; txid ] -> Server_exec { server; rid; txid }
+    | [ "exec"; server; queue; rid; txid ] ->
+      Server_exec { server; queue; rid; txid }
     | [ "shfwd"; node; owner; version ] ->
       Shard_forward { node; owner; version = int_of_string version }
     | [ "shmap"; node; version ] ->

@@ -119,7 +119,15 @@ module Event : sig
       }
     | Clerk_send of { client : string; rid : string; eid : int64 }
     | Clerk_receive of { client : string; rid : string }
-    | Server_exec of { server : string; rid : string; txid : string }
+    | Server_exec of {
+        server : string;
+        queue : string;
+        rid : string;
+        txid : string;
+      }
+        (** A server dequeued request [rid] from [queue] and runs it in
+            transaction [txid]; each stage of a multi-transaction request
+            runs from its own queue. *)
     | Shard_forward of { node : string; owner : string; version : int }
         (** A shard repository received an operation it does not own under
             its current map and relayed it to [owner]; [version] is the

@@ -1,5 +1,4 @@
 module Codec = Rrq_util.Codec
-module Disk = Rrq_storage.Disk
 module Node_log = Rrq_txn.Node_log
 module Lock = Rrq_txn.Lock
 module Tm = Rrq_txn.Tm
@@ -7,7 +6,7 @@ module Txid = Rrq_txn.Txid
 module Cond = Rrq_sim.Cond
 
 type wait = No_wait | Block | Timeout of float
-type durability = Stable | Volatile | Main_memory
+type durability = Stable | Volatile
 
 type attrs = {
   durability : durability;
@@ -82,10 +81,6 @@ type queue = {
   mutable n_deq : int;
   mutable alerted : bool;
   mutable stopped : bool;
-  (* Disk-resident queue page of a [Stable] queue, opened lazily on its
-     first committed element update. [Main_memory] and [Volatile] queues
-     never have one. *)
-  mutable qstore : Disk.file option;
 }
 
 type reg = {
@@ -120,7 +115,6 @@ let plain redo = { op_redo = redo; op_errq = None }
    (workspaces, in-doubt and remembered tables, records) is Rm's. *)
 type state = {
   qm_name : string;
-  disk : Disk.t;
   queues : (string, queue) Hashtbl.t;
   index : (string * Element.t) Eidtbl.t;
   regs : (string * string, reg) Hashtbl.t;
@@ -134,17 +128,12 @@ type state = {
   mutable internal_seq : float;
   mutable auto_n : int;
   auto_origin : string; (* qm_name ^ "!auto", hoisted off the commit path *)
-  (* Page image buffer, and its update's encoder, for the stable queue
-     store's read-modify-write. *)
-  page : Bytes.t;
-  page_enc : Codec.encoder;
 }
 
 (* ---- codecs -------------------------------------------------------- *)
 
 let encode_attrs e a =
-  Codec.u8 e
-    (match a.durability with Stable -> 0 | Volatile -> 1 | Main_memory -> 2);
+  Codec.u8 e (match a.durability with Stable -> 0 | Volatile -> 1);
   Codec.int e a.retry_limit;
   Codec.option Codec.string e a.error_queue;
   Codec.option Codec.string e a.redirect_to;
@@ -155,8 +144,8 @@ let decode_attrs d =
   let durability =
     match Codec.get_u8 d with
     | 0 -> Stable
-    | 2 -> Main_memory
-    | _ -> Volatile
+    | 1 -> Volatile
+    | n -> raise (Codec.Decode_error (Printf.sprintf "qm: bad durability %d" n))
   in
   let retry_limit = Codec.get_int d in
   let error_queue = Codec.get_option Codec.get_string d in
@@ -302,7 +291,6 @@ let make_queue qname qattrs =
     n_deq = 0;
     alerted = false;
     stopped = false;
-    qstore = None;
   }
 
 let default_error_queue q =
@@ -524,82 +512,16 @@ let element_queue s = function
   | RDestroy _ | RSet_stopped _ | RAlter _ ->
     None
 
-(* A redo is logged iff the queue it touches is recoverable (stable or
-   main-memory); DDL and registration records are always logged.
-   Volatile-queue updates are applied but never logged — they cost no
-   forced writes and evaporate on crash. Main-memory queues are logged like
-   stable ones: the redo record IS their durability. *)
+(* A queue is a main-memory database that logs its updates (paper §10):
+   a redo is logged iff the queue it touches is [Stable], and that record
+   is the queue's only stable write; recovery rebuilds the queue from the
+   checkpoint and the redo scan. DDL and registration records are always
+   logged. [Volatile] queue updates are applied but never logged — they
+   cost no forced writes and evaporate on crash. *)
 let logged s op =
   match element_queue s op.op_redo with
-  | Some q -> q.qattrs.durability <> Volatile
+  | Some q -> q.qattrs.durability = Stable
   | None -> true
-
-(* Disk-resident queue modeling (paper secs. 2 and 10): every committed
-   element update on a [Stable] queue pays a read-modify-write of the
-   queue's 4 KiB page — read the page image back, splice the update in,
-   write the full page. This is the stable-storage traffic a conventional
-   disk-resident queue does on top of its redo record, and exactly what
-   [Main_memory] queues skip: their only stable write is the redo record
-   itself, and recovery rebuilds their state from the redo scan. The page
-   store is overwrite-in-place (bounded, one page per queue), never synced
-   as a log force, and ignored by recovery — the WAL stays authoritative. *)
-let page_size = 4096
-
-let qstore_file s qn q =
-  match q.qstore with
-  | Some f -> f
-  | None ->
-    let f = Disk.open_file s.disk (s.qm_name ^ ".qstore." ^ qn) in
-    q.qstore <- Some f;
-    f
-
-let store_write s pages =
-  List.iter
-    (fun (qn, redo) ->
-      match Hashtbl.find_opt s.queues qn with
-      | None -> () (* queue destroyed in the same transaction *)
-      | Some q ->
-        let f = qstore_file s qn q in
-        let e = s.page_enc in
-        Codec.reset e;
-        (match redo with
-        | REnq (_, el) ->
-          Codec.u8 e 1;
-          Element.encode e el
-        | RDeq eid ->
-          Codec.u8 e 2;
-          Codec.i64 e eid
-        | RKill eid ->
-          Codec.u8 e 3;
-          Codec.i64 e eid
-        | RBump eid | RStale eid ->
-          Codec.u8 e 4;
-          Codec.i64 e eid
-        | RMove_error (eid, _, _) ->
-          Codec.u8 e 5;
-          Codec.i64 e eid
-        | RCreate _ | RRegister _ | RDeregister _ | RSet_last _
-        | RIncarnation | RDestroy _ | RSet_stopped _ | RAlter _ -> ());
-        (* read back ... *)
-        Disk.read_page f s.page;
-        (* ... modify in place ... *)
-        let len = min (Codec.length e) page_size in
-        Bytes.blit (Codec.bytes e) 0 s.page 0 len;
-        (* ... write the whole page *)
-        Disk.write_page f s.page)
-    pages
-
-(* The in-place page writes that follow the force (write-ahead rule). *)
-let on_durable s ops =
-  let pages =
-    List.filter_map
-      (fun op ->
-        match element_queue s op.op_redo with
-        | Some q when q.qattrs.durability = Stable -> Some (q.qname, op.op_redo)
-        | _ -> None)
-      ops
-  in
-  if pages = [] then ignore else fun () -> store_write s pages
 
 (* How many times the janitor may return an element before it goes to the
    error queue: a request whose owner keeps stalling (its reply shard never
@@ -641,13 +563,13 @@ let restore_element s ~stale op =
 
 let snapshot e s =
   Codec.int e s.incarnations;
-  (* recoverable queues only: volatile contents die with the process
-     anyway. Main-memory queues must be included — the checkpoint deletes
-     the segments holding their redo records, so the snapshot is the
-     materialized prefix of exactly the log they recover from. *)
+  (* stable queues only: volatile contents die with the process anyway.
+     The checkpoint deletes the segments holding their redo records, so the
+     snapshot is the materialized prefix of exactly the log they recover
+     from. *)
   let stable_queues =
     Hashtbl.fold
-      (fun _ q acc -> if q.qattrs.durability <> Volatile then q :: acc else acc)
+      (fun _ q acc -> if q.qattrs.durability = Stable then q :: acc else acc)
       s.queues []
     |> List.sort (fun a b -> compare a.qname b.qname)
   in
@@ -754,7 +676,6 @@ module Queue_state = struct
   let decode_redo = decode_op
   let apply = apply
   let logged = logged
-  let on_durable = on_durable
   let abort_fixups s ~stale ops = List.concat_map (restore_element s ~stale) ops
   let snapshot = snapshot
   let restore = restore
@@ -773,7 +694,6 @@ let attach ?(triggers = []) log ~name:qm_name =
   let s =
     {
       qm_name;
-      disk = Node_log.disk log;
       queues = Hashtbl.create 16;
       index = Eidtbl.create 256;
       regs = Hashtbl.create 32;
@@ -787,8 +707,6 @@ let attach ?(triggers = []) log ~name:qm_name =
       internal_seq = 0.0;
       auto_n = 0;
       auto_origin = qm_name ^ "!auto";
-      page = Bytes.make page_size '\000';
-      page_enc = Codec.encoder ();
     }
   in
   List.iter

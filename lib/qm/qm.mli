@@ -34,14 +34,13 @@
 
     The QM's transactional plumbing is {!Rrq_txn.Rm.Make} of its queue
     state, the same participant implementation the KV store uses (§5: the
-    QM is one resource manager inside the server's transaction). The
-    queue state supplies two twists through its hooks: updates to volatile
+    QM is one resource manager inside the server's transaction). A stable
+    queue is the paper's §10 "queue as main-memory database": element
+    payloads and queue order live in memory, only their redo records hit
+    the node log, and recovery rebuilds the queue from the checkpoint and
+    the redo scan. The queue state's one twist is that updates to volatile
     queues are applied at commit but never logged, so they cost no forced
-    writes and vanish on crash; and main-memory queues are fully
-    recoverable but keep element payloads and queue order purely in
-    memory — only their redo records hit the WAL, and recovery rebuilds
-    the queue from the redo scan (the paper's §10 "queue as main-memory
-    database" design). *)
+    writes and vanish on crash. *)
 
 type t
 
@@ -51,15 +50,11 @@ type wait = No_wait | Block | Timeout of float
 
 type durability =
   | Stable
-      (** Logged and snapshotted, and every committed element update also
-          pays a page-granular read-modify-write of the queue's
-          disk-resident page (after the force — the write-ahead rule):
-          the historical recoverable queue at §10's disk-based price. *)
+      (** Recoverable: every committed update is a redo record in the node
+          log, checkpoints snapshot the contents, and recovery replays the
+          records over the snapshot. The record is the queue's only stable
+          write. *)
   | Volatile  (** Applied at commit, never logged; contents die on crash. *)
-  | Main_memory
-      (** Recoverable like [Stable] — same redo records, same replay, same
-          checkpoint snapshots — but nothing on the hot path writes or
-          reads a queue page. *)
 
 type attrs = {
   durability : durability;

@@ -128,32 +128,11 @@ let append_sub f buf ~pos ~len =
     f.owner.last_appended <- Some f.fname
   end
 
-(* Page-granular in-place file: its contents are exactly one page image,
-   overwritten on every write. Models disk-resident structures updated in
-   place (queue pages) as opposed to the append-only log files — bounded
-   size, paid as a full page of copying per update. Neither call counts as
-   a log force: crash countdowns ([kill_after_syncs]) tick on [sync] only,
-   and a write on a dead disk is lost exactly like an unsynced append. *)
 let spill_at = 65536
 
 let unspill f =
   f.spilled <- [];
   f.spilled_len <- 0
-
-let read_page f page =
-  let n = min (Buffer.length f.durable) (Bytes.length page) in
-  if n > 0 then Buffer.blit f.durable 0 page 0 n
-
-(* A page file is one page: it never spills. *)
-let write_page f page =
-  let t = f.owner in
-  if not t.dead then begin
-    unspill f;
-    Buffer.clear f.durable;
-    Buffer.add_bytes f.durable page;
-    Buffer.clear f.pending;
-    t.synced_bytes <- t.synced_bytes + Bytes.length page
-  end
 
 let sync f =
   let t = f.owner in

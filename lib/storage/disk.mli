@@ -59,18 +59,6 @@ val append_sub : file -> Bytes.t -> pos:int -> len:int -> unit
 (** Buffer [len] bytes of [buf] starting at [pos] ([append] without
     copying through a string; pairs with [Codec.bytes]). *)
 
-val read_page : file -> Bytes.t -> unit
-(** Copy the file's durable contents (up to [Bytes.length page]) into
-    [page] — the read half of a page-granular read-modify-write. *)
-
-val write_page : file -> Bytes.t -> unit
-(** Durably overwrite the file's entire contents with one page image — the
-    in-place update a disk-resident structure (e.g. a stable queue page)
-    pays per modification, in contrast to the append-only log files. Does
-    NOT count as a sync: crash countdowns ({!kill_after_syncs}) tick on
-    {!sync} only. On a dead disk the write is silently lost, like any
-    unsynced append. *)
-
 val sync : file -> unit
 (** Force all buffered bytes of this file to durable storage. *)
 

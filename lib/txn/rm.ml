@@ -9,7 +9,6 @@ module type STATE = sig
   val decode_redo : Codec.decoder -> redo
   val apply : state -> live:bool -> redo -> unit
   val logged : state -> redo -> bool
-  val on_durable : state -> redo list -> unit -> unit
   val abort_fixups : state -> stale:bool -> redo list -> redo list
   val snapshot : Codec.encoder -> state -> unit
   val restore : state -> Codec.decoder option -> unit
@@ -205,10 +204,8 @@ module Make (S : STATE) = struct
   let release t id () = Lock.release_all (S.locks t.st) id
 
   (* Updates applied at once: the logged ones as a one-phase section (none
-     if nothing is logged), then the state's post-durable action, resolved
-     before apply changes what it depends on. *)
+     if nothing is logged). *)
   let one_phase t id redos ~durable =
-    let after = S.on_durable t.st redos in
     let redo =
       match List.filter (S.logged t.st) redos with
       | [] -> None
@@ -216,10 +213,7 @@ module Make (S : STATE) = struct
     in
     part ?redo
       ~apply:(fun () -> List.iter (S.apply t.st ~live:true) redos)
-      ~durable:(fun () ->
-        after ();
-        durable ())
-      ()
+      ~durable ()
 
   let commit_now t redos =
     Node_log.commit t.log [ one_phase t None redos ~durable:ignore ]
@@ -257,17 +251,12 @@ module Make (S : STATE) = struct
 
   (* Commit an in-doubt transaction as a part; [keep] remembers it. *)
   let resolve_part t id ~keep =
-    match Txid.Tbl.find_opt t.prepared_txns id with
-    | None -> part ~durable:(release t id) ()
-    | Some p ->
-      let after = S.on_durable t.st p.redos in
+    if not (Txid.Tbl.mem t.prepared_txns id) then part ~durable:(release t id) ()
+    else
       part
         ~redo:(encode_resolution (if keep then k_commit_kept else k_commit) id)
         ~apply:(fun () -> resolve_commit t id ~keep ~live:true)
-        ~durable:(fun () ->
-          after ();
-          release t id ())
-        ()
+        ~durable:(release t id) ()
 
   (* The coordinator's decision record may not be durable yet: keep the txid
      until it says so ([forget]). *)

@@ -51,10 +51,6 @@ module type STATE = sig
   (** Whether an update is logged; one that is not is applied at commit
       and lost in a crash (a volatile queue's). Asked before apply. *)
 
-  val on_durable : state -> redo list -> unit -> unit
-  (** Resolved before the updates are applied: the action to run once the
-      record holding them is durable (a stable queue's page writes). *)
-
   val abort_fixups : state -> stale:bool -> redo list -> redo list
   (** The updates of an aborting transaction (its workspace, or its
       in-doubt updates) to the updates that durably undo what it held

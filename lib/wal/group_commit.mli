@@ -61,7 +61,7 @@ val append : t -> string -> unit
 
 val append_enc : t -> Rrq_util.Codec.encoder -> unit
 (** Buffer a record straight from an encoder (same as [Wal.append_enc]):
-    the zero-copy path main-memory commits use. *)
+    the path every node-log commit record takes. *)
 
 val force : t -> unit
 (** Make every record appended so far durable before returning. A

@@ -164,9 +164,9 @@ let append t payload =
 
 (* Same frame layout as {!append}, written straight from the encoder's
    buffer into the device's pending queue: no [to_string] copy, no frame
-   buffer, and the checksum runs over bytes in place. This is the
-   main-memory commit fast path — the record is still framed, checksummed
-   and replayable exactly like any other. *)
+   buffer, and the checksum runs over bytes in place. Every node-log
+   commit record takes this path; the record is framed, checksummed and
+   replayable exactly like any other. *)
 let append_enc t e =
   let len = Codec.length e in
   let buf = Codec.bytes e in

@@ -23,7 +23,8 @@
      world with shard0 a synchronous HA pair pass every auditor, and
      killing the pair primary at every ship and ha crash site fails over
      cleanly;
-   - the transfer chain (paper §6): E2's plans, designed crashes inside the
+   - the transfer chain (paper §6): E2's plans, whose crashes land while
+     transfers are in flight, designed crashes inside the
      middle stage's parallel commit and in the stage queues' creation,
      >= 200 random fault plans and a sweep of every crash site, each armed
      crash firing, keep money conserved and every stage applied once;
@@ -260,50 +261,6 @@ let test_crash_site_sweep () =
     true (combos >= 50);
   Alcotest.(check (list string)) "every crash point recovered cleanly" []
     failures
-
-(* ---- main-memory queue mode under crash sweeps --------------------------- *)
-
-(* The redo-only recovery claim behind the main-memory fast path: with the
-   request queue in [Main_memory] durability, element payload and order
-   live purely in memory, only redo records hit the WAL, and recovery
-   rebuilds queue state from the redo scan. Crashing at every WAL sync
-   boundary (before and after the force) and every commit decision point
-   must still leave exactly-once intact — the same invariant the stable
-   sweep checks, now with no stable queue image to fall back on. The
-   server's transaction is local to the node log, so it never prepares. *)
-let mm_swept_prefixes = [ "wal.sync:"; "wal.synced:"; "tm.decided" ]
-
-let test_mm_crash_sweep () =
-  let visited, failures =
-    sweep
-      ~only:(fun site -> List.exists (fun p -> starts_with p site) mm_swept_prefixes)
-      ~recover_after:1.0 C.Scenario.quickstart_mm
-  in
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        (Printf.sprintf "probe reaches %s sites in mm mode" p)
-        true
-        (List.exists (fun (site, _) -> starts_with p site) visited))
-    mm_swept_prefixes;
-  let combos = combos visited in
-  Alcotest.(check bool)
-    (Printf.sprintf "swept a substantial mm site space (%d combos)" combos)
-    true (combos >= 20);
-  Alcotest.(check (list string))
-    "every mm crash point recovered to exactly-once" [] failures
-
-(* The explorer over the mm scenario: random fault plans (crashes,
-   partitions, delays) against the main-memory queue must pass every
-   auditor, same as the stable quickstart. *)
-let test_mm_explore () =
-  (match C.Scenario.by_name "quickstart-mm" with
-  | Some s -> Alcotest.(check string) "registered" "quickstart-mm" s.C.Scenario.name
-  | None -> Alcotest.fail "quickstart-mm not in the scenario registry");
-  let report = C.Explore.run ~budget:100 ~seed:2 C.Scenario.quickstart_mm in
-  Alcotest.(check int) "explored the whole budget" 100 report.C.Explore.explored;
-  Alcotest.(check int) "every schedule passed" 100 report.C.Explore.passed;
-  Alcotest.(check bool) "no failure" true (report.C.Explore.failure = None)
 
 (* ---- the HA pair under the explorer and the crash-site enumerator -------- *)
 
@@ -656,16 +613,27 @@ let check_transfers (o : C.Scenario.outcome) =
     [ ("src", 600); ("dst", 400); ("cleared", 4) ]
     o.totals
 
-(* E2's plans: fault-free, and each of the three banks crashed at t=0.4 and
+(* E2's rows: fault-free, and each of the three banks crashed mid-chain and
    restarted 3 s later. *)
+let e2_rows = lazy (Rrq_harness.E_chain.run_crash_matrix ())
+
 let test_chain_e2_plans () =
-  let probe = C.Scenario.chain.C.Scenario.probe in
-  List.iter
-    (fun faults -> check_transfers (C.Scenario.run C.Scenario.chain { probe with faults }))
-    ([]
-    :: List.map
-         (fun node -> [ C.Plan.Crash { node; at = 0.4; recover_after = 3.0 } ])
-         [ "bankA"; "bankB"; "clearing" ])
+  List.iter (fun (_, o) -> check_transfers o) (Lazy.force e2_rows)
+
+(* A crash that lands after every transfer finished tests recovery, not a
+   broken chain: each of E2's crashes must delay the run. *)
+let test_chain_e2_crashes_in_flight () =
+  match Lazy.force e2_rows with
+  | ("none", (clean : C.Scenario.outcome)) :: crashed ->
+    List.iter
+      (fun (site, (o : C.Scenario.outcome)) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "crash of %s ends at t=%.1f, after the fault-free t=%.1f"
+             site o.virtual_time clean.virtual_time)
+          true
+          (o.virtual_time > clean.virtual_time))
+      crashed
+  | _ -> Alcotest.fail "E2's first row is not the fault-free run"
 
 (* A designed crash inside the middle stage's parallel commit. bankB's
    credit transaction forwards the transfer to the clearing house's queue,
@@ -780,6 +748,15 @@ let test_recorded_fault_free () =
     (Obs.Metrics.find_counter m "qm.enqueues:qm@backend" >= 4);
   Alcotest.(check bool) "counted transaction commits" true
     (Obs.Metrics.find_counter m "tm.commits:backend" >= 4)
+
+(* A fault-free chain run passes the trace auditor too: each stage runs
+   the transfer's rid once from its own queue. *)
+let test_recorded_chain () =
+  let plan = C.Plan.make ~seed:0 ~policy:`Fifo ~faults:[] in
+  let r = C.Scenario.run_recorded C.Scenario.chain plan in
+  Alcotest.(check string) "all auditors passed, including exactly-once-trace"
+    "all auditors passed"
+    (C.Audit.findings_to_string r.C.Scenario.rec_outcome.C.Scenario.findings)
 
 (* Recording is passive: the same fault plan recorded twice yields
    byte-identical metric and trace dumps — on a faulty schedule too. *)
@@ -913,12 +890,6 @@ let () =
         ] );
       ( "crashpoints",
         [ Alcotest.test_case "exhaustive site sweep" `Slow test_crash_site_sweep ] );
-      ( "main-memory",
-        [
-          Alcotest.test_case "mm crash sweep: wal.sync/synced, tm.decided"
-            `Slow test_mm_crash_sweep;
-          Alcotest.test_case "mm explorer plan suite" `Slow test_mm_explore;
-        ] );
       ( "ha",
         [
           Alcotest.test_case "HA explorer: 200 random fault plans" `Slow
@@ -965,6 +936,8 @@ let () =
             test_chain_explore;
           Alcotest.test_case "chain crash-site sweep: every armed crash fires" `Slow
             test_chain_crash_site_sweep;
+          Alcotest.test_case "E2's crashes land mid-chain" `Quick
+            test_chain_e2_crashes_in_flight;
         ] );
       ( "lossy",
         [
@@ -982,6 +955,8 @@ let () =
         [
           Alcotest.test_case "fault-free run audited from the trace" `Quick
             test_recorded_fault_free;
+          Alcotest.test_case "chain run audited from the trace" `Quick
+            test_recorded_chain;
           Alcotest.test_case "byte-identical dumps per plan" `Quick
             test_recorded_determinism;
           Alcotest.test_case "recording is passive" `Quick

@@ -500,7 +500,7 @@ let test_pseudo_conversation () =
                in
                final :=
                  Interactive.pseudo_client clerk ~rid:"bk1" ~body:"book"
-                   ~respond ();
+                   ~respond;
                Alcotest.(check (option string)) "booking committed"
                  (Some "flight=BA42;row=12;seat=C")
                  (Kvdb.committed_value (Site.kv backend) "booking"))))
@@ -540,8 +540,7 @@ let test_pseudo_conversation_server_crash_between_legs () =
                Sched.sleep 0.4 (* leg 1 lands just before the crash *);
                final :=
                  Interactive.pseudo_client clerk ~rid:"c1" ~body:"go"
-                   ~respond:(fun ~step:_ ~output:_ -> "a1")
-                   ())))
+                   ~respond:(fun ~step:_ ~output:_ -> "a1"))))
   in
   match !final with
   | Some reply ->
@@ -702,7 +701,7 @@ let test_forwarder_masks_partition () =
               Server.Reply ("served:" ^ env.Envelope.rid))
         in
         Forwarder.start front ~local_queue:"outbox" ~dst:"backend"
-          ~remote_queue:"req" ();
+          ~remote_queue:"req";
         (* the wide-area link is down for a while *)
         Net.partition net "front" "backend";
         Sched.at s 5.0 (fun () -> Net.heal net "front" "backend");

@@ -105,8 +105,6 @@ let r3_cases =
     ( "fires: Element field write outside qm",
       fires "R3" ~file:"lib/core/fixture.ml"
         "let f el id = el.Element.status <- Element.Deq_pending id" );
-    ( "fires: Disk.write_page outside storage/wal",
-      fires "R3" ~file:"lib/qm/fixture.ml" "let f d p = Disk.write_page d p" );
     ( "fires: bare Element-only field write outside qm",
       fires "R3" ~file:"lib/core/fixture.ml"
         "let f el = el.delivery_count <- el.delivery_count + 1" );

@@ -310,7 +310,7 @@ let all_variants =
         Client_fsm { client = s; from_state = "Idle"; event = s; to_state = "Sent" };
         Clerk_send { client = s; rid = s; eid = 5L };
         Clerk_receive { client = "c"; rid = s };
-        Server_exec { server = s; rid = "r"; txid = s };
+        Server_exec { server = s; queue = s; rid = "r"; txid = s };
         Shard_forward { node = s; owner = "shard1"; version = 3 };
         Shard_map_install { node = "shard2"; version = 41 };
         Txn_staged { tm = s; txid = "t" };

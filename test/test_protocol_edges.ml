@@ -137,7 +137,7 @@ let test_cancel_after_forwarding () =
         in
         (* no server: the request parks in the backend queue *)
         Forwarder.start front ~local_queue:"outbox" ~dst:"backend"
-          ~remote_queue:"req" ();
+          ~remote_queue:"req";
         let client_node = Net.make_node net "client" in
         ignore
           (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
@@ -307,7 +307,7 @@ let test_volatile_queue_pair () =
           Site.create ~queues:[ ("req", vattrs) ] (Net.make_node net "backend")
         in
         Forwarder.start front ~local_queue:"outbox" ~dst:"backend"
-          ~remote_queue:"req" ();
+          ~remote_queue:"req";
         ignore
           (Sched.spawn s ~group:"client" ~name:"driver" (fun () ->
                let qm = Site.qm front in

@@ -354,6 +354,23 @@ let test_volatile_queue_lost_on_crash_and_unlogged () =
         (Qm.queue_exists qm2 "vq");
       Alcotest.(check int) "contents lost" 0 (Qm.depth qm2 "vq"))
 
+(* A stable queue is a main-memory database that logs its updates (§10):
+   a committed enqueue and dequeue write their redo records to the node log
+   and nothing else, so the disk's synced bytes grow by exactly what the
+   log grew. *)
+let test_stable_queue_writes_only_its_log () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm, h, _ = setup disk "q" in
+      let synced_before = Disk.synced_bytes disk in
+      let log_before = Qm.live_log_bytes qm in
+      ignore (enq qm h "payload");
+      Alcotest.(check string) "dequeued" "payload" (payload_of (deq qm h));
+      let log_growth = Qm.live_log_bytes qm - log_before in
+      Alcotest.(check bool) "the updates were logged" true (log_growth > 0);
+      Alcotest.(check int) "synced bytes are the log's growth" log_growth
+        (Disk.synced_bytes disk - synced_before))
+
 let test_redirect () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n" in
@@ -877,6 +894,8 @@ let features =
   [
     Alcotest.test_case "volatile queue" `Quick
       test_volatile_queue_lost_on_crash_and_unlogged;
+    Alcotest.test_case "stable queue writes only its log" `Quick
+      test_stable_queue_writes_only_its_log;
     Alcotest.test_case "redirect" `Quick test_redirect;
     Alcotest.test_case "alert threshold" `Quick test_alert_threshold;
     Alcotest.test_case "trigger join" `Quick test_trigger_join;
