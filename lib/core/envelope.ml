@@ -18,8 +18,15 @@ let make ~rid ~client_id ~reply_node ~reply_queue ?(kind = "request")
 let reply_to t ~body = { t with kind = "reply"; body; scratch = ""; step = 0 }
 let with_body t ~body ~scratch = { t with body; scratch; step = t.step + 1 }
 
+(* Sized exactly (seven length-prefixed strings and the step), so the
+   encoder never grows and its buffer is the result. *)
 let to_string t =
-  let e = Codec.encoder () in
+  let size =
+    64 + String.length t.rid + String.length t.client_id + String.length t.reply_node
+    + String.length t.reply_queue + String.length t.kind + String.length t.body
+    + String.length t.scratch
+  in
+  let e = Codec.encoder ~size () in
   Codec.string e t.rid;
   Codec.string e t.client_id;
   Codec.string e t.reply_node;
@@ -28,7 +35,7 @@ let to_string t =
   Codec.string e t.body;
   Codec.string e t.scratch;
   Codec.int e t.step;
-  Codec.to_string e
+  Codec.finish e
 
 let of_string s =
   let d = Codec.decoder s in

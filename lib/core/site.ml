@@ -87,7 +87,6 @@ type t = {
   mutable s_kv : Kvdb.t;
   queues : (string * Qm.attrs) list;
   triggers : Qm.trigger list;
-  checkpoint_every : int;
   stale_timeout : float;
   mutable extra_boot : (t -> unit) list; (* oldest first *)
   (* HA role state (see Ha). A standby site refuses client-facing service
@@ -363,12 +362,15 @@ let resolver_daemon t () =
   in
   loop []
 
+(* Log records between the janitor's checkpoints. *)
+let checkpoint_every = 500
+
 let janitor_daemon t () =
   let rec loop () =
     Sched.sleep_background t.stale_timeout;
     ignore (Qm.abort_stale t.s_qm ~older_than:t.stale_timeout);
     Qm.observe_queues t.s_qm;
-    Node_log.maybe_checkpoint t.s_log ~every:t.checkpoint_every;
+    Node_log.maybe_checkpoint t.s_log ~every:checkpoint_every;
     loop ()
   in
   loop ()
@@ -426,8 +428,7 @@ let boot_site t nd =
   Net.spawn_on nd ~name:(name ^ ":janitor") (janitor_daemon t);
   List.iter (fun f -> f t) t.extra_boot
 
-let create ?(queues = []) ?(triggers = [])
-    ?(checkpoint_every = 500) ?(stale_timeout = 30.0) nd =
+let create ?(queues = []) ?(triggers = []) ?(stale_timeout = 30.0) nd =
   let log, tm, qm, kv = open_node ~triggers nd in
   let t =
     {
@@ -438,7 +439,6 @@ let create ?(queues = []) ?(triggers = [])
       s_kv = kv;
       queues;
       triggers;
-      checkpoint_every;
       stale_timeout;
       extra_boot = [];
       standby = false;

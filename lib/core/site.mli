@@ -38,13 +38,13 @@ type t
 val create :
   ?queues:(string * Rrq_qm.Qm.attrs) list ->
   ?triggers:Rrq_qm.Qm.trigger list ->
-  ?checkpoint_every:int ->
   ?stale_timeout:float ->
   Rrq_net.Net.node ->
   t
 (** Configure the node's boot procedure and boot it now; it runs again on
-    every {!restart}. [checkpoint_every] (default 500 log records) and
-    [stale_timeout] (default 30s of workspace idleness) tune the janitor. *)
+    every {!restart}. [stale_timeout] (default 30s of workspace idleness)
+    tunes the janitor; the janitor checkpoints the node log once 500 log
+    records have accumulated since the last checkpoint. *)
 
 val node : t -> Rrq_net.Net.node
 val site_name : t -> string

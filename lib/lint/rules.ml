@@ -210,8 +210,7 @@ let layers =
     {
       l_mod = "Disk";
       l_funcs =
-        [ "open_file"; "append"; "append_i64"; "append_sub"; "sync";
-          "sync_all"; "replace_atomic"; "delete" ];
+        [ "open_file"; "append"; "sync"; "sync_all"; "replace_atomic"; "delete" ];
       l_allowed = [ "lib/storage/"; "lib/wal/" ];
       l_what = "direct disk mutation";
       l_hint =

@@ -1,12 +1,17 @@
+(* [len] bytes of [data] hold file contents. A chunk with room left is a
+   page: a sync of short frames copies them into it. *)
+type chunk = { data : Bytes.t; mutable len : int }
+
 type file_state = {
   fname : string;
-  (* Durable contents: [spilled] chunks (newest first) then [durable]. A
-     growing log moves its synced bytes into chunks of [spill_at] bytes,
-     so it never holds a doubling buffer as large as itself. *)
-  mutable spilled : string list;
-  mutable spilled_len : int;
-  mutable durable : Buffer.t;
-  mutable pending : Buffer.t;
+  (* Durable contents as chunks, newest first, and the strings appended
+     since the last sync, newest first. A sync moves long frames into the
+     chunk list as they are and copies short ones into a page, so a
+     synced byte is copied at most once. *)
+  mutable durable : chunk list;
+  mutable durable_len : int;
+  mutable pending : string list;
+  mutable pending_len : int;
   owner : t;
 }
 
@@ -61,17 +66,21 @@ let open_file t fname =
   | Some f -> f
   | None ->
     let f =
-      {
-        fname;
-        spilled = [];
-        spilled_len = 0;
-        durable = Buffer.create 256;
-        pending = Buffer.create 256;
-        owner = t;
-      }
+      { fname; durable = []; durable_len = 0; pending = []; pending_len = 0; owner = t }
     in
     Hashtbl.add t.files fname f;
     f
+
+let concat_rev chunks = String.concat "" (List.rev chunks)
+
+(* A string moved into the chunk list: full, so never written again. *)
+let add_durable f s =
+  f.durable <- { data = Bytes.unsafe_of_string s; len = String.length s } :: f.durable;
+  f.durable_len <- f.durable_len + String.length s
+
+let clear_pending f =
+  f.pending <- [];
+  f.pending_len <- 0
 
 (* Shared by the public crash and the injected crash-point trigger. *)
 let crash_now t =
@@ -83,13 +92,12 @@ let crash_now t =
   Hashtbl.iter
     (fun fname f ->
       (match (torn_file, t.rng) with
-      | Some tf, Some rng when tf = fname && Buffer.length f.pending > 0 ->
+      | Some tf, Some rng when tf = fname && f.pending_len > 0 ->
         (* Keep a random prefix of the unsynced tail: a torn block. *)
-        let keep = Rrq_util.Rng.int rng (Buffer.length f.pending + 1) in
-        let prefix = String.sub (Buffer.contents f.pending) 0 keep in
-        Buffer.add_string f.durable prefix
+        let keep = Rrq_util.Rng.int rng (f.pending_len + 1) in
+        if keep > 0 then add_durable f (String.sub (concat_rev f.pending) 0 keep)
       | _ -> ());
-      Buffer.clear f.pending)
+      clear_pending f)
     t.files;
   t.last_appended <- None
 
@@ -112,41 +120,42 @@ let allow_durability t =
 
 let append f bytes =
   if not f.owner.dead then begin
-    Buffer.add_string f.pending bytes;
+    f.pending <- bytes :: f.pending;
+    f.pending_len <- f.pending_len + String.length bytes;
     f.owner.last_appended <- Some f.fname
   end
 
-let append_i64 f v =
-  if not f.owner.dead then begin
-    Buffer.add_int64_le f.pending v;
-    f.owner.last_appended <- Some f.fname
-  end
-
-let append_sub f buf ~pos ~len =
-  if not f.owner.dead then begin
-    Buffer.add_subbytes f.pending buf pos len;
-    f.owner.last_appended <- Some f.fname
-  end
-
-let spill_at = 65536
-
-let unspill f =
-  f.spilled <- [];
-  f.spilled_len <- 0
+(* A sync of fewer pending bytes than this copies them into a page of
+   [page_size] bytes (fewer heap blocks for a log of short records, and
+   frames that die young); a longer one moves its frames as they are. *)
+let page_below = 4096
+let page_size = 16384
 
 let sync f =
   let t = f.owner in
   if allow_durability t then begin
-    let n = Buffer.length f.pending in
+    let n = f.pending_len in
     if n > 0 then begin
-      Buffer.add_buffer f.durable f.pending;
-      Buffer.clear f.pending;
-      t.synced_bytes <- t.synced_bytes + n;
-      if Buffer.length f.durable >= spill_at then begin
-        f.spilled <- Buffer.contents f.durable :: f.spilled;
-        f.spilled_len <- f.spilled_len + Buffer.length f.durable;
-        Buffer.clear f.durable
-      end
+      let frames = List.rev f.pending in
+      if n >= page_below then List.iter (add_durable f) frames
+      else begin
+        let page =
+          match f.durable with
+          | c :: _ when Bytes.length c.data - c.len >= n -> c
+          | _ ->
+            let c = { data = Bytes.create page_size; len = 0 } in
+            f.durable <- c :: f.durable;
+            c
+        in
+        List.iter
+          (fun s ->
+            Bytes.blit_string s 0 page.data page.len (String.length s);
+            page.len <- page.len + String.length s)
+          frames;
+        f.durable_len <- f.durable_len + n
+      end;
+      clear_pending f;
+      t.synced_bytes <- t.synced_bytes + n
     end;
     t.sync_count <- t.sync_count + 1
   end
@@ -154,20 +163,21 @@ let sync f =
 let sync_all t = Hashtbl.iter (fun _ f -> sync f) t.files
 
 let read_durable f =
-  String.concat "" (List.rev (Buffer.contents f.durable :: f.spilled))
+  let b = Buffer.create f.durable_len in
+  List.iter (fun c -> Buffer.add_subbytes b c.data 0 c.len) (List.rev f.durable);
+  Buffer.contents b
 
-let read f = read_durable f ^ Buffer.contents f.pending
-let durable_size f = f.spilled_len + Buffer.length f.durable
-let size f = durable_size f + Buffer.length f.pending
+let read f = read_durable f ^ concat_rev f.pending
+let durable_size f = f.durable_len
+let size f = f.durable_len + f.pending_len
 
 let replace_atomic t fname contents =
   if allow_durability t then begin
     let f = open_file t fname in
-    let fresh = Buffer.create (String.length contents) in
-    Buffer.add_string fresh contents;
-    unspill f;
-    f.durable <- fresh;
-    Buffer.clear f.pending;
+    f.durable <- [];
+    f.durable_len <- 0;
+    add_durable f contents;
+    clear_pending f;
     t.synced_bytes <- t.synced_bytes + String.length contents;
     t.sync_count <- t.sync_count + 1
   end

@@ -49,18 +49,14 @@ val open_file : t -> string -> file
     re-opens; re-opening returns a handle to the same state. *)
 
 val append : file -> string -> unit
-(** Buffer bytes at the end of the file (volatile until [sync]). *)
-
-val append_i64 : file -> int64 -> unit
-(** Buffer one little-endian 64-bit integer ([append] without the
-    intermediate string; the WAL framing layer writes headers this way). *)
-
-val append_sub : file -> Bytes.t -> pos:int -> len:int -> unit
-(** Buffer [len] bytes of [buf] starting at [pos] ([append] without
-    copying through a string; pairs with [Codec.bytes]). *)
+(** Buffer bytes at the end of the file (volatile until [sync]). The
+    string itself is kept, not a copy of it. *)
 
 val sync : file -> unit
-(** Force all buffered bytes of this file to durable storage. *)
+(** Force all buffered bytes of this file to durable storage. The strings
+    appended since the last sync become durable as they are, or, when
+    they add up to under 4 KiB, are copied once into a page of durable
+    contents. *)
 
 val sync_all : t -> unit
 (** [sync] every file on the disk. *)

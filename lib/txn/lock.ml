@@ -22,7 +22,8 @@ type entry = {
 type t = {
   lm_name : string; (* instance class for the lock-order witness *)
   table : (string, entry) Hashtbl.t;
-  held : (Txid.t, (string, unit) Hashtbl.t) Hashtbl.t;
+  (* The keys each transaction holds: a few per transaction, so a list. *)
+  held : (Txid.t, string list) Hashtbl.t;
   waits : (Txid.t, entry * mode) Hashtbl.t; (* each tx waits on <=1 lock *)
 }
 
@@ -54,15 +55,15 @@ let entry_of t key =
     Hashtbl.add t.table key e;
     e
 
-let held_set t tx =
-  match Hashtbl.find_opt t.held tx with
-  | Some s -> s
-  | None ->
-    let s = Hashtbl.create 8 in
-    Hashtbl.add t.held tx s;
-    s
+(* An entry lives while its key has a holder or a waiter, so the table
+   does not keep one per key ever locked. *)
+let drop_if_idle t e =
+  if e.granted = [] && e.waiting = [] then Hashtbl.remove t.table e.key
 
-let note_held t tx key = Hashtbl.replace (held_set t tx) key ()
+let note_held t tx key =
+  match Hashtbl.find_opt t.held tx with
+  | Some keys -> if not (List.mem key keys) then Hashtbl.replace t.held tx (key :: keys)
+  | None -> Hashtbl.add t.held tx [ key ]
 
 let current_mode e tx =
   List.assoc_opt tx (List.map (fun (x, m) -> (x, m)) e.granted)
@@ -182,7 +183,8 @@ let acquire ?timeout t tx ~key mode =
                 if Sched.wake w Timed_out then begin
                   e.waiting <-
                     List.filter (fun w' -> not (Txid.equal w'.wtx tx)) e.waiting;
-                  Hashtbl.remove t.waits tx
+                  Hashtbl.remove t.waits tx;
+                  drop_if_idle t e
                 end))
     in
     (match result with
@@ -220,7 +222,8 @@ let cancel_waits t tx =
       e.waiting <- others;
       Hashtbl.remove t.waits tx;
       List.iter (fun w -> ignore (Sched.wake w.waker Cancelled_by_peer)) mine;
-      pump t e
+      pump t e;
+      drop_if_idle t e
   end
 
 let release_all t tx =
@@ -231,14 +234,15 @@ let release_all t tx =
     (match Hashtbl.find_opt t.held tx with
     | None -> ()
     | Some keys ->
-      Hashtbl.iter
-        (fun key () ->
+      List.iter
+        (fun key ->
           match Hashtbl.find_opt t.table key with
           | None -> ()
           | Some e ->
             e.granted <-
               List.filter (fun (x, _) -> not (Txid.equal x tx)) e.granted;
-            pump t e)
+            pump t e;
+            drop_if_idle t e)
         keys);
     Hashtbl.remove t.held tx
   end
@@ -247,8 +251,8 @@ let transfer t ~from ~to_ =
   (match Hashtbl.find_opt t.held from with
   | None -> ()
   | Some keys ->
-    Hashtbl.iter
-      (fun key () ->
+    List.iter
+      (fun key ->
         match Hashtbl.find_opt t.table key with
         | None -> ()
         | Some e ->
@@ -274,3 +278,4 @@ let locked t ~key =
   | None -> false
   | Some e -> e.granted <> []
 
+let entries t = Hashtbl.length t.table

@@ -49,8 +49,9 @@ val holds : t -> Txid.t -> key:string -> mode -> bool
     strong. *)
 
 val release_all : t -> Txid.t -> unit
-(** Release every lock held and cancel every wait of the transaction,
-    waking newly grantable waiters. Called at commit and abort. *)
+(** Release every lock held, in the reverse of the order its keys were
+    first granted, and cancel every wait of the transaction, waking newly
+    grantable waiters. Called at commit and abort. *)
 
 val cancel_waits : t -> Txid.t -> unit
 (** Wake all pending [acquire]s of the transaction with {!Cancelled},
@@ -62,3 +63,6 @@ val transfer : t -> from:Txid.t -> to_:Txid.t -> unit
 val locked : t -> key:string -> bool
 (** Whether anyone holds the key (test/diagnostic helper). *)
 
+val entries : t -> int
+(** Keys with a holder or a waiter: the size of the lock table
+    (test/diagnostic helper). *)

@@ -14,14 +14,14 @@ let of_code = function
   | n -> raise (Codec.Decode_error (Printf.sprintf "node log: bad kind %d" n))
 
 type rm = {
-  snapshot : unit -> string;
+  snapshot : Codec.encoder -> unit;
   replay : string -> unit;
   install : string option -> unit;
 }
 
 type part = {
   kind : kind;
-  redo : Codec.encoder option;
+  redo : (Codec.encoder -> unit) option;
   apply : unit -> unit;
   durable : unit -> unit;
 }
@@ -32,8 +32,8 @@ type t = {
   mutable rms : (kind * rm) list;
   (* What recovery found, per kind, until that kind's RM attaches. *)
   mutable recovered : (kind * (string option * string list)) list;
-  (* Every record is built here: one buffer per node, never held across a
-     yield. *)
+  (* Every record and checkpoint is encoded here, each section in place:
+     one buffer per node, never held across a yield. *)
   scratch : Codec.encoder;
 }
 
@@ -46,12 +46,15 @@ let decode_sections s =
       let kind = of_code (Codec.get_u8 d) in
       (kind, Codec.get_string d))
 
+(* Each section is written in place behind its length prefix. *)
 let encode_sections e sections =
   Codec.u8 e (List.length sections);
   List.iter
-    (fun (kind, s) ->
+    (fun (kind, write) ->
       Codec.u8 e (code kind);
-      Codec.string e s)
+      let slot = Codec.begin_length e in
+      write e;
+      Codec.end_length e slot)
     sections
 
 let open_log disk ~name =
@@ -98,16 +101,14 @@ let attach t kind rm =
 let append_sections t sections =
   let e = t.scratch in
   Codec.reset e;
-  Codec.u8 e (List.length sections);
-  List.iter
-    (fun (kind, body) ->
-      Codec.u8 e (code kind);
-      Codec.nested e body)
-    sections;
+  encode_sections e sections;
   Group_commit.append_enc t.gc e
 
 (* Append the parts' sections as one record (none if no part logs
-   anything) and apply every part; whether anything was appended. *)
+   anything) and apply every part; whether anything was appended. The
+   sections are encoded here, after their parts were built and before
+   any part applies, with no yield in between: what they log is what the
+   parts held when they were built. *)
 let append_apply t parts =
   let sections =
     List.filter_map (fun p -> Option.map (fun e -> (p.kind, e)) p.redo) parts
@@ -135,14 +136,17 @@ let force_upto t lsn =
 
 (* ---- checkpoints ------------------------------------------------------ *)
 
+let encode_snapshot t e =
+  encode_sections e (List.map (fun (kind, rm) -> (kind, rm.snapshot)) t.rms)
+
 let snapshot t =
   let e = Codec.encoder () in
-  encode_sections e (List.map (fun (kind, rm) -> (kind, rm.snapshot ())) t.rms);
+  encode_snapshot t e;
   Codec.to_string e
 
 (* The snapshot holds the applied effects of every appended record (commit
    applies before it yields), so the checkpoint makes them all durable. *)
-let checkpoint t = Wal.checkpoint t.wal (snapshot t)
+let checkpoint t = Wal.checkpoint t.wal t.scratch (encode_snapshot t)
 
 let maybe_checkpoint t ~every =
   if Wal.records_since_checkpoint t.wal >= every then checkpoint t

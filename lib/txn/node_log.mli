@@ -41,7 +41,8 @@ val open_log : Rrq_storage.Disk.t -> name:string -> t
 val disk : t -> Rrq_storage.Disk.t
 
 type rm = {
-  snapshot : unit -> string;  (** This RM's checkpoint section. *)
+  snapshot : Rrq_util.Codec.encoder -> unit;
+      (** Encode this RM's checkpoint section, in place. *)
   replay : string -> unit;
       (** Apply one record section shipped from a primary. *)
   install : string option -> unit;
@@ -58,14 +59,16 @@ val attach : t -> kind -> rm -> string option * string list
 
 type part = {
   kind : kind;
-  redo : Rrq_util.Codec.encoder option;
-      (** The section to log; [None] if nothing of this part needs
-          logging. {!commit} reads it, so it must not change before. *)
+  redo : (Rrq_util.Codec.encoder -> unit) option;
+      (** Encode the section to log, in place in the record; [None] if
+          nothing of this part needs logging. {!commit} runs it before any
+          part's [apply] and without a yield after the parts were built,
+          so it logs the values the part held when it was built. *)
   apply : unit -> unit;
       (** Apply the effects in memory. Runs after the append and before
           the force, and must not yield. *)
   durable : unit -> unit;
-      (** Runs once the record is durable: lock release, page writes. *)
+      (** Runs once the record is durable: lock release. *)
 }
 
 val commit : t -> part list -> unit

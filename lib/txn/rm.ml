@@ -50,25 +50,21 @@ module Make (S : STATE) = struct
   let k_commit_kept = 5
   let k_forget = 6
 
-  let encode_record kind id coordinator redos =
-    let e = Codec.encoder () in
+  (* Section writers: a part encodes its section into the record when the
+     node log appends it. *)
+  let encode_record kind id coordinator redos e =
     Codec.u8 e kind;
     Codec.option Txid.encode e id;
     Codec.string e coordinator;
-    Codec.list S.encode_redo e redos;
-    e
+    Codec.list S.encode_redo e redos
 
-  let encode_resolution kind id =
-    let e = Codec.encoder () in
+  let encode_resolution kind id e =
     Codec.u8 e kind;
-    Txid.encode e id;
-    e
+    Txid.encode e id
 
-  let encode_forget ids =
-    let e = Codec.encoder () in
+  let encode_forget ids e =
     Codec.u8 e k_forget;
-    Codec.list Txid.encode e ids;
-    e
+    Codec.list Txid.encode e ids
 
   let observe_remembered t =
     if Rrq_obs.enabled () then
@@ -104,8 +100,7 @@ module Make (S : STATE) = struct
       | _ -> failwith (Printf.sprintf "rm: bad record kind %d" kind)
     end
 
-  let encode_snapshot t =
-    let e = Codec.encoder () in
+  let encode_snapshot t e =
     S.snapshot e t.st;
     Codec.int e (Txid.Tbl.length t.prepared_txns);
     Txid.Tbl.iter
@@ -114,8 +109,7 @@ module Make (S : STATE) = struct
         Codec.string e p.coordinator;
         Codec.list S.encode_redo e (List.filter (S.logged t.st) p.redos))
       t.prepared_txns;
-    Codec.list Txid.encode e (Txid.Tbl.fold (fun id () acc -> id :: acc) t.remembered []);
-    Codec.to_string e
+    Codec.list Txid.encode e (Txid.Tbl.fold (fun id () acc -> id :: acc) t.remembered [])
 
   (* State and in-doubt table from a checkpoint section ([None]: empty),
      in place: the state keeps whatever it holds besides its contents. *)
@@ -159,7 +153,7 @@ module Make (S : STATE) = struct
     let snap, records =
       Node_log.attach log S.kind
         {
-          Node_log.snapshot = (fun () -> encode_snapshot t);
+          Node_log.snapshot = encode_snapshot t;
           replay = replay t;
           install = restore t;
         }

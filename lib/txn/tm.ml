@@ -70,29 +70,21 @@ let k_end = 3
 let k_staged = 4
 let k_abort = 5
 
-let encode_incarnation () =
-  let e = Codec.encoder () in
-  Codec.u8 e k_incarnation;
-  e
+(* Section writers, run when the node log appends the record. *)
+let encode_incarnation e = Codec.u8 e k_incarnation
 
-let encode_staged id pnames =
-  let e = Codec.encoder () in
+let encode_staged id pnames e =
   Codec.u8 e k_staged;
   Txid.encode e id;
-  Codec.list Codec.string e pnames;
-  e
+  Codec.list Codec.string e pnames
 
-let encode_id kind id =
-  let e = Codec.encoder () in
+let encode_id kind id e =
   Codec.u8 e kind;
-  Txid.encode e id;
-  e
+  Txid.encode e id
 
-let encode_ends ids =
-  let e = Codec.encoder () in
+let encode_ends ids e =
   Codec.u8 e k_end;
-  Codec.list Txid.encode e ids;
-  e
+  Codec.list Txid.encode e ids
 
 (* A decision section names only its txid: the staged section before it
    in the log (or in the checkpoint) names the participants. *)
@@ -117,14 +109,12 @@ let replay t section =
 
 (* The checkpoint section: the incarnation, the unretired decisions and
    the undecided staged records. *)
-let encode_snapshot t =
-  let e = Codec.encoder () in
+let encode_snapshot t e =
   let entries tbl get = Hashtbl.fold (fun id v acc -> (id, get v) :: acc) tbl [] in
   let txns = Codec.list (Codec.pair Txid.encode (Codec.list Codec.string)) in
   Codec.int e t.inc;
   txns e (entries t.pending ( ! ));
-  txns e (entries t.staged Fun.id);
-  Codec.to_string e
+  txns e (entries t.staged Fun.id)
 
 (* State from a checkpoint section: recovery's, or a primary's on a
    standby, which takes the primary's unretired decisions and staged
@@ -171,7 +161,7 @@ let attach log ~name:tm_name =
   let snap, records =
     Node_log.attach log Node_log.Tm
       {
-        Node_log.snapshot = (fun () -> encode_snapshot t);
+        Node_log.snapshot = encode_snapshot t;
         replay = replay t;
         install = install t;
       }
@@ -180,7 +170,7 @@ let attach log ~name:tm_name =
   List.iter (replay t) records;
   (* A new incarnation, durable before the first txid is minted. *)
   Node_log.commit log
-    [ tm_part ~apply:(fun () -> t.inc <- t.inc + 1) (encode_incarnation ()) ];
+    [ tm_part ~apply:(fun () -> t.inc <- t.inc + 1) encode_incarnation ];
   t
 
 let open_tm disk ~name = attach (Node_log.open_log disk ~name) ~name

@@ -3,16 +3,27 @@
    {!bytes}/{!length} without materialising an intermediate string. *)
 type encoder = { mutable buf : Bytes.t; mutable pos : int }
 
-let encoder () = { buf = Bytes.create 64; pos = 0 }
+let encoder ?(size = 64) () = { buf = Bytes.create size; pos = 0 }
 let reset e = e.pos <- 0
 let length e = e.pos
 let bytes e = e.buf
 let to_string e = Bytes.sub_string e.buf 0 e.pos
 
+(* An encoder sized exactly is full at the end: its buffer becomes the
+   string, and the encoder drops it so no later write can reach it. *)
+let finish e =
+  let s =
+    if e.pos = Bytes.length e.buf then Bytes.unsafe_to_string e.buf
+    else Bytes.sub_string e.buf 0 e.pos
+  in
+  e.buf <- Bytes.empty;
+  e.pos <- 0;
+  s
+
 let ensure e n =
   let need = e.pos + n in
   if need > Bytes.length e.buf then begin
-    let cap = ref (Bytes.length e.buf * 2) in
+    let cap = ref (max 1 (Bytes.length e.buf * 2)) in
     while !cap < need do
       cap := !cap * 2
     done;
@@ -45,11 +56,15 @@ let string e s =
   int e (String.length s);
   raw e s
 
-let nested e src =
-  int e src.pos;
-  ensure e src.pos;
-  Bytes.blit src.buf 0 e.buf e.pos src.pos;
-  e.pos <- e.pos + src.pos
+(* A length slot now, filled in once the bytes after it are written. *)
+let begin_length e =
+  let mark = e.pos in
+  ensure e 8;
+  e.pos <- e.pos + 8;
+  mark
+
+let end_length e mark =
+  Bytes.set_int64_le e.buf mark (Int64.of_int (e.pos - mark - 8))
 
 let option f b = function
   | None -> u8 b 0

@@ -7,11 +7,17 @@
 type encoder
 (** Mutable accumulator for an encoding in progress. *)
 
-val encoder : unit -> encoder
-(** Fresh empty encoder. *)
+val encoder : ?size:int -> unit -> encoder
+(** Fresh empty encoder with room for [size] bytes (default 64) before it
+    grows. *)
 
 val to_string : encoder -> string
 (** Contents encoded so far. *)
+
+val finish : encoder -> string
+(** Contents encoded so far, leaving the encoder empty. When the encoder
+    was sized exactly (see {!encoder}) its buffer becomes the string
+    without a copy. *)
 
 val reset : encoder -> unit
 (** Rewind to empty, keeping the underlying buffer. Commit fast paths
@@ -44,10 +50,16 @@ val float : encoder -> float -> unit
 val string : encoder -> string -> unit
 (** Append a length-prefixed string. *)
 
-val nested : encoder -> encoder -> unit
-(** [nested e src] appends [src]'s contents as a length-prefixed string:
-    the bytes [string e (to_string src)] writes, without the intermediate
-    string. A record made of sections encoded by several owners uses it. *)
+val begin_length : encoder -> int
+(** Reserve the length prefix of a string whose bytes the caller encodes
+    next, in place; returns the slot for {!end_length}. *)
+
+val end_length : encoder -> int -> unit
+(** [end_length e slot] fills the slot with the number of bytes encoded
+    since {!begin_length} returned it. The two bracket the bytes that
+    [string e (to_string sub)] would write for a separate encoder [sub],
+    without that encoder or its string: a record or checkpoint made of
+    sections written by several owners uses them. *)
 
 val raw : encoder -> string -> unit
 (** Append bytes verbatim, with no length prefix (for framing layers that

@@ -105,8 +105,8 @@ let append t payload =
   if t.shipper <> None then retain t payload
 
 let append_enc t e =
-  (* The zero-copy path must materialize the record when a shipper needs a
-     copy to send; without one it stays zero-copy. *)
+  (* A shipper needs the record as a string of its own to send; without
+     one the encoder's bytes go straight into the frame. *)
   if t.shipper <> None then begin
     let payload = Codec.to_string e in
     Wal.append_enc t.wal e;

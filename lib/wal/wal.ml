@@ -23,50 +23,40 @@ type recovered = { snapshot : string option; records : string list }
 let seg_name base n = Printf.sprintf "%s.seg%d" base n
 let ckpt_name base = base ^ ".ckpt"
 
-(* Frame: payload length (i64) | frame64 of payload (i64) | payload. *)
-let frame payload =
-  let e = Codec.encoder () in
-  Codec.int e (String.length payload);
-  Codec.i64 e (Checksum.frame64 payload);
-  Codec.raw e payload;
-  Codec.to_string e
+(* Frame: payload length (i64) | frame64 of payload (i64) | payload, the
+   first [len] bytes of [buf]. One string per frame, handed to the device
+   as it is: the payload's one copy between its encoder and the disk. *)
+let frame buf ~len =
+  let f = Bytes.create (16 + len) in
+  Bytes.set_int64_le f 0 (Int64.of_int len);
+  Bytes.set_int64_le f 8 (Checksum.frame64_bytes buf ~pos:0 ~len);
+  Bytes.blit buf 0 f 16 len;
+  Bytes.unsafe_to_string f
 
-(* Scan a segment's contents, returning complete valid records in order.
-   Returns [None] as second component if the scan hit a corrupt/truncated
-   frame (meaning: stop scanning later segments too). *)
+(* Scan a segment's contents, returning complete valid records in order
+   and the length of the valid prefix they fill; the prefix is shorter
+   than the contents if the scan hit a corrupt/truncated frame (meaning:
+   stop scanning later segments too). *)
 let scan_segment contents =
   let n = String.length contents in
   let records = ref [] in
   let pos = ref 0 in
-  let clean = ref true in
   let continue_ = ref true in
   while !continue_ do
-    if !pos = n then continue_ := false
-    else if !pos + 16 > n then begin
-      clean := false;
-      continue_ := false
-    end
+    if !pos + 16 > n then continue_ := false
     else begin
       let len = Int64.to_int (String.get_int64_le contents !pos) in
       let sum = String.get_int64_le contents (!pos + 8) in
-      if len < 0 || !pos + 16 + len > n then begin
-        clean := false;
-        continue_ := false
-      end
+      if len < 0 || !pos + 16 + len > n
+         || Checksum.frame64_sub contents ~pos:(!pos + 16) ~len <> sum
+      then continue_ := false
       else begin
-        let payload = String.sub contents (!pos + 16) len in
-        if Checksum.frame64 payload <> sum then begin
-          clean := false;
-          continue_ := false
-        end
-        else begin
-          records := payload :: !records;
-          pos := !pos + 16 + len
-        end
+        records := String.sub contents (!pos + 16) len :: !records;
+        pos := !pos + 16 + len
       end
     end
   done;
-  (List.rev !records, !clean)
+  (List.rev !records, !pos)
 
 let read_ckpt disk base =
   match Disk.read_file disk (ckpt_name base) with
@@ -110,15 +100,13 @@ let open_log disk ~name:base =
     match Disk.read_file disk (seg_name base !seg) with
     | None -> scanning := false
     | Some contents ->
-      let recs, clean = scan_segment contents in
+      let recs, valid = scan_segment contents in
       records_rev := List.rev_append recs !records_rev;
-      if clean then incr seg
+      if valid = String.length contents then incr seg
       else begin
         (* Torn tail: durably truncate the segment to its valid prefix, so
            the next recovery scans past it into segments we append now. *)
-        let e = Codec.encoder () in
-        List.iter (fun r -> Codec.raw e (frame r)) recs;
-        Disk.replace_atomic disk (seg_name base !seg) (Codec.to_string e);
+        Disk.replace_atomic disk (seg_name base !seg) (String.sub contents 0 valid);
         incr seg;
         scanning := false
       end
@@ -150,38 +138,27 @@ let name t = t.base
 let appended_lsn t = t.appended_lsn
 let durable_lsn t = t.durable_lsn
 
-let append t payload =
-  Disk.append t.file (frame payload);
-  t.since_ckpt <- t.since_ckpt + 1;
-  t.appended_lsn <- t.appended_lsn + 1;
-  if Rrq_obs.enabled () then begin
-    Rrq_obs.Metrics.inc ("wal.appends:" ^ t.base);
-    Rrq_obs.Metrics.inc ~by:(String.length payload) ("wal.bytes:" ^ t.base);
-    Rrq_obs.Trace.emit
-      (Rrq_obs.Event.Wal_append
-         { wal = t.base; lsn = t.appended_lsn; bytes = String.length payload })
-  end
-
-(* Same frame layout as {!append}, written straight from the encoder's
-   buffer into the device's pending queue: no [to_string] copy, no frame
-   buffer, and the checksum runs over bytes in place. Every node-log
-   commit record takes this path; the record is framed, checksummed and
-   replayable exactly like any other. *)
-let append_enc t e =
-  let len = Codec.length e in
-  let buf = Codec.bytes e in
-  Disk.append_i64 t.file (Int64.of_int len);
-  Disk.append_i64 t.file (Checksum.frame64_bytes buf ~pos:0 ~len);
-  Disk.append_sub t.file buf ~pos:0 ~len;
+let append_frame t ~len frame =
+  Disk.append t.file frame;
   t.since_ckpt <- t.since_ckpt + 1;
   t.appended_lsn <- t.appended_lsn + 1;
   if Rrq_obs.enabled () then begin
     Rrq_obs.Metrics.inc ("wal.appends:" ^ t.base);
     Rrq_obs.Metrics.inc ~by:len ("wal.bytes:" ^ t.base);
     Rrq_obs.Trace.emit
-      (Rrq_obs.Event.Wal_append
-         { wal = t.base; lsn = t.appended_lsn; bytes = len })
+      (Rrq_obs.Event.Wal_append { wal = t.base; lsn = t.appended_lsn; bytes = len })
   end
+
+let append t payload =
+  let len = String.length payload in
+  append_frame t ~len (frame (Bytes.unsafe_of_string payload) ~len)
+
+(* Same frame layout as {!append}, built straight from the encoder's
+   buffer: no [to_string] copy, and the checksum runs over the bytes in
+   place. Every node-log commit record takes this path. *)
+let append_enc t e =
+  let len = Codec.length e in
+  append_frame t ~len (frame (Codec.bytes e) ~len)
 
 (* [Disk.sync] flushes everything buffered, so on success the durable LSN
    jumps to the append LSN — including records appended by other fibers
@@ -203,12 +180,16 @@ let append_sync t payload =
   append t payload;
   sync t
 
-let checkpoint t snapshot =
+let checkpoint t e write =
   Rrq_sim.Crashpoint.reach ("wal.ckpt:" ^ t.base);
   let next = t.seg + 1 in
-  let e = Codec.encoder () in
+  (* [Codec.option Codec.string] of the snapshot, encoded in place. *)
+  Codec.reset e;
   Codec.int e next;
-  Codec.option Codec.string e (Some snapshot);
+  Codec.u8 e 1;
+  let slot = Codec.begin_length e in
+  write e;
+  Codec.end_length e slot;
   Disk.replace_atomic t.disk (ckpt_name t.base) (Codec.to_string e);
   (* Old segments are no longer needed; delete them. *)
   for n = 0 to t.seg do

@@ -31,7 +31,7 @@ val append : t -> string -> unit
 (** Buffer a record at the log tail. Not durable until {!sync}. *)
 
 val append_enc : t -> Rrq_util.Codec.encoder -> unit
-(** Buffer the encoder's contents as one record, writing the frame
+(** Buffer the encoder's contents as one record, building the frame
     directly from the encoder's buffer — no intermediate string. The
     record is framed and checksummed identically to {!append}; callers
     typically {!Rrq_util.Codec.reset} and refill a scratch encoder per
@@ -52,9 +52,12 @@ val durable_lsn : t -> int
 val append_sync : t -> string -> unit
 (** [append] then [sync] — the force-write used at commit points. *)
 
-val checkpoint : t -> string -> unit
-(** Durably and atomically install [snapshot] and truncate the log: records
-    appended before this call will not be replayed by future recoveries. *)
+val checkpoint : t -> Rrq_util.Codec.encoder -> (Rrq_util.Codec.encoder -> unit) -> unit
+(** [checkpoint t e write] durably and atomically installs the snapshot
+    [write] encodes and truncates the log: records appended before this
+    call will not be replayed by future recoveries. The checkpoint file is
+    built in [e], which is reset first, and the snapshot is written in
+    place behind its length prefix. *)
 
 val records_since_checkpoint : t -> int
 (** Count of records appended (not necessarily synced) since the last

@@ -47,6 +47,9 @@ let test_disk_counters () =
 
 (* --- WAL ----------------------------------------------------------- *)
 
+(* Install a checkpoint holding the snapshot [snap]. *)
+let checkpoint w snap = Wal.checkpoint w (Codec.encoder ()) (fun e -> Codec.raw e snap)
+
 let test_wal_roundtrip () =
   let d = Disk.create "d0" in
   let w, r0 = Wal.open_log d ~name:"log" in
@@ -72,7 +75,7 @@ let test_wal_checkpoint_truncates () =
   let w, _ = Wal.open_log d ~name:"log" in
   Wal.append_sync w "a";
   Wal.append_sync w "b";
-  Wal.checkpoint w "SNAP";
+  checkpoint w "SNAP";
   Wal.append_sync w "c";
   let _, r = Wal.open_log d ~name:"log" in
   Alcotest.(check (option string)) "snapshot" (Some "SNAP") r.Wal.snapshot;
@@ -83,7 +86,7 @@ let test_wal_since_checkpoint_counter () =
   let w, _ = Wal.open_log d ~name:"log" in
   Wal.append_sync w "a";
   Alcotest.(check int) "one" 1 (Wal.records_since_checkpoint w);
-  Wal.checkpoint w "s";
+  checkpoint w "s";
   Alcotest.(check int) "zero" 0 (Wal.records_since_checkpoint w)
 
 let test_wal_append_after_recovery () =
@@ -121,9 +124,9 @@ let test_wal_segment_gc () =
     Wal.append_sync w (Printf.sprintf "r%d" i)
   done;
   let files_before = List.length (Disk.list_files d) in
-  Wal.checkpoint w "S1";
+  checkpoint w "S1";
   Wal.append_sync w "r6";
-  Wal.checkpoint w "S2";
+  checkpoint w "S2";
   Wal.append_sync w "r7";
   (* old segments must have been deleted *)
   let seg_files =
@@ -163,7 +166,7 @@ let test_wal_lsn_split () =
   Wal.append w "c";
   (* A checkpoint snapshot covers applied-but-unsynced records (commit
      paths apply before yielding), so it advances the durable LSN too. *)
-  Wal.checkpoint w "S";
+  checkpoint w "S";
   Alcotest.(check (pair int int)) "checkpoint is a force" (3, 3)
     (Wal.appended_lsn w, Wal.durable_lsn w);
   Wal.append w "d";
@@ -211,7 +214,7 @@ let test_wal_checkpoint_one_live_segment () =
   for i = 1 to 5 do
     Wal.append_sync w (Printf.sprintf "r%d" i)
   done;
-  Wal.checkpoint w "S1";
+  checkpoint w "S1";
   Alcotest.(check int) "checkpoint leaves exactly one live segment" 1
     (List.length (seg_files ()));
   (* A crash between checkpoint install and segment deletion leaves stale
@@ -226,7 +229,7 @@ let test_wal_checkpoint_one_live_segment () =
   Alcotest.(check (list string)) "no pre-checkpoint records" [] r.Wal.records;
   Alcotest.(check bool) "stale segment deleted" false (Disk.exists d "log.seg0");
   Wal.append_sync w2 "r6";
-  Wal.checkpoint w2 "S2";
+  checkpoint w2 "S2";
   Alcotest.(check int) "still exactly one live segment" 1
     (List.length (seg_files ()))
 
@@ -239,7 +242,7 @@ let test_wal_crash_during_checkpoint_install () =
   (* The next durability action is the checkpoint's atomic install: the
      crash voids the whole checkpoint, and recovery falls back to the log. *)
   Disk.kill_after_syncs d 1;
-  Wal.checkpoint w "S1";
+  checkpoint w "S1";
   Alcotest.(check bool) "died installing the checkpoint" true (Disk.is_dead d);
   Disk.revive d;
   let w2, r = Wal.open_log d ~name:"log" in
@@ -248,7 +251,7 @@ let test_wal_crash_during_checkpoint_install () =
     [ "r1"; "r2"; "r3"; "r4"; "r5" ]
     r.Wal.records;
   (* The incarnation recovers fully: a later checkpoint compacts as usual. *)
-  Wal.checkpoint w2 "S2";
+  checkpoint w2 "S2";
   Wal.append_sync w2 "r6";
   let seg_files =
     List.filter
@@ -268,8 +271,41 @@ let test_wal_live_log_bytes_shrinks () =
     Wal.append_sync w (String.make 100 'x')
   done;
   let before = Wal.live_log_bytes w in
-  Wal.checkpoint w "snap";
+  checkpoint w "snap";
   Alcotest.(check bool) "log shrank" true (Wal.live_log_bytes w < before / 10)
+
+(* A torn write that cuts the second of two pending frames: the crash keeps
+   a prefix of the unsynced tail drawn as [Rng.int rng (pending + 1)],
+   where [pending] counts both frames, and recovery returns exactly the
+   first. A twin generator predicts the draws, so the device consumes the
+   same randomness however it holds its pending bytes, which keeps
+   replayed fault plans deterministic. *)
+let test_wal_torn_write_across_frames () =
+  let first = String.make 40 'a' and second = String.make 40 'b' in
+  let frame r = 16 + String.length r in
+  let pending = frame first + frame second in
+  let predict seed =
+    let r = Rng.create seed in
+    if Rng.bool r then
+      let keep = Rng.int r (pending + 1) in
+      if keep > frame first && keep < pending then Some (keep, Rng.int64 r) else None
+    else None
+  in
+  let rec find seed =
+    match predict seed with Some p -> (seed, p) | None -> find (seed + 1)
+  in
+  let seed, (keep, next) = find 0 in
+  let rng = Rng.create seed in
+  let d = Disk.create ~torn_writes:true ~rng "d" in
+  let w, _ = Wal.open_log d ~name:"log" in
+  Wal.append w first;
+  Wal.append w second;
+  Disk.crash d;
+  Alcotest.(check (option int)) "the drawn prefix survives" (Some keep)
+    (Disk.file_size d "log.seg0");
+  Alcotest.(check int64) "the same draws" next (Rng.int64 rng);
+  let _, r = Wal.open_log d ~name:"log" in
+  Alcotest.(check (list string)) "exactly the first frame" [ first ] r.Wal.records
 
 (* Property: for any interleaving of appends/syncs/crashes, recovery yields
    a prefix of the appended records that includes every synced record. *)
@@ -342,6 +378,8 @@ let suite =
     Alcotest.test_case "wal: live bytes shrink at checkpoint" `Quick
       test_wal_live_log_bytes_shrinks;
     QCheck_alcotest.to_alcotest prop_wal_prefix_durability;
+    Alcotest.test_case "wal: torn write across two frames" `Quick
+      test_wal_torn_write_across_frames;
   ]
 
 (* --- Codec --------------------------------------------------------- *)

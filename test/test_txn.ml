@@ -209,6 +209,40 @@ let test_lock_release_unblocks_shared_group () =
   in
   Alcotest.(check int) "all shared granted together" 3 !got
 
+(* The table keeps an entry only while its key has a holder or a waiter:
+   a thousand committed transactions on distinct keys (a server's
+   [exec:<rid>] counters) leave it empty, and so do a granted waiter and a
+   timed-out one. *)
+let test_lock_table_forgets_released_keys () =
+  let lm = Lock.create () in
+  let _ =
+    H.run (fun s ->
+        ignore
+          (Sched.spawn s ~name:"txns" (fun () ->
+               for n = 1 to 1000 do
+                 Lock.acquire lm (tx n) ~key:(Printf.sprintf "exec:%d" n) Lock.X;
+                 Lock.acquire lm (tx n) ~key:"total" Lock.S;
+                 Lock.acquire lm (tx n) ~key:"total" Lock.X;
+                 Lock.release_all lm (tx n)
+               done;
+               Lock.acquire lm (tx 1001) ~key:"hot" Lock.X;
+               Lock.acquire lm (tx 1001) ~key:"hot2" Lock.X;
+               Sched.sleep 1.0;
+               Lock.release_all lm (tx 1001)));
+        ignore
+          (Sched.spawn s ~name:"waiter" (fun () ->
+               Sched.sleep 0.5;
+               Lock.acquire lm (tx 1002) ~key:"hot" Lock.X;
+               Lock.release_all lm (tx 1002)));
+        ignore
+          (Sched.spawn s ~name:"timeout" (fun () ->
+               Sched.sleep 0.5;
+               (try Lock.acquire ~timeout:0.1 lm (tx 1003) ~key:"hot2" Lock.X
+                with Lock.Deadlock _ -> ());
+               Lock.release_all lm (tx 1003))))
+  in
+  Alcotest.(check int) "no entries left" 0 (Lock.entries lm)
+
 (* --- KVDB (RM base) -------------------------------------------------- *)
 
 let fresh_kv ?(name = "kv") disk () = Kvdb.open_kv disk ~name
@@ -765,6 +799,55 @@ let test_txids_unique_across_checkpoint_and_crash () =
       let distinct = List.sort_uniq Txid.compare !ids in
       Alcotest.(check int) "no txid repeats" (List.length !ids) (List.length distinct))
 
+(* The on-disk format, pinned by digest: the segment of a node log that
+   holds a parallel commit's staged record (the QM's enqueue with its
+   payload, the KV store's write and the TM's staged section in one
+   record) and the checkpoint cut after it. Logs written before a change
+   to the encoders stay recoverable only while these bytes stay put. *)
+let test_on_disk_format_pinned () =
+  let seg, ckpt =
+    H.run_fiber (fun () ->
+        let disk = Disk.create "n1" in
+        let log, tm, qm, kv = open_node disk in
+        let remote = Kvdb.open_kv disk ~name:"remote" in
+        Qm.create_queue qm "q";
+        let h, _ = Qm.register qm ~queue:"q" ~registrant:"c" ~stable:true in
+        let txn = Tm.begin_txn tm in
+        let id = Tm.txn_id txn in
+        ignore (Qm.enqueue qm id h ~tag:"t1" ~props:[ ("k", "v") ] "request body");
+        Kvdb.put kv id "acct" "10";
+        Kvdb.put remote id "other" "20";
+        Tm.join txn (Qm.participant qm);
+        Tm.join txn (Kvdb.participant kv);
+        Tm.join txn (Kvdb.participant remote);
+        commit_ok tm txn;
+        let seg = Option.get (Disk.read_file disk "n1.log.seg0") in
+        Node_log.checkpoint log;
+        (seg, Option.get (Disk.read_file disk "n1.log.ckpt")))
+  in
+  (* Each frame: length, checksum, then a count of (kind, section) pairs. *)
+  let rec kinds pos acc =
+    if pos >= String.length seg then List.rev acc
+    else begin
+      let len = Int64.to_int (String.get_int64_le seg pos) in
+      let payload = String.sub seg (pos + 16) len in
+      let d = Rrq_util.Codec.decoder payload in
+      let n = Rrq_util.Codec.get_u8 d in
+      let ks =
+        List.init n (fun _ ->
+            let k = Rrq_util.Codec.get_u8 d in
+            ignore (Rrq_util.Codec.get_string d);
+            k)
+      in
+      kinds (pos + 16 + len) (List.sort compare ks :: acc)
+    end
+  in
+  Alcotest.(check bool) "a record with TM, QM and KV sections" true
+    (List.mem [ 1; 2; 3 ] (kinds 0 []));
+  let hex s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check (pair int string)) "segment bytes" (749, "5db53ab9552d4ebe41ae94eeaaeb3ccf") (String.length seg, hex seg);
+  Alcotest.(check (pair int string)) "checkpoint bytes" (399, "258314e7b5461e622e85740ce2c61c88") (String.length ckpt, hex ckpt)
+
 (* The one commit record of a server transaction (dequeue the request,
    update the database, enqueue the reply) is atomic: a crash that keeps
    any proper prefix of it (a torn write) loses all three effects, and
@@ -1044,6 +1127,8 @@ let lock_suite =
     Alcotest.test_case "transfer (lock inheritance)" `Quick test_lock_transfer;
     Alcotest.test_case "release unblocks shared group" `Quick
       test_lock_release_unblocks_shared_group;
+    Alcotest.test_case "released keys leave the table" `Quick
+      test_lock_table_forgets_released_keys;
   ]
 
 let kv_suite =
@@ -1091,6 +1176,7 @@ let tm_suite =
     Alcotest.test_case "abort releases" `Quick test_tm_abort_releases;
     Alcotest.test_case "hooks" `Quick test_tm_hooks;
     Alcotest.test_case "txid roundtrip" `Quick test_txid_roundtrip;
+    Alcotest.test_case "on-disk format pinned" `Quick test_on_disk_format_pinned;
   ]
 
 let () =
