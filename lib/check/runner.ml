@@ -27,7 +27,7 @@ let run_scenario_traced ?policy ?trace_limit f =
   | None ->
     raise (Scenario_failure "scenario driver did not complete (simulated deadlock?)")
 
-let run_scenario ?policy f = fst (run_scenario_traced ?policy f)
+let run_scenario ?policy f = fst (run_scenario_traced ?policy ~trace_limit:0 f)
 
 let await ?(timeout = 300.0) ?(poll = 0.1) pred =
   let deadline = Sched.clock () +. timeout in

@@ -14,6 +14,8 @@ val run_scenario_traced :
     @raise Scenario_failure *)
 
 val run_scenario : ?policy:Rrq_sim.Sched.policy -> (Rrq_sim.Sched.t -> unit -> 'a) -> 'a
+(** {!run_scenario_traced} for the driver's result alone; the scheduler is
+    dropped, so it records no decision trace. *)
 
 val await : ?timeout:float -> ?poll:float -> (unit -> bool) -> bool
 (** Poll a predicate from inside a fiber until it holds (default poll 0.1,

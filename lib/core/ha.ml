@@ -225,8 +225,11 @@ let attempt_resync t =
 
 (* ---- standby: apply --------------------------------------------------- *)
 
+(* Payload bytes: a shipped record is a WAL frame, header included. *)
 let batch_bytes batch =
-  List.fold_left (fun acc (_, r) -> acc + String.length r) 0 batch
+  List.fold_left
+    (fun acc (_, f) -> acc + String.length f - Rrq_wal.Wal.frame_header)
+    0 batch
 
 let set_applied t lsn =
   t.applied_lsn <- lsn;

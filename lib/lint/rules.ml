@@ -220,7 +220,7 @@ let layers =
     };
     {
       l_mod = "Wal";
-      l_funcs = [ "append"; "append_sync"; "sync"; "checkpoint" ];
+      l_funcs = [ "append"; "append_frame"; "append_sync"; "sync"; "checkpoint" ];
       l_allowed = rm_dirs;
       l_what = "raw WAL mutation";
       l_hint =
@@ -230,7 +230,7 @@ let layers =
     };
     {
       l_mod = "Group_commit";
-      l_funcs = [ "append"; "append_force"; "force" ];
+      l_funcs = [ "append"; "append_frame"; "append_force"; "force" ];
       l_allowed = rm_dirs;
       l_what = "raw group-commit append/force";
       l_hint =
@@ -729,7 +729,7 @@ type r8_summary = { v_false : r8_outcome; v_true : r8_outcome }
 
 let r8_prim c =
   match (c.CG.c_mod, c.CG.c_name) with
-  | Some ("Wal" | "Group_commit"), ("append" | "append_enc") -> `Taint
+  | Some ("Wal" | "Group_commit"), ("append" | "append_enc" | "append_frame") -> `Taint
   | Some "Group_commit", ("force" | "append_force") -> `Clear
   | Some "Wal", ("sync" | "append_sync") -> `Clear
   | Some "Disk", ("sync" | "sync_all") -> `Clear

@@ -119,10 +119,8 @@ type policy =
   | Random_priority of int
   | Replay of decision array
 
-(* Picks and timer firings are stored as one int each: [Pick i] as [2i],
-   [Timer_fired seq] as [2*seq+1]. Faults carry a string and are rare, so
-   they live in a side list keyed by their position in the decision
-   sequence. *)
+(* A decision as one int, [Pick i] as [2i] and [Timer_fired seq] as
+   [2*seq+1]: the form [record] takes and the livelock ring keeps. *)
 let enc_pick i = i lsl 1
 let enc_timer seq = (seq lsl 1) lor 1
 
@@ -165,11 +163,16 @@ type t = {
   pol : policy;
   prng : Rrq_util.Rng.t option; (* priority source for Random_priority *)
   mutable replay_pos : int; (* cursor into the Replay decision array *)
-  (* Decision trace: encoded picks/timer firings up to [tr_limit], plus a
-     side list of injected faults. [n_decisions] counts past the limit so
-     truncation is detectable; [recent] is a ring of the last few encoded
-     decisions for livelock diagnostics. *)
-  mutable tr : int array;
+  (* Decision trace: picks/timer firings up to [tr_limit] decisions,
+     byte-coded into fixed-size chunks ([tr_full], newest first, then the
+     current chunk [tr_cur] filled to [tr_pos]), plus a side list of
+     injected faults. [n_decisions] counts past the limit so truncation is
+     detectable; [recent] is a ring of the last few int-coded decisions for
+     livelock diagnostics. *)
+  mutable tr_full : Bytes.t list;
+  mutable tr_cur : Bytes.t;
+  mutable tr_pos : int;
+  mutable tr_seq : int; (* seq of the last recorded timer firing *)
   mutable tr_len : int;
   tr_limit : int;
   mutable n_decisions : int;
@@ -194,7 +197,10 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
       | Random_priority seed -> Some (Rrq_util.Rng.create seed)
       | Fifo | Replay _ -> None);
     replay_pos = 0;
-    tr = [||];
+    tr_full = [];
+    tr_cur = Bytes.empty;
+    tr_pos = 0;
+    tr_seq = 0;
     tr_len = 0;
     tr_limit = max 0 trace_limit;
     n_decisions = 0;
@@ -205,14 +211,40 @@ let create ?(policy = Fifo) ?(trace_limit = 1_000_000) () =
 
 let now t = t.vnow
 
+(* The byte code of a decision is a little-endian base-128 varint: [Pick i]
+   as [2i], one byte under FIFO; a timer firing as
+   [2 * zigzag (seq - previous fired seq) + 1], one byte for the usual
+   in-order firing. Chunks are appended, never copied, so a growing trace
+   leaves no garbage. *)
+let chunk_size = 65_536
+
+let push_byte t b =
+  if t.tr_pos = Bytes.length t.tr_cur then begin
+    if t.tr_pos > 0 then t.tr_full <- t.tr_cur :: t.tr_full;
+    t.tr_cur <- Bytes.create chunk_size;
+    t.tr_pos <- 0
+  end;
+  Bytes.unsafe_set t.tr_cur t.tr_pos (Char.unsafe_chr b);
+  t.tr_pos <- t.tr_pos + 1
+
+let rec push_varint t v =
+  if v < 0x80 then push_byte t v
+  else begin
+    push_byte t (v land 0x7f lor 0x80);
+    push_varint t (v lsr 7)
+  end
+
+let zigzag d = (d lsl 1) lxor (d asr (Sys.int_size - 1))
+let unzigzag z = (z lsr 1) lxor -(z land 1)
+
 let record t code =
   if t.tr_len < t.tr_limit then begin
-    if t.tr_len = Array.length t.tr then begin
-      let bigger = Array.make (max 256 (2 * t.tr_len)) 0 in
-      Array.blit t.tr 0 bigger 0 t.tr_len;
-      t.tr <- bigger
+    if code land 1 = 0 then push_varint t code
+    else begin
+      let seq = code lsr 1 in
+      push_varint t ((zigzag (seq - t.tr_seq) lsl 1) lor 1);
+      t.tr_seq <- seq
     end;
-    t.tr.(t.tr_len) <- code;
     t.tr_len <- t.tr_len + 1
   end;
   t.recent.(t.n_decisions mod recent_size) <- code;
@@ -221,27 +253,50 @@ let record t code =
 
 let note_fault t label = t.faults <- (t.n_decisions, label) :: t.faults
 
-(* Decisions in order, with each fault note spliced in at the position it
-   was injected (faults recorded at position [p] precede the p-th pick). *)
+(* Decisions in order, decoded straight into an array of exact size, with
+   each fault note spliced in at the position it was injected (faults
+   recorded at position [p] precede the p-th pick). *)
 let trace t =
+  let out = Array.make (t.tr_len + List.length t.faults) (Pick 0) in
+  let k = ref 0 in
+  let emit d =
+    out.(!k) <- d;
+    incr k
+  in
   let faults = ref (List.rev t.faults) in
-  let acc = ref [] in
   let splice_up_to pos =
     let continue_ = ref true in
     while !continue_ do
       match !faults with
       | (p, l) :: rest when p <= pos ->
         faults := rest;
-        acc := Fault l :: !acc
+        emit (Fault l)
       | _ -> continue_ := false
     done
   in
-  for i = 0 to t.tr_len - 1 do
-    splice_up_to i;
-    acc := dec t.tr.(i) :: !acc
-  done;
+  let n = ref 0 and seq = ref 0 and v = ref 0 and shift = ref 0 in
+  let decode chunk len =
+    for j = 0 to len - 1 do
+      let b = Bytes.get_uint8 chunk j in
+      v := !v lor ((b land 0x7f) lsl !shift);
+      if b < 0x80 then begin
+        splice_up_to !n;
+        if !v land 1 = 0 then emit (Pick (!v lsr 1))
+        else begin
+          seq := !seq + unzigzag (!v lsr 1);
+          emit (Timer_fired !seq)
+        end;
+        incr n;
+        v := 0;
+        shift := 0
+      end
+      else shift := !shift + 7
+    done
+  in
+  List.iter (fun c -> decode c chunk_size) (List.rev t.tr_full);
+  decode t.tr_cur t.tr_pos;
   splice_up_to max_int;
-  Array.of_list (List.rev !acc)
+  out
 
 let trace_truncated t = t.n_decisions > t.tr_len
 

@@ -54,7 +54,10 @@ val create : ?policy:policy -> ?trace_limit:int -> unit -> t
     [trace_limit] (default 1M) bounds how many decisions are retained for
     {!trace} — decisions past the limit still execute (and still show in
     {!trace_truncated} and the livelock diagnostics), they are just not
-    replayable. *)
+    replayable. A retained decision costs one byte for a FIFO pick or an
+    in-order timer firing, a few for a wide pick or an out-of-order timer
+    (about 1.3 bytes on average), held in 64 KiB chunks; [0] retains
+    none. *)
 
 val trace : t -> decision array
 (** The decisions recorded so far, oldest first, with fault notes spliced in

@@ -39,8 +39,8 @@ type t = {
 
 (* Both records and checkpoints are a count, then (kind code, section)
    pairs. *)
-let decode_sections s =
-  let d = Codec.decoder s in
+let decode_sections ?pos s =
+  let d = Codec.decoder ?pos s in
   let n = Codec.get_u8 d in
   List.init n (fun _ ->
       let kind = of_code (Codec.get_u8 d) in
@@ -159,19 +159,20 @@ let quiet t =
   Wal.appended_lsn t.wal = Wal.durable_lsn t.wal
   && not (Group_commit.ship_in_flight t.gc)
 
-(* Shipped records are appended verbatim, so a standby crash recovers them
-   through [open_log] like its own. *)
-let standby_apply t records =
+(* Each shipped record is the primary's WAL frame, appended verbatim (so a
+   standby crash recovers it through [open_log] like its own); its
+   sections are read from behind the frame header. *)
+let standby_apply t frames =
   List.iter
-    (fun r ->
-      Group_commit.append t.gc r;
+    (fun f ->
+      Group_commit.append_frame t.gc f;
       List.iter
         (fun (kind, s) ->
           match List.assoc_opt kind t.rms with
           | Some rm -> rm.replay s
           | None -> ())
-        (decode_sections r))
-    records;
+        (decode_sections ~pos:Wal.frame_header f))
+    frames;
   Group_commit.force t.gc
 
 let standby_install t snap =

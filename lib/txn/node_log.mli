@@ -127,7 +127,9 @@ val snapshot : t -> string
 val standby_apply : t -> string list -> unit
 (** Append records shipped from a primary to this log, replay each
     section into the attached RM of its kind, and force, so the batch is
-    durable here before it is acknowledged. *)
+    durable here before it is acknowledged. A record is the primary's
+    whole WAL frame, as its shipper received it
+    ({!Rrq_wal.Group_commit.set_shipper}), and is logged here unchanged. *)
 
 val standby_install : t -> string -> unit
 (** Replace every attached RM's state with a primary's {!snapshot} and

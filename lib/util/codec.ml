@@ -80,7 +80,7 @@ type decoder = { src : string; mutable pos : int }
 
 exception Decode_error of string
 
-let decoder src = { src; pos = 0 }
+let decoder ?(pos = 0) src = { src; pos }
 let at_end d = d.pos >= String.length d.src
 
 let need d n =

@@ -82,8 +82,8 @@ type decoder
 exception Decode_error of string
 (** Raised when the input is truncated or malformed. *)
 
-val decoder : string -> decoder
-(** Decoder positioned at the start of [s]. *)
+val decoder : ?pos:int -> string -> decoder
+(** Decoder positioned at byte [pos] of [s] (default the start). *)
 
 val at_end : decoder -> bool
 (** Whether all input has been consumed. *)

@@ -1,7 +1,6 @@
 module Disk = Rrq_storage.Disk
 module Sched = Rrq_sim.Sched
 module Cond = Rrq_sim.Cond
-module Codec = Rrq_util.Codec
 
 (* The batch bounds every log shares: a leader holds a batch open for at
    most half a millisecond and seals it at 64 committers. *)
@@ -97,22 +96,20 @@ let seal_counts t =
     ("rate", t.s_rate);
   ]
 
-let retain t payload =
-  t.retained <- (Wal.appended_lsn t.wal, payload) :: t.retained
+let retain t frame =
+  t.retained <- (Wal.appended_lsn t.wal, frame) :: t.retained
 
-let append t payload =
-  Wal.append t.wal payload;
-  if t.shipper <> None then retain t payload
+(* A shipper retains the frame string the log holds: each record's bytes
+   are copied once, into its frame, whether or not they are shipped. *)
+let append_frame t frame =
+  Wal.append_frame t.wal frame;
+  if t.shipper <> None then retain t frame
+
+let append t payload = append_frame t (Wal.frame payload)
 
 let append_enc t e =
-  (* A shipper needs the record as a string of its own to send; without
-     one the encoder's bytes go straight into the frame. *)
-  if t.shipper <> None then begin
-    let payload = Codec.to_string e in
-    Wal.append_enc t.wal e;
-    retain t payload
-  end
-  else Wal.append_enc t.wal e
+  let frame = Wal.append_enc t.wal e in
+  if t.shipper <> None then retain t frame
 
 (* One physical flush, charged against the disk's device model when we can
    sleep (i.e. inside a fiber): the device serves one flush at a time, so

@@ -63,6 +63,10 @@ val append_enc : t -> Rrq_util.Codec.encoder -> unit
 (** Buffer a record straight from an encoder (same as [Wal.append_enc]):
     the path every node-log commit record takes. *)
 
+val append_frame : t -> string -> unit
+(** Buffer a whole WAL frame (same as [Wal.append_frame]): the path a
+    record shipped from a primary takes into its standby's log. *)
+
 val force : t -> unit
 (** Make every record appended so far durable before returning. A
     calling fiber may be parked while a leader's sync covers it. If the disk is dead (crash-point injection), returns without
@@ -76,10 +80,12 @@ val append_force : t -> string -> unit
 
     A {e shipper} turns this batcher into the sending half of a
     primary-backup log-shipping channel: while one is installed, every
-    appended record is retained as an [(lsn, payload)] pair until a {e ship
-    round} hands it to the callback. A round carries every record appended
-    since the previous round, in LSN order, and runs the callback in a
-    fiber of its own. Rounds overlap: a committer whose records missed the
+    appended record is retained as an [(lsn, frame)] pair until a {e ship
+    round} hands it to the callback. The frame is the string the log
+    itself holds ({!Wal.append_enc}): length, checksum, then the payload at
+    offset {!Wal.frame_header}, so shipping copies no record bytes. A
+    round carries every record appended since the previous round, in LSN
+    order, and runs the callback in a fiber of its own. Rounds overlap: a committer whose records missed the
     rounds already in flight starts the next one at once. The {e shipped
     LSN} watermark (the replication analogue of the durable LSN) advances
     only over a contiguous prefix of finished rounds, so the peer must
@@ -101,7 +107,7 @@ val append_force : t -> string -> unit
 
 val set_shipper : ?sync:bool -> t -> ((int * string) list -> unit) -> unit
 (** Install the shipping callback. The callback receives a batch of
-    [(lsn, record)] pairs in LSN order and must deliver them (it may
+    [(lsn, frame)] pairs in LSN order and must deliver them (it may
     block; it must not raise — degrade handling belongs to the owner).
     Installation resets the retained set and sets the shipped watermark
     to the current appended LSN: the installer is responsible for bringing

@@ -25,13 +25,19 @@ let ckpt_name base = base ^ ".ckpt"
 
 (* Frame: payload length (i64) | frame64 of payload (i64) | payload, the
    first [len] bytes of [buf]. One string per frame, handed to the device
-   as it is: the payload's one copy between its encoder and the disk. *)
-let frame buf ~len =
-  let f = Bytes.create (16 + len) in
+   as it is: the payload's one copy between its encoder and the disk. A
+   log shipper sends the same string. *)
+let frame_header = 16
+
+let frame_bytes buf ~len =
+  let f = Bytes.create (frame_header + len) in
   Bytes.set_int64_le f 0 (Int64.of_int len);
   Bytes.set_int64_le f 8 (Checksum.frame64_bytes buf ~pos:0 ~len);
-  Bytes.blit buf 0 f 16 len;
+  Bytes.blit buf 0 f frame_header len;
   Bytes.unsafe_to_string f
+
+let frame payload =
+  frame_bytes (Bytes.unsafe_of_string payload) ~len:(String.length payload)
 
 (* Scan a segment's contents, returning complete valid records in order
    and the length of the valid prefix they fill; the prefix is shorter
@@ -138,7 +144,8 @@ let name t = t.base
 let appended_lsn t = t.appended_lsn
 let durable_lsn t = t.durable_lsn
 
-let append_frame t ~len frame =
+let append_frame t frame =
+  let len = String.length frame - frame_header in
   Disk.append t.file frame;
   t.since_ckpt <- t.since_ckpt + 1;
   t.appended_lsn <- t.appended_lsn + 1;
@@ -149,16 +156,15 @@ let append_frame t ~len frame =
       (Rrq_obs.Event.Wal_append { wal = t.base; lsn = t.appended_lsn; bytes = len })
   end
 
-let append t payload =
-  let len = String.length payload in
-  append_frame t ~len (frame (Bytes.unsafe_of_string payload) ~len)
+let append t payload = append_frame t (frame payload)
 
 (* Same frame layout as {!append}, built straight from the encoder's
    buffer: no [to_string] copy, and the checksum runs over the bytes in
    place. Every node-log commit record takes this path. *)
 let append_enc t e =
-  let len = Codec.length e in
-  append_frame t ~len (frame (Codec.bytes e) ~len)
+  let f = frame_bytes (Codec.bytes e) ~len:(Codec.length e) in
+  append_frame t f;
+  f
 
 (* [Disk.sync] flushes everything buffered, so on success the durable LSN
    jumps to the append LSN — including records appended by other fibers

@@ -30,12 +30,23 @@ val name : t -> string
 val append : t -> string -> unit
 (** Buffer a record at the log tail. Not durable until {!sync}. *)
 
-val append_enc : t -> Rrq_util.Codec.encoder -> unit
+val append_enc : t -> Rrq_util.Codec.encoder -> string
 (** Buffer the encoder's contents as one record, building the frame
-    directly from the encoder's buffer — no intermediate string. The
-    record is framed and checksummed identically to {!append}; callers
-    typically {!Rrq_util.Codec.reset} and refill a scratch encoder per
-    commit. *)
+    directly from the encoder's buffer — no intermediate string — and
+    return that frame, so a log shipper can send the very string the log
+    holds. The record is framed and checksummed identically to {!append};
+    callers typically {!Rrq_util.Codec.reset} and refill a scratch encoder
+    per commit. *)
+
+val frame_header : int
+(** Bytes in front of a frame's payload: its length and its checksum. *)
+
+val frame : string -> string
+(** The frame {!append} writes for a payload. *)
+
+val append_frame : t -> string -> unit
+(** Buffer a whole frame, as {!append_enc} or {!frame} built it (a record
+    shipped from a primary), byte for byte: no copy, no new checksum. *)
 
 val sync : t -> unit
 (** Force all buffered records to stable storage. On success this advances

@@ -118,6 +118,20 @@ let test_step_limit_diagnostics () =
     Alcotest.(check bool) "both of them" true (contains "spinner-b");
     Alcotest.(check bool) "shows recent decisions" true (contains "decisions")
 
+(* The recorded trace of one fixed crash plan under randomized priorities,
+   pinned by digest: picks above 0, timers firing out of seq order and
+   fault notes spliced mid-run. A change to how the scheduler stores its
+   trace must leave this string byte-identical. *)
+let test_golden_trace_digest () =
+  let plan = C.Plan.of_string "seed=3 policy=random:77 crash:backend@0.05+0.5" in
+  let o = C.Scenario.run C.Scenario.quickstart plan in
+  let s = Sched.trace_to_string o.C.Scenario.trace in
+  Alcotest.(check int) "decisions" 191 (Array.length o.C.Scenario.trace);
+  Alcotest.(check bool) "has a crash note" true
+    (Array.exists (( = ) (Sched.Fault "crash backend")) o.C.Scenario.trace);
+  Alcotest.(check string) "trace digest" "89807081364ebca0e085723033a1d7cb"
+    (Digest.to_hex (Digest.string s))
+
 (* ---- plan codec --------------------------------------------------------- *)
 
 let profile = C.Scenario.quickstart.C.Scenario.profile
@@ -875,6 +889,7 @@ let () =
           Alcotest.test_case "trace codec" `Quick test_trace_codec;
           Alcotest.test_case "step-limit diagnostics" `Quick
             test_step_limit_diagnostics;
+          Alcotest.test_case "golden trace digest" `Quick test_golden_trace_digest;
         ] );
       ("plan", [ Alcotest.test_case "codec roundtrip" `Quick test_plan_codec ]);
       ( "explore",

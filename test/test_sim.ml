@@ -297,6 +297,155 @@ let test_live_fibers_in_spawn_order () =
   Alcotest.(check (list string)) "spawn order, killed and finished gone"
     [ "a"; "c"; "e" ] (Sched.live_fibers s)
 
+(* ---- decision trace encoding ------------------------------------------- *)
+
+(* [program policy] builds and runs one deterministic world. Its trace must
+   survive the string codec unchanged, and replaying it must re-record the
+   same trace. Returns the first run's scheduler. *)
+let check_trace_replays name program =
+  let s = program None in
+  let tr = Sched.trace s in
+  Alcotest.(check bool) (name ^ ": string codec roundtrip") true
+    (Sched.trace_of_string (Sched.trace_to_string tr) = tr);
+  let s' = program (Some (Sched.Replay tr)) in
+  Alcotest.(check string) (name ^ ": replay re-records the same trace")
+    (Sched.trace_to_string tr) (Sched.trace_to_string (Sched.trace s'));
+  s
+
+(* [n] timers armed before the run, so their seqs are 1..n, whose times
+   make them fire in the order 1, n, 2, n-1, ...: every seq delta but the
+   first is negative on alternate firings and most are thousands wide.
+   [lead] empty fibers run first (one pick each), shifting where each
+   timer's code falls in the byte stream; [faults] are firing indices
+   after which the callback notes a fault. *)
+let zigzag_timers ?(lead = 0) ?(faults = []) ~n policy =
+  let s = Sched.create ?policy () in
+  for i = 1 to lead do
+    ignore (Sched.spawn s ~name:(Printf.sprintf "lead%d" i) (fun () -> ()))
+  done;
+  let fired = ref 0 in
+  for seq = 1 to n do
+    let slot = if seq <= (n + 1) / 2 then 2 * (seq - 1) else (2 * (n - seq)) + 1 in
+    Sched.at s (float_of_int slot) (fun () ->
+        if List.mem !fired faults then Sched.note_fault s (Printf.sprintf "f%d" !fired);
+        incr fired)
+  done;
+  Sched.run s;
+  s
+
+(* The trace [zigzag_timers] must record. *)
+let zigzag_expected ?(lead = 0) ?(faults = []) ~n () =
+  List.init lead (fun _ -> [ Sched.Pick 0 ])
+  @ List.init n (fun k ->
+        let seq = if k mod 2 = 0 then (k / 2) + 1 else n - (k / 2) in
+        Sched.Timer_fired seq
+        :: (if List.mem k faults then [ Sched.Fault (Printf.sprintf "f%d" k) ] else []))
+  |> List.concat |> Array.of_list
+
+let test_trace_negative_timer_deltas () =
+  let s = check_trace_replays "zigzag timers" (zigzag_timers ~n:10_000) in
+  Alcotest.(check string) "timers recorded in firing order"
+    (Sched.trace_to_string (zigzag_expected ~n:10_000 ()))
+    (Sched.trace_to_string (Sched.trace s))
+
+(* 300 fibers ready at once under randomized priorities: many picks index
+   past 128, so their codes take more than one byte. *)
+let test_trace_wide_picks () =
+  let program policy =
+    let policy = Option.value policy ~default:(Sched.Random_priority 5) in
+    let s = Sched.create ~policy () in
+    for i = 1 to 300 do
+      ignore
+        (Sched.spawn s ~name:(Printf.sprintf "w%d" i) (fun () ->
+             Sched.yield ();
+             Sched.yield ()))
+    done;
+    Sched.run s;
+    s
+  in
+  let s = check_trace_replays "300 ready fibers" program in
+  let widest =
+    Array.fold_left
+      (fun m d -> match d with Sched.Pick i -> max m i | _ -> m)
+      0 (Sched.trace s)
+  in
+  Alcotest.(check bool) (Printf.sprintf "picks reach past 128 (max %d)" widest) true
+    (widest > 128)
+
+(* 40,000 zigzag timers take over 100 KB of trace, most codes three bytes
+   wide, so the trace crosses the scheduler's 64 KiB chunk boundary near
+   firing 21,845; of the three lead-in offsets, two put a code across it.
+   Faults are noted at the first and last firing and on both sides of the
+   boundary. *)
+let test_trace_crosses_chunks () =
+  let faults = [ 0; 21_000; 21_845; 21_846; 22_500; 39_999 ] in
+  for lead = 0 to 2 do
+    let name = Printf.sprintf "lead %d" lead in
+    let s = check_trace_replays name (zigzag_timers ~lead ~faults ~n:40_000) in
+    Alcotest.(check bool) (name ^ ": not truncated") false (Sched.trace_truncated s);
+    Alcotest.(check string) (name ^ ": decoded as recorded")
+      (Sched.trace_to_string (zigzag_expected ~lead ~faults ~n:40_000 ()))
+      (Sched.trace_to_string (Sched.trace s))
+  done
+
+(* [trace_limit] counts decisions: a run of exactly [n] decisions is
+   truncated below [n] and whole at [n] and above, and fault notes are
+   kept past the limit. *)
+let test_trace_limit_edges () =
+  let program ?trace_limit policy =
+    let s = Sched.create ?policy ?trace_limit () in
+    ignore
+      (Sched.spawn s ~name:"y" (fun () ->
+           for i = 1 to 9 do
+             if i = 5 then Sched.note_fault s "mid";
+             Sched.yield ()
+           done;
+           Sched.sleep 1.0));
+    Sched.run s;
+    s
+  in
+  let full = Sched.trace (program None) in
+  let n = Array.length full - 1 in
+  Alcotest.(check int) "decisions in the run" 21 n;
+  List.iter
+    (fun (limit, truncated, kept) ->
+      let name = Printf.sprintf "limit %d" limit in
+      let s = check_trace_replays name (program ~trace_limit:limit) in
+      Alcotest.(check bool) (name ^ ": truncated") truncated (Sched.trace_truncated s);
+      let tr = Sched.trace s in
+      Alcotest.(check int) (name ^ ": decisions kept") kept
+        (Array.length tr - 1);
+      Alcotest.(check bool) (name ^ ": fault note kept") true
+        (Array.mem (Sched.Fault "mid") tr))
+    [ (0, true, 0); (n - 1, true, n - 1); (n, false, n); (n + 1, false, n) ]
+
+(* The default-limit trace costs about a byte per FIFO decision: 400k
+   decisions (a sleep and a yield per round in one fiber, two decisions
+   each) must not grow the live heap by half a word each. *)
+let test_trace_bytes_per_decision () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let s = Sched.create () in
+  let before = live_words () in
+  ignore
+    (Sched.spawn s ~name:"looper" (fun () ->
+         for _ = 1 to 100_000 do
+           Sched.sleep 0.001;
+           Sched.yield ()
+         done));
+  Sched.run s;
+  let after = live_words () in
+  Alcotest.(check bool) "trace whole" false (Sched.trace_truncated s);
+  let decisions = Array.length (Sched.trace s) in
+  Alcotest.(check bool) (Printf.sprintf "about 400k decisions (%d)" decisions) true
+    (decisions >= 400_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew %d words over %d decisions" (after - before) decisions)
+    true
+    (2 * (after - before) < decisions)
+
 let suite =
   [
     Alcotest.test_case "sleep ordering" `Quick test_sleep_order;
@@ -322,6 +471,15 @@ let suite =
       test_fiber_table_bounded;
     Alcotest.test_case "live fibers in spawn order" `Quick
       test_live_fibers_in_spawn_order;
+    Alcotest.test_case "trace: timers out of seq order" `Quick
+      test_trace_negative_timer_deltas;
+    Alcotest.test_case "trace: over 128 ready fibers" `Quick test_trace_wide_picks;
+    Alcotest.test_case "trace: crosses chunk boundaries" `Quick
+      test_trace_crosses_chunks;
+    Alcotest.test_case "trace: limit at 0, n-1, n and n+1" `Quick
+      test_trace_limit_edges;
+    Alcotest.test_case "trace: under half a word per decision" `Quick
+      test_trace_bytes_per_decision;
   ]
 
 let () = Alcotest.run "rrq-sim" [ ("sched", suite) ]
