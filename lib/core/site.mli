@@ -161,6 +161,9 @@ type Rrq_net.Net.payload +=
     }
   | R_element of elem_view option
   | Q_read_last of { registrant : string; queue : string }
+      (** [Rereceive]: the element the registrant's last tagged dequeue on
+          [queue] removed ({!Rrq_qm.Qm.read_last}); [R_element None] when
+          its last tagged operation there was an enqueue. *)
   | Q_kill of int64
   | Q_kill_where of Rrq_qm.Filter.t
   | R_int of int

@@ -154,17 +154,31 @@ let decode_attrs d =
   let strict_fifo = Codec.get_bool d in
   { durability; retry_limit; error_queue; redirect_to; alert_threshold; strict_fifo }
 
+(* The element copy is 0 (none), 1 (a full copy) or 2 (the element
+   [op_eid] itself). A tagged dequeue from a [Stable] queue logs byte 2:
+   its element's REnq is in the log already, and the RSet_last record
+   precedes the RDeq that removes it, so apply resolves the copy from the
+   index. In memory that record's dequeue carries [element_copy = None];
+   once applied, a registration holds the resolved copy, and snapshots
+   write it in full. *)
 let encode_last_op e l =
   Codec.u8 e (match l.op_kind with `Enqueue -> 0 | `Dequeue -> 1);
   Codec.string e l.tag;
   Codec.i64 e l.op_eid;
-  Codec.option Element.encode e l.element_copy
+  match (l.op_kind, l.element_copy) with
+  | `Dequeue, None -> Codec.u8 e 2
+  | _, copy -> Codec.option Element.encode e copy
 
 let decode_last_op d =
   let op_kind = match Codec.get_u8 d with 0 -> `Enqueue | _ -> `Dequeue in
   let tag = Codec.get_string d in
   let op_eid = Codec.get_i64 d in
-  let element_copy = Codec.get_option Element.decode d in
+  let element_copy =
+    match Codec.get_u8 d with
+    | 0 | 2 -> None
+    | 1 -> Some (Element.decode d)
+    | n -> raise (Codec.Decode_error (Printf.sprintf "qm: bad element copy %d" n))
+  in
   { op_kind; tag; op_eid; element_copy }
 
 let encode_redo e = function
@@ -400,6 +414,13 @@ and now s =
    apply order equals log order. Post-crash incarnation bumps keep fresh
    eids unique anyway. *)
 
+(* A dequeue logged by reference takes the element it names, which its
+   RDeq has not removed yet (see [encode_last_op]). *)
+let resolve_copy s = function
+  | { op_kind = `Dequeue; element_copy = None; op_eid; _ } as l ->
+    { l with element_copy = Option.map snd (Eidtbl.find_opt s.index op_eid) }
+  | l -> l
+
 let apply s ~live op =
   (* Operation counters live here (not in the workspace path) so they count
      committed effects only, and [live] keeps recovery from double-counting
@@ -465,7 +486,7 @@ let apply s ~live op =
   | RDeregister (r, qn) -> Hashtbl.remove s.regs (r, qn)
   | RSet_last (r, qn, l) -> begin
     match Hashtbl.find_opt s.regs (r, qn) with
-    | Some reg -> reg.r_last <- l
+    | Some reg -> reg.r_last <- Option.map (resolve_copy s) l
     | None -> ()
   end
   | RIncarnation ->
@@ -802,6 +823,7 @@ let enqueue t id h ?tag ?(props = []) ?(priority = 0) payload =
   let eid = fresh_eid s in
   let el = Element.make ~eid ~payload ~props ~priority ~enq_time:(now s) in
   Base.add_redo t id (plain (REnq (h.h_queue, el)));
+  (* No copy: an enqueue's last op is read for its tag and eid only. *)
   (match tag with
   | Some tag when reg.r_stable ->
     Base.add_redo t id
@@ -809,7 +831,7 @@ let enqueue t id h ?tag ?(props = []) ?(priority = 0) payload =
          (RSet_last
             ( h.h_registrant,
               h.h_queue,
-              Some { op_kind = `Enqueue; tag; op_eid = eid; element_copy = Some el } )))
+              Some { op_kind = `Enqueue; tag; op_eid = eid; element_copy = None } )))
   | _ -> ());
   if Rrq_obs.enabled () then
     Rrq_obs.Trace.emit
@@ -852,22 +874,20 @@ let select_ready ?rank q filter =
    hash of the same key on every dequeue. *)
 let take t id h ~reg ?tag ?errq el =
   el.Element.status <- Element.Deq_pending id;
-  Base.add_redo t id { op_redo = RDeq el.Element.eid; op_errq = errq };
+  let deq = { op_redo = RDeq el.Element.eid; op_errq = errq } in
+  (* The copy goes by reference when the element is in the log, so the
+     RSet_last must come first: apply resolves it before the RDeq. *)
   (match tag with
   | Some tag when reg.r_stable ->
+    let element_copy = if logged (Base.state t) deq then None else Some el in
     Base.add_redo t id
       (plain
          (RSet_last
             ( h.h_registrant,
               h.h_queue,
-              Some
-                {
-                  op_kind = `Dequeue;
-                  tag;
-                  op_eid = el.Element.eid;
-                  element_copy = Some el;
-                } )))
+              Some { op_kind = `Dequeue; tag; op_eid = el.Element.eid; element_copy } )))
   | _ -> ());
+  Base.add_redo t id deq;
   if Rrq_obs.enabled () then
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Dequeue

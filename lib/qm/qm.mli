@@ -18,10 +18,11 @@
       not a failed delivery: it counts a stale return instead, bounded on
       its own by {!stale_limit}.
     - {b Persistent registration with operation tags} (§4.3): the QM
-      durably remembers, per (registrant, queue), the kind/tag/eid and
-      element copy of the last tagged operation — updated atomically with
-      the operation itself — and returns them on re-registration. This is
-      the paper's mechanism for client checkpointing and resynchronization.
+      durably remembers, per (registrant, queue), the kind/tag/eid of the
+      last tagged operation and, for a dequeue, the element it removed —
+      updated atomically with the operation itself — and returns them on
+      re-registration. This is the paper's mechanism for client
+      checkpointing and resynchronization.
     - {b Kill_element} (§7): delete a waiting element; if an uncommitted
       transaction holds it, that transaction is aborted first (via the
       abort callback installed by the hosting node).
@@ -91,8 +92,13 @@ type last_op = {
   tag : string;
   op_eid : int64;
   element_copy : Element.t option;
-      (** Copy of the element operated on, retained even after the element
-          leaves the queue (what [Rereceive] reads). *)
+      (** For a dequeue, the element it removed, retained after the element
+          left the queue (what [Rereceive] reads); [None] for an enqueue,
+          whose tag and eid are all that duplicate detection reads. The
+          dequeue's log record names the element by eid when its queue is
+          [Stable] (the element's own enqueue record holds the body), and
+          carries it in full only from a [Volatile] queue; checkpoints
+          hold it in full. *)
 }
 
 type handle
@@ -217,8 +223,9 @@ val read : t -> int64 -> Element.t option
     not visible. *)
 
 val read_last : t -> handle -> Element.t option
-(** The registration's saved element copy (Rereceive support): available
-    even after the element was dequeued — possibly by someone else. *)
+(** The element the registration's last tagged dequeue removed (Rereceive
+    support), still available after that dequeue committed. [None] when
+    the last tagged operation was an enqueue, or there was none. *)
 
 val observe_queues : t -> unit
 (** Refresh the [Rrq_obs] per-queue depth and head-of-line-age gauges.

@@ -382,6 +382,44 @@ let test_standby_ahead_never_promotes () =
       Alcotest.(check int) "participant aborted exactly once" 0 (depth r);
       Alcotest.(check int) "nothing in doubt" 0 (List.length (Qm.in_doubt (Site.qm r))))
 
+(* A tagged dequeue ships its Rereceive copy as a reference to the element
+   its own record removes. The standby resolves it while replaying, so once
+   promoted it answers a retried Receive from the copy instead of handing
+   out the next reply. *)
+let test_promoted_standby_answers_retried_receive () =
+  H.run_fiber' (fun s ->
+      let a, b, _, ha_b = make_ha_pair s in
+      let qm = Site.qm a in
+      let h, _ = Qm.register qm ~queue:"rq" ~registrant:"srv" ~stable:false in
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "reply-1"));
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "reply-2"));
+      let receive site =
+        match
+          Site.clerk_service site
+            (Site.Q_dequeue
+               {
+                 registrant = "c";
+                 queue = "rq";
+                 tag = Some (Rrq_core.Tag.receive ~rid:(Some "r1") ~ckpt:None);
+                 filter = None;
+                 timeout = None;
+               })
+        with
+        | Site.R_element (Some v) -> v.Site.v_payload
+        | Site.R_element None -> "<empty>"
+        | _ -> Alcotest.fail "unexpected reply to dequeue"
+      in
+      Alcotest.(check string) "received" "reply-1" (receive a);
+      Site.crash a;
+      let deadline = Sched.clock () +. 5.0 in
+      while (not (Ha.is_serving ha_b)) && Sched.clock () < deadline do
+        Sched.sleep 0.1
+      done;
+      Alcotest.(check int) "standby promoted" 1 (Ha.failovers ha_b);
+      Alcotest.(check string) "retried receive answered from the copy" "reply-1"
+        (receive b);
+      Alcotest.(check int) "the next reply stays queued" 1 (Qm.depth (Site.qm b) "rq"))
+
 let ha_suite =
   [
     Alcotest.test_case "sync ship mirrors queue state" `Quick
@@ -401,6 +439,8 @@ let ha_suite =
       `Quick test_standby_ahead_never_promotes;
     Alcotest.test_case "batch waiting across a resync is refused" `Quick
       test_waiting_batch_dropped_by_resync;
+    Alcotest.test_case "promoted standby answers a retried receive" `Quick
+      test_promoted_standby_answers_retried_receive;
   ]
 
 (* --- failover: the scenario world under kills around every HA step ------- *)

@@ -266,7 +266,7 @@ let test_registration_tags_roundtrip () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n" in
       let qm, h, _ = setup disk "q" in
-      ignore (enq ~tag:"rid-42" qm h "req");
+      let eid = enq ~tag:"rid-42" qm h "req" in
       Disk.crash disk;
       let qm2 = Qm.open_qm disk ~name:"qm" in
       let _, last = Qm.register qm2 ~queue:"q" ~registrant:"tester" ~stable:true in
@@ -274,8 +274,9 @@ let test_registration_tags_roundtrip () =
       | Some l ->
         Alcotest.(check string) "tag" "rid-42" l.Qm.tag;
         Alcotest.(check bool) "kind" true (l.Qm.op_kind = `Enqueue);
-        Alcotest.(check string) "element copy" "req"
-          (match l.Qm.element_copy with Some e -> e.Element.payload | None -> "?")
+        Alcotest.(check int64) "eid" eid l.Qm.op_eid;
+        Alcotest.(check string) "the eid reads the payload" "req"
+          (payload_of (Qm.read qm2 l.Qm.op_eid))
       | None -> Alcotest.fail "expected last-op info")
 
 let test_tag_atomic_with_op () =
@@ -310,6 +311,64 @@ let test_dequeue_tag_and_rereceive () =
       match Qm.read_last qm2 h2 with
       | Some el -> Alcotest.(check string) "copy survives" "reply-1" el.Element.payload
       | None -> Alcotest.fail "copy lost")
+
+(* A tagged dequeue from a stable queue logs its Rereceive copy as a
+   reference to the element its own record removes; replay resolves it
+   before that removal, whether recovery replays a committed record or
+   commits an in-doubt one. *)
+let test_dequeue_copy_by_reference_survives_replay () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm, h, _ = setup disk "q" in
+      let eid = enq ~props:[ ("k", "v") ] qm h "reply-1" in
+      ignore (enq qm h "reply-2");
+      ignore (deq ~tag:"ckpt-1" qm h);
+      let id = tx 1 in
+      ignore (Qm.dequeue qm id h ~tag:"ckpt-2" Qm.No_wait);
+      ignore ((Qm.participant qm).Tm.p_prepare id ~coordinator:"c" ());
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      let h2, _ = Qm.register qm2 ~queue:"q" ~registrant:"tester" ~stable:true in
+      (match Qm.read_last qm2 h2 with
+      | Some el ->
+        Alcotest.(check string) "replayed copy" "reply-1" el.Element.payload;
+        Alcotest.(check int64) "its eid" eid el.Element.eid;
+        Alcotest.(check (list (pair string string))) "its props" [ ("k", "v") ]
+          el.Element.props
+      | None -> Alcotest.fail "copy lost in replay");
+      ignore ((Qm.participant qm2).Tm.p_commit id);
+      Alcotest.(check int) "in-doubt dequeue applied" 0 (Qm.depth qm2 "q");
+      Alcotest.(check string) "in-doubt copy" "reply-2" (payload_of (Qm.read_last qm2 h2)))
+
+(* Once the record is behind a checkpoint, the element is gone from the
+   log: the snapshot holds the copy in full. *)
+let test_dequeue_copy_survives_checkpoint () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm, h, _ = setup disk "q" in
+      ignore (enq qm h "reply-1");
+      ignore (deq ~tag:"ckpt-1" qm h);
+      Qm.checkpoint qm;
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      let h2, _ = Qm.register qm2 ~queue:"q" ~registrant:"tester" ~stable:true in
+      Alcotest.(check string) "copy from the checkpoint" "reply-1"
+        (payload_of (Qm.read_last qm2 h2)))
+
+(* A volatile queue's element was never logged, so its tagged dequeue logs
+   the copy in full. *)
+let test_volatile_dequeue_copy_survives_crash () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm, h, _ =
+        setup ~attrs:{ Qm.default_attrs with durability = Qm.Volatile } disk "q"
+      in
+      ignore (enq qm h "reply-1");
+      ignore (deq ~tag:"ckpt-1" qm h);
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      let h2, _ = Qm.register qm2 ~queue:"q" ~registrant:"tester" ~stable:true in
+      Alcotest.(check string) "copy survives" "reply-1" (payload_of (Qm.read_last qm2 h2)))
 
 let test_unstable_registration_keeps_no_tags () =
   H.run_fiber (fun () ->
@@ -370,6 +429,33 @@ let test_stable_queue_writes_only_its_log () =
       Alcotest.(check bool) "the updates were logged" true (log_growth > 0);
       Alcotest.(check int) "synced bytes are the log's growth" log_growth
         (Disk.synced_bytes disk - synced_before))
+
+(* Each queued body is logged once: a tagged enqueue's registration
+   update carries no second copy, and a tagged dequeue's names the element
+   the log already holds. *)
+let test_tagged_ops_log_the_payload_once () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm, h, _ = setup disk "q" in
+      let body = String.make 16384 'b' in
+      let grows f =
+        let before = Disk.synced_bytes disk in
+        f ();
+        Disk.synced_bytes disk - before
+      in
+      let enq_bytes = grows (fun () -> ignore (enq ~tag:"rid-1" qm h body)) in
+      let deq_bytes =
+        grows (fun () ->
+            Alcotest.(check int) "dequeued" 16384
+              (String.length (payload_of (deq ~tag:"ckpt-1" qm h))))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "enqueue logs one body (%d B)" enq_bytes)
+        true
+        (enq_bytes > 16384 && enq_bytes < 16384 + 1024);
+      Alcotest.(check bool)
+        (Printf.sprintf "dequeue logs no body (%d B)" deq_bytes)
+        true (deq_bytes < 1024))
 
 let test_redirect () =
   H.run_fiber (fun () ->
@@ -888,6 +974,12 @@ let registration =
     Alcotest.test_case "unstable registration" `Quick
       test_unstable_registration_keeps_no_tags;
     Alcotest.test_case "deregister" `Quick test_deregister;
+    Alcotest.test_case "dequeue copy by reference survives replay" `Quick
+      test_dequeue_copy_by_reference_survives_replay;
+    Alcotest.test_case "dequeue copy survives checkpoint" `Quick
+      test_dequeue_copy_survives_checkpoint;
+    Alcotest.test_case "volatile dequeue copy survives crash" `Quick
+      test_volatile_dequeue_copy_survives_crash;
   ]
 
 let features =
@@ -905,6 +997,8 @@ let features =
     Alcotest.test_case "kill locked element aborts holder" `Quick
       test_kill_locked_element_aborts_holder;
     Alcotest.test_case "read (incl. locked)" `Quick test_read_and_read_locked;
+    Alcotest.test_case "tagged ops log the payload once" `Quick
+      test_tagged_ops_log_the_payload_once;
   ]
 
 let blocking =

@@ -845,8 +845,56 @@ let test_on_disk_format_pinned () =
   Alcotest.(check bool) "a record with TM, QM and KV sections" true
     (List.mem [ 1; 2; 3 ] (kinds 0 []));
   let hex s = Digest.to_hex (Digest.string s) in
-  Alcotest.(check (pair int string)) "segment bytes" (749, "5db53ab9552d4ebe41ae94eeaaeb3ccf") (String.length seg, hex seg);
-  Alcotest.(check (pair int string)) "checkpoint bytes" (399, "258314e7b5461e622e85740ce2c61c88") (String.length ckpt, hex ckpt)
+  Alcotest.(check (pair int string)) "segment bytes" (670, "1d40e546b153fd37e08da532335672c9") (String.length seg, hex seg);
+  Alcotest.(check (pair int string)) "checkpoint bytes" (320, "b1affcdef149ac3544e48549915e0162") (String.length ckpt, hex ckpt)
+
+(* "on-disk format pinned"'s segment in the earlier format, where a tagged
+   enqueue's registration update carries a full copy of the element
+   (element-copy byte 1). The decoder still reads byte 1, so such a log
+   still recovers. *)
+let full_copy_segment_hex =
+  "0b0000000000000020b90b4dfc57403501010100000000000000011e00000000000000cb\
+     6ea9117bf403fe0102140000000000000001000000000000000000010000000000000000\
+     0a34000000000000005e5adb4de8116fd701022a00000000000000010000000000000000\
+     000100000000000000000101000000000000007100030000000000000000000000310000\
+     00000000003e926805a13208320102270000000000000001000000000000000000010000\
+     00000000000007010000000000000063010000000000000071019201000000000000fae3\
+     0f0897c75fc603020001000000000000020102000000000000006e310100000000000000\
+     010000000000000002000000000000006e31020000000000000000020100000000000000\
+     7101000000010000000c000000000000007265717565737420626f647901000000000000\
+     0001000000000000006b010000000000000076000000000000000095d626e80b2e113e00\
+     000000000000000000090100000000000000630100000000000000710100020000000000\
+     0000743101000000010000000101000000010000000c0000000000000072657175657374\
+     20626f6479010000000000000001000000000000006b0100000000000000760000000000\
+     00000095d626e80b2e113e00000000000000000003450000000000000002010200000000\
+     0000006e310100000000000000010000000000000002000000000000006e310100000000\
+     000000010400000000000000616363740200000000000000313001310000000000000004\
+     02000000000000006e310100000000000000010000000000000001000000000000000600\
+     00000000000072656d6f74656d000000000000006e7d0ff9e9abbae303021b0000000000\
+     00000302000000000000006e3101000000000000000100000000000000031b0000000000\
+     00000302000000000000006e3101000000000000000100000000000000011b0000000000\
+     00000202000000000000006e3101000000000000000100000000000000"
+
+let test_full_copy_segment_recovers () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let f = Disk.open_file disk "n1.log.seg0" in
+      let hex = full_copy_segment_hex in
+      Disk.append f
+        (String.init (String.length hex / 2) (fun i ->
+             Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2))));
+      Disk.sync f;
+      let _, _, qm, kv = open_node disk in
+      Alcotest.(check (option string)) "the commit recovered" (Some "10")
+        (Kvdb.committed_value kv "acct");
+      match Qm.lookup_registration qm ~queue:"q" ~registrant:"c" with
+      | Some l ->
+        Alcotest.(check string) "tag" "t1" l.Qm.tag;
+        Alcotest.(check (option string)) "the enqueue's full copy" (Some "request body")
+          (Option.map (fun e -> e.Element.payload) l.Qm.element_copy);
+        Alcotest.(check (option string)) "the element" (Some "request body")
+          (Option.map (fun e -> e.Element.payload) (Qm.read qm l.Qm.op_eid))
+      | None -> Alcotest.fail "registration lost")
 
 (* The one commit record of a server transaction (dequeue the request,
    update the database, enqueue the reply) is atomic: a crash that keeps
@@ -1177,6 +1225,8 @@ let tm_suite =
     Alcotest.test_case "hooks" `Quick test_tm_hooks;
     Alcotest.test_case "txid roundtrip" `Quick test_txid_roundtrip;
     Alcotest.test_case "on-disk format pinned" `Quick test_on_disk_format_pinned;
+    Alcotest.test_case "a full-copy segment still recovers" `Quick
+      test_full_copy_segment_recovers;
   ]
 
 let () =
