@@ -53,7 +53,9 @@ let () =
                   Qm.dequeue qm (Tm.txn_id txn) h ~filter:big ~rank Qm.Block
                 with
                 | Some el ->
-                  let env = Envelope.of_string el.Element.payload in
+                  let env =
+                    Envelope.of_parts ~props:el.Element.props el.Element.payload
+                  in
                   Printf.printf
                     "  [institutional] t=%.2f executes %s ($%d) LARGEST FIRST\n"
                     (Sched.clock ()) env.Envelope.rid (amount_of env.Envelope.body)
@@ -88,8 +90,9 @@ let () =
            ignore
              (Qm.auto_commit qm (fun id ->
                   Qm.enqueue qm id h
-                    ~props:[ ("amount", string_of_int amount) ]
-                    (Envelope.to_string env)))
+                    ~props:
+                      (Envelope.props env @ [ ("amount", string_of_int amount) ])
+                    env.Envelope.body))
          in
          (* hold both desks back until the book is loaded, then watch the
             institutional desk pick 9000, 5000, 2000 in value order *)

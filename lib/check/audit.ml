@@ -188,26 +188,26 @@ let exactly_once_trace () =
    holds replicated copies of the same reply elements by design. *)
 let reply_delivery ~sites ~received ~rids =
   make "reply-delivery" (fun () ->
-      let queued rid =
-        List.fold_left
-          (fun acc site ->
-            let qm = Site.qm site in
-            List.fold_left
-              (fun acc q ->
-                if String.length q >= 6 && String.sub q 0 6 = "reply." then
-                  acc
-                  + List.length
-                      (List.filter
-                         (fun el ->
-                           match Envelope.of_string el.Element.payload with
-                           | env -> env.Envelope.rid = rid
-                           | exception e when Rrq_util.Swallow.nonfatal e ->
-                             false)
-                         (Qm.elements qm q))
-                else acc)
-              acc (Qm.queue_names qm))
-          0 (sites ())
-      in
+      (* One pass over the reply queues, counting replies by their [rid]
+         property; each rid is then a table lookup. *)
+      let counts = Hashtbl.create 256 in
+      List.iter
+        (fun site ->
+          let qm = Site.qm site in
+          List.iter
+            (fun q ->
+              if String.starts_with ~prefix:"reply." q then
+                List.iter
+                  (fun el ->
+                    match Element.prop el "rid" with
+                    | Some rid ->
+                      Hashtbl.replace counts rid
+                        (1 + Option.value ~default:0 (Hashtbl.find_opt counts rid))
+                    | None -> ())
+                  (Qm.elements qm q))
+            (Qm.queue_names qm))
+        (sites ());
+      let queued rid = Option.value ~default:0 (Hashtbl.find_opt counts rid) in
       let problems =
         List.filter_map
           (fun rid ->

@@ -60,7 +60,8 @@ val reply_delivery :
   rids:(unit -> string list) ->
   auditor
 (** Exactly one reply per request, counting consumed replies ([received
-    rid]) plus copies still queued in [reply.*] queues on the given sites.
+    rid]) plus copies still queued in [reply.*] queues on the given sites,
+    matched by their [rid] property.
     Pass only the authoritative repository of an HA pair — the standby
     holds replicated copies by design. Catches duplicate replies released
     by a speculative (lagged-shipping) primary that died before shipping. *)

@@ -392,7 +392,7 @@ let blind_client topo ~client_node ~received ~replies =
                     tag = None;
                     props = Envelope.props env;
                     priority = 0;
-                    body = Envelope.to_string env;
+                    body = env.Envelope.body;
                   }))
         with e when Rrq_util.Swallow.nonfatal e -> ()
       in
@@ -417,7 +417,8 @@ let blind_client topo ~client_node ~received ~replies =
         in
         match got with
         | Some v ->
-          count received (Envelope.of_string v.Site.v_payload).Envelope.rid;
+          count received
+            (Envelope.of_parts ~props:v.Site.v_props v.Site.v_payload).Envelope.rid;
           incr replies
         | None ->
           if Sched.clock () < deadline then begin

@@ -251,7 +251,7 @@ let send t ~rid ?(props = []) ?kind ?scratch ?step body =
            tag = Some (Tag.send ~rid);
            props = Envelope.props env @ props;
            priority = 0;
-           body = Envelope.to_string env;
+           body = env.Envelope.body;
          })
   with
   | Site.R_eid eid ->
@@ -278,7 +278,7 @@ let send_oneway t ~rid ?(props = []) body =
         tag = Some (Tag.send ~rid);
         props = Envelope.props env @ props;
         priority = 0;
-        body = Envelope.to_string env;
+        body = env.Envelope.body;
       }
   in
   Net.cast t.cnode
@@ -287,7 +287,7 @@ let send_oneway t ~rid ?(props = []) body =
 
 let decode_view = function
   | None -> None
-  | Some v -> Some (Envelope.of_string v.Site.v_payload)
+  | Some v -> Some (Envelope.of_parts ~props:v.Site.v_props v.Site.v_payload)
 
 let receive t ?ckpt ?(timeout = 30.0) () =
   match

@@ -49,4 +49,32 @@ let of_string s =
   let step = Codec.get_int d in
   { rid; client_id; reply_node; reply_queue; kind; body; scratch; step }
 
-let props t = [ ("rid", t.rid); ("kind", t.kind); ("client", t.client_id) ]
+(* The header leads the element's properties: the optional fields first,
+   then the five every envelope has, in a fixed order. [of_parts] reads that
+   prefix by position, so properties a caller appends after it can never be
+   taken for header fields. *)
+let props t =
+  let header =
+    [ ("rid", t.rid); ("kind", t.kind); ("client", t.client_id);
+      ("reply_node", t.reply_node); ("reply_queue", t.reply_queue) ]
+  in
+  let header = if t.step = 0 then header else ("step", string_of_int t.step) :: header in
+  if t.scratch = "" then header else ("scratch", t.scratch) :: header
+
+let of_parts ~props body =
+  let scratch, props =
+    match props with ("scratch", s) :: rest -> (s, rest) | _ -> ("", props)
+  in
+  let step, props =
+    match props with
+    | ("step", n) :: rest -> (
+      match int_of_string_opt n with
+      | Some n -> (n, rest)
+      | None -> raise (Codec.Decode_error ("bad envelope step " ^ n)))
+    | _ -> (0, props)
+  in
+  match props with
+  | ("rid", rid) :: ("kind", kind) :: ("client", client_id)
+    :: ("reply_node", reply_node) :: ("reply_queue", reply_queue) :: _ ->
+    { rid; client_id; reply_node; reply_queue; kind; body; scratch; step }
+  | _ -> raise (Codec.Decode_error "element properties carry no envelope header")

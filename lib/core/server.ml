@@ -15,13 +15,14 @@ type handler = Site.t -> Tm.txn -> Envelope.t -> result
 type t = { mutable n_processed : int; mutable n_aborted : int }
 
 (* The body of one server transaction, after the dequeue took [el] through
-   handle [h]: decode, handle, enqueue the result. The caller commits. *)
+   handle [h]: read the envelope off the element, handle, enqueue the
+   result. The caller commits. *)
 let execute site txn ~registrant h el handler =
   let queue = Qm.handle_queue h in
   let t0 =
     if Rrq_obs.enabled () && Sched.in_fiber () then Sched.clock () else 0.0
   in
-  let env = Envelope.of_string el.Element.payload in
+  let env = Envelope.of_parts ~props:el.Element.props el.Element.payload in
   if Rrq_obs.enabled () then
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Server_exec
@@ -33,7 +34,7 @@ let execute site txn ~registrant h el handler =
          });
   let emit ~dst ~queue out =
     Site.remote_enqueue site txn ~dst ~queue ~props:(Envelope.props out)
-      (Envelope.to_string out)
+      out.Envelope.body
   in
   (match handler site txn env with
   | No_reply -> ()
@@ -51,8 +52,9 @@ let execute site txn ~registrant h el handler =
   `Done
 
 (* One server transaction: dequeue - handle - enqueue result - commit. An
-   abort, or a poisonous request (e.g. an undecodable payload), returns the
-   request to its queue; the retry limit shunts it to the error queue. *)
+   abort, or a poisonous request (e.g. an element with no envelope header),
+   returns the request to its queue; the retry limit shunts it to the error
+   queue. *)
 let process_one site ~req_queue ~registrant ?filter ~wait handler =
   let qm = Site.qm site in
   let h, _ = Qm.register qm ~queue:req_queue ~registrant ~stable:false in

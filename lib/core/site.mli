@@ -150,6 +150,9 @@ type Rrq_net.Net.payload +=
       props : (string * string) list;
       priority : int;
       body : string;
+          (** The element's payload. A request sent by a {!Clerk} is an
+              {!Envelope}: [body] is the envelope's body itself, and its
+              header leads [props] ({!Envelope.props}). *)
     }
   | R_eid of int64
   | Q_dequeue of {

@@ -53,7 +53,8 @@ let one_drain_run ~strict ~servers ~jobs ~work ~seed =
           in
           ignore
             (Qm.auto_commit qm (fun id ->
-                 Qm.enqueue qm id h (Envelope.to_string env)))
+                 Qm.enqueue qm id h ~props:(Envelope.props env)
+                   env.Envelope.body))
         done;
         let start = Sched.clock () in
         ignore
@@ -145,7 +146,8 @@ let one_priority_run ~use_priorities ~backlog ~express ~work ~seed =
           in
           ignore
             (Qm.auto_commit qm (fun id ->
-                 Qm.enqueue qm id h ~priority (Envelope.to_string env)))
+                 Qm.enqueue qm id h ~props:(Envelope.props env) ~priority
+                   env.Envelope.body))
         in
         for i = 1 to backlog do
           push (Printf.sprintf "std%d" i) 0
@@ -238,7 +240,8 @@ let one_poison_run ~retry_limit ~good ~seed =
           in
           ignore
             (Qm.auto_commit qm (fun id ->
-                 Qm.enqueue qm id h (Envelope.to_string env)))
+                 Qm.enqueue qm id h ~props:(Envelope.props env)
+                   env.Envelope.body))
         in
         push "bad" "poison";
         for i = 1 to good do
@@ -351,7 +354,8 @@ let one_burst_run ~queued ~offered ~service_time ~capacity ~seed =
                    in
                    ignore
                      (Qm.auto_commit qm (fun id ->
-                          Qm.enqueue qm id h (Envelope.to_string env)));
+                          Qm.enqueue qm id h ~props:(Envelope.props env)
+                            env.Envelope.body));
                    max_depth := max !max_depth (Qm.depth qm "req")
                  end
                  else begin

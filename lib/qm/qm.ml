@@ -96,7 +96,7 @@ type redo =
   | RDeq of int64
   | RKill of int64
   | RBump of int64
-  | RMove_error of int64 * string * string
+  | RMove_error of int64 * string * string * Element.t option
   | RRegister of string * string * bool
   | RDeregister of string * string
   | RSet_last of string * string * last_op option
@@ -199,11 +199,13 @@ let encode_redo e = function
   | RBump eid ->
     Codec.u8 e 5;
     Codec.i64 e eid
-  | RMove_error (eid, q, code) ->
-    Codec.u8 e 6;
+  | RMove_error (eid, q, code, copy) ->
+    (* Tag 15 carries the element: a spill from an unlogged queue. *)
+    Codec.u8 e (if copy = None then 6 else 15);
     Codec.i64 e eid;
     Codec.string e q;
-    Codec.string e code
+    Codec.string e code;
+    Option.iter (Element.encode e) copy
   | RRegister (r, q, stable) ->
     Codec.u8 e 7;
     Codec.string e r;
@@ -247,11 +249,12 @@ let decode_redo d =
   | 3 -> RDeq (Codec.get_i64 d)
   | 4 -> RKill (Codec.get_i64 d)
   | 5 -> RBump (Codec.get_i64 d)
-  | 6 ->
+  | (6 | 15) as tag ->
     let eid = Codec.get_i64 d in
     let q = Codec.get_string d in
     let code = Codec.get_string d in
-    RMove_error (eid, q, code)
+    let copy = if tag = 15 then Some (Element.decode d) else None in
+    RMove_error (eid, q, code, copy)
   | 7 ->
     let r = Codec.get_string d in
     let q = Codec.get_string d in
@@ -346,23 +349,29 @@ let remove_element s eid =
         (float_of_int (queue_depth q));
     Some (q, el)
 
+(* The queue an element put on [q] lands in: redirection is followed while
+   its target exists. *)
+let rec landing s q =
+  match q.qattrs.redirect_to with
+  | Some target when target <> q.qname -> (
+    match Hashtbl.find_opt s.queues target with
+    | Some t -> landing s t
+    | None -> q)
+  | _ -> q
+
 (* Insert, following redirection, then fire any completed trigger group. *)
 let rec insert_element s ~live qn el =
-  let q = get_queue s qn in
-  match q.qattrs.redirect_to with
-  | Some target when target <> qn && Hashtbl.mem s.queues target ->
-    insert_element s ~live target el
-  | _ ->
-    q.elems <- Emap.add (Element.key el) el q.elems;
-    Eidtbl.replace s.index el.Element.eid (q.qname, el);
-    if live then q.n_enq <- q.n_enq + 1;
-    if Rrq_obs.enabled () then
-      Rrq_obs.Metrics.set_gauge
-        (Printf.sprintf "qm.depth:%s/%s" s.qm_name q.qname)
-        (float_of_int (queue_depth q));
-    Cond.signal q.nonempty;
-    check_alert s ~live q;
-    check_triggers s ~live q el
+  let q = landing s (get_queue s qn) in
+  q.elems <- Emap.add (Element.key el) el q.elems;
+  Eidtbl.replace s.index el.Element.eid (q.qname, el);
+  if live then q.n_enq <- q.n_enq + 1;
+  if Rrq_obs.enabled () then
+    Rrq_obs.Metrics.set_gauge
+      (Printf.sprintf "qm.depth:%s/%s" s.qm_name q.qname)
+      (float_of_int (queue_depth q));
+  Cond.signal q.nonempty;
+  check_alert s ~live q;
+  check_triggers s ~live q el
 
 and check_triggers s ~live q el =
   match Hashtbl.find_opt s.triggers q.qname with
@@ -463,10 +472,12 @@ let apply s ~live op =
     | Some (_, el) -> el.Element.stale_count <- el.Element.stale_count + 1
     | None -> ()
   end
-  | RMove_error (eid, errq, code) -> begin
-    match remove_element s eid with
-    | None -> ()
-    | Some (_, el) ->
+  | RMove_error (eid, errq, code, copy) -> begin
+    (* Replay finds no element from an unlogged queue: the record's copy
+       stands in for it. *)
+    match (remove_element s eid, copy) with
+    | None, None -> ()
+    | Some (_, el), _ | None, Some el ->
       el.Element.abort_code <- Some code;
       el.Element.status <- Element.Ready;
       if obs then begin
@@ -524,7 +535,7 @@ let apply s ~live op =
    index entry is gone after it). *)
 let element_queue s = function
   | REnq (qn, _) -> Hashtbl.find_opt s.queues qn
-  | RDeq eid | RKill eid | RBump eid | RStale eid | RMove_error (eid, _, _) -> begin
+  | RDeq eid | RKill eid | RBump eid | RStale eid | RMove_error (eid, _, _, _) -> begin
     match Eidtbl.find_opt s.index eid with
     | Some (qn, _) -> Hashtbl.find_opt s.queues qn
     | None -> None
@@ -540,9 +551,17 @@ let element_queue s = function
    logged. [Volatile] queue updates are applied but never logged — they
    cost no forced writes and evaporate on crash. *)
 let logged s op =
-  match element_queue s op.op_redo with
-  | Some q -> q.qattrs.durability = Stable
-  | None -> true
+  match op.op_redo with
+  | RMove_error (_, errq, _, Some _) -> (
+    (* A spill that carries its element is logged by the error queue it
+       lands in; a missing one is created [Stable]. *)
+    match Hashtbl.find_opt s.queues errq with
+    | Some q -> (landing s q).qattrs.durability = Stable
+    | None -> true)
+  | redo -> (
+    match element_queue s redo with
+    | Some q -> q.qattrs.durability = Stable
+    | None -> true)
 
 (* How many times the janitor may return an element before it goes to the
    error queue: a request whose owner keeps stalling (its reply shard never
@@ -571,7 +590,14 @@ let restore_element s ~stale op =
           match op.op_errq with Some e -> e | None -> default_error_queue q
         in
         let code = Printf.sprintf "%s %d times" what (count + 1) in
-        [ plain mark; plain (RMove_error (eid, errq, code)) ]
+        (* An element of an unlogged queue is not in the log, so the move
+           carries it, with the count its mark is about to set. *)
+        let copy =
+          if q.qattrs.durability = Stable then None
+          else if stale then Some { el with Element.stale_count = count + 1 }
+          else Some { el with Element.delivery_count = count + 1 }
+        in
+        [ plain mark; plain (RMove_error (eid, errq, code, copy)) ]
       end
       else [ plain mark ]
   end
@@ -819,10 +845,13 @@ let handle_registrant h = h.h_registrant
 let enqueue t id h ?tag ?(props = []) ?(priority = 0) payload =
   let s = Base.state t in
   let reg = reg_of s h in
-  if (get_queue s h.h_queue).stopped then raise (Stopped h.h_queue);
+  let q = get_queue s h.h_queue in
+  if q.stopped then raise (Stopped h.h_queue);
   let eid = fresh_eid s in
   let el = Element.make ~eid ~payload ~props ~priority ~enq_time:(now s) in
-  Base.add_redo t id (plain (REnq (h.h_queue, el)));
+  (* The redo names the queue the element lands in, so it is logged by that
+     queue's durability and replay needs no redirecting queue. *)
+  Base.add_redo t id (plain (REnq ((landing s q).qname, el)));
   (* No copy: an enqueue's last op is read for its tag and eid only. *)
   (match tag with
   | Some tag when reg.r_stable ->

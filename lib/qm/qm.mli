@@ -60,11 +60,14 @@ type durability =
 type attrs = {
   durability : durability;
   retry_limit : int;
-      (** Abort count after which an element moves to the error queue. *)
+      (** Abort count after which an element moves to the error queue. A
+          [Volatile] element moving into a [Stable] error queue is logged
+          there in full, so it survives a crash. *)
   error_queue : string option;
       (** Default error queue; [None] means ["<name>.err"]. *)
   redirect_to : string option;
-      (** If set, committed enqueues land in this queue instead (§9). *)
+      (** If set, committed enqueues land in this queue instead (§9), and
+          are logged or not by the durability of the queue they land in. *)
   alert_threshold : int option;
       (** Depth at which the alert callback fires (§9 / CICS task start). *)
   strict_fifo : bool;

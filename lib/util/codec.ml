@@ -42,7 +42,13 @@ let i64 e v =
   Bytes.set_int64_le e.buf e.pos v;
   e.pos <- e.pos + 8
 
-let int e v = i64 e (Int64.of_int v)
+(* Ints are written and read in place, never as a boxed [Int64.t]: every
+   string length is one. *)
+let int e v =
+  ensure e 8;
+  Bytes.set_int64_le e.buf e.pos (Int64.of_int v);
+  e.pos <- e.pos + 8
+
 let bool e v = u8 e (if v then 1 else 0)
 let float e v = i64 e (Int64.bits_of_float v)
 
@@ -53,8 +59,11 @@ let raw e s =
   e.pos <- e.pos + n
 
 let string e s =
-  int e (String.length s);
-  raw e s
+  let n = String.length s in
+  ensure e (8 + n);
+  Bytes.set_int64_le e.buf e.pos (Int64.of_int n);
+  Bytes.blit_string s 0 e.buf (e.pos + 8) n;
+  e.pos <- e.pos + 8 + n
 
 (* A length slot now, filled in once the bytes after it are written. *)
 let begin_length e =
@@ -100,7 +109,11 @@ let get_i64 d =
   d.pos <- d.pos + 8;
   v
 
-let get_int d = Int64.to_int (get_i64 d)
+let get_int d =
+  need d 8;
+  let v = Int64.to_int (String.get_int64_le d.src d.pos) in
+  d.pos <- d.pos + 8;
+  v
 
 let get_bool d =
   match get_u8 d with

@@ -40,8 +40,40 @@ let test_envelope_constructors () =
   Alcotest.(check int) "step bumped" 1 next.Envelope.step;
   Alcotest.(check string) "scratch carried" "s1" next.Envelope.scratch;
   Alcotest.(check (list (pair string string))) "props"
-    [ ("rid", "r"); ("kind", "request"); ("client", "c") ]
+    [ ("scratch", "s0"); ("rid", "r"); ("kind", "request"); ("client", "c");
+      ("reply_node", "n"); ("reply_queue", "q") ]
     (Envelope.props env)
+
+(* The header travels as element properties and the body as the payload:
+   [of_parts] rebuilds the envelope, properties appended after the header
+   do not shadow it, and a missing header is a decode error. *)
+let test_envelope_of_parts () =
+  let env =
+    Envelope.make ~rid:"r9" ~client_id:"c" ~reply_node:"n" ~reply_queue:"q"
+      ~kind:"intermediate" ~scratch:"pad" ~step:2 "body"
+  in
+  let props = Envelope.props env in
+  Alcotest.(check bool) "round trip" true
+    (Envelope.of_parts ~props env.Envelope.body = env);
+  let shadows =
+    [ ("rid", "x"); ("kind", "x"); ("client", "x"); ("reply_node", "x");
+      ("reply_queue", "x"); ("scratch", "x"); ("step", "7") ]
+  in
+  Alcotest.(check bool) "appended properties do not shadow" true
+    (Envelope.of_parts ~props:(props @ shadows) env.Envelope.body = env);
+  let plain = { env with Envelope.scratch = ""; step = 0 } in
+  Alcotest.(check bool) "nor do they fill an absent scratch or step" true
+    (Envelope.of_parts
+       ~props:(Envelope.props plain @ shadows)
+       plain.Envelope.body
+    = plain);
+  let body = String.make 64 'b' in
+  Alcotest.(check bool) "the body is not copied" true
+    ((Envelope.of_parts ~props body).Envelope.body == body);
+  Alcotest.(check bool) "no header" true
+    (match Envelope.of_parts ~props:[ ("amount", "5") ] "p" with
+    | _ -> false
+    | exception Rrq_util.Codec.Decode_error _ -> true)
 
 let test_session_rid_helpers () =
   Alcotest.(check string) "rid_of_seq" "r17" (Session.rid_of_seq 17);
@@ -149,5 +181,7 @@ let () =
           Alcotest.test_case "tm stats" `Quick test_tm_stats;
           Alcotest.test_case "net counters" `Quick test_net_counters;
           Alcotest.test_case "histogram merge" `Quick test_histogram_merge_and_total;
+          Alcotest.test_case "envelope header as properties" `Quick
+            test_envelope_of_parts;
         ] );
     ]

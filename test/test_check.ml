@@ -879,6 +879,53 @@ let prop_quickstart_audits_hold =
           else true)
         [ `Fifo; `Random (seed * 31) ])
 
+(* ---- the reply-delivery auditor ----------------------------------------- *)
+
+(* Queued replies are counted by their [rid] property: a reply both
+   received and still queued, or queued twice, is reported, and so is a
+   request with no reply at all. *)
+let test_reply_delivery_counts () =
+  let detail = ref None in
+  let s = Sched.create () in
+  let net = Rrq_net.Net.create s (Rrq_util.Rng.create 1) in
+  let site =
+    Rrq_core.Site.create
+      ~queues:[ ("reply.c", Rrq_qm.Qm.default_attrs) ]
+      (Rrq_net.Net.make_node net "backend")
+  in
+  ignore
+    (Sched.spawn s ~name:"main" (fun () ->
+         let qm = Rrq_core.Site.qm site in
+         let h, _ = Rrq_qm.Qm.register qm ~queue:"reply.c" ~registrant:"srv" ~stable:false in
+         let put ?(props = []) body =
+           ignore
+             (Rrq_qm.Qm.auto_commit qm (fun id ->
+                  Rrq_qm.Qm.enqueue qm id h ~props body))
+         in
+         let reply rid =
+           let env =
+             Rrq_core.Envelope.make ~rid ~client_id:"c" ~reply_node:"backend"
+               ~reply_queue:"reply.c" ~kind:"reply" "done"
+           in
+           put ~props:(Rrq_core.Envelope.props env) env.Rrq_core.Envelope.body
+         in
+         List.iter reply [ "r1"; "r2"; "r2"; "r3" ];
+         put "no header";
+         let received rid = if rid = "r3" || rid = "r4" then 1 else 0 in
+         let auditor =
+           C.Audit.reply_delivery
+             ~sites:(fun () -> [ site ])
+             ~received
+             ~rids:(fun () -> [ "r1"; "r2"; "r3"; "r4"; "r5" ])
+         in
+         detail := Some (C.Audit.findings_to_string (C.Audit.run [ auditor ]))));
+  Sched.run s;
+  Alcotest.(check (option string)) "findings"
+    (Some
+       "reply-delivery: r2: 2 replies (received+queued); r3: 2 replies \
+        (received+queued); r5: no reply delivered or queued")
+    !detail
+
 let () =
   Alcotest.run "rrq-check"
     [
@@ -983,4 +1030,6 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:true prop_quickstart_audits_hold ] );
+      ( "audit",
+        [ Alcotest.test_case "reply delivery counts" `Quick test_reply_delivery_counts ] );
     ]

@@ -761,7 +761,8 @@ let test_autoscale_surge () =
                  in
                  ignore
                    (Qm.auto_commit qm (fun id ->
-                        Qm.enqueue qm id h (Envelope.to_string env)))
+                        Qm.enqueue qm id h ~props:(Envelope.props env)
+                          env.Envelope.body))
                done)))
   in
   match !scaler with

@@ -470,6 +470,89 @@ let test_redirect () =
       Alcotest.(check int) "source empty" 0 (Qm.depth qm "source");
       Alcotest.(check int) "target got it" 1 (Qm.depth qm "target"))
 
+(* A redirected enqueue is logged by the queue it lands in. A [Volatile]
+   source redirecting into a [Stable] target logs the element, so it and
+   a tagged dequeue's Rereceive copy survive a crash. *)
+let test_redirect_into_stable_survives_crash () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm = Qm.open_qm disk ~name:"qm" in
+      Qm.create_queue qm "target";
+      Qm.create_queue qm
+        ~attrs:
+          { Qm.default_attrs with durability = Qm.Volatile; redirect_to = Some "target" }
+        "source";
+      let src, _ = Qm.register qm ~queue:"source" ~registrant:"t" ~stable:false in
+      let tgt, _ = Qm.register qm ~queue:"target" ~registrant:"r" ~stable:true in
+      (* After a checkpoint the snapshot holds no [Volatile] queue, so
+         replay must not need the source. *)
+      Qm.checkpoint qm;
+      ignore (enq qm src "a");
+      ignore (enq qm src "b");
+      Alcotest.(check string) "dequeued" "a" (payload_of (deq ~tag:"ck" qm tgt));
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      let tgt2, _ = Qm.register qm2 ~queue:"target" ~registrant:"r" ~stable:true in
+      Alcotest.(check int) "target keeps the undequeued element" 1
+        (Qm.depth qm2 "target");
+      Alcotest.(check string) "Rereceive copy survives" "a"
+        (payload_of (Qm.read_last qm2 tgt2)))
+
+(* The other direction: a [Stable] source redirecting into a [Volatile]
+   target logs neither the enqueue nor the dequeue, so replay cannot bring
+   a dequeued element back; the target's contents die with the crash. *)
+let test_redirect_into_volatile_unlogged () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm = Qm.open_qm disk ~name:"qm" in
+      Qm.create_queue qm
+        ~attrs:{ Qm.default_attrs with durability = Qm.Volatile }
+        "target";
+      Qm.create_queue qm
+        ~attrs:{ Qm.default_attrs with redirect_to = Some "target" }
+        "source";
+      let src, _ = Qm.register qm ~queue:"source" ~registrant:"t" ~stable:false in
+      let tgt, _ = Qm.register qm ~queue:"target" ~registrant:"r" ~stable:false in
+      ignore (enq qm src "a");
+      ignore (enq qm src "b");
+      Alcotest.(check string) "dequeued" "a" (payload_of (deq qm tgt));
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      Alcotest.(check (list string)) "nothing comes back" []
+        (List.map
+           (fun el -> el.Element.payload)
+           (Qm.elements qm2 "source" @ Qm.elements qm2 "target")))
+
+(* A [Volatile] element that spills into a [Stable] error queue is logged
+   there, since it was never in the log: it survives a crash with its
+   count and abort code. *)
+let test_volatile_spill_into_stable_error_queue () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm, h, _ =
+        setup
+          ~attrs:{ Qm.default_attrs with durability = Qm.Volatile; retry_limit = 2 }
+          disk "vq"
+      in
+      ignore (enq qm h "poison");
+      for i = 1 to 2 do
+        let id = tx i in
+        ignore (Qm.dequeue qm id h Qm.No_wait);
+        (Qm.participant qm).Tm.p_abort id
+      done;
+      Alcotest.(check int) "spilled" 1 (Qm.depth qm "vq.err");
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      Alcotest.(check bool) "error queue recovered" true
+        (Qm.queue_exists qm2 "vq.err");
+      match Qm.elements qm2 "vq.err" with
+      | [ el ] ->
+        Alcotest.(check string) "payload" "poison" el.Element.payload;
+        Alcotest.(check int) "count" 2 el.Element.delivery_count;
+        Alcotest.(check (option string)) "abort code" (Some "aborted 2 times")
+          el.Element.abort_code
+      | els -> Alcotest.failf "%d elements in the error queue" (List.length els))
+
 let test_alert_threshold () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n" in
@@ -989,6 +1072,12 @@ let features =
     Alcotest.test_case "stable queue writes only its log" `Quick
       test_stable_queue_writes_only_its_log;
     Alcotest.test_case "redirect" `Quick test_redirect;
+    Alcotest.test_case "redirect into stable survives crash" `Quick
+      test_redirect_into_stable_survives_crash;
+    Alcotest.test_case "redirect into volatile unlogged" `Quick
+      test_redirect_into_volatile_unlogged;
+    Alcotest.test_case "volatile spill into stable error queue" `Quick
+      test_volatile_spill_into_stable_error_queue;
     Alcotest.test_case "alert threshold" `Quick test_alert_threshold;
     Alcotest.test_case "trigger join" `Quick test_trigger_join;
     Alcotest.test_case "trigger replay deterministic" `Quick

@@ -272,6 +272,66 @@ let test_poison_request_lands_in_error_queue () =
   in
   Alcotest.(check bool) "completed" true !done_
 
+(* The envelope is the element: its header rides in the element's
+   properties and its body is the payload, so the body the handler sees
+   and the one Receive returns are the very string the client sent. *)
+let test_body_travels_uncopied () =
+  let done_ = ref false in
+  let seen = ref "" in
+  let handler _site _txn env =
+    seen := env.Envelope.body;
+    Server.Reply env.Envelope.body
+  in
+  let _ =
+    H.run (fun s ->
+        let rig = make_rig ~handler s in
+        ignore
+          (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
+               let clerk, _ = connect rig () in
+               let body = String.make 4096 'b' in
+               ignore (Clerk.send clerk ~rid:"r1" body);
+               (match Clerk.receive clerk () with
+               | Some reply ->
+                 Alcotest.(check bool) "handler sees the sent string" true
+                   (!seen == body);
+                 Alcotest.(check bool) "receive returns the sent string" true
+                   (reply.Envelope.body == body)
+               | None -> Alcotest.fail "no reply");
+               done_ := true)))
+  in
+  Alcotest.(check bool) "completed" true !done_
+
+(* An element with no envelope header is poison like a failing request:
+   after the retry limit it is in the error queue, and the server goes on. *)
+let test_headerless_element_lands_in_error_queue () =
+  let done_ = ref false in
+  let _ =
+    H.run (fun s ->
+        let rig = make_rig s in
+        ignore
+          (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
+               let qm = Site.qm rig.backend in
+               let h, _ =
+                 Qm.register qm ~queue:"req" ~registrant:"raw" ~stable:false
+               in
+               ignore
+                 (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "no header"));
+               let clerk, _ = connect rig () in
+               (match Clerk.transceive clerk ~rid:"good" ~timeout:10.0 "fine" with
+               | Some reply ->
+                 Alcotest.(check string) "good request still served" "good"
+                   reply.Envelope.rid
+               | None -> Alcotest.fail "good request starved");
+               (match Qm.elements qm "req.err" with
+               | [ el ] ->
+                 Alcotest.(check string) "the headerless element" "no header"
+                   el.Rrq_qm.Element.payload
+               | els ->
+                 Alcotest.failf "%d elements in the error queue" (List.length els));
+               done_ := true)))
+  in
+  Alcotest.(check bool) "completed" true !done_
+
 let test_cancel_waiting_request () =
   (* Cancellation (paper 7): kill a request still sitting in the queue. *)
   let verdict = ref "" in
@@ -383,6 +443,9 @@ let suite =
       test_client_crash_after_receive_rereceive;
     Alcotest.test_case "poison request -> error queue" `Quick
       test_poison_request_lands_in_error_queue;
+    Alcotest.test_case "body travels uncopied" `Quick test_body_travels_uncopied;
+    Alcotest.test_case "headerless element -> error queue" `Quick
+      test_headerless_element_lands_in_error_queue;
     Alcotest.test_case "cancel waiting request" `Quick test_cancel_waiting_request;
     Alcotest.test_case "load sharing" `Quick test_load_sharing_many_servers;
     Alcotest.test_case "server crash-time sweep" `Quick

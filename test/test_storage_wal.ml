@@ -414,6 +414,31 @@ let test_codec_truncated () =
     (Codec.Decode_error "truncated input at 0 (+8 > 1)") (fun () ->
       ignore (Codec.get_i64 d))
 
+(* An int is written and read in place: no boxed [Int64.t] per int (one
+   was 3 words each way). *)
+let test_codec_ints_unboxed () =
+  let n = 10_000 in
+  let e = Codec.encoder ~size:(8 * n) () in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Codec.int e (i * 7919)
+  done;
+  let enc_words = Gc.minor_words () -. before in
+  let d = Codec.decoder (Codec.to_string e) in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    sum := !sum + Codec.get_int d
+  done;
+  let dec_words = Gc.minor_words () -. before in
+  Alcotest.(check int) "decoded" (7919 * n * (n + 1) / 2) !sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "encode: %.0f words for %d ints" enc_words n)
+    true (enc_words < float_of_int n);
+  Alcotest.(check bool)
+    (Printf.sprintf "decode: %.0f words for %d ints" dec_words n)
+    true (dec_words < float_of_int n)
+
 let prop_codec_string_roundtrip =
   QCheck2.Test.make ~name:"codec string roundtrip" ~count:200
     QCheck2.Gen.(list_size (int_bound 20)
@@ -428,6 +453,7 @@ let codec_suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec truncated input" `Quick test_codec_truncated;
+    Alcotest.test_case "codec ints unboxed" `Quick test_codec_ints_unboxed;
     QCheck_alcotest.to_alcotest prop_codec_string_roundtrip;
   ]
 

@@ -163,7 +163,8 @@ let test_server_queue_set () =
         in
         ignore
           (Qm.auto_commit qm (fun id ->
-               Qm.enqueue qm id h ~priority:prio (Envelope.to_string env)))
+               Qm.enqueue qm id h ~props:(Envelope.props env) ~priority:prio
+                 env.Envelope.body))
       in
       (* standard jobs arrive first, but the express queue's high-priority
          job must be served first once present *)
