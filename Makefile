@@ -74,8 +74,8 @@ bench:
 # micro-costs, stable against volatile queues), B12 (group commit against
 # the one-sync-per-commit ceiling) and B13 (sharded scale-out) at tiny
 # iteration counts —
-# exercises the measurement harness and the seal-reason counters, does not
-# produce meaningful numbers.
+# exercises the measurement harness and group commit's batch counters, does
+# not produce meaningful numbers.
 bench-smoke:
 	dune exec bench/main.exe -- --smoke --only B1 --only B12 --only B13
 

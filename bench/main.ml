@@ -291,20 +291,78 @@ let write_json file results =
   close_out oc;
   Printf.printf "wrote %s (%d sections)\n%!" file (List.length results)
 
+(* ---- compare gate ------------------------------------------------------ *)
+
+(* A file [write_json] wrote, as [(id, lines)] per section: the lines
+   inside the section's braces, which hold its id, its title, its columns
+   and one line per row. *)
+let read_baseline file =
+  let ic = open_in_bin file in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let rec body acc = function
+    | ("    }" | "    },") :: rest -> (List.rev acc, rest)
+    | l :: rest -> body (l :: acc) rest
+    | [] -> failwith (file ^ ": unterminated section")
+  in
+  let rec sections acc = function
+    | "    {" :: rest ->
+      let lines, rest = body [] rest in
+      let id = Scanf.sscanf (List.hd lines) " \"id\": %S" Fun.id in
+      sections ((id, lines) :: acc) rest
+    | _ :: rest -> sections acc rest
+    | [] -> List.rev acc
+  in
+  sections [] (String.split_on_char '\n' text)
+
+(* Compare one fresh table with its recorded lines, line for line; print
+   every difference and return whether there was none. *)
+let matches id expected t =
+  let got =
+    match String.split_on_char '\n' (json_of_table id t) with
+    | _open :: lines -> List.rev (List.tl (List.rev lines))
+    | [] -> []
+  in
+  let diffs = ref 0 in
+  let rec go expected got =
+    match (expected, got) with
+    | [], [] -> ()
+    | e :: es, g :: gs ->
+      if e <> g then begin
+        incr diffs;
+        Printf.printf "%s differs\n  expected %s\n  got      %s\n" id
+          (String.trim e) (String.trim g)
+      end;
+      go es gs
+    | e :: es, [] -> go (e :: es) [ "(none)" ]
+    | [], g :: gs -> go [ "(none)" ] (g :: gs)
+  in
+  go expected got;
+  Printf.printf "%s: %s\n%!" id
+    (if !diffs = 0 then "every row matches"
+     else Printf.sprintf "%d lines differ" !diffs);
+  !diffs = 0
+
 (* ---- driver ------------------------------------------------------------- *)
 
 let usage () =
-  print_endline "usage: main.exe [--only ID]... [--json FILE] [--smoke]";
+  print_endline
+    "usage: main.exe [--only ID]... [--json FILE] [--smoke | --compare FILE]";
   print_endline "  --only ID    run only the section with this id (repeatable);";
   print_endline
     "               ids: E1 E2 E3 B1 B2 B3 B4 B6 B7 B8 B9 B10 B11 B12 B13 B15 A1";
   print_endline "  --json FILE  also write the selected tables to FILE as JSON";
   print_endline
     "  --smoke      tiny iteration counts: exercise the harness, not measure";
+  print_endline
+    "  --compare FILE  rerun FILE's sections (all but B1, whose rows are host";
+  print_endline
+    "               time, unless --only names them) and exit 1 unless every";
+  print_endline "               row matches exactly";
   exit 2
 
 let parse_args () =
-  let only = ref [] and json = ref None in
+  let only = ref [] and json = ref None and compare = ref None in
   let rec go = function
     | [] -> ()
     | "--only" :: id :: rest ->
@@ -320,26 +378,66 @@ let parse_args () =
     | "--smoke" :: rest ->
       smoke := true;
       go rest
+    | "--compare" :: file :: rest ->
+      compare := Some file;
+      go rest
     | _ -> usage ()
   in
   go (List.tl (Array.to_list Sys.argv));
-  (List.rev !only, !json)
+  (* A smoke run's tiny counts cannot reproduce a recorded run. *)
+  if !smoke && !compare <> None then usage ();
+  (List.rev !only, !json, !compare)
 
 let () =
-  let only, json = parse_args () in
-  let selected =
-    match only with
-    | [] -> sections
-    | ids -> List.filter (fun s -> List.mem s.id ids) sections
+  let only, json, compare = parse_args () in
+  let baseline = Option.map read_baseline compare in
+  let ids =
+    match (only, baseline) with
+    | [], None -> List.map (fun s -> s.id) sections
+    | [], Some b -> List.filter (fun id -> id <> "B1") (List.map fst b)
+    | ids, _ -> ids
   in
+  let selected = List.filter (fun s -> List.mem s.id ids) sections in
+  (* A compared section must be both recorded and still produced. *)
+  Option.iter
+    (fun b ->
+      List.iter
+        (fun id ->
+          if not (List.mem_assoc id b && List.exists (fun s -> s.id = id) selected)
+          then begin
+            Printf.printf "section %s is not both in %s and in this harness\n"
+              id (Option.get compare);
+            exit 1
+          end)
+        ids)
+    baseline;
   let results =
     List.map
       (fun s ->
-        Printf.printf "\n######## %s ########\n\n%!" s.heading;
-        let t = s.produce () in
-        Table.print t;
+        let t =
+          match baseline with
+          | None ->
+            Printf.printf "\n######## %s ########\n\n%!" s.heading;
+            let t = s.produce () in
+            Table.print t;
+            t
+          | Some _ -> s.produce ()
+        in
         (s.id, t))
       selected
   in
   (match json with Some file -> write_json file results | None -> ());
-  Printf.printf "all experiments completed (%d sections)\n" (List.length results)
+  match baseline with
+  | None ->
+    Printf.printf "all experiments completed (%d sections)\n"
+      (List.length results)
+  | Some b ->
+    let ok =
+      List.fold_left
+        (fun ok (id, t) -> matches id (List.assoc id b) t && ok)
+        true results
+    in
+    Printf.printf "compare: %d sections %s %s\n" (List.length results)
+      (if ok then "match" else "checked against")
+      (Option.get compare);
+    if not ok then exit 1

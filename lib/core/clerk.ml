@@ -233,6 +233,19 @@ let envelope t ~rid ?kind ?scratch ?step ~body () =
     ~reply_node:(Shard.owner t.smap (key t t.reply_q))
     ~reply_queue:t.reply_q ?kind ?scratch ?step body
 
+(* A request's enqueue: tagged with its Send, its header in the element
+   properties ahead of the caller's, its body the payload. *)
+let request_op t ~rid ~props env =
+  Site.Q_enqueue
+    {
+      registrant = t.client_id;
+      queue = t.req_queue;
+      tag = Some (Tag.send ~rid);
+      props = Envelope.props env @ props;
+      priority = 0;
+      body = env.Envelope.body;
+    }
+
 let send t ~rid ?(props = []) ?kind ?scratch ?step body =
   (* Retrying the same Send is recovery, not a transition; an intermediate
      input (step > 0) is the fig. 7 Send-intermediate edge. *)
@@ -242,18 +255,7 @@ let send t ~rid ?(props = []) ?kind ?scratch ?step body =
       | Some n when n > 0 -> Client_fsm.Send_intermediate
       | _ -> Client_fsm.Send);
   let env = envelope t ~rid ?kind ?scratch ?step ~body () in
-  match
-    rpc t ~queue:t.req_queue
-      (Site.Q_enqueue
-         {
-           registrant = t.client_id;
-           queue = t.req_queue;
-           tag = Some (Tag.send ~rid);
-           props = Envelope.props env @ props;
-           priority = 0;
-           body = env.Envelope.body;
-         })
-  with
+  match rpc t ~queue:t.req_queue (request_op t ~rid ~props env) with
   | Site.R_eid eid ->
     t.last_rid <- Some rid;
     t.last_eid <- Some eid;
@@ -270,20 +272,10 @@ let send_oneway t ~rid ?(props = []) body =
   let env = envelope t ~rid ~body () in
   t.last_rid <- Some rid;
   t.last_eid <- None;
-  let op =
-    Site.Q_enqueue
-      {
-        registrant = t.client_id;
-        queue = t.req_queue;
-        tag = Some (Tag.send ~rid);
-        props = Envelope.props env @ props;
-        priority = 0;
-        body = env.Envelope.body;
-      }
-  in
   Net.cast t.cnode
     ~dst:(current t (candidates t t.req_queue))
-    ~service:"qm" (routed t op)
+    ~service:"qm"
+    (routed t (request_op t ~rid ~props env))
 
 let decode_view = function
   | None -> None

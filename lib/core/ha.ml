@@ -111,7 +111,6 @@ let last_promote_at t = t.last_promote_at
 
 (* The node log's batcher: the one stream this node ships. *)
 let gc t = Node_log.group_commit (Site.log t.site)
-let pending_ship t = Group_commit.pending_ship (gc t)
 
 (* Metrics are per node: [ha.<name>:<node>]. *)
 let metric t name = "ha." ^ name ^ ":" ^ Net.node_name (Site.node t.site)

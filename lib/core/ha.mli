@@ -99,10 +99,6 @@ val is_serving : t -> bool
 val shipping : t -> bool
 (** The primary's link is up: shippers installed, peer synced or syncing. *)
 
-val pending_ship : t -> int
-(** Records of the node log not yet in a ship round (the exposure window
-    of [Lagged] mode). *)
-
 val failovers : t -> int
 val degrades : t -> int
 val resyncs : t -> int

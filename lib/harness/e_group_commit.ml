@@ -27,11 +27,8 @@ type row = {
   syncs_per_commit : float;
   commit_p50 : float;
   commit_p99 : float;
-  seals : (string * int) list;
   sync_latency : float;
 }
-
-let seal_reasons = [ "full"; "timeout"; "idle"; "rate" ]
 
 let one_run ~servers ~jobs ~sync_latency =
   Rrq_obs.reset ();
@@ -93,28 +90,15 @@ let one_run ~servers ~jobs ~sync_latency =
                  else 0.0);
               commit_p50 = Histogram.percentile lat 0.50;
               commit_p99 = Histogram.percentile lat 0.99;
-              seals =
-                List.map
-                  (fun r ->
-                    ( r,
-                      Rrq_obs.Metrics.find_counter d
-                        ("gc.seal." ^ r ^ ":qm.log") ))
-                  seal_reasons;
               sync_latency;
             }))
 
 (* Every server count from 1 to 16, not powers of two: group commit must
    match one flush per commit at one server and scale past it at every
    count where the device saturates, so no in-between count may hide a
-   mistuned seal. *)
+   stall. *)
 let run ?(jobs = 200) ?(sync_latency = 0.001) () =
   List.init 16 (fun i -> one_run ~servers:(i + 1) ~jobs ~sync_latency)
-
-let seals_cell seals =
-  match List.filter (fun (_, n) -> n > 0) seals with
-  | [] -> "-"
-  | nz ->
-    String.concat " " (List.map (fun (r, n) -> Printf.sprintf "%s:%d" r n) nz)
 
 let table rows =
   let t =
@@ -130,7 +114,6 @@ let table rows =
           "syncs/commit";
           "p50 commit (ms)";
           "p99 commit (ms)";
-          "seals";
           "no-batch commits/s";
           "no-batch p50 (ms)";
         ]
@@ -146,7 +129,6 @@ let table rows =
           Printf.sprintf "%.3f" r.syncs_per_commit;
           Printf.sprintf "%.2f" (r.commit_p50 *. 1000.0);
           Printf.sprintf "%.2f" (r.commit_p99 *. 1000.0);
-          seals_cell r.seals;
           (* The no-batching ceiling: one flush per commit serializes on
              the device, so throughput is 1/sync_latency and a commit
              waits behind every other server's flush. *)

@@ -20,9 +20,6 @@ type row = {
   syncs_per_commit : float;  (** Device flushes per committed dequeue. *)
   commit_p50 : float;  (** Median dequeue commit latency (virtual s). *)
   commit_p99 : float;
-  seals : (string * int) list;
-      (** Group-commit seal counts by reason (full/timeout/idle/rate)
-          during the drain — see [Group_commit.seal_counts]. *)
   sync_latency : float;  (** The device flush latency the run used. *)
 }
 
@@ -33,6 +30,5 @@ val run : ?jobs:int -> ?sync_latency:float -> unit -> row list
     flush. *)
 
 val table : row list -> Rrq_util.Table.t
-(** One row per run, with a seal-reason column, so [--json] rows carry the
-    seal counters, and the no-batching ceiling's commits/s and p50 in the
-    last two columns. *)
+(** One row per run, with the no-batching ceiling's commits/s and p50 in
+    the last two columns. *)

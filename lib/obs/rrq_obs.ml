@@ -220,7 +220,7 @@ module Event = struct
     | Txn_resolve of { tm : string; txid : string; commit : bool }
     | Wal_append of { wal : string; lsn : int; bytes : int }
     | Wal_force of { wal : string; lsn : int }
-    | Batch_seal of { wal : string; batch : int; reason : string }
+    | Batch_seal of { wal : string; batch : int }
     | Crashpoint_fired of { site : string; hit : int }
     | Client_fsm of {
         client : string;
@@ -284,8 +284,8 @@ module Event = struct
       )
     | Wal_force { wal; lsn } ->
       ("wforce", [ ("wal", wal); ("lsn", string_of_int lsn) ])
-    | Batch_seal { wal; batch; reason } ->
-      ("seal", [ ("wal", wal); ("batch", string_of_int batch); ("reason", reason) ])
+    | Batch_seal { wal; batch } ->
+      ("seal", [ ("wal", wal); ("batch", string_of_int batch) ])
     | Crashpoint_fired { site; hit } ->
       ("crashpoint", [ ("site", site); ("hit", string_of_int hit) ])
     | Client_fsm { client; from_state; event; to_state } ->
@@ -392,11 +392,9 @@ module Event = struct
     | [ "wappend"; wal; lsn; bytes ] ->
       Wal_append { wal; lsn = int_of_string lsn; bytes = int_of_string bytes }
     | [ "wforce"; wal; lsn ] -> Wal_force { wal; lsn = int_of_string lsn }
-    | [ "seal"; wal; batch ] ->
-      (* Pre-reason traces: default the reason so old recordings replay. *)
-      Batch_seal { wal; batch = int_of_string batch; reason = "full" }
-    | [ "seal"; wal; batch; reason ] ->
-      Batch_seal { wal; batch = int_of_string batch; reason }
+    | [ "seal"; wal; batch ] | [ "seal"; wal; batch; _ ] ->
+      (* Older recordings carry a fourth field, a seal reason: dropped. *)
+      Batch_seal { wal; batch = int_of_string batch }
     | [ "crashpoint"; site; hit ] ->
       Crashpoint_fired { site; hit = int_of_string hit }
     | [ "fsm"; client; from_state; event; to_state ] ->

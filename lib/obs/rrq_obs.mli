@@ -107,9 +107,8 @@ module Event : sig
             record, after asking every participant. *)
     | Wal_append of { wal : string; lsn : int; bytes : int }
     | Wal_force of { wal : string; lsn : int }
-    | Batch_seal of { wal : string; batch : int; reason : string }
-        (** A group-commit batch sealed: [batch] committers covered by one
-            sync, [reason] one of full/timeout/idle/rate. *)
+    | Batch_seal of { wal : string; batch : int }
+        (** A group-commit flush: [batch] committers covered by one sync. *)
     | Crashpoint_fired of { site : string; hit : int }
     | Client_fsm of {
         client : string;

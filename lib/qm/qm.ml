@@ -610,24 +610,26 @@ let restore_element s ~stale op =
 
 let snapshot e s =
   Codec.int e s.incarnations;
-  (* stable queues only: volatile contents die with the process anyway.
-     The checkpoint deletes the segments holding their redo records, so the
-     snapshot is the materialized prefix of exactly the log they recover
-     from. *)
-  let stable_queues =
-    Hashtbl.fold
-      (fun _ q acc -> if q.qattrs.durability = Stable then q :: acc else acc)
-      s.queues []
+  (* Every queue's definition, but only a stable queue's elements:
+     volatile contents die with the process anyway. The checkpoint deletes
+     the segments holding every queue's [RCreate] and its stable redo
+     records, so the snapshot is the materialized prefix of exactly the log
+     they recover from. *)
+  let queues =
+    Hashtbl.fold (fun _ q acc -> q :: acc) s.queues []
     |> List.sort (fun a b -> compare a.qname b.qname)
   in
-  Codec.int e (List.length stable_queues);
+  Codec.int e (List.length queues);
   List.iter
     (fun q ->
       Codec.string e q.qname;
       encode_attrs e q.qattrs;
-      Codec.int e (Emap.cardinal q.elems);
-      Emap.iter (fun _ el -> Element.encode e el) q.elems)
-    stable_queues;
+      if q.qattrs.durability = Stable then begin
+        Codec.int e (Emap.cardinal q.elems);
+        Emap.iter (fun _ el -> Element.encode e el) q.elems
+      end
+      else Codec.int e 0)
+    queues;
   let stopped_queues =
     Hashtbl.fold (fun qn q acc -> if q.stopped then qn :: acc else acc) s.queues []
   in

@@ -5,15 +5,18 @@
     dominant cost of every [Enqueue]/[Dequeue]. With one {!Rrq_storage.Disk}
     sync per transaction, N concurrent servers draining a queue pay N device
     flushes where one would do. This module coalesces them, and it is the
-    only way a log is forced: committers call {!force}, and one caller
-    becomes the {e leader} — it decides from the commit arrival rate
-    whether to wait for company, issues a single sync covering every record
-    appended so far, and wakes all parked {e followers} whose records made
-    it out.
+    only way a log is forced: committers call {!force}, and it has one
+    rule. The first committer that finds no sync under way becomes the
+    {e leader} and flushes at once: one sync covers every record appended
+    before it ends. Committers that arrive while that flush runs park as
+    {e followers}, and the flush that covers them wakes them. So an idle
+    device costs one flush per commit, and a saturated one shares each
+    flush among its leader and every commit that arrived while it ran
+    (B12).
 
     The contract callers must follow (and all RMs/TMs in this repo do):
 
-    + append the commit record(s) with {!append};
+    + append the commit record(s) with {!append_enc};
     + apply their effects to memory {e without yielding};
     + call {!force} and only acknowledge the transaction after it returns.
 
@@ -30,34 +33,17 @@
     A node's resource managers share one log and one batcher
     ({!Rrq_txn.Node_log}), which follows this contract for all of them.
 
-    Sealing parks fibers, so it only happens inside the simulator.
-    Outside a fiber nothing can park: {!force} issues one direct sync and
-    counts it as an [idle] seal of one. Inside a fiber each sync is charged
-    against the disk's [sync_latency] device model, so the simulator
-    measures realistic commit cost.
-
-    The leader estimates the commit arrival rate — an EWMA of force-call
-    inter-arrival time sampled from the virtual clock — and seals each
-    batch by whichever rule fits the estimate. The target batch is
-    [sync_latency / ewma_interarrival] commits, at most 64, and the window
-    is at most 0.5 ms:
-    - [idle]: the estimate is below ~1.5 commits per flush, so the device
-      keeps up and the leader seals at once;
-    - [rate] / [full]: the predicted batch (or 64 committers) boarded;
-    - [timeout]: the window expired before the stragglers came.
-
-    So light load costs one flush per commit, and heavy load shares one
-    flush among many commits (B12). Seal-reason counts are exported as
-    [gc.seal.<reason>:<wal>] counters and on the [Batch_seal] trace
-    event. *)
+    Followers park, so batching only happens inside the simulator.
+    Outside a fiber nothing can park: {!force} issues one direct sync.
+    Inside a fiber each sync is charged against the disk's [sync_latency]
+    device model, so the simulator measures realistic commit cost. Each
+    flush observes its batch size on the [gc.batch:<wal>] series and emits
+    a [Batch_seal] trace event. *)
 
 type t
 
 val create : Wal.t -> t
 (** Batcher for [wal]. *)
-
-val append : t -> string -> unit
-(** Buffer a record at the log tail (same as [Wal.append]). *)
 
 val append_enc : t -> Rrq_util.Codec.encoder -> unit
 (** Buffer a record straight from an encoder (same as [Wal.append_enc]):
@@ -74,7 +60,7 @@ val force : t -> unit
     the process is about to be declared crashed anyway. *)
 
 val append_force : t -> string -> unit
-(** [append] then [force]. *)
+(** Append one record (as [Wal.append]), then {!force}. *)
 
 (** {1 Log shipping (primary-backup replication)}
 
@@ -92,10 +78,10 @@ val append_force : t -> string -> unit
     apply rounds in LSN order.
 
     In [sync] mode (the default) {!force} starts the round that carries the
-    caller's records alongside its local sync (the leader starts it when
-    its batch seals), and does not return until both the durable LSN and
-    the shipped LSN cover them: a commit waits for the slower of its sync
-    and its round trip, not their sum. This is the replication counterpart
+    caller's records alongside its local sync (the leader starts it before
+    its flush, a follower at once), and does not return until both the
+    durable LSN and the shipped LSN cover them: a commit waits for the
+    slower of its sync and its round trip, not their sum. This is the replication counterpart
     of the durability-before-reply rule: a transaction is only
     acknowledged once the backup could take over without losing it.
     Records may reach the peer before they are durable here, so after a
@@ -119,8 +105,6 @@ val clear_shipper : t -> unit
 
 val shipping : t -> bool
 val shipped_lsn : t -> int
-val pending_ship : t -> int
-(** Retained records not yet in a ship round. *)
 
 val ship_in_flight : t -> bool
 (** Some ship round is still running its shipper callback (possibly for a
@@ -134,9 +118,6 @@ val ship_now : t -> unit
 
 (** {1 Accounting} *)
 
-val ships : t -> int
-(** Number of non-empty batches handed to the shipper. *)
-
 val forces : t -> int
 (** Number of {!force} calls that had undurable records to cover. *)
 
@@ -144,11 +125,3 @@ val syncs : t -> int
 (** Number of physical device syncs issued by this batcher. With
     concurrent committers on a slow device this is less than {!forces} —
     the whole point. *)
-
-val seal_counts : t -> (string * int) list
-(** How many batches sealed for each reason, as
-    [("full" | "timeout" | "idle" | "rate") * count].
-    [full]: the batch hit 64 committers; [timeout]: the window expired;
-    [idle]: the rate estimate said batching would not pay, so the leader
-    sealed at once (every force outside a fiber is one); [rate]: the
-    predicted batch boarded before the window closed. *)

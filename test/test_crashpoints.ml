@@ -104,9 +104,9 @@ let check_invariants ~point (tag, first_present, second_present, got) =
   if tag = Some "r2" then
     Alcotest.(check bool) (ctx "I4 tag r2 => got") true got
 
-(* The same invariants must hold whether group commit seals every force
-   at once (a free device: one sync per force) or batches them (a 1 ms
-   flush, so concurrent committers board a leader's sync), which reorders
+(* The same invariants must hold whether group commit flushes once per
+   force (a free device: one sync per force) or batches them (a 1 ms
+   flush, so concurrent committers ride a leader's sync), which reorders
    the apply/force interleaving. *)
 let latencies = [ ("0ms", 0.0); ("1ms", 0.001) ]
 

@@ -18,7 +18,7 @@ module Rng = Rrq_util.Rng
 module H = Rrq_test_support.Sim_harness
 
 (* A 1 ms flush: slow enough that concurrent committers outpace the device,
-   so group commit batches instead of sealing every force at once. *)
+   so group commit batches instead of flushing once per force. *)
 let sync_latency = 0.001
 
 (* ---- WAL-level batching ------------------------------------------------ *)
@@ -51,17 +51,13 @@ let test_wal_batching_coalesces () =
       Alcotest.(check int) "all records durable" n (List.length r.Wal.records))
 
 (* Outside a fiber group commit must degrade to a direct sync rather than
-   touch the scheduler, and count it as an idle seal of one. *)
+   touch the scheduler. *)
 let test_force_outside_fiber () =
   let disk = Disk.create "gc" in
   let wal, _ = Wal.open_log disk ~name:"log" in
   let gc = Group_commit.create wal in
   Group_commit.append_force gc "solo";
   Alcotest.(check int) "synced directly" 1 (Group_commit.syncs gc);
-  Alcotest.(check (list (pair string int)))
-    "one idle seal"
-    [ ("full", 0); ("timeout", 0); ("idle", 1); ("rate", 0) ]
-    (Group_commit.seal_counts gc);
   Disk.crash disk;
   let _, r = Wal.open_log disk ~name:"log" in
   Alcotest.(check (list string)) "durable" [ "solo" ] r.Wal.records
@@ -174,7 +170,7 @@ let test_acked_commit_sweep_torn () =
       (drain_with_crash ~torn:true ~servers ~jobs ~point:(Some point))
   done
 
-(* ---- adaptive sealing: low-concurrency regression fix ----------------- *)
+(* ---- batching: a leader flushes at once -------------------------------- *)
 
 (* One sync per commit serializes on the device, so its throughput is the
    device ceiling 1/sync_latency at every server count (B12). *)
@@ -183,28 +179,59 @@ let ceiling = 1.0 /. sync_latency
 let drain servers =
   Rrq_harness.E_group_commit.one_run ~servers ~jobs:200 ~sync_latency
 
-(* A fixed batch window at 1 server would cost a window's worth of latency
-   per commit. Adaptive sealing must detect the idle device and seal every
-   force at once: 1-server throughput within 5% of the device ceiling,
-   while still batching (beating the ceiling) once enough servers contend
-   for the device. *)
-let test_adaptive_single_server_parity () =
-  let ada = drain 1 in
+(* A batch window at 1 server would cost a window's worth of latency per
+   commit. The leader flushes at once, so 1-server throughput is within 5%
+   of the device ceiling, while committers that arrive during a flush
+   still ride it (beating the ceiling) once enough servers contend for the
+   device. *)
+let test_single_server_parity () =
+  let r = drain 1 in
   Alcotest.(check bool)
     (Printf.sprintf "within 5%% of the device ceiling (%.0f vs %.0f)"
-       ada.commits_per_sec ceiling)
+       r.commits_per_sec ceiling)
     true
-    (ada.commits_per_sec >= 0.95 *. ceiling)
+    (r.commits_per_sec >= 0.95 *. ceiling)
 
-let test_adaptive_batches_under_load () =
-  let ada = drain 8 in
+let test_batches_under_load () =
+  let r = drain 8 in
   Alcotest.(check bool)
-    (Printf.sprintf "batches at 8 servers (%.0f >= %.0f)" ada.commits_per_sec
+    (Printf.sprintf "batches at 8 servers (%.0f >= %.0f)" r.commits_per_sec
        ceiling)
     true
-    (ada.commits_per_sec >= ceiling);
-  Alcotest.(check bool) "adaptive syncs per commit below 1 under load" true
-    (ada.syncs_per_commit < 1.0)
+    (r.commits_per_sec >= ceiling);
+  Alcotest.(check bool) "syncs per commit below 1 under load" true
+    (r.syncs_per_commit < 1.0)
+
+(* Committers arriving every 0.2 ms on a 1 ms device: each one either
+   leads a flush at once or rides the flush under way, so no force takes
+   longer than one flush. A leader that held its batch open for company
+   would add its wait to the flush. Under the ROADMAP's honest flush model
+   a follower waits for the next flush instead, and this bound becomes two
+   flushes. *)
+let test_paced_force_within_one_flush () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create ~sync_latency "gc" in
+      let wal, _ = Wal.open_log disk ~name:"log" in
+      let gc = Group_commit.create wal in
+      let n = 200 and gap = 0.0002 in
+      let worst = ref 0.0 in
+      let fibers =
+        List.init n (fun i ->
+            Sched.fork ~name:(Printf.sprintf "c%d" i) (fun () ->
+                Sched.sleep (float_of_int i *. gap);
+                let t0 = Sched.clock () in
+                Group_commit.append_force gc (Printf.sprintf "r%d" i);
+                worst := Float.max !worst (Sched.clock () -. t0)))
+      in
+      while List.exists Sched.alive fibers do
+        Sched.sleep 0.001
+      done;
+      Alcotest.(check int) "every committer forced" n (Group_commit.forces gc);
+      Alcotest.(check bool)
+        (Printf.sprintf "worst force %.3f ms within one flush"
+           (!worst *. 1000.0))
+        true
+        (!worst <= sync_latency +. 1e-9))
 
 (* ---- 2PC decision durability under the batched force ------------------- *)
 
@@ -289,12 +316,14 @@ let () =
             test_force_outside_fiber;
           Alcotest.test_case "force is idempotent" `Quick test_force_idempotent;
         ] );
-      ( "adaptive",
+      ( "batching",
         [
           Alcotest.test_case "1-server commits/s within 5% of device ceiling"
-            `Quick test_adaptive_single_server_parity;
+            `Quick test_single_server_parity;
           Alcotest.test_case "batches under load" `Quick
-            test_adaptive_batches_under_load;
+            test_batches_under_load;
+          Alcotest.test_case "paced force within one flush" `Quick
+            test_paced_force_within_one_flush;
         ] );
       ( "crashpoints",
         [

@@ -413,6 +413,35 @@ let test_volatile_queue_lost_on_crash_and_unlogged () =
         (Qm.queue_exists qm2 "vq");
       Alcotest.(check int) "contents lost" 0 (Qm.depth qm2 "vq"))
 
+(* A checkpoint deletes the log segments holding a volatile queue's
+   [RCreate], so its snapshot must keep the queue's definition, attrs and
+   stopped flag, though not its contents. *)
+let test_volatile_queue_survives_checkpoint () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let qm = Qm.open_qm disk ~name:"qm" in
+      Qm.create_queue qm
+        ~attrs:{ Qm.default_attrs with durability = Qm.Volatile }
+        "vq";
+      let h, _ = Qm.register qm ~queue:"vq" ~registrant:"t" ~stable:false in
+      for i = 1 to 3 do
+        ignore (enq qm h (string_of_int i))
+      done;
+      Qm.stop_queue qm "vq";
+      Qm.checkpoint qm;
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      Alcotest.(check bool) "queue definition survives" true
+        (Qm.queue_exists qm2 "vq");
+      Alcotest.(check int) "contents lost" 0 (Qm.depth qm2 "vq");
+      Alcotest.(check bool) "still stopped" true (Qm.queue_stopped qm2 "vq");
+      Qm.start_queue qm2 "vq";
+      let h2, _ = Qm.register qm2 ~queue:"vq" ~registrant:"t" ~stable:false in
+      let synced_before = Disk.synced_bytes disk in
+      ignore (enq qm2 h2 "x");
+      Alcotest.(check int) "still volatile: the enqueue is unlogged"
+        synced_before (Disk.synced_bytes disk))
+
 (* A stable queue is a main-memory database that logs its updates (§10):
    a committed enqueue and dequeue write their redo records to the node log
    and nothing else, so the disk's synced bytes grow by exactly what the
@@ -484,8 +513,9 @@ let test_redirect_into_stable_survives_crash () =
         "source";
       let src, _ = Qm.register qm ~queue:"source" ~registrant:"t" ~stable:false in
       let tgt, _ = Qm.register qm ~queue:"target" ~registrant:"r" ~stable:true in
-      (* After a checkpoint the snapshot holds no [Volatile] queue, so
-         replay must not need the source. *)
+      (* After a checkpoint the snapshot holds the [Volatile] source's
+         definition but none of its elements, so replay must not need
+         them. *)
       Qm.checkpoint qm;
       ignore (enq qm src "a");
       ignore (enq qm src "b");
@@ -1069,6 +1099,8 @@ let features =
   [
     Alcotest.test_case "volatile queue" `Quick
       test_volatile_queue_lost_on_crash_and_unlogged;
+    Alcotest.test_case "volatile queue survives a checkpoint" `Quick
+      test_volatile_queue_survives_checkpoint;
     Alcotest.test_case "stable queue writes only its log" `Quick
       test_stable_queue_writes_only_its_log;
     Alcotest.test_case "redirect" `Quick test_redirect;
