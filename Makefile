@@ -1,6 +1,6 @@
 # Convenience targets; dune does the real work. See doc/CI.md.
 
-.PHONY: all build test quick-test lint lint-graph witness check sim ha-check shard-check stats bench bench-smoke clean
+.PHONY: all build test quick-test lint lint-graph witness check sim equiv ha-check shard-check stats bench bench-smoke clean
 
 all: build
 
@@ -43,6 +43,13 @@ sim:
 	dune exec bin/rrq_demo.exe -- check --scenario sharded --sites
 	dune exec bin/rrq_demo.exe -- check --scenario sharded-ha --sites
 	dune exec bin/rrq_demo.exe -- check --scenario chain --sites
+
+# Virtual-behaviour equivalence with another revision (not part of `dune
+# runtest`): `make sim`'s commands, 200 schedules per correct scenario and
+# bench/load's virtual lines, run on both trees and diffed. See doc/CI.md.
+equiv:
+	@test -n "$(REF)" || { echo "usage: make equiv REF=<rev>" >&2; exit 2; }
+	sh tools/equiv.sh $(REF)
 
 # The failover campaign alone (also runs as part of `dune runtest`):
 # HA explorer + lag-bug catch + replication crash-site sweep, then the

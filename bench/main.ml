@@ -10,6 +10,8 @@ module Qm = Rrq_qm.Qm
 module Kvdb = Rrq_kvdb.Kvdb
 module Tm = Rrq_txn.Tm
 module Table = Rrq_util.Table
+module Sched = Rrq_sim.Sched
+module Ivar = Rrq_sim.Ivar
 
 (* [--smoke] runs everything at a fraction of the iterations/quota: enough
    to exercise every code path under [dune runtest] (the bench harness must
@@ -80,6 +82,24 @@ let bench_kv_put () =
     Kvdb.put kv id ("k" ^ string_of_int (!n mod 512)) "v";
     Kvdb.commit kv id
 
+(* One clerk-style timed wait, in a simulation of its own: a wait of 30 s
+   answered after 1 ms, one started every 75 ms of virtual time. A timeout
+   left armed after its answer stays in the timer heap for 30 s, so about
+   400 of them (the number on the single-repository workload) would sit
+   there at once; cancelled on the answer, the heap holds two or three. *)
+let timed_waits n =
+  let s = Sched.create ~trace_limit:0 () in
+  ignore
+    (Sched.spawn s ~name:"driver" (fun () ->
+         for _ = 1 to n do
+           let iv = Ivar.create () in
+           ignore
+             (Sched.fork ~name:"wait" (fun () -> ignore (Ivar.read_timeout iv 30.0)));
+           Sched.at s (Sched.clock () +. 0.001) (fun () -> Ivar.fill iv ());
+           Sched.sleep 0.075
+         done));
+  fun () -> Sched.run s
+
 let b1_ops =
   [
     ("stable enq+deq (128B)", bench_stable_roundtrip);
@@ -92,19 +112,27 @@ let b1_ops =
 
 let b1_reps = 7
 
-let time_ns ~iters setup =
+(* [batch iters] builds fresh state and returns the thunk that runs
+   [iters] iterations on it. *)
+let time_batch ~iters batch =
   let best = ref infinity and worst = ref 0.0 in
   for _ = 1 to b1_reps do
-    let f = setup () in
+    let go = batch iters in
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
+    go ();
     let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
     if ns < !best then best := ns;
     if ns > !worst then worst := ns
   done;
   (!best, !worst /. !best)
+
+let time_ns ~iters setup =
+  time_batch ~iters (fun iters ->
+      let f = setup () in
+      fun () ->
+        for _ = 1 to iters do
+          f ()
+        done)
 
 let run_b1 () =
   let iters = scaled 30_000 in
@@ -113,12 +141,12 @@ let run_b1 () =
       ~title:"B1: queue-manager operation costs (paper 10: main-memory DB + log)"
       ~columns:[ "operation"; "ns/op"; "spread" ]
   in
-  List.iter
-    (fun (name, setup) ->
-      let ns, spread = time_ns ~iters setup in
-      Table.add_row t
-        [ "B1 " ^ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.2f" spread ])
-    b1_ops;
+  let row name (ns, spread) =
+    Table.add_row t
+      [ "B1 " ^ name; Printf.sprintf "%.0f" ns; Printf.sprintf "%.2f" spread ]
+  in
+  List.iter (fun (name, setup) -> row name (time_ns ~iters setup)) b1_ops;
+  row "timed wait, answered (sim)" (time_batch ~iters timed_waits);
   t
 
 (* ---- experiment registry ------------------------------------------------ *)

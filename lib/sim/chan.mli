@@ -16,7 +16,8 @@ val recv : 'a t -> 'a
 (** Block until a value arrives (FIFO among waiters). *)
 
 val recv_timeout : 'a t -> float -> 'a option
-(** Like [recv] but gives up after the virtual duration, returning [None]. *)
+(** Like [recv] but gives up after the virtual duration, returning [None];
+    the waiter then leaves the queue at once. *)
 
 val length : 'a t -> int
 (** Number of queued (undelivered) values. *)

@@ -6,22 +6,25 @@ let wait t =
   let ok = Sched.suspend (fun _ w -> t.queue <- t.queue @ [ w ]) in
   assert ok
 
-let wait_timeout t d =
-  Sched.suspend (fun sched w ->
-      t.queue <- t.queue @ [ w ];
-      Sched.at sched (Sched.now sched +. d) (fun () ->
-          ignore (Sched.wake w false)))
+(* Block with a timeout; the thunk that wins drops [w] from every queue it
+   sits in, so a cond polled with timeouts and never signalled does not
+   collect dead wakers. *)
+let wait_timed conds d =
+  Sched.suspend (fun _ w ->
+      List.iter (fun c -> c.queue <- c.queue @ [ w ]) conds;
+      Sched.timeout w d (fun () ->
+          if Sched.wake w false then
+            List.iter (fun c -> c.queue <- List.filter (( != ) w) c.queue) conds))
+
+let wait_timeout t d = wait_timed [ t ] d
 
 let wait_any ?timeout conds =
-  Sched.suspend (fun sched w ->
-      (* The same one-shot waker sits in every queue (and on the timer);
-         whichever fires first wins, the rest find it dead and skip it. *)
-      List.iter (fun c -> c.queue <- c.queue @ [ w ]) conds;
-      match timeout with
-      | None -> ()
-      | Some d ->
-        Sched.at sched (Sched.now sched +. d) (fun () ->
-            ignore (Sched.wake w false)))
+  match timeout with
+  | Some d -> wait_timed conds d
+  | None ->
+    (* The same one-shot waker sits in every queue; whichever is signalled
+       first wins, the rest find it dead and skip it. *)
+    Sched.suspend (fun _ w -> List.iter (fun c -> c.queue <- c.queue @ [ w ]) conds)
 
 let rec signal t =
   match t.queue with

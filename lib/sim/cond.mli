@@ -17,12 +17,12 @@ val wait : t -> unit
 
 val wait_timeout : t -> float -> bool
 (** Block until signalled ([true]) or until the duration elapses
-    ([false]). *)
+    ([false]); a waiter that times out leaves the queue at once. *)
 
 val wait_any : ?timeout:float -> t list -> bool
 (** Block until any of the conditions is signalled ([true]) or the optional
-    timeout elapses ([false]). Used to wait on several queues at once
-    (queue sets). *)
+    timeout elapses ([false]), leaving every queue in the latter case. Used
+    to wait on several queues at once (queue sets). *)
 
 val signal : t -> unit
 (** Wake one live waiter, if any. *)

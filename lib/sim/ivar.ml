@@ -27,7 +27,6 @@ let read_timeout t d =
   match t.value with
   | Some v -> Some v
   | None ->
-    Sched.suspend (fun sched w ->
+    Sched.suspend (fun _ w ->
         t.readers <- w :: t.readers;
-        Sched.at sched (Sched.now sched +. d) (fun () ->
-            ignore (Sched.wake w None)))
+        Sched.timeout w d (fun () -> ignore (Sched.wake w None)))

@@ -5,16 +5,52 @@ type fiber = {
   mutable live : bool;
 }
 
-(* Binary min-heap of timers ordered by (time, sequence). *)
+(* Binary min-heap of timers ordered by (time, sequence). Each entry knows
+   its slot ([idx], -1 once out of the heap), so a cancelled timeout is
+   removed in O(log n) instead of lingering until its deadline. *)
 module Heap = struct
-  type entry = { time : float; seq : int; bg : bool; thunk : unit -> unit }
+  type entry = {
+    time : float;
+    seq : int;
+    bg : bool;
+    thunk : unit -> unit;
+    mutable idx : int;
+  }
 
   type h = { mutable arr : entry array; mutable len : int }
 
-  let dummy = { time = 0.0; seq = 0; bg = false; thunk = (fun () -> ()) }
+  let dummy = { time = 0.0; seq = 0; bg = false; thunk = (fun () -> ()); idx = -1 }
   let create () = { arr = Array.make 64 dummy; len = 0 }
   let is_empty h = h.len = 0
   let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+  let set h i e =
+    h.arr.(i) <- e;
+    e.idx <- i
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      let e = h.arr.(i) in
+      if less e h.arr.(p) then begin
+        set h i h.arr.(p);
+        set h p e;
+        sift_up h p
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = if l < h.len && less h.arr.(l) h.arr.(i) then l else i in
+    let smallest =
+      if r < h.len && less h.arr.(r) h.arr.(smallest) then r else smallest
+    in
+    if smallest <> i then begin
+      let e = h.arr.(i) in
+      set h i h.arr.(smallest);
+      set h smallest e;
+      sift_down h smallest
+    end
 
   let push h e =
     if h.len = Array.length h.arr then begin
@@ -22,39 +58,30 @@ module Heap = struct
       Array.blit h.arr 0 bigger 0 h.len;
       h.arr <- bigger
     end;
-    h.arr.(h.len) <- e;
+    set h h.len e;
     h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && less h.arr.(!i) h.arr.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.arr.(p) in
-      h.arr.(p) <- h.arr.(!i);
-      h.arr.(!i) <- tmp;
-      i := p
-    done
+    sift_up h (h.len - 1)
+
+  (* Take out the entry at slot [i], moving the last entry into its place. *)
+  let remove_at h i =
+    let e = h.arr.(i) in
+    e.idx <- -1;
+    h.len <- h.len - 1;
+    if i < h.len then begin
+      set h i h.arr.(h.len);
+      h.arr.(h.len) <- dummy;
+      sift_down h i;
+      sift_up h i
+    end
+    else h.arr.(i) <- dummy;
+    e
 
   let pop h =
     assert (h.len > 0);
-    let top = h.arr.(0) in
-    h.len <- h.len - 1;
-    h.arr.(0) <- h.arr.(h.len);
-    h.arr.(h.len) <- dummy;
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-      if r < h.len && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-      if !smallest = !i then continue_ := false
-      else begin
-        let tmp = h.arr.(!smallest) in
-        h.arr.(!smallest) <- h.arr.(!i);
-        h.arr.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
+    remove_at h 0
+
+  (* Remove [e] if it is still in the heap; whether it was. *)
+  let remove h e = e.idx >= 0 && (ignore (remove_at h e.idx); true)
 
   let peek_time h =
     assert (h.len > 0);
@@ -305,29 +332,48 @@ let recent_decisions t =
   List.init n (fun i ->
       dec t.recent.((t.n_decisions - n + i) mod recent_size))
 
-let at ?(background = false) t time thunk =
+let arm t ~background time thunk =
   t.seq <- t.seq + 1;
   if not background then t.fg_timers <- t.fg_timers + 1;
-  Heap.push t.timers
-    { time = Float.max time t.vnow; seq = t.seq; bg = background; thunk }
+  let e =
+    { Heap.time = Float.max time t.vnow; seq = t.seq; bg = background; thunk; idx = -1 }
+  in
+  Heap.push t.timers e;
+  e
+
+let at ?(background = false) t time thunk = ignore (arm t ~background time thunk)
+let pending_timers t = t.timers.Heap.len
 
 let push_ready t thunk =
   let prio = match t.prng with Some rng -> Rrq_util.Rng.int rng 1_000_000 | None -> 0 in
   Ready.push t.ready prio thunk
 
+(* [wtimer] is the waker's timeout ([Heap.dummy] when it has none): the
+   first [wake] takes it out of the heap, so a timeout that lost its race
+   neither lingers there nor keeps [run] going. *)
 type 'a waker = {
   mutable used : bool;
   wfiber : fiber;
   wk : ('a, unit) Effect.Deep.continuation;
   wsched : t;
+  mutable wtimer : Heap.entry;
 }
 
 let waker_live w = (not w.used) && w.wfiber.live
+
+(* A timeout is a foreground timer, so removing one drops [fg_timers]. *)
+let cancel_timer w =
+  let e = w.wtimer in
+  if e != Heap.dummy then begin
+    w.wtimer <- Heap.dummy;
+    if Heap.remove w.wsched.timers e then w.wsched.fg_timers <- w.wsched.fg_timers - 1
+  end
 
 let wake w v =
   if w.used then false
   else begin
     w.used <- true;
+    cancel_timer w;
     if w.wfiber.live then begin
       push_ready w.wsched (fun () ->
           if w.wfiber.live then Effect.Deep.continue w.wk v);
@@ -335,6 +381,12 @@ let wake w v =
     end
     else false
   end
+
+let timeout w d f =
+  if w.used || w.wtimer != Heap.dummy then
+    invalid_arg "Sched.timeout: waker already woken or timed";
+  let t = w.wsched in
+  w.wtimer <- arm t ~background:false (t.vnow +. d) f
 
 type _ Effect.t +=
   | Suspend : (t -> 'a waker -> unit) -> 'a Effect.t
@@ -397,7 +449,9 @@ and start t fib body =
           | Suspend register ->
             Some
               (fun (k : (a, _) continuation) ->
-                let w = { used = false; wfiber = fib; wk = k; wsched = t } in
+                let w =
+                  { used = false; wfiber = fib; wk = k; wsched = t; wtimer = Heap.dummy }
+                in
                 register t w)
           | Fork (name, child_body) ->
             Some

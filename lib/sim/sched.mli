@@ -35,7 +35,11 @@ type fiber
 
 type decision =
   | Pick of int  (** Chose the i-th entry (0 = oldest) of the ready set. *)
-  | Timer_fired of int  (** A timer (identified by its sequence no.) fired. *)
+  | Timer_fired of int
+      (** A timer (identified by its sequence no., assigned when it was
+          armed) fired. Only timers that fire are recorded: a {!timeout}
+          cancelled by an earlier {!wake} leaves no entry, though it still
+          consumed its sequence number. *)
   | Fault of string  (** Externally injected fault, via {!note_fault}. *)
 
 type policy =
@@ -93,7 +97,10 @@ val spawn : t -> ?group:string -> name:string -> (unit -> unit) -> fiber
     (though {!fork} is more convenient there). *)
 
 val run : ?max_steps:int -> t -> unit
-(** Execute fibers until no fiber is runnable and no timer is pending.
+(** Execute fibers until no fiber is runnable and no live foreground timer
+    is pending: the run ends exactly when all real work is done. Background
+    timers, and timeouts already cancelled by a {!wake}, do not keep it
+    going.
     @raise Failure if more than [max_steps] events execute (default 50M),
     which indicates a livelock in the simulated program. The failure message
     names the live fibers and the last few scheduling decisions, so a
@@ -123,7 +130,13 @@ val at : ?background:bool -> t -> float -> (unit -> unit) -> unit
     the time has passed). The callback runs in scheduler context, not in a
     fiber: it must not block; typically it just wakes a waker or spawns.
     Background timers (default false) do not keep the simulation alive:
-    {!run} stops when only background timers remain. *)
+    {!run} stops when only background timers remain. Use {!timeout}, not
+    [at], for a deadline that a waiter's wake-up can make moot. *)
+
+val pending_timers : t -> int
+(** Timers in the heap right now, foreground and background: those armed
+    and neither fired nor cancelled. A diagnostic; with every timeout
+    cancelled by the wake that beats it, this is bounded by live work. *)
 
 (** {1 Primitives callable only from inside a fiber} *)
 
@@ -161,12 +174,24 @@ type 'a waker
 val wake : 'a waker -> 'a -> bool
 (** Resume the suspended fiber with a value. Returns [false] if the waker
     was already used or the fiber has been killed — in which case the value
-    is {e not} delivered (the caller may hand it to another waiter). *)
+    is {e not} delivered (the caller may hand it to another waiter). The
+    first call also cancels [w]'s {!timeout}, if it has one. *)
 
 val waker_live : 'a waker -> bool
 (** Whether [wake] could still deliver (unused and fiber alive). *)
 
 val suspend : (t -> 'a waker -> unit) -> 'a
 (** Block the calling fiber; the registration callback stores the waker
-    wherever the wake-up will come from (a queue of waiters, a timer via
-    {!at}, ...). Returns when some agent calls [wake]. *)
+    wherever the wake-up will come from (a queue of waiters, a {!timeout},
+    ...). Returns when some agent calls [wake]. *)
+
+val timeout : 'a waker -> float -> (unit -> unit) -> unit
+(** [timeout w d f] arms a foreground timer that runs [f] (in scheduler
+    context) after virtual duration [d], unless [w] is woken first: the
+    first {!wake} of [w] from anywhere else removes the timer from the heap
+    at once, so it is neither run, recorded in the trace, nor keeps {!run}
+    alive. [f] typically wakes [w] with a timeout value and, if that
+    [wake] returns [true], drops [w] from the queue it waits in. Call it
+    from [suspend]'s registration callback.
+    @raise Invalid_argument if [w] was already woken or already has a
+    timeout. *)

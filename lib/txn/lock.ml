@@ -173,13 +173,13 @@ let acquire ?timeout t tx ~key mode =
     if would_deadlock t ~requester:tx ~first_blockers then
       raise (Deadlock (Printf.sprintf "lock %s for %s" key (Txid.to_string tx)));
     let result =
-      Sched.suspend (fun sched w ->
+      Sched.suspend (fun _ w ->
           e.waiting <- e.waiting @ [ { wtx = tx; wmode = mode; waker = w } ];
           Hashtbl.replace t.waits tx (e, mode);
           match timeout with
           | None -> ()
           | Some d ->
-            Sched.at sched (Sched.now sched +. d) (fun () ->
+            Sched.timeout w d (fun () ->
                 if Sched.wake w Timed_out then begin
                   e.waiting <-
                     List.filter (fun w' -> not (Txid.equal w'.wtx tx)) e.waiting;

@@ -121,16 +121,31 @@ let test_step_limit_diagnostics () =
 (* The recorded trace of one fixed crash plan under randomized priorities,
    pinned by digest: picks above 0, timers firing out of seq order and
    fault notes spliced mid-run. A change to how the scheduler stores its
-   trace must leave this string byte-identical. *)
+   trace must leave this string byte-identical. Only timers that fire are
+   recorded: the 14 timeouts this run's wake-ups cancel leave no entry. *)
 let test_golden_trace_digest () =
   let plan = C.Plan.of_string "seed=3 policy=random:77 crash:backend@0.05+0.5" in
   let o = C.Scenario.run C.Scenario.quickstart plan in
   let s = Sched.trace_to_string o.C.Scenario.trace in
-  Alcotest.(check int) "decisions" 191 (Array.length o.C.Scenario.trace);
+  Alcotest.(check int) "decisions" 177 (Array.length o.C.Scenario.trace);
   Alcotest.(check bool) "has a crash note" true
     (Array.exists (( = ) (Sched.Fault "crash backend")) o.C.Scenario.trace);
-  Alcotest.(check string) "trace digest" "89807081364ebca0e085723033a1d7cb"
+  Alcotest.(check string) "trace digest" "f818610aec7c849bac3df17a48b046aa"
     (Digest.to_hex (Digest.string s))
+
+(* The same plan's picks and fault notes, its timer firings dropped: what a
+   replay follows. A change to which timers fire (or get recorded) must
+   leave every pick where it was. *)
+let test_pick_digest () =
+  let plan = C.Plan.of_string "seed=3 policy=random:77 crash:backend@0.05+0.5" in
+  let o = C.Scenario.run C.Scenario.quickstart plan in
+  let picks =
+    List.filter
+      (function Sched.Timer_fired _ -> false | Sched.Pick _ | Sched.Fault _ -> true)
+      (Array.to_list o.C.Scenario.trace)
+  in
+  Alcotest.(check string) "pick digest" "b7ee6ac719c0a859fb0f884d01cc2254"
+    (Digest.to_hex (Digest.string (Sched.trace_to_string (Array.of_list picks))))
 
 (* ---- plan codec --------------------------------------------------------- *)
 
@@ -937,6 +952,7 @@ let () =
           Alcotest.test_case "step-limit diagnostics" `Quick
             test_step_limit_diagnostics;
           Alcotest.test_case "golden trace digest" `Quick test_golden_trace_digest;
+          Alcotest.test_case "pick digest" `Quick test_pick_digest;
         ] );
       ("plan", [ Alcotest.test_case "codec roundtrip" `Quick test_plan_codec ]);
       ( "explore",
