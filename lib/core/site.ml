@@ -362,15 +362,11 @@ let resolver_daemon t () =
   in
   loop []
 
-(* Log records between the janitor's checkpoints. *)
-let checkpoint_every = 500
-
 let janitor_daemon t () =
   let rec loop () =
     Sched.sleep_background t.stale_timeout;
     ignore (Qm.abort_stale t.s_qm ~older_than:t.stale_timeout);
     Qm.observe_queues t.s_qm;
-    Node_log.maybe_checkpoint t.s_log ~every:checkpoint_every;
     loop ()
   in
   loop ()

@@ -19,8 +19,10 @@
       of this node's own staged records to its TM, and asks about commits
       it has remembered for over a second (their forget was lost);
     - a janitor that unilaterally aborts stale unprepared workspaces (a
-      dequeuer whose node died must not pin its element forever) and takes
-      periodic checkpoints of the node log.
+      dequeuer whose node died must not pin its element forever).
+
+    The node log checkpoints itself whenever its live log outgrows the
+    last snapshot (see {!Rrq_txn.Node_log.checkpoint}).
 
     Services exposed to other nodes:
     - ["qm"]: the clerk-facing queue operations (register, tagged
@@ -43,8 +45,7 @@ val create :
   t
 (** Configure the node's boot procedure and boot it now; it runs again on
     every {!restart}. [stale_timeout] (default 30s of workspace idleness)
-    tunes the janitor; the janitor checkpoints the node log once 500 log
-    records have accumulated since the last checkpoint. *)
+    tunes the janitor. *)
 
 val node : t -> Rrq_net.Net.node
 val site_name : t -> string

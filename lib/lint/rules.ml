@@ -210,7 +210,10 @@ let layers =
     {
       l_mod = "Disk";
       l_funcs =
-        [ "open_file"; "append"; "sync"; "sync_all"; "replace_atomic"; "delete" ];
+        [
+          "open_file"; "append"; "sync"; "sync_all"; "replace_atomic";
+          "replace_atomic_bytes"; "delete";
+        ];
       l_allowed = [ "lib/storage/"; "lib/wal/" ];
       l_what = "direct disk mutation";
       l_hint =

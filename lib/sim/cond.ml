@@ -6,25 +6,32 @@ let wait t =
   let ok = Sched.suspend (fun _ w -> t.queue <- t.queue @ [ w ]) in
   assert ok
 
-(* Block with a timeout; the thunk that wins drops [w] from every queue it
-   sits in, so a cond polled with timeouts and never signalled does not
-   collect dead wakers. *)
-let wait_timed conds d =
+let leave t w = t.queue <- List.filter (( != ) w) t.queue
+
+(* Block with a timeout; a timeout that wins drops [w] from the queue, so
+   a cond polled with timeouts and never signalled does not collect dead
+   wakers. *)
+let wait_timeout t d =
   Sched.suspend (fun _ w ->
-      List.iter (fun c -> c.queue <- c.queue @ [ w ]) conds;
-      Sched.timeout w d (fun () ->
-          if Sched.wake w false then
-            List.iter (fun c -> c.queue <- List.filter (( != ) w) c.queue) conds))
+      t.queue <- t.queue @ [ w ];
+      Sched.timeout w d (fun () -> if Sched.wake w false then leave t w))
 
-let wait_timeout t d = wait_timed [ t ] d
-
+(* The same one-shot waker sits in every queue; whichever is signalled
+   first wins. A signal pops it from its own cond only, so once woken the
+   waiter takes it out of the others, or a cond of the set that is seldom
+   signalled would collect one dead waker per wait. *)
 let wait_any ?timeout conds =
-  match timeout with
-  | Some d -> wait_timed conds d
-  | None ->
-    (* The same one-shot waker sits in every queue; whichever is signalled
-       first wins, the rest find it dead and skip it. *)
-    Sched.suspend (fun _ w -> List.iter (fun c -> c.queue <- c.queue @ [ w ]) conds)
+  let mine = ref None in
+  let woken =
+    Sched.suspend (fun _ w ->
+        mine := Some w;
+        List.iter (fun c -> c.queue <- c.queue @ [ w ]) conds;
+        Option.iter
+          (fun d -> Sched.timeout w d (fun () -> ignore (Sched.wake w false)))
+          timeout)
+  in
+  Option.iter (fun w -> List.iter (fun c -> leave c w) conds) !mine;
+  woken
 
 let rec signal t =
   match t.queue with

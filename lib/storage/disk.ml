@@ -1,6 +1,9 @@
 (* [len] bytes of [data] hold file contents. A chunk with room left is a
-   page: a sync of short frames copies them into it. *)
-type chunk = { data : Bytes.t; mutable len : int }
+   page: a sync of short frames copies them into it. [owned]: no string
+   aliases [data] (the disk made it, or {!replace_atomic_bytes} was handed
+   it), so it may be handed back to a writer once its contents are
+   replaced. *)
+type chunk = { data : Bytes.t; mutable len : int; owned : bool }
 
 type file_state = {
   fname : string;
@@ -75,7 +78,9 @@ let concat_rev chunks = String.concat "" (List.rev chunks)
 
 (* A string moved into the chunk list: full, so never written again. *)
 let add_durable f s =
-  f.durable <- { data = Bytes.unsafe_of_string s; len = String.length s } :: f.durable;
+  f.durable <-
+    { data = Bytes.unsafe_of_string s; len = String.length s; owned = false }
+    :: f.durable;
   f.durable_len <- f.durable_len + String.length s
 
 let clear_pending f =
@@ -143,7 +148,7 @@ let sync f =
           match f.durable with
           | c :: _ when Bytes.length c.data - c.len >= n -> c
           | _ ->
-            let c = { data = Bytes.create page_size; len = 0 } in
+            let c = { data = Bytes.create page_size; len = 0; owned = true } in
             f.durable <- c :: f.durable;
             c
         in
@@ -171,16 +176,28 @@ let read f = read_durable f ^ concat_rev f.pending
 let durable_size f = f.durable_len
 let size f = f.durable_len + f.pending_len
 
+(* Install [c] as the file's whole contents; the buffer of the contents
+   it replaces, if the disk owned it alone, else [Bytes.empty]. *)
+let install t fname c =
+  let f = open_file t fname in
+  let old = match f.durable with [ o ] when o.owned -> o.data | _ -> Bytes.empty in
+  f.durable <- [ c ];
+  f.durable_len <- c.len;
+  clear_pending f;
+  t.synced_bytes <- t.synced_bytes + c.len;
+  t.sync_count <- t.sync_count + 1;
+  old
+
 let replace_atomic t fname contents =
-  if allow_durability t then begin
-    let f = open_file t fname in
-    f.durable <- [];
-    f.durable_len <- 0;
-    add_durable f contents;
-    clear_pending f;
-    t.synced_bytes <- t.synced_bytes + String.length contents;
-    t.sync_count <- t.sync_count + 1
-  end
+  if allow_durability t then
+    ignore
+      (install t fname
+         { data = Bytes.unsafe_of_string contents; len = String.length contents;
+           owned = false })
+
+let replace_atomic_bytes t fname buf ~len =
+  if allow_durability t then install t fname { data = buf; len; owned = true }
+  else buf
 
 let read_file t fname =
   match Hashtbl.find_opt t.files fname with
@@ -188,7 +205,7 @@ let read_file t fname =
   | Some f -> Some (read f)
 
 (* Metadata lookup: size without materializing the contents (stat, not
-   read). Used by the WAL's live-bytes accounting. *)
+   read). *)
 let file_size t fname =
   match Hashtbl.find_opt t.files fname with
   | None -> None

@@ -75,6 +75,19 @@ val replace_atomic : t -> string -> string -> unit
     the write-temp-then-rename idiom used for checkpoints. Counts as one
     sync. *)
 
+val replace_atomic_bytes : t -> string -> Bytes.t -> len:int -> Bytes.t
+(** [replace_atomic_bytes t name buf ~len] is {!replace_atomic} of the
+    first [len] bytes of [buf], without copying them: the disk takes
+    ownership of [buf], and the caller must never write to it again. In
+    exchange it returns a buffer the caller now owns: the one that held
+    the contents just replaced, if a single buffer the disk owned alone
+    held them (one handed in this way, say), else [Bytes.empty]. So a
+    writer that checkpoints the same file again and again trades the same
+    two buffers with the disk and allocates nothing. No reader aliases a
+    durable buffer ({!read}, {!read_durable} and {!read_file} copy), so
+    the returned one holds nothing anyone still reads. If the disk is
+    dead nothing is written, and [buf] itself comes back. *)
+
 val read_file : t -> string -> string option
 (** Durable-plus-buffered contents of a named file, if it exists. *)
 

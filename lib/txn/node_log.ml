@@ -30,7 +30,8 @@ type t = {
   wal : Wal.t;
   gc : Group_commit.t;
   mutable rms : (kind * rm) list;
-  (* What recovery found, per kind, until that kind's RM attaches. *)
+  (* What recovery found, for each kind it found anything of, until that
+     kind's RM attaches. *)
   mutable recovered : (kind * (string option * string list)) list;
   (* Every record and checkpoint is encoded here, each section in place:
      one buffer per node, never held across a yield. *)
@@ -71,11 +72,11 @@ let open_log disk ~name =
         (decode_sections r))
     recovered.Wal.records;
   let recovered =
-    List.map
+    List.filter_map
       (fun kind ->
         let section = Option.bind snap (List.assoc_opt kind) in
         let rs = Option.value ~default:[] (Hashtbl.find_opt records kind) in
-        (kind, (section, List.rev rs)))
+        if section = None && rs = [] then None else Some (kind, (section, List.rev rs)))
       kinds
   in
   {
@@ -95,6 +96,38 @@ let attach t kind rm =
   let found = Option.value ~default:(None, []) (List.assoc_opt kind t.recovered) in
   t.recovered <- List.remove_assoc kind t.recovered;
   found
+
+(* ---- checkpoints ------------------------------------------------------ *)
+
+let encode_snapshot t e =
+  encode_sections e (List.map (fun (kind, rm) -> (kind, rm.snapshot)) t.rms)
+
+let snapshot t =
+  let e = Codec.encoder () in
+  encode_snapshot t e;
+  Codec.to_string e
+
+(* The snapshot holds the applied effects of every appended record (commit
+   applies before it yields), so the checkpoint makes them all durable. *)
+let checkpoint t = Wal.checkpoint t.wal t.scratch (encode_snapshot t)
+
+(* The live log is cut once it holds as many bytes as the last snapshot,
+   and never below this floor: what a short-record workload logs between
+   a few dozen commits' worth of snapshots costs more to re-encode than to
+   keep. *)
+let checkpoint_floor = 256 * 1024
+
+(* The one checkpoint rule, checked right after every append, with no
+   yield before the checkpoint it takes. Checkpoint bytes written then
+   never exceed log bytes appended plus one snapshot, and the live log
+   never holds much more than one snapshot. No checkpoint is cut while
+   recovery holds sections of a kind whose RM has not attached yet (a
+   node opening its RMs one by one): the snapshot would drop them. *)
+let maybe_checkpoint t =
+  if
+    t.recovered = []
+    && Wal.live_log_bytes t.wal >= max (Wal.snapshot_bytes t.wal) checkpoint_floor
+  then checkpoint t
 
 (* ---- commit ----------------------------------------------------------- *)
 
@@ -119,11 +152,13 @@ let append_apply t parts =
 
 let commit t parts =
   if append_apply t parts then Group_commit.force t.gc;
-  List.iter (fun p -> p.durable ()) parts
+  List.iter (fun p -> p.durable ()) parts;
+  maybe_checkpoint t
 
 let append t parts =
   ignore (append_apply t parts);
-  List.iter (fun p -> p.durable ()) parts
+  List.iter (fun p -> p.durable ()) parts;
+  maybe_checkpoint t
 
 let force t = Group_commit.force t.gc
 let tail t = Wal.appended_lsn t.wal
@@ -133,23 +168,6 @@ let force_upto t lsn =
     lsn > Wal.durable_lsn t.wal
     || (Group_commit.shipping t.gc && lsn > Group_commit.shipped_lsn t.gc)
   then force t
-
-(* ---- checkpoints ------------------------------------------------------ *)
-
-let encode_snapshot t e =
-  encode_sections e (List.map (fun (kind, rm) -> (kind, rm.snapshot)) t.rms)
-
-let snapshot t =
-  let e = Codec.encoder () in
-  encode_snapshot t e;
-  Codec.to_string e
-
-(* The snapshot holds the applied effects of every appended record (commit
-   applies before it yields), so the checkpoint makes them all durable. *)
-let checkpoint t = Wal.checkpoint t.wal t.scratch (encode_snapshot t)
-
-let maybe_checkpoint t ~every =
-  if Wal.records_since_checkpoint t.wal >= every then checkpoint t
 
 let live_log_bytes t = Wal.live_log_bytes t.wal
 
@@ -173,7 +191,8 @@ let standby_apply t frames =
           | None -> ())
         (decode_sections ~pos:Wal.frame_header f))
     frames;
-  Group_commit.force t.gc
+  Group_commit.force t.gc;
+  maybe_checkpoint t
 
 let standby_install t snap =
   let sections = decode_sections snap in

@@ -76,7 +76,8 @@ val commit : t -> part list -> unit
     holding every part's section, apply every part, force once, then run
     every [durable]. If no part has a section, nothing is appended or
     forced. This is the {!Rrq_wal.Group_commit} discipline (append, apply
-    without yielding, force before acknowledging) in one place. *)
+    without yielding, force before acknowledging) in one place. Last, it
+    checks the checkpoint rule (see {!checkpoint}). *)
 
 val append : t -> part list -> unit
 (** {!commit} without the force: append the record, apply every part and
@@ -84,7 +85,8 @@ val append : t -> part list -> unit
     {!commit} or {!force}), so its loss in a crash must be recoverable:
     the TM's End records, a parallel commit's staged record (which the TM
     forces itself) and its decision record (which recovery re-derives by
-    asking the participants), a participant's forgets. *)
+    asking the participants), a participant's forgets. Last, it checks the
+    checkpoint rule (see {!checkpoint}). *)
 
 val force : t -> unit
 (** Make every appended record durable (and, in sync shipping mode,
@@ -98,16 +100,25 @@ val force_upto : t -> int -> unit
     shipped, while a shipper is installed): under load other commits'
     forces usually have covered them. *)
 
-(** {1 Checkpoints} *)
+(** {1 Checkpoints}
+
+    A node log cuts itself. {!commit}, {!append} and {!standby_apply}
+    check one rule last, with no yield before the checkpoint it takes:
+    {!checkpoint} once the live log holds at least
+    [max (size of the last checkpoint) 256 KiB], unless recovery found
+    sections of a kind whose RM has not attached yet (the snapshot would
+    drop them). Under this rule the checkpoint bytes written never exceed
+    the log bytes appended plus one snapshot, and the live log never
+    holds much more than one snapshot plus one record. *)
 
 val checkpoint : t -> unit
-(** Snapshot every attached RM into one checkpoint and truncate the log. *)
-
-val maybe_checkpoint : t -> every:int -> unit
-(** {!checkpoint} when at least [every] records accumulated since the
-    last one. *)
+(** Snapshot every attached RM into one checkpoint and truncate the log:
+    what the rule above does, and what a caller that wants a cut now
+    (a standby's install, a test) calls. *)
 
 val live_log_bytes : t -> int
+(** {!Rrq_wal.Wal.live_log_bytes} of the log underneath: what a recovery
+    would scan now. *)
 
 (** {1 Replication} *)
 
@@ -129,7 +140,8 @@ val standby_apply : t -> string list -> unit
     section into the attached RM of its kind, and force, so the batch is
     durable here before it is acknowledged. A record is the primary's
     whole WAL frame, as its shipper received it
-    ({!Rrq_wal.Group_commit.set_shipper}), and is logged here unchanged. *)
+    ({!Rrq_wal.Group_commit.set_shipper}), and is logged here unchanged.
+    Last, it checks the checkpoint rule (see {!checkpoint}). *)
 
 val standby_install : t -> string -> unit
 (** Replace every attached RM's state with a primary's {!snapshot} and

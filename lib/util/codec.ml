@@ -9,6 +9,10 @@ let length e = e.pos
 let bytes e = e.buf
 let to_string e = Bytes.sub_string e.buf 0 e.pos
 
+let adopt e buf =
+  e.buf <- buf;
+  e.pos <- 0
+
 (* An encoder sized exactly is full at the end: its buffer becomes the
    string, and the encoder drops it so no later write can reach it. *)
 let finish e =

@@ -32,6 +32,12 @@ val bytes : encoder -> Bytes.t
     handoff to framing layers ([Wal.append_enc]); everyone else should
     use {!to_string}. *)
 
+val adopt : encoder -> Bytes.t -> unit
+(** [adopt e buf] makes [buf] the encoder's buffer, empty, and drops the
+    old one. For a caller that gave {!bytes} away to an owner that handed
+    back another buffer in exchange ([Wal.checkpoint] with
+    [Rrq_storage.Disk.replace_atomic_bytes]). *)
+
 val u8 : encoder -> int -> unit
 (** Append one byte (0..255). *)
 

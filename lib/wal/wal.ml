@@ -5,9 +5,14 @@ module Checksum = Rrq_util.Checksum
 type t = {
   disk : Disk.t;
   base : string;
+  mutable first_seg : int; (* first segment after the checkpoint *)
   mutable seg : int; (* active segment number *)
   mutable file : Disk.file;
-  mutable since_ckpt : int;
+  (* Frame bytes in segments [first_seg..seg]: those recovered at open
+     plus those appended since. *)
+  mutable live_bytes : int;
+  (* Size of the checkpoint file last installed or found at open. *)
+  mutable snapshot_bytes : int;
   (* Append/durability split for group commit: [appended_lsn] counts records
      buffered this incarnation, [durable_lsn] those known forced. *)
   mutable appended_lsn : int;
@@ -16,6 +21,8 @@ type t = {
      must not rebuild these strings every time. *)
   site_sync : string;
   site_synced : string;
+  site_ckpt : string;
+  ckpt_file : string;
 }
 
 type recovered = { snapshot : string option; records : string list }
@@ -64,20 +71,21 @@ let scan_segment contents =
   done;
   (List.rev !records, !pos)
 
+(* The snapshot, the first segment after it, and the file's size. *)
 let read_ckpt disk base =
   match Disk.read_file disk (ckpt_name base) with
-  | None -> (None, 0)
+  | None -> (None, 0, 0)
   | Some contents -> begin
     try
       let d = Codec.decoder contents in
       let seg = Codec.get_int d in
       let snapshot = Codec.get_option Codec.get_string d in
-      (snapshot, seg)
-    with Codec.Decode_error _ -> (None, 0)
+      (snapshot, seg, String.length contents)
+    with Codec.Decode_error _ -> (None, 0, 0)
   end
 
 let open_log disk ~name:base =
-  let snapshot, first_seg = read_ckpt disk base in
+  let snapshot, first_seg, snapshot_bytes = read_ckpt disk base in
   (* Drop stale segments from before the checkpoint (a crash can leave them
      behind if it hit between checkpoint install and segment deletion). *)
   List.iter
@@ -100,6 +108,7 @@ let open_log disk ~name:base =
      segment's records with [@] is quadratic in total log length, which
      dominates recovery time on long multi-segment logs. *)
   let records_rev = ref [] in
+  let live_bytes = ref 0 in
   let seg = ref first_seg in
   let scanning = ref true in
   while !scanning do
@@ -108,6 +117,7 @@ let open_log disk ~name:base =
     | Some contents ->
       let recs, valid = scan_segment contents in
       records_rev := List.rev_append recs !records_rev;
+      live_bytes := !live_bytes + valid;
       if valid = String.length contents then incr seg
       else begin
         (* Torn tail: durably truncate the segment to its valid prefix, so
@@ -128,13 +138,17 @@ let open_log disk ~name:base =
     {
       disk;
       base;
+      first_seg;
       seg = active;
       file;
-      since_ckpt = List.length records;
+      live_bytes = !live_bytes;
+      snapshot_bytes;
       appended_lsn = 0;
       durable_lsn = 0;
       site_sync = "wal.sync:" ^ base;
       site_synced = "wal.synced:" ^ base;
+      site_ckpt = "wal.ckpt:" ^ base;
+      ckpt_file = ckpt_name base;
     }
   in
   (t, { snapshot; records })
@@ -147,7 +161,7 @@ let durable_lsn t = t.durable_lsn
 let append_frame t frame =
   let len = String.length frame - frame_header in
   Disk.append t.file frame;
-  t.since_ckpt <- t.since_ckpt + 1;
+  t.live_bytes <- t.live_bytes + String.length frame;
   t.appended_lsn <- t.appended_lsn + 1;
   if Rrq_obs.enabled () then begin
     Rrq_obs.Metrics.inc ("wal.appends:" ^ t.base);
@@ -187,7 +201,7 @@ let append_sync t payload =
   sync t
 
 let checkpoint t e write =
-  Rrq_sim.Crashpoint.reach ("wal.ckpt:" ^ t.base);
+  Rrq_sim.Crashpoint.reach t.site_ckpt;
   let next = t.seg + 1 in
   (* [Codec.option Codec.string] of the snapshot, encoded in place. *)
   Codec.reset e;
@@ -196,29 +210,30 @@ let checkpoint t e write =
   let slot = Codec.begin_length e in
   write e;
   Codec.end_length e slot;
-  Disk.replace_atomic t.disk (ckpt_name t.base) (Codec.to_string e);
-  (* Old segments are no longer needed; delete them. *)
-  for n = 0 to t.seg do
-    if Disk.exists t.disk (seg_name t.base n) then
-      Disk.delete t.disk (seg_name t.base n)
+  let bytes = Codec.length e in
+  (* The file is the encoder's buffer itself; the encoder goes on in the
+     buffer of the checkpoint this one replaces. *)
+  Codec.adopt e
+    (Disk.replace_atomic_bytes t.disk t.ckpt_file (Codec.bytes e) ~len:bytes);
+  (* The segments the snapshot covers are no longer needed. *)
+  for n = t.first_seg to t.seg do
+    Disk.delete t.disk (seg_name t.base n)
   done;
+  t.first_seg <- next;
   t.seg <- next;
   t.file <- Disk.open_file t.disk (seg_name t.base next);
-  t.since_ckpt <- 0;
+  t.live_bytes <- 0;
   (* The snapshot captures the applied effects of every appended record
      (commit paths apply before yielding), so a successful checkpoint makes
      all of them durable even if their segment was never synced. *)
-  if not (Disk.is_dead t.disk) then t.durable_lsn <- t.appended_lsn
+  if not (Disk.is_dead t.disk) then begin
+    t.durable_lsn <- t.appended_lsn;
+    t.snapshot_bytes <- bytes
+  end;
+  if Rrq_obs.enabled () then begin
+    Rrq_obs.Metrics.inc ("wal.checkpoints:" ^ t.base);
+    Rrq_obs.Metrics.inc ~by:bytes ("wal.ckpt_bytes:" ^ t.base)
+  end
 
-let records_since_checkpoint t = t.since_ckpt
-
-let live_log_bytes t =
-  List.fold_left
-    (fun acc f ->
-      if
-        String.length f > String.length t.base + 4
-        && String.sub f 0 (String.length t.base) = t.base
-        && String.sub f (String.length t.base) 4 = ".seg"
-      then acc + Option.value ~default:0 (Disk.file_size t.disk f)
-      else acc)
-    0 (Disk.list_files t.disk)
+let live_log_bytes t = t.live_bytes
+let snapshot_bytes t = t.snapshot_bytes

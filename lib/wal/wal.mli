@@ -66,13 +66,23 @@ val append_sync : t -> string -> unit
 val checkpoint : t -> Rrq_util.Codec.encoder -> (Rrq_util.Codec.encoder -> unit) -> unit
 (** [checkpoint t e write] durably and atomically installs the snapshot
     [write] encodes and truncates the log: records appended before this
-    call will not be replayed by future recoveries. The checkpoint file is
-    built in [e], which is reset first, and the snapshot is written in
-    place behind its length prefix. *)
-
-val records_since_checkpoint : t -> int
-(** Count of records appended (not necessarily synced) since the last
-    checkpoint, used by checkpoint policies. *)
+    call will not be replayed by future recoveries, and the segments that
+    held them are deleted. The checkpoint file is built in [e], which is
+    reset first, and the snapshot is written in place behind its length
+    prefix. Ownership: [e]'s buffer becomes the checkpoint file
+    ({!Rrq_storage.Disk.replace_atomic_bytes}), and [e] goes on in the
+    buffer that held the file it replaces, so the caller must not keep
+    [Codec.bytes e] from before the call. Once both buffers have grown to
+    the snapshot's size, a checkpoint copies the snapshot once (into [e])
+    and allocates nothing for it. While recording is on, counts
+    [wal.checkpoints:<name>] and adds the file's size to
+    [wal.ckpt_bytes:<name>]. *)
 
 val live_log_bytes : t -> int
-(** Durable bytes in the current (post-checkpoint) segments. *)
+(** Frame bytes a recovery would scan now: those of the segments found at
+    {!open_log} plus every frame appended since, reset by {!checkpoint}.
+    A counter, so it costs nothing to read. *)
+
+val snapshot_bytes : t -> int
+(** Size of the checkpoint file: the last one {!checkpoint} installed, or
+    the one {!open_log} found (0 if none). *)

@@ -163,6 +163,49 @@ let test_double_crash_sweep () =
         check_invariants ~point:(1000 + point2) (recover_and_audit disk))
   done
 
+(* ---- a crash inside the checkpoint rule --------------------------------- *)
+
+(* The checkpoint rule fires inside [Node_log.commit], after the force and
+   the parts' [durable] steps: 4 KiB records cross the 256 KiB floor within
+   a hundred commits. A crash armed at the first and at the second of
+   those checkpoints loses no acknowledged commit. *)
+let test_crash_in_rule_checkpoint () =
+  List.iter
+    (fun hit ->
+      let disk = Disk.create (Printf.sprintf "ckpt-crash%d" hit) in
+      let acked = ref [] in
+      Rrq_sim.Crashpoint.reset ();
+      Fun.protect ~finally:Rrq_sim.Crashpoint.disable (fun () ->
+          Rrq_sim.Crashpoint.arm ~site:"wal.ckpt:kv@node.log" ~hit (fun () ->
+              Disk.kill_now disk;
+              Rrq_sim.Crashpoint.crash ());
+          ignore
+            (H.run (fun s ->
+                 ignore
+                   (Rrq_sim.Sched.spawn s ~name:"committer" (fun () ->
+                        let kv = Kvdb.open_kv disk ~name:"kv@node" in
+                        for n = 1 to 200 do
+                          let id = Txid.make ~origin:"t" ~inc:1 ~n in
+                          let key = Printf.sprintf "k%03d" n in
+                          Kvdb.put kv id key (String.make 4096 'v');
+                          Kvdb.commit kv id;
+                          acked := key :: !acked
+                        done))));
+          Alcotest.(check (option (pair string int)))
+            (Printf.sprintf "checkpoint %d crashed" hit) None
+            (Rrq_sim.Crashpoint.armed ()));
+      Disk.revive disk;
+      H.run_fiber (fun () ->
+          let kv = Kvdb.open_kv disk ~name:"kv@node" in
+          List.iter
+            (fun key ->
+              if Kvdb.committed_value kv key = None then
+                Alcotest.failf "checkpoint %d: acknowledged %s lost" hit key)
+            !acked;
+          Alcotest.(check bool) "the crash cut the run short" true
+            (List.length !acked < 200)))
+    [ 1; 2 ]
+
 (* ---- named crash sites announce themselves in the trace ----------------- *)
 
 (* When an armed [Crashpoint] fires it must emit a [Crashpoint_fired] trace
@@ -221,6 +264,8 @@ let () =
         [
           Alcotest.test_case "every sync boundary" `Quick test_sweep;
           Alcotest.test_case "double crash" `Quick test_double_crash_sweep;
+          Alcotest.test_case "crash inside the checkpoint rule" `Quick
+            test_crash_in_rule_checkpoint;
         ] );
       ( "trace",
         [

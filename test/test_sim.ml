@@ -448,6 +448,35 @@ let test_timed_out_waiters_leave_queue () =
   Alcotest.(check int) "chan" (words (Chan.create () : int Chan.t)) (words ch);
   Alcotest.(check int) "no live waiter" 0 (Cond.waiters c)
 
+(* A cond set's waker leaves every queue of the set once it is woken, not
+   only the one whose signal woke it: 1,000 [wait_any [c1; c2]], untimed
+   and then timed, each answered by [signal c1], leave c2 as small as a
+   fresh cond. *)
+let test_wait_any_leaves_every_queue () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let c1 = Cond.create () and c2 = Cond.create () in
+  let n = 1000 in
+  let _ =
+    run_sim (fun s ->
+        ignore
+          (Sched.spawn s ~name:"waiter" (fun () ->
+               for _ = 1 to n do
+                 assert (Cond.wait_any [ c1; c2 ])
+               done;
+               for _ = 1 to n do
+                 assert (Cond.wait_any ~timeout:30.0 [ c1; c2 ])
+               done));
+        ignore
+          (Sched.spawn s ~name:"signaller" (fun () ->
+               for _ = 1 to 2 * n do
+                 Sched.sleep 0.001;
+                 Cond.signal c1
+               done)))
+  in
+  let fresh_cond = words (Cond.create ()) in
+  Alcotest.(check int) "signalled cond" fresh_cond (words c1);
+  Alcotest.(check int) "other cond of the set" fresh_cond (words c2)
+
 (* ---- decision trace encoding ------------------------------------------- *)
 
 (* [program policy] builds and runs one deterministic world. Its trace must
@@ -638,6 +667,8 @@ let suite =
       test_cancelled_timeout_ends_run;
     Alcotest.test_case "timed-out waiters leave the queue" `Quick
       test_timed_out_waiters_leave_queue;
+    Alcotest.test_case "cond set waker leaves every queue" `Quick
+      test_wait_any_leaves_every_queue;
   ]
 
 let () = Alcotest.run "rrq-sim" [ ("sched", suite) ]

@@ -27,6 +27,28 @@ let test_disk_atomic_replace () =
   Disk.replace_atomic d "ck" "v2";
   Alcotest.(check (option string)) "replaced" (Some "v2") (Disk.read_file d "ck")
 
+(* A buffer handed to [replace_atomic_bytes] becomes the file: it is not
+   copied, the next replace hands it back, and contents the disk does not
+   own alone (a string) are never handed out. A dead disk takes nothing. *)
+let test_disk_replace_hands_buffers_back () =
+  let d = Disk.create "d0" in
+  let a = Bytes.of_string "v1xx" and b = Bytes.of_string "v2" in
+  Alcotest.(check int) "a new file hands back nothing" 0
+    (Bytes.length (Disk.replace_atomic_bytes d "ck" a ~len:2));
+  Alcotest.(check (option string)) "the prefix is the file" (Some "v1")
+    (Disk.read_file d "ck");
+  Alcotest.(check bool) "the first buffer comes back" true
+    (Disk.replace_atomic_bytes d "ck" b ~len:2 == a);
+  Disk.crash d;
+  Alcotest.(check (option string)) "durable" (Some "v2") (Disk.read_file d "ck");
+  Disk.replace_atomic d "ck" "v3";
+  Alcotest.(check int) "a string is not handed out" 0
+    (Bytes.length (Disk.replace_atomic_bytes d "ck" a ~len:2));
+  Disk.kill_now d;
+  Alcotest.(check bool) "a dead disk hands the buffer back" true
+    (Disk.replace_atomic_bytes d "ck" b ~len:2 == b);
+  Alcotest.(check (option string)) "unchanged" (Some "v1") (Disk.read_file d "ck")
+
 let test_disk_delete_and_list () =
   let d = Disk.create "d0" in
   ignore (Disk.open_file d "x");
@@ -81,13 +103,22 @@ let test_wal_checkpoint_truncates () =
   Alcotest.(check (option string)) "snapshot" (Some "SNAP") r.Wal.snapshot;
   Alcotest.(check (list string)) "post-ckpt records only" [ "c" ] r.Wal.records
 
+(* The live log and the last checkpoint's size are counters the WAL keeps
+   itself, and a reopen restores both from the disk. *)
 let test_wal_since_checkpoint_counter () =
   let d = Disk.create "d0" in
   let w, _ = Wal.open_log d ~name:"log" in
   Wal.append_sync w "a";
-  Alcotest.(check int) "one" 1 (Wal.records_since_checkpoint w);
+  Alcotest.(check int) "one frame" (Wal.frame_header + 1) (Wal.live_log_bytes w);
+  Alcotest.(check int) "no checkpoint yet" 0 (Wal.snapshot_bytes w);
   checkpoint w "s";
-  Alcotest.(check int) "zero" 0 (Wal.records_since_checkpoint w)
+  Alcotest.(check int) "zero" 0 (Wal.live_log_bytes w);
+  (* Next segment, presence byte, length, one byte of snapshot. *)
+  Alcotest.(check int) "checkpoint file size" 18 (Wal.snapshot_bytes w);
+  Wal.append_sync w "bc";
+  let w2, _ = Wal.open_log d ~name:"log" in
+  Alcotest.(check int) "recovered frame" (Wal.frame_header + 2) (Wal.live_log_bytes w2);
+  Alcotest.(check int) "checkpoint size read back" 18 (Wal.snapshot_bytes w2)
 
 let test_wal_append_after_recovery () =
   let d = Disk.create "d0" in
@@ -380,6 +411,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wal_prefix_durability;
     Alcotest.test_case "wal: torn write across two frames" `Quick
       test_wal_torn_write_across_frames;
+    Alcotest.test_case "disk: replace hands buffers back" `Quick
+      test_disk_replace_hands_buffers_back;
   ]
 
 (* --- Codec --------------------------------------------------------- *)

@@ -689,16 +689,22 @@ let test_tm_empty_and_single () =
         (Tm.commit tm txn2 = Tm.Committed);
       Alcotest.(check (list pass)) "no 2pc pending" [] (Tm.pending_decisions tm))
 
+(* The node log's checkpoint floor: a log whose snapshot is smaller is cut
+   once it holds this many bytes. *)
+let checkpoint_floor = 256 * 1024
+
 (* Every buffer has a bound: the node log, which holds the TM's decisions
-   and End records, shrinks at each checkpoint however many two-phase
-   commits ran before it. *)
+   and End records, cuts itself however many two-phase commits run, with
+   no janitor. Its snapshot stays small, so the live log never reaches the
+   checkpoint floor, and the commits cross that floor several times. *)
 let test_node_log_bounded_by_checkpoints () =
   H.run_fiber (fun () ->
       let disk = Disk.create "n1" in
       let log, tm, _, kv = open_node disk in
       let remote = Kvdb.open_kv disk ~name:"remote" in
-      let live = ref [] in
-      for i = 1 to 400 do
+      let n = 8000 in
+      let live = Array.make n 0 in
+      for i = 0 to n - 1 do
         let txn = Tm.begin_txn tm in
         let id = Tm.txn_id txn in
         Kvdb.put kv id "local" (string_of_int i);
@@ -706,19 +712,138 @@ let test_node_log_bounded_by_checkpoints () =
         Tm.join txn (Kvdb.participant kv);
         Tm.join txn (Kvdb.participant remote);
         commit_ok tm txn;
-        Node_log.maybe_checkpoint log ~every:50;
-        live := Node_log.live_log_bytes log :: !live
+        live.(i) <- Node_log.live_log_bytes log
       done;
-      let first, last =
-        List.filteri (fun i _ -> i >= 200) !live, List.filteri (fun i _ -> i < 200) !live
-      in
-      let peak l = List.fold_left max 0 l in
+      let first = Array.sub live 0 (n / 2) and last = Array.sub live (n / 2) (n / 2) in
+      let peak a = Array.fold_left max 0 a in
+      let cuts = ref 0 in
+      Array.iteri (fun i b -> if i > 0 && b < live.(i - 1) then incr cuts) live;
       Alcotest.(check bool)
-        (Printf.sprintf "bounded: peak %d over the last 200, %d over the first"
-           (peak last) (peak first))
+        (Printf.sprintf "bounded: peak %d over the last half, %d over the first, %d cuts"
+           (peak last) (peak first) !cuts)
         true
-        (peak last <= peak first && peak last < 32 * 1024);
+        (peak last <= peak first && peak last < checkpoint_floor && !cuts >= 4);
       Alcotest.(check (list pass)) "every decision retired" [] (Tm.pending_decisions tm))
+
+(* The checkpoint rule, with no janitor: a node log whose KV state grows
+   by one key per commit runs 20,000 commits. After every commit the live
+   log is below [max (last snapshot) floor], so at any append it held at
+   most that plus one frame; and the checkpoint bytes written never exceed
+   the log bytes appended plus one snapshot. *)
+let test_node_log_checkpoint_rule () =
+  Rrq_obs.reset ();
+  Fun.protect ~finally:Rrq_obs.disable @@ fun () ->
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let log, _, _, kv = open_node disk in
+      let counter name = Rrq_obs.Metrics.counter (name ^ ":n1.log") in
+      let appended () =
+        counter "wal.bytes" + (Rrq_wal.Wal.frame_header * counter "wal.appends")
+      in
+      let cuts = ref 0 and written = ref 0 and last_snapshot = ref 0 in
+      for i = 1 to 20_000 do
+        let id = tx i in
+        Kvdb.put kv id (Printf.sprintf "key%05d" i) "v";
+        Kvdb.commit kv id;
+        if counter "wal.checkpoints" > !cuts then begin
+          cuts := counter "wal.checkpoints";
+          last_snapshot := counter "wal.ckpt_bytes" - !written;
+          written := counter "wal.ckpt_bytes"
+        end;
+        let bound = max !last_snapshot checkpoint_floor in
+        let live = Node_log.live_log_bytes log in
+        if live >= bound then
+          Alcotest.failf "commit %d: live log %d, bound %d" i live bound;
+        if !written > appended () + !last_snapshot then
+          Alcotest.failf "commit %d: %d checkpoint bytes, %d log bytes appended" i
+            !written (appended ())
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "the snapshot outgrew the floor (%d bytes, %d cuts)"
+           !last_snapshot !cuts)
+        true (!last_snapshot > checkpoint_floor);
+      Alcotest.(check int) "every key kept" 20_000
+        (List.length (Kvdb.committed_bindings kv)))
+
+(* A node attaches its TM first, and the TM's first act is a commit (its
+   new incarnation). If that commit crossed the checkpoint floor and cut
+   the log, the snapshot would hold the TM alone, and the KV store's
+   recovered records would be gone from the disk: a second crash would
+   lose them. So the rule waits until every RM recovery found sections
+   of has attached. The log is filled to 8 bytes below the floor, crashed
+   and reopened twice. *)
+let test_checkpoint_waits_for_recovered_rms () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let log, _, _, kv = open_node disk in
+      let put n v =
+        let id = tx n in
+        Kvdb.put kv id (Printf.sprintf "k%03d" n) v;
+        Kvdb.commit kv id
+      in
+      let n = ref 0 in
+      let gap () = checkpoint_floor - Node_log.live_log_bytes log in
+      while gap () > 8192 do
+        incr n;
+        put !n (String.make 4096 'v')
+      done;
+      (* The frame of a put holds its value and a fixed overhead. *)
+      let before = gap () in
+      incr n;
+      put !n "";
+      let overhead = before - gap () in
+      incr n;
+      put !n (String.make (gap () - overhead - 8) 'w');
+      Alcotest.(check int) "8 bytes below the floor" 8 (gap ());
+      let committed = List.sort compare (Kvdb.committed_bindings kv) in
+      Disk.crash disk;
+      ignore (open_node disk);
+      Disk.crash disk;
+      let _, _, _, kv' = open_node disk in
+      Alcotest.(check int) "every key survives two crashes" (List.length committed)
+        (List.length (List.sort compare (Kvdb.committed_bindings kv'))))
+
+(* A checkpoint hands its encoder's buffer to the disk as the checkpoint
+   file, and the encoder goes on in the buffer of the checkpoint it
+   replaced. Records committed after the cut go through that encoder, and
+   must not reach the file: its digest stays what it was right after the
+   cut, and recovery gives back the committed state. Once the two buffers
+   have grown, a checkpoint allocates far less than its snapshot. *)
+let test_checkpoint_buffer_handoff () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let log, _, _, kv = open_node disk in
+      let put i key =
+        let id = tx i in
+        Kvdb.put kv id key (String.make 16384 (Char.chr (97 + (i mod 26))));
+        Kvdb.commit kv id
+      in
+      for i = 1 to 64 do
+        put i (Printf.sprintf "k%02d" i)
+      done;
+      Node_log.checkpoint log;
+      Node_log.checkpoint log;
+      let before = Gc.allocated_bytes () in
+      Node_log.checkpoint log;
+      let allocated = Gc.allocated_bytes () -. before in
+      let file () = Option.get (Disk.read_file disk "n1.log.ckpt") in
+      let size = String.length (file ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "a checkpoint of %d bytes allocated %.0f" size allocated)
+        true
+        (allocated < float_of_int size /. 10.);
+      let cut = Digest.string (file ()) in
+      (* 128 KiB of records: fewer than the snapshot holds, so no cut. *)
+      for i = 65 to 72 do
+        put i (Printf.sprintf "k%02d" (i - 64))
+      done;
+      Alcotest.(check string) "the file is what the cut wrote" (Digest.to_hex cut)
+        (Digest.to_hex (Digest.string (file ())));
+      let committed = List.sort compare (Kvdb.committed_bindings kv) in
+      Disk.crash disk;
+      let _, _, _, kv' = open_node disk in
+      Alcotest.(check bool) "recovery gives back the committed state" true
+        (List.sort compare (Kvdb.committed_bindings kv') = committed))
 
 (* A checkpoint cut while a parallel commit is parked in the force of its
    staged record keeps the decision: the snapshot holds the local in-doubt
@@ -1227,6 +1352,11 @@ let tm_suite =
     Alcotest.test_case "on-disk format pinned" `Quick test_on_disk_format_pinned;
     Alcotest.test_case "a full-copy segment still recovers" `Quick
       test_full_copy_segment_recovers;
+    Alcotest.test_case "node log checkpoint rule" `Quick test_node_log_checkpoint_rule;
+    Alcotest.test_case "checkpoint hands its buffer to the disk" `Quick
+      test_checkpoint_buffer_handoff;
+    Alcotest.test_case "checkpoint waits for every recovered RM" `Quick
+      test_checkpoint_waits_for_recovered_rms;
   ]
 
 let () =
