@@ -59,9 +59,11 @@ let () =
   in
 
   (* --- single-transaction conversational server (8.3) --- *)
-  Interactive.install_display client_node ~user:(fun ~rid:_ ~seq ~prompt ->
-      Printf.printf "  [user] prompt %d: %S -> answering\n" seq prompt;
-      match seq with 1 -> "14" | _ -> "A");
+  let display =
+    Interactive.install_display client_node ~user:(fun ~rid:_ ~seq ~prompt ->
+        Printf.printf "  [user] prompt %d: %S -> answering\n" seq prompt;
+        match seq with 1 -> "14" | _ -> "A")
+  in
   let attempts = ref 0 in
   let _ =
     Server.start backend ~req_queue:"book-conv" (fun site txn env ->
@@ -110,7 +112,7 @@ let () =
          | None -> print_endline "[client] conversation failed");
          Printf.printf
            "[audit] user prompted %d times (2 questions, despite 2 executions)\n"
-           (Interactive.display_asks client_node)));
+           (Interactive.display_asks display)));
 
   Sched.run sched;
   match Sched.failures sched with

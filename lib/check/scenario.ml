@@ -2,22 +2,20 @@
    network) that run one fault plan to quiescence and audit themselves.
 
    Every scenario is one [topology] value, and one function ([build])
-   turns any topology into a world. The topology lists the repositories
-   (one per shard, each a single site or an HA pair), an optional shard map
-   with a mid-run change, the request queue's durability class, the
-   workload, the network's drop rate, the client population and an
-   optional designed bug. [build] creates the sites, attaches the HA and
-   shard roles, starts the workload's servers, runs the clients and audits
-   the quiesced world with the workload's auditor set. *)
+   turns any topology into a run. The topology holds the world's
+   description ([World.t]: the repositories, each a single site or an HA
+   pair, the shard map, the queues and the servers), the shard map's
+   mid-run change, the workload, the network's drop rate, the client
+   population and whether the client is the designed broken one. [build]
+   boots the world through [World.build], installs the workload, runs the
+   clients and audits the quiesced world with the workload's auditor set. *)
 
 module Sched = Rrq_sim.Sched
 module Crashpoint = Rrq_sim.Crashpoint
 module Disk = Rrq_storage.Disk
 module Rng = Rrq_util.Rng
 module Net = Rrq_net.Net
-module Qm = Rrq_qm.Qm
 module Site = Rrq_core.Site
-module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
 module Ha = Rrq_core.Ha
@@ -39,24 +37,10 @@ type outcome = {
 
 (* ---- topologies --------------------------------------------------------- *)
 
-type repository =
-  | Single of string
-  | Pair of { primary : string; standby : string; mode : Ha.mode }
-      (** An HA primary and its warm standby. *)
-
-type shards = {
-  map : Shard.map;  (** installed on every repository at attach *)
+type map_change = {
   change_at : float;  (** when an admin fiber pushes [next] *)
   next : Shard.map;
 }
-
-type bug =
-  | Blind_resend_client
-      (** The client enqueues untagged and blindly re-Sends on a reply
-          timeout (no rid check): the duplicate-request bug the paper's
-          registration tags exist to prevent. *)
-  | Untagging_forwarder
-      (** Shard routers strip registration tags when relaying a misroute. *)
 
 type workload =
   | Requests  (** one-transaction requests to a counting server on ["req"] *)
@@ -65,14 +49,19 @@ type workload =
           on the first, credit on the second, clearing on the third *)
 
 type topology = {
-  repos : repository list;  (** one per shard; the first is the entry *)
-  shards : shards option;
+  world : World.t;
+      (** A request world's repositories host the request queue and the
+          counting servers; a chain's get theirs from [Pipeline.install]. *)
+  map_change : map_change option;  (** set iff the world has a shard map *)
   workload : workload;
   drop_rate : float;  (** each message is lost with this probability *)
   clients : int;
   reqs : int;  (** per client *)
   prefix : string;  (** client ids are [prefix ^ index] *)
-  bug : bug option;
+  blind_client : bool;
+      (** The one client enqueues untagged and blindly re-Sends on a reply
+          timeout (no rid check): the duplicate-request bug the paper's
+          registration tags exist to prevent. *)
 }
 
 type t = {
@@ -84,13 +73,12 @@ type t = {
 
 let failed o = o.findings <> []
 
-let primary = function Single n -> n | Pair p -> p.primary
-let nodes = function Single n -> [ n ] | Pair p -> [ p.primary; p.standby ]
+let primary = function World.Single n -> n | World.Pair p -> p.primary
+let nodes = function World.Single n -> [ n ] | World.Pair p -> [ p.primary; p.standby ]
 
 let client_ids topo =
-  match topo.bug with
-  | Some Blind_resend_client -> [ topo.prefix ]
-  | _ -> List.init topo.clients (fun c -> topo.prefix ^ string_of_int c)
+  if topo.blind_client then [ topo.prefix ]
+  else List.init topo.clients (fun c -> topo.prefix ^ string_of_int c)
 
 let rids topo =
   List.concat_map
@@ -100,7 +88,7 @@ let rids topo =
 (* Plans crash any repository primary, and cut the client's link to the
    first repository and each link between neighbouring repositories. *)
 let profile_of topo =
-  let prims = List.map primary topo.repos in
+  let prims = List.map primary topo.world.repos in
   let rec links = function a :: (b :: _ as rest) -> (a, b) :: links rest | _ -> [] in
   {
     Plan.crash_nodes = prims;
@@ -115,7 +103,9 @@ let profile_of topo =
 let probe_of topo =
   let faults =
     match
-      List.find_map (function Pair p -> Some p.primary | Single _ -> None) topo.repos
+      List.find_map
+        (function World.Pair p -> Some p.primary | World.Single _ -> None)
+        topo.world.repos
     with
     | Some node -> [ Plan.Crash { node; at = 2.0; recover_after = 6.0 } ]
     | None -> []
@@ -126,68 +116,6 @@ let make name topology =
   { name; profile = profile_of topology; probe = probe_of topology; topology }
 
 (* ---- building the world ------------------------------------------------- *)
-
-(* A built repository: its sites by node name, the authoritative one —
-   the promoted standby if it took over, else the (possibly recovered)
-   primary — and its promotions so far. A warm standby holds replicated
-   copies by design, so only the authoritative site counts executions and
-   replies. *)
-type built = {
-  sites : (string * Site.t) list;
-  auth : unit -> Site.t;
-  failovers : unit -> int;
-}
-
-(* An HA pair's disks take 4 ms to flush, about a network hop: a ship
-   round is on the wire while its primary's sync runs, so a crash can leave
-   the standby holding records the primary lost. Off the hop's 5 ms
-   lattice, so plan times (a 10 ms grid) can land inside a sync. *)
-let pair_sync_latency = 0.004
-
-(* A request world's repositories host the request queue and the counting
-   servers; a chain's get their queues and servers from [Pipeline.install]. *)
-let build_repo net topo repo =
-  let requests = topo.workload = Requests in
-  let create ?sync_latency name =
-    Site.create
-      ~queues:(if requests then [ ("req", Qm.default_attrs) ] else [])
-      ~stale_timeout:3.0
-      (Net.make_node ?sync_latency net name)
-  in
-  let route site =
-    Option.iter
-      (fun sh ->
-        ignore
-          (Shard.attach
-             ~untag_forward_bug:(topo.bug = Some Untagging_forwarder)
-             site sh.map))
-      topo.shards
-  in
-  match repo with
-  | Single name ->
-    let site = create name in
-    if requests then
-      ignore (Server.start site ~req_queue:"req" ~threads:2 Audit.counting_handler);
-    route site;
-    { sites = [ (name, site) ]; auth = (fun () -> site); failovers = (fun () -> 0) }
-  | Pair { primary; standby; mode } ->
-    let site_p = create ~sync_latency:pair_sync_latency primary in
-    let site_b = create ~sync_latency:pair_sync_latency standby in
-    (* Servers run only on the serving node. *)
-    let on_serving ha =
-      ignore
-        (Server.start_here (Ha.site ha) ~req_queue:"req" ~threads:2
-           Audit.counting_handler)
-    in
-    let ha_p = Ha.attach ~mode ~on_serving site_p ~peer:standby ~role:Ha.Primary in
-    let ha_b = Ha.attach ~mode ~on_serving site_b ~peer:primary ~role:Ha.Standby in
-    route site_p;
-    route site_b;
-    {
-      sites = [ (primary, site_p); (standby, site_b) ];
-      auth = (fun () -> if Ha.is_serving ha_b then site_b else site_p);
-      failovers = (fun () -> Ha.failovers ha_p + Ha.failovers ha_b);
-    }
 
 (* The §6 funds transfer (fig. 6): each stage is one transaction on its own
    repository, and moves the request on to the next stage's queue. *)
@@ -230,11 +158,11 @@ let transfer_stages site_a site_b site_c =
    account at boot, before its stage server starts, until the opening is
    durable: like a site's configured queues, it is part of the world, and
    a crash that loses it is no crash of a chain. *)
-let install_workload topo repos =
+let install_workload topo world =
   match topo.workload with
   | Requests -> "req"
   | Chain ->
-    let site i = (List.nth repos i).auth () in
+    let site i = List.nth (World.authoritative world) i in
     Site.on_boot (site 0) (fun bank_a ->
         let kv = Site.kv bank_a in
         if Kvdb.committed_value kv "acct:src" = None then
@@ -307,9 +235,9 @@ let count received rid =
    initial map and pauses between requests, so the second one straddles
    the map change (later is fine: the map only gets newer). *)
 let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
-  let entry = List.hd topo.repos in
-  let backups = if topo.shards = None then List.tl (nodes entry) else [] in
-  let shard_map = Option.map (fun sh -> sh.map) topo.shards in
+  let entry = List.hd topo.world.repos in
+  let backups = if topo.world.shards = None then List.tl (nodes entry) else [] in
+  let shard_map = Option.map (fun sh -> sh.World.map) topo.world.shards in
   let rec connect n =
     match
       Clerk.connect ~client_node ~system:(primary entry) ~backups ?shard_map
@@ -322,8 +250,8 @@ let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
   in
   let clerk = connect 60 in
   for r = 0 to topo.reqs - 1 do
-    (match topo.shards with
-    | Some sh when r > 0 -> Sched.sleep (sh.change_at +. 0.2)
+    (match topo.map_change with
+    | Some ch when r > 0 -> Sched.sleep (ch.change_at +. 0.2)
     | _ -> ());
     let rid = Printf.sprintf "%s-r%d" client_id r in
     let rec send n =
@@ -358,7 +286,7 @@ let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
    without checking whether the first copy survived. *)
 let blind_client topo ~client_node ~received ~replies =
   let client_id = topo.prefix in
-  let dst = primary (List.hd topo.repos) in
+  let dst = primary (List.hd topo.world.repos) in
   let reply_queue = "reply." ^ client_id in
   let call ?(timeout = 1.0) payload =
     Net.call client_node ~timeout ~dst ~service:"qm" payload
@@ -434,11 +362,11 @@ let blind_client topo ~client_node ~received ~replies =
 (* The map change: an admin pushing the next map to every repository,
    re-pushing the laggards (crashed or partitioned ones ack after they come
    back — installs are idempotent by version). *)
-let change_map client_node sh =
-  Sched.sleep sh.change_at;
+let change_map client_node ch =
+  Sched.sleep ch.change_at;
   let rec push remaining =
     if remaining <> [] then begin
-      let acked = Shard.install_from client_node ~shards:remaining sh.next in
+      let acked = Shard.install_from client_node ~shards:remaining ch.next in
       let rest = List.filter (fun n -> not (List.mem n acked)) remaining in
       if rest <> [] then begin
         Sched.sleep 0.5;
@@ -446,7 +374,7 @@ let change_map client_node sh =
       end
     end
   in
-  push (Shard.all_nodes sh.next)
+  push (Shard.all_nodes ch.next)
 
 let balance site key =
   match Kvdb.committed_value (Site.kv site) key with
@@ -460,9 +388,9 @@ let balance site key =
    and clearings, which a lost or repeated stage moves off their expected
    values. Both: reply delivery over the authoritative repositories;
    structure and in-doubt survivors over every site. *)
-let auditors topo repos ~rids ~received =
-  let auth () = List.map (fun r -> r.auth ()) repos in
-  let every () = List.concat_map (fun r -> List.map snd r.sites) repos in
+let auditors topo world ~rids ~received =
+  let auth () = World.authoritative world in
+  let every () = List.map snd (World.sites world) in
   let requests = List.length rids in
   let totals, workload_auditors =
     match topo.workload with
@@ -476,7 +404,7 @@ let auditors topo repos ~rids ~received =
           Audit.conservation ~name:"exec-total" ~expected:requests ~actual:total;
         ] )
     | Chain ->
-      let at i key () = balance ((List.nth repos i).auth ()) key in
+      let at i key () = balance (List.nth (auth ()) i) key in
       let src = at 0 "acct:src" and dst = at 1 "acct:dst" and cleared = at 2 "cleared" in
       ( [ ("src", src); ("dst", dst); ("cleared", cleared) ],
         [
@@ -514,21 +442,20 @@ let build ?armed ?policy t (plan : Plan.t) =
           (* Armed before the repositories boot, so hits count from the
              same origin as the probe's. *)
           Option.iter (arm s net) armed;
-          let repos = List.map (build_repo net topo) topo.repos in
-          let req_queue = install_workload topo repos in
+          let world = World.build net topo.world in
+          let req_queue = install_workload topo world in
           let client_node = Net.make_node net "client" in
-          inject s net (List.concat_map (fun r -> r.sites) repos) plan;
+          inject s net (World.sites world) plan;
           fun () ->
             Option.iter
-              (fun sh ->
+              (fun ch ->
                 ignore
                   (Sched.fork ~name:"mapchange" (fun () ->
-                       change_map client_node sh)))
-              topo.shards;
-            (match topo.bug with
-            | Some Blind_resend_client ->
-              blind_client topo ~client_node ~received ~replies
-            | _ ->
+                       change_map client_node ch)))
+              topo.map_change;
+            (if topo.blind_client then
+               blind_client topo ~client_node ~received ~replies
+             else begin
               let done_ = ref 0 in
               List.iteri
                 (fun c id ->
@@ -538,15 +465,18 @@ let build ?armed ?policy t (plan : Plan.t) =
                            ~replies id;
                          incr done_)))
                 (client_ids topo);
-              ignore (Runner.await ~timeout:300.0 (fun () -> !done_ = topo.clients)));
+              ignore (Runner.await ~timeout:300.0 (fun () -> !done_ = topo.clients))
+             end);
             (* settle: redelivery, resolvers, janitors — and with an HA
                pair failover, rejoin and resync *)
-            let pair = List.exists (function Pair _ -> true | _ -> false) topo.repos in
+            let pair =
+              List.exists (function World.Pair _ -> true | _ -> false) topo.world.repos
+            in
             Sched.sleep (if pair then 25.0 else 20.0);
-            let totals, auditors = auditors topo repos ~rids ~received in
+            let totals, auditors = auditors topo world ~rids ~received in
             ( Audit.run auditors,
               Sched.clock (),
-              List.fold_left (fun n r -> n + r.failovers ()) 0 repos,
+              World.failovers world,
               List.map (fun (name, read) -> (name, read ())) totals ))
     in
     {
@@ -570,14 +500,14 @@ let run ?policy t plan = build ?policy t plan
 
 let quickstart_world =
   {
-    repos = [ Single "backend" ];
-    shards = None;
+    world = { (World.single "backend") with server = World.counting_server 2 };
+    map_change = None;
     workload = Requests;
     drop_rate = 0.0;
     clients = 2;
     reqs = 2;
     prefix = "c";
-    bug = None;
+    blind_client = false;
   }
 
 let quickstart = make "quickstart" quickstart_world
@@ -590,12 +520,18 @@ let quickstart_lossy =
   make "quickstart-lossy"
     { quickstart_world with drop_rate = 0.08; clients = 4; reqs = 5 }
 
+(* An HA pair's disks take 4 ms to flush, about a network hop: a ship
+   round is on the wire while its primary's sync runs, so a crash can leave
+   the standby holding records the primary lost. Off the hop's 5 ms
+   lattice, so plan times (a 10 ms grid) can land inside a sync. *)
+let pair primary standby mode =
+  World.Pair { primary; standby; mode; sync_latency = 0.004; cold = None }
+
+let with_repos ?shards repos topo =
+  { topo with world = { topo.world with repos; shards } }
+
 let ha_world mode =
-  {
-    quickstart_world with
-    repos = [ Pair { primary = "primary"; standby = "backup"; mode } ];
-    prefix = "h";
-  }
+  { (with_repos [ pair "primary" "backup" mode ] quickstart_world) with prefix = "h" }
 
 let ha = make "ha" (ha_world Ha.Sync)
 
@@ -614,58 +550,55 @@ let ha_lagged = make "ha-lagged" (ha_world (Ha.Lagged 1.0))
    - retries that straddle the change reach owners with no local
      registration record, forcing the registration pull.
    [shard0] is the first repository: a single site or an HA pair, whose
-   standby the map lists as shard0's backup candidate. *)
-let sharded_world ?bug shard0 =
-  let repos = [ shard0; Single "shard1"; Single "shard2" ] in
+   standby the map lists as shard0's backup candidate. [untag_forward_bug]
+   is the designed misroute anomaly. *)
+let sharded_world ?(untag_forward_bug = false) shard0 =
+  let repos = [ shard0; World.Single "shard1"; World.Single "shard2" ] in
   let map =
     {
       Shard.version = 1;
       shards = List.map primary repos;
       backups =
         List.filter_map
-          (function Pair p -> Some (p.primary, [ p.standby ]) | Single _ -> None)
+          (function
+            | World.Pair p -> Some (p.primary, [ p.standby ]) | World.Single _ -> None)
           repos;
       sharded_queues = [ "req" ];
       pins = List.init 3 (fun c -> (Printf.sprintf "req#s%d" c, "shard0"));
     }
   in
   {
-    quickstart_world with
-    repos;
-    shards = Some { map; change_at = 1.0; next = { map with version = 2; pins = [] } };
+    (with_repos ~shards:{ World.map; untag_forward_bug } repos quickstart_world) with
+    map_change = Some { change_at = 1.0; next = { map with version = 2; pins = [] } };
     clients = 3;
     prefix = "s";
-    bug;
   }
 
-let sharded = make "sharded" (sharded_world (Single "shard0"))
+let sharded = make "sharded" (sharded_world (World.Single "shard0"))
 
 let sharded_buggy =
-  make "sharded-buggy" (sharded_world ~bug:Untagging_forwarder (Single "shard0"))
+  make "sharded-buggy" (sharded_world ~untag_forward_bug:true (World.Single "shard0"))
 
-let sharded_ha =
-  make "sharded-ha"
-    (sharded_world (Pair { primary = "shard0"; standby = "standby0"; mode = Ha.Sync }))
+let sharded_ha = make "sharded-ha" (sharded_world (pair "shard0" "standby0" Ha.Sync))
 
 let buggy_clerk =
   make "buggy"
-    {
-      quickstart_world with
-      clients = 1;
-      reqs = 6;
-      prefix = "bug";
-      bug = Some Blind_resend_client;
-    }
+    { quickstart_world with clients = 1; reqs = 6; prefix = "bug"; blind_client = true }
 
 (* The §6 transfer chain: 4 clients each send one transfer of 100 from
    bankA's source account through bankB's credit to the clearing house.
    Plans crash any of the three banks and cut client-bankA, bankA-bankB and
-   bankB-clearing. *)
+   bankB-clearing. The stages bring their own queues and servers. *)
 let chain =
   make "chain"
     {
       quickstart_world with
-      repos = [ Single "bankA"; Single "bankB"; Single "clearing" ];
+      world =
+        {
+          (World.single "bankA") with
+          repos = List.map (fun n -> World.Single n) [ "bankA"; "bankB"; "clearing" ];
+          queues = [];
+        };
       workload = Chain;
       clients = 4;
       reqs = 1;
@@ -703,9 +636,9 @@ let contains hay needle =
 (* Site names embed the node that reaches them (WAL, TM and routing sites
    are per node); node-less sites kill the entry repository's primary. *)
 let default_victim topo site =
-  match List.find_opt (contains site) (List.concat_map nodes topo.repos) with
+  match List.find_opt (contains site) (List.concat_map nodes topo.world.repos) with
   | Some node -> node
-  | None -> primary (List.hd topo.repos)
+  | None -> primary (List.hd topo.world.repos)
 
 let crash_at ~site ~hit ?victim ~recover_after t =
   let victim =

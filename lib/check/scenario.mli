@@ -2,11 +2,12 @@
     quiescence and audit themselves through the {!Audit} registry.
 
     Every scenario is one {!topology}, turned into a world the same way:
-    the repositories (one per shard, each a single site or an HA pair) on a
-    network with the topology's drop rate, the workload's servers, shard
-    routing and a mid-run map change when the topology has a shard map, and
-    clerks that send tagged requests and count every reply they receive per
-    rid. The workload is one of two:
+    its {!World} description (the repositories, one per shard, each a
+    single site or an HA pair; shard routing; the workload's queues and
+    servers) booted by {!World.build} on a network with the topology's drop
+    rate, a mid-run map change when the world has a shard map, and clerks
+    that send tagged requests and count every reply they receive per rid.
+    The workload is one of two:
     - one-transaction requests to a 2-thread counting server on the serving
       node, audited by exactly-once and [conservation:exec-total] (the
       counting handler's summed ledger);
@@ -36,11 +37,12 @@ type outcome = {
 }
 
 type topology
-(** The closed world a scenario builds: its repositories, the optional
-    shard map and its mid-run change, the request queue's durability
-    class, the workload (requests or a transfer chain), the network's
-    message drop rate, the client count, requests per client and client-id
-    prefix, and an optional designed bug. *)
+(** The closed world a scenario builds: its {!World.t} (repositories,
+    the optional shard map with the designed tag-stripping forwarder, the
+    workload's queues and servers), the shard map's mid-run change, the
+    workload (requests or a transfer chain), the network's message drop
+    rate, the client count, requests per client and client-id prefix, and
+    whether the client is the designed blind re-sender. *)
 
 type t = {
   name : string;

@@ -52,13 +52,11 @@ type Net.payload +=
 (* The client's durable intermediate-I/O log: (rid, seq, prompt, input)
    tuples, replayed to answer repeated prompts after a server-side abort
    and re-execution. *)
-type display_state = {
+type display = {
   wal : Wal.t;
   entries : (string * int, string * string) Hashtbl.t; (* (rid,seq) -> (prompt,input) *)
   mutable fresh_asks : int;
 }
-
-let display_states : (string, display_state) Hashtbl.t = Hashtbl.create 4
 
 let encode_entry rid seq prompt input =
   let e = Codec.encoder () in
@@ -85,7 +83,6 @@ let install_display node ~user =
       Hashtbl.replace entries (rid, seq) (prompt, input))
     recovered.Wal.records;
   let st = { wal; entries; fresh_asks = 0 } in
-  Hashtbl.replace display_states (Net.node_name node) st;
   Net.add_service node "display" (fun msg ->
       match msg with
       | D_ask { rid; seq; prompt } -> begin
@@ -108,12 +105,10 @@ let install_display node ~user =
           Wal.append_sync st.wal (encode_entry rid seq prompt input);
           D_input input
       end
-      | _ -> raise (Invalid_argument "display service: unexpected message"))
+      | _ -> raise (Invalid_argument "display service: unexpected message"));
+  st
 
-let display_asks node =
-  match Hashtbl.find_opt display_states (Net.node_name node) with
-  | Some st -> st.fresh_asks
-  | None -> 0
+let display_asks st = st.fresh_asks
 
 type console = {
   c_site : Site.t;

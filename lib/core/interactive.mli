@@ -51,15 +51,20 @@ type Rrq_net.Net.payload +=
   | D_ask of { rid : string; seq : int; prompt : string }
   | D_input of string
 
+type display
+(** A client's display service and its durable I/O replay log. *)
+
 val install_display :
   Rrq_net.Net.node ->
-  user:(rid:string -> seq:int -> prompt:string -> string) -> unit
+  user:(rid:string -> seq:int -> prompt:string -> string) -> display
 (** Install the client-side display service with its durable I/O replay
     log. [user] produces fresh intermediate input; replayed prompts are
     answered from the log without consulting the user. Re-run this after a
-    client restart (the log is recovered from the node's disk). *)
+    client restart (the log is recovered from the node's disk). Only the
+    node's service table and the caller hold the display, so it dies with
+    its world. *)
 
-val display_asks : Rrq_net.Net.node -> int
+val display_asks : display -> int
 (** How many prompts reached the user (as opposed to being replayed) —
     lets tests verify replay actually short-circuits. *)
 

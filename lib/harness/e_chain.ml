@@ -10,7 +10,9 @@ module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
 module Pipeline = Rrq_core.Pipeline
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
 module Scenario = Rrq_check.Scenario
+module World = Rrq_check.World
 module Plan = Rrq_check.Plan
 module Histogram = Rrq_util.Histogram
 
@@ -68,15 +70,21 @@ type contention_row = {
   p95_latency : float;
 }
 
+(* The chains bring their own queues and servers. *)
+let backend net =
+  World.site
+    (World.build net { (World.single "backend") with queues = []; stale_timeout = 5.0 })
+    "backend"
+
 let parse_transfer body =
   match String.split_on_char '|' body with
   | [ a; b ] -> (a, b)
   | _ -> failwith "bad transfer body"
 
 let one_contention_run ~design ~clients ~per_client ~accounts ~stage_work ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let backend = Site.create ~stale_timeout:5.0 (Net.make_node net "backend") in
+      let backend = backend net in
       let entry_queue, entry_site =
         match design with
         | `Chain ->
@@ -154,7 +162,7 @@ let one_contention_run ~design ~clients ~per_client ~accounts ~stage_work ~seed 
                  done;
                  incr done_clients))
         done;
-        ignore (Common.await ~timeout:3000.0 (fun () -> !done_clients = clients));
+        ignore (Runner.await ~timeout:3000.0 (fun () -> !done_clients = clients));
         let elapsed = Sched.clock () -. start in
         let total = clients * per_client in
         {
@@ -210,9 +218,9 @@ type serial_row = {
 }
 
 let one_serializability_run ~inherit_locks ~transfers ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let backend = Site.create ~stale_timeout:5.0 (Net.make_node net "backend") in
+      let backend = backend net in
       let stage ~q ~work =
         { Pipeline.stage_site = backend; in_queue = q; work; compensate = None }
       in

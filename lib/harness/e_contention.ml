@@ -8,12 +8,13 @@ module Net = Rrq_net.Net
 module Rng = Rrq_util.Rng
 module Tm = Rrq_txn.Tm
 module Kvdb = Rrq_kvdb.Kvdb
-module Qm = Rrq_qm.Qm
 module Site = Rrq_core.Site
 module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Held = Rrq_baseline.Held_txn
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 module Histogram = Rrq_util.Histogram
 
 type row = {
@@ -28,21 +29,21 @@ type row = {
 }
 
 let one_run ~design ~think ~clients ~per_client ~hot_accounts ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let backend =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:60.0
-          (Net.make_node net "backend")
+      let handler site txn env =
+        ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) env.Rrq_core.Envelope.body 1);
+        Server.Reply "ok"
       in
-      (match design with
-      | `Held -> Held.install_server backend ~service:"held"
-      | `Queued ->
-        ignore
-          (Server.start backend ~req_queue:"req" ~threads:clients
-             (fun site txn env ->
-               ignore
-                 (Kvdb.add (Site.kv site) (Tm.txn_id txn) env.Rrq_core.Envelope.body 1);
-               Server.Reply "ok")));
+      let server =
+        if design = `Held then None
+        else Some { World.queue = "req"; threads = clients; handler }
+      in
+      let world =
+        World.build net { (World.single "backend") with stale_timeout = 60.0; server }
+      in
+      if design = `Held then
+        Held.install_server (World.site world "backend") ~service:"held";
       let client_node = Net.make_node net "client" in
       fun () ->
         let rng = Rng.create (seed + 1) in
@@ -99,7 +100,7 @@ let one_run ~design ~think ~clients ~per_client ~hot_accounts ~seed =
                  done;
                  incr done_clients))
         done;
-        ignore (Common.await ~timeout:3000.0 (fun () -> !done_clients = clients));
+        ignore (Runner.await ~timeout:3000.0 (fun () -> !done_clients = clients));
         let elapsed = Sched.clock () -. start in
         {
           design =

@@ -1,12 +1,14 @@
 module Sched = Rrq_sim.Sched
 module Net = Rrq_net.Net
+module Rng = Rrq_util.Rng
 module Tm = Rrq_txn.Tm
 module Kvdb = Rrq_kvdb.Kvdb
 module Site = Rrq_core.Site
-module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Plain = Rrq_baseline.Plain
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 
 type row = {
   protocol : string;
@@ -34,16 +36,17 @@ let plain_handler site txn ~rid _body =
   "done"
 
 let one_run ~protocol ~drop ~crashes ~requests ~seed =
-  Common.run_scenario (fun s ->
-      let rig = Common.make_rig ~drop_rate:drop ~seed s in
-      (match protocol with
-      | Queued ->
-        ignore (Server.start rig.Common.backend ~req_queue:"req" Common.counting_handler)
-      | At_most_once | At_least_once ->
-        Plain.install_server rig.Common.backend ~service:"plain" plain_handler);
+  Runner.run_scenario (fun s ->
+      let net = Net.create ~drop_rate:drop s (Rng.create seed) in
+      let server = if protocol = Queued then World.counting_server 1 else None in
+      let world = World.build net { (World.single "backend") with server } in
+      let backend = World.site world "backend" in
+      let client_node = Net.make_node net "client" in
+      if protocol <> Queued then
+        Plain.install_server backend ~service:"plain" plain_handler;
       if crashes then begin
-        Sched.at s 2.0 (fun () -> Site.crash_restart rig.Common.backend ~after:1.5);
-        Sched.at s 6.0 (fun () -> Site.crash_restart rig.Common.backend ~after:1.5)
+        Sched.at s 2.0 (fun () -> Site.crash_restart backend ~after:1.5);
+        Sched.at s 6.0 (fun () -> Site.crash_restart backend ~after:1.5)
       end;
       fun () ->
         let rids = List.init requests (fun i -> Printf.sprintf "r%d" (i + 1)) in
@@ -51,8 +54,8 @@ let one_run ~protocol ~drop ~crashes ~requests ~seed =
         (match protocol with
         | Queued ->
           let clerk, _ =
-            Clerk.connect ~client_node:rig.Common.client_node ~system:"backend"
-              ~client_id:"alice" ~req_queue:"req" ()
+            Clerk.connect ~client_node ~system:"backend" ~client_id:"alice"
+              ~req_queue:"req" ()
           in
           List.iter
             (fun rid ->
@@ -74,7 +77,7 @@ let one_run ~protocol ~drop ~crashes ~requests ~seed =
           List.iter
             (fun rid ->
               (match
-                 Plain.call_at_most_once rig.Common.client_node ~dst:"backend"
+                 Plain.call_at_most_once client_node ~dst:"backend"
                    ~service:"plain" ~rid "work"
                with
               | Some _ -> incr replies
@@ -85,7 +88,7 @@ let one_run ~protocol ~drop ~crashes ~requests ~seed =
           List.iter
             (fun rid ->
               (match
-                 Plain.call_at_least_once rig.Common.client_node ~dst:"backend"
+                 Plain.call_at_least_once client_node ~dst:"backend"
                    ~service:"plain" ~rid ~attempts:8 "work"
                with
               | Some _ -> incr replies
@@ -95,7 +98,7 @@ let one_run ~protocol ~drop ~crashes ~requests ~seed =
         (* Let in-flight retries and recovery settle before auditing. *)
         Sched.sleep 20.0;
         let lost, exactly_once, duplicated =
-          Common.audit_executions [ rig.Common.backend ] ~rids
+          Rrq_check.Audit.audit_executions [ backend ] ~rids
         in
         (!replies, lost, exactly_once, duplicated))
 

@@ -11,13 +11,13 @@
 module Sched = Rrq_sim.Sched
 module Net = Rrq_net.Net
 module Rng = Rrq_util.Rng
-module Qm = Rrq_qm.Qm
 module Site = Rrq_core.Site
 module Ha = Rrq_core.Ha
-module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 
 type row = {
   mode : string;
@@ -37,33 +37,23 @@ let mode_label = function
   | Ha.Lagged d -> Printf.sprintf "lagged %.2fs" d
 
 let one_run ~mode ~cold ~warmup ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create ~latency:0.005 s (Rng.create seed) in
-      let site_p =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
-          (Net.make_node net "primary")
+      let pair =
+        { World.primary = "primary"; standby = "backup"; mode; sync_latency = 0.0;
+          cold = (if cold then Some replay_bytes_per_sec else None) }
       in
-      let site_b =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
-          (Net.make_node net "backup")
-      in
-      let serve ha =
-        ignore
-          (Server.start_here (Ha.site ha) ~req_queue:"req" ~threads:2
-             Common.counting_handler)
-      in
-      let ha_p =
-        Ha.attach ~mode ~on_serving:serve site_p ~peer:"backup"
-          ~role:Ha.Primary
-      in
-      let ha_b =
-        Ha.attach ~mode ~cold ~replay_bytes_per_sec ~on_serving:serve site_b
-          ~peer:"primary" ~role:Ha.Standby
+      let world =
+        World.build net
+          {
+            (World.single "primary") with
+            repos = [ Pair pair ];
+            server = World.counting_server 2;
+          }
       in
       let client_node = Net.make_node net "client" in
       fun () ->
-        ignore
-          (Common.await (fun () -> Ha.is_serving ha_p && Ha.shipping ha_p));
+        ignore (Runner.await (fun () -> World.ready world));
         (* A short RPC timeout keeps the clerk's outage-rotation cycle well
            under the latencies being compared, so the measurement resolves
            the warm/cold difference instead of quantizing it away. *)
@@ -105,10 +95,10 @@ let one_run ~mode ~cold ~warmup ~seed =
         (match mode with
         | Ha.Lagged d -> Sched.sleep ((2.0 *. d) +. 0.1)
         | Ha.Sync -> ());
-        let batches = Ha.ship_batches ha_p in
-        let applied = Ha.applied_bytes ha_b in
+        let batches = Ha.ship_batches (World.ha world "primary") in
+        let applied = Ha.applied_bytes (World.ha world "backup") in
         let killed_at = Sched.clock () in
-        Site.crash site_p;
+        Site.crash (World.site world "primary");
         request "post-failover";
         {
           mode = mode_label mode;

@@ -18,6 +18,7 @@ module Disk = Rrq_storage.Disk
 module Qm = Rrq_qm.Qm
 module Table = Rrq_util.Table
 module Histogram = Rrq_util.Histogram
+module Runner = Rrq_check.Runner
 
 type row = {
   servers : int;
@@ -33,7 +34,7 @@ type row = {
 let one_run ~servers ~jobs ~sync_latency =
   Rrq_obs.reset ();
   Fun.protect ~finally:Rrq_obs.disable (fun () ->
-      Common.run_scenario (fun s ->
+      Runner.run_scenario (fun s ->
           let disk = Disk.create ~sync_latency "b12" in
           let qm = Qm.open_qm disk ~name:"qm" in
           Qm.set_clock qm (fun () -> Sched.now s);
@@ -67,7 +68,7 @@ let one_run ~servers ~jobs ~sync_latency =
                       loop ()))
             in
             ignore
-              (Common.await ~timeout:3000.0 ~poll:0.01 (fun () ->
+              (Runner.await ~timeout:3000.0 ~poll:0.01 (fun () ->
                    not (List.exists Sched.alive fibers)));
             let d =
               Rrq_obs.Metrics.diff ~before

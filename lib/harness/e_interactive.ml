@@ -8,12 +8,13 @@ module Sched = Rrq_sim.Sched
 module Net = Rrq_net.Net
 module Rng = Rrq_util.Rng
 module Qm = Rrq_qm.Qm
-module Site = Rrq_core.Site
 module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
 module Interactive = Rrq_core.Interactive
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 
 type row = {
   mode : string;
@@ -24,16 +25,18 @@ type row = {
   completed : bool;
 }
 
+(* Both conversations run on one "backend" repository with a "conv"
+   queue. *)
+let conv_world =
+  { (World.single "backend") with queues = [ ("conv", Qm.default_attrs) ] }
+
 (* Pseudo-conversational: 2 intermediate turns; the second leg's first
    execution aborts. Inputs ride in the requests, so the retry re-asks
    nothing. *)
 let pseudo_run ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let backend =
-        Site.create ~queues:[ ("conv", Qm.default_attrs) ] ~stale_timeout:3.0
-          (Net.make_node net "backend")
-      in
+      let backend = World.site (World.build net conv_world) "backend" in
       let leg2_attempts = ref 0 in
       let _ =
         Interactive.pseudo_server backend ~req_queue:"conv"
@@ -86,32 +89,31 @@ let pseudo_run ~seed =
    first execution aborts after both inputs; re-execution replays them from
    the client's durable I/O log. *)
 let single_txn_run ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let backend =
-        Site.create ~queues:[ ("conv", Qm.default_attrs) ] ~stale_timeout:3.0
-          (Net.make_node net "backend")
+      let attempts = ref 0 in
+      let handler site _txn env =
+        let c = Interactive.console site env ~display:"client" in
+        let a1 = Interactive.ask c "q1" in
+        let a2 = Interactive.ask c "q2" in
+        if env.Envelope.rid = "c1" then begin
+          incr attempts;
+          if !attempts = 1 then failwith "injected abort after inputs"
+        end;
+        Server.Reply (Printf.sprintf "done:%s,%s" a1 a2)
       in
+      let server = Some { World.queue = "conv"; threads = 1; handler } in
+      ignore (World.build net { conv_world with server });
       let client_node = Net.make_node net "client" in
       let hesitating = ref false in
-      Interactive.install_display client_node ~user:(fun ~rid ~seq ~prompt:_ ->
-          if rid = "c2" && seq = 2 then begin
-            (* the user hesitates: window for cancellation *)
-            hesitating := true;
-            Sched.sleep 3.0
-          end;
-          Printf.sprintf "a%d" seq);
-      let attempts = ref 0 in
-      let _ =
-        Server.start backend ~req_queue:"conv" (fun site _txn env ->
-            let c = Interactive.console site env ~display:"client" in
-            let a1 = Interactive.ask c "q1" in
-            let a2 = Interactive.ask c "q2" in
-            if env.Envelope.rid = "c1" then begin
-              incr attempts;
-              if !attempts = 1 then failwith "injected abort after inputs"
+      let display =
+        Interactive.install_display client_node ~user:(fun ~rid ~seq ~prompt:_ ->
+            if rid = "c2" && seq = 2 then begin
+              (* the user hesitates: window for cancellation *)
+              hesitating := true;
+              Sched.sleep 3.0
             end;
-            Server.Reply (Printf.sprintf "done:%s,%s" a1 a2))
+            Printf.sprintf "a%d" seq)
       in
       fun () ->
         let clerk, _ =
@@ -119,7 +121,7 @@ let single_txn_run ~seed =
             ~req_queue:"conv" ()
         in
         let reply = Clerk.transceive clerk ~rid:"c1" ~timeout:20.0 "go" in
-        let prompts_c1 = Interactive.display_asks client_node in
+        let prompts_c1 = Interactive.display_asks display in
         (* Cancellability probe: cancel while the user hesitates on q2. *)
         let clerk2, _ =
           Clerk.connect ~client_node ~system:"backend" ~client_id:"bob"
@@ -128,11 +130,11 @@ let single_txn_run ~seed =
         let cancel_result = ref false in
         ignore
           (Sched.fork ~name:"canceller" (fun () ->
-               ignore (Common.await ~timeout:30.0 (fun () -> !hesitating));
+               ignore (Runner.await ~timeout:30.0 (fun () -> !hesitating));
                cancel_result := Clerk.cancel_last_request clerk2));
         ignore (Clerk.send clerk2 ~rid:"c2" "go");
         (* wait for the cancel to land; no reply will come *)
-        ignore (Common.await ~timeout:30.0 (fun () -> !cancel_result));
+        ignore (Runner.await ~timeout:30.0 (fun () -> !cancel_result));
         Sched.sleep 5.0;
         {
           mode = "single-txn conversation (8.3)";

@@ -12,7 +12,23 @@ module Site = Rrq_core.Site
 module Server = Rrq_core.Server
 module Envelope = Rrq_core.Envelope
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 module Histogram = Rrq_util.Histogram
+
+(* Every run serves one "backend" repository whose "req" queue has
+   [attrs]; returns its site and its servers. *)
+let backend net ?(attrs = Qm.default_attrs) ~stale_timeout server =
+  let world =
+    World.build net
+      {
+        (World.single "backend") with
+        queues = [ ("req", attrs) ];
+        stale_timeout;
+        server;
+      }
+  in
+  (World.site world "backend", World.servers world)
 
 (* ---- B3/B5: dequeue concurrency ---------------------------------------- *)
 
@@ -27,20 +43,20 @@ type drain_row = {
 (* Pre-load [jobs] requests, start [servers] threads whose handler takes
    [work] seconds, and measure the time to drain the queue. *)
 let one_drain_run ~strict ~servers ~jobs ~work ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let attrs = { Qm.default_attrs with strict_fifo = strict } in
-      let backend =
-        Site.create ~queues:[ ("req", attrs) ] ~stale_timeout:30.0
-          (Net.make_node net "backend")
+      let handler site txn _env =
+        Sched.sleep work;
+        ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "served" 1);
+        Server.No_reply
       in
-      let server =
-        Server.start backend ~req_queue:"req" ~threads:servers
-          (fun site txn _env ->
-            Sched.sleep work;
-            ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) "served" 1);
-            Server.No_reply)
+      let backend, started =
+        backend net
+          ~attrs:{ Qm.default_attrs with strict_fifo = strict }
+          ~stale_timeout:30.0
+          (Some { World.queue = "req"; threads = servers; handler })
       in
+      let server = List.hd started in
       fun () ->
         let qm = Site.qm backend in
         let h, _ =
@@ -58,7 +74,7 @@ let one_drain_run ~strict ~servers ~jobs ~work ~seed =
         done;
         let start = Sched.clock () in
         ignore
-          (Common.await ~timeout:3000.0 ~poll:0.05 (fun () ->
+          (Runner.await ~timeout:3000.0 ~poll:0.05 (fun () ->
                Server.processed server >= jobs));
         let makespan = Sched.clock () -. start in
         {
@@ -109,29 +125,28 @@ type priority_row = {
 (* A backlog of standard jobs is draining; express jobs arrive during the
    drain. With priority scheduling the express jobs jump the backlog. *)
 let one_priority_run ~use_priorities ~backlog ~express ~work ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let backend =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:60.0
-          (Net.make_node net "backend")
-      in
       let express_lat = Histogram.create () in
       let standard_lat = Histogram.create () in
       let served = ref 0 in
       let submitted : (string, float) Hashtbl.t = Hashtbl.create 64 in
-      let _ =
-        Server.start backend ~req_queue:"req" ~threads:2 (fun _site _txn env ->
-            Sched.sleep work;
-            (match Hashtbl.find_opt submitted env.Envelope.rid with
-            | Some t0 ->
-              let lat = Sched.clock () -. t0 in
-              if String.length env.Envelope.rid >= 3
-                 && String.sub env.Envelope.rid 0 3 = "exp"
-              then Histogram.add express_lat lat
-              else Histogram.add standard_lat lat
-            | None -> ());
-            incr served;
-            Server.No_reply)
+      let handler _site _txn env =
+        Sched.sleep work;
+        (match Hashtbl.find_opt submitted env.Envelope.rid with
+        | Some t0 ->
+          let lat = Sched.clock () -. t0 in
+          if String.length env.Envelope.rid >= 3
+             && String.sub env.Envelope.rid 0 3 = "exp"
+          then Histogram.add express_lat lat
+          else Histogram.add standard_lat lat
+        | None -> ());
+        incr served;
+        Server.No_reply
+      in
+      let backend, _ =
+        backend net ~stale_timeout:60.0
+          (Some { World.queue = "req"; threads = 2; handler })
       in
       fun () ->
         let qm = Site.qm backend in
@@ -160,7 +175,7 @@ let one_priority_run ~use_priorities ~backlog ~express ~work ~seed =
                  push (Printf.sprintf "exp%d" i) (if use_priorities then 9 else 0)
                done));
         ignore
-          (Common.await ~timeout:600.0 (fun () -> !served >= backlog + express));
+          (Runner.await ~timeout:600.0 (fun () -> !served >= backlog + express));
         {
           policy = (if use_priorities then "priority scheduling" else "FIFO only");
           backlog;
@@ -210,23 +225,21 @@ type poison_row = {
    ablated (infinite retries) the server burns capacity re-executing it
    forever (the "cyclic restart" of paper 4.2/5). *)
 let one_poison_run ~retry_limit ~good ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let attrs = { Qm.default_attrs with retry_limit } in
-      let backend =
-        Site.create ~queues:[ ("req", attrs) ] ~stale_timeout:60.0
-          (Net.make_node net "backend")
-      in
       let wasted = ref 0 and served = ref 0 in
-      let _ =
-        Server.start backend ~req_queue:"req" (fun _site _txn env ->
-            Sched.sleep 0.05;
-            if env.Envelope.body = "poison" then begin
-              incr wasted;
-              failwith "cannot process"
-            end;
-            incr served;
-            Server.No_reply)
+      let handler _site _txn env =
+        Sched.sleep 0.05;
+        if env.Envelope.body = "poison" then begin
+          incr wasted;
+          failwith "cannot process"
+        end;
+        incr served;
+        Server.No_reply
+      in
+      let backend, _ =
+        backend net ~attrs:{ Qm.default_attrs with retry_limit } ~stale_timeout:60.0
+          (Some { World.queue = "req"; threads = 1; handler })
       in
       fun () ->
         let qm = Site.qm backend in
@@ -248,7 +261,7 @@ let one_poison_run ~retry_limit ~good ~seed =
           push (Printf.sprintf "g%d" i) "fine"
         done;
         (* run for a fixed window; good requests should all finish *)
-        ignore (Common.await ~timeout:60.0 (fun () -> !served >= good));
+        ignore (Runner.await ~timeout:60.0 (fun () -> !served >= good));
         Sched.sleep 5.0;
         {
           p_policy =
@@ -300,22 +313,21 @@ type burst_row = {
 type Net.payload += B_job of string | B_ok | B_busy
 
 let one_burst_run ~queued ~offered ~service_time ~capacity ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let backend =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:60.0
-          (Net.make_node net "backend")
-      in
       let served = ref 0 and rejected = ref 0 in
       let max_depth = ref 0 in
-      (if queued then
-         ignore
-           (Server.start backend ~req_queue:"req" ~threads:capacity
-              (fun _site _txn _env ->
-                Sched.sleep service_time;
-                incr served;
-                Server.No_reply))
-       else begin
+      let handler _site _txn _env =
+        Sched.sleep service_time;
+        incr served;
+        Server.No_reply
+      in
+      let backend, _ =
+        backend net ~stale_timeout:60.0
+          (if queued then Some { World.queue = "req"; threads = capacity; handler }
+           else None)
+      in
+      (if not queued then begin
          (* Queueless server: [capacity] concurrent executions, no waiting
             room - excess arrivals are rejected busy. *)
          let active = ref 0 in
@@ -371,7 +383,7 @@ let one_burst_run ~queued ~offered ~service_time ~capacity ~seed =
                  end))
         done;
         ignore
-          (Common.await ~timeout:600.0 (fun () -> !served + !rejected >= offered));
+          (Runner.await ~timeout:600.0 (fun () -> !served + !rejected >= offered));
         let makespan = Sched.clock () -. start in
         {
           system = (if queued then "queued" else "no queue (reject when busy)");

@@ -19,6 +19,7 @@ module Disk = Rrq_storage.Disk
 module Qm = Rrq_qm.Qm
 module Sched = Rrq_sim.Sched
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
 
 type row = {
   ops : int;
@@ -37,7 +38,7 @@ let replay_bytes_per_sec = 256.0 *. 1024.0 *. 1024.0
 let one_run ops =
   Rrq_obs.reset ();
   Fun.protect ~finally:Rrq_obs.disable @@ fun () ->
-  Common.run_scenario (fun _s () ->
+  Runner.run_scenario (fun _s () ->
       let disk = Disk.create "bench" in
       let qm = ref (Qm.open_qm disk ~name:"qm") in
       Qm.create_queue !qm "q";

@@ -15,6 +15,8 @@ module Tm = Rrq_txn.Tm
 module Qm = Rrq_qm.Qm
 module Site = Rrq_core.Site
 module Ha = Rrq_core.Ha
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 module Table = Rrq_util.Table
 module Histogram = Rrq_util.Histogram
 
@@ -31,36 +33,29 @@ type row = {
 let flush = 0.005
 
 let one_run ~replicated ~ops ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create s (Rng.create seed) in
-      let a =
-        Site.create ~queues:[ ("q", Qm.default_attrs) ] ~stale_timeout:5.0
-          (Net.make_node ~sync_latency:flush net "siteA")
-      in
       let pair =
-        if not replicated then None
-        else begin
-          let b =
-            Site.create ~queues:[ ("q", Qm.default_attrs) ] ~stale_timeout:5.0
-              (Net.make_node ~sync_latency:flush net "siteB")
-          in
-          let ha_a =
-            Ha.attach ~mode:Ha.Sync a ~peer:"siteB" ~role:Ha.Primary
-          in
-          let ha_b =
-            Ha.attach ~mode:Ha.Sync b ~peer:"siteA" ~role:Ha.Standby
-          in
-          Some (b, ha_a, ha_b)
-        end
+        { World.primary = "siteA"; standby = "siteB"; mode = Ha.Sync;
+          sync_latency = flush; cold = None }
       in
+      let repos = [ (if replicated then World.Pair pair else Single "siteA") ] in
+      let queues = [ ("q", Qm.default_attrs) ] in
+      let world =
+        World.build net
+          {
+            (World.single "siteA") with
+            repos;
+            queues;
+            stale_timeout = 5.0;
+            sync_latency = flush;
+          }
+      in
+      let a = World.site world "siteA" in
       fun () ->
         (* Replicated run: wait for the link before timing anything, so
            every commit force below really pays the shipping round trip. *)
-        (match pair with
-        | Some (_, ha_a, _) ->
-          ignore
-            (Common.await (fun () -> Ha.is_serving ha_a && Ha.shipping ha_a))
-        | None -> ());
+        if replicated then ignore (Runner.await (fun () -> World.ready world));
         let h, _ =
           Qm.register (Site.qm a) ~queue:"q" ~registrant:"bench" ~stable:true
         in
@@ -85,13 +80,15 @@ let one_run ~replicated ~ops ~seed =
                ignore (Qm.enqueue (Site.qm a) (Tm.txn_id txn) h "survivor")));
         Site.crash a;
         let survives =
-          match pair with
-          | None -> false (* the only copy dies with siteA *)
-          | Some (b, _, ha_b) ->
+          replicated
+          && begin
             (* The standby misses the heartbeats, promotes, and must find
-               the shipped element in its replayed queue. *)
-            Common.await ~timeout:30.0 (fun () -> Ha.is_serving ha_b)
-            && Qm.depth (Site.qm b) "q" = 1
+               the shipped element in its replayed queue; a single copy
+               dies with siteA. *)
+            Runner.await ~timeout:30.0 (fun () ->
+                Ha.is_serving (World.ha world "siteB"))
+            && Qm.depth (Site.qm (World.site world "siteB")) "q" = 1
+          end
         in
         {
           config =

@@ -22,13 +22,12 @@
 module Sched = Rrq_sim.Sched
 module Net = Rrq_net.Net
 module Rng = Rrq_util.Rng
-module Qm = Rrq_qm.Qm
-module Site = Rrq_core.Site
 module Shard = Rrq_core.Shard
-module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 
 type row = {
   shards : int;
@@ -87,23 +86,16 @@ let map_of ~colocated ~ids n =
 let one_run ~colocated ~shards:n ~clients ~reqs ~seed =
   Rrq_obs.reset ();
   Fun.protect ~finally:Rrq_obs.disable (fun () ->
-      Common.run_scenario (fun s ->
+      Runner.run_scenario (fun s ->
           let net = Net.create ~latency:net_latency s (Rng.create seed) in
           let ids = List.filteri (fun i _ -> i < clients) client_ids in
           let smap = map_of ~colocated ~ids n in
-          List.iter
-            (fun name ->
-              let site =
-                Site.create
-                  ~queues:[ ("req", Qm.default_attrs) ]
-                  ~stale_timeout:3.0
-                  (Net.make_node ~sync_latency net name)
-              in
-              ignore
-                (Server.start site ~req_queue:"req" ~threads:8
-                   Common.counting_handler);
-              ignore (Shard.attach site smap))
-            smap.Shard.shards;
+          let repos = List.map (fun name -> World.Single name) smap.Shard.shards in
+          let shards = Some { World.map = smap; untag_forward_bug = false } in
+          let server = World.counting_server 8 in
+          ignore
+            (World.build net
+               { (World.single "s0") with repos; shards; sync_latency; server });
           let client_nodes =
             List.map (fun id -> (id, Net.make_node net ("c-" ^ id))) ids
           in
@@ -136,7 +128,7 @@ let one_run ~colocated ~shards:n ~clients ~reqs ~seed =
                        incr done_count)))
               client_nodes;
             ignore
-              (Common.await ~timeout:3000.0 (fun () ->
+              (Runner.await ~timeout:3000.0 (fun () ->
                    !done_count = clients));
             let elapsed = Sched.clock () -. t0 in
             let d =

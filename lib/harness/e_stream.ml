@@ -8,11 +8,12 @@ module Net = Rrq_net.Net
 module Rng = Rrq_util.Rng
 module Tm = Rrq_txn.Tm
 module Kvdb = Rrq_kvdb.Kvdb
-module Qm = Rrq_qm.Qm
 module Site = Rrq_core.Site
 module Server = Rrq_core.Server
 module Stream_clerk = Rrq_core.Stream_clerk
 module Table = Rrq_util.Table
+module Runner = Rrq_check.Runner
+module World = Rrq_check.World
 
 type row = {
   width : int;
@@ -24,20 +25,19 @@ type row = {
 }
 
 let one_run ~width ~requests ~latency ~seed =
-  Common.run_scenario (fun s ->
+  Runner.run_scenario (fun s ->
       let net = Net.create ~latency s (Rng.create seed) in
-      let backend =
-        Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:10.0
-          (Net.make_node net "backend")
+      let handler site txn env =
+        ignore
+          (Kvdb.add (Site.kv site) (Tm.txn_id txn)
+             ("exec:" ^ env.Rrq_core.Envelope.rid) 1);
+        Server.Reply "ok"
       in
-      let _ =
-        Server.start backend ~req_queue:"req" ~threads:(max 8 width)
-          (fun site txn env ->
-            ignore
-              (Kvdb.add (Site.kv site) (Tm.txn_id txn)
-                 ("exec:" ^ env.Rrq_core.Envelope.rid) 1);
-            Server.Reply "ok")
+      let server = Some { World.queue = "req"; threads = max 8 width; handler } in
+      let world =
+        World.build net { (World.single "backend") with stale_timeout = 10.0; server }
       in
+      let backend = World.site world "backend" in
       let client_node = Net.make_node net "client" in
       fun () ->
         let stream =
@@ -51,7 +51,7 @@ let one_run ~width ~requests ~latency ~seed =
         let replies = Stream_clerk.drain stream () in
         let elapsed = Sched.clock () -. start in
         let rids = List.init requests (fun i -> Printf.sprintf "r%d" (i + 1)) in
-        let lost, exact, dup = Common.audit_executions [ backend ] ~rids in
+        let lost, exact, dup = Rrq_check.Audit.audit_executions [ backend ] ~rids in
         {
           width;
           requests;

@@ -34,8 +34,10 @@ let all =
     ( "R3", "layering",
       "no direct Disk mutation outside lib/storage + lib/wal, no raw \
        WAL/group-commit appends or redo-record construction outside the \
-       resource-manager layers (lib/wal, lib/txn, lib/qm, lib/kvdb), and \
-       no Element payload/state writes outside lib/qm" );
+       resource-manager layers (lib/wal, lib/txn, lib/qm, lib/kvdb), no \
+       Element payload/state writes outside lib/qm, and no world wiring \
+       (Site.create, Ha.attach, Shard.attach) outside lib/core and \
+       lib/check/world.ml" );
     ( "R4", "txn-pairing",
       "an item that calls begin_txn must also reach both a commit and an \
        abort (the with_txn shape): a missing abort path leaks the \
@@ -242,6 +244,22 @@ let layers =
          transactions";
     };
   ]
+
+(* Worlds are wired in one place: everything above lib/core builds its
+   sites, HA pairs and shard routers through [Rrq_check.World]. *)
+let wiring (m, f) =
+  {
+    l_mod = m;
+    l_funcs = [ f ];
+    l_allowed = [ "lib/core/"; "lib/check/world.ml" ];
+    l_what = "world wiring";
+    l_hint =
+      "describe the world (repositories, shard map, queues, server) as a \
+       Rrq_check.World.t and boot it with World.build";
+  }
+
+let layers =
+  layers @ List.map wiring [ ("Site", "create"); ("Ha", "attach"); ("Shard", "attach") ]
 
 let under prefixes file = List.exists (fun p -> String.starts_with ~prefix:p file) prefixes
 

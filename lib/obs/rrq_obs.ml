@@ -239,8 +239,7 @@ module Event = struct
     | Shard_forward of { node : string; owner : string; version : int }
     | Shard_map_install of { node : string; version : int }
 
-  (* kind tag + named fields; the names feed the JSON renderer, the order
-     feeds the '|'-separated codec. *)
+  (* kind tag + named fields, rendered by [to_json_line]. *)
   let fields = function
     | Enqueue { qm; queue; eid; txid } ->
       ( "enq",
@@ -309,106 +308,6 @@ module Event = struct
       )
     | Shard_map_install { node; version } ->
       ("shmap", [ ("node", node); ("version", string_of_int version) ])
-
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '|' -> Buffer.add_string b "\\!"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let unescape s =
-    let b = Buffer.create (String.length s) in
-    let i = ref 0 in
-    let n = String.length s in
-    while !i < n do
-      if s.[!i] = '\\' && !i + 1 < n then begin
-        (match s.[!i + 1] with
-        | '\\' -> Buffer.add_char b '\\'
-        | '!' -> Buffer.add_char b '|'
-        | 'n' -> Buffer.add_char b '\n'
-        | c -> Buffer.add_char b c);
-        i := !i + 2
-      end
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents b
-
-  let to_string t =
-    let kind, fs = fields t in
-    String.concat "|" (kind :: List.map (fun (_, v) -> escape v) fs)
-
-  (* Split on unescaped '|' only, then unescape each field. *)
-  let split_fields s =
-    let parts = ref [] in
-    let b = Buffer.create 16 in
-    let i = ref 0 in
-    let n = String.length s in
-    while !i < n do
-      if s.[!i] = '\\' && !i + 1 < n then begin
-        Buffer.add_char b s.[!i];
-        Buffer.add_char b s.[!i + 1];
-        i := !i + 2
-      end
-      else if s.[!i] = '|' then begin
-        parts := Buffer.contents b :: !parts;
-        Buffer.clear b;
-        incr i
-      end
-      else begin
-        Buffer.add_char b s.[!i];
-        incr i
-      end
-    done;
-    parts := Buffer.contents b :: !parts;
-    List.rev_map unescape !parts
-
-  let of_string s =
-    match split_fields s with
-    | [ "enq"; qm; queue; eid; txid ] ->
-      Enqueue { qm; queue; eid = Int64.of_string eid; txid }
-    | [ "deq"; qm; queue; eid; txid ] ->
-      Dequeue { qm; queue; eid = Int64.of_string eid; txid }
-    | [ "read"; qm; queue; found ] ->
-      Read { qm; queue; found = bool_of_string found }
-    | [ "spill"; qm; error_queue; eid; code ] ->
-      Error_spill { qm; error_queue; eid = Int64.of_string eid; code }
-    | [ "begin"; tm; txid ] -> Txn_begin { tm; txid }
-    | [ "commit"; tm; txid ] -> Txn_commit { tm; txid }
-    | [ "abort"; tm; txid ] -> Txn_abort { tm; txid }
-    | [ "staged"; tm; txid ] -> Txn_staged { tm; txid }
-    | [ "vote"; tm; txid; rm; yes ] ->
-      Txn_vote { tm; txid; rm; yes = bool_of_string yes }
-    | [ "resolve"; tm; txid; commit ] ->
-      Txn_resolve { tm; txid; commit = bool_of_string commit }
-    | [ "wappend"; wal; lsn; bytes ] ->
-      Wal_append { wal; lsn = int_of_string lsn; bytes = int_of_string bytes }
-    | [ "wforce"; wal; lsn ] -> Wal_force { wal; lsn = int_of_string lsn }
-    | [ "seal"; wal; batch ] | [ "seal"; wal; batch; _ ] ->
-      (* Older recordings carry a fourth field, a seal reason: dropped. *)
-      Batch_seal { wal; batch = int_of_string batch }
-    | [ "crashpoint"; site; hit ] ->
-      Crashpoint_fired { site; hit = int_of_string hit }
-    | [ "fsm"; client; from_state; event; to_state ] ->
-      Client_fsm { client; from_state; event; to_state }
-    | [ "send"; client; rid; eid ] ->
-      Clerk_send { client; rid; eid = Int64.of_string eid }
-    | [ "receive"; client; rid ] -> Clerk_receive { client; rid }
-    | [ "exec"; server; queue; rid; txid ] ->
-      Server_exec { server; queue; rid; txid }
-    | [ "shfwd"; node; owner; version ] ->
-      Shard_forward { node; owner; version = int_of_string version }
-    | [ "shmap"; node; version ] ->
-      Shard_map_install { node; version = int_of_string version }
-    | _ -> failwith ("Rrq_obs.Event.of_string: unparseable event: " ^ s)
 
   (* Numeric-looking fields stay numeric in JSON for easy jq filtering. *)
   let numeric_fields =

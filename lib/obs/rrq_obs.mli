@@ -135,12 +135,9 @@ module Event : sig
     | Shard_map_install of { node : string; version : int }
         (** A shard repository accepted shard-map [version]. *)
 
-  val to_string : t -> string
-  (** Compact single-line form: kind and fields joined with ['|'],
-      field text escaped. *)
-
-  val of_string : string -> t
-  (** Inverse of [to_string]. @raise Failure on malformed input. *)
+  val fields : t -> string * (string * string) list
+  (** The event's kind tag (["enq"], ["commit"], ...) and its named
+      fields as text. *)
 
   val to_json_line : ts:float -> t -> string
   (** One JSON object (no trailing newline):

@@ -563,8 +563,10 @@ let test_single_txn_conversation_replay () =
             (Net.make_node net "backend")
         in
         let client_node = Net.make_node net "client" in
-        Interactive.install_display client_node ~user:(fun ~rid:_ ~seq ~prompt:_ ->
-            Printf.sprintf "answer%d" seq);
+        let display =
+          Interactive.install_display client_node ~user:(fun ~rid:_ ~seq ~prompt:_ ->
+              Printf.sprintf "answer%d" seq)
+        in
         let attempts = ref 0 in
         let _ =
           Server.start backend ~req_queue:"conv" (fun site _txn env ->
@@ -584,7 +586,7 @@ let test_single_txn_conversation_replay () =
                (match Clerk.transceive clerk ~rid:"c1" ~timeout:20.0 "go" with
                | Some reply -> result := Some reply.Envelope.body
                | None -> Alcotest.fail "no reply");
-               asks := Interactive.display_asks client_node)))
+               asks := Interactive.display_asks display)))
   in
   Alcotest.(check (option string)) "reply" (Some "got:answer1,answer2") !result;
   Alcotest.(check int) "each question asked once despite re-execution" 2 !asks
@@ -603,8 +605,10 @@ let test_single_txn_conversation_divergence () =
             (Net.make_node net "backend")
         in
         let client_node = Net.make_node net "client" in
-        Interactive.install_display client_node ~user:(fun ~rid:_ ~seq ~prompt ->
-            Printf.sprintf "ans(%d,%s)" seq prompt);
+        let display =
+          Interactive.install_display client_node ~user:(fun ~rid:_ ~seq ~prompt ->
+              Printf.sprintf "ans(%d,%s)" seq prompt)
+        in
         let attempts = ref 0 in
         let _ =
           Server.start backend ~req_queue:"conv" (fun site _txn env ->
@@ -626,7 +630,7 @@ let test_single_txn_conversation_divergence () =
                (match Clerk.transceive clerk ~rid:"c1" ~timeout:30.0 "go" with
                | Some reply -> result := Some reply.Envelope.body
                | None -> Alcotest.fail "no reply");
-               asks := Interactive.display_asks client_node)))
+               asks := Interactive.display_asks display)))
   in
   (* q1 replayed from the log; the changed q2 asked fresh *)
   Alcotest.(check (option string)) "final uses replay + fresh input"
@@ -664,8 +668,9 @@ let test_transaction_routing_display_binding () =
               Server.Reply ("routed-answer:" ^ answer))
         in
         let client_node = Net.make_node net "client" in
-        Interactive.install_display client_node
-          ~user:(fun ~rid:_ ~seq:_ ~prompt -> "to:" ^ prompt);
+        ignore
+          (Interactive.install_display client_node
+             ~user:(fun ~rid:_ ~seq:_ ~prompt -> "to:" ^ prompt));
         ignore
           (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
                let clerk, _ =

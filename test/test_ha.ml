@@ -22,6 +22,7 @@ module Site = Rrq_core.Site
 module Ha = Rrq_core.Ha
 module Scenario = Rrq_check.Scenario
 module Audit = Rrq_check.Audit
+module World = Rrq_check.World
 module Plan = Rrq_check.Plan
 module H = Rrq_test_support.Sim_harness
 
@@ -554,7 +555,6 @@ let failover_suite =
 (* --- an HA pair as one shard of a sharded deployment ---------------------- *)
 
 module Shard = Rrq_core.Shard
-module Server = Rrq_core.Server
 module Clerk = Rrq_core.Clerk
 module Envelope = Rrq_core.Envelope
 module Kvdb = Rrq_kvdb.Kvdb
@@ -579,39 +579,23 @@ let shard_ha_map =
       ];
   }
 
-(* Builds the pair and the plain shards, with counting servers on each
-   serving node; returns the pair's sites, the standby's role and hs1, hs2. *)
+(* The pair and the plain shards, with counting servers on each serving
+   node. *)
 let shard_ha_world net =
-  let site name =
-    Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
-      (Net.make_node net name)
-  in
-  let plain name =
-    let s = site name in
-    ignore (Server.start s ~req_queue:"req" ~threads:2 Audit.counting_handler);
-    ignore (Shard.attach s shard_ha_map);
-    s
-  in
-  let site_p = site "hs0p" in
-  let site_b = site "hs0b" in
-  let serve ha =
-    ignore
-      (Server.start_here (Ha.site ha) ~req_queue:"req" ~threads:2
-         Audit.counting_handler)
-  in
-  let _ha_p =
-    Ha.attach ~mode:Ha.Sync ~on_serving:serve site_p ~peer:"hs0b"
-      ~role:Ha.Primary
-  in
-  let ha_b =
-    Ha.attach ~mode:Ha.Sync ~on_serving:serve site_b ~peer:"hs0p"
-      ~role:Ha.Standby
-  in
-  ignore (Shard.attach site_p shard_ha_map);
-  ignore (Shard.attach site_b shard_ha_map);
-  let site_1 = plain "hs1" in
-  let site_2 = plain "hs2" in
-  (site_p, site_b, ha_b, site_1, site_2)
+  World.build net
+    {
+      (World.single "hs0p") with
+      repos =
+        [
+          World.Pair
+            { primary = "hs0p"; standby = "hs0b"; mode = Ha.Sync; sync_latency = 0.0;
+              cold = None };
+          World.Single "hs1";
+          World.Single "hs2";
+        ];
+      shards = Some { World.map = shard_ha_map; untag_forward_bug = false };
+      server = World.counting_server 2;
+    }
 
 (* Killing hs0p mid-run must fail client "ha" over to the promoted hs0b —
    same rids, duplicate suppression from shipped registration state — while
@@ -661,8 +645,10 @@ let test_shard_ha_failover () =
   in
   H.run_fiber' (fun s ->
       let net = Net.create ~latency:0.005 s (Rng.create 99) in
-      let site_p, site_b, ha_b, site_1, site_2 = shard_ha_world net in
+      let world = shard_ha_world net in
+      let ha_b = World.ha world "hs0b" in
       let client_node = Net.make_node net "client" in
+      let site_p = World.site world "hs0p" in
       Sched.at s 1.5 (fun () -> Site.crash_restart site_p ~after:8.0);
       ignore
         (Sched.fork ~name:"client-ha" (fun () ->
@@ -689,9 +675,8 @@ let test_shard_ha_failover () =
            !hb_done_at)
         true (!hb_done_at < 5.0);
       Alcotest.(check int) "every reply delivered" 4 !replies;
-      let pair_auth () = if Ha.is_serving ha_b then site_b else site_p in
-      let auth_sites () = [ pair_auth (); site_1; site_2 ] in
-      let all_sites () = [ site_p; site_b; site_1; site_2 ] in
+      let auth_sites () = World.authoritative world in
+      let all_sites () = List.map snd (World.sites world) in
       let findings =
         Audit.run
           [
@@ -720,7 +705,8 @@ let test_shard_ha_failover () =
 let test_shard_failover_sticks_to_standby () =
   H.run_fiber' (fun s ->
       let net = Net.create ~latency:0.005 s (Rng.create 99) in
-      let site_p, _, ha_b, _, _ = shard_ha_world net in
+      let world = shard_ha_world net in
+      let ha_b = World.ha world "hs0b" in
       let clerk, _ =
         Clerk.connect ~client_node:(Net.make_node net "client") ~system:"hs0p"
           ~shard_map:shard_ha_map ~client_id:"ha" ~req_queue:"req" ()
@@ -734,7 +720,7 @@ let test_shard_failover_sticks_to_standby () =
       in
       request "ha-r0";
       (* The primary dies for good. *)
-      Site.crash site_p;
+      Site.crash (World.site world "hs0p");
       let deadline = Sched.clock () +. 10.0 in
       while (not (Ha.is_serving ha_b)) && Sched.clock () < deadline do
         Sched.sleep 0.1

@@ -131,6 +131,12 @@ let r3_cases =
         "let f el = log_raw (REnq (\"q\", el))" );
     ( "silent: unrelated constructor outside rm dirs",
       silent "R3" ~file:"lib/core/fixture.ml" "let f x = Result (x, 0)" );
+    ( "fires: Ha.attach in harness",
+      fires "R3" ~file:"lib/harness/fixture.ml"
+        "let f site = Ha.attach site ~peer:\"b\" ~role:Ha.Primary" );
+    ( "silent: Ha.attach in the world builder",
+      silent "R3" ~file:"lib/check/world.ml"
+        "let f site = Ha.attach site ~peer:\"b\" ~role:Ha.Primary" );
   ]
 
 (* ---- R4: transaction pairing ------------------------------------------- *)

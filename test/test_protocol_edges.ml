@@ -14,21 +14,18 @@ module Server = Rrq_core.Server
 module Session = Rrq_core.Session
 module Forwarder = Rrq_core.Forwarder
 module Envelope = Rrq_core.Envelope
+module World = Rrq_check.World
 module H = Rrq_test_support.Sim_harness
 
 let make_rig s =
   let net = Net.create s (Rng.create 88) in
-  let backend =
-    Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout:3.0
-      (Net.make_node net "backend")
+  let handler site txn env =
+    ignore (Kvdb.add (Site.kv site) (Tm.txn_id txn) ("exec:" ^ env.Envelope.rid) 1);
+    Server.Reply ("done:" ^ env.Envelope.rid)
   in
-  let _ =
-    Server.start backend ~req_queue:"req" (fun site txn env ->
-        ignore
-          (Kvdb.add (Site.kv site) (Tm.txn_id txn) ("exec:" ^ env.Envelope.rid) 1);
-        Server.Reply ("done:" ^ env.Envelope.rid))
-  in
-  (net, backend, Net.make_node net "client")
+  let server = Some { World.queue = "req"; threads = 1; handler } in
+  let world = World.build net { (World.single "backend") with server } in
+  (World.site world "backend", Net.make_node net "client")
 
 (* fig. 2, branch 2, sub-case "already processed": the client crashed after
    printing the ticket but before the next Send. The device (ticket count)
@@ -39,7 +36,7 @@ let test_session_already_processed_branch () =
   let tickets = ref 0 in
   let _ =
     H.run (fun s ->
-        let _, _, client_node = make_rig s in
+        let _, client_node = make_rig s in
         ignore
           (Sched.spawn s ~group:"inc1" ~name:"alice-1" (fun () ->
                let clerk, _ =
@@ -83,7 +80,7 @@ let test_send_oneway_and_receive () =
   let got = ref None in
   let _ =
     H.run (fun s ->
-        let _, _, client_node = make_rig s in
+        let _, client_node = make_rig s in
         ignore
           (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
                let clerk, _ =
@@ -102,7 +99,7 @@ let test_send_oneway_and_receive () =
 let test_transceive () =
   let _ =
     H.run (fun s ->
-        let _, backend, client_node = make_rig s in
+        let backend, client_node = make_rig s in
         ignore
           (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
                let clerk, _ =
@@ -201,7 +198,7 @@ let test_strict_clerk_enforcement () =
   let verdict = ref "" in
   let _ =
     H.run (fun s ->
-        let _, _, client_node = make_rig s in
+        let _, client_node = make_rig s in
         ignore
           (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
                let clerk, _ =
@@ -230,7 +227,7 @@ let test_clerk_state_tracking () =
   let states = ref [] in
   let _ =
     H.run (fun s ->
-        let _, _, client_node = make_rig s in
+        let _, client_node = make_rig s in
         ignore
           (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
                let clerk, _ =

@@ -4,49 +4,36 @@
 module Sched = Rrq_sim.Sched
 module Rng = Rrq_util.Rng
 module Net = Rrq_net.Net
-module Kvdb = Rrq_kvdb.Kvdb
 module Qm = Rrq_qm.Qm
 module Site = Rrq_core.Site
 module Clerk = Rrq_core.Clerk
 module Server = Rrq_core.Server
 module Envelope = Rrq_core.Envelope
+module Audit = Rrq_check.Audit
+module World = Rrq_check.World
 module H = Rrq_test_support.Sim_harness
 
-(* A standard rig: one backend site with a request queue, one bare client
-   node, a server whose handler increments per-rid and total counters. *)
-type rig = {
-  sched : Sched.t;
-  net : Net.t;
-  backend : Site.t;
-  client_node : Net.node;
-  server : Server.t;
-}
+(* A standard rig: one backend site with a request queue and a server
+   whose handler (by default) increments per-rid and total counters, and
+   one bare client node. *)
+type rig = { backend : Site.t; client_node : Net.node }
 
-let counting_handler site txn env =
-  let kv = Site.kv site in
-  let id = Rrq_txn.Tm.txn_id txn in
-  ignore (Kvdb.add kv id ("exec:" ^ env.Envelope.rid) 1);
-  ignore (Kvdb.add kv id "total" 1);
-  Server.Reply ("done:" ^ env.Envelope.body)
+let counting_handler = Audit.counting_handler
 
 let make_rig ?(drop_rate = 0.0) ?(server_threads = 1) ?(stale_timeout = 3.0)
-    ?handler s =
+    ?(handler = counting_handler) s =
   let net = Net.create ~drop_rate s (Rng.create 42) in
-  let backend_node = Net.make_node net "backend" in
-  let backend =
-    Site.create ~queues:[ ("req", Qm.default_attrs) ] ~stale_timeout backend_node
+  let world =
+    World.build net
+      {
+        (World.single "backend") with
+        stale_timeout;
+        server = Some { World.queue = "req"; threads = server_threads; handler };
+      }
   in
-  let client_node = Net.make_node net "client" in
-  let handler = match handler with Some h -> h | None -> counting_handler in
-  let server =
-    Server.start backend ~req_queue:"req" ~threads:server_threads handler
-  in
-  { sched = s; net; backend; client_node; server }
+  { backend = World.site world "backend"; client_node = Net.make_node net "client" }
 
-let exec_count rig rid =
-  match Kvdb.committed_value (Site.kv rig.backend) ("exec:" ^ rid) with
-  | Some s -> int_of_string s
-  | None -> 0
+let exec_count rig = Audit.exec_count rig.backend
 
 let connect rig ?(client_id = "alice") () =
   Clerk.connect ~client_node:rig.client_node ~system:"backend"
