@@ -39,6 +39,7 @@ witness:
 sim:
 	dune exec bin/rrq_demo.exe -- check --budget 25
 	dune exec bin/rrq_demo.exe -- check --scenario quickstart --sites
+	dune exec bin/rrq_demo.exe -- check --scenario quickstart-large --sites
 	dune exec bin/rrq_demo.exe -- check --scenario ha --sites
 	dune exec bin/rrq_demo.exe -- check --scenario sharded --sites
 	dune exec bin/rrq_demo.exe -- check --scenario sharded-ha --sites

@@ -62,6 +62,7 @@ type topology = {
       (** The one client enqueues untagged and blindly re-Sends on a reply
           timeout (no rid check): the duplicate-request bug the paper's
           registration tags exist to prevent. *)
+  body_bytes : int;  (** request bodies are padded to this length *)
 }
 
 type t = {
@@ -254,8 +255,10 @@ let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
     | Some ch when r > 0 -> Sched.sleep (ch.change_at +. 0.2)
     | _ -> ());
     let rid = Printf.sprintf "%s-r%d" client_id r in
+    let body = "work:" ^ rid in
+    let body = body ^ String.make (max 0 (topo.body_bytes - String.length body)) '.' in
     let rec send n =
-      try ignore (Clerk.send clerk ~rid ("work:" ^ rid))
+      try ignore (Clerk.send clerk ~rid body)
       with Clerk.Unavailable _ when n > 0 ->
         Sched.sleep 1.0;
         send (n - 1)
@@ -508,9 +511,17 @@ let quickstart_world =
     reqs = 2;
     prefix = "c";
     blind_client = false;
+    body_bytes = 0;
   }
 
 let quickstart = make "quickstart" quickstart_world
+
+(* The quickstart world with 16 KiB request bodies (and so 16 KiB
+   replies): every body is logged by reference, as its frame's pieces,
+   and the log crosses a checkpoint whose snapshot holds Rereceive copies
+   by reference, so the crash sweep reaches both. *)
+let quickstart_large =
+  make "quickstart-large" { quickstart_world with body_bytes = 16384; reqs = 4 }
 
 (* The quickstart world on a lossy network: every message, requests,
    replies and acks alike, is dropped with probability 0.08, so the clerk's
@@ -609,6 +620,7 @@ let all =
   [
     quickstart;
     quickstart_lossy;
+    quickstart_large;
     ha;
     ha_lagged;
     sharded;

@@ -74,6 +74,13 @@ val quickstart_lossy : t
     tag-based duplicate suppression must still deliver every request
     exactly once. *)
 
+val quickstart_large : t
+(** {!quickstart} with 2 clerks x 4 requests whose bodies are 16 KiB, so
+    the replies are too: each body reaches the log by reference (its
+    frame's pieces), and the backend's node log crosses a checkpoint
+    whose snapshot holds the Rereceive copies by reference. Must satisfy
+    every auditor under any plan. *)
+
 val ha : t
 (** The HA pair ({!Rrq_core.Ha}): a primary and a warm standby joined by
     synchronous WAL shipping, 2 clerks (with backup rotation) x 2

@@ -51,38 +51,46 @@ type Net.payload +=
 
 (* The client's durable intermediate-I/O log: (rid, seq, prompt, input)
    tuples, replayed to answer repeated prompts after a server-side abort
-   and re-execution. *)
+   and re-execution. A divergence drops entries, which a log of appends
+   cannot say: the display checkpoints its live entries then, and
+   whenever the log outgrows them by the node log's byte rule. *)
 type display = {
-  wal : Wal.t;
   entries : (string * int, string * string) Hashtbl.t; (* (rid,seq) -> (prompt,input) *)
   mutable fresh_asks : int;
 }
 
-let encode_entry rid seq prompt input =
-  let e = Codec.encoder () in
+let encode_entry e (rid, seq) (prompt, input) =
   Codec.string e rid;
   Codec.int e seq;
   Codec.string e prompt;
-  Codec.string e input;
-  Codec.to_string e
+  Codec.string e input
 
-let decode_entry payload =
-  let d = Codec.decoder payload in
+let decode_entry entries d =
   let rid = Codec.get_string d in
   let seq = Codec.get_int d in
   let prompt = Codec.get_string d in
   let input = Codec.get_string d in
-  (rid, seq, prompt, input)
+  Hashtbl.replace entries (rid, seq) (prompt, input)
 
 let install_display node ~user =
   let wal, recovered = Wal.open_log (Net.disk node) ~name:"display" in
   let entries = Hashtbl.create 32 in
-  List.iter
-    (fun payload ->
-      let rid, seq, prompt, input = decode_entry payload in
-      Hashtbl.replace entries (rid, seq) (prompt, input))
-    recovered.Wal.records;
-  let st = { wal; entries; fresh_asks = 0 } in
+  Option.iter
+    (fun snap ->
+      let d = Codec.decoder snap in
+      for _ = 1 to Codec.get_int d do
+        decode_entry entries d
+      done)
+    recovered.Wal.snapshot;
+  List.iter (fun r -> decode_entry entries (Codec.decoder r)) recovered.Wal.records;
+  let st = { entries; fresh_asks = 0 } in
+  let scratch = Codec.encoder () in
+  (* A snapshot is the live entries, counted. *)
+  let checkpoint () =
+    Wal.checkpoint wal scratch (fun e ->
+        Codec.int e (Hashtbl.length entries);
+        Hashtbl.iter (encode_entry e) entries)
+  in
   Net.add_service node "display" (fun msg ->
       match msg with
       | D_ask { rid; seq; prompt } -> begin
@@ -90,19 +98,24 @@ let install_display node ~user =
         | Some (logged_prompt, input) when logged_prompt = prompt ->
           D_input input (* replay: the user never sees the prompt again *)
         | found ->
-          (* Divergence (or first time): the rest of the old conversation
-             no longer applies — drop it and solicit fresh input. *)
-          (match found with
-          | Some _ ->
-            Hashtbl.iter
-              (fun (r, sq) _ ->
-                if r = rid && sq >= seq then Hashtbl.remove st.entries (r, sq))
-              (Hashtbl.copy st.entries)
-          | None -> ());
           st.fresh_asks <- st.fresh_asks + 1;
           let input = user ~rid ~seq ~prompt in
-          Hashtbl.replace st.entries (rid, seq) (prompt, input);
-          Wal.append_sync st.wal (encode_entry rid seq prompt input);
+          (match found with
+          | Some _ ->
+            (* Divergence: the rest of the old conversation no longer
+               applies. Drop it, here and durably. *)
+            Hashtbl.filter_map_inplace
+              (fun (r, sq) v -> if r = rid && sq >= seq then None else Some v)
+              st.entries;
+            Hashtbl.replace st.entries (rid, seq) (prompt, input);
+            checkpoint ()
+          | None ->
+            Hashtbl.replace st.entries (rid, seq) (prompt, input);
+            Codec.reset scratch;
+            encode_entry scratch (rid, seq) (prompt, input);
+            Wal.append_enc wal scratch;
+            Wal.sync wal;
+            if Rrq_txn.Node_log.checkpoint_due wal then checkpoint ());
           D_input input
       end
       | _ -> raise (Invalid_argument "display service: unexpected message"));

@@ -60,7 +60,10 @@ val install_display :
 (** Install the client-side display service with its durable I/O replay
     log. [user] produces fresh intermediate input; replayed prompts are
     answered from the log without consulting the user. Re-run this after a
-    client restart (the log is recovered from the node's disk). Only the
+    client restart (the log is recovered from the node's disk). A
+    divergent prompt drops the later entries of its conversation durably:
+    the log is checkpointed to the live entries then, and whenever it
+    outgrows them by {!Rrq_txn.Node_log.checkpoint_due}. Only the
     node's service table and the caller hold the display, so it dies with
     its world. *)
 

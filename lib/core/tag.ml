@@ -1,10 +1,12 @@
 module Codec = Rrq_util.Codec
 
+(* Sized exactly, so [finish] hands the buffer over as the tag. *)
 let pack rid ckpt =
-  let e = Codec.encoder () in
+  let piece = function None -> 1 | Some s -> 9 + String.length s in
+  let e = Codec.encoder ~size:(piece rid + piece ckpt) () in
   Codec.option Codec.string e rid;
   Codec.option Codec.string e ckpt;
-  Codec.to_string e
+  Codec.finish e
 
 let send ~rid = pack (Some rid) None
 let receive ~rid ~ckpt = pack rid ckpt

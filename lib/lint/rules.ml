@@ -214,7 +214,7 @@ let layers =
       l_funcs =
         [
           "open_file"; "append"; "sync"; "sync_all"; "replace_atomic";
-          "replace_atomic_bytes"; "delete";
+          "replace_atomic_bytes"; "replace_atomic_pieces"; "delete";
         ];
       l_allowed = [ "lib/storage/"; "lib/wal/" ];
       l_what = "direct disk mutation";
@@ -225,7 +225,8 @@ let layers =
     };
     {
       l_mod = "Wal";
-      l_funcs = [ "append"; "append_frame"; "append_sync"; "sync"; "checkpoint" ];
+      l_funcs =
+        [ "append"; "append_enc"; "append_frame"; "append_sync"; "sync"; "checkpoint" ];
       l_allowed = rm_dirs;
       l_what = "raw WAL mutation";
       l_hint =

@@ -76,11 +76,12 @@ let open_file t fname =
 
 let concat_rev chunks = String.concat "" (List.rev chunks)
 
-(* A string moved into the chunk list: full, so never written again. *)
+(* A string as a chunk: full, so never written again. *)
+let alias s = { data = Bytes.unsafe_of_string s; len = String.length s; owned = false }
+
+(* A string moved into the chunk list. *)
 let add_durable f s =
-  f.durable <-
-    { data = Bytes.unsafe_of_string s; len = String.length s; owned = false }
-    :: f.durable;
+  f.durable <- alias s :: f.durable;
   f.durable_len <- f.durable_len + String.length s
 
 let clear_pending f =
@@ -132,8 +133,10 @@ let append f bytes =
 
 (* A sync of fewer pending bytes than this copies them into a page of
    [page_size] bytes (fewer heap blocks for a log of short records, and
-   frames that die young); a longer one moves its frames as they are. *)
-let page_below = 4096
+   frames that die young); a longer one moves its frames as they are. One
+   page is also where the codec starts splicing a string rather than
+   copying it, so a spliced string always takes the second way. *)
+let page_below = Rrq_util.Codec.splice_min
 let page_size = 16384
 
 let sync f =
@@ -145,8 +148,10 @@ let sync f =
       if n >= page_below then List.iter (add_durable f) frames
       else begin
         let page =
+          (* Only into a page the disk owns: a chunk that aliases an
+             appended or spliced string is someone else's data. *)
           match f.durable with
-          | c :: _ when Bytes.length c.data - c.len >= n -> c
+          | c :: _ when c.owned && Bytes.length c.data - c.len >= n -> c
           | _ ->
             let c = { data = Bytes.create page_size; len = 0; owned = true } in
             f.durable <- c :: f.durable;
@@ -176,27 +181,30 @@ let read f = read_durable f ^ concat_rev f.pending
 let durable_size f = f.durable_len
 let size f = f.durable_len + f.pending_len
 
-(* Install [c] as the file's whole contents; the buffer of the contents
-   it replaces, if the disk owned it alone, else [Bytes.empty]. *)
-let install t fname c =
+(* Install [chunks] (newest first, [len] bytes) as the file's whole
+   contents; the buffer of the contents they replace, if the disk owned it
+   alone, else [Bytes.empty]. Never a chunk that aliases a string: only an
+   owned buffer may go back to a writer. *)
+let install t fname chunks len =
   let f = open_file t fname in
   let old = match f.durable with [ o ] when o.owned -> o.data | _ -> Bytes.empty in
-  f.durable <- [ c ];
-  f.durable_len <- c.len;
+  f.durable <- chunks;
+  f.durable_len <- len;
   clear_pending f;
-  t.synced_bytes <- t.synced_bytes + c.len;
+  t.synced_bytes <- t.synced_bytes + len;
   t.sync_count <- t.sync_count + 1;
   old
 
-let replace_atomic t fname contents =
+let replace_atomic_pieces t fname pieces =
   if allow_durability t then
     ignore
-      (install t fname
-         { data = Bytes.unsafe_of_string contents; len = String.length contents;
-           owned = false })
+      (install t fname (List.rev_map alias pieces)
+         (List.fold_left (fun n s -> n + String.length s) 0 pieces))
+
+let replace_atomic t fname contents = replace_atomic_pieces t fname [ contents ]
 
 let replace_atomic_bytes t fname buf ~len =
-  if allow_durability t then install t fname { data = buf; len; owned = true }
+  if allow_durability t then install t fname [ { data = buf; len; owned = true } ] len
   else buf
 
 let read_file t fname =

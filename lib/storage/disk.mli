@@ -55,8 +55,9 @@ val append : file -> string -> unit
 val sync : file -> unit
 (** Force all buffered bytes of this file to durable storage. The strings
     appended since the last sync become durable as they are, or, when
-    they add up to under 4 KiB, are copied once into a page of durable
-    contents. *)
+    they add up to under 4 KiB ({!Rrq_util.Codec.splice_min}), are
+    copied once into a page of durable contents. A page is a buffer the
+    disk made itself; no appended string is ever written to. *)
 
 val sync_all : t -> unit
 (** [sync] every file on the disk. *)
@@ -74,6 +75,14 @@ val replace_atomic : t -> string -> string -> unit
 (** Durably replace the full contents of a (possibly new) file, atomically —
     the write-temp-then-rename idiom used for checkpoints. Counts as one
     sync. *)
+
+val replace_atomic_pieces : t -> string -> string list -> unit
+(** [replace_atomic_pieces t name pieces] is {!replace_atomic} of the
+    pieces' concatenation, without concatenating them: the disk keeps
+    each string as it is, as {!append} does. For a checkpoint whose
+    snapshot holds spliced strings ({!Rrq_util.Codec.pieces}). No buffer
+    comes back: the disk owns none of these strings, so none ever goes
+    back to a writer (see {!replace_atomic_bytes}). *)
 
 val replace_atomic_bytes : t -> string -> Bytes.t -> len:int -> Bytes.t
 (** [replace_atomic_bytes t name buf ~len] is {!replace_atomic} of the

@@ -117,6 +117,9 @@ let checkpoint t = Wal.checkpoint t.wal t.scratch (encode_snapshot t)
    keep. *)
 let checkpoint_floor = 256 * 1024
 
+let checkpoint_due wal =
+  Wal.live_log_bytes wal >= max (Wal.snapshot_bytes wal) checkpoint_floor
+
 (* The one checkpoint rule, checked right after every append, with no
    yield before the checkpoint it takes. Checkpoint bytes written then
    never exceed log bytes appended plus one snapshot, and the live log
@@ -124,10 +127,7 @@ let checkpoint_floor = 256 * 1024
    recovery holds sections of a kind whose RM has not attached yet (a
    node opening its RMs one by one): the snapshot would drop them. *)
 let maybe_checkpoint t =
-  if
-    t.recovered = []
-    && Wal.live_log_bytes t.wal >= max (Wal.snapshot_bytes t.wal) checkpoint_floor
-  then checkpoint t
+  if t.recovered = [] && checkpoint_due t.wal then checkpoint t
 
 (* ---- commit ----------------------------------------------------------- *)
 

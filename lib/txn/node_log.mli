@@ -116,6 +116,12 @@ val checkpoint : t -> unit
     what the rule above does, and what a caller that wants a cut now
     (a standby's install, a test) calls. *)
 
+val checkpoint_due : Rrq_wal.Wal.t -> bool
+(** The rule's byte test on any log: its live log holds at least
+    [max (size of the last checkpoint) 256 KiB]. A log kept outside a
+    node log (the client's display log, [Interactive]) cuts itself by it
+    too. *)
+
 val live_log_bytes : t -> int
 (** {!Rrq_wal.Wal.live_log_bytes} of the log underneath: what a recovery
     would scan now. *)

@@ -47,3 +47,40 @@ let frame64_bytes b ~pos ~len =
     h := (!h lxor Char.code (Bytes.unsafe_get b i)) * frame_prime
   done;
   Int64.of_int !h
+
+(* [frame64] of a concatenation, a piece at a time: [carry] holds the first
+   [n] bytes of a word that straddles two pieces, so the words folded are
+   the concatenation's words, and its last [len mod 8] bytes are folded
+   one by one as [frame64] folds them. *)
+type stream = { mutable h : int; carry : Bytes.t; mutable n : int }
+
+let feed st s =
+  let len = String.length s in
+  let h = ref st.h and n = ref st.n and i = ref 0 in
+  while !n > 0 && !i < len do
+    Bytes.unsafe_set st.carry !n (String.unsafe_get s !i);
+    incr n;
+    incr i;
+    if !n = 8 then begin
+      h := (!h lxor Int64.to_int (Bytes.get_int64_le st.carry 0)) * frame_prime;
+      n := 0
+    end
+  done;
+  let words = (len - !i) / 8 in
+  for k = 0 to words - 1 do
+    h := (!h lxor Int64.to_int (String.get_int64_le s (!i + (k * 8)))) * frame_prime
+  done;
+  for k = !i + (words * 8) to len - 1 do
+    Bytes.unsafe_set st.carry !n (String.unsafe_get s k);
+    incr n
+  done;
+  st.h <- !h;
+  st.n <- !n
+
+let frame64_pieces pieces =
+  let st = { h = frame_basis; carry = Bytes.create 8; n = 0 } in
+  List.iter (feed st) pieces;
+  for i = 0 to st.n - 1 do
+    st.h <- (st.h lxor Char.code (Bytes.unsafe_get st.carry i)) * frame_prime
+  done;
+  Int64.of_int st.h

@@ -1,21 +1,81 @@
 (* Bytes-backed rather than [Buffer.t]: callers on the commit fast path
    reuse one encoder ({!reset}) and hand the filled prefix to the WAL via
-   {!bytes}/{!length} without materialising an intermediate string. *)
-type encoder = { mutable buf : Bytes.t; mutable pos : int }
+   {!bytes}/{!length} without materialising an intermediate string.
 
-let encoder ?(size = 64) () = { buf = Bytes.create size; pos = 0 }
-let reset e = e.pos <- 0
-let length e = e.pos
+   A string of a page or more is not copied in: the buffer gets its length
+   prefix, and [spliced] records the string and where it goes. [at] is the
+   buffer position the string's bytes would start at, [before] counts the
+   spliced bytes ahead of it; the list is newest first, so its head gives
+   the spliced total. *)
+type splice = { at : int; s : string; before : int }
+type encoder = { mutable buf : Bytes.t; mutable pos : int; mutable spliced : splice list }
+
+let splice_min = 4096
+
+let encoder ?(size = 64) () = { buf = Bytes.create size; pos = 0; spliced = [] }
+
+let reset e =
+  e.pos <- 0;
+  if e.spliced <> [] then e.spliced <- []
+
+let spliced_bytes e =
+  match e.spliced with [] -> 0 | { s; before; _ } :: _ -> before + String.length s
+
+let length e = e.pos + spliced_bytes e
+let spliced e = e.spliced <> []
 let bytes e = e.buf
-let to_string e = Bytes.sub_string e.buf 0 e.pos
+
+(* Write the contents into [dst] at [off], newest splice first: every
+   stretch of the buffer moves right by the spliced bytes ahead of it,
+   so [dst] may be the buffer itself. Top-level, so a frame of an
+   encoder with nothing spliced allocates no closure. *)
+let rec blit_below e dst off hi = function
+  | [] -> if dst != e.buf || off <> 0 then Bytes.blit e.buf 0 dst off hi
+  | { at; s; before } :: older ->
+    let n = String.length s in
+    Bytes.blit e.buf at dst (off + at + before + n) (hi - at);
+    Bytes.blit_string s 0 dst (off + at + before) n;
+    blit_below e dst off at older
+
+let blit e dst off = blit_below e dst off e.pos e.spliced
+
+let to_string e =
+  if e.spliced = [] then Bytes.sub_string e.buf 0 e.pos
+  else begin
+    let b = Bytes.create (length e) in
+    blit e b 0;
+    Bytes.unsafe_to_string b
+  end
+
+(* Oldest first: each stretch of the buffer copied, each spliced string
+   as it is. *)
+let pieces e =
+  let stretch lo hi acc = if hi > lo then Bytes.sub_string e.buf lo (hi - lo) :: acc else acc in
+  let rec go hi acc = function
+    | [] -> stretch 0 hi acc
+    | { at; s; _ } :: older -> go at (s :: stretch at hi acc) older
+  in
+  go e.pos [] e.spliced
 
 let adopt e buf =
   e.buf <- buf;
-  e.pos <- 0
+  reset e
 
-(* An encoder sized exactly is full at the end: its buffer becomes the
+(* Spliced strings are spread into the buffer first, in place when it has
+   room. An encoder sized exactly is then full: its buffer becomes the
    string, and the encoder drops it so no later write can reach it. *)
 let finish e =
+  if e.spliced <> [] then begin
+    let n = length e in
+    if Bytes.length e.buf >= n then blit e e.buf 0
+    else begin
+      let b = Bytes.create n in
+      blit e b 0;
+      e.buf <- b
+    end;
+    e.pos <- n;
+    e.spliced <- []
+  end;
   let s =
     if e.pos = Bytes.length e.buf then Bytes.unsafe_to_string e.buf
     else Bytes.sub_string e.buf 0 e.pos
@@ -64,20 +124,30 @@ let raw e s =
 
 let string e s =
   let n = String.length s in
-  ensure e (8 + n);
-  Bytes.set_int64_le e.buf e.pos (Int64.of_int n);
-  Bytes.blit_string s 0 e.buf (e.pos + 8) n;
-  e.pos <- e.pos + 8 + n
+  if n >= splice_min then begin
+    int e n;
+    e.spliced <- { at = e.pos; s; before = spliced_bytes e } :: e.spliced
+  end
+  else begin
+    ensure e (8 + n);
+    Bytes.set_int64_le e.buf e.pos (Int64.of_int n);
+    Bytes.blit_string s 0 e.buf (e.pos + 8) n;
+    e.pos <- e.pos + 8 + n
+  end
 
-(* A length slot now, filled in once the bytes after it are written. *)
+(* A length slot now, filled in once the bytes after it are written. Until
+   then it holds the spliced total at the mark, so the length counts the
+   strings spliced in between. *)
 let begin_length e =
   let mark = e.pos in
   ensure e 8;
+  Bytes.set_int64_le e.buf mark (Int64.of_int (spliced_bytes e));
   e.pos <- e.pos + 8;
   mark
 
 let end_length e mark =
-  Bytes.set_int64_le e.buf mark (Int64.of_int (e.pos - mark - 8))
+  let before = Int64.to_int (Bytes.get_int64_le e.buf mark) in
+  Bytes.set_int64_le e.buf mark (Int64.of_int (e.pos - mark - 8 + spliced_bytes e - before))
 
 let option f b = function
   | None -> u8 b 0

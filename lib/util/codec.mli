@@ -2,7 +2,19 @@
 
     All multi-byte integers are little-endian. Strings are length-prefixed.
     The codec is used by the WAL, the checkpointers, and the registration
-    store, so changes here change the on-"disk" format. *)
+    store, so changes here change the on-"disk" format.
+
+    {b Spliced strings.} {!string} does not copy a string of {!splice_min}
+    bytes or more into the encoder's buffer: it writes the length prefix
+    and keeps the string itself, by reference, with its position. The
+    encoding is the same bytes either way. {!length} counts spliced
+    strings, {!to_string} and {!finish} spread them into the result, and
+    {!end_length} counts those encoded since its {!begin_length}. Only
+    {!bytes} sees the difference: it holds the buffer's stretches without
+    the strings between them, so a caller that hands the buffer on must
+    check {!spliced} and, when it is set, take {!pieces} instead. A
+    spliced string is never written to, and the encoder drops it on
+    {!reset}. *)
 
 type encoder
 (** Mutable accumulator for an encoding in progress. *)
@@ -11,32 +23,56 @@ val encoder : ?size:int -> unit -> encoder
 (** Fresh empty encoder with room for [size] bytes (default 64) before it
     grows. *)
 
+val splice_min : int
+(** The length, one disk page (4096), from which {!string} keeps a string
+    by reference. [Rrq_storage.Disk] moves a sync of this many bytes to
+    durable storage without copying it, so a spliced string is never
+    copied on its way to the disk either. *)
+
 val to_string : encoder -> string
-(** Contents encoded so far. *)
+(** Contents encoded so far, spliced strings spread in. *)
 
 val finish : encoder -> string
 (** Contents encoded so far, leaving the encoder empty. When the encoder
     was sized exactly (see {!encoder}) its buffer becomes the string
-    without a copy. *)
+    without a copy; spliced strings are spread into it in place. *)
 
 val reset : encoder -> unit
-(** Rewind to empty, keeping the underlying buffer. Commit fast paths
-    reuse one scratch encoder per log rather than allocating per record. *)
+(** Rewind to empty, keeping the underlying buffer and dropping every
+    spliced string. Commit fast paths reuse one scratch encoder per log
+    rather than allocating per record. *)
 
 val length : encoder -> int
-(** Number of bytes encoded since creation or the last {!reset}. *)
+(** Number of bytes encoded since creation or the last {!reset}, spliced
+    strings included. *)
+
+val spliced : encoder -> bool
+(** Whether some string encoded since the last {!reset} is held by
+    reference. *)
 
 val bytes : encoder -> Bytes.t
-(** The underlying buffer; only the first {!length} bytes are valid, and
-    any later encoder call may replace or overwrite it. For zero-copy
-    handoff to framing layers ([Wal.append_enc]); everyone else should
-    use {!to_string}. *)
+(** The underlying buffer, and any later encoder call may replace or
+    overwrite it. Unless {!spliced}, its first {!length} bytes are the
+    contents: for zero-copy handoff to framing layers ([Wal.append_enc]).
+    When {!spliced}, it holds only the stretches between spliced strings;
+    use {!pieces}. Everyone else should use {!to_string}. *)
+
+val pieces : encoder -> string list
+(** The contents as strings whose concatenation is {!to_string}, oldest
+    first: each stretch of the buffer copied, each spliced string itself.
+    For a writer that hands the contents to the disk piece by piece
+    ([Wal.append_enc] and [Wal.checkpoint] of a {!spliced} encoder). *)
+
+val blit : encoder -> Bytes.t -> int -> unit
+(** [blit e dst off] writes the contents ({!length} bytes) into [dst] at
+    [off]. *)
 
 val adopt : encoder -> Bytes.t -> unit
 (** [adopt e buf] makes [buf] the encoder's buffer, empty, and drops the
     old one. For a caller that gave {!bytes} away to an owner that handed
     back another buffer in exchange ([Wal.checkpoint] with
-    [Rrq_storage.Disk.replace_atomic_bytes]). *)
+    [Rrq_storage.Disk.replace_atomic_bytes]). Drops every spliced
+    string. *)
 
 val u8 : encoder -> int -> unit
 (** Append one byte (0..255). *)

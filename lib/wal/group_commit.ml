@@ -62,9 +62,11 @@ let append_frame t frame =
   Wal.append_frame t.wal frame;
   if t.shipper <> None then retain t frame
 
+(* Only a frame a shipper retains is built as one string; otherwise the
+   log takes the record piece by piece when it holds spliced strings. *)
 let append_enc t e =
-  let frame = Wal.append_enc t.wal e in
-  if t.shipper <> None then retain t frame
+  if t.shipper = None then Wal.append_enc t.wal e
+  else append_frame t (Wal.frame_enc e)
 
 (* One physical flush, charged against the disk's device model when we can
    sleep (i.e. inside a fiber): the device serves one flush at a time, so

@@ -47,7 +47,10 @@ val create : Wal.t -> t
 
 val append_enc : t -> Rrq_util.Codec.encoder -> unit
 (** Buffer a record straight from an encoder (same as [Wal.append_enc]):
-    the path every node-log commit record takes. *)
+    the path every node-log commit record takes. While a shipper is
+    installed the record is built as one frame string ([Wal.frame_enc]),
+    which the log and the shipper share; spliced strings are copied into
+    it then, and only then. *)
 
 val append_frame : t -> string -> unit
 (** Buffer a whole WAL frame (same as [Wal.append_frame]): the path a
@@ -68,8 +71,9 @@ val append_force : t -> string -> unit
     primary-backup log-shipping channel: while one is installed, every
     appended record is retained as an [(lsn, frame)] pair until a {e ship
     round} hands it to the callback. The frame is the string the log
-    itself holds ({!Wal.append_enc}): length, checksum, then the payload at
-    offset {!Wal.frame_header}, so shipping copies no record bytes. A
+    itself holds ([Wal.frame_enc], then [Wal.append_frame]): length,
+    checksum, then the payload at offset {!Wal.frame_header}, so shipping
+    copies no record bytes. A
     round carries every record appended since the previous round, in LSN
     order, and runs the callback in a fiber of its own. Rounds overlap: a committer whose records missed the
     rounds already in flight starts the next one at once. The {e shipped

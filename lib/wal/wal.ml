@@ -30,21 +30,30 @@ type recovered = { snapshot : string option; records : string list }
 let seg_name base n = Printf.sprintf "%s.seg%d" base n
 let ckpt_name base = base ^ ".ckpt"
 
-(* Frame: payload length (i64) | frame64 of payload (i64) | payload, the
-   first [len] bytes of [buf]. One string per frame, handed to the device
-   as it is: the payload's one copy between its encoder and the disk. A
-   log shipper sends the same string. *)
+(* Frame: payload length (i64) | frame64 of payload (i64) | payload. One
+   string per frame, handed to the device as it is: the payload's one
+   copy between its encoder and the disk. A log shipper sends the same
+   string. *)
 let frame_header = 16
 
-let frame_bytes buf ~len =
-  let f = Bytes.create (frame_header + len) in
+let header f len sum =
   Bytes.set_int64_le f 0 (Int64.of_int len);
-  Bytes.set_int64_le f 8 (Checksum.frame64_bytes buf ~pos:0 ~len);
-  Bytes.blit buf 0 f frame_header len;
-  Bytes.unsafe_to_string f
+  Bytes.set_int64_le f 8 sum
 
 let frame payload =
-  frame_bytes (Bytes.unsafe_of_string payload) ~len:(String.length payload)
+  let len = String.length payload in
+  let f = Bytes.create (frame_header + len) in
+  header f len (Checksum.frame64 payload);
+  Bytes.blit_string payload 0 f frame_header len;
+  Bytes.unsafe_to_string f
+
+(* An encoder's contents as one frame string, spliced strings spread in. *)
+let frame_enc e =
+  let len = Codec.length e in
+  let f = Bytes.create (frame_header + len) in
+  Codec.blit e f frame_header;
+  header f len (Checksum.frame64_bytes f ~pos:frame_header ~len);
+  Bytes.unsafe_to_string f
 
 (* Scan a segment's contents, returning complete valid records in order
    and the length of the valid prefix they fill; the prefix is shorter
@@ -158,10 +167,9 @@ let name t = t.base
 let appended_lsn t = t.appended_lsn
 let durable_lsn t = t.durable_lsn
 
-let append_frame t frame =
-  let len = String.length frame - frame_header in
-  Disk.append t.file frame;
-  t.live_bytes <- t.live_bytes + String.length frame;
+(* A frame of [len] payload bytes is on the device's buffer. *)
+let appended t len =
+  t.live_bytes <- t.live_bytes + frame_header + len;
   t.appended_lsn <- t.appended_lsn + 1;
   if Rrq_obs.enabled () then begin
     Rrq_obs.Metrics.inc ("wal.appends:" ^ t.base);
@@ -170,15 +178,29 @@ let append_frame t frame =
       (Rrq_obs.Event.Wal_append { wal = t.base; lsn = t.appended_lsn; bytes = len })
   end
 
+let append_frame t frame =
+  Disk.append t.file frame;
+  appended t (String.length frame - frame_header)
+
 let append t payload = append_frame t (frame payload)
 
 (* Same frame layout as {!append}, built straight from the encoder's
    buffer: no [to_string] copy, and the checksum runs over the bytes in
-   place. Every node-log commit record takes this path. *)
+   place. Every node-log commit record takes this path. A record holding
+   spliced strings goes to the device as its header and its pieces, so
+   no byte of a spliced string is copied; the checksum runs over the
+   pieces and is that of the frame [frame_enc] would build. *)
 let append_enc t e =
-  let f = frame_bytes (Codec.bytes e) ~len:(Codec.length e) in
-  append_frame t f;
-  f
+  if not (Codec.spliced e) then append_frame t (frame_enc e)
+  else begin
+    let pieces = Codec.pieces e in
+    let len = Codec.length e in
+    let h = Bytes.create frame_header in
+    header h len (Checksum.frame64_pieces pieces);
+    Disk.append t.file (Bytes.unsafe_to_string h);
+    List.iter (Disk.append t.file) pieces;
+    appended t len
+  end
 
 (* [Disk.sync] flushes everything buffered, so on success the durable LSN
    jumps to the append LSN — including records appended by other fibers
@@ -212,9 +234,16 @@ let checkpoint t e write =
   Codec.end_length e slot;
   let bytes = Codec.length e in
   (* The file is the encoder's buffer itself; the encoder goes on in the
-     buffer of the checkpoint this one replaces. *)
-  Codec.adopt e
-    (Disk.replace_atomic_bytes t.disk t.ckpt_file (Codec.bytes e) ~len:bytes);
+     buffer of the checkpoint this one replaces. A snapshot holding
+     spliced strings goes to the disk as its pieces instead, and the
+     encoder keeps its buffer. *)
+  if Codec.spliced e then begin
+    Disk.replace_atomic_pieces t.disk t.ckpt_file (Codec.pieces e);
+    Codec.reset e
+  end
+  else
+    Codec.adopt e
+      (Disk.replace_atomic_bytes t.disk t.ckpt_file (Codec.bytes e) ~len:bytes);
   (* The segments the snapshot covers are no longer needed. *)
   for n = t.first_seg to t.seg do
     Disk.delete t.disk (seg_name t.base n)

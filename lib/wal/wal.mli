@@ -30,19 +30,28 @@ val name : t -> string
 val append : t -> string -> unit
 (** Buffer a record at the log tail. Not durable until {!sync}. *)
 
-val append_enc : t -> Rrq_util.Codec.encoder -> string
+val append_enc : t -> Rrq_util.Codec.encoder -> unit
 (** Buffer the encoder's contents as one record, building the frame
-    directly from the encoder's buffer — no intermediate string — and
-    return that frame, so a log shipper can send the very string the log
-    holds. The record is framed and checksummed identically to {!append};
-    callers typically {!Rrq_util.Codec.reset} and refill a scratch encoder
-    per commit. *)
+    directly from the encoder's buffer — no intermediate string. The
+    record is framed and checksummed identically to {!append}; callers
+    typically {!Rrq_util.Codec.reset} and refill a scratch encoder per
+    commit. When the encoder holds spliced strings
+    ({!Rrq_util.Codec.spliced}), the frame goes to the disk as its
+    16-byte header followed by {!Rrq_util.Codec.pieces}, each handed to
+    {!Rrq_storage.Disk.append}: no byte of a spliced string is copied,
+    and the checksum, taken over the pieces, is the one the flat frame
+    would carry, so the bytes on the disk are the same. *)
 
 val frame_header : int
 (** Bytes in front of a frame's payload: its length and its checksum. *)
 
 val frame : string -> string
 (** The frame {!append} writes for a payload. *)
+
+val frame_enc : Rrq_util.Codec.encoder -> string
+(** The frame {!append_enc} writes for the encoder's contents, as one
+    string, spliced strings copied in: what a log shipper retains
+    ([Group_commit] appends it with {!append_frame} when it must). *)
 
 val append_frame : t -> string -> unit
 (** Buffer a whole frame, as {!append_enc} or {!frame} built it (a record
@@ -74,7 +83,12 @@ val checkpoint : t -> Rrq_util.Codec.encoder -> (Rrq_util.Codec.encoder -> unit)
     buffer that held the file it replaces, so the caller must not keep
     [Codec.bytes e] from before the call. Once both buffers have grown to
     the snapshot's size, a checkpoint copies the snapshot once (into [e])
-    and allocates nothing for it. While recording is on, counts
+    and allocates nothing for it. A snapshot that holds spliced strings
+    ({!Rrq_util.Codec.spliced}) is installed as its pieces instead
+    ({!Rrq_storage.Disk.replace_atomic_pieces}): its buffer stretches
+    are copied, its spliced strings are not, and [e] keeps its buffer,
+    reset. The file's bytes are the same either way. While recording is
+    on, counts
     [wal.checkpoints:<name>] and adds the file's size to
     [wal.ckpt_bytes:<name>]. *)
 

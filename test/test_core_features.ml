@@ -637,6 +637,50 @@ let test_single_txn_conversation_divergence () =
     (Some "ans(1,q1)|ans(2,q2-changed)") !result;
   Alcotest.(check int) "user asked 3 times total (q1, q2, q2-changed)" 3 !asks
 
+(* The divergence rule survives a crash of the display node: once a
+   re-execution diverges at prompt 2, the old prompt 3 and its input are
+   gone from the durable log too, so after the display recovers, prompt 3
+   goes to the user again instead of being answered with stale input. *)
+let test_display_divergence_survives_crash () =
+  let asked = ref [] in
+  let answers = ref [] in
+  let _ =
+    H.run (fun s ->
+        let net = Net.create s (Rng.create 9) in
+        let client_node = Net.make_node net "client" in
+        let server_node = Net.make_node net "server" in
+        let user ~rid:_ ~seq ~prompt =
+          asked := (seq, prompt) :: !asked;
+          Printf.sprintf "ans%d(%s)#%d" seq prompt (List.length !asked)
+        in
+        ignore (Interactive.install_display client_node ~user);
+        ignore
+          (Sched.spawn s ~group:"server" ~name:"conv" (fun () ->
+               let ask seq prompt =
+                 match
+                   Net.call server_node ~dst:"client" ~service:"display"
+                     (Interactive.D_ask { rid = "c1"; seq; prompt })
+                 with
+                 | Interactive.D_input input -> answers := input :: !answers
+                 | _ -> Alcotest.fail "display: unexpected reply"
+               in
+               ask 1 "q1";
+               ask 2 "q2";
+               ask 3 "q3";
+               (* A re-execution replays q1, then diverges at prompt 2. *)
+               ask 1 "q1";
+               ask 2 "q2-changed";
+               Net.crash client_node;
+               Net.restart client_node;
+               ignore (Interactive.install_display client_node ~user);
+               ask 3 "q3")))
+  in
+  Alcotest.(check (list (pair int string)))
+    "after the crash, prompt 3 goes to the user again"
+    [ (1, "q1"); (2, "q2"); (3, "q3"); (2, "q2-changed"); (3, "q3") ]
+    (List.rev !asked);
+  Alcotest.(check string) "and is answered afresh" "ans3(q3)#5" (List.hd !answers)
+
 (* CICS Transaction Routing (paper 9): system A receives a request and
    forwards it to system B; the request carries enough information that B
    can bind to the display that produced it and converse directly. *)
@@ -828,6 +872,8 @@ let interactive_suite =
       test_transaction_routing_display_binding;
     Alcotest.test_case "single-txn conversation divergence" `Quick
       test_single_txn_conversation_divergence;
+    Alcotest.test_case "display divergence survives a crash" `Quick
+      test_display_divergence_survives_crash;
   ]
 
 let infra_suite =

@@ -421,6 +421,33 @@ let test_promoted_standby_answers_retried_receive () =
         (receive b);
       Alcotest.(check int) "the next reply stays queued" 1 (Qm.depth (Site.qm b) "rq"))
 
+(* 16 KiB bodies on a Sync pair: the primary logs them by reference and
+   ships each record as one flat frame, which the standby logs and
+   replays. When the primary dies the promoted standby holds the element
+   and the registration's Rereceive copy, byte for byte. *)
+let test_large_bodies_survive_failover () =
+  H.run_fiber' (fun s ->
+      let a, b, _, ha_b = make_ha_pair s in
+      let qm = Site.qm a in
+      let h, _ = Qm.register qm ~queue:"rq" ~registrant:"t" ~stable:true in
+      let body c = String.init 16384 (fun i -> Char.chr ((Char.code c + i) land 0xff)) in
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h ~tag:"e1" (body 'a')));
+      ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h ~tag:"e2" (body 'b')));
+      ignore (Qm.auto_commit qm (fun id -> Qm.dequeue qm id h ~tag:"d1" Qm.No_wait));
+      Site.crash a;
+      let deadline = Sched.clock () +. 5.0 in
+      while (not (Ha.is_serving ha_b)) && Sched.clock () < deadline do
+        Sched.sleep 0.1
+      done;
+      Alcotest.(check int) "standby promoted" 1 (Ha.failovers ha_b);
+      let qm_b = Site.qm b in
+      Alcotest.(check bool) "it holds the element, byte for byte" true
+        (List.map (fun el -> el.Element.payload) (Qm.elements qm_b "rq") = [ body 'b' ]);
+      let hb, _ = Qm.register qm_b ~queue:"rq" ~registrant:"t" ~stable:true in
+      Alcotest.(check bool) "and the Rereceive copy" true
+        (Option.map (fun el -> el.Element.payload) (Qm.read_last qm_b hb)
+         = Some (body 'a')))
+
 let ha_suite =
   [
     Alcotest.test_case "sync ship mirrors queue state" `Quick
@@ -442,6 +469,8 @@ let ha_suite =
       test_waiting_batch_dropped_by_resync;
     Alcotest.test_case "promoted standby answers a retried receive" `Quick
       test_promoted_standby_answers_retried_receive;
+    Alcotest.test_case "16 KiB bodies survive a failover" `Quick
+      test_large_bodies_survive_failover;
   ]
 
 (* --- failover: the scenario world under kills around every HA step ------- *)

@@ -9,6 +9,8 @@ module Tm = Rrq_txn.Tm
 module Qm = Rrq_qm.Qm
 module Element = Rrq_qm.Element
 module Filter = Rrq_qm.Filter
+module Node_log = Rrq_txn.Node_log
+module Codec = Rrq_util.Codec
 module H = Rrq_test_support.Sim_harness
 
 let tx n = Txid.make ~origin:"test" ~inc:1 ~n
@@ -354,6 +356,39 @@ let test_dequeue_copy_survives_checkpoint () =
       let h2, _ = Qm.register qm2 ~queue:"q" ~registrant:"tester" ~stable:true in
       Alcotest.(check string) "copy from the checkpoint" "reply-1"
         (payload_of (Qm.read_last qm2 h2)))
+
+(* A 16 KiB body is logged by reference: its enqueue allocates less than
+   the body. Its Rereceive copy goes into the checkpoint by reference too:
+   the file is the flat encoding of the node's snapshot all the same, and
+   after a crash the copy reads back byte for byte. *)
+let test_spliced_copy_survives_checkpoint () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n" in
+      let log = Node_log.open_log disk ~name:"qm" in
+      let qm = Qm.attach log ~name:"qm" in
+      Qm.create_queue qm "q";
+      let h, _ = Qm.register qm ~queue:"q" ~registrant:"tester" ~stable:true in
+      let body = String.init 16384 (fun i -> Char.chr (i * 7 land 0xff)) in
+      let before = Gc.allocated_bytes () in
+      ignore (enq qm h body);
+      let allocated = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "the enqueue allocated %.0f bytes" allocated)
+        true
+        (allocated < float_of_int (String.length body));
+      ignore (deq ~tag:"ckpt-1" qm h);
+      Qm.checkpoint qm;
+      let file = Option.get (Disk.read_file disk "qm.log.ckpt") in
+      let e = Codec.encoder () in
+      Codec.int e (Codec.get_int (Codec.decoder file));
+      Codec.option Codec.string e (Some (Node_log.snapshot log));
+      Alcotest.(check bool) "the file is the snapshot's encoding" true
+        (file = Codec.to_string e);
+      Disk.crash disk;
+      let qm2 = Qm.open_qm disk ~name:"qm" in
+      let h2, _ = Qm.register qm2 ~queue:"q" ~registrant:"tester" ~stable:true in
+      Alcotest.(check bool) "the copy, byte for byte" true
+        (payload_of (Qm.read_last qm2 h2) = body))
 
 (* A volatile queue's element was never logged, so its tagged dequeue logs
    the copy in full. *)
@@ -1093,6 +1128,8 @@ let registration =
       test_dequeue_copy_survives_checkpoint;
     Alcotest.test_case "volatile dequeue copy survives crash" `Quick
       test_volatile_dequeue_copy_survives_crash;
+    Alcotest.test_case "spliced copy survives checkpoint" `Quick
+      test_spliced_copy_survives_checkpoint;
   ]
 
 let features =

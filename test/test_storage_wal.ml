@@ -379,6 +379,114 @@ let prop_wal_prefix_durability =
         script;
       true)
 
+(* A 16 KiB payload encoded by reference: its frame reaches the disk as
+   header and pieces, yet the segment holds exactly the bytes of the flat
+   frame, so the format is unchanged and recovery reads the payload back. *)
+let big c = String.init 16384 (fun i -> Char.chr ((Char.code c + i) land 0xff))
+
+let spliced_record tag payload =
+  let e = Codec.encoder () in
+  Codec.u8 e tag;
+  Codec.string e payload;
+  Codec.int e 7;
+  e
+
+let test_wal_spliced_frame_format () =
+  let d = Disk.create "d0" in
+  let w, _ = Wal.open_log d ~name:"log" in
+  let payload = big 'a' in
+  let e = spliced_record 1 payload in
+  Alcotest.(check bool) "the payload is spliced" true (Codec.spliced e);
+  Wal.append_enc w e;
+  Wal.sync w;
+  Alcotest.(check (option string)) "the segment is the flat frame"
+    (Some (Wal.frame (Codec.to_string e)))
+    (Disk.read_file d "log.seg0");
+  Alcotest.(check string) "frame_enc builds the same frame"
+    (Wal.frame (Codec.to_string e)) (Wal.frame_enc e);
+  Disk.crash d;
+  let _, r = Wal.open_log d ~name:"log" in
+  Alcotest.(check (list string)) "recovered byte for byte" [ Codec.to_string e ]
+    r.Wal.records
+
+(* A spliced string is data the disk does not own: later syncs of short
+   frames fill pages the disk made, never the string, and a checkpoint
+   that trades buffers with an encoder never hands the string out. *)
+let test_disk_spliced_payload_not_written () =
+  let d = Disk.create "d0" in
+  let w, _ = Wal.open_log d ~name:"log" in
+  let payload = big 'p' in
+  let copy = String.init (String.length payload) (String.get payload) in
+  (* The payload ends its frame: it is the newest durable chunk when the
+     short frames are synced. *)
+  let e = Codec.encoder () in
+  Codec.u8 e 1;
+  Codec.string e payload;
+  Wal.append_enc w e;
+  Wal.sync w;
+  for i = 1 to 50 do
+    Wal.append_sync w (Printf.sprintf "short-%d" i)
+  done;
+  Alcotest.(check bool) "the payload is byte-identical" true (payload = copy);
+  (* A snapshot holding the payload by reference, then short ones that
+     trade buffers with the disk, each followed by short syncs. *)
+  let e = Codec.encoder () in
+  Wal.checkpoint w e (fun e -> Codec.string e payload);
+  for i = 1 to 3 do
+    Wal.checkpoint w e (fun e -> Codec.raw e (String.make (100 * i) 's'));
+    Alcotest.(check bool) "the disk never hands the payload out" true
+      (Codec.bytes e != Bytes.unsafe_of_string payload);
+    for j = 1 to 20 do
+      Wal.append_sync w (Printf.sprintf "after-%d-%d" i j)
+    done
+  done;
+  Alcotest.(check bool) "still byte-identical" true (payload = copy);
+  Disk.crash d;
+  let _, r = Wal.open_log d ~name:"log" in
+  Alcotest.(check (option string)) "the last snapshot" (Some (String.make 300 's'))
+    r.Wal.snapshot
+
+(* A checkpoint whose snapshot holds a spliced string is installed as its
+   pieces: the file is the flat encoding, and the encoder keeps its
+   buffer. *)
+let test_wal_spliced_checkpoint () =
+  let d = Disk.create "d0" in
+  let w, _ = Wal.open_log d ~name:"log" in
+  let payload = big 'c' in
+  let e = Codec.encoder ~size:256 () in
+  let buf = Codec.bytes e in
+  let snap = Codec.to_string (spliced_record 3 payload) in
+  Wal.checkpoint w e (fun e ->
+      Codec.u8 e 3;
+      Codec.string e payload;
+      Codec.int e 7);
+  Alcotest.(check bool) "the encoder keeps its buffer" true (Codec.bytes e == buf);
+  Alcotest.(check int) "and is empty" 0 (Codec.length e);
+  Alcotest.(check int) "snapshot_bytes counts the spliced bytes"
+    (8 + 1 + 8 + String.length snap) (Wal.snapshot_bytes w);
+  Disk.crash d;
+  let _, r = Wal.open_log d ~name:"log" in
+  Alcotest.(check (option string)) "recovered byte for byte" (Some snap) r.Wal.snapshot
+
+(* Nothing spliced: the encoder's buffer becomes the checkpoint file, and
+   the next checkpoint hands it back, as before splicing existed. *)
+let test_wal_checkpoint_trades_buffers () =
+  let d = Disk.create "d0" in
+  let w, _ = Wal.open_log d ~name:"log" in
+  let e = Codec.encoder ~size:4096 () in
+  let first = Codec.bytes e in
+  let snap = String.make 1000 's' in
+  let write e = Codec.string e snap in
+  Wal.checkpoint w e write;
+  Alcotest.(check bool) "the buffer went to the disk" true (Codec.bytes e != first);
+  Wal.checkpoint w e write;
+  Alcotest.(check bool) "and comes back at the next checkpoint" true
+    (Codec.bytes e == first);
+  let _, r = Wal.open_log d ~name:"log" in
+  Alcotest.(check (option string)) "the snapshot"
+    (Some (Codec.to_string (let e = Codec.encoder () in write e; e)))
+    r.Wal.snapshot
+
 let suite =
   [
     Alcotest.test_case "disk: sync survives crash" `Quick
@@ -413,6 +521,13 @@ let suite =
       test_wal_torn_write_across_frames;
     Alcotest.test_case "disk: replace hands buffers back" `Quick
       test_disk_replace_hands_buffers_back;
+    Alcotest.test_case "wal: spliced frame keeps the format" `Quick
+      test_wal_spliced_frame_format;
+    Alcotest.test_case "disk: a spliced payload is never written" `Quick
+      test_disk_spliced_payload_not_written;
+    Alcotest.test_case "wal: spliced checkpoint" `Quick test_wal_spliced_checkpoint;
+    Alcotest.test_case "wal: checkpoint trades buffers when nothing is spliced"
+      `Quick test_wal_checkpoint_trades_buffers;
   ]
 
 (* --- Codec --------------------------------------------------------- *)
@@ -482,12 +597,78 @@ let prop_codec_string_roundtrip =
       let d = Codec.decoder (Codec.to_string e) in
       Codec.get_list Codec.get_string d = ss && Codec.at_end d)
 
+(* A string of a page or more is kept by reference; every reading of the
+   encoder sees the same bytes as if it had been copied in. *)
+let test_codec_splices () =
+  let big = String.make 5000 'b' and page = String.make Codec.splice_min 'p' in
+  let encode e =
+    Codec.int e 1;
+    Codec.string e "short";
+    let slot = Codec.begin_length e in
+    Codec.string e big;
+    Codec.u8 e 9;
+    Codec.string e page;
+    Codec.end_length e slot;
+    Codec.string e "tail"
+  in
+  let e = Codec.encoder () in
+  encode e;
+  Alcotest.(check bool) "spliced" true (Codec.spliced e);
+  let flat =
+    let b = Buffer.create 16 in
+    let int n = Buffer.add_int64_le b (Int64.of_int n) in
+    let str s = int (String.length s); Buffer.add_string b s in
+    int 1;
+    str "short";
+    int (8 + 5000 + 1 + 8 + Codec.splice_min);
+    str big;
+    Buffer.add_uint8 b 9;
+    str page;
+    str "tail";
+    Buffer.contents b
+  in
+  Alcotest.(check int) "length counts spliced bytes" (String.length flat) (Codec.length e);
+  Alcotest.(check bool) "to_string" true (Codec.to_string e = flat);
+  let pieces = Codec.pieces e in
+  Alcotest.(check bool) "pieces concatenate to the contents" true
+    (String.concat "" pieces = flat);
+  Alcotest.(check bool) "spliced strings are pieces themselves" true
+    (List.exists (fun p -> p == big) pieces && List.exists (fun p -> p == page) pieces);
+  let b = Bytes.make (String.length flat + 3) '-' in
+  Codec.blit e b 2;
+  Alcotest.(check string) "blit" ("--" ^ flat ^ "-") (Bytes.to_string b);
+  (* Exactly sized: the spliced strings spread into the buffer in place. *)
+  let exact = Codec.encoder ~size:(String.length flat) () in
+  encode exact;
+  Alcotest.(check bool) "finish, in place" true (Codec.finish exact = flat);
+  let small = Codec.encoder () in
+  encode small;
+  Alcotest.(check bool) "finish, grown" true (Codec.finish small = flat);
+  Codec.reset e;
+  Alcotest.(check bool) "reset drops the splices" false (Codec.spliced e);
+  Codec.string e "x";
+  Alcotest.(check string) "and starts over" "\001\000\000\000\000\000\000\000x"
+    (Codec.to_string e)
+
+(* The WAL checksums a spliced frame piece by piece: over any split of a
+   payload, empty and unaligned pieces included, the sum is the flat
+   one. *)
+let prop_frame64_pieces =
+  QCheck2.Test.make ~name:"frame64 over pieces = frame64 of the concatenation"
+    ~count:500
+    QCheck2.Gen.(list_size (int_bound 12) (string_size (int_bound 20)))
+    (fun pieces ->
+      Rrq_util.Checksum.frame64_pieces pieces
+      = Rrq_util.Checksum.frame64 (String.concat "" pieces))
+
 let codec_suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec truncated input" `Quick test_codec_truncated;
     Alcotest.test_case "codec ints unboxed" `Quick test_codec_ints_unboxed;
     QCheck_alcotest.to_alcotest prop_codec_string_roundtrip;
+    Alcotest.test_case "codec splices long strings" `Quick test_codec_splices;
+    QCheck_alcotest.to_alcotest prop_frame64_pieces;
   ]
 
 (* --- Rng / Histogram ----------------------------------------------- *)

@@ -845,6 +845,47 @@ let test_checkpoint_buffer_handoff () =
       Alcotest.(check bool) "recovery gives back the committed state" true
         (List.sort compare (Kvdb.committed_bindings kv') = committed))
 
+(* The same steps with values below [Codec.splice_min]: nothing in the
+   snapshot is spliced, so every checkpoint takes the buffer handoff, and
+   the records committed after the cut are written through the buffer the
+   disk handed back. *)
+let test_checkpoint_buffer_handoff_unspliced () =
+  H.run_fiber (fun () ->
+      let disk = Disk.create "n1" in
+      let log, _, _, kv = open_node disk in
+      let value_bytes = Rrq_util.Codec.splice_min - 1024 in
+      let put i key =
+        let id = tx i in
+        Kvdb.put kv id key (String.make value_bytes (Char.chr (97 + (i mod 26))));
+        Kvdb.commit kv id
+      in
+      for i = 1 to 64 do
+        put i (Printf.sprintf "k%02d" i)
+      done;
+      Node_log.checkpoint log;
+      Node_log.checkpoint log;
+      let before = Gc.allocated_bytes () in
+      Node_log.checkpoint log;
+      let allocated = Gc.allocated_bytes () -. before in
+      let file () = Option.get (Disk.read_file disk "n1.log.ckpt") in
+      let size = String.length (file ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "a checkpoint of %d bytes allocated %.0f" size allocated)
+        true
+        (allocated < float_of_int size /. 10.);
+      let cut = Digest.string (file ()) in
+      (* 24 KiB of records: below the 256 KiB floor, so no cut. *)
+      for i = 65 to 72 do
+        put i (Printf.sprintf "k%02d" (i - 64))
+      done;
+      Alcotest.(check string) "the file is what the cut wrote" (Digest.to_hex cut)
+        (Digest.to_hex (Digest.string (file ())));
+      let committed = List.sort compare (Kvdb.committed_bindings kv) in
+      Disk.crash disk;
+      let _, _, _, kv' = open_node disk in
+      Alcotest.(check bool) "recovery gives back the committed state" true
+        (List.sort compare (Kvdb.committed_bindings kv') = committed))
+
 (* A checkpoint cut while a parallel commit is parked in the force of its
    staged record keeps the decision: the snapshot holds the local in-doubt
    section the record carries, so it must hold the TM's staged entry (or,
@@ -1357,6 +1398,8 @@ let tm_suite =
       test_checkpoint_buffer_handoff;
     Alcotest.test_case "checkpoint waits for every recovered RM" `Quick
       test_checkpoint_waits_for_recovered_rms;
+    Alcotest.test_case "checkpoint handoff, nothing spliced" `Quick
+      test_checkpoint_buffer_handoff_unspliced;
   ]
 
 let () =
