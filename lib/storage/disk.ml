@@ -1,9 +1,11 @@
-(* [len] bytes of [data] hold file contents. A chunk with room left is a
-   page: a sync of short frames copies them into it. [owned]: no string
+(* [len] bytes of [data] from [off] hold file contents: a chunk is a view,
+   so the device holds exactly the bytes it was handed. [owned]: no string
    aliases [data] (the disk made it, or {!replace_atomic_bytes} was handed
-   it), so it may be handed back to a writer once its contents are
-   replaced. *)
-type chunk = { data : Bytes.t; mutable len : int; owned : bool }
+   it), so a sync of short frames may copy into the room past the newest
+   such view, and [data] may go back to a writer once the contents it
+   holds are replaced. A page is an owned chunk of [page_size] bytes that
+   the disk made to take short syncs. *)
+type chunk = { data : Bytes.t; off : int; mutable len : int; owned : bool }
 
 type file_state = {
   fname : string;
@@ -77,7 +79,8 @@ let open_file t fname =
 let concat_rev chunks = String.concat "" (List.rev chunks)
 
 (* A string as a chunk: full, so never written again. *)
-let alias s = { data = Bytes.unsafe_of_string s; len = String.length s; owned = false }
+let alias s =
+  { data = Bytes.unsafe_of_string s; off = 0; len = String.length s; owned = false }
 
 (* A string moved into the chunk list. *)
 let add_durable f s =
@@ -131,13 +134,29 @@ let append f bytes =
     f.owner.last_appended <- Some f.fname
   end
 
-(* A sync of fewer pending bytes than this copies them into a page of
-   [page_size] bytes (fewer heap blocks for a log of short records, and
-   frames that die young); a longer one moves its frames as they are. One
-   page is also where the codec starts splicing a string rather than
-   copying it, so a spliced string always takes the second way. *)
+(* A sync of fewer pending bytes than this copies them into a chunk the
+   disk owns, mostly a page of [page_size] bytes (fewer heap blocks for a
+   log of short records, and frames that die young); a longer one moves
+   its frames as they are. One disk page is also where the codec starts
+   splicing a string rather than copying it, so a spliced string always
+   takes the second way. *)
 let page_below = Rrq_util.Codec.splice_min
 let page_size = 16384
+
+(* The chunk a sync of [n] short bytes is copied into: the newest one if
+   the disk owns it and it has room, else a new one. That is a page when
+   the newest chunk is the disk's own (or the file is empty), so a run of
+   short syncs shares a few pages; after someone else's string (a long
+   frame, a spliced body) it holds just the [n] bytes, so a short sync
+   between long ones never costs a page. *)
+let room_for f n =
+  match f.durable with
+  | c :: _ when c.owned && Bytes.length c.data - c.off - c.len >= n -> c
+  | newest ->
+    let size = match newest with c :: _ when not c.owned -> n | _ -> page_size in
+    let c = { data = Bytes.create size; off = 0; len = 0; owned = true } in
+    f.durable <- c :: newest;
+    c
 
 let sync f =
   let t = f.owner in
@@ -147,20 +166,11 @@ let sync f =
       let frames = List.rev f.pending in
       if n >= page_below then List.iter (add_durable f) frames
       else begin
-        let page =
-          (* Only into a page the disk owns: a chunk that aliases an
-             appended or spliced string is someone else's data. *)
-          match f.durable with
-          | c :: _ when c.owned && Bytes.length c.data - c.len >= n -> c
-          | _ ->
-            let c = { data = Bytes.create page_size; len = 0; owned = true } in
-            f.durable <- c :: f.durable;
-            c
-        in
+        let c = room_for f n in
         List.iter
           (fun s ->
-            Bytes.blit_string s 0 page.data page.len (String.length s);
-            page.len <- page.len + String.length s)
+            Bytes.blit_string s 0 c.data (c.off + c.len) (String.length s);
+            c.len <- c.len + String.length s)
           frames;
         f.durable_len <- f.durable_len + n
       end;
@@ -174,7 +184,7 @@ let sync_all t = Hashtbl.iter (fun _ f -> sync f) t.files
 
 let read_durable f =
   let b = Buffer.create f.durable_len in
-  List.iter (fun c -> Buffer.add_subbytes b c.data 0 c.len) (List.rev f.durable);
+  List.iter (fun c -> Buffer.add_subbytes b c.data c.off c.len) (List.rev f.durable);
   Buffer.contents b
 
 let read f = read_durable f ^ concat_rev f.pending
@@ -182,12 +192,18 @@ let durable_size f = f.durable_len
 let size f = f.durable_len + f.pending_len
 
 (* Install [chunks] (newest first, [len] bytes) as the file's whole
-   contents; the buffer of the contents they replace, if the disk owned it
-   alone, else [Bytes.empty]. Never a chunk that aliases a string: only an
-   owned buffer may go back to a writer. *)
+   contents; the buffer of the newest chunk of the contents they replace
+   that the disk owned (all of a checkpoint's views share one), else
+   [Bytes.empty]. No other file views it, so once replaced it is nobody's;
+   never a chunk that aliases a string: only an owned buffer may go back
+   to a writer. *)
 let install t fname chunks len =
   let f = open_file t fname in
-  let old = match f.durable with [ o ] when o.owned -> o.data | _ -> Bytes.empty in
+  let old =
+    match List.find_opt (fun c -> c.owned) f.durable with
+    | Some c -> c.data
+    | None -> Bytes.empty
+  in
   f.durable <- chunks;
   f.durable_len <- len;
   clear_pending f;
@@ -203,8 +219,21 @@ let replace_atomic_pieces t fname pieces =
 
 let replace_atomic t fname contents = replace_atomic_pieces t fname [ contents ]
 
-let replace_atomic_bytes t fname buf ~len =
-  if allow_durability t then install t fname [ { data = buf; len; owned = true } ] len
+(* Views of [buf] between the spliced strings, which are chunks of their
+   own; [len] counts both. *)
+let replace_atomic_bytes t fname ?(spliced = []) buf ~len =
+  if allow_durability t then begin
+    let view lo hi chunks =
+      if hi > lo then { data = buf; off = lo; len = hi - lo; owned = true } :: chunks
+      else chunks
+    in
+    let rec views lo strings chunks = function
+      | [] -> view lo (len - strings) chunks
+      | (at, s) :: later ->
+        views at (strings + String.length s) (alias s :: view lo at chunks) later
+    in
+    install t fname (views 0 0 [] spliced) len
+  end
   else buf
 
 let read_file t fname =

@@ -56,8 +56,11 @@ val sync : file -> unit
 (** Force all buffered bytes of this file to durable storage. The strings
     appended since the last sync become durable as they are, or, when
     they add up to under 4 KiB ({!Rrq_util.Codec.splice_min}), are
-    copied once into a page of durable contents. A page is a buffer the
-    disk made itself; no appended string is ever written to. *)
+    copied once: into the newest chunk of durable contents if it is a
+    buffer the disk owns with room for them, else into a new 16 KiB page
+    when that chunk is one the disk owns (or there is none), else, after
+    a string the disk was handed, into a buffer of exactly their size.
+    No appended string is ever written to. *)
 
 val sync_all : t -> unit
 (** [sync] every file on the disk. *)
@@ -79,23 +82,28 @@ val replace_atomic : t -> string -> string -> unit
 val replace_atomic_pieces : t -> string -> string list -> unit
 (** [replace_atomic_pieces t name pieces] is {!replace_atomic} of the
     pieces' concatenation, without concatenating them: the disk keeps
-    each string as it is, as {!append} does. For a checkpoint whose
-    snapshot holds spliced strings ({!Rrq_util.Codec.pieces}). No buffer
-    comes back: the disk owns none of these strings, so none ever goes
-    back to a writer (see {!replace_atomic_bytes}). *)
+    each string as it is, as {!append} does. No buffer comes back: the
+    disk owns none of these strings, so none ever goes back to a writer
+    (see {!replace_atomic_bytes}). *)
 
-val replace_atomic_bytes : t -> string -> Bytes.t -> len:int -> Bytes.t
-(** [replace_atomic_bytes t name buf ~len] is {!replace_atomic} of the
-    first [len] bytes of [buf], without copying them: the disk takes
-    ownership of [buf], and the caller must never write to it again. In
-    exchange it returns a buffer the caller now owns: the one that held
-    the contents just replaced, if a single buffer the disk owned alone
-    held them (one handed in this way, say), else [Bytes.empty]. So a
-    writer that checkpoints the same file again and again trades the same
-    two buffers with the disk and allocates nothing. No reader aliases a
-    durable buffer ({!read}, {!read_durable} and {!read_file} copy), so
-    the returned one holds nothing anyone still reads. If the disk is
-    dead nothing is written, and [buf] itself comes back. *)
+val replace_atomic_bytes :
+  t -> string -> ?spliced:(int * string) list -> Bytes.t -> len:int -> Bytes.t
+(** [replace_atomic_bytes t name ?spliced buf ~len] is {!replace_atomic}
+    of the bytes [buf] holds from its start with each string of [spliced]
+    (oldest first, default none) put in front of the position of [buf] it
+    names, [len] bytes in all, the strings included: the layout of a
+    spliced encoder ({!Rrq_util.Codec.splices}). Nothing is copied: the
+    file is views of [buf] between the strings, and the strings. The
+    disk takes ownership of [buf], and the caller must never write to it
+    again. In exchange it returns a buffer the caller now owns: one that
+    held the contents just replaced, if the disk owned one (one handed in
+    this way, say; all of its views share it), else [Bytes.empty]. So a
+    writer that checkpoints the same file again and again, spliced or
+    not, trades the same two buffers with the disk and allocates no
+    buffer. No reader aliases a durable buffer ({!read},
+    {!read_durable} and {!read_file} copy), so the returned one holds
+    nothing anyone still reads. If the disk is dead nothing is written,
+    and [buf] itself comes back. *)
 
 val read_file : t -> string -> string option
 (** Durable-plus-buffered contents of a named file, if it exists. *)

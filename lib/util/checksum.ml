@@ -48,15 +48,16 @@ let frame64_bytes b ~pos ~len =
   done;
   Int64.of_int !h
 
-(* [frame64] of a concatenation, a piece at a time: [carry] holds the first
+(* [frame64] of a concatenation, a piece at a time ([feed] folds a piece
+   from byte [pos]): [carry] holds the first
    [n] bytes of a word that straddles two pieces, so the words folded are
    the concatenation's words, and its last [len mod 8] bytes are folded
    one by one as [frame64] folds them. *)
 type stream = { mutable h : int; carry : Bytes.t; mutable n : int }
 
-let feed st s =
+let feed st s pos =
   let len = String.length s in
-  let h = ref st.h and n = ref st.n and i = ref 0 in
+  let h = ref st.h and n = ref st.n and i = ref pos in
   while !n > 0 && !i < len do
     Bytes.unsafe_set st.carry !n (String.unsafe_get s !i);
     incr n;
@@ -77,9 +78,9 @@ let feed st s =
   st.h <- !h;
   st.n <- !n
 
-let frame64_pieces pieces =
+let frame64_pieces ?(skip = 0) pieces =
   let st = { h = frame_basis; carry = Bytes.create 8; n = 0 } in
-  List.iter (feed st) pieces;
+  List.iteri (fun i s -> feed st s (if i = 0 then skip else 0)) pieces;
   for i = 0 to st.n - 1 do
     st.h <- (st.h lxor Char.code (Bytes.unsafe_get st.carry i)) * frame_prime
   done;

@@ -18,8 +18,9 @@ val frame64_sub : string -> pos:int -> len:int -> int64
 val frame64_bytes : Bytes.t -> pos:int -> len:int -> int64
 (** {!frame64} over a byte buffer, without copying. *)
 
-val frame64_pieces : string list -> int64
-(** {!frame64} of the pieces' concatenation, without concatenating them:
-    a WAL frame whose payload holds spliced strings
-    ({!Rrq_util.Codec.pieces}) is checksummed piece by piece. Pieces may
-    be empty and need not be word-aligned. *)
+val frame64_pieces : ?skip:int -> string list -> int64
+(** {!frame64} of the pieces' concatenation, without concatenating them,
+    the first [skip] bytes of the first piece left out (default 0): a WAL
+    frame whose payload holds spliced strings ({!Rrq_util.Codec.pieces},
+    the first one led by the frame's header) is checksummed piece by
+    piece. Pieces may be empty and need not be word-aligned. *)

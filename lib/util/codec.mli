@@ -11,8 +11,8 @@
     strings, {!to_string} and {!finish} spread them into the result, and
     {!end_length} counts those encoded since its {!begin_length}. Only
     {!bytes} sees the difference: it holds the buffer's stretches without
-    the strings between them, so a caller that hands the buffer on must
-    check {!spliced} and, when it is set, take {!pieces} instead. A
+    the strings between them, which {!splices} places, so a caller that
+    hands the buffer on hands the layout with it (or takes {!pieces}). A
     spliced string is never written to, and the encoder drops it on
     {!reset}. *)
 
@@ -54,14 +54,24 @@ val bytes : encoder -> Bytes.t
 (** The underlying buffer, and any later encoder call may replace or
     overwrite it. Unless {!spliced}, its first {!length} bytes are the
     contents: for zero-copy handoff to framing layers ([Wal.append_enc]).
-    When {!spliced}, it holds only the stretches between spliced strings;
-    use {!pieces}. Everyone else should use {!to_string}. *)
+    When {!spliced}, it holds only the stretches between spliced strings,
+    and {!splices} says where each string goes. Everyone else should use
+    {!to_string}. *)
 
-val pieces : encoder -> string list
+val splices : encoder -> (int * string) list
+(** The spliced strings, oldest first, each with the position in {!bytes}
+    it goes in front of: with {!bytes} and {!length}, the contents as
+    views, nothing copied. [[]] unless {!spliced}. For a writer that hands
+    the buffer on whole ([Wal.checkpoint] with
+    [Rrq_storage.Disk.replace_atomic_bytes]). *)
+
+val pieces : ?head:int -> encoder -> string list
 (** The contents as strings whose concatenation is {!to_string}, oldest
     first: each stretch of the buffer copied, each spliced string itself.
-    For a writer that hands the contents to the disk piece by piece
-    ([Wal.append_enc] and [Wal.checkpoint] of a {!spliced} encoder). *)
+    With [head] (default 0), the first piece, a stretch when anything is
+    spliced, starts with [head] zero bytes more, a fresh copy that the
+    caller may fill in before handing it on. For [Wal.append_enc] of a
+    {!spliced} encoder, which writes its frame header there. *)
 
 val blit : encoder -> Bytes.t -> int -> unit
 (** [blit e dst off] writes the contents ({!length} bytes) into [dst] at

@@ -18,11 +18,35 @@ let add t v =
 
 let count t = t.len
 
+(* Heapsort of the first [n] samples in place, by [Float.compare] (the
+   order [compare] gives floats). Monomorphic, so no sample is boxed, and
+   nothing is copied. [sift a i n] moves [a.(i)] down the heap [0, n). *)
+let rec sift (a : float array) i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && Float.compare a.(l + 1) a.(l) > 0 then l + 1 else l in
+    if Float.compare a.(c) a.(i) > 0 then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a c n
+    end
+  end
+
+let sort_prefix a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift a 0 last
+  done
+
 let ensure_sorted t =
   if not t.sorted then begin
-    let live = Array.sub t.samples 0 t.len in
-    Array.sort compare live;
-    Array.blit live 0 t.samples 0 t.len;
+    sort_prefix t.samples t.len;
     t.sorted <- true
   end
 

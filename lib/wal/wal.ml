@@ -187,17 +187,20 @@ let append t payload = append_frame t (frame payload)
 (* Same frame layout as {!append}, built straight from the encoder's
    buffer: no [to_string] copy, and the checksum runs over the bytes in
    place. Every node-log commit record takes this path. A record holding
-   spliced strings goes to the device as its header and its pieces, so
-   no byte of a spliced string is copied; the checksum runs over the
-   pieces and is that of the frame [frame_enc] would build. *)
+   spliced strings goes to the device as its pieces, the header written
+   into the front of the first one's copy, so no byte of a spliced string
+   is copied; the checksum runs over the pieces and is that of the frame
+   [frame_enc] would build. *)
 let append_enc t e =
   if not (Codec.spliced e) then append_frame t (frame_enc e)
   else begin
-    let pieces = Codec.pieces e in
+    let pieces = Codec.pieces ~head:frame_header e in
     let len = Codec.length e in
-    let h = Bytes.create frame_header in
-    header h len (Checksum.frame64_pieces pieces);
-    Disk.append t.file (Bytes.unsafe_to_string h);
+    (* The first piece is a fresh copy no one else has seen yet. *)
+    header
+      (Bytes.unsafe_of_string (List.hd pieces))
+      len
+      (Checksum.frame64_pieces ~skip:frame_header pieces);
     List.iter (Disk.append t.file) pieces;
     appended t len
   end
@@ -233,17 +236,12 @@ let checkpoint t e write =
   write e;
   Codec.end_length e slot;
   let bytes = Codec.length e in
-  (* The file is the encoder's buffer itself; the encoder goes on in the
-     buffer of the checkpoint this one replaces. A snapshot holding
-     spliced strings goes to the disk as its pieces instead, and the
-     encoder keeps its buffer. *)
-  if Codec.spliced e then begin
-    Disk.replace_atomic_pieces t.disk t.ckpt_file (Codec.pieces e);
-    Codec.reset e
-  end
-  else
-    Codec.adopt e
-      (Disk.replace_atomic_bytes t.disk t.ckpt_file (Codec.bytes e) ~len:bytes);
+  (* The file is the encoder's buffer itself, seen as the stretches
+     between its spliced strings; the encoder goes on in the buffer that
+     held the checkpoint this one replaces. *)
+  Codec.adopt e
+    (Disk.replace_atomic_bytes t.disk t.ckpt_file ~spliced:(Codec.splices e)
+       (Codec.bytes e) ~len:bytes);
   (* The segments the snapshot covers are no longer needed. *)
   for n = t.first_seg to t.seg do
     Disk.delete t.disk (seg_name t.base n)

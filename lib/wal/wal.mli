@@ -36,11 +36,11 @@ val append_enc : t -> Rrq_util.Codec.encoder -> unit
     record is framed and checksummed identically to {!append}; callers
     typically {!Rrq_util.Codec.reset} and refill a scratch encoder per
     commit. When the encoder holds spliced strings
-    ({!Rrq_util.Codec.spliced}), the frame goes to the disk as its
-    16-byte header followed by {!Rrq_util.Codec.pieces}, each handed to
-    {!Rrq_storage.Disk.append}: no byte of a spliced string is copied,
-    and the checksum, taken over the pieces, is the one the flat frame
-    would carry, so the bytes on the disk are the same. *)
+    ({!Rrq_util.Codec.spliced}), the frame goes to the disk as
+    {!Rrq_util.Codec.pieces}, the first one led by the 16-byte header,
+    each handed to {!Rrq_storage.Disk.append}: no byte of a spliced
+    string is copied, and the checksum, taken over the pieces, is the one
+    the flat frame would carry, so the bytes on the disk are the same. *)
 
 val frame_header : int
 (** Bytes in front of a frame's payload: its length and its checksum. *)
@@ -79,16 +79,15 @@ val checkpoint : t -> Rrq_util.Codec.encoder -> (Rrq_util.Codec.encoder -> unit)
     held them are deleted. The checkpoint file is built in [e], which is
     reset first, and the snapshot is written in place behind its length
     prefix. Ownership: [e]'s buffer becomes the checkpoint file
-    ({!Rrq_storage.Disk.replace_atomic_bytes}), and [e] goes on in the
-    buffer that held the file it replaces, so the caller must not keep
-    [Codec.bytes e] from before the call. Once both buffers have grown to
-    the snapshot's size, a checkpoint copies the snapshot once (into [e])
-    and allocates nothing for it. A snapshot that holds spliced strings
-    ({!Rrq_util.Codec.spliced}) is installed as its pieces instead
-    ({!Rrq_storage.Disk.replace_atomic_pieces}): its buffer stretches
-    are copied, its spliced strings are not, and [e] keeps its buffer,
-    reset. The file's bytes are the same either way. While recording is
-    on, counts
+    ({!Rrq_storage.Disk.replace_atomic_bytes}), as views of its stretches
+    with any spliced strings ({!Rrq_util.Codec.splices}) between them, and
+    [e] goes on in the buffer that the file it replaces viewed, so the
+    caller must not keep [Codec.bytes e] from before the call. Once both
+    buffers have grown to the snapshot's size, a checkpoint copies the
+    snapshot's unspliced bytes once (into [e]), its spliced strings not
+    at all, and allocates for it only a few words per spliced string (its
+    place in the layout, and the disk's views). The file's bytes are the flat
+    encoding either way. While recording is on, counts
     [wal.checkpoints:<name>] and adds the file's size to
     [wal.ckpt_bytes:<name>]. *)
 

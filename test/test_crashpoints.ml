@@ -251,6 +251,47 @@ let test_torn_spliced_enqueue () =
       Alcotest.(check (option string)) "the last durable tag" (Some "2")
         (Option.map (fun l -> l.Qm.tag) last))
 
+(* A short enqueue synced right after a spliced one is copied into a chunk
+   of its own size, not a page. A crash that tears the unsynced tail
+   inside the next such short frame keeps every acknowledged enqueue, and
+   recovery cuts the segment at the end of the last whole frame. As
+   above, the test takes the first seed whose tear lands inside the short
+   frame. *)
+let test_torn_short_after_spliced () =
+  let big = String.init 16384 (fun i -> Char.chr ((Char.code 'q' + i) land 0xff)) in
+  let acked = [ big; "short-1"; big ] in
+  let seg = "qm.log.seg0" in
+  let run seed =
+    let disk = Disk.create ~torn_writes:true ~rng:(Rng.create seed) "torn" in
+    H.run_fiber (fun () ->
+        let qm = Qm.open_qm disk ~name:"qm" in
+        Qm.create_queue qm "q";
+        let h, _ = Qm.register qm ~queue:"q" ~registrant:"client" ~stable:true in
+        let enqueue tag b =
+          ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h ~tag b))
+        in
+        List.iteri (fun i b -> enqueue (string_of_int i) b) acked;
+        let valid = Option.get (Disk.file_size disk seg) in
+        Disk.kill_after_syncs disk 1;
+        enqueue "torn" "short-torn";
+        (disk, valid, Option.get (Disk.file_size disk seg)))
+  in
+  let rec find seed =
+    let disk, valid, kept = run seed in
+    if kept > valid + 16 && kept < valid + 64 then (disk, valid) else find (seed + 1)
+  in
+  let disk, valid = find 0 in
+  Disk.revive disk;
+  H.run_fiber (fun () ->
+      let qm = Qm.open_qm disk ~name:"qm" in
+      Alcotest.(check (option int)) "the segment is cut at the last whole frame"
+        (Some valid) (Disk.file_size disk seg);
+      Alcotest.(check bool) "every acknowledged enqueue, byte for byte" true
+        (List.map (fun el -> el.Element.payload) (Qm.elements qm "q") = acked);
+      let _, last = Qm.register qm ~queue:"q" ~registrant:"client" ~stable:true in
+      Alcotest.(check (option string)) "the last durable tag" (Some "2")
+        (Option.map (fun l -> l.Qm.tag) last))
+
 (* ---- named crash sites announce themselves in the trace ----------------- *)
 
 (* When an armed [Crashpoint] fires it must emit a [Crashpoint_fired] trace
@@ -313,6 +354,8 @@ let () =
             test_crash_in_rule_checkpoint;
           Alcotest.test_case "torn write inside a spliced frame" `Quick
             test_torn_spliced_enqueue;
+          Alcotest.test_case "torn short frame after a spliced one" `Quick
+            test_torn_short_after_spliced;
         ] );
       ( "trace",
         [

@@ -446,9 +446,10 @@ let test_disk_spliced_payload_not_written () =
   Alcotest.(check (option string)) "the last snapshot" (Some (String.make 300 's'))
     r.Wal.snapshot
 
-(* A checkpoint whose snapshot holds a spliced string is installed as its
-   pieces: the file is the flat encoding, and the encoder keeps its
-   buffer. *)
+(* A checkpoint whose snapshot holds a spliced string is installed as
+   views of the encoder's buffer around the string: the file is the flat
+   encoding, and the buffer belongs to the disk, so no later write
+   through the encoder reaches the file. *)
 let test_wal_spliced_checkpoint () =
   let d = Disk.create "d0" in
   let w, _ = Wal.open_log d ~name:"log" in
@@ -460,10 +461,15 @@ let test_wal_spliced_checkpoint () =
       Codec.u8 e 3;
       Codec.string e payload;
       Codec.int e 7);
-  Alcotest.(check bool) "the encoder keeps its buffer" true (Codec.bytes e == buf);
+  Alcotest.(check bool) "the encoder lets go of the buffer the file views" true
+    (Codec.bytes e != buf);
   Alcotest.(check int) "and is empty" 0 (Codec.length e);
   Alcotest.(check int) "snapshot_bytes counts the spliced bytes"
     (8 + 1 + 8 + String.length snap) (Wal.snapshot_bytes w);
+  let file = Disk.read_file d "log.ckpt" in
+  Codec.raw e (String.make 256 'x');
+  Alcotest.(check bool) "a later write leaves the file as it was" true
+    (Disk.read_file d "log.ckpt" = file);
   Disk.crash d;
   let _, r = Wal.open_log d ~name:"log" in
   Alcotest.(check (option string)) "recovered byte for byte" (Some snap) r.Wal.snapshot
@@ -485,6 +491,83 @@ let test_wal_checkpoint_trades_buffers () =
   let _, r = Wal.open_log d ~name:"log" in
   Alcotest.(check (option string)) "the snapshot"
     (Some (Codec.to_string (let e = Codec.encoder () in write e; e)))
+    r.Wal.snapshot
+
+(* A short sync after a spliced frame goes into a chunk of its own size:
+   the segment is still the concatenated flat frames, and the short syncs
+   do not each cost a 16 KiB page of major heap. *)
+let test_disk_short_sync_after_spliced_frame () =
+  let d = Disk.create "d0" in
+  let w, _ = Wal.open_log d ~name:"log" in
+  let bodies = Array.init 4 (fun i -> big (Char.chr (97 + i))) in
+  let flat = Buffer.create 65536 in
+  let n = 100 in
+  let major = ref 0. in
+  for i = 1 to n do
+    let e = spliced_record i bodies.(i mod 4) in
+    Wal.append_enc w e;
+    Wal.sync w;
+    Buffer.add_string flat (Wal.frame (Codec.to_string e));
+    let short = Printf.sprintf "short-%d" i in
+    Buffer.add_string flat (Wal.frame short);
+    let _, _, before = Gc.counters () in
+    Wal.append_sync w short;
+    let _, _, after = Gc.counters () in
+    major := !major +. (after -. before)
+  done;
+  Alcotest.(check bool) "the segment is the concatenated flat frames" true
+    (Disk.read_durable (Disk.open_file d "log.seg0") = Buffer.contents flat);
+  let page_words = 16384 / (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d short syncs allocated %.0f major words" n !major)
+    true
+    (!major < float_of_int (n * page_words))
+
+(* Spliced, unspliced and spliced again: every checkpoint hands the
+   encoder's buffer to the disk as views and takes back the one the file
+   it replaces viewed, so the encoder and the disk trade one buffer each
+   way. Records encoded through the encoder after a cut never reach the
+   checkpoint file. *)
+let test_wal_checkpoints_trade_one_buffer () =
+  let d = Disk.create "d0" in
+  let w, _ = Wal.open_log d ~name:"log" in
+  let payload = big 't' in
+  let e = Codec.encoder ~size:256 () in
+  let spliced e = Codec.u8 e 1; Codec.string e payload; Codec.int e 7 in
+  let flat e = Codec.string e (String.make 1000 'f') in
+  let digest () = Digest.string (Option.get (Disk.read_file d "log.ckpt")) in
+  (* The buffer a cut hands over is the encoder's once the snapshot is
+     written. *)
+  let cut ?takes_back write =
+    let handed = ref Bytes.empty in
+    Wal.checkpoint w e (fun e ->
+        write e;
+        handed := Codec.bytes e);
+    Option.iter
+      (fun b ->
+        Alcotest.(check bool) "the cut takes back the buffer the last one handed over"
+          true (Codec.bytes e == b))
+      takes_back;
+    let file = digest () in
+    for i = 1 to 3 do
+      Codec.reset e;
+      Codec.string e (String.make (100 * i) 'r');
+      if i = 2 then Codec.string e payload;
+      Wal.append_enc w e;
+      Wal.sync w
+    done;
+    Alcotest.(check string) "records after the cut leave the file as it was"
+      (Digest.to_hex file) (Digest.to_hex (digest ()));
+    !handed
+  in
+  let a = cut spliced in
+  let b = cut ~takes_back:a flat in
+  Alcotest.(check bool) "two buffers" true (a != b);
+  ignore (cut ~takes_back:b spliced);
+  Disk.crash d;
+  let _, r = Wal.open_log d ~name:"log" in
+  Alcotest.(check (option string)) "the last snapshot"
+    (Some (Codec.to_string (let e = Codec.encoder () in spliced e; e)))
     r.Wal.snapshot
 
 let suite =
@@ -528,6 +611,10 @@ let suite =
     Alcotest.test_case "wal: spliced checkpoint" `Quick test_wal_spliced_checkpoint;
     Alcotest.test_case "wal: checkpoint trades buffers when nothing is spliced"
       `Quick test_wal_checkpoint_trades_buffers;
+    Alcotest.test_case "disk: a short sync after a spliced frame" `Quick
+      test_disk_short_sync_after_spliced_frame;
+    Alcotest.test_case "wal: spliced and flat checkpoints trade one buffer" `Quick
+      test_wal_checkpoints_trade_one_buffer;
   ]
 
 (* --- Codec --------------------------------------------------------- *)
@@ -712,6 +799,48 @@ let test_histogram () =
   Alcotest.(check (float 1e-9)) "max" 100.0 (max_value h);
   Alcotest.(check (float 1e-9)) "min" 1.0 (min_value h)
 
+(* Percentiles are nearest-rank over the sorted samples: the definition,
+   on random samples with duplicates and infinities. *)
+let prop_histogram_percentile =
+  let sample =
+    QCheck2.Gen.(
+      oneof
+        [ float_range (-5.) 5.; oneofl [ infinity; neg_infinity; 0.; 1.; 2.5 ] ])
+  in
+  QCheck2.Test.make ~name:"histogram percentile = nearest rank of the sorted list"
+    ~count:300
+    QCheck2.Gen.(pair (list_size (int_range 1 60) sample) (float_bound_inclusive 1.))
+    (fun (samples, p) ->
+      let h = Rrq_util.Histogram.create () in
+      List.iter (Rrq_util.Histogram.add h) samples;
+      let sorted = List.sort compare samples in
+      let n = List.length samples in
+      let at q =
+        let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
+        List.nth sorted (max 0 (min (n - 1) rank))
+      in
+      List.for_all
+        (fun q -> Rrq_util.Histogram.percentile h q = at q)
+        [ p; 0.; 0.5; 0.95; 0.99; 1. ]
+      && Rrq_util.Histogram.min_value h = List.hd sorted
+      && Rrq_util.Histogram.max_value h = List.nth sorted (n - 1))
+
+(* The samples are sorted in place: no copy, and no float boxed per
+   comparison. *)
+let test_histogram_sort_allocates_nothing () =
+  let h = Rrq_util.Histogram.create () in
+  let r = Rng.create 3 in
+  for _ = 1 to 20_000 do
+    Rrq_util.Histogram.add h (Rng.float r 100.)
+  done;
+  let before = Gc.allocated_bytes () in
+  let p99 = Rrq_util.Histogram.percentile h 0.99 in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "p99 is a sample" true (p99 > 0. && p99 < 100.);
+  Alcotest.(check bool)
+    (Printf.sprintf "sorting 20,000 samples allocated %.0f bytes" allocated)
+    true (allocated < 1024.)
+
 let test_table_render () =
   let t = Rrq_util.Table.create ~title:"T" ~columns:[ "a"; "bb" ] in
   Rrq_util.Table.add_row t [ "1"; "2" ];
@@ -726,6 +855,9 @@ let util_suite =
     Alcotest.test_case "rng zipf skew" `Quick test_rng_zipf_skew;
     Alcotest.test_case "histogram" `Quick test_histogram;
     Alcotest.test_case "table render" `Quick test_table_render;
+    QCheck_alcotest.to_alcotest prop_histogram_percentile;
+    Alcotest.test_case "histogram sorts in place" `Quick
+      test_histogram_sort_allocates_nothing;
   ]
 
 let () =

@@ -29,7 +29,7 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 mkdir "$tmp/ref"
 git archive "$ref" | tar -x -C "$tmp/ref"
 
-scenarios="quickstart ha sharded sharded-ha chain"
+scenarios="quickstart quickstart-large ha sharded sharded-ha chain"
 workloads="single ha-sync shard4 read-mostly large-body"
 
 virtual_only() {
