@@ -87,10 +87,11 @@ let read_role disk =
     | _ -> None)
 
 let write_role t role epoch =
-  Disk.replace_atomic
-    (Net.disk (Site.node t.site))
-    role_file
-    (Printf.sprintf "%s %d" (role_to_string role) epoch);
+  let line = Printf.sprintf "%s %d" (role_to_string role) epoch in
+  ignore
+    (Disk.replace_atomic
+       (Net.disk (Site.node t.site))
+       role_file (Bytes.of_string line) ~spliced:[] ~len:(String.length line));
   t.role <- role;
   t.epoch <- epoch
 

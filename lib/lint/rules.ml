@@ -213,8 +213,7 @@ let layers =
       l_mod = "Disk";
       l_funcs =
         [
-          "open_file"; "append"; "sync"; "sync_all"; "replace_atomic";
-          "replace_atomic_bytes"; "replace_atomic_pieces"; "delete";
+          "open_file"; "append"; "sync"; "sync_all"; "replace_atomic"; "delete";
         ];
       l_allowed = [ "lib/storage/"; "lib/wal/" ];
       l_what = "direct disk mutation";

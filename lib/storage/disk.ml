@@ -1,6 +1,6 @@
 (* [len] bytes of [data] from [off] hold file contents: a chunk is a view,
-   so the device holds exactly the bytes it was handed. [owned]: no string
-   aliases [data] (the disk made it, or {!replace_atomic_bytes} was handed
+   so the device holds exactly the bytes it was handed. [owned]: no one
+   else holds [data] (the disk made it, or {!replace_atomic} was handed
    it), so a sync of short frames may copy into the room past the newest
    such view, and [data] may go back to a writer once the contents it
    holds are replaced. A page is an owned chunk of [page_size] bytes that
@@ -9,13 +9,13 @@ type chunk = { data : Bytes.t; off : int; mutable len : int; owned : bool }
 
 type file_state = {
   fname : string;
-  (* Durable contents as chunks, newest first, and the strings appended
-     since the last sync, newest first. A sync moves long frames into the
-     chunk list as they are and copies short ones into a page, so a
-     synced byte is copied at most once. *)
+  (* Durable contents as chunks, newest first, and the views appended
+     since the last sync, newest first. A sync moves a long run of views
+     into the durable list as they are and copies a short one into a
+     page, so a synced byte is copied at most once. *)
   mutable durable : chunk list;
   mutable durable_len : int;
-  mutable pending : string list;
+  mutable pending : chunk list;
   mutable pending_len : int;
   owner : t;
 }
@@ -76,16 +76,34 @@ let open_file t fname =
     Hashtbl.add t.files fname f;
     f
 
-let concat_rev chunks = String.concat "" (List.rev chunks)
-
-(* A string as a chunk: full, so never written again. *)
+(* A string as a chunk: someone else's, so never written to. *)
 let alias s =
   { data = Bytes.unsafe_of_string s; off = 0; len = String.length s; owned = false }
 
-(* A string moved into the chunk list. *)
-let add_durable f s =
-  f.durable <- alias s :: f.durable;
-  f.durable_len <- f.durable_len + String.length s
+let view data owned lo hi chunks =
+  if hi > lo then { data; off = lo; len = hi - lo; owned } :: chunks else chunks
+
+(* A layout's chunks pushed onto [chunks], newest first: views of [buf]
+   between the spliced strings, which are chunks of their own. [strings]
+   counts the spliced bytes in front of [lo]; [len] counts both. *)
+let rec views buf owned len lo strings chunks = function
+  | [] -> view buf owned lo (len - strings) chunks
+  | (at, s) :: later ->
+    views buf owned len at (strings + String.length s)
+      (alias s :: view buf owned lo at chunks) later
+
+(* Copy [chunks] (newest first) into [dst], the newest ending at [hi]. *)
+let rec blit_back dst hi = function
+  | [] -> ()
+  | c :: older ->
+    let lo = hi - c.len in
+    Bytes.blit c.data c.off dst lo c.len;
+    blit_back dst lo older
+
+let concat chunks len =
+  let b = Bytes.create len in
+  blit_back b len chunks;
+  b
 
 let clear_pending f =
   f.pending <- [];
@@ -104,7 +122,11 @@ let crash_now t =
       | Some tf, Some rng when tf = fname && f.pending_len > 0 ->
         (* Keep a random prefix of the unsynced tail: a torn block. *)
         let keep = Rrq_util.Rng.int rng (f.pending_len + 1) in
-        if keep > 0 then add_durable f (String.sub (concat_rev f.pending) 0 keep)
+        if keep > 0 then begin
+          let torn = concat f.pending f.pending_len in
+          f.durable <- { data = torn; off = 0; len = keep; owned = false } :: f.durable;
+          f.durable_len <- f.durable_len + keep
+        end
       | _ -> ());
       clear_pending f)
     t.files;
@@ -127,17 +149,17 @@ let allow_durability t =
     | None -> true
   end
 
-let append f bytes =
+let append f buf ~spliced ~len =
   if not f.owner.dead then begin
-    f.pending <- bytes :: f.pending;
-    f.pending_len <- f.pending_len + String.length bytes;
+    f.pending <- views buf false len 0 0 f.pending spliced;
+    f.pending_len <- f.pending_len + len;
     f.owner.last_appended <- Some f.fname
   end
 
 (* A sync of fewer pending bytes than this copies them into a chunk the
    disk owns, mostly a page of [page_size] bytes (fewer heap blocks for a
    log of short records, and frames that die young); a longer one moves
-   its frames as they are. One disk page is also where the codec starts
+   its views as they are. One disk page is also where the codec starts
    splicing a string rather than copying it, so a spliced string always
    takes the second way. *)
 let page_below = Rrq_util.Codec.splice_min
@@ -146,7 +168,7 @@ let page_size = 16384
 (* The chunk a sync of [n] short bytes is copied into: the newest one if
    the disk owns it and it has room, else a new one. That is a page when
    the newest chunk is the disk's own (or the file is empty), so a run of
-   short syncs shares a few pages; after someone else's string (a long
+   short syncs shares a few pages; after someone else's bytes (a long
    frame, a spliced body) it holds just the [n] bytes, so a short sync
    between long ones never costs a page. *)
 let room_for f n =
@@ -163,17 +185,13 @@ let sync f =
   if allow_durability t then begin
     let n = f.pending_len in
     if n > 0 then begin
-      let frames = List.rev f.pending in
-      if n >= page_below then List.iter (add_durable f) frames
+      if n >= page_below then f.durable <- f.pending @ f.durable
       else begin
         let c = room_for f n in
-        List.iter
-          (fun s ->
-            Bytes.blit_string s 0 c.data (c.off + c.len) (String.length s);
-            c.len <- c.len + String.length s)
-          frames;
-        f.durable_len <- f.durable_len + n
+        blit_back c.data (c.off + c.len + n) f.pending;
+        c.len <- c.len + n
       end;
+      f.durable_len <- f.durable_len + n;
       clear_pending f;
       t.synced_bytes <- t.synced_bytes + n
     end;
@@ -182,14 +200,15 @@ let sync f =
 
 let sync_all t = Hashtbl.iter (fun _ f -> sync f) t.files
 
-let read_durable f =
-  let b = Buffer.create f.durable_len in
-  List.iter (fun c -> Buffer.add_subbytes b c.data c.off c.len) (List.rev f.durable);
-  Buffer.contents b
-
-let read f = read_durable f ^ concat_rev f.pending
+let read_durable f = Bytes.unsafe_to_string (concat f.durable f.durable_len)
 let durable_size f = f.durable_len
 let size f = f.durable_len + f.pending_len
+
+let read f =
+  let b = Bytes.create (size f) in
+  blit_back b (size f) f.pending;
+  blit_back b f.durable_len f.durable;
+  Bytes.unsafe_to_string b
 
 (* Install [chunks] (newest first, [len] bytes) as the file's whole
    contents; the buffer of the newest chunk of the contents they replace
@@ -211,29 +230,8 @@ let install t fname chunks len =
   t.sync_count <- t.sync_count + 1;
   old
 
-let replace_atomic_pieces t fname pieces =
-  if allow_durability t then
-    ignore
-      (install t fname (List.rev_map alias pieces)
-         (List.fold_left (fun n s -> n + String.length s) 0 pieces))
-
-let replace_atomic t fname contents = replace_atomic_pieces t fname [ contents ]
-
-(* Views of [buf] between the spliced strings, which are chunks of their
-   own; [len] counts both. *)
-let replace_atomic_bytes t fname ?(spliced = []) buf ~len =
-  if allow_durability t then begin
-    let view lo hi chunks =
-      if hi > lo then { data = buf; off = lo; len = hi - lo; owned = true } :: chunks
-      else chunks
-    in
-    let rec views lo strings chunks = function
-      | [] -> view lo (len - strings) chunks
-      | (at, s) :: later ->
-        views at (strings + String.length s) (alias s :: view lo at chunks) later
-    in
-    install t fname (views 0 0 [] spliced) len
-  end
+let replace_atomic t fname buf ~spliced ~len =
+  if allow_durability t then install t fname (views buf true len 0 0 [] spliced) len
   else buf
 
 let read_file t fname =

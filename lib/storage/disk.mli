@@ -44,23 +44,36 @@ val reserve_sync : t -> now:float -> float
 (** Claim the next device slot for a flush requested at virtual time [now];
     returns how long the requester must wait until its flush completes. *)
 
+(** {1 Files}
+
+    The disk takes bytes through two calls, {!append} and
+    {!replace_atomic}, and both take them as one {e layout}: a buffer
+    [buf], the strings [spliced] into it, oldest first, each with the
+    position of [buf] it goes in front of ({!Rrq_util.Codec.splices}),
+    and [len], the bytes of the layout, strings included. Its bytes are
+    [buf]'s from its start with the strings put in between, and the disk
+    keeps them as views: the stretches of [buf] between the strings, and
+    the strings themselves. Nothing is copied on the way in. *)
+
 val open_file : t -> string -> file
 (** Open (creating if absent) an append-only file. Contents persist across
     re-opens; re-opening returns a handle to the same state. *)
 
-val append : file -> string -> unit
-(** Buffer bytes at the end of the file (volatile until [sync]). The
-    string itself is kept, not a copy of it. *)
+val append : file -> Bytes.t -> spliced:(int * string) list -> len:int -> unit
+(** Buffer a layout at the end of the file (volatile until [sync]). The
+    disk never writes to [buf] or the strings, so the caller may hand in a
+    string's bytes ([Bytes.unsafe_of_string]), but must not write to [buf]
+    again either. *)
 
 val sync : file -> unit
-(** Force all buffered bytes of this file to durable storage. The strings
+(** Force all buffered bytes of this file to durable storage. The views
     appended since the last sync become durable as they are, or, when
     they add up to under 4 KiB ({!Rrq_util.Codec.splice_min}), are
     copied once: into the newest chunk of durable contents if it is a
     buffer the disk owns with room for them, else into a new 16 KiB page
     when that chunk is one the disk owns (or there is none), else, after
-    a string the disk was handed, into a buffer of exactly their size.
-    No appended string is ever written to. *)
+    bytes the disk was handed, into a buffer of exactly their size. No
+    appended byte is ever written to. *)
 
 val sync_all : t -> unit
 (** [sync] every file on the disk. *)
@@ -74,33 +87,20 @@ val read_durable : file -> string
 val size : file -> int
 val durable_size : file -> int
 
-val replace_atomic : t -> string -> string -> unit
-(** Durably replace the full contents of a (possibly new) file, atomically —
-    the write-temp-then-rename idiom used for checkpoints. Counts as one
-    sync. *)
-
-val replace_atomic_pieces : t -> string -> string list -> unit
-(** [replace_atomic_pieces t name pieces] is {!replace_atomic} of the
-    pieces' concatenation, without concatenating them: the disk keeps
-    each string as it is, as {!append} does. No buffer comes back: the
-    disk owns none of these strings, so none ever goes back to a writer
-    (see {!replace_atomic_bytes}). *)
-
-val replace_atomic_bytes :
-  t -> string -> ?spliced:(int * string) list -> Bytes.t -> len:int -> Bytes.t
-(** [replace_atomic_bytes t name ?spliced buf ~len] is {!replace_atomic}
-    of the bytes [buf] holds from its start with each string of [spliced]
-    (oldest first, default none) put in front of the position of [buf] it
-    names, [len] bytes in all, the strings included: the layout of a
-    spliced encoder ({!Rrq_util.Codec.splices}). Nothing is copied: the
-    file is views of [buf] between the strings, and the strings. The
-    disk takes ownership of [buf], and the caller must never write to it
-    again. In exchange it returns a buffer the caller now owns: one that
-    held the contents just replaced, if the disk owned one (one handed in
-    this way, say; all of its views share it), else [Bytes.empty]. So a
-    writer that checkpoints the same file again and again, spliced or
-    not, trades the same two buffers with the disk and allocates no
-    buffer. No reader aliases a durable buffer ({!read},
+val replace_atomic :
+  t -> string -> Bytes.t -> spliced:(int * string) list -> len:int -> Bytes.t
+(** [replace_atomic t name buf ~spliced ~len] durably replaces the full
+    contents of a (possibly new) file with the layout, atomically: the
+    write-temp-then-rename idiom used for checkpoints. Counts as one
+    sync. Nothing is copied: the file is views of [buf] between the
+    strings, and the strings. The disk takes ownership of [buf], and the
+    caller must never write to it again; a caller holding a string hands
+    in a fresh copy. In exchange it returns a buffer the caller now owns:
+    one that held the contents just replaced, if the disk owned one (one
+    handed in this way, say; all of its views share it), else
+    [Bytes.empty]. So a writer that checkpoints the same file again and
+    again, spliced or not, trades the same two buffers with the disk and
+    allocates no buffer. No reader aliases a durable buffer ({!read},
     {!read_durable} and {!read_file} copy), so the returned one holds
     nothing anyone still reads. If the disk is dead nothing is written,
     and [buf] itself comes back. *)

@@ -36,52 +36,47 @@ let frame64_sub s ~pos ~len =
 
 let frame64 s = frame64_sub s ~pos:0 ~len:(String.length s)
 
-let frame64_bytes b ~pos ~len =
-  let h = ref frame_basis in
-  let words = len / 8 in
-  for i = 0 to words - 1 do
-    let w = Int64.to_int (Bytes.get_int64_le b (pos + (i * 8))) in
-    h := (!h lxor w) * frame_prime
-  done;
-  for i = pos + (words * 8) to pos + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * frame_prime
-  done;
-  Int64.of_int !h
-
-(* [frame64] of a concatenation, a piece at a time ([feed] folds a piece
-   from byte [pos]): [carry] holds the first
-   [n] bytes of a word that straddles two pieces, so the words folded are
-   the concatenation's words, and its last [len mod 8] bytes are folded
-   one by one as [frame64] folds them. *)
-type stream = { mutable h : int; carry : Bytes.t; mutable n : int }
-
-let feed st s pos =
-  let len = String.length s in
-  let h = ref st.h and n = ref st.n and i = ref pos in
-  while !n > 0 && !i < len do
-    Bytes.unsafe_set st.carry !n (String.unsafe_get s !i);
-    incr n;
-    incr i;
-    if !n = 8 then begin
-      h := (!h lxor Int64.to_int (Bytes.get_int64_le st.carry 0)) * frame_prime;
-      n := 0
+(* [frame64_layout], a region at a time: [b] from [i] to [stop] is the
+   region being folded (a stretch of [buf], or the spliced string at the
+   head of [spliced]), [left] the layout bytes still to fold, and [c] the
+   first [n] bytes of a word that straddles two regions, so the words
+   folded are the concatenation's words. [c] holds at most 7 bytes until
+   its eighth completes the word, whose top bit an OCaml int drops as
+   [Int64.to_int] does. The last [len mod 8] bytes are folded one by one,
+   as [frame64] folds them. *)
+let rec fold_layout buf spliced b i stop left h c n =
+  if i < stop then
+    if n > 0 || stop - i < 8 then begin
+      let c = c lor (Char.code (Bytes.unsafe_get b i) lsl (8 * n)) in
+      if n = 7 then
+        fold_layout buf spliced b (i + 1) stop (left - 1) ((h lxor c) * frame_prime) 0 0
+      else fold_layout buf spliced b (i + 1) stop (left - 1) h c (n + 1)
     end
-  done;
-  let words = (len - !i) / 8 in
-  for k = 0 to words - 1 do
-    h := (!h lxor Int64.to_int (String.get_int64_le s (!i + (k * 8)))) * frame_prime
-  done;
-  for k = !i + (words * 8) to len - 1 do
-    Bytes.unsafe_set st.carry !n (String.unsafe_get s k);
-    incr n
-  done;
-  st.h <- !h;
-  st.n <- !n
+    else begin
+      let words = (stop - i) / 8 in
+      let h = ref h in
+      for k = 0 to words - 1 do
+        h := (!h lxor Int64.to_int (Bytes.get_int64_le b (i + (k * 8)))) * frame_prime
+      done;
+      fold_layout buf spliced b (i + (words * 8)) stop (left - (words * 8)) !h 0 0
+    end
+  else if left = 0 then begin
+    let h = ref h in
+    for k = 0 to n - 1 do
+      h := (!h lxor ((c lsr (8 * k)) land 0xff)) * frame_prime
+    done;
+    Int64.of_int !h
+  end
+  else
+    match spliced with
+    | [] -> invalid_arg "Checksum.frame64_layout: len runs past the layout"
+    | (at, s) :: later ->
+      if b == buf then
+        fold_layout buf spliced (Bytes.unsafe_of_string s) 0 (String.length s) left h c n
+      else
+        let stop = match later with (next, _) :: _ -> next | [] -> at + left in
+        fold_layout buf later buf at stop left h c n
 
-let frame64_pieces ?(skip = 0) pieces =
-  let st = { h = frame_basis; carry = Bytes.create 8; n = 0 } in
-  List.iteri (fun i s -> feed st s (if i = 0 then skip else 0)) pieces;
-  for i = 0 to st.n - 1 do
-    st.h <- (st.h lxor Char.code (Bytes.unsafe_get st.carry i)) * frame_prime
-  done;
-  Int64.of_int st.h
+let frame64_layout buf ~spliced ~pos ~len =
+  let stop = match spliced with (at, _) :: _ -> at | [] -> pos + len in
+  fold_layout buf spliced buf pos stop len frame_basis 0 0

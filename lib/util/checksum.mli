@@ -3,9 +3,6 @@
 val fnv1a64 : string -> int64
 (** Checksum of a whole string. *)
 
-val fnv1a64_sub : string -> pos:int -> len:int -> int64
-(** Checksum of the substring [pos, pos+len). *)
-
 val frame64 : string -> int64
 (** Word-wise FNV-1a variant in unboxed native-int arithmetic (mod 2^63):
     ~8x cheaper than {!fnv1a64} and what the WAL frames records with.
@@ -15,12 +12,12 @@ val frame64 : string -> int64
 val frame64_sub : string -> pos:int -> len:int -> int64
 (** {!frame64} of the substring [pos, pos+len). *)
 
-val frame64_bytes : Bytes.t -> pos:int -> len:int -> int64
-(** {!frame64} over a byte buffer, without copying. *)
-
-val frame64_pieces : ?skip:int -> string list -> int64
-(** {!frame64} of the pieces' concatenation, without concatenating them,
-    the first [skip] bytes of the first piece left out (default 0): a WAL
-    frame whose payload holds spliced strings ({!Rrq_util.Codec.pieces},
-    the first one led by the frame's header) is checksummed piece by
-    piece. Pieces may be empty and need not be word-aligned. *)
+val frame64_layout :
+  Bytes.t -> spliced:(int * string) list -> pos:int -> len:int -> int64
+(** [frame64_layout buf ~spliced ~pos ~len] is {!frame64} of the [len]
+    bytes from position [pos] of a layout: [buf] with each string of
+    [spliced] (oldest first) put in front of the position of [buf] it
+    names ({!Rrq_util.Codec.splices}), nothing concatenated. No string
+    may go in front of [pos]. A WAL frame is checksummed this way,
+    spliced or not ([~spliced:[]] is {!frame64} of a stretch of [buf]).
+    Stretches and strings need not be word-aligned. Allocates nothing. *)

@@ -47,27 +47,10 @@ let to_string e =
     Bytes.unsafe_to_string b
   end
 
-(* Oldest first: each stretch of the buffer copied, each spliced string
-   as it is. The first stretch starts at 0 and is never empty when
-   something is spliced (a spliced string follows its length prefix);
-   its copy starts with [head] zero bytes more. *)
-let pieces ?(head = 0) e =
-  let stretch pad lo hi acc =
-    if hi > lo then begin
-      let b = Bytes.create (pad + hi - lo) in
-      Bytes.fill b 0 pad '\000';
-      Bytes.blit e.buf lo b pad (hi - lo);
-      Bytes.unsafe_to_string b :: acc
-    end
-    else acc
-  in
-  let rec go hi acc = function
-    | [] -> stretch head 0 hi acc
-    | { at; s; _ } :: older -> go at (s :: stretch 0 at hi acc) older
-  in
-  go e.pos [] e.spliced
+let buffered e = e.pos
 
-let splices e = List.fold_left (fun acc { at; s; _ } -> (at, s) :: acc) [] e.spliced
+let splices e ~off =
+  List.fold_left (fun acc { at; s; _ } -> (off + at, s) :: acc) [] e.spliced
 
 let adopt e buf =
   e.buf <- buf;

@@ -12,9 +12,8 @@
     {!end_length} counts those encoded since its {!begin_length}. Only
     {!bytes} sees the difference: it holds the buffer's stretches without
     the strings between them, which {!splices} places, so a caller that
-    hands the buffer on hands the layout with it (or takes {!pieces}). A
-    spliced string is never written to, and the encoder drops it on
-    {!reset}. *)
+    hands the buffer on hands the layout with it. A spliced string is
+    never written to, and the encoder drops it on {!reset}. *)
 
 type encoder
 (** Mutable accumulator for an encoding in progress. *)
@@ -52,26 +51,24 @@ val spliced : encoder -> bool
 
 val bytes : encoder -> Bytes.t
 (** The underlying buffer, and any later encoder call may replace or
-    overwrite it. Unless {!spliced}, its first {!length} bytes are the
-    contents: for zero-copy handoff to framing layers ([Wal.append_enc]).
-    When {!spliced}, it holds only the stretches between spliced strings,
-    and {!splices} says where each string goes. Everyone else should use
+    overwrite it. Its first {!buffered} bytes are the contents' stretches
+    between spliced strings, which {!splices} places (the whole contents
+    unless {!spliced}): for the framing layers that copy it or hand it on
+    ([Wal.append_enc], [Wal.checkpoint]). Everyone else should use
     {!to_string}. *)
 
-val splices : encoder -> (int * string) list
-(** The spliced strings, oldest first, each with the position in {!bytes}
-    it goes in front of: with {!bytes} and {!length}, the contents as
-    views, nothing copied. [[]] unless {!spliced}. For a writer that hands
-    the buffer on whole ([Wal.checkpoint] with
-    [Rrq_storage.Disk.replace_atomic_bytes]). *)
+val buffered : encoder -> int
+(** Bytes of {!bytes} that hold contents: {!length} less the spliced
+    strings. *)
 
-val pieces : ?head:int -> encoder -> string list
-(** The contents as strings whose concatenation is {!to_string}, oldest
-    first: each stretch of the buffer copied, each spliced string itself.
-    With [head] (default 0), the first piece, a stretch when anything is
-    spliced, starts with [head] zero bytes more, a fresh copy that the
-    caller may fill in before handing it on. For [Wal.append_enc] of a
-    {!spliced} encoder, which writes its frame header there. *)
+val splices : encoder -> off:int -> (int * string) list
+(** The spliced strings, oldest first, each with the position it goes in
+    front of in a copy of {!bytes} placed at [off]: with that copy and
+    {!length} (plus [off]), the contents as a layout, the strings not
+    copied. [[]] unless {!spliced}. For a writer that hands the layout to
+    [Rrq_storage.Disk]: [Wal.checkpoint] hands {!bytes} itself
+    ([~off:0]), [Wal.append_enc] a copy of its first {!buffered} bytes
+    behind a frame header. *)
 
 val blit : encoder -> Bytes.t -> int -> unit
 (** [blit e dst off] writes the contents ({!length} bytes) into [dst] at
@@ -81,8 +78,7 @@ val adopt : encoder -> Bytes.t -> unit
 (** [adopt e buf] makes [buf] the encoder's buffer, empty, and drops the
     old one. For a caller that gave {!bytes} away to an owner that handed
     back another buffer in exchange ([Wal.checkpoint] with
-    [Rrq_storage.Disk.replace_atomic_bytes]). Drops every spliced
-    string. *)
+    [Rrq_storage.Disk.replace_atomic]). Drops every spliced string. *)
 
 val u8 : encoder -> int -> unit
 (** Append one byte (0..255). *)

@@ -11,6 +11,10 @@ type t = {
   mutable waiters : (int * bool Sched.waker) list; (* parked followers *)
   mutable n_forces : int;
   mutable n_syncs : int;
+  (* Metric names, built once per log rather than per flush. *)
+  m_syncs : string;
+  m_forces : string;
+  m_batch : string;
   (* Log shipping (primary-backup replication). While a shipper is
      installed every appended record is retained as (lsn, payload) until a
      ship round takes it. Rounds overlap: each covers the records appended
@@ -39,6 +43,9 @@ let create wal =
     waiters = [];
     n_forces = 0;
     n_syncs = 0;
+    m_syncs = "gc.syncs:" ^ Wal.name wal;
+    m_forces = "gc.forces:" ^ Wal.name wal;
+    m_batch = "gc.batch:" ^ Wal.name wal;
     shipper = None;
     ship_sync = true;
     retained = [];
@@ -62,8 +69,8 @@ let append_frame t frame =
   Wal.append_frame t.wal frame;
   if t.shipper <> None then retain t frame
 
-(* Only a frame a shipper retains is built as one string; otherwise the
-   log takes the record piece by piece when it holds spliced strings. *)
+(* A shipper retains one flat frame string, because the standby decodes a
+   flat frame; otherwise the log takes the encoder's layout. *)
 let append_enc t e =
   if t.shipper = None then Wal.append_enc t.wal e
   else append_frame t (Wal.frame_enc e)
@@ -77,7 +84,7 @@ let do_sync t =
      if wait > 0.0 then Sched.sleep wait);
   Wal.sync t.wal;
   t.n_syncs <- t.n_syncs + 1;
-  if Rrq_obs.enabled () then Rrq_obs.Metrics.inc ("gc.syncs:" ^ Wal.name t.wal)
+  if Rrq_obs.enabled () then Rrq_obs.Metrics.inc t.m_syncs
 
 (* Wake every parked follower the last sync covered. After a successful
    sync the durable LSN equals the appended LSN, which covers everyone who
@@ -195,9 +202,8 @@ let ship_now t = await_shipped t (Wal.appended_lsn t.wal)
 (* One flush shared by [n] committers. *)
 let observe_batch t n =
   if Rrq_obs.enabled () then begin
-    let wal = Wal.name t.wal in
-    Rrq_obs.Metrics.observe ("gc.batch:" ^ wal) (float_of_int n);
-    Rrq_obs.Trace.emit (Rrq_obs.Event.Batch_seal { wal; batch = n })
+    Rrq_obs.Metrics.observe t.m_batch (float_of_int n);
+    Rrq_obs.Trace.emit (Rrq_obs.Event.Batch_seal { wal = Wal.name t.wal; batch = n })
   end
 
 (* One rule: the first committer that finds no sync under way leads and
@@ -210,7 +216,7 @@ let force t =
   if lsn > Wal.durable_lsn t.wal && not (Disk.is_dead t.disk) then begin
     t.n_forces <- t.n_forces + 1;
     if Rrq_obs.enabled () then
-      Rrq_obs.Metrics.inc ("gc.forces:" ^ Wal.name t.wal);
+      Rrq_obs.Metrics.inc t.m_forces;
     if not in_fiber then begin
       (* Nothing can park outside a fiber: one direct sync. *)
       do_sync t;

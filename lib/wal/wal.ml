@@ -23,6 +23,10 @@ type t = {
   site_synced : string;
   site_ckpt : string;
   ckpt_file : string;
+  (* Metric names, precomputed for the same reason. *)
+  m_appends : string;
+  m_bytes : string;
+  m_syncs : string;
 }
 
 type recovered = { snapshot : string option; records : string list }
@@ -31,9 +35,9 @@ let seg_name base n = Printf.sprintf "%s.seg%d" base n
 let ckpt_name base = base ^ ".ckpt"
 
 (* Frame: payload length (i64) | frame64 of payload (i64) | payload. One
-   string per frame, handed to the device as it is: the payload's one
-   copy between its encoder and the disk. A log shipper sends the same
-   string. *)
+   buffer per frame, handed to the device as it is: the payload's one
+   copy between its encoder and the disk (a spliced string's none). A
+   log shipper sends the frame as one string. *)
 let frame_header = 16
 
 let header f len sum =
@@ -52,7 +56,7 @@ let frame_enc e =
   let len = Codec.length e in
   let f = Bytes.create (frame_header + len) in
   Codec.blit e f frame_header;
-  header f len (Checksum.frame64_bytes f ~pos:frame_header ~len);
+  header f len (Checksum.frame64_layout f ~spliced:[] ~pos:frame_header ~len);
   Bytes.unsafe_to_string f
 
 (* Scan a segment's contents, returning complete valid records in order
@@ -131,7 +135,10 @@ let open_log disk ~name:base =
       else begin
         (* Torn tail: durably truncate the segment to its valid prefix, so
            the next recovery scans past it into segments we append now. *)
-        Disk.replace_atomic disk (seg_name base !seg) (String.sub contents 0 valid);
+        ignore
+          (Disk.replace_atomic disk (seg_name base !seg)
+             (Bytes.sub (Bytes.unsafe_of_string contents) 0 valid)
+             ~spliced:[] ~len:valid);
         incr seg;
         scanning := false
       end
@@ -158,6 +165,9 @@ let open_log disk ~name:base =
       site_synced = "wal.synced:" ^ base;
       site_ckpt = "wal.ckpt:" ^ base;
       ckpt_file = ckpt_name base;
+      m_appends = "wal.appends:" ^ base;
+      m_bytes = "wal.bytes:" ^ base;
+      m_syncs = "wal.syncs:" ^ base;
     }
   in
   (t, { snapshot; records })
@@ -172,38 +182,34 @@ let appended t len =
   t.live_bytes <- t.live_bytes + frame_header + len;
   t.appended_lsn <- t.appended_lsn + 1;
   if Rrq_obs.enabled () then begin
-    Rrq_obs.Metrics.inc ("wal.appends:" ^ t.base);
-    Rrq_obs.Metrics.inc ~by:len ("wal.bytes:" ^ t.base);
+    Rrq_obs.Metrics.inc t.m_appends;
+    Rrq_obs.Metrics.inc ~by:len t.m_bytes;
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Wal_append { wal = t.base; lsn = t.appended_lsn; bytes = len })
   end
 
+(* The disk never writes to what is appended to it, so a frame string goes
+   down as it is. *)
 let append_frame t frame =
-  Disk.append t.file frame;
-  appended t (String.length frame - frame_header)
+  let n = String.length frame in
+  Disk.append t.file (Bytes.unsafe_of_string frame) ~spliced:[] ~len:n;
+  appended t (n - frame_header)
 
 let append t payload = append_frame t (frame payload)
 
-(* Same frame layout as {!append}, built straight from the encoder's
-   buffer: no [to_string] copy, and the checksum runs over the bytes in
-   place. Every node-log commit record takes this path. A record holding
-   spliced strings goes to the device as its pieces, the header written
-   into the front of the first one's copy, so no byte of a spliced string
-   is copied; the checksum runs over the pieces and is that of the frame
-   [frame_enc] would build. *)
+(* Same frame layout as {!append}, built straight from the encoder: its
+   buffer's stretches copied once, behind the header, into a fresh
+   buffer, and the spliced strings placed between them, not copied. The
+   checksum runs over that layout and is the one [frame_enc] would
+   compute. Every node-log commit record takes this path. *)
 let append_enc t e =
-  if not (Codec.spliced e) then append_frame t (frame_enc e)
-  else begin
-    let pieces = Codec.pieces ~head:frame_header e in
-    let len = Codec.length e in
-    (* The first piece is a fresh copy no one else has seen yet. *)
-    header
-      (Bytes.unsafe_of_string (List.hd pieces))
-      len
-      (Checksum.frame64_pieces ~skip:frame_header pieces);
-    List.iter (Disk.append t.file) pieces;
-    appended t len
-  end
+  let len = Codec.length e and n = Codec.buffered e in
+  let f = Bytes.create (frame_header + n) in
+  Bytes.blit (Codec.bytes e) 0 f frame_header n;
+  let spliced = Codec.splices e ~off:frame_header in
+  header f len (Checksum.frame64_layout f ~spliced ~pos:frame_header ~len);
+  Disk.append t.file f ~spliced ~len:(frame_header + len);
+  appended t len
 
 (* [Disk.sync] flushes everything buffered, so on success the durable LSN
    jumps to the append LSN — including records appended by other fibers
@@ -215,7 +221,7 @@ let sync t =
   Disk.sync t.file;
   if not (Disk.is_dead t.disk) then t.durable_lsn <- t.appended_lsn;
   if Rrq_obs.enabled () then begin
-    Rrq_obs.Metrics.inc ("wal.syncs:" ^ t.base);
+    Rrq_obs.Metrics.inc t.m_syncs;
     Rrq_obs.Trace.emit
       (Rrq_obs.Event.Wal_force { wal = t.base; lsn = t.durable_lsn })
   end;
@@ -240,8 +246,8 @@ let checkpoint t e write =
      between its spliced strings; the encoder goes on in the buffer that
      held the checkpoint this one replaces. *)
   Codec.adopt e
-    (Disk.replace_atomic_bytes t.disk t.ckpt_file ~spliced:(Codec.splices e)
-       (Codec.bytes e) ~len:bytes);
+    (Disk.replace_atomic t.disk t.ckpt_file (Codec.bytes e)
+       ~spliced:(Codec.splices e ~off:0) ~len:bytes);
   (* The segments the snapshot covers are no longer needed. *)
   for n = t.first_seg to t.seg do
     Disk.delete t.disk (seg_name t.base n)

@@ -31,16 +31,16 @@ val append : t -> string -> unit
 (** Buffer a record at the log tail. Not durable until {!sync}. *)
 
 val append_enc : t -> Rrq_util.Codec.encoder -> unit
-(** Buffer the encoder's contents as one record, building the frame
-    directly from the encoder's buffer — no intermediate string. The
-    record is framed and checksummed identically to {!append}; callers
-    typically {!Rrq_util.Codec.reset} and refill a scratch encoder per
-    commit. When the encoder holds spliced strings
-    ({!Rrq_util.Codec.spliced}), the frame goes to the disk as
-    {!Rrq_util.Codec.pieces}, the first one led by the 16-byte header,
-    each handed to {!Rrq_storage.Disk.append}: no byte of a spliced
-    string is copied, and the checksum, taken over the pieces, is the one
-    the flat frame would carry, so the bytes on the disk are the same. *)
+(** Buffer the encoder's contents as one record, framed and checksummed
+    identically to {!append}, with no intermediate string: the encoder's
+    buffer stretches are copied once, behind the 16-byte header, into a
+    fresh buffer, and that buffer with the encoder's spliced strings
+    between its stretches ({!Rrq_util.Codec.splices}) is the layout
+    handed to {!Rrq_storage.Disk.append}. No byte of a spliced string is
+    copied, and the checksum, taken over the layout, is the one the flat
+    frame would carry, so the bytes on the disk are the same. One path
+    for every record, spliced or not; callers typically
+    {!Rrq_util.Codec.reset} and refill a scratch encoder per commit. *)
 
 val frame_header : int
 (** Bytes in front of a frame's payload: its length and its checksum. *)
@@ -54,8 +54,9 @@ val frame_enc : Rrq_util.Codec.encoder -> string
     ([Group_commit] appends it with {!append_frame} when it must). *)
 
 val append_frame : t -> string -> unit
-(** Buffer a whole frame, as {!append_enc} or {!frame} built it (a record
-    shipped from a primary), byte for byte: no copy, no new checksum. *)
+(** Buffer a whole frame, as {!frame} or {!frame_enc} built it (a record
+    shipped from a primary), byte for byte: the disk keeps the string
+    itself, with no copy and no new checksum. *)
 
 val sync : t -> unit
 (** Force all buffered records to stable storage. On success this advances
@@ -79,7 +80,7 @@ val checkpoint : t -> Rrq_util.Codec.encoder -> (Rrq_util.Codec.encoder -> unit)
     held them are deleted. The checkpoint file is built in [e], which is
     reset first, and the snapshot is written in place behind its length
     prefix. Ownership: [e]'s buffer becomes the checkpoint file
-    ({!Rrq_storage.Disk.replace_atomic_bytes}), as views of its stretches
+    ({!Rrq_storage.Disk.replace_atomic}), as views of its stretches
     with any spliced strings ({!Rrq_util.Codec.splices}) between them, and
     [e] goes on in the buffer that the file it replaces viewed, so the
     caller must not keep [Codec.bytes e] from before the call. Once both

@@ -137,12 +137,12 @@ let r3_cases =
     ( "silent: Ha.attach in the world builder",
       silent "R3" ~file:"lib/check/world.ml"
         "let f site = Ha.attach site ~peer:\"b\" ~role:Ha.Primary" );
-    ( "fires: Disk.replace_atomic_pieces in qm",
+    ( "fires: Disk.replace_atomic of a layout in qm",
       fires "R3" ~file:"lib/qm/fixture.ml"
-        "let f d = Disk.replace_atomic_pieces d \"ckpt\" [ \"a\"; \"b\" ]" );
-    ( "silent: Disk.replace_atomic_pieces in the wal",
+        "let f d b l = Disk.replace_atomic d \"ckpt\" b ~spliced:l ~len:2" );
+    ( "silent: Disk.replace_atomic of a layout in the wal",
       silent "R3" ~file:"lib/wal/fixture.ml"
-        "let f d = Disk.replace_atomic_pieces d \"ckpt\" [ \"a\"; \"b\" ]" );
+        "let f d b l = Disk.replace_atomic d \"ckpt\" b ~spliced:l ~len:2" );
     ( "fires: Wal.append_enc in core",
       fires "R3" ~file:"lib/core/fixture.ml" "let f w e = Wal.append_enc w e" );
   ]

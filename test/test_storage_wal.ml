@@ -8,45 +8,71 @@ module Codec = Rrq_util.Codec
 
 (* --- Disk ---------------------------------------------------------- *)
 
+(* A string as a layout with nothing spliced: appended as it is (the disk
+   never writes to it), or copied for a replace (the disk owns what it
+   replaces with). *)
+let append_string f s =
+  Disk.append f (Bytes.unsafe_of_string s) ~spliced:[] ~len:(String.length s)
+
+let replace_string d name s =
+  ignore (Disk.replace_atomic d name (Bytes.of_string s) ~spliced:[] ~len:(String.length s))
+
+let replace_bytes d name buf ~len = Disk.replace_atomic d name buf ~spliced:[] ~len
+
+(* A layout's [len] bytes, the strings spread in. *)
+let flatten buf spliced len =
+  let b = Buffer.create len in
+  let lo =
+    List.fold_left
+      (fun lo (at, s) ->
+        Buffer.add_subbytes b buf lo (at - lo);
+        Buffer.add_string b s;
+        at)
+      0 spliced
+  in
+  Buffer.add_subbytes b buf lo (len - Buffer.length b);
+  Buffer.contents b
+
 let test_disk_sync_survives_crash () =
   let d = Disk.create "d0" in
   let f = Disk.open_file d "a" in
-  Disk.append f "hello";
+  append_string f "hello";
   Disk.sync f;
-  Disk.append f "lost";
+  append_string f "lost";
   Alcotest.(check string) "pre-crash read sees all" "hellolost" (Disk.read f);
   Disk.crash d;
   Alcotest.(check string) "post-crash only synced" "hello" (Disk.read f)
 
 let test_disk_atomic_replace () =
   let d = Disk.create "d0" in
-  Disk.replace_atomic d "ck" "v1";
+  replace_string d "ck" "v1";
   Disk.crash d;
   Alcotest.(check (option string)) "atomic replace durable" (Some "v1")
     (Disk.read_file d "ck");
-  Disk.replace_atomic d "ck" "v2";
+  replace_string d "ck" "v2";
   Alcotest.(check (option string)) "replaced" (Some "v2") (Disk.read_file d "ck")
 
-(* A buffer handed to [replace_atomic_bytes] becomes the file: it is not
+(* A buffer handed to [replace_atomic] becomes the file: it is not
    copied, the next replace hands it back, and contents the disk does not
-   own alone (a string) are never handed out. A dead disk takes nothing. *)
+   own alone (a spliced string) are never handed out. A dead disk takes
+   nothing. *)
 let test_disk_replace_hands_buffers_back () =
   let d = Disk.create "d0" in
   let a = Bytes.of_string "v1xx" and b = Bytes.of_string "v2" in
   Alcotest.(check int) "a new file hands back nothing" 0
-    (Bytes.length (Disk.replace_atomic_bytes d "ck" a ~len:2));
+    (Bytes.length (replace_bytes d "ck" a ~len:2));
   Alcotest.(check (option string)) "the prefix is the file" (Some "v1")
     (Disk.read_file d "ck");
   Alcotest.(check bool) "the first buffer comes back" true
-    (Disk.replace_atomic_bytes d "ck" b ~len:2 == a);
+    (replace_bytes d "ck" b ~len:2 == a);
   Disk.crash d;
   Alcotest.(check (option string)) "durable" (Some "v2") (Disk.read_file d "ck");
-  Disk.replace_atomic d "ck" "v3";
+  ignore (Disk.replace_atomic d "ck" Bytes.empty ~spliced:[ (0, "v3") ] ~len:2);
   Alcotest.(check int) "a string is not handed out" 0
-    (Bytes.length (Disk.replace_atomic_bytes d "ck" a ~len:2));
+    (Bytes.length (replace_bytes d "ck" a ~len:2));
   Disk.kill_now d;
   Alcotest.(check bool) "a dead disk hands the buffer back" true
-    (Disk.replace_atomic_bytes d "ck" b ~len:2 == b);
+    (replace_bytes d "ck" b ~len:2 == b);
   Alcotest.(check (option string)) "unchanged" (Some "v1") (Disk.read_file d "ck")
 
 let test_disk_delete_and_list () =
@@ -60,7 +86,7 @@ let test_disk_delete_and_list () =
 let test_disk_counters () =
   let d = Disk.create "d0" in
   let f = Disk.open_file d "a" in
-  Disk.append f "12345";
+  append_string f "12345";
   Disk.sync f;
   Alcotest.(check int) "synced bytes" 5 (Disk.synced_bytes d);
   Alcotest.(check int) "sync count" 1 (Disk.sync_count d);
@@ -139,7 +165,7 @@ let test_wal_torn_tail_truncated () =
   Wal.append_sync w "good";
   (* A torn half-frame at the durable tail: *)
   let f = Disk.open_file d "log.seg0" in
-  Disk.append f "\x99\x00\x00garbage";
+  append_string f "\x99\x00\x00garbage";
   Disk.sync f;
   let w2, r = Wal.open_log d ~name:"log" in
   Alcotest.(check (list string)) "good record kept" [ "good" ] r.Wal.records;
@@ -176,10 +202,10 @@ let test_disk_file_size () =
   let d = Disk.create "d0" in
   Alcotest.(check (option int)) "missing file" None (Disk.file_size d "nope");
   let f = Disk.open_file d "a" in
-  Disk.append f "12345";
+  append_string f "12345";
   Alcotest.(check (option int)) "pending counted" (Some 5) (Disk.file_size d "a");
   Disk.sync f;
-  Disk.append f "67";
+  append_string f "67";
   Alcotest.(check (option int)) "durable+pending" (Some 7) (Disk.file_size d "a")
 
 let test_wal_lsn_split () =
@@ -252,7 +278,7 @@ let test_wal_checkpoint_one_live_segment () =
      pre-checkpoint segments behind; recovery must drop them unscanned.
      Resurrect one by hand (with garbage, so scanning it would show). *)
   let stale = Disk.open_file d "log.seg0" in
-  Disk.append stale "\x99\x99garbage-not-a-frame";
+  append_string stale "\x99\x99garbage-not-a-frame";
   Disk.sync stale;
   Disk.crash d;
   let w2, r = Wal.open_log d ~name:"log" in
@@ -570,6 +596,87 @@ let test_wal_checkpoints_trade_one_buffer () =
     (Some (Codec.to_string (let e = Codec.encoder () in spliced e; e)))
     r.Wal.snapshot
 
+(* A random record: short strings copied into the encoder's buffer,
+   strings of a page or more spliced, odd bytes, and length-prefixed
+   sections of them, in any order. *)
+type op = Byte of int | Short of string | Long of int | Section of op list
+
+let rec encode e = function
+  | Byte b -> Codec.u8 e b
+  | Short s -> Codec.string e s
+  | Long k -> Codec.string e (String.make (Codec.splice_min + k) (Char.chr (65 + (k mod 26))))
+  | Section ops ->
+    let slot = Codec.begin_length e in
+    List.iter (encode e) ops;
+    Codec.end_length e slot
+
+let gen_record =
+  QCheck2.Gen.(
+    let leaf =
+      oneof
+        [
+          map (fun b -> Byte b) (int_bound 255);
+          map (fun s -> Short s) (string_size (int_bound 24));
+          map (fun k -> Long k) (int_bound 40);
+        ]
+    in
+    list_size (int_bound 6)
+      (fix
+         (fun self depth ->
+           if depth = 0 then leaf
+           else frequency [ (4, leaf); (1, map (fun l -> Section l) (list_size (int_bound 4) (self (depth - 1)))) ])
+         2))
+
+(* Spliced or not, a record takes one path to the disk, and it leaves the
+   bytes of its flat frame: the same durable segment as [Wal.append] of
+   the flattened payload, the same records at reopen, and a torn crash
+   recovers a prefix of them that covers every synced one. Syncing after
+   every other record mixes moved and copied syncs. *)
+let prop_append_enc_one_shape =
+  QCheck2.Test.make ~name:"append_enc = append of the flat payload" ~count:200
+    QCheck2.Gen.(pair (list_size (int_range 1 6) gen_record) (int_bound 1000))
+    (fun (records, seed) ->
+      let encoders =
+        List.map
+          (fun ops ->
+            let e = Codec.encoder () in
+            List.iter (encode e) ops;
+            e)
+          records
+      in
+      let payloads = List.map Codec.to_string encoders in
+      let a = Disk.create "a" and b = Disk.create "b" in
+      let wa, _ = Wal.open_log a ~name:"log" and wb, _ = Wal.open_log b ~name:"log" in
+      List.iteri
+        (fun i e ->
+          Wal.append_enc wa e;
+          Wal.append wb (Codec.to_string e);
+          if i mod 2 = 1 then (Wal.sync wa; Wal.sync wb))
+        encoders;
+      Wal.sync wa;
+      Wal.sync wb;
+      let segment d = Disk.read_durable (Disk.open_file d "log.seg0") in
+      if segment a <> segment b then failwith "durable segments differ";
+      if segment a <> String.concat "" (List.map Wal.frame payloads) then
+        failwith "not the flat frames";
+      let records d = (snd (Wal.open_log d ~name:"log")).Wal.records in
+      if records a <> payloads || records b <> payloads then failwith "reopened records differ";
+      let c = Disk.create ~torn_writes:true ~rng:(Rng.create seed) "c" in
+      let wc, _ = Wal.open_log c ~name:"log" in
+      let synced = List.length encoders / 2 in
+      List.iteri
+        (fun i e ->
+          Wal.append_enc wc e;
+          if i + 1 = synced then Wal.sync wc)
+        encoders;
+      Disk.crash c;
+      let recovered = records c in
+      let n = List.length recovered in
+      if n < synced then failwith "lost a synced record";
+      if recovered <> List.filteri (fun i _ -> i < n) payloads then
+        failwith "not a prefix";
+      true)
+
 let suite =
   [
     Alcotest.test_case "disk: sync survives crash" `Quick
@@ -615,6 +722,7 @@ let suite =
       test_disk_short_sync_after_spliced_frame;
     Alcotest.test_case "wal: spliced and flat checkpoints trade one buffer" `Quick
       test_wal_checkpoints_trade_one_buffer;
+    QCheck_alcotest.to_alcotest prop_append_enc_one_shape;
   ]
 
 (* --- Codec --------------------------------------------------------- *)
@@ -716,11 +824,14 @@ let test_codec_splices () =
   in
   Alcotest.(check int) "length counts spliced bytes" (String.length flat) (Codec.length e);
   Alcotest.(check bool) "to_string" true (Codec.to_string e = flat);
-  let pieces = Codec.pieces e in
-  Alcotest.(check bool) "pieces concatenate to the contents" true
-    (String.concat "" pieces = flat);
-  Alcotest.(check bool) "spliced strings are pieces themselves" true
-    (List.exists (fun p -> p == big) pieces && List.exists (fun p -> p == page) pieces);
+  let spliced = Codec.splices e ~off:0 in
+  Alcotest.(check bool) "the layout spreads to the contents" true
+    (flatten (Codec.bytes e) spliced (Codec.length e) = flat);
+  Alcotest.(check int) "the buffer holds the rest"
+    (String.length flat - 5000 - Codec.splice_min) (Codec.buffered e);
+  Alcotest.(check bool) "spliced strings are held themselves" true
+    (List.exists (fun (_, p) -> p == big) spliced
+    && List.exists (fun (_, p) -> p == page) spliced);
   let b = Bytes.make (String.length flat + 3) '-' in
   Codec.blit e b 2;
   Alcotest.(check string) "blit" ("--" ^ flat ^ "-") (Bytes.to_string b);
@@ -737,16 +848,25 @@ let test_codec_splices () =
   Alcotest.(check string) "and starts over" "\001\000\000\000\000\000\000\000x"
     (Codec.to_string e)
 
-(* The WAL checksums a spliced frame piece by piece: over any split of a
-   payload, empty and unaligned pieces included, the sum is the flat
-   one. *)
-let prop_frame64_pieces =
-  QCheck2.Test.make ~name:"frame64 over pieces = frame64 of the concatenation"
-    ~count:500
-    QCheck2.Gen.(list_size (int_bound 12) (string_size (int_bound 20)))
-    (fun pieces ->
-      Rrq_util.Checksum.frame64_pieces pieces
-      = Rrq_util.Checksum.frame64 (String.concat "" pieces))
+(* The WAL checksums a frame as a layout: over any buffer with strings
+   spliced anywhere into it, empty and unaligned stretches and strings
+   included, the sum from any start in front of the first string is the
+   flat one. *)
+let prop_frame64_layout =
+  QCheck2.Test.make ~name:"frame64 of a layout = frame64 of its bytes" ~count:500
+    QCheck2.Gen.(
+      let* buf = string_size (int_bound 40) in
+      let* ats = list_size (int_bound 6) (int_bound (String.length buf)) in
+      let* strings = list_repeat (List.length ats) (string_size (int_bound 20)) in
+      let spliced = List.combine (List.sort compare ats) strings in
+      let first = match spliced with (at, _) :: _ -> at | [] -> String.length buf in
+      let+ pos = int_bound first in
+      (buf, spliced, pos))
+    (fun (buf, spliced, pos) ->
+      let len = String.length buf + List.fold_left (fun n (_, s) -> n + String.length s) 0 spliced in
+      let flat = flatten (Bytes.of_string buf) spliced len in
+      Rrq_util.Checksum.frame64_layout (Bytes.of_string buf) ~spliced ~pos ~len:(len - pos)
+      = Rrq_util.Checksum.frame64_sub flat ~pos ~len:(len - pos))
 
 let codec_suite =
   [
@@ -755,7 +875,7 @@ let codec_suite =
     Alcotest.test_case "codec ints unboxed" `Quick test_codec_ints_unboxed;
     QCheck_alcotest.to_alcotest prop_codec_string_roundtrip;
     Alcotest.test_case "codec splices long strings" `Quick test_codec_splices;
-    QCheck_alcotest.to_alcotest prop_frame64_pieces;
+    QCheck_alcotest.to_alcotest prop_frame64_layout;
   ]
 
 (* --- Rng / Histogram ----------------------------------------------- *)

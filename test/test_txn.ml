@@ -1046,9 +1046,11 @@ let test_full_copy_segment_recovers () =
       let disk = Disk.create "n1" in
       let f = Disk.open_file disk "n1.log.seg0" in
       let hex = full_copy_segment_hex in
-      Disk.append f
-        (String.init (String.length hex / 2) (fun i ->
-             Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2))));
+      let bytes =
+        Bytes.init (String.length hex / 2) (fun i ->
+            Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+      in
+      Disk.append f bytes ~spliced:[] ~len:(Bytes.length bytes);
       Disk.sync f;
       let _, _, qm, kv = open_node disk in
       Alcotest.(check (option string)) "the commit recovered" (Some "10")
@@ -1130,7 +1132,8 @@ let test_one_record_atomic_under_torn_writes () =
           (fun (f, c) ->
             let c = if f = seg then c ^ String.sub record 0 keep else c in
             let file = Disk.open_file disk f in
-            Disk.append file c;
+            Disk.append file (Bytes.unsafe_of_string c) ~spliced:[]
+              ~len:(String.length c);
             Disk.sync file)
           before;
         let consumed, replied, written = effects disk in
