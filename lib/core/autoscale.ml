@@ -18,7 +18,7 @@ let surge_loop t n () =
   let registrant = Printf.sprintf "surge:%s:%d" t.queue n in
   let rec loop () =
     match
-      Server.process_one t.a_site ~req_queue:t.queue ~registrant
+      Server.process_one t.a_site ~req_queues:[ t.queue ] ~registrant
         ~wait:Qm.No_wait t.handler
     with
     | `Done ->

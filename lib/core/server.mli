@@ -39,7 +39,8 @@ val start_set :
   Site.t -> req_queues:string list -> ?threads:int -> ?filter:Rrq_qm.Filter.t ->
   ?name:string -> handler -> t
 (** Like {!start} but serving a queue set (paper §9): each iteration takes
-    the globally best ready element across all the queues. *)
+    the globally best ready element across all the queues, and a stopped or
+    strict-FIFO queue of the set acts as under {!start}. *)
 
 val start_here :
   Site.t -> req_queue:string -> ?threads:int -> ?filter:Rrq_qm.Filter.t ->
@@ -49,11 +50,12 @@ val start_here :
     {!Ha}, whose role protocol decides when a node should serve. *)
 
 val process_one :
-  Site.t -> req_queue:string -> registrant:string -> ?filter:Rrq_qm.Filter.t ->
-  wait:Rrq_qm.Qm.wait -> handler -> [ `Done | `Empty | `Aborted ]
-(** One server transaction (dequeue, handle, enqueue result, commit) —
-    the building block of the loop, exposed for custom pools such as
-    {!Autoscale}. *)
+  Site.t -> req_queues:string list -> registrant:string ->
+  ?filter:Rrq_qm.Filter.t -> wait:Rrq_qm.Qm.wait -> handler ->
+  [ `Done | `Empty | `Aborted ]
+(** One server transaction (dequeue from the queues, handle, enqueue
+    result, commit) — the building block of the loop, exposed for custom
+    pools such as {!Autoscale}. *)
 
 val processed : t -> int
 (** Requests committed across all threads and incarnations. *)

@@ -28,11 +28,11 @@ let json_str s = "\"" ^ json_escape s ^ "\""
 let fstr v = Printf.sprintf "%.6g" v
 
 module Metrics = struct
-  type series = { mutable buf : float array; mutable len : int }
-
   let counters : (string, int ref) Hashtbl.t = Hashtbl.create 64
   let gauges : (string, float ref) Hashtbl.t = Hashtbl.create 64
-  let samples : (string, series) Hashtbl.t = Hashtbl.create 64
+  (* A series is only ever added to, never queried, so it stays in the
+     order it was recorded (see [diff]). *)
+  let samples : (string, Histogram.t) Hashtbl.t = Hashtbl.create 64
 
   let clear () =
     Hashtbl.reset counters;
@@ -53,21 +53,15 @@ module Metrics = struct
 
   let observe name v =
     if !on then begin
-      let s =
+      let h =
         match Hashtbl.find_opt samples name with
-        | Some s -> s
+        | Some h -> h
         | None ->
-          let s = { buf = Array.make 16 0.0; len = 0 } in
-          Hashtbl.replace samples name s;
-          s
+          let h = Histogram.create () in
+          Hashtbl.replace samples name h;
+          h
       in
-      if s.len = Array.length s.buf then begin
-        let bigger = Array.make (2 * Array.length s.buf) 0.0 in
-        Array.blit s.buf 0 bigger 0 s.len;
-        s.buf <- bigger
-      end;
-      s.buf.(s.len) <- v;
-      s.len <- s.len + 1
+      Histogram.add h v
     end
 
   let counter name =
@@ -107,7 +101,7 @@ module Metrics = struct
       s_samples =
         List.sort by_name
           (Hashtbl.fold
-             (fun k s acc -> (k, Array.sub s.buf 0 s.len) :: acc)
+             (fun k h acc -> (k, Histogram.samples h) :: acc)
              samples []);
     }
 
@@ -138,12 +132,14 @@ module Metrics = struct
           after.s_samples;
     }
 
-  let histogram snap name =
+  let histogram_of arr =
     let h = Histogram.create () in
-    (match List.assoc_opt name snap.s_samples with
-    | Some arr -> Array.iter (Histogram.add h) arr
-    | None -> ());
+    Array.iter (Histogram.add h) arr;
     h
+
+  let histogram snap name =
+    histogram_of
+      (Option.value (List.assoc_opt name snap.s_samples) ~default:[||])
 
   let to_text snap =
     let b = Buffer.create 1024 in
@@ -158,10 +154,10 @@ module Metrics = struct
       snap.s_gauges;
     Buffer.add_string b "== histograms ==\n";
     List.iter
-      (fun (k, _) ->
-        let h = histogram snap k in
+      (fun (k, arr) ->
         Buffer.add_string b
-          (Printf.sprintf "  %-44s %s\n" k (Histogram.summary h)))
+          (Printf.sprintf "  %-44s %s\n" k
+             (Histogram.summary (histogram_of arr))))
       snap.s_samples;
     Buffer.contents b
 
@@ -186,8 +182,7 @@ module Metrics = struct
     Buffer.add_char b ',';
     obj "histograms"
       (fun arr ->
-        let h = Histogram.create () in
-        Array.iter (Histogram.add h) arr;
+        let h = histogram_of arr in
         Printf.sprintf
           "{\"count\":%d,\"mean\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s,\"max\":%s}"
           (Histogram.count h)

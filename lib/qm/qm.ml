@@ -52,7 +52,7 @@ exception Stopped of string
    dequeue order. The compare is written out monomorphically — the generic
    structural compare walks the tuple through the runtime representation on
    every Map operation, which shows up on the enqueue/dequeue hot path. *)
-module Emap = Map.Make (struct
+module Key = struct
   type t = int * float * int64
 
   let compare (p1, t1, e1) (p2, t2, e2) =
@@ -61,7 +61,9 @@ module Emap = Map.Make (struct
     else
       let c = Float.compare t1 t2 in
       if c <> 0 then c else Int64.compare e1 e2
-end)
+end
+
+module Emap = Map.Make (Key)
 
 (* Eid-keyed index: same reasoning, a direct int64 hash instead of the
    polymorphic one. *)
@@ -77,6 +79,7 @@ type queue = {
   mutable qattrs : attrs;
   mutable elems : Element.t Emap.t;
   nonempty : Cond.t;
+  mutable picky : int; (* waiters that may pass a ready element over *)
   mutable n_enq : int;
   mutable n_deq : int;
   mutable alerted : bool;
@@ -304,6 +307,7 @@ let make_queue qname qattrs =
     qattrs;
     elems = Emap.empty;
     nonempty = Cond.create ();
+    picky = 0;
     n_enq = 0;
     n_deq = 0;
     alerted = false;
@@ -318,6 +322,12 @@ let ensure_queue s qn attrs =
     Hashtbl.replace s.queues qn (make_queue qn attrs)
 
 let queue_depth q = Emap.cardinal q.elems
+
+(* An element became ready on [q]: wake one waiter, or every waiter while
+   one of them may pass it over, so no match sleeps through it (see
+   [dequeue_from]). *)
+let notify q =
+  if q.picky > 0 then Cond.broadcast q.nonempty else Cond.signal q.nonempty
 
 (* [live] is false in recovery and standby replay: no callbacks, no
    counters. *)
@@ -369,7 +379,7 @@ let rec insert_element s ~live qn el =
     Rrq_obs.Metrics.set_gauge
       (Printf.sprintf "qm.depth:%s/%s" s.qm_name q.qname)
       (float_of_int (queue_depth q));
-  Cond.signal q.nonempty;
+  notify q;
   check_alert s ~live q;
   check_triggers s ~live q el
 
@@ -580,7 +590,7 @@ let restore_element s ~stale op =
     | Some (qn, el) ->
       let q = get_queue s qn in
       el.Element.status <- Element.Ready;
-      Cond.signal q.nonempty;
+      notify q;
       let count, limit, mark, what =
         if stale then (el.Element.stale_count, stale_limit, RStale eid, "stalled")
         else (el.Element.delivery_count, q.qattrs.retry_limit, RBump eid, "aborted")
@@ -870,39 +880,40 @@ let enqueue t id h ?tag ?(props = []) ?(priority = 0) payload =
          { qm = s.qm_name; queue = h.h_queue; eid; txid = Txid.to_string id });
   eid
 
-let select_ready ?rank q filter =
+(* Higher rank first (§11, "highest dollar amount first"), else queue order. *)
+let beats ?rank el best =
   match rank with
-  | None ->
-    (* queue order: first ready match wins *)
-    let found = ref None in
-    (try
-       Emap.iter
-         (fun _ el ->
-           if el.Element.status = Element.Ready && Filter.matches filter el
-           then begin
-             found := Some el;
-             raise Exit
-           end)
-         q.elems
-     with Exit -> ());
-    !found
-  | Some rank ->
-    (* content-based scheduling: highest rank among ready matches (paper
-       11: "highest dollar amount first") *)
-    Emap.fold
-      (fun _ el best ->
-        if el.Element.status = Element.Ready && Filter.matches filter el then begin
-          match best with
-          | Some (b, _) when b >= rank el -> best
-          | _ -> Some (rank el, el)
-        end
-        else best)
-      q.elems None
-    |> Option.map snd
+  | Some rank when rank el <> rank best -> rank el > rank best
+  | _ -> Key.compare (Element.key el) (Element.key best) < 0
 
-(* [reg] is the caller's already-resolved registration for [h] — dequeue
-   validates it up front, so resolving it again here would be a second
-   hash of the same key on every dequeue. *)
+(* The best ready match in [q]. Without [rank] the first match in queue
+   order is the best, so the scan stops there. *)
+let best_ready ?rank filter q =
+  let best = ref None in
+  (try
+     Emap.iter
+       (fun _ el ->
+         if el.Element.status = Element.Ready && Filter.matches filter el then begin
+           (match !best with
+           | Some b when not (beats ?rank el b) -> ()
+           | _ -> best := Some el);
+           if Option.is_none rank then raise Exit
+         end)
+       q.elems
+   with Exit -> ());
+  !best
+
+(* The best ready match across [qs], with its handle and registration. *)
+let rec select_ready ?rank filter = function
+  | [] -> None
+  | (h, reg, q) :: rest -> (
+    match (best_ready ?rank filter q, select_ready ?rank filter rest) with
+    | Some el, Some (_, _, b) when beats ?rank el b -> Some (h, reg, el)
+    | Some el, None -> Some (h, reg, el)
+    | _, best -> best)
+
+(* [reg] is the registration for [h] that the dequeue loop resolved up
+   front: no second hash of the same key on every dequeue. *)
 let take t id h ~reg ?tag ?errq el =
   el.Element.status <- Element.Deq_pending id;
   let deq = { op_redo = RDeq el.Element.eid; op_errq = errq } in
@@ -927,86 +938,67 @@ let take t id h ~reg ?tag ?errq el =
            queue = h.h_queue;
            eid = el.Element.eid;
            txid = Txid.to_string id;
-         });
-  el
+         })
 
-let with_lock_conflicts f =
-  try f () with
-  | Lock.Deadlock msg -> raise (Conflict ("deadlock: " ^ msg))
-  | Lock.Cancelled -> raise (Conflict "cancelled")
+(* Each queue of a dequeue with a single dequeue's checks, in list order. *)
+let rec resolve s = function
+  | [] -> []
+  | h :: hs ->
+    let reg = reg_of s h in
+    let q = get_queue s h.h_queue in
+    if q.stopped then raise (Stopped h.h_queue);
+    (h, reg, q) :: resolve s hs
 
-let dequeue t id h ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
+(* The one dequeue loop; a single dequeue is a queue set of one (paper
+   §9). Strict-FIFO locks are taken in list order, then the best ready
+   match is taken, or the caller waits on every queue under one deadline.
+   A waiter that filters or waits on several queues counts in each
+   queue's [picky] while parked, so [notify] wakes all its waiters
+   (INTERNALS §5); one killed while parked costs wake-ups, loses none. *)
+let dequeue_from t id hs ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
   let s = Base.state t in
-  let reg = reg_of s h in
-  let q = get_queue s h.h_queue in
-  if q.stopped then raise (Stopped h.h_queue);
-  if q.qattrs.strict_fifo then
-    with_lock_conflicts (fun () ->
-        Lock.acquire s.locks id ~key:("q:" ^ q.qname) Lock.X);
+  let qs = resolve s hs in
+  (* The test keeps a dequeue that takes no lock from allocating a closure. *)
+  if List.exists (fun (_, _, q) -> q.qattrs.strict_fifo) qs then begin
+    try
+      List.iter
+        (fun (_, _, q) ->
+          if q.qattrs.strict_fifo then
+            Lock.acquire s.locks id ~key:("q:" ^ q.qname) Lock.X)
+        qs
+    with
+    | Lock.Deadlock msg -> raise (Conflict ("deadlock: " ^ msg))
+    | Lock.Cancelled -> raise (Conflict "cancelled")
+  end;
+  let picky = filter <> Filter.True || List.compare_length_with qs 1 > 0 in
   let deadline =
     match wait with Timeout d -> Some (s.clock () +. d) | No_wait | Block -> None
   in
   let rec attempt () =
-    match select_ready ?rank q filter with
-    | Some el -> Some (take t id h ~reg ?tag ?errq:error_queue el)
-    | None -> begin
-      match wait with
-      | No_wait -> None
-      | Block ->
-        Cond.wait q.nonempty;
-        attempt ()
-      | Timeout _ -> begin
-        match deadline with
-        | Some dl when s.clock () < dl ->
-          if Cond.wait_timeout q.nonempty (dl -. s.clock ()) then attempt ()
-          else None
-        | _ -> None
-      end
-    end
+    match select_ready ?rank filter qs with
+    | Some (h, reg, el) as taken ->
+      take t id h ~reg ?tag ?errq:error_queue el;
+      taken
+    | None -> (
+      let timeout = Option.map (fun dl -> dl -. s.clock ()) deadline in
+      match (wait, timeout) with
+      | No_wait, _ -> None
+      | _, Some left when left <= 0.0 -> None
+      | _ ->
+        if picky then List.iter (fun (_, _, q) -> q.picky <- q.picky + 1) qs;
+        let conds = List.map (fun (_, _, q) -> q.nonempty) qs in
+        let woken = Cond.wait_any ?timeout conds in
+        if picky then List.iter (fun (_, _, q) -> q.picky <- q.picky - 1) qs;
+        if woken then attempt () else None)
   in
   attempt ()
 
-let dequeue_set t id hs ?tag ?(filter = Filter.True) wait =
-  let s = Base.state t in
-  let queues =
-    List.map (fun h -> (h, reg_of s h, get_queue s h.h_queue)) hs
-  in
-  let deadline =
-    match wait with Timeout d -> Some (s.clock () +. d) | No_wait | Block -> None
-  in
-  let rec attempt () =
-    let best =
-      List.fold_left
-        (fun acc (h, reg, q) ->
-          match select_ready q filter with
-          | None -> acc
-          | Some el -> begin
-            match acc with
-            | Some (_, _, best_el)
-              when Element.key best_el <= Element.key el -> acc
-            | _ -> Some (h, reg, el)
-          end)
-        None queues
-    in
-    match best with
-    | Some (h, reg, el) -> Some (h, take t id h ~reg ?tag el)
-    | None -> begin
-      let conds = List.map (fun (_, _, q) -> q.nonempty) queues in
-      match wait with
-      | No_wait -> None
-      | Block ->
-        ignore (Cond.wait_any conds);
-        attempt ()
-      | Timeout _ -> begin
-        match deadline with
-        | Some dl when s.clock () < dl ->
-          if Cond.wait_any ~timeout:(dl -. s.clock ()) conds then attempt ()
-          else attempt () (* deadline re-checked at loop head *)
-        | _ -> None
-      end
-    end
-  in
-  attempt ()
+let dequeue t id h ?tag ?filter ?rank ?error_queue wait =
+  Option.map (fun (_, _, el) -> el)
+    (dequeue_from t id [ h ] ?tag ?filter ?rank ?error_queue wait)
+
+let dequeue_set t id hs ?tag ?filter wait =
+  Option.map (fun (h, _, el) -> (h, el)) (dequeue_from t id hs ?tag ?filter wait)
 
 let read t eid =
   let s = Base.state t in

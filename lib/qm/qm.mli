@@ -212,13 +212,18 @@ val dequeue :
     first"). The element is immediately invisible to other dequeuers; it
     returns (with its retry count bumped, durably) if the transaction
     aborts, or with its stale count bumped if {!abort_stale} aborts it.
-    [error_queue] overrides the queue's attribute for this call. *)
+    [error_queue] overrides the queue's attribute for this call. A blocked
+    dequeuer is woken whenever an element it matches becomes ready,
+    whatever other dequeuers, filtering or not, wait on the queue. *)
 
 val dequeue_set :
   t -> Rrq_txn.Txid.t -> handle list -> ?tag:string -> ?filter:Filter.t ->
   wait -> (handle * Element.t) option
 (** Dequeue the globally best element across several queues (queue sets,
-    §9). The tag update, if any, applies to the handle that won. *)
+    §9); {!dequeue} is the set of one. Every queue of the set gets
+    {!dequeue}'s checks: a stopped one raises {!Stopped}, and a strict-FIFO
+    one's lock is taken, in list order, before any element is chosen. The
+    tag update, if any, applies to the handle that won. *)
 
 val read : t -> int64 -> Element.t option
 (** Read an element's contents by eid without modifying it. Elements locked

@@ -22,7 +22,8 @@ val wait_timeout : t -> float -> bool
 val wait_any : ?timeout:float -> t list -> bool
 (** Block until any of the conditions is signalled ([true]) or the optional
     timeout elapses ([false]), leaving every queue in the latter case. Used
-    to wait on several queues at once (queue sets). *)
+    to wait on several queues at once (queue sets); on one condition it is
+    {!wait} or {!wait_timeout}. *)
 
 val signal : t -> unit
 (** Wake one live waiter, if any. *)

@@ -17,6 +17,7 @@ let add t v =
   t.sorted <- false
 
 let count t = t.len
+let samples t = Array.sub t.samples 0 t.len
 
 (* Heapsort of the first [n] samples in place, by [Float.compare] (the
    order [compare] gives floats). Monomorphic, so no sample is boxed, and

@@ -9,6 +9,11 @@ type t
 val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
+
+val samples : t -> float array
+(** A fresh copy of the samples, in the order they were added until a
+    quantile, [min_value] or [max_value] sorts them in place. *)
+
 val mean : t -> float
 (** 0.0 when empty. *)
 

@@ -812,38 +812,113 @@ let test_dequeue_set () =
         Alcotest.(check string) "from qb" "qb" (Qm.handle_queue h)
       | None -> Alcotest.fail "expected an element")
 
-let test_strict_fifo_serializes () =
-  let order = ref [] in
+(* A set waiter woken by an insert on one queue may take a better element
+   from another: a plain waiter of the first queue must still be woken for
+   the element left there. *)
+let test_set_waiter_leaves_no_lost_wakeup () =
+  let got = ref None in
   let _ =
     H.run (fun s ->
         let disk = Disk.create "n" in
-        let qm, h, _ =
-          setup ~attrs:{ Qm.default_attrs with strict_fifo = true } disk "q"
-        in
+        let qm = Qm.open_qm disk ~name:"qm" in
         Qm.set_clock qm (fun () -> Sched.now s);
-        ignore (Sched.spawn s ~name:"seed" (fun () ->
-            ignore (enq qm h "a");
-            ignore (enq qm h "b")));
+        Qm.create_queue qm "qa";
+        Qm.create_queue qm "qb";
+        let ha, _ = Qm.register qm ~queue:"qa" ~registrant:"t" ~stable:false in
+        let hb, _ = Qm.register qm ~queue:"qb" ~registrant:"t" ~stable:false in
         ignore
-          (Sched.spawn s ~name:"t1" (fun () ->
+          (Sched.spawn s ~name:"set" (fun () ->
+               ignore
+                 (Qm.auto_commit qm (fun id ->
+                      Qm.dequeue_set qm id [ ha; hb ] Qm.Block))));
+        ignore
+          (Sched.spawn s ~name:"single" (fun () ->
+               got :=
+                 Qm.auto_commit qm (fun id -> Qm.dequeue qm id ha Qm.Block)
+                 |> Option.map (fun el -> (el.Element.payload, Sched.clock ()))));
+        ignore
+          (Sched.spawn s ~name:"producer" (fun () ->
                Sched.sleep 1.0;
-               let id = tx 1 in
-               let el = Qm.dequeue qm id h Qm.No_wait in
-               order := ("t1:" ^ payload_of el) :: !order;
-               Sched.sleep 5.0;
-               Qm.commit qm id;
-               order := "t1:commit" :: !order));
-        ignore
-          (Sched.spawn s ~name:"t2" (fun () ->
-               Sched.sleep 2.0;
-               let id = tx 2 in
-               (* blocks on the queue lock until t1 commits *)
-               let el = Qm.dequeue qm id h Qm.No_wait in
-               order := ("t2:" ^ payload_of el) :: !order;
-               Qm.commit qm id)))
+               Qm.auto_commit qm (fun id ->
+                   ignore (Qm.enqueue qm id ha "a");
+                   ignore (Qm.enqueue qm id hb ~priority:5 "b")))))
   in
-  Alcotest.(check (list string)) "strict order"
-    [ "t1:a"; "t1:commit"; "t2:b" ] (List.rev !order)
+  Alcotest.(check (option (pair string (float 1e-9)))) "single waiter served"
+    (Some ("a", 1.0)) !got
+
+(* Two blocked dequeuers of one queue, filtering k=a and k=b; an element
+   with k=b arrives at t=1. Whichever waiter the insert wakes, the k=b one
+   must return it then. [deq] is a single dequeue or a set of one. *)
+let test_filtered_waiters ~deq wait () =
+  let got = ref None in
+  let _ =
+    H.run (fun s ->
+        let disk = Disk.create "n" in
+        let qm, h, _ = setup disk "q" in
+        Qm.set_clock qm (fun () -> Sched.now s);
+        let waiter k =
+          ignore
+            (Sched.spawn s ~name:("k=" ^ k) (fun () ->
+                 let el =
+                   Qm.auto_commit qm (fun id ->
+                       deq qm id h ~filter:(Filter.Prop_eq ("k", k)) wait)
+                 in
+                 if k = "b" then
+                   got :=
+                     Option.map (fun el -> (el.Element.payload, Sched.clock ())) el))
+        in
+        waiter "a";
+        waiter "b";
+        ignore
+          (Sched.spawn s ~name:"producer" (fun () ->
+               Sched.sleep 1.0;
+               ignore (enq ~props:[ ("k", "b") ] qm h "x"))))
+  in
+  Alcotest.(check (option (pair string (float 1e-9)))) "k=b waiter served at t=1"
+    (Some ("x", 1.0)) !got
+
+let single qm id h ~filter wait = Qm.dequeue qm id h ~filter wait
+
+let set_of_one qm id h ~filter wait =
+  Option.map snd (Qm.dequeue_set qm id [ h ] ~filter wait)
+
+(* Run through a single dequeue and through a set of one: the strict-FIFO
+   lock serializes both. *)
+let test_strict_fifo_serializes () =
+  List.iter
+    (fun deq ->
+      let order = ref [] in
+      let _ =
+        H.run (fun s ->
+            let disk = Disk.create "n" in
+            let qm, h, _ =
+              setup ~attrs:{ Qm.default_attrs with strict_fifo = true } disk "q"
+            in
+            Qm.set_clock qm (fun () -> Sched.now s);
+            ignore (Sched.spawn s ~name:"seed" (fun () ->
+                ignore (enq qm h "a");
+                ignore (enq qm h "b")));
+            ignore
+              (Sched.spawn s ~name:"t1" (fun () ->
+                   Sched.sleep 1.0;
+                   let id = tx 1 in
+                   let el = deq qm id h ~filter:Filter.True Qm.No_wait in
+                   order := ("t1:" ^ payload_of el) :: !order;
+                   Sched.sleep 5.0;
+                   Qm.commit qm id;
+                   order := "t1:commit" :: !order));
+            ignore
+              (Sched.spawn s ~name:"t2" (fun () ->
+                   Sched.sleep 2.0;
+                   let id = tx 2 in
+                   (* blocks on the queue lock until t1 commits *)
+                   let el = deq qm id h ~filter:Filter.True Qm.No_wait in
+                   order := ("t2:" ^ payload_of el) :: !order;
+                   Qm.commit qm id)))
+      in
+      Alcotest.(check (list string)) "strict order"
+        [ "t1:a"; "t1:commit"; "t2:b" ] (List.rev !order))
+    [ single; set_of_one ]
 
 let test_abort_stale () =
   let _ =
@@ -965,6 +1040,9 @@ let test_stop_start_queue () =
           ignore (enq qm h "x"));
       Alcotest.check_raises "dequeue rejected" (Qm.Stopped "q") (fun () ->
           ignore (deq qm h));
+      Alcotest.check_raises "set dequeue rejected" (Qm.Stopped "q") (fun () ->
+          ignore
+            (Qm.auto_commit qm (fun id -> Qm.dequeue_set qm id [ h ] Qm.No_wait)));
       Alcotest.(check int) "contents retained" 1 (Qm.depth qm "q");
       (* stopped state survives a crash *)
       Disk.crash disk;
@@ -1164,6 +1242,14 @@ let blocking =
     Alcotest.test_case "blocking dequeue" `Quick test_blocking_dequeue;
     Alcotest.test_case "dequeue timeout" `Quick test_dequeue_timeout;
     Alcotest.test_case "dequeue set" `Quick test_dequeue_set;
+    Alcotest.test_case "set waiter leaves no lost wake-up" `Quick
+      test_set_waiter_leaves_no_lost_wakeup;
+    Alcotest.test_case "filtered waiters: block" `Quick
+      (test_filtered_waiters ~deq:single Qm.Block);
+    Alcotest.test_case "filtered waiters: timeout" `Quick
+      (test_filtered_waiters ~deq:single (Qm.Timeout 5.0));
+    Alcotest.test_case "filtered waiters: set" `Quick
+      (test_filtered_waiters ~deq:set_of_one Qm.Block);
     Alcotest.test_case "strict fifo serializes" `Quick test_strict_fifo_serializes;
     Alcotest.test_case "abort stale workspaces" `Quick test_abort_stale;
     Alcotest.test_case "auto-commit exception aborts" `Quick

@@ -133,6 +133,17 @@ let await pred =
   in
   go 0
 
+(* Enqueue a request envelope on [h] the way a clerk would. *)
+let push qm h ?(prio = 0) body =
+  let env =
+    Envelope.make ~rid:body ~client_id:"loader" ~reply_node:"backend"
+      ~reply_queue:"express" body
+  in
+  ignore
+    (Qm.auto_commit qm (fun id ->
+         Qm.enqueue qm id h ~props:(Envelope.props env) ~priority:prio
+           env.Envelope.body))
+
 let test_server_queue_set () =
   H.run_fiber' (fun s ->
       let net = Net.create s (Rng.create 57) in
@@ -156,24 +167,47 @@ let test_server_queue_set () =
       let h_std, _ =
         Qm.register qm ~queue:"standard" ~registrant:"loader" ~stable:false
       in
-      let push h prio body =
-        let env =
-          Envelope.make ~rid:body ~client_id:"loader" ~reply_node:"backend"
-            ~reply_queue:"express" body
-        in
-        ignore
-          (Qm.auto_commit qm (fun id ->
-               Qm.enqueue qm id h ~props:(Envelope.props env) ~priority:prio
-                 env.Envelope.body))
-      in
       (* standard jobs arrive first, but the express queue's high-priority
          job must be served first once present *)
-      push h_std 0 "std1";
-      push h_std 0 "std2";
-      push h_exp 9 "exp1";
+      push qm h_std "std1";
+      push qm h_std "std2";
+      push qm h_exp ~prio:9 "exp1";
       ignore (await (fun () -> List.length !served = 3));
       Alcotest.(check string) "express served first" "exp1"
         (List.nth (List.rev !served) 0))
+
+(* Two set-server threads over a strict-FIFO queue and a plain one: the
+   strict queue's lock serializes them as it does under [Server.start],
+   so a request is handled and committed before the next one starts. *)
+let test_server_queue_set_strict_fifo () =
+  H.run_fiber' (fun s ->
+      let net = Net.create s (Rng.create 57) in
+      let backend =
+        Site.create
+          ~queues:
+            [
+              ("fifo", { Qm.default_attrs with Qm.strict_fifo = true });
+              ("standard", Qm.default_attrs);
+            ]
+          (Net.make_node net "backend")
+      in
+      let steps = ref [] in
+      let _ =
+        Server.start_set backend ~req_queues:[ "fifo"; "standard" ] ~threads:2
+          (fun _site _txn env ->
+            steps := ("start " ^ env.Envelope.body) :: !steps;
+            Sched.sleep 1.0;
+            steps := ("end " ^ env.Envelope.body) :: !steps;
+            Server.No_reply)
+      in
+      let qm = Site.qm backend in
+      let h, _ = Qm.register qm ~queue:"fifo" ~registrant:"loader" ~stable:false in
+      push qm h "r1";
+      push qm h "r2";
+      ignore (await (fun () -> List.length !steps = 4));
+      Alcotest.(check (list string)) "serialized"
+        [ "start r1"; "end r1"; "start r2"; "end r2" ]
+        (List.rev !steps))
 
 let () =
   Alcotest.run "rrq-stream-set"
@@ -187,5 +221,9 @@ let () =
             test_stream_survives_backend_crash;
         ] );
       ( "queue-set",
-        [ Alcotest.test_case "set server priority" `Quick test_server_queue_set ] );
+        [
+          Alcotest.test_case "set server priority" `Quick test_server_queue_set;
+          Alcotest.test_case "set server strict fifo" `Quick
+            test_server_queue_set_strict_fifo;
+        ] );
     ]
