@@ -1,6 +1,7 @@
 module Site = Rrq_core.Site
 module Server = Rrq_core.Server
 module Envelope = Rrq_core.Envelope
+module Shard = Rrq_core.Shard
 module Tm = Rrq_txn.Tm
 module Qm = Rrq_qm.Qm
 module Kvdb = Rrq_kvdb.Kvdb
@@ -196,7 +197,7 @@ let reply_delivery ~sites ~received ~rids =
           let qm = Site.qm site in
           List.iter
             (fun q ->
-              if String.starts_with ~prefix:"reply." q then
+              if Shard.reply_client q <> None then
                 List.iter
                   (fun el ->
                     match Element.prop el "rid" with

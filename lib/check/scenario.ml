@@ -290,7 +290,7 @@ let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
 let blind_client topo ~client_node ~received ~replies =
   let client_id = topo.prefix in
   let dst = primary (List.hd topo.world.repos) in
-  let reply_queue = "reply." ^ client_id in
+  let reply_queue = Shard.reply_queue client_id in
   let call ?(timeout = 1.0) payload =
     Net.call client_node ~timeout ~dst ~service:"qm" payload
   in
@@ -565,7 +565,7 @@ let ha_lagged = make "ha-lagged" (ha_world (Ha.Lagged 1.0))
    is the designed misroute anomaly. *)
 let sharded_world ?(untag_forward_bug = false) shard0 =
   let repos = [ shard0; World.Single "shard1"; World.Single "shard2" ] in
-  let map =
+  let base =
     {
       Shard.version = 1;
       shards = List.map primary repos;
@@ -575,12 +575,28 @@ let sharded_world ?(untag_forward_bug = false) shard0 =
             | World.Pair p -> Some (p.primary, [ p.standby ]) | World.Single _ -> None)
           repos;
       sharded_queues = [ "req" ];
-      pins = List.init 3 (fun c -> (Printf.sprintf "req#s%d" c, "shard0"));
+      pins = [];
+    }
+  in
+  (* Each reply queue is pinned where its name hashes (a map with no
+     sharded queue places by name): off its client's request shard in
+     both versions but for s2's under v1, so the servers' reply enqueues
+     keep committing by cross-shard 2PC. *)
+  let reply_pins =
+    List.init 3 (fun c ->
+        let q = Shard.reply_queue (Printf.sprintf "s%d" c) in
+        (q, Shard.owner { base with sharded_queues = [] } q))
+  in
+  let map =
+    {
+      base with
+      pins = List.init 3 (fun c -> (Printf.sprintf "req#s%d" c, "shard0")) @ reply_pins;
     }
   in
   {
     (with_repos ~shards:{ World.map; untag_forward_bug } repos quickstart_world) with
-    map_change = Some { change_at = 1.0; next = { map with version = 2; pins = [] } };
+    map_change =
+      Some { change_at = 1.0; next = { map with version = 2; pins = reply_pins } };
     clients = 3;
     prefix = "s";
   }

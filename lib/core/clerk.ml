@@ -194,7 +194,7 @@ let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
       client_id;
       req_queue;
       reply_q =
-        (match reply_queue with Some q -> q | None -> "reply." ^ client_id);
+        (match reply_queue with Some q -> q | None -> Shard.reply_queue client_id);
       rpc_timeout;
       retries;
       strict;
@@ -225,7 +225,10 @@ let reply_queue t = t.reply_q
 
 (* The reply destination stamped into every request: the reply queue's
    owning shard under the current map (stable across map changes by the
-   {!Shard} non-sharded-queue constraint). After a failover the promoted
+   {!Shard} non-sharded-queue constraint). Unpinned, a default-named reply
+   queue lives on the shard of this client's request key, so the server's
+   reply enqueue is local; a pinned or custom-named one may not be, and
+   then commits by 2PC with that shard. After a failover the promoted
    standby answers to that name too ({!Site.set_aliases}), and cross-shard
    enqueues walk its candidates ({!Site.set_candidates}). *)
 let envelope t ~rid ?kind ?scratch ?step ~body () =

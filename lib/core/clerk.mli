@@ -46,9 +46,10 @@ val connect :
   req_queue:string -> ?reply_queue:string -> ?rpc_timeout:float ->
   ?retries:int -> ?strict:bool -> unit -> t * connect_info
 (** Register the client with the request queue and its private reply queue
-    (created-by-convention name ["reply." ^ client_id] unless given),
-    each at the repository that owns it. Returns the resynchronization
-    info.
+    (created-by-convention name {!Shard.reply_queue} [client_id] unless
+    given), each at the repository that owns it: a default-named reply
+    queue is placed with the client's requests, a custom-named one by its
+    name ({!Shard}). Returns the resynchronization info.
     Routing: every operation goes to the shard that owns its queue under
     a {!Shard} map — [shard_map] if given, else a version-0 map with one
     shard, [system], whose failover candidates are [backups] (default

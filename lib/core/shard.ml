@@ -15,19 +15,42 @@ type map = {
 let key_for m ~queue ~registrant =
   if List.mem queue m.sharded_queues then queue ^ "#" ^ registrant else queue
 
+let reply_prefix = "reply."
+let reply_queue client = reply_prefix ^ client
+
+let reply_client queue =
+  if String.starts_with ~prefix:reply_prefix queue then
+    let n = String.length reply_prefix in
+    Some (String.sub queue n (String.length queue - n))
+  else None
+
+(* FNV-1a placement by the key's bytes, blind to pins. *)
+let hash_owner m key =
+  match m.shards with
+  | [] -> invalid_arg "Shard.owner: empty shard list"
+  | [ s ] -> s
+  | shards ->
+    let n = List.length shards in
+    let h = Rrq_util.Checksum.fnv1a64 key in
+    let idx =
+      Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int n))
+    in
+    List.nth shards idx
+
+(* An unpinned reply queue follows its client's request key, hashed as the
+   key itself would be but blind to the pins on it; the map's first
+   sharded queue is the request queue. Only that case allocates. *)
 let owner m key =
   match List.assoc_opt key m.pins with
   | Some s -> s
   | None -> begin
-    match m.shards with
-    | [] -> invalid_arg "Shard.owner: empty shard list"
-    | shards ->
-      let n = List.length shards in
-      let h = Rrq_util.Checksum.fnv1a64 key in
-      let idx =
-        Int64.to_int (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int n))
-      in
-      List.nth shards idx
+    match m.sharded_queues with
+    | [] -> hash_owner m key
+    | q :: _ -> begin
+      match reply_client key with
+      | Some client -> hash_owner m (q ^ "#" ^ client)
+      | None -> hash_owner m key
+    end
   end
 
 let shard_candidates m s =

@@ -6,10 +6,16 @@
     backup candidates per shard), the queues that are {e partitioned by
     registrant} ([sharded_queues] — the shared request queues, where client
     affinity keeps one client's requests on one shard), and explicit
-    [pins]. Every other queue (private reply queues above all) routes by
-    its name alone, so its owner is a pure function of the queue. Routing
-    key: [queue ^ "#" ^ registrant] for sharded queues, [queue] otherwise;
-    owner: the pin if present, else FNV-1a hash modulo the shard list.
+    [pins]. Routing key: [queue ^ "#" ^ registrant] for sharded queues,
+    [queue] otherwise; owner: the pin if present, else FNV-1a hash modulo
+    the shard list. A client's private reply queue ({!reply_queue}) lives
+    with its requests: unpinned, [reply.<c>] is placed by the hash of
+    [q ^ "#" ^ c], where [q] is the first of [sharded_queues], so the
+    server transaction that dequeues a request and enqueues its reply
+    commits on one shard. That hash ignores pins on [q#c]; a pin on
+    [reply.<c>] itself wins. Every other queue (a clerk's custom
+    [?reply_queue] among them) routes by its name alone. A map with no
+    sharded queue places every queue by its name.
 
     {b Routing.} A clerk ({!Clerk}) routes every operation by a map: to
     the current candidate of the shard owning the operation's key. It
@@ -37,13 +43,17 @@
     skipped entirely.
 
     {b Cross-shard transactions.} A server's dequeue-process-enqueue whose
-    reply queue lives on another shard runs the existing 2PC: the reply
-    enqueue joins the remote shard's QM as a participant
-    ({!Site.remote_enqueue}) — nothing shard-specific is needed.
+    reply queue lives on another shard (pinned there, or custom-named)
+    runs the existing 2PC: the reply enqueue joins the remote shard's QM
+    as a participant ({!Site.remote_enqueue}) — nothing shard-specific is
+    needed.
 
     {b Constraints.} Map changes must keep the ownership of non-sharded
-    queues stable (same shard list and pins for them): in-flight replies
-    are addressed to the reply queue's owner at Send time.
+    queues stable (same shard list, same first sharded queue, and the
+    same pins for them): in-flight replies are addressed to the reply
+    queue's owner at Send time. Pins on request keys may change freely,
+    since reply placement does not read them. A reply queue must not
+    itself be a sharded queue.
 
     {b Crash sites} ({!Rrq_sim.Crashpoint}): [shard.route:<node>] (routed
     operation received), [shard.forward:<node>] (about to relay a misroute)
@@ -65,8 +75,17 @@ val key_for : map -> queue:string -> registrant:string -> string
 (** The routing key of an operation. *)
 
 val owner : map -> string -> string
-(** The shard owning a routing key: its pin, else hash placement.
+(** The shard owning a routing key: its pin, else hash placement (of the
+    client's request key for an unpinned reply queue).
     @raise Invalid_argument on an empty shard list. *)
+
+val reply_queue : string -> string
+(** [reply_queue c] is client [c]'s default private reply queue,
+    ["reply." ^ c]. *)
+
+val reply_client : string -> string option
+(** The inverse of {!reply_queue}: [Some c] for ["reply." ^ c], else
+    [None] (allocation-free in that case). *)
 
 val candidates : map -> string -> string list
 (** The owner of a routing key followed by its shard's backup candidates.

@@ -10,14 +10,14 @@
    the virtual time the clerk load took.
 
    The sweep crosses the shard count with the reply-queue placement:
-   "co-located" pins each client's reply queue onto the shard owning its
-   request key (the deployment affinity the map's [pins] exist for — one
-   client's whole conversation lives on one repository), "scattered" uses
-   ids whose reply queues all hash onto a different shard than their
-   request key, so every request finishes with a cross-shard 2PC reply
-   enqueue. Co-located scaling is near-linear (the headline); the
-   scattered rows price the cross-shard 2PC (two extra log forces per
-   request — prepare and commit at the remote participant). *)
+   "co-located" is the plain map, whose rule places each client's reply
+   queue on the shard owning its request key (one client's whole
+   conversation lives on one repository); "scattered" pins each reply
+   queue to the shard its name hashes to, and the ids are chosen so that
+   is never its request key's shard, so every request finishes with a
+   cross-shard 2PC reply enqueue. Co-located scaling is near-linear (the
+   headline); the scattered rows price the cross-shard 2PC (two extra log
+   forces per request — prepare and commit at the remote participant). *)
 
 module Sched = Rrq_sim.Sched
 module Net = Rrq_net.Net
@@ -51,9 +51,8 @@ let net_latency = 0.0005
    so that any prefix of 8 or the full 16 spreads both the request keys
    [req#<id>] and the reply queues [reply.<id>] perfectly evenly across 2
    and across 4 shards — and never co-locates a client's request key with
-   its reply queue. Unpinned, every request is a cross-shard 2PC (the
-   scattered worst case); the co-located configuration pins each reply
-   queue back onto its client's request shard. *)
+   its reply queue. Pinned by name, every request is a cross-shard 2PC
+   (the scattered worst case); the plain map co-locates them. *)
 let client_ids =
   [ "b0"; "b1"; "b2"; "b3"; "b4"; "b5"; "b6"; "b7"; "b8"; "b9"; "b10";
     "b11"; "b12"; "b13"; "b102"; "b103" ]
@@ -70,16 +69,17 @@ let map_of ~colocated ~ids n =
       pins = [];
     }
   in
-  if not colocated then base
+  if colocated then base
   else
+    (* A map with no sharded queue places every queue by its name. *)
+    let by_name = { base with Shard.sharded_queues = [] } in
     {
       base with
       Shard.pins =
         List.map
           (fun id ->
-            ( "reply." ^ id,
-              Shard.owner base (Shard.key_for base ~queue:"req" ~registrant:id)
-            ))
+            let q = Shard.reply_queue id in
+            (q, Shard.owner by_name q))
           ids;
     }
 

@@ -472,6 +472,58 @@ let prop_shard_routing =
               elems)
         versions)
 
+(* Reply placement: an unpinned reply queue lives with its client's request
+   key, whatever pins the request keys carry; a pin on the reply queue
+   wins; a custom-named queue is placed by the FNV-1a hash of its name. *)
+let prop_reply_placement =
+  QCheck2.Test.make
+    ~name:"shard: a reply queue follows its client's request key"
+    ~count:200
+    QCheck2.Gen.(
+      tup4 (int_range 1 5) (int_bound 8) (int_range 1 25) (int_bound 1_000_000))
+    (fun (nshards, npins, nclients, salt) ->
+      let shards = List.init nshards (Printf.sprintf "n%d") in
+      let clients =
+        List.init nclients (fun i -> Printf.sprintf "c%d" ((i * 131) + salt))
+      in
+      let m =
+        { Shard.version = 1; shards; backups = []; sharded_queues = [ "req" ];
+          pins = [] }
+      in
+      let request c = Shard.key_for m ~queue:"req" ~registrant:c in
+      let request_pins =
+        List.filteri (fun i _ -> i < npins) clients
+        |> List.mapi (fun i c -> (request c, List.nth shards ((i + salt) mod nshards)))
+      in
+      let pinned = { m with Shard.version = 2; pins = request_pins } in
+      let by_name q =
+        let h = Rrq_util.Checksum.fnv1a64 q in
+        List.nth shards
+          (Int64.to_int
+             (Int64.rem (Int64.logand h Int64.max_int) (Int64.of_int nshards)))
+      in
+      List.for_all
+        (fun c ->
+          let reply = Shard.reply_queue c in
+          let home = Shard.owner m (request c) in
+          let pin = List.nth shards ((salt + 1) mod nshards) in
+          let custom = "replies-for-" ^ c in
+          if Shard.reply_client reply <> Some c then
+            QCheck2.Test.fail_reportf "%s does not name client %s" reply c
+          else if Shard.owner m reply <> home then
+            QCheck2.Test.fail_reportf "%s is on %s, its requests on %s" reply
+              (Shard.owner m reply) home
+          else if Shard.owner pinned reply <> home then
+            QCheck2.Test.fail_reportf "request pins moved %s from %s to %s"
+              reply home (Shard.owner pinned reply)
+          else if Shard.owner { m with pins = [ (reply, pin) ] } reply <> pin
+          then QCheck2.Test.fail_reportf "the pin of %s on %s lost" reply pin
+          else if Shard.owner m custom <> by_name custom then
+            QCheck2.Test.fail_reportf "%s is on %s, its name hashes to %s"
+              custom (Shard.owner m custom) (by_name custom)
+          else true)
+        clients)
+
 (* Umbrella-module smoke: the [Rrq] re-exports resolve and link. *)
 let test_umbrella_links () =
   Alcotest.(check bool) "filter through the umbrella" true
@@ -495,7 +547,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_qm_rank_max;
         ] );
       ("ha", [ QCheck_alcotest.to_alcotest prop_ha_prefix_consistent ]);
-      ("shard", [ QCheck_alcotest.to_alcotest prop_shard_routing ]);
+      ( "shard",
+        [
+          QCheck_alcotest.to_alcotest prop_shard_routing;
+          QCheck_alcotest.to_alcotest prop_reply_placement;
+        ] );
       ("obs", [ QCheck_alcotest.to_alcotest prop_obs_conservation ]);
       ("umbrella", [ Alcotest.test_case "links" `Quick test_umbrella_links ]);
       ( "codecs",

@@ -9,6 +9,8 @@ module Site = Rrq_core.Site
 module Clerk = Rrq_core.Clerk
 module Server = Rrq_core.Server
 module Envelope = Rrq_core.Envelope
+module Shard = Rrq_core.Shard
+module Crashpoint = Rrq_sim.Crashpoint
 module Audit = Rrq_check.Audit
 module World = Rrq_check.World
 module H = Rrq_test_support.Sim_harness
@@ -415,6 +417,57 @@ let test_server_crash_time_sweep () =
         true !done_)
     [ 0.005; 0.012; 0.02; 0.03; 0.045; 0.06; 0.08; 0.12; 0.2; 0.5; 1.0 ]
 
+(* --- sharding -------------------------------------------------------- *)
+
+(* Four shards and no pins: each client's request and reply queue share a
+   shard, so the server's dequeue-process-enqueue commits locally. A
+   remote 2PC participant would show as a [tm.staged:*] or [tm.prepared:*]
+   hit. *)
+let test_sharded_reply_is_local () =
+  let map =
+    { Shard.version = 1; shards = [ "s0"; "s1"; "s2"; "s3" ]; backups = [];
+      sharded_queues = [ "req" ]; pins = [] }
+  in
+  List.iter
+    (fun client_id ->
+      let reply = ref None in
+      Crashpoint.reset ();
+      Fun.protect ~finally:Crashpoint.disable (fun () ->
+          let _ =
+            H.run (fun s ->
+                let net = Net.create s (Rng.create 42) in
+                ignore
+                  (World.build net
+                     {
+                       (World.single "s0") with
+                       repos = List.map (fun n -> World.Single n) map.Shard.shards;
+                       shards = Some { World.map; untag_forward_bug = false };
+                       server = World.counting_server 1;
+                     });
+                let client_node = Net.make_node net "client" in
+                ignore
+                  (Sched.spawn s ~group:"client" ~name:client_id (fun () ->
+                       let clerk, _ =
+                         Clerk.connect ~client_node ~system:"s0" ~shard_map:map
+                           ~client_id ~req_queue:"req" ()
+                       in
+                       ignore (Clerk.send clerk ~rid:"r1" "work");
+                       reply := Clerk.receive clerk ())))
+          in
+          Alcotest.(check (option string))
+            (client_id ^ ": reply") (Some "r1")
+            (Option.map (fun e -> e.Envelope.rid) !reply);
+          let remote =
+            List.filter
+              (fun (site, _) ->
+                String.starts_with ~prefix:"tm.staged:" site
+                || String.starts_with ~prefix:"tm.prepared:" site)
+              (Crashpoint.hit_counts ())
+          in
+          Alcotest.(check (list (pair string int)))
+            (client_id ^ ": no remote participant") [] remote))
+    [ "c0"; "c1"; "c2"; "c3" ]
+
 let suite =
   [
     Alcotest.test_case "happy path" `Quick test_happy_path;
@@ -435,6 +488,8 @@ let suite =
       test_headerless_element_lands_in_error_queue;
     Alcotest.test_case "cancel waiting request" `Quick test_cancel_waiting_request;
     Alcotest.test_case "load sharing" `Quick test_load_sharing_many_servers;
+    Alcotest.test_case "sharded reply commits locally" `Quick
+      test_sharded_reply_is_local;
     Alcotest.test_case "server crash-time sweep" `Quick
       test_server_crash_time_sweep;
   ]
