@@ -67,7 +67,8 @@ let check_cmd =
   let scenario_arg =
     scenario_arg
       "Scenario to check (see doc/INTERNALS.md section 1a; ha-lagged, \
-       sharded-buggy and buggy carry designed, catchable bugs)."
+       sharded-buggy, sharded-unfenced and buggy carry designed, catchable \
+       bugs)."
   in
   let budget =
     Arg.(value & opt int 200 & info [ "budget" ] ~docv:"N"

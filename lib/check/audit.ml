@@ -180,47 +180,83 @@ let exactly_once_trace () =
         end
       end)
 
+(* The reply elements still queued in [reply.*] queues on [sites], by
+   their [rid] property: one pass, then each rid is a table lookup. *)
+let queued_replies sites =
+  let queued = Hashtbl.create 256 in
+  List.iter
+    (fun site ->
+      let qm = Site.qm site in
+      List.iter
+        (fun q ->
+          if Shard.reply_client q <> None then
+            List.iter
+              (fun el ->
+                match Element.prop el "rid" with
+                | Some rid ->
+                  Hashtbl.replace queued rid
+                    (el.Element.eid
+                    :: Option.value ~default:[] (Hashtbl.find_opt queued rid))
+                | None -> ())
+              (Qm.elements qm q))
+        (Qm.queue_names qm))
+    sites;
+  fun rid -> Option.value ~default:[] (Hashtbl.find_opt queued rid)
+
+let problems check rids =
+  match List.filter_map check rids with
+  | [] -> None
+  | ps -> Some (String.concat "; " ps)
+
+let no_reply rid = rid ^ ": no reply delivered or queued"
+
 (* Every request must yield exactly one reply, counting both the copies
    the client already consumed ([received]) and the copies still sitting
-   in reply queues. Catches the speculative-reply double: a lagged primary
-   that replies before shipping dies, the backup re-executes, and the
-   client's retried Receive can observe two replies for one rid. [sites]
-   must resolve to the authoritative repository only — a warm standby
-   holds replicated copies of the same reply elements by design. *)
+   in reply queues: what a run without crashes shows, where no Receive
+   is undone. [sites] must resolve to the authoritative repository
+   only — a warm standby holds replicated copies of the same reply
+   elements by design. *)
 let reply_delivery ~sites ~received ~rids =
   make "reply-delivery" (fun () ->
-      (* One pass over the reply queues, counting replies by their [rid]
-         property; each rid is then a table lookup. *)
-      let counts = Hashtbl.create 256 in
-      List.iter
-        (fun site ->
-          let qm = Site.qm site in
-          List.iter
-            (fun q ->
-              if Shard.reply_client q <> None then
-                List.iter
-                  (fun el ->
-                    match Element.prop el "rid" with
-                    | Some rid ->
-                      Hashtbl.replace counts rid
-                        (1 + Option.value ~default:0 (Hashtbl.find_opt counts rid))
-                    | None -> ())
-                  (Qm.elements qm q))
-            (Qm.queue_names qm))
-        (sites ());
-      let queued rid = Option.value ~default:0 (Hashtbl.find_opt counts rid) in
-      let problems =
-        List.filter_map
-          (fun rid ->
-            let n = received rid + queued rid in
-            if n = 1 then None
-            else if n = 0 then Some (rid ^ ": no reply delivered or queued")
-            else Some (Printf.sprintf "%s: %d replies (received+queued)" rid n))
-          (rids ())
-      in
-      match problems with
-      | [] -> None
-      | ps -> Some (String.concat "; " ps))
+      let queued = queued_replies (sites ()) in
+      problems
+        (fun rid ->
+          match received rid + List.length (queued rid) with
+          | 1 -> None
+          | 0 -> Some (no_reply rid)
+          | n -> Some (Printf.sprintf "%s: %d replies (received+queued)" rid n))
+        (rids ()))
+
+(* The same rule under crashes. Two different replies for one rid is the
+   speculative-reply double: a lagged primary that replies before
+   shipping dies, the backup re-executes, and the client's retried
+   Receive can observe two replies for one rid. The same reply seen twice
+   is at-least-once reply processing (paper §3): a Receive is lazy, so a
+   crash where the reply queue lives, after the Receive and before its
+   fence (its client's next Send or Disconnect), gives the reply back;
+   [crashes rid] counts those crashes, and each may give it back once. *)
+let replies_seen ~sites ~seen ~crashes ~rids =
+  make "reply-delivery" (fun () ->
+      let queued = queued_replies (sites ()) in
+      problems
+        (fun rid ->
+          let copies = seen rid @ queued rid in
+          match List.sort_uniq Int64.compare copies with
+          | [] -> Some (no_reply rid)
+          | [ _ ] ->
+            let n = List.length copies and c = crashes rid in
+            if n <= 1 + c then None
+            else
+              Some
+                (Printf.sprintf
+                   "%s: one reply seen %d times (received+queued), %d crash(es) \
+                    of its reply queue's nodes between a Receive and its fence"
+                   rid n c)
+          | replies ->
+            Some
+              (Printf.sprintf "%s: %d replies (received+queued)" rid
+                 (List.length replies)))
+        (rids ()))
 
 (* After quiescence with every site up, no transaction may still be in
    doubt: the resolver daemons must have settled every prepared txn. *)

@@ -61,10 +61,27 @@ val reply_delivery :
   auditor
 (** Exactly one reply per request, counting consumed replies ([received
     rid]) plus copies still queued in [reply.*] queues on the given sites,
-    matched by their [rid] property.
-    Pass only the authoritative repository of an HA pair — the standby
-    holds replicated copies by design. Catches duplicate replies released
-    by a speculative (lagged-shipping) primary that died before shipping. *)
+    matched by their [rid] property: the rule of a run without crashes,
+    where no Receive is undone ({!replies_seen} is the rule under
+    crashes). Pass only the authoritative repository of an HA pair — the
+    standby holds replicated copies by design. *)
+
+val replies_seen :
+  sites:(unit -> Rrq_core.Site.t list) ->
+  seen:(string -> int64 list) ->
+  crashes:(string -> int) ->
+  rids:(unit -> string list) ->
+  auditor
+(** {!reply_delivery} for at-least-once reply processing (paper §3),
+    also named ["reply-delivery"]: the eids of the replies the client
+    consumed ([seen rid], one per copy) and of the copies still queued
+    must name exactly one reply. That reply may be seen once more per
+    crash in [crashes rid]: the crashes of the nodes holding the rid's
+    reply queue that fell between a Receive of that reply and its fence
+    (the client's next Send or Disconnect), and so may have undone the
+    lazy Receive. Catches
+    duplicate replies released by a speculative (lagged-shipping) primary
+    that died before shipping, and a Receive undone after its fence. *)
 
 val no_in_doubt : sites:(unit -> Rrq_core.Site.t list) -> auditor
 (** After quiescence with all sites up, no prepared transaction may remain

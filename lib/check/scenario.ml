@@ -63,6 +63,9 @@ type topology = {
           timeout (no rid check): the duplicate-request bug the paper's
           registration tags exist to prevent. *)
   body_bytes : int;  (** request bodies are padded to this length *)
+  unfenced_bug : bool;
+      (** The clerks never fence their last Receive ([Clerk.connect]'s
+          designed anomaly). *)
 }
 
 type t = {
@@ -81,10 +84,18 @@ let client_ids topo =
   if topo.blind_client then [ topo.prefix ]
   else List.init topo.clients (fun c -> topo.prefix ^ string_of_int c)
 
-let rids topo =
-  List.concat_map
-    (fun id -> List.init topo.reqs (Printf.sprintf "%s-r%d" id))
-    (client_ids topo)
+let client_rids topo id = List.init topo.reqs (Printf.sprintf "%s-r%d" id)
+let rids topo = List.concat_map (client_rids topo) (client_ids topo)
+
+(* The nodes that may hold a client's lazy Receive: its reply queue's
+   repository and that repository's standby. Reply queues never move. *)
+let reply_nodes topo client_id =
+  match topo.world.shards with
+  | Some sh ->
+    let m = sh.World.map in
+    Shard.candidates m
+      (Shard.key_for m ~queue:(Shard.reply_queue client_id) ~registrant:client_id)
+  | None -> nodes (List.hd topo.world.repos)
 
 (* Plans crash any repository primary, and cut the client's link to the
    first repository and each link between neighbouring repositories. *)
@@ -172,11 +183,64 @@ let install_workload topo world =
     Pipeline.entry_queue
       (Pipeline.install (transfer_stages (site 0) (site 1) (site 2)))
 
+(* What the clients saw, for the reply-delivery auditor: per rid, each
+   sighting of its reply (the eid, when the Receive was asked and when it
+   returned) and its client and reply queue's nodes; per client, when
+   each of its Sends was acknowledged; and every crash, by node and
+   time. *)
+type sighting = { eid : int64; asked : float; got : float }
+
+type evidence = {
+  seen : (string, sighting list) Hashtbl.t;
+  home : (string, string * string list) Hashtbl.t;
+  sends : (string, float list) Hashtbl.t;
+  mutable crashes : (string * float) list;
+}
+
+let count ev rid eid ~asked =
+  Hashtbl.replace ev.seen rid
+    ({ eid; asked; got = Sched.clock () }
+    :: Option.value ~default:[] (Hashtbl.find_opt ev.seen rid))
+
+let acked ev ~client =
+  Hashtbl.replace ev.sends client
+    (Sched.clock () :: Option.value ~default:[] (Hashtbl.find_opt ev.sends client))
+
+(* A Receive's answer reaches its clerk within this long of the dequeue:
+   two 5 ms hops (through a shard router), with room to spare. *)
+let in_flight = 0.05
+
+(* The crashes that may each have undone one Receive of [rid]'s reply: a
+   crash of its reply queue's nodes after some sighting's dequeue (no
+   earlier than the Receive was asked, nor than [in_flight] before it
+   returned) and before that Receive's fence, the client's next Send
+   (none: until the end). *)
+let crashes_after ev rid =
+  match Hashtbl.find_opt ev.home rid with
+  | None -> 0
+  | Some (client, home) ->
+    let sends = Option.value ~default:[] (Hashtbl.find_opt ev.sends client) in
+    let windows =
+      List.map
+        (fun sg ->
+          ( Float.max sg.asked (sg.got -. in_flight),
+            List.fold_left
+              (fun acc t -> if t > sg.got then Float.min acc t else acc)
+              infinity sends ))
+        (Option.value ~default:[] (Hashtbl.find_opt ev.seen rid))
+    in
+    List.length
+      (List.filter
+         (fun (node, c) ->
+           List.mem node home
+           && List.exists (fun (opened, closed) -> c >= opened && c <= closed) windows)
+         ev.crashes)
+
 (* Faults run as scheduler callbacks at their planned virtual times,
    dispatched by node name. A crash while the node is already down is
    skipped ([Net.crash_restart]), so overlapping faults cannot double-boot
    a site. *)
-let inject sched net sites (plan : Plan.t) =
+let inject sched net sites ev (plan : Plan.t) =
   List.iter
     (fun fault ->
       match fault with
@@ -184,7 +248,9 @@ let inject sched net sites (plan : Plan.t) =
         match List.assoc_opt node sites with
         | None -> ()
         | Some site ->
-          Sched.at sched at (fun () -> Site.crash_restart site ~after:recover_after))
+          Sched.at sched at (fun () ->
+              ev.crashes <- (node, at) :: ev.crashes;
+              Site.crash_restart site ~after:recover_after))
       | Plan.Partition { a; b; at; heal_after } ->
         Sched.at sched at (fun () ->
             Net.partition net a b;
@@ -199,11 +265,12 @@ let inject sched net sites (plan : Plan.t) =
    The kill is synchronous — freeze the disk, crash the node — before
    control returns to the reaching code, so no acknowledgment of a
    never-durable effect can escape to a client. *)
-let arm sched net (site, hit, victim, recover_after) =
+let arm sched net ev (site, hit, victim, recover_after) =
   Crashpoint.reset ();
   Crashpoint.arm ~site ~hit (fun () ->
       let node = Net.node net victim in
       let up = Net.is_up node in
+      ev.crashes <- (victim, Sched.now sched) :: ev.crashes;
       Sched.note_fault sched
         (Printf.sprintf "crashpoint %s %s %s" site
            (if up then "kills" else "finds down")
@@ -224,10 +291,6 @@ let arm sched net (site, hit, victim, recover_after) =
       if Sched.in_fiber () && Sched.fiber_group (Sched.self ()) = Some victim
       then Crashpoint.crash ())
 
-let count received rid =
-  Hashtbl.replace received rid
-    (1 + Option.value ~default:0 (Hashtbl.find_opt received rid))
-
 (* A well-behaved client: tagged Sends, Receives retried through outages,
    every received reply counted per rid — the reply-delivery auditor's
    evidence of what escaped to the client. Retry budgets comfortably exceed
@@ -235,14 +298,14 @@ let count received rid =
    never report a lost request. With a shard map it starts from the
    initial map and pauses between requests, so the second one straddles
    the map change (later is fine: the map only gets newer). *)
-let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
+let clerk_client topo ~client_node ~req_queue ~ev ~replies client_id =
   let entry = List.hd topo.world.repos in
   let backups = if topo.world.shards = None then List.tl (nodes entry) else [] in
   let shard_map = Option.map (fun sh -> sh.World.map) topo.world.shards in
   let rec connect n =
     match
       Clerk.connect ~client_node ~system:(primary entry) ~backups ?shard_map
-        ~client_id ~req_queue ~retries:8 ()
+        ~client_id ~req_queue ~retries:8 ~unfenced_bug:topo.unfenced_bug ()
     with
     | clerk, _ -> clerk
     | exception Clerk.Unavailable _ when n > 0 ->
@@ -264,8 +327,10 @@ let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
         send (n - 1)
     in
     send 60;
+    acked ev ~client:client_id;
     let deadline = Sched.clock () +. 60.0 in
     let rec recv () =
+      let asked = Sched.clock () in
       let reply =
         try Clerk.receive clerk ~timeout:2.0 ()
         with Clerk.Unavailable _ ->
@@ -274,10 +339,11 @@ let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
       in
       match reply with
       | Some env when env.Envelope.kind <> "intermediate" ->
-        count received env.Envelope.rid;
-        incr replies;
-        (* A stray duplicate of an older request: keep waiting for ours. *)
-        if env.Envelope.rid <> rid && Sched.clock () < deadline then recv ()
+        count ev env.Envelope.rid (Option.get (Clerk.reply_eid clerk)) ~asked;
+        (* A stray (an older request's reply, given back by a crash that
+           undid its Receive): keep waiting for ours. *)
+        if env.Envelope.rid = rid then incr replies
+        else if Sched.clock () < deadline then recv ()
       | _ -> if Sched.clock () < deadline then recv ()
     in
     recv ()
@@ -287,7 +353,7 @@ let clerk_client topo ~client_node ~req_queue ~received ~replies client_id =
    messages to the entry repository: no registration tag on the Send, so
    the QM cannot suppress duplicates, and the retry re-Sends the same rid
    without checking whether the first copy survived. *)
-let blind_client topo ~client_node ~received ~replies =
+let blind_client topo ~client_node ~ev ~replies =
   let client_id = topo.prefix in
   let dst = primary (List.hd topo.world.repos) in
   let reply_queue = Shard.reply_queue client_id in
@@ -330,6 +396,7 @@ let blind_client topo ~client_node ~received ~replies =
       blind_send ();
       let deadline = Sched.clock () +. 12.0 in
       let rec recv () =
+        let asked = Sched.clock () in
         let got =
           match
             call ~timeout:2.5
@@ -348,9 +415,14 @@ let blind_client topo ~client_node ~received ~replies =
         in
         match got with
         | Some v ->
-          count received
-            (Envelope.of_parts ~props:v.Site.v_props v.Site.v_payload).Envelope.rid;
-          incr replies
+          let got_rid =
+            (Envelope.of_parts ~props:v.Site.v_props v.Site.v_payload).Envelope.rid
+          in
+          count ev got_rid v.Site.v_eid ~asked;
+          (* A stray (an older request's reply, given back by a crash):
+             keep waiting for ours. *)
+          if got_rid = rid then incr replies
+          else if Sched.clock () < deadline then recv ()
         | None ->
           if Sched.clock () < deadline then begin
             blind_send ();
@@ -391,7 +463,7 @@ let balance site key =
    and clearings, which a lost or repeated stage moves off their expected
    values. Both: reply delivery over the authoritative repositories;
    structure and in-doubt survivors over every site. *)
-let auditors topo world ~rids ~received =
+let auditors topo world ~rids ~ev =
   let auth () = World.authoritative world in
   let every () = List.map snd (World.sites world) in
   let requests = List.length rids in
@@ -421,9 +493,10 @@ let auditors topo world ~rids ~received =
   ( totals,
     workload_auditors
     @ [
-        Audit.reply_delivery ~sites:auth
-          ~received:(fun rid -> Option.value ~default:0 (Hashtbl.find_opt received rid))
-          ~rids:(fun () -> rids);
+        Audit.replies_seen ~sites:auth
+          ~seen:(fun rid ->
+            List.map (fun sg -> sg.eid) (Option.value ~default:[] (Hashtbl.find_opt ev.seen rid)))
+          ~crashes:(crashes_after ev) ~rids:(fun () -> rids);
         Audit.queue_integrity ~sites:every;
         Audit.no_in_doubt ~sites:every;
       ] )
@@ -434,7 +507,19 @@ let build ?armed ?policy t (plan : Plan.t) =
   let pol = match policy with Some p -> p | None -> Plan.sched_policy plan in
   let rids = rids topo in
   let replies = ref 0 in
-  let received = Hashtbl.create 16 in
+  let ev =
+    {
+      seen = Hashtbl.create 16;
+      home = Hashtbl.create 16;
+      sends = Hashtbl.create 16;
+      crashes = [];
+    }
+  in
+  List.iter
+    (fun id ->
+      let home = (id, reply_nodes topo id) in
+      List.iter (fun rid -> Hashtbl.replace ev.home rid home) (client_rids topo id))
+    (client_ids topo);
   let body () =
     let (findings, vt, failovers, totals), sched =
       Runner.run_scenario_traced ~policy:pol (fun s ->
@@ -444,11 +529,11 @@ let build ?armed ?policy t (plan : Plan.t) =
           in
           (* Armed before the repositories boot, so hits count from the
              same origin as the probe's. *)
-          Option.iter (arm s net) armed;
+          Option.iter (arm s net ev) armed;
           let world = World.build net topo.world in
           let req_queue = install_workload topo world in
           let client_node = Net.make_node net "client" in
-          inject s net (World.sites world) plan;
+          inject s net (World.sites world) ev plan;
           fun () ->
             Option.iter
               (fun ch ->
@@ -457,15 +542,15 @@ let build ?armed ?policy t (plan : Plan.t) =
                        change_map client_node ch)))
               topo.map_change;
             (if topo.blind_client then
-               blind_client topo ~client_node ~received ~replies
+               blind_client topo ~client_node ~ev ~replies
              else begin
               let done_ = ref 0 in
               List.iteri
                 (fun c id ->
                   ignore
                     (Sched.fork ~name:(Printf.sprintf "client%d" c) (fun () ->
-                         clerk_client topo ~client_node ~req_queue ~received
-                           ~replies id;
+                         clerk_client topo ~client_node ~req_queue ~ev ~replies
+                           id;
                          incr done_)))
                 (client_ids topo);
               ignore (Runner.await ~timeout:300.0 (fun () -> !done_ = topo.clients))
@@ -476,7 +561,7 @@ let build ?armed ?policy t (plan : Plan.t) =
               List.exists (function World.Pair _ -> true | _ -> false) topo.world.repos
             in
             Sched.sleep (if pair then 25.0 else 20.0);
-            let totals, auditors = auditors topo world ~rids ~received in
+            let totals, auditors = auditors topo world ~rids ~ev in
             ( Audit.run auditors,
               Sched.clock (),
               World.failovers world,
@@ -512,6 +597,7 @@ let quickstart_world =
     prefix = "c";
     blind_client = false;
     body_bytes = 0;
+    unfenced_bug = false;
   }
 
 let quickstart = make "quickstart" quickstart_world
@@ -606,6 +692,34 @@ let sharded = make "sharded" (sharded_world (World.Single "shard0"))
 let sharded_buggy =
   make "sharded-buggy" (sharded_world ~untag_forward_bug:true (World.Single "shard0"))
 
+(* The designed fence anomaly: lazy Receives that no Send fences, where
+   reply queues are pinned off their clients' request shards. A crash of
+   a reply shard after the next Send was acknowledged, but before another
+   commit forced its log, gives a received reply back. The server takes a
+   second over each request, so the next reply's commit, which forces
+   the reply shard's log, comes that long after the Send. *)
+let slow_sharded_world ~unfenced_bug =
+  let topo = sharded_world (World.Single "shard0") in
+  let slow (sv : World.server) =
+    {
+      sv with
+      World.handler =
+        (fun site txn env ->
+          Sched.sleep 1.0;
+          sv.World.handler site txn env);
+    }
+  in
+  {
+    topo with
+    unfenced_bug;
+    world = { topo.world with server = Option.map slow topo.world.server };
+  }
+
+let sharded_unfenced =
+  make "sharded-unfenced" (slow_sharded_world ~unfenced_bug:true)
+
+let sharded_slow = make "sharded-slow" (slow_sharded_world ~unfenced_bug:false)
+
 let sharded_ha = make "sharded-ha" (sharded_world (pair "shard0" "standby0" Ha.Sync))
 
 let buggy_clerk =
@@ -641,6 +755,7 @@ let all =
     ha_lagged;
     sharded;
     sharded_buggy;
+    sharded_unfenced;
     sharded_ha;
     buggy_clerk;
     chain;

@@ -28,7 +28,9 @@ type outcome = {
           [trace_truncated] is false). *)
   trace_truncated : bool;
   requests : int;  (** Requests the clients attempted. *)
-  replies : int;  (** Replies the clients actually received. *)
+  replies : int;
+      (** Requests whose reply reached their client (a stray, an older
+          request's reply seen again, does not count). *)
   virtual_time : float;  (** Virtual time at quiescence. *)
   failovers : int;  (** Standby promotions across every HA pair. *)
   totals : (string * int) list;
@@ -111,6 +113,18 @@ val sharded_buggy : t
     through a stale pin executes a second untagged copy at the new owner.
     Passes fault-free; the explorer must find the duplicate and ddmin must
     shrink the plan. *)
+
+val sharded_unfenced : t
+(** The designed fence anomaly: {!sharded_slow} with clerks that never
+    fence their lazy Receive before the next Send ([Clerk.connect]'s
+    [unfenced_bug]), on a map that pins reply queues off their clients'
+    request shards. Passes fault-free; a crash of a reply shard after the
+    next Send was acknowledged gives a received reply back, which
+    reply-delivery must catch and ddmin must shrink. *)
+
+val sharded_slow : t
+(** {!sharded} with a server that takes a second over each request: the
+    fenced control for {!sharded_unfenced}'s plans (not in {!all}). *)
 
 val sharded_ha : t
 (** {!sharded} with shard0 a synchronous HA pair (primary [shard0],

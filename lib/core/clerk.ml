@@ -22,6 +22,13 @@ type t = {
   mutable smap : Shard.map;
   (* Per shard (keyed by its owner): the candidate that last answered. *)
   current : (string, string) Hashtbl.t;
+  (* The last Receive may still be undurable where the reply queue lives
+     (a lazy dequeue, {!Site.Q_dequeue}), until the next Send or a fence
+     covers it. *)
+  mutable unfenced : bool;
+  unfenced_bug : bool;
+  (* The element id of the last reply received. *)
+  mutable reply_eid : int64 option;
 }
 
 type connect_info = {
@@ -163,6 +170,9 @@ let do_connect t =
     | Site.R_registered { last_tag = None; _ } -> (None, None)
     | _ -> raise (Unavailable "unexpected reply to register")
   in
+  (* A Receive made before a client crash may still be undurable where
+     the reply queue lives. *)
+  t.unfenced <- true;
   t.last_rid <- s_rid;
   t.last_eid <- s_eid;
   t.fsm <- Client_fsm.Disconnected;
@@ -175,7 +185,7 @@ let do_connect t =
 
 let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
     ~req_queue ?reply_queue ?(rpc_timeout = 1.0) ?(retries = 10)
-    ?(strict = false) () =
+    ?(strict = false) ?(unfenced_bug = false) () =
   let smap =
     match shard_map with
     | Some m -> m
@@ -204,6 +214,9 @@ let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
       sent_at = None;
       smap;
       current = Hashtbl.create 4;
+      unfenced = false;
+      unfenced_bug;
+      reply_eid = None;
     }
   in
   let info = do_connect t in
@@ -211,14 +224,34 @@ let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
 
 let reconnect t = do_connect t
 
+(* The fence of a lazy Receive, once a Send was acknowledged. Only a
+   default-named reply queue is dequeued lazily. When it lives on the
+   request shard, the Send forced that log with its own record (a router
+   that relayed it forced its own first), at no further cost; otherwise
+   make the reply queue's repository durable with one round trip, whose
+   force is usually covered already. *)
+let fence t =
+  if
+    t.unfenced && (not t.unfenced_bug)
+    && Shard.reply_client t.reply_q = Some t.client_id
+    && Shard.owner t.smap (key t t.reply_q) <> Shard.owner t.smap (key t t.req_queue)
+  then begin
+    match rpc t ~queue:t.reply_q (Site.Q_fence t.reply_q) with
+    | Net.Ack -> ()
+    | _ -> raise (Unavailable "unexpected reply to fence")
+  end;
+  t.unfenced <- false
+
 let disconnect t =
   transition t Client_fsm.Disconnect;
   ignore
     (rpc t ~queue:t.req_queue
        (Site.Q_deregister { registrant = t.client_id; queue = t.req_queue }));
+  (* Logged and forced where the reply queue lives: the fence. *)
   ignore
     (rpc t ~queue:t.reply_q
-       (Site.Q_deregister { registrant = t.client_id; queue = t.reply_q }))
+       (Site.Q_deregister { registrant = t.client_id; queue = t.reply_q }));
+  t.unfenced <- false
 
 let client_id t = t.client_id
 let reply_queue t = t.reply_q
@@ -262,6 +295,7 @@ let send t ~rid ?(props = []) ?kind ?scratch ?step body =
   | Site.R_eid eid ->
     t.last_rid <- Some rid;
     t.last_eid <- Some eid;
+    fence t;
     if Rrq_obs.enabled () then begin
       if Sched.in_fiber () then t.sent_at <- Some (Sched.clock ());
       Rrq_obs.Trace.emit
@@ -297,6 +331,11 @@ let receive t ?ckpt ?(timeout = 30.0) () =
          })
   with
   | Site.R_element v ->
+    Option.iter
+      (fun v ->
+        t.unfenced <- true;
+        t.reply_eid <- Some v.Site.v_eid)
+      v;
     let reply = decode_view v in
     (match reply with
     | Some r when r.Envelope.kind = "intermediate" ->
@@ -366,3 +405,4 @@ let cancel_request_anywhere t ~sites ~rid =
     sites
 
 let state t = t.fsm
+let reply_eid t = t.reply_eid

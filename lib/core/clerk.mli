@@ -44,7 +44,7 @@ val connect :
   ?shard_map:Shard.map ->
   client_id:string ->
   req_queue:string -> ?reply_queue:string -> ?rpc_timeout:float ->
-  ?retries:int -> ?strict:bool -> unit -> t * connect_info
+  ?retries:int -> ?strict:bool -> ?unfenced_bug:bool -> unit -> t * connect_info
 (** Register the client with the request queue and its private reply queue
     (created-by-convention name {!Shard.reply_queue} [client_id] unless
     given), each at the repository that owns it: a default-named reply
@@ -68,7 +68,11 @@ val connect :
     With [strict] (default false) every operation is checked against the
     fig. 1/7 state machine and {!Protocol_violation} is raised on an
     illegal sequence; retrying the {e same} Send or Receive is always
-    legal (that is recovery, not a new transition). *)
+    legal (that is recovery, not a new transition).
+    [unfenced_bug] (default false) is the {e designed anomaly} for the
+    checker: Sends never fence the last Receive (see {!send}), so a
+    reply queue on another shard than the requests can give back a reply
+    after the next Send was acknowledged. *)
 
 val reconnect : t -> connect_info
 (** Re-run Connect on an existing clerk (after a client crash, the
@@ -76,7 +80,9 @@ val reconnect : t -> connect_info
     [connect]). *)
 
 val disconnect : t -> unit
-(** Deregister from both queues, destroying the persistent session. *)
+(** Deregister from both queues, destroying the persistent session. The
+    reply queue's deregistration is forced where the reply queue lives,
+    which fences the last {!receive}. *)
 
 val client_id : t -> string
 val reply_queue : t -> string
@@ -85,7 +91,14 @@ val send :
   t -> rid:string -> ?props:(string * string) list -> ?kind:string ->
   ?scratch:string -> ?step:int -> string -> int64
 (** Enqueue a request (body) tagged with [rid]; returns when the request is
-    stably stored, with its eid (kept for {!cancel_last_request}).
+    stably stored, with its eid (kept for {!cancel_last_request}), and
+    the last {!receive} is durable too: that is the {e fence} of a lazy
+    Receive (only a default-named reply queue's is lazy). When the reply
+    queue lives on the request shard under the map the Send's reply
+    leaves installed, the Send's own force covers it (a shard router
+    that relays a Send forces its log first); otherwise the clerk sends
+    [Site.Q_fence] to the reply queue's repository. Connect counts as a Receive here, since one made before
+    a client crash may still be undurable.
     [kind]/[scratch]/[step] feed the envelope: pseudo-conversational
     clients pass back the scratch pad and step of the last intermediate
     output (paper §8.2).
@@ -100,6 +113,12 @@ val receive : t -> ?ckpt:string -> ?timeout:float -> unit -> Envelope.t option
 (** Dequeue the next reply, blocking up to [timeout] (default 30).
     [ckpt] is checkpointed atomically with the dequeue (§4.3). [None] on
     timeout — the caller decides whether to retry or resynchronize.
+    From a default-named reply queue ({!Shard.reply_queue}) the dequeue
+    is lazy ([Site.Q_dequeue]): it returns once the reply's
+    own transaction is durable, not its own record, so until the next
+    {!send} or {!disconnect} is acknowledged a crash can give the reply
+    back, and the client sees it again (at-least-once reply processing,
+    paper §3), as a reply to an older rid than it waits for.
     @raise Unavailable *)
 
 val rereceive : t -> Envelope.t option
@@ -124,3 +143,9 @@ val cancel_request_anywhere : t -> sites:string list -> rid:string -> bool
 
 val state : t -> Client_fsm.state
 (** The client's current fig. 1/7 state (tracked even when not strict). *)
+
+val reply_eid : t -> int64 option
+(** The element id of the reply the last {!receive} returned, [None]
+    before the first: a reply seen twice (a lazy Receive undone by a
+    crash) has the same eid both times, a re-executed request's reply a
+    new one. *)

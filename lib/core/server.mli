@@ -39,8 +39,10 @@ val start_set :
   Site.t -> req_queues:string list -> ?threads:int -> ?filter:Rrq_qm.Filter.t ->
   ?name:string -> handler -> t
 (** Like {!start} but serving a queue set (paper §9): each iteration takes
-    the globally best ready element across all the queues, and a stopped or
-    strict-FIFO queue of the set acts as under {!start}. *)
+    the globally best ready element across all the queues. A stopped
+    queue of the set acts as under {!start}; a strict-FIFO one
+    serializes only the transactions that take from it
+    ({!Rrq_qm.Qm.dequeue_set}). *)
 
 val start_here :
   Site.t -> req_queue:string -> ?threads:int -> ?filter:Rrq_qm.Filter.t ->

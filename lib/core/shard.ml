@@ -15,14 +15,8 @@ type map = {
 let key_for m ~queue ~registrant =
   if List.mem queue m.sharded_queues then queue ^ "#" ^ registrant else queue
 
-let reply_prefix = "reply."
-let reply_queue client = reply_prefix ^ client
-
-let reply_client queue =
-  if String.starts_with ~prefix:reply_prefix queue then
-    let n = String.length reply_prefix in
-    Some (String.sub queue n (String.length queue - n))
-  else None
+let reply_queue = Site.reply_queue
+let reply_client = Site.reply_client
 
 (* FNV-1a placement by the key's bytes, blind to pins. *)
 let hash_owner m key =
@@ -97,7 +91,7 @@ let op_target = function
   | Site.Q_dequeue { queue; registrant; _ }
   | Site.Q_read_last { queue; registrant }
   | Site.Q_deregister { queue; registrant } -> Some (queue, registrant)
-  | Site.Q_create_queue queue -> Some (queue, "")
+  | Site.Q_create_queue queue | Site.Q_fence queue -> Some (queue, "")
   | _ -> None
 
 (* What duplicate-suppression evidence an operation would need from a peer
@@ -261,6 +255,14 @@ let routed_service t msg =
             (Printf.sprintf "shard: %s -> %s exceeds forward hop bound %d" name
                own max_hops);
         let inner = if t.untag_forward_bug then strip_tag inner else inner in
+        (* The clerk sent this Send here as its request shard, which may
+           be its reply shard too: make a lazy Receive logged here
+           durable, as executing the Send would have ({!Clerk.send}). *)
+        (match inner with
+        | Site.Q_enqueue _ ->
+          let log = Site.log site in
+          Rrq_txn.Node_log.force_upto log (Rrq_txn.Node_log.tail log)
+        | _ -> ());
         (* Stay under the requester's own timeout (its base rpc timeout
            plus the dequeue wait), so the relay's answer can still reach
            the clerk instead of racing its retry. *)

@@ -9,6 +9,15 @@ module Element = Rrq_qm.Element
 module Filter = Rrq_qm.Filter
 module Kvdb = Rrq_kvdb.Kvdb
 
+let reply_prefix = "reply."
+let reply_queue client = reply_prefix ^ client
+
+let reply_client queue =
+  if String.starts_with ~prefix:reply_prefix queue then
+    let n = String.length reply_prefix in
+    Some (String.sub queue n (String.length queue - n))
+  else None
+
 type elem_view = {
   v_eid : int64;
   v_payload : string;
@@ -52,6 +61,7 @@ type Net.payload +=
       timeout : float option;
     }
   | R_element of elem_view option
+  | Q_fence of string
   | Q_read_last of { registrant : string; queue : string }
   | Q_kill of int64
   | Q_kill_where of Filter.t
@@ -207,7 +217,12 @@ let clerk_service t msg =
       | _ -> false
     in
     (match (duplicate, last) with
-    | true, Some l -> R_eid l.Qm.op_eid
+    | true, Some l ->
+      (* The first attempt's record may still be in flight: answer once it
+         is durable, as the first attempt would, with everything before
+         it (a lazy Receive the clerk counts on this Send to fence). *)
+      Node_log.force_upto t.s_log (Node_log.tail t.s_log);
+      R_eid l.Qm.op_eid
     | _ ->
       let eid =
         Qm.auto_commit qm (fun id -> Qm.enqueue qm id h ?tag ~props ~priority body)
@@ -215,26 +230,39 @@ let clerk_service t msg =
       R_eid eid)
   | Q_dequeue { registrant; queue; tag; filter; timeout } ->
     let h, last = Qm.register qm ~queue ~registrant ~stable:true in
-    let duplicate =
+    (* A retried Receive gets the element its first attempt took, but only
+       a reply to the request it waits for: a stray (an older request's
+       reply that came back after a crash) would otherwise answer every
+       later Receive with the same rid, and the next reply would never
+       be dequeued. *)
+    let saved =
       match (tag, last) with
-      | Some tg, Some l ->
-        Tag.repeats (`Dequeue tg) ~kind:l.Qm.op_kind ~tag:l.Qm.tag
-      | _ -> false
+      | Some tg, Some ({ Qm.element_copy = Some el; _ } as l)
+        when Tag.repeats (`Dequeue tg) ~kind:l.Qm.op_kind ~tag:l.Qm.tag
+             && Element.prop el "rid" = Tag.rid_piece tg ->
+        Some el
+      | _ -> None
     in
-    if duplicate then
-      R_element
-        (match last with
-        | Some l -> Option.map view_of_element l.Qm.element_copy
-        | None -> None)
-    else begin
+    begin match saved with
+    | Some el -> R_element (Some (view_of_element el))
+    | None ->
       let wait =
         match timeout with None -> Qm.No_wait | Some d -> Qm.Timeout d
       in
+      (* A Receive from the registrant's own reply queue is lazy: a reply
+         may be seen twice (paper §3), and the clerk fences it before its
+         next Send or Disconnect is acknowledged. Any other queue may have
+         other dequeuers, who must not see an element come back. *)
+      let deq id = Qm.dequeue qm id h ?tag ?filter wait in
       let el =
-        Qm.auto_commit qm (fun id -> Qm.dequeue qm id h ?tag ?filter wait)
+        if reply_client queue = Some registrant then Qm.auto_commit_lazy qm deq
+        else Qm.auto_commit qm deq
       in
       R_element (Option.map view_of_element el)
     end
+  | Q_fence _ ->
+    Node_log.force_upto t.s_log (Node_log.tail t.s_log);
+    Net.Ack
   | Q_read_last { registrant; queue } ->
     let h, _ = Qm.register qm ~queue ~registrant ~stable:true in
     R_element (Option.map view_of_element (Qm.read_last qm h))

@@ -124,6 +124,14 @@ val remote_participant : t -> rm_name:string -> Rrq_txn.Tm.participant
 
 (** {1 Element views (wire-friendly copies)} *)
 
+val reply_queue : string -> string
+(** [reply_queue c] is client [c]'s default private reply queue,
+    ["reply." ^ c] (re-exported as {!Shard.reply_queue}). *)
+
+val reply_client : string -> string option
+(** The inverse of {!reply_queue}: [Some c] for ["reply." ^ c], else
+    [None] (allocation-free in that case). *)
+
 type elem_view = {
   v_eid : int64;
   v_payload : string;
@@ -163,7 +171,25 @@ type Rrq_net.Net.payload +=
       filter : Rrq_qm.Filter.t option;
       timeout : float option;  (** [None] = no wait. *)
     }
+      (** A client's Receive. From the registrant's own reply queue
+          ({!reply_queue} [registrant]) it is a lazy dequeue
+          ({!Rrq_qm.Qm.auto_commit_lazy}): it answers once everything
+          logged before its record is durable (and shipped, on a Sync HA
+          pair), not its record itself, so a crash before the next force
+          of this log gives the element back. From any other queue, which
+          other dequeuers may share, it commits with a force of its own.
+          A retry with the same rid gets the element its first attempt
+          took, when that element is a reply to that rid; else it
+          dequeues afresh. *)
   | R_element of elem_view option
+  | Q_fence of string
+      (** Make everything the repository of this queue has logged durable
+          (and shipped): one {!Rrq_txn.Node_log.force_upto} of its tail,
+          a no-op when another commit's force already covered it. A
+          shard router forwards it to the queue's owner, as it does the
+          queue's operations. A clerk sends it, naming its reply queue,
+          when that queue and its requests live on different shards.
+          Answered with [Ack]. *)
   | Q_read_last of { registrant : string; queue : string }
       (** [Rereceive]: the element the registrant's last tagged dequeue on
           [queue] removed ({!Rrq_qm.Qm.read_last}); [R_element None] when

@@ -61,7 +61,8 @@ let all =
        Cond.signal/broadcast only if unforced at item exit) while a WAL \
        or group-commit append is not yet covered by a force: a waiter \
        woken past that window can act on — and answer for — state a \
-       crash would revoke" );
+       crash would revoke; a lazy commit (commit_lazy) may release its \
+       own reply, and no other until a force fences it" );
   ]
 
 (* ---- identifier helpers ---------------------------------------------- *)
@@ -754,6 +755,8 @@ let r8_prim c =
   | Some "Group_commit", ("force" | "append_force") -> `Clear
   | Some "Wal", ("sync" | "append_sync") -> `Clear
   | Some "Disk", ("sync" | "sync_all") -> `Clear
+  | Some "Node_log", ("force" | "force_upto") -> `Clear
+  | _, ("commit_lazy" | "auto_commit_lazy") -> `Lazy
   | Some "Cond", ("signal" | "broadcast") -> `Soft
   | Some "Sched", "wake" -> `Soft
   | Some "Ivar", "fill" -> `Hard
@@ -789,6 +792,7 @@ let r8_run cg get (node : CG.node) entry =
       pending := false
     | `Soft -> if !taint then pending := true
     | `Hard -> if !taint then viol := true
+    | `Lazy -> ()
     | `No -> (
       match r8_targets cg c with
       | [] -> ()
@@ -832,6 +836,11 @@ let r8_node cg get acc (node : CG.node) =
   let taint = ref false in
   let tsite = ref 0 in
   let pending = ref [] in
+  (* A lazy commit's obligation: its record rides the next force, so it
+     may release its own reply, but nothing after that until a force
+     fences it. [`Own]: the lazy commit at that line, its reply not yet
+     released; [`Fence]: released, a fence owed. *)
+  let owed = ref `None in
   (* (line, what, append site) *)
   let report line message detail =
     acc :=
@@ -855,10 +864,22 @@ let r8_node cg get acc (node : CG.node) =
       end
     | `Clear ->
       taint := false;
-      pending := []
+      pending := [];
+      owed := `None
+    | `Lazy -> owed := `Own line
     | `Soft ->
       if !taint then pending := (line, prim_label (), !tsite) :: !pending
     | `Hard ->
+      (match !owed with
+      | `Own at -> owed := `Fence at
+      | `Fence at ->
+        report line
+          (Printf.sprintf
+             "%s releases a second reply while the lazy commit at line %d \
+              is not fenced"
+             (prim_label ()) at)
+          [ Printf.sprintf "lazy since line %d" at ]
+      | `None -> ());
       if !taint then
         report line
           (Printf.sprintf
@@ -886,7 +907,10 @@ let r8_node cg get acc (node : CG.node) =
                callee !tsite)
             [ Printf.sprintf "undurable since line %d" !tsite ];
         let outs = if !taint then outs_true else outs_false in
-        if List.for_all (fun o -> o.o_force) outs then pending := [];
+        if List.for_all (fun o -> o.o_force) outs then begin
+          pending := [];
+          owed := `None
+        end;
         if
           !taint
           && any outs_true (fun o -> o.o_pending)

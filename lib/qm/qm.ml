@@ -950,32 +950,39 @@ let rec resolve s = function
     (h, reg, q) :: resolve s hs
 
 (* The one dequeue loop; a single dequeue is a queue set of one (paper
-   §9). Strict-FIFO locks are taken in list order, then the best ready
-   match is taken, or the caller waits on every queue under one deadline.
+   §9). The best ready match is taken, under its queue's strict-FIFO lock
+   if it has one, or the caller waits on every queue under one deadline.
    A waiter that filters or waits on several queues counts in each
    queue's [picky] while parked, so [notify] wakes all its waiters
    (INTERNALS §5); one killed while parked costs wake-ups, loses none. *)
 let dequeue_from t id hs ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
   let s = Base.state t in
   let qs = resolve s hs in
-  (* The test keeps a dequeue that takes no lock from allocating a closure. *)
-  if List.exists (fun (_, _, q) -> q.qattrs.strict_fifo) qs then begin
-    try
-      List.iter
-        (fun (_, _, q) ->
-          if q.qattrs.strict_fifo then
-            Lock.acquire s.locks id ~key:("q:" ^ q.qname) Lock.X)
-        qs
-    with
+  let lock q =
+    try Lock.acquire s.locks id ~key:("q:" ^ q.qname) Lock.X with
     | Lock.Deadlock msg -> raise (Conflict ("deadlock: " ^ msg))
     | Lock.Cancelled -> raise (Conflict "cancelled")
-  end;
-  let picky = filter <> Filter.True || List.compare_length_with qs 1 > 0 in
+  in
+  (* A strict queue of one serializes its dequeuers before they select.
+     In a larger set only the queue a dequeue takes from is locked: the
+     best match is chosen and its queue's lock taken, and from then on
+     the dequeue takes from that queue alone, whose head may have moved
+     while the lock was waited for. So a set dequeue holds one strict
+     lock at most, and two of them cannot wait on each other's. *)
+  (match qs with [ (_, _, q) ] when q.qattrs.strict_fifo -> lock q | _ -> ());
+  let unlocked q =
+    q.qattrs.strict_fifo
+    && not (Lock.holds s.locks id ~key:("q:" ^ q.qname) Lock.X)
+  in
   let deadline =
     match wait with Timeout d -> Some (s.clock () +. d) | No_wait | Block -> None
   in
-  let rec attempt () =
+  let rec attempt qs =
     match select_ready ?rank filter qs with
+    | Some (h, reg, _) when unlocked (get_queue s h.h_queue) ->
+      let q = get_queue s h.h_queue in
+      lock q;
+      attempt [ (h, reg, q) ]
     | Some (h, reg, el) as taken ->
       take t id h ~reg ?tag ?errq:error_queue el;
       taken
@@ -985,13 +992,14 @@ let dequeue_from t id hs ?tag ?(filter = Filter.True) ?rank ?error_queue wait =
       | No_wait, _ -> None
       | _, Some left when left <= 0.0 -> None
       | _ ->
+        let picky = filter <> Filter.True || List.compare_length_with qs 1 > 0 in
         if picky then List.iter (fun (_, _, q) -> q.picky <- q.picky + 1) qs;
         let conds = List.map (fun (_, _, q) -> q.nonempty) qs in
         let woken = Cond.wait_any ?timeout conds in
         if picky then List.iter (fun (_, _, q) -> q.picky <- q.picky - 1) qs;
-        if woken then attempt () else None)
+        if woken then attempt qs else None)
   in
-  attempt ()
+  attempt qs
 
 let dequeue t id h ?tag ?filter ?rank ?error_queue wait =
   Option.map (fun (_, _, el) -> el)
@@ -1045,7 +1053,7 @@ let commit = Base.commit
 let remembered = Base.remembered
 let incarnation t = (Base.state t).incarnations
 
-let auto_commit t f =
+let auto_run commit t f =
   let s = Base.state t in
   s.auto_n <- s.auto_n + 1;
   let id = Txid.make ~origin:s.auto_origin ~inc:s.incarnations ~n:s.auto_n in
@@ -1066,6 +1074,9 @@ let auto_commit t f =
   | exception e ->
     Base.abort t id;
     raise e
+
+let auto_commit t f = auto_run commit t f
+let auto_commit_lazy t f = auto_run Base.commit_lazy t f
 
 (* A janitor abort returns what the workspace held without counting a
    failed delivery. The owner hears first: an owner on this node must not

@@ -221,9 +221,15 @@ val dequeue_set :
   wait -> (handle * Element.t) option
 (** Dequeue the globally best element across several queues (queue sets,
     §9); {!dequeue} is the set of one. Every queue of the set gets
-    {!dequeue}'s checks: a stopped one raises {!Stopped}, and a strict-FIFO
-    one's lock is taken, in list order, before any element is chosen. The
-    tag update, if any, applies to the handle that won. *)
+    {!dequeue}'s stop check: a stopped one raises {!Stopped}. A
+    strict-FIFO queue alone is locked before any element is chosen; in a
+    larger set only the strict queue the dequeue takes from is locked,
+    once its head is the best match, so a strict queue does not
+    serialize dequeues that take from the set's other queues; from then
+    on the dequeue takes (or waits) from that queue alone, whose head may
+    have moved while the lock was waited for, and so holds one strict
+    lock at most. The tag update, if any, applies to the handle that
+    won. *)
 
 val read : t -> int64 -> Element.t option
 (** Read an element's contents by eid without modifying it. Elements locked
@@ -268,6 +274,20 @@ val auto_commit : t -> (Rrq_txn.Txid.t -> 'a) -> 'a
     are durable and visible when the call returns (the paper's
     outside-a-transaction mode, visible "before the operation returns").
     Uses an internal transaction id. *)
+
+val auto_commit_lazy : t -> (Rrq_txn.Txid.t -> 'a) -> 'a
+(** {!auto_commit} whose own record is not waited for
+    ({!Rrq_txn.Rm.Make.commit_lazy}): the effects are visible at once,
+    and everything logged before them is durable (and shipped) when the
+    call returns, but the record rides the next force of the log. A
+    crash before that undoes the operations, so a dequeue's element comes
+    back. The paper's Receive needs only at-least-once reply processing
+    (§3): the site's Receive path dequeues this way, and the clerk
+    fences it before its next Send or Disconnect is acknowledged
+    ({!Rrq_core.Clerk}). Its locks go at the append, which is safe for a
+    dequeue from a client's own reply queue: only its registrant
+    dequeues there, one Receive at a time, so no other transaction waits
+    on those locks or could take an element after the one given back. *)
 
 val abort_stale : t -> older_than:float -> int
 (** Unilaterally abort active (unprepared) workspaces idle longer than the

@@ -10,12 +10,17 @@ type chunk = { data : Bytes.t; off : int; mutable len : int; owned : bool }
 type file_state = {
   fname : string;
   (* Durable contents as chunks, newest first, and the views appended
-     since the last sync, newest first. A sync moves a long run of views
-     into the durable list as they are and copies a short one into a
-     page, so a synced byte is copied at most once. *)
+     since the last sync, oldest first: view [i] is [p_len.(i)] bytes of
+     [p_data.(i)] from [p_off.(i)], for [i < p_n]. The arrays are kept
+     across syncs, so an append allocates nothing. A sync makes chunks of
+     a long run of views as they are and copies a short one into a page,
+     so a synced byte is copied at most once. *)
   mutable durable : chunk list;
   mutable durable_len : int;
-  mutable pending : chunk list;
+  mutable p_data : Bytes.t array;
+  mutable p_off : int array;
+  mutable p_len : int array;
+  mutable p_n : int;
   mutable pending_len : int;
   owner : t;
 }
@@ -71,7 +76,17 @@ let open_file t fname =
   | Some f -> f
   | None ->
     let f =
-      { fname; durable = []; durable_len = 0; pending = []; pending_len = 0; owner = t }
+      {
+        fname;
+        durable = [];
+        durable_len = 0;
+        p_data = [||];
+        p_off = [||];
+        p_len = [||];
+        p_n = 0;
+        pending_len = 0;
+        owner = t;
+      }
     in
     Hashtbl.add t.files fname f;
     f
@@ -92,6 +107,43 @@ let rec views buf owned len lo strings chunks = function
     views buf owned len at (strings + String.length s)
       (alias s :: view buf owned lo at chunks) later
 
+(* Append one view to the pending arrays, growing them when full. *)
+let push f data off len =
+  if len > 0 then begin
+    let n = f.p_n in
+    if n = Array.length f.p_data then begin
+      let grow a fill =
+        let b = Array.make (max 8 (2 * n)) fill in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      f.p_data <- grow f.p_data Bytes.empty;
+      f.p_off <- grow f.p_off 0;
+      f.p_len <- grow f.p_len 0
+    end;
+    f.p_data.(n) <- data;
+    f.p_off.(n) <- off;
+    f.p_len.(n) <- len;
+    f.p_n <- n + 1
+  end
+
+(* The layout's views, oldest first: stretches of [buf] between the
+   spliced strings and the strings themselves. *)
+let rec push_views f buf len lo strings = function
+  | [] -> push f buf lo (len - strings - lo)
+  | (at, s) :: later ->
+    push f buf lo (at - lo);
+    push f (Bytes.unsafe_of_string s) 0 (String.length s);
+    push_views f buf len at (strings + String.length s) later
+
+(* Copy the pending views, oldest first, into [dst] from [pos]. *)
+let blit_pending f dst pos =
+  let pos = ref pos in
+  for i = 0 to f.p_n - 1 do
+    Bytes.blit f.p_data.(i) f.p_off.(i) dst !pos f.p_len.(i);
+    pos := !pos + f.p_len.(i)
+  done
+
 (* Copy [chunks] (newest first) into [dst], the newest ending at [hi]. *)
 let rec blit_back dst hi = function
   | [] -> ()
@@ -105,8 +157,10 @@ let concat chunks len =
   blit_back b len chunks;
   b
 
+(* The slots are emptied too, so a synced frame is not kept alive. *)
 let clear_pending f =
-  f.pending <- [];
+  Array.fill f.p_data 0 f.p_n Bytes.empty;
+  f.p_n <- 0;
   f.pending_len <- 0
 
 (* Shared by the public crash and the injected crash-point trigger. *)
@@ -123,7 +177,8 @@ let crash_now t =
         (* Keep a random prefix of the unsynced tail: a torn block. *)
         let keep = Rrq_util.Rng.int rng (f.pending_len + 1) in
         if keep > 0 then begin
-          let torn = concat f.pending f.pending_len in
+          let torn = Bytes.create f.pending_len in
+          blit_pending f torn 0;
           f.durable <- { data = torn; off = 0; len = keep; owned = false } :: f.durable;
           f.durable_len <- f.durable_len + keep
         end
@@ -151,7 +206,7 @@ let allow_durability t =
 
 let append f buf ~spliced ~len =
   if not f.owner.dead then begin
-    f.pending <- views buf false len 0 0 f.pending spliced;
+    push_views f buf len 0 0 spliced;
     f.pending_len <- f.pending_len + len;
     f.owner.last_appended <- Some f.fname
   end
@@ -185,10 +240,15 @@ let sync f =
   if allow_durability t then begin
     let n = f.pending_len in
     if n > 0 then begin
-      if n >= page_below then f.durable <- f.pending @ f.durable
+      if n >= page_below then
+        for i = 0 to f.p_n - 1 do
+          f.durable <-
+            { data = f.p_data.(i); off = f.p_off.(i); len = f.p_len.(i); owned = false }
+            :: f.durable
+        done
       else begin
         let c = room_for f n in
-        blit_back c.data (c.off + c.len + n) f.pending;
+        blit_pending f c.data (c.off + c.len);
         c.len <- c.len + n
       end;
       f.durable_len <- f.durable_len + n;
@@ -206,7 +266,7 @@ let size f = f.durable_len + f.pending_len
 
 let read f =
   let b = Bytes.create (size f) in
-  blit_back b (size f) f.pending;
+  blit_pending f b f.durable_len;
   blit_back b f.durable_len f.durable;
   Bytes.unsafe_to_string b
 

@@ -162,6 +162,7 @@ let append t parts =
 
 let force t = Group_commit.force t.gc
 let tail t = Wal.appended_lsn t.wal
+let durable t = Wal.durable_lsn t.wal
 
 let force_upto t lsn =
   if

@@ -95,6 +95,9 @@ val force : t -> unit
 val tail : t -> int
 (** The LSN of the last appended record. *)
 
+val durable : t -> int
+(** The LSN of the last durable record. *)
+
 val force_upto : t -> int -> unit
 (** {!force}, unless the records up to this LSN are already durable (and
     shipped, while a shipper is installed): under load other commits'

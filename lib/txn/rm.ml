@@ -221,6 +221,17 @@ module Make (S : STATE) = struct
 
   let commit t id = Node_log.commit t.log [ stage t id ]
 
+  (* The workspace's record rides the next force; only what was logged
+     before it must be durable (and shipped) first. The locks go at the
+     append. With no workspace nothing was read, and nothing waits. *)
+  let commit_lazy t id =
+    if has_workspace t id then begin
+      let before = Node_log.tail t.log in
+      Node_log.append t.log [ stage t id ];
+      Node_log.force_upto t.log before
+    end
+    else commit t id
+
   (* The workspace as an in-doubt section, for a parallel commit's staged
      record or a prepare record of its own. Locks stay held. *)
   let prepare_part t id ~coordinator =

@@ -98,6 +98,17 @@ module Make (S : STATE) : sig
   val commit : t -> Txid.t -> unit
   (** Commit the workspace with this RM alone: one record, one force. *)
 
+  val commit_lazy : t -> Txid.t -> unit
+  (** {!commit} that does not wait for its own record: append it
+      ({!Node_log.append}), apply it, release the locks at once, then
+      wait only until the log is durable (and, in sync shipping mode,
+      shipped) up to the record before it ({!Node_log.force_upto}), so
+      every effect the workspace read was durable before the call
+      returns. The record itself rides the next force, and a crash before
+      that loses it. Only for a workspace whose loss is a redelivery its
+      owner can absorb, and whose locks no one else waits on: a client's
+      Receive from its own reply queue ({!Rrq_qm.Qm.auto_commit_lazy}). *)
+
   val commit_now : t -> S.redo list -> unit
   (** Log and apply updates that belong to no transaction (DDL,
       maintenance): one record, one force. *)

@@ -472,6 +472,36 @@ let test_sharded_anomaly_caught_and_shrunk () =
   Alcotest.(check bool) "repro line carries the plan" true
     (String.length line > String.length (C.Plan.to_string minimal))
 
+(* The designed fence anomaly: clerks whose Sends never fence their lazy
+   Receive, with reply queues pinned off their clients' request shards.
+   Fault-free it passes. A crash of a reply shard after the next Send was
+   acknowledged, before another commit forced that shard's log, gives a
+   received reply back, which reply-delivery flags. The explorer must
+   catch it and ddmin shrink it; the shrunk plan is harmless to the fenced
+   clerks of the same world ([sharded_slow]). *)
+let test_sharded_unfenced_caught_and_shrunk () =
+  let clean = C.Plan.make ~seed:0 ~policy:`Fifo ~faults:[] in
+  Alcotest.(check bool) "fault-free unfenced run passes" false
+    (C.Scenario.failed (C.Scenario.run C.Scenario.sharded_unfenced clean));
+  let report = C.Explore.run ~budget:200 ~seed:7 C.Scenario.sharded_unfenced in
+  let f =
+    match report.C.Explore.failure with
+    | Some f -> f
+    | None -> Alcotest.fail "explorer failed to catch the unfenced Receive"
+  in
+  Alcotest.(check bool) "reply-delivery caught it" true
+    (List.exists
+       (fun (x : C.Audit.finding) -> x.C.Audit.auditor = "reply-delivery")
+       f.C.Explore.outcome.C.Scenario.findings);
+  let minimal = C.Explore.minimal_plan f in
+  Alcotest.(check bool) "shrunk to fewer faults" true
+    (List.length minimal.C.Plan.faults < List.length f.C.Explore.plan.C.Plan.faults);
+  Alcotest.(check bool) "minimal plan still fails" true
+    (C.Scenario.failed (C.Scenario.run C.Scenario.sharded_unfenced minimal));
+  Alcotest.(check string) "the fenced clerks pass it" "all auditors passed"
+    (C.Audit.findings_to_string
+       (C.Scenario.run C.Scenario.sharded_slow minimal).C.Scenario.findings)
+
 (* Crash-site sweep across the routing machinery AND each shard's own WAL
    and 2PC sites (their names embed the shard node, so the victim is the
    shard that reached the site). The fault-free probe still performs the
@@ -896,9 +926,15 @@ let prop_quickstart_audits_hold =
 
 (* ---- the reply-delivery auditor ----------------------------------------- *)
 
-(* Queued replies are counted by their [rid] property: a reply both
-   received and still queued, or queued twice, is reported, and so is a
-   request with no reply at all. *)
+(* Queued replies are counted by their [rid] property. Under at-least-once
+   reply processing ([replies_seen]) there must be exactly one reply per
+   rid, by eid, received or queued: r2 has two different replies; r3 is
+   received and queued again, and r6 received twice, with no crash to
+   explain it (a reply seen again after its client's next Send was
+   durable); r4 is received twice after one crash of its reply queue's
+   node between a Receive and its fence; r7 three times after one such
+   crash, which can give a reply back once; r5 has none. The crash-free
+   rule ([reply_delivery]) counts copies, so it flags r4 too. *)
 let test_reply_delivery_counts () =
   let detail = ref None in
   let s = Sched.create () in
@@ -913,9 +949,7 @@ let test_reply_delivery_counts () =
          let qm = Rrq_core.Site.qm site in
          let h, _ = Rrq_qm.Qm.register qm ~queue:"reply.c" ~registrant:"srv" ~stable:false in
          let put ?(props = []) body =
-           ignore
-             (Rrq_qm.Qm.auto_commit qm (fun id ->
-                  Rrq_qm.Qm.enqueue qm id h ~props body))
+           Rrq_qm.Qm.auto_commit qm (fun id -> Rrq_qm.Qm.enqueue qm id h ~props body)
          in
          let reply rid =
            let env =
@@ -924,21 +958,44 @@ let test_reply_delivery_counts () =
            in
            put ~props:(Rrq_core.Envelope.props env) env.Rrq_core.Envelope.body
          in
-         List.iter reply [ "r1"; "r2"; "r2"; "r3" ];
-         put "no header";
-         let received rid = if rid = "r3" || rid = "r4" then 1 else 0 in
-         let auditor =
-           C.Audit.reply_delivery
-             ~sites:(fun () -> [ site ])
-             ~received
-             ~rids:(fun () -> [ "r1"; "r2"; "r3"; "r4"; "r5" ])
+         ignore (reply "r1");
+         ignore (reply "r2");
+         ignore (reply "r2");
+         let r3 = reply "r3" in
+         ignore (put "no header");
+         let seen = function
+           | "r3" -> [ r3 ]
+           | "r4" -> [ 7L; 7L ]
+           | "r6" -> [ 9L; 9L ]
+           | "r7" -> [ 11L; 11L; 11L ]
+           | _ -> []
          in
-         detail := Some (C.Audit.findings_to_string (C.Audit.run [ auditor ]))));
+         let sites () = [ site ] and rids () = [ "r1"; "r2"; "r3"; "r4"; "r5"; "r6"; "r7" ] in
+         let findings auditor = C.Audit.findings_to_string (C.Audit.run [ auditor ]) in
+         detail :=
+           Some
+             ( findings
+                 (C.Audit.replies_seen ~sites ~seen
+                    ~crashes:(function "r4" | "r7" -> 1 | _ -> 0)
+                    ~rids),
+               findings
+                 (C.Audit.reply_delivery ~sites
+                    ~received:(fun rid -> List.length (seen rid))
+                    ~rids) )));
   Sched.run s;
-  Alcotest.(check (option string)) "findings"
+  Alcotest.(check (option (pair string string))) "findings"
     (Some
-       "reply-delivery: r2: 2 replies (received+queued); r3: 2 replies \
-        (received+queued); r5: no reply delivered or queued")
+       ( "reply-delivery: r2: 2 replies (received+queued); r3: one reply seen 2 \
+          times (received+queued), 0 crash(es) of its reply queue's nodes \
+          between a Receive and its fence; r5: no reply delivered or queued; \
+          r6: one reply seen 2 times (received+queued), 0 crash(es) of its reply \
+          queue's nodes between a Receive and its fence; r7: one reply seen 3 \
+          times (received+queued), 1 crash(es) of its reply queue's nodes \
+          between a Receive and its fence",
+         "reply-delivery: r2: 2 replies (received+queued); r3: 2 replies \
+          (received+queued); r4: 2 replies (received+queued); r5: no reply \
+          delivered or queued; r6: 2 replies (received+queued); r7: 3 replies \
+          (received+queued)" ))
     !detail
 
 let () =
@@ -989,6 +1046,8 @@ let () =
             `Slow test_sharded_crash_site_sweep;
           Alcotest.test_case "designed plan: coordinator dies before its decision is durable"
             `Quick test_sharded_unsettled_decision_plan;
+          Alcotest.test_case "designed bug: an unfenced Receive is caught and shrunk"
+            `Quick test_sharded_unfenced_caught_and_shrunk;
           Alcotest.test_case "designed plan: a lock taken after a force-abort is released"
             `Quick test_sharded_lock_after_abort_plan;
         ] );

@@ -400,6 +400,16 @@ let r8_cases =
       fires "R8"
         "let f gc nd = ignore (Group_commit.append gc \"r\");\n\
         \  ignore (Net.call nd ~dst:\"a\" ~service:\"s\" ())" );
+    ( "silent: a lazy commit releases its own reply",
+      silent "R8" "let f log id iv = Rm.commit_lazy log id; Ivar.fill iv 0" );
+    ( "silent: the fenced lazy reply",
+      silent "R8"
+        "let f log id iv1 iv2 = Rm.commit_lazy log id; Ivar.fill iv1 0;\n\
+        \  Node_log.force_upto log 0; Ivar.fill iv2 1" );
+    ( "fires: the unfenced lazy reply (the designed bug)",
+      fires "R8"
+        "let f log id iv1 iv2 = Rm.commit_lazy log id; Ivar.fill iv1 0;\n\
+        \  Ivar.fill iv2 1" );
     ( "silent: append_force before net send",
       silent "R8"
         "let f gc nd = ignore (Group_commit.append_force gc \"r\");\n\

@@ -920,6 +920,69 @@ let test_strict_fifo_serializes () =
         [ "t1:a"; "t1:commit"; "t2:b" ] (List.rev !order))
     [ single; set_of_one ]
 
+(* Two set dequeuers over the strict queues qa and qb. t1 picks a2 and
+   waits for qa's lock, which t0 holds; t2 picks b2 (its filter admits
+   only k=x) and waits for qb's, which t3 holds. t0 takes a2 too and
+   commits; t3 commits after a k=x element of priority 9 reached qa. Once
+   granted its lock, each takes from that queue alone, so neither asks
+   for a second strict lock while holding one: t1 finds qa empty, t2
+   takes b2. Re-selecting across the set, t1 would hold qa and wait for
+   qb while t2 held qb and waited for qa. *)
+let test_set_holds_one_strict_lock () =
+  let got = ref [] in
+  let _ =
+    H.run (fun s ->
+        let disk = Disk.create "n" in
+        let qm = Qm.open_qm disk ~name:"qm" in
+        Qm.set_clock qm (fun () -> Sched.now s);
+        let strict = { Qm.default_attrs with strict_fifo = true } in
+        Qm.create_queue qm ~attrs:strict "qa";
+        Qm.create_queue qm ~attrs:strict "qb";
+        let ha, _ = Qm.register qm ~queue:"qa" ~registrant:"t" ~stable:false in
+        let hb, _ = Qm.register qm ~queue:"qb" ~registrant:"t" ~stable:false in
+        let x = [ ("k", "x") ] in
+        let record name f =
+          let r =
+            try payload_of (f ()) with Qm.Conflict msg -> "conflict: " ^ msg
+          in
+          got := (name, r) :: !got
+        in
+        ignore
+          (Sched.spawn s ~name:"seed" (fun () ->
+               ignore (enq qm ha "a1");
+               ignore (enq qm ha "a2");
+               ignore (enq qm hb "b1");
+               ignore (enq ~props:x qm hb "b2")));
+        let holder name n h ~at ~more =
+          ignore
+            (Sched.spawn s ~name (fun () ->
+                 Sched.sleep 1.0;
+                 let id = tx n in
+                 ignore (Qm.dequeue qm id h Qm.No_wait);
+                 Sched.sleep (at -. 1.0 -. 0.5);
+                 more id;
+                 Sched.sleep 0.5;
+                 Qm.commit qm id))
+        in
+        holder "t0" 0 ha ~at:3.0 ~more:(fun id -> ignore (Qm.dequeue qm id ha Qm.No_wait));
+        holder "t3" 3 hb ~at:5.0 ~more:(fun _ ->
+            ignore (enq ~props:x ~priority:9 qm ha "a3"));
+        let set name n ?filter ~at () =
+          ignore
+            (Sched.spawn s ~name (fun () ->
+                 Sched.sleep at;
+                 let id = tx n in
+                 record name (fun () ->
+                     Option.map snd (Qm.dequeue_set qm id [ ha; hb ] ?filter Qm.No_wait));
+                 Sched.sleep 5.0;
+                 Qm.commit qm id))
+        in
+        set "t1" 1 ~at:2.0 ();
+        set "t2" 2 ~filter:(Filter.Prop_eq ("k", "x")) ~at:2.2 ())
+  in
+  Alcotest.(check (list (pair string string))) "no deadlock"
+    [ ("t1", "<empty>"); ("t2", "b2") ] (List.rev !got)
+
 let test_abort_stale () =
   let _ =
     H.run (fun s ->
@@ -1251,6 +1314,7 @@ let blocking =
     Alcotest.test_case "filtered waiters: set" `Quick
       (test_filtered_waiters ~deq:set_of_one Qm.Block);
     Alcotest.test_case "strict fifo serializes" `Quick test_strict_fifo_serializes;
+    Alcotest.test_case "set holds one strict lock" `Quick test_set_holds_one_strict_lock;
     Alcotest.test_case "abort stale workspaces" `Quick test_abort_stale;
     Alcotest.test_case "auto-commit exception aborts" `Quick
       test_auto_commit_exception_aborts;

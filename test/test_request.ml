@@ -117,12 +117,18 @@ let test_server_crash_exactly_once () =
                for i = 1 to 10 do
                  let rid = Printf.sprintf "r%d" i in
                  ignore (Clerk.send clerk ~rid ("w" ^ string_of_int i));
-                 let rec get () =
+                 (* A crash before this Send can undo the last Receive:
+                    that reply comes back once, as a stray. *)
+                 let rec get ~strays =
                    match Clerk.receive clerk ~timeout:3.0 () with
+                   | Some reply
+                     when reply.Envelope.rid = Printf.sprintf "r%d" (i - 1)
+                          && strays = 0 ->
+                     get ~strays:1
                    | Some reply -> reply
-                   | None -> get ()
+                   | None -> get ~strays
                  in
-                 let reply = get () in
+                 let reply = get ~strays:0 in
                  Alcotest.(check string) "matching reply" rid reply.Envelope.rid;
                  Sched.sleep 1.0
                done;
@@ -468,6 +474,300 @@ let test_sharded_reply_is_local () =
             (client_id ^ ": no remote participant") [] remote))
     [ "c0"; "c1"; "c2"; "c3" ]
 
+(* --- the lazy Receive ---------------------------------------------------- *)
+
+module Node_log = Rrq_txn.Node_log
+module Group_commit = Rrq_wal.Group_commit
+module Ha = Rrq_core.Ha
+module Tag = Rrq_core.Tag
+
+let reply_props ~client rid =
+  let env =
+    Envelope.make ~rid ~client_id:client ~reply_node:"backend"
+      ~reply_queue:(Shard.reply_queue client) ~kind:"reply" "done"
+  in
+  Envelope.props env
+
+(* A server's reply transaction. *)
+let put_reply site ~client rid =
+  let qm = Site.qm site in
+  let h, _ =
+    Qm.register qm ~queue:(Shard.reply_queue client) ~registrant:"srv" ~stable:false
+  in
+  ignore
+    (Qm.auto_commit qm (fun id ->
+         Qm.enqueue qm id h ~props:(reply_props ~client rid) "done"))
+
+let receive_op ~client rid =
+  Site.Q_dequeue
+    {
+      registrant = client;
+      queue = Shard.reply_queue client;
+      tag = Some (Tag.receive ~rid:(Some rid) ~ckpt:None);
+      filter = None;
+      timeout = Some 2.0;
+    }
+
+(* The reply's transaction is durable (and, on a Sync pair, shipped) when
+   the Receive returns: the first reply is put while the Receive waits.
+   That Receive is served in the test's own fiber, so the check runs the
+   instant it returns. The Receive's own record is not durable, until the
+   next Send forces the log: the second reply is durable before its
+   Receive starts. *)
+let test_receive_waits_for_its_reply_only () =
+  List.iter
+    (fun (label, repo, system, backups) ->
+      let checked = ref false in
+      let _ =
+        H.run (fun s ->
+            let net = Net.create ~latency:0.005 s (Rng.create 42) in
+            let world =
+              World.build net { (World.single "backend") with repos = [ repo ]; sync_latency = 0.005 }
+            in
+            let client_node = Net.make_node net "client" in
+            ignore
+              (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
+                   while not (World.ready world) do Sched.sleep 0.1 done;
+                   let site = World.site world system in
+                   let log () = Site.log site in
+                   let clerk, _ =
+                     Clerk.connect ~client_node ~system ~backups ~client_id:"alice"
+                       ~req_queue:"req" ()
+                   in
+                   ignore (Clerk.send clerk ~rid:"r1" "work");
+                   let producer = ref max_int in
+                   ignore
+                     (Sched.fork ~name:"producer" (fun () ->
+                          Sched.sleep 0.1;
+                          producer := Node_log.tail (log ()) + 1;
+                          put_reply site ~client:"alice" "r1"));
+                   (match Site.clerk_service site (receive_op ~client:"alice" "r1") with
+                   | Site.R_element (Some _) -> ()
+                   | _ -> Alcotest.fail (label ^ ": no reply"));
+                   Alcotest.(check bool)
+                     (label ^ ": its transaction durable") true
+                     (Node_log.durable (log ()) >= !producer);
+                   if backups <> [] then
+                     Alcotest.(check bool)
+                       (label ^ ": and shipped") true
+                       (Group_commit.shipped_lsn (Node_log.group_commit (log ()))
+                       >= !producer);
+                   ignore (Clerk.send clerk ~rid:"r2" "work");
+                   put_reply site ~client:"alice" "r2";
+                   ignore (Clerk.receive clerk ~timeout:2.0 ());
+                   let own = Node_log.tail (log ()) in
+                   Alcotest.(check bool)
+                     (label ^ ": the Receive's record not yet durable") true
+                     (Node_log.durable (log ()) < own);
+                   ignore (Clerk.send clerk ~rid:"r3" "work");
+                   Alcotest.(check bool)
+                     (label ^ ": durable once the next Send is acknowledged") true
+                     (Node_log.durable (log ()) >= own);
+                   checked := true)))
+      in
+      Alcotest.(check bool) (label ^ ": ran") true !checked)
+    [
+      ("single", World.Single "backend", "backend", []);
+      ( "sync pair",
+        World.Pair
+          { World.primary = "p"; standby = "b"; mode = Ha.Sync; sync_latency = 0.005; cold = None },
+        "p",
+        [ "b" ] );
+    ]
+
+(* A crash after the Receive and before the next Send undoes the Receive:
+   the same reply (same eid) comes back, as a stray before the next
+   request's reply. *)
+let test_crash_before_send_redelivers_a_stray () =
+  let seen = ref [] in
+  let _ =
+    H.run (fun s ->
+        let rig = make_rig s in
+        ignore
+          (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
+               let clerk, _ = connect rig () in
+               let receive () =
+                 match Clerk.receive clerk ~timeout:3.0 () with
+                 | Some env -> seen := (env.Envelope.rid, Clerk.reply_eid clerk) :: !seen
+                 | None -> Alcotest.fail "no reply"
+               in
+               ignore (Clerk.send clerk ~rid:"r1" "w1");
+               receive ();
+               Site.crash_restart rig.backend ~after:0.5;
+               Sched.sleep 1.0;
+               ignore (Clerk.send clerk ~rid:"r2" "w2");
+               receive ();
+               receive ())))
+  in
+  match List.rev !seen with
+  | [ ("r1", e1); ("r1", e1'); ("r2", _) ] ->
+    Alcotest.(check (option int64)) "the same reply" e1 e1'
+  | l ->
+    Alcotest.fail
+      ("receipts: " ^ String.concat ", " (List.map fst l))
+
+(* A retried Receive answers with the element its first attempt took only
+   when that is a reply to its rid: after a stray, it dequeues afresh. *)
+let test_stray_is_not_a_retry () =
+  let got = ref [] in
+  let _ =
+    H.run (fun s ->
+        let rig = make_rig s in
+        ignore
+          (Sched.spawn s ~group:"client" ~name:"c" (fun () ->
+               let site = rig.backend in
+               ignore (Site.clerk_service site (Site.Q_create_queue "reply.c"));
+               put_reply site ~client:"c" "r0";
+               put_reply site ~client:"c" "r1";
+               for _ = 1 to 2 do
+                 match Site.clerk_service site (receive_op ~client:"c" "r1") with
+                 | Site.R_element (Some v) ->
+                   got :=
+                     (Envelope.of_parts ~props:v.Site.v_props v.Site.v_payload).Envelope.rid
+                     :: !got
+                 | _ -> got := "none" :: !got
+               done)))
+  in
+  Alcotest.(check (list string)) "r0, then r1" [ "r0"; "r1" ] (List.rev !got)
+
+(* The clerk's map (v2) puts its requests with its reply queue on s1,
+   whose router still holds v1 and relays the Send to s0. The clerk sends
+   no fence, since under its map the Send went to the Receive's shard, so
+   the relaying router forces its own log before relaying: the Receive is
+   durable once the Send is acknowledged. *)
+let test_relay_forces_the_receive () =
+  let v1 =
+    {
+      Shard.version = 1;
+      shards = [ "s0"; "s1" ];
+      backups = [];
+      sharded_queues = [ "req" ];
+      pins = [ ("req#alice", "s0"); ("reply.alice", "s1") ];
+    }
+  in
+  let v2 = { v1 with version = 2; pins = [ ("req#alice", "s1"); ("reply.alice", "s1") ] } in
+  let verdict = ref None in
+  let _ =
+    H.run (fun s ->
+        let net = Net.create ~latency:0.005 s (Rng.create 42) in
+        let world =
+          World.build net
+            {
+              (World.single "s0") with
+              repos = [ World.Single "s0"; World.Single "s1" ];
+              shards = Some { World.map = v1; untag_forward_bug = false };
+            }
+        in
+        let client_node = Net.make_node net "client" in
+        ignore
+          (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
+               while not (World.ready world) do Sched.sleep 0.1 done;
+               let s1 = World.site world "s1" in
+               let clerk, _ =
+                 Clerk.connect ~client_node ~system:"s1" ~shard_map:v2
+                   ~client_id:"alice" ~req_queue:"req" ()
+               in
+               put_reply s1 ~client:"alice" "r0";
+               ignore (Clerk.receive clerk ~timeout:2.0 ());
+               let log = Site.log s1 in
+               let own = Node_log.tail log in
+               let undurable = Node_log.durable log < own in
+               ignore (Clerk.send clerk ~rid:"r1" "w1");
+               verdict := Some (undurable, Node_log.durable log >= own))))
+  in
+  Alcotest.(check (option (pair bool bool)))
+    "Receive undurable, then durable at the relayed Send's ack" (Some (true, true))
+    !verdict
+
+(* Only a client's own reply queue is dequeued lazily. A dequeue from any
+   other queue, which other dequeuers may share (another client's reply
+   queue among them), commits with a force of its own, so its element
+   cannot come back after another dequeuer moved on. *)
+let test_other_queue_dequeue_forces () =
+  let verdicts = ref [] in
+  let _ =
+    H.run (fun s ->
+        let rig = make_rig s in
+        ignore
+          (Sched.spawn s ~group:"client" ~name:"c" (fun () ->
+               let site = rig.backend in
+               let qm = Site.qm site and log = Site.log site in
+               List.iter
+                 (fun (registrant, queue) ->
+                   ignore (Site.clerk_service site (Site.Q_create_queue queue));
+                   let h, _ = Qm.register qm ~queue ~registrant:"srv" ~stable:false in
+                   ignore (Qm.auto_commit qm (fun id -> Qm.enqueue qm id h "x"));
+                   (match
+                      Site.clerk_service site
+                        (Site.Q_dequeue
+                           { registrant; queue; tag = None; filter = None; timeout = None })
+                    with
+                   | Site.R_element (Some _) -> ()
+                   | _ -> Alcotest.fail ("nothing dequeued from " ^ queue));
+                   verdicts :=
+                     ( queue ^ " by " ^ registrant,
+                       Node_log.durable log >= Node_log.tail log )
+                     :: !verdicts)
+                 [ ("c", "shared"); ("d", "reply.c"); ("c", "reply.c") ])))
+  in
+  Alcotest.(check (list (pair string bool)))
+    "dequeue durable when answered"
+    [ ("shared by c", true); ("reply.c by d", true); ("reply.c by c", false) ]
+    (List.rev !verdicts)
+
+(* The reply queue pinned to another shard than the requests: the Send
+   executes elsewhere, so the clerk fences the Receive's shard before the
+   Send is acknowledged. The server takes half a second, so no reply
+   transaction forces that shard meanwhile. Without the fence (the
+   designed anomaly) the Receive is still undurable. *)
+let test_cross_shard_fence () =
+  let map =
+    {
+      Shard.version = 1;
+      shards = [ "s0"; "s1" ];
+      backups = [];
+      sharded_queues = [ "req" ];
+      pins = [ ("req#alice", "s0"); ("reply.alice", "s1") ];
+    }
+  in
+  let slow site txn env =
+    Sched.sleep 0.5;
+    Audit.counting_handler site txn env
+  in
+  List.iter
+    (fun unfenced_bug ->
+      let verdict = ref None in
+      let _ =
+        H.run (fun s ->
+            let net = Net.create ~latency:0.005 s (Rng.create 42) in
+            let world =
+              World.build net
+                {
+                  (World.single "s0") with
+                  repos = [ World.Single "s0"; World.Single "s1" ];
+                  shards = Some { World.map; untag_forward_bug = false };
+                  server = Some { World.queue = "req"; threads = 1; handler = slow };
+                }
+            in
+            let client_node = Net.make_node net "client" in
+            ignore
+              (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
+                   let clerk, _ =
+                     Clerk.connect ~client_node ~system:"s0" ~shard_map:map
+                       ~client_id:"alice" ~req_queue:"req" ~unfenced_bug ()
+                   in
+                   ignore (Clerk.send clerk ~rid:"r1" "w1");
+                   ignore (Clerk.receive clerk ~timeout:3.0 ());
+                   let log = Site.log (World.site world "s1") in
+                   let own = Node_log.tail log in
+                   ignore (Clerk.send clerk ~rid:"r2" "w2");
+                   verdict := Some (Node_log.durable log >= own))))
+      in
+      Alcotest.(check (option bool))
+        (Printf.sprintf "unfenced_bug=%b: Receive durable at the Send's ack" unfenced_bug)
+        (Some (not unfenced_bug)) !verdict)
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "happy path" `Quick test_happy_path;
@@ -492,6 +792,16 @@ let suite =
       test_sharded_reply_is_local;
     Alcotest.test_case "server crash-time sweep" `Quick
       test_server_crash_time_sweep;
+    Alcotest.test_case "lazy Receive: waits for its reply's transaction only" `Quick
+      test_receive_waits_for_its_reply_only;
+    Alcotest.test_case "lazy Receive: a crash before the next Send gives a stray"
+      `Quick test_crash_before_send_redelivers_a_stray;
+    Alcotest.test_case "a stray is not a retried Receive" `Quick test_stray_is_not_a_retry;
+    Alcotest.test_case "lazy Receive: the cross-shard fence" `Quick test_cross_shard_fence;
+    Alcotest.test_case "lazy Receive: only from its own reply queue" `Quick
+      test_other_queue_dequeue_forces;
+    Alcotest.test_case "lazy Receive: a relaying router forces it" `Quick
+      test_relay_forces_the_receive;
   ]
 
 let () = Alcotest.run "rrq-request" [ ("system-model", suite) ]

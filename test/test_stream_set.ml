@@ -209,6 +209,43 @@ let test_server_queue_set_strict_fifo () =
         [ "start r1"; "end r1"; "start r2"; "end r2" ]
         (List.rev !steps))
 
+(* The same set with two requests on the plain queue: a strict queue
+   serializes only the transactions that take from it, so both threads
+   handle a standard request at once. *)
+let test_server_queue_set_strict_locks_only_its_own () =
+  H.run_fiber' (fun s ->
+      let net = Net.create s (Rng.create 57) in
+      let backend =
+        Site.create
+          ~queues:
+            [
+              ("fifo", { Qm.default_attrs with Qm.strict_fifo = true });
+              ("standard", Qm.default_attrs);
+            ]
+          (Net.make_node net "backend")
+      in
+      let starts = ref [] in
+      let _ =
+        Server.start_set backend ~req_queues:[ "fifo"; "standard" ] ~threads:2
+          (fun _site _txn env ->
+            starts := (env.Envelope.body, Sched.clock ()) :: !starts;
+            Sched.sleep 1.0;
+            Server.No_reply)
+      in
+      let qm = Site.qm backend in
+      let h, _ = Qm.register qm ~queue:"standard" ~registrant:"loader" ~stable:false in
+      push qm h "s1";
+      push qm h "s2";
+      ignore (await (fun () -> List.length !starts = 2));
+      Alcotest.(check (list string)) "both started" [ "s1"; "s2" ]
+        (List.sort compare (List.map fst !starts));
+      List.iter
+        (fun (body, at) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s started at %.3f, before the other ended" body at)
+            true (at < 0.5))
+        !starts)
+
 let () =
   Alcotest.run "rrq-stream-set"
     [
@@ -225,5 +262,7 @@ let () =
           Alcotest.test_case "set server priority" `Quick test_server_queue_set;
           Alcotest.test_case "set server strict fifo" `Quick
             test_server_queue_set_strict_fifo;
+          Alcotest.test_case "set server locks only its strict queue" `Quick
+            test_server_queue_set_strict_locks_only_its_own;
         ] );
     ]
