@@ -258,6 +258,15 @@ let replies_seen ~sites ~seen ~crashes ~rids =
                  (List.length replies)))
         (rids ()))
 
+(* Request-reply matching (paper §3): a Receive gets the reply awaited. *)
+let reply_matching ~answers =
+  make "reply-matching" (fun () ->
+      problems
+        (fun (awaited, got) ->
+          if got = awaited then None
+          else Some (Printf.sprintf "%s: awaited, got the reply to %s" awaited got))
+        (answers ()))
+
 (* After quiescence with every site up, no transaction may still be in
    doubt: the resolver daemons must have settled every prepared txn. *)
 let no_in_doubt ~sites =

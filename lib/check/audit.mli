@@ -83,6 +83,11 @@ val replies_seen :
     duplicate replies released by a speculative (lagged-shipping) primary
     that died before shipping, and a Receive undone after its fence. *)
 
+val reply_matching : answers:(unit -> (string * string) list) -> auditor
+(** Request-reply matching (paper §3): each pair of [answers], one per
+    Receive, is the rid awaited and the rid of the reply got; they must
+    be equal. *)
+
 val no_in_doubt : sites:(unit -> Rrq_core.Site.t list) -> auditor
 (** After quiescence with all sites up, no prepared transaction may remain
     unresolved (the resolver daemons must have settled 2PC in-doubts). *)

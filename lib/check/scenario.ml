@@ -183,16 +183,17 @@ let install_workload topo world =
     Pipeline.entry_queue
       (Pipeline.install (transfer_stages (site 0) (site 1) (site 2)))
 
-(* What the clients saw, for the reply-delivery auditor: per rid, each
-   sighting of its reply (the eid, when the Receive was asked and when it
-   returned) and its client and reply queue's nodes; per client, when
-   each of its Sends was acknowledged; and every crash, by node and
-   time. *)
+(* What the clients saw, for the reply auditors: per rid, each sighting
+   of its reply (the eid, when the Receive was asked and when it
+   returned) and its client and reply queue's nodes; per clerk Receive,
+   the rid it awaited and the rid it got; per client, when each of its
+   Sends was acknowledged; and every crash, by node and time. *)
 type sighting = { eid : int64; asked : float; got : float }
 
 type evidence = {
   seen : (string, sighting list) Hashtbl.t;
   home : (string, string * string list) Hashtbl.t;
+  mutable answers : (string * string) list;
   sends : (string, float list) Hashtbl.t;
   mutable crashes : (string * float) list;
 }
@@ -292,12 +293,13 @@ let arm sched net ev (site, hit, victim, recover_after) =
       then Crashpoint.crash ())
 
 (* A well-behaved client: tagged Sends, Receives retried through outages,
-   every received reply counted per rid — the reply-delivery auditor's
-   evidence of what escaped to the client. Retry budgets comfortably exceed
-   the worst fault schedule a profile can generate, so a correct run can
-   never report a lost request. With a shard map it starts from the
-   initial map and pauses between requests, so the second one straddles
-   the map change (later is fine: the map only gets newer). *)
+   every received reply counted per rid and paired with the rid awaited —
+   the reply auditors' evidence of what escaped to the client. Retry
+   budgets comfortably exceed the worst fault schedule a profile can
+   generate, so a correct run can never report a lost request. With a
+   shard map it starts from the initial map and pauses between requests,
+   so the second one straddles the map change (later is fine: the map
+   only gets newer). *)
 let clerk_client topo ~client_node ~req_queue ~ev ~replies client_id =
   let entry = List.hd topo.world.repos in
   let backups = if topo.world.shards = None then List.tl (nodes entry) else [] in
@@ -340,10 +342,8 @@ let clerk_client topo ~client_node ~req_queue ~ev ~replies client_id =
       match reply with
       | Some env when env.Envelope.kind <> "intermediate" ->
         count ev env.Envelope.rid (Option.get (Clerk.reply_eid clerk)) ~asked;
-        (* A stray (an older request's reply, given back by a crash that
-           undid its Receive): keep waiting for ours. *)
-        if env.Envelope.rid = rid then incr replies
-        else if Sched.clock () < deadline then recv ()
+        ev.answers <- (rid, env.Envelope.rid) :: ev.answers;
+        incr replies
       | _ -> if Sched.clock () < deadline then recv ()
     in
     recv ()
@@ -461,8 +461,8 @@ let balance site key =
    counting handler's executions and their summed ledger. A chain executes
    each request once per stage: it conserves money, and counts its credits
    and clearings, which a lost or repeated stage moves off their expected
-   values. Both: reply delivery over the authoritative repositories;
-   structure and in-doubt survivors over every site. *)
+   values. Both: reply delivery over the authoritative repositories,
+   reply matching, and structure and in-doubt survivors over every site. *)
 let auditors topo world ~rids ~ev =
   let auth () = World.authoritative world in
   let every () = List.map snd (World.sites world) in
@@ -497,6 +497,7 @@ let auditors topo world ~rids ~ev =
           ~seen:(fun rid ->
             List.map (fun sg -> sg.eid) (Option.value ~default:[] (Hashtbl.find_opt ev.seen rid)))
           ~crashes:(crashes_after ev) ~rids:(fun () -> rids);
+        Audit.reply_matching ~answers:(fun () -> List.rev ev.answers);
         Audit.queue_integrity ~sites:every;
         Audit.no_in_doubt ~sites:every;
       ] )
@@ -511,6 +512,7 @@ let build ?armed ?policy t (plan : Plan.t) =
     {
       seen = Hashtbl.create 16;
       home = Hashtbl.create 16;
+      answers = [];
       sends = Hashtbl.create 16;
       crashes = [];
     }

@@ -18,8 +18,9 @@
       [conservation:cleared] (one per transfer).
 
     Every world is also audited by reply-delivery over the authoritative
-    repositories — a promoted standby, else the primary — and by
-    queue-integrity and no-in-doubt over every site. *)
+    repositories — a promoted standby, else the primary — by the clerks'
+    reply-matching (each Receive got the reply to the rid it awaited),
+    and by queue-integrity and no-in-doubt over every site. *)
 
 type outcome = {
   findings : Audit.finding list;  (** Empty iff every auditor passed. *)
@@ -29,8 +30,8 @@ type outcome = {
   trace_truncated : bool;
   requests : int;  (** Requests the clients attempted. *)
   replies : int;
-      (** Requests whose reply reached their client (a stray, an older
-          request's reply seen again, does not count). *)
+      (** Requests whose reply reached their client (the blind client
+          skips a stray, an older request's reply seen again). *)
   virtual_time : float;  (** Virtual time at quiescence. *)
   failovers : int;  (** Standby promotions across every HA pair. *)
   totals : (string * int) list;

@@ -86,8 +86,8 @@ let build net w =
         Ha.attach ~mode:p.mode ~on_serving site_p ~peer:p.standby ~role:Ha.Primary
       in
       let ha_b =
-        Ha.attach ~mode:p.mode ~cold:(p.cold <> None) ?replay_bytes_per_sec:p.cold
-          ~on_serving site_b ~peer:p.primary ~role:Ha.Standby
+        Ha.attach ~mode:p.mode ?cold:p.cold ~on_serving site_b ~peer:p.primary
+          ~role:Ha.Standby
       in
       route site_p;
       route site_b;

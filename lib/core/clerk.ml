@@ -184,7 +184,7 @@ let do_connect t =
   { s_rid; r_rid; ckpt }
 
 let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
-    ~req_queue ?reply_queue ?(rpc_timeout = 1.0) ?(retries = 10)
+    ~req_queue ?(rpc_timeout = 1.0) ?(retries = 10)
     ?(strict = false) ?(unfenced_bug = false) () =
   let smap =
     match shard_map with
@@ -203,8 +203,7 @@ let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
       cnode = client_node;
       client_id;
       req_queue;
-      reply_q =
-        (match reply_queue with Some q -> q | None -> Shard.reply_queue client_id);
+      reply_q = Shard.reply_queue client_id;
       rpc_timeout;
       retries;
       strict;
@@ -224,16 +223,14 @@ let connect ~client_node ~system ?(backups = []) ?shard_map ~client_id
 
 let reconnect t = do_connect t
 
-(* The fence of a lazy Receive, once a Send was acknowledged. Only a
-   default-named reply queue is dequeued lazily. When it lives on the
-   request shard, the Send forced that log with its own record (a router
-   that relayed it forced its own first), at no further cost; otherwise
-   make the reply queue's repository durable with one round trip, whose
-   force is usually covered already. *)
+(* The fence of a lazy Receive, once a Send was acknowledged. When the
+   reply queue lives on the request shard, the Send forced that log with
+   its own record (a router that relayed it forced its own first), at no
+   further cost; otherwise make the reply queue's repository durable
+   with one round trip, whose force is usually covered already. *)
 let fence t =
   if
     t.unfenced && (not t.unfenced_bug)
-    && Shard.reply_client t.reply_q = Some t.client_id
     && Shard.owner t.smap (key t t.reply_q) <> Shard.owner t.smap (key t t.req_queue)
   then begin
     match rpc t ~queue:t.reply_q (Site.Q_fence t.reply_q) with
@@ -254,16 +251,15 @@ let disconnect t =
   t.unfenced <- false
 
 let client_id t = t.client_id
-let reply_queue t = t.reply_q
 
 (* The reply destination stamped into every request: the reply queue's
    owning shard under the current map (stable across map changes by the
-   {!Shard} non-sharded-queue constraint). Unpinned, a default-named reply
-   queue lives on the shard of this client's request key, so the server's
-   reply enqueue is local; a pinned or custom-named one may not be, and
-   then commits by 2PC with that shard. After a failover the promoted
-   standby answers to that name too ({!Site.set_aliases}), and cross-shard
-   enqueues walk its candidates ({!Site.set_candidates}). *)
+   {!Shard} non-sharded-queue constraint). Unpinned, the reply queue lives
+   on the shard of this client's request key, so the server's reply
+   enqueue is local; a pinned one may not be, and then commits by 2PC
+   with that shard. After a failover the promoted standby answers to that
+   name too ({!Site.set_aliases}), and cross-shard enqueues walk its
+   candidates ({!Site.set_candidates}). *)
 let envelope t ~rid ?kind ?scratch ?step ~body () =
   Envelope.make ~rid ~client_id:t.client_id
     ~reply_node:(Shard.owner t.smap (key t t.reply_q))

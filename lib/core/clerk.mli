@@ -43,13 +43,12 @@ val connect :
   client_node:Rrq_net.Net.node -> system:string -> ?backups:string list ->
   ?shard_map:Shard.map ->
   client_id:string ->
-  req_queue:string -> ?reply_queue:string -> ?rpc_timeout:float ->
+  req_queue:string -> ?rpc_timeout:float ->
   ?retries:int -> ?strict:bool -> ?unfenced_bug:bool -> unit -> t * connect_info
 (** Register the client with the request queue and its private reply queue
-    (created-by-convention name {!Shard.reply_queue} [client_id] unless
-    given), each at the repository that owns it: a default-named reply
-    queue is placed with the client's requests, a custom-named one by its
-    name ({!Shard}). Returns the resynchronization info.
+    ({!Shard.reply_queue} [client_id], created by convention), each at
+    the repository that owns it: the reply queue is placed with the
+    client's requests ({!Shard}). Returns the resynchronization info.
     Routing: every operation goes to the shard that owns its queue under
     a {!Shard} map — [shard_map] if given, else a version-0 map with one
     shard, [system], whose failover candidates are [backups] (default
@@ -85,7 +84,6 @@ val disconnect : t -> unit
     which fences the last {!receive}. *)
 
 val client_id : t -> string
-val reply_queue : t -> string
 
 val send :
   t -> rid:string -> ?props:(string * string) list -> ?kind:string ->
@@ -93,12 +91,12 @@ val send :
 (** Enqueue a request (body) tagged with [rid]; returns when the request is
     stably stored, with its eid (kept for {!cancel_last_request}), and
     the last {!receive} is durable too: that is the {e fence} of a lazy
-    Receive (only a default-named reply queue's is lazy). When the reply
-    queue lives on the request shard under the map the Send's reply
-    leaves installed, the Send's own force covers it (a shard router
-    that relays a Send forces its log first); otherwise the clerk sends
-    [Site.Q_fence] to the reply queue's repository. Connect counts as a Receive here, since one made before
-    a client crash may still be undurable.
+    Receive. When the reply queue lives on the request shard under the
+    map the Send's reply leaves installed, the Send's own force covers it
+    (a shard router that relays a Send forces its log first); otherwise
+    the clerk sends [Site.Q_fence] to the reply queue's repository.
+    Connect counts as a Receive here, since one made before a client
+    crash may still be undurable.
     [kind]/[scratch]/[step] feed the envelope: pseudo-conversational
     clients pass back the scratch pad and step of the last intermediate
     output (paper §8.2).
@@ -110,15 +108,18 @@ val send_oneway : t -> rid:string -> ?props:(string * string) list -> string -> 
     resynchronization. *)
 
 val receive : t -> ?ckpt:string -> ?timeout:float -> unit -> Envelope.t option
-(** Dequeue the next reply, blocking up to [timeout] (default 30).
-    [ckpt] is checkpointed atomically with the dequeue (§4.3). [None] on
-    timeout — the caller decides whether to retry or resynchronize.
-    From a default-named reply queue ({!Shard.reply_queue}) the dequeue
-    is lazy ([Site.Q_dequeue]): it returns once the reply's
-    own transaction is durable, not its own record, so until the next
-    {!send} or {!disconnect} is acknowledged a crash can give the reply
-    back, and the client sees it again (at-least-once reply processing,
-    paper §3), as a reply to an older rid than it waits for.
+(** Dequeue the reply to the last {!send} (paper §3's request-reply
+    matching): the tag names its rid, and only the reply with that [rid]
+    property is taken ([Site.Q_dequeue]); before any Send, the head.
+    Blocks up to [timeout] (default 30); [None] on timeout — the caller
+    decides whether to retry or resynchronize. [ckpt] is checkpointed
+    atomically with the dequeue (§4.3). The dequeue is lazy: it returns
+    once the reply's own transaction is durable, not its own record, so
+    until the next {!send} or {!disconnect} is acknowledged a crash can
+    give the reply back, and a Receive of the same rid takes it again
+    (at-least-once reply processing, §3). After that Send it stays
+    queued, a stray no later Receive takes: at most one per client per
+    crash of the reply queue's repository.
     @raise Unavailable *)
 
 val rereceive : t -> Envelope.t option

@@ -37,8 +37,7 @@ type t = {
   peer : string;
   mode : mode;
   ship_timeout : float;
-  cold : bool;
-  replay_bytes_per_sec : float;
+  cold : float option;
   on_serving : t -> unit;
   mutable role : role;
   mutable epoch : int;
@@ -315,10 +314,9 @@ let promote t =
   t.n_failovers <- t.n_failovers + 1;
   count t "promotions";
   t.last_promote_at <- (if Sched.in_fiber () then Sched.clock () else 0.0);
-  if t.cold then
-    (* Cold-standby model for the benchmark: the shipped log was stored but
-       not replayed, so promotion pays a scan at recovery bandwidth. *)
-    Sched.sleep (float_of_int t.applied_bytes /. t.replay_bytes_per_sec);
+  (* Cold-standby model for the benchmark: the shipped log was stored but
+     not replayed, so promotion pays a scan at recovery bandwidth. *)
+  Option.iter (fun rate -> Sched.sleep (float_of_int t.applied_bytes /. rate)) t.cold;
   Qm.bump_incarnation (Site.qm t.site);
   (* The primary's in-doubt work (its staged records' sections, remote
      coordinators' prepares) must stay invisible to the servers that start
@@ -456,9 +454,8 @@ let boot_hook t site =
     Site.set_standby t.site true;
     Net.spawn_on nd ~name:"ha:rejoin" (fun () -> rejoin_check t)
 
-let attach ?(mode = Sync) ?(ship_timeout = 2.0) ?(cold = false)
-    ?(replay_bytes_per_sec = 256.0 *. 1024.0 *. 1024.0)
-    ?(on_serving = fun _ -> ()) site ~peer ~role =
+let attach ?(mode = Sync) ?(ship_timeout = 2.0) ?cold ?(on_serving = fun _ -> ())
+    site ~peer ~role =
   let t =
     {
       site;
@@ -466,7 +463,6 @@ let attach ?(mode = Sync) ?(ship_timeout = 2.0) ?(cold = false)
       mode;
       ship_timeout;
       cold;
-      replay_bytes_per_sec;
       on_serving;
       role;
       epoch = 1;

@@ -68,8 +68,7 @@ type t
 val attach :
   ?mode:mode ->
   ?ship_timeout:float ->
-  ?cold:bool ->
-  ?replay_bytes_per_sec:float ->
+  ?cold:float ->
   ?on_serving:(t -> unit) ->
   Site.t ->
   peer:string ->
@@ -81,10 +80,10 @@ val attach :
     file) survives crash/restart. [on_serving] runs each time this node
     assumes serving-primary duty — boot as primary, or promotion — and is
     where the caller starts its servers ({!Server.start_here}): servers
-    must run only on the serving node. [cold] models a standby that
-    stores but does not replay the shipped log; promotion then pays a
-    replay scan at [replay_bytes_per_sec] (default 256 MiB/s), the knob
-    behind benchmark B15's warm-vs-cold comparison. *)
+    must run only on the serving node. [cold] (bytes per second) models a
+    standby that stores but does not replay the shipped log; promotion
+    then pays a replay scan of it at that rate, the knob behind
+    benchmark B15's warm-vs-cold comparison. *)
 
 val site : t -> Site.t
 val peer : t -> string

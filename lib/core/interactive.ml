@@ -1,7 +1,8 @@
 module Net = Rrq_net.Net
-module Wal = Rrq_wal.Wal
 module Codec = Rrq_util.Codec
 module Tm = Rrq_txn.Tm
+module Node_log = Rrq_txn.Node_log
+module Kvdb = Rrq_kvdb.Kvdb
 
 (* ---- pseudo-conversational (8.2) ------------------------------------- *)
 
@@ -49,74 +50,64 @@ type Net.payload +=
   | D_ask of { rid : string; seq : int; prompt : string }
   | D_input of string
 
-(* The client's durable intermediate-I/O log: (rid, seq, prompt, input)
-   tuples, replayed to answer repeated prompts after a server-side abort
-   and re-execution. A divergence drops entries, which a log of appends
-   cannot say: the display checkpoints its live entries then, and
-   whenever the log outgrows them by the node log's byte rule. *)
-type display = {
-  entries : (string * int, string * string) Hashtbl.t; (* (rid,seq) -> (prompt,input) *)
-  mutable fresh_asks : int;
-}
+(* The client's durable intermediate-I/O log: a KV store on a node log of
+   the client's own, one key per (rid, seq) holding its (prompt, input),
+   replayed to answer repeated prompts after a server-side abort and
+   re-execution. Each entry is durable before its prompt is answered, so
+   a conversation's entries are seq 1, 2, ... with no gap. *)
+type display = { mutable fresh_asks : int }
 
-let encode_entry e (rid, seq) (prompt, input) =
-  Codec.string e rid;
-  Codec.int e seq;
-  Codec.string e prompt;
-  Codec.string e input
+let entry_key rid seq = string_of_int seq ^ ":" ^ rid
 
-let decode_entry entries d =
-  let rid = Codec.get_string d in
-  let seq = Codec.get_int d in
-  let prompt = Codec.get_string d in
-  let input = Codec.get_string d in
-  Hashtbl.replace entries (rid, seq) (prompt, input)
+let encode_entry entry =
+  let e = Codec.encoder () in
+  Codec.pair Codec.string Codec.string e entry;
+  Codec.finish e
+
+let decode_entry v = Codec.get_pair Codec.get_string Codec.get_string (Codec.decoder v)
 
 let install_display node ~user =
-  let wal, recovered = Wal.open_log (Net.disk node) ~name:"display" in
-  let entries = Hashtbl.create 32 in
-  Option.iter
-    (fun snap ->
-      let d = Codec.decoder snap in
-      for _ = 1 to Codec.get_int d do
-        decode_entry entries d
-      done)
-    recovered.Wal.snapshot;
-  List.iter (fun r -> decode_entry entries (Codec.decoder r)) recovered.Wal.records;
-  let st = { entries; fresh_asks = 0 } in
-  let scratch = Codec.encoder () in
-  (* A snapshot is the live entries, counted. *)
-  let checkpoint () =
-    Wal.checkpoint wal scratch (fun e ->
-        Codec.int e (Hashtbl.length entries);
-        Hashtbl.iter (encode_entry e) entries)
+  let log = Node_log.open_log (Net.disk node) ~name:"display" in
+  let tm = Tm.attach log ~name:"display" in
+  let kv = Kvdb.attach log ~name:"kv@display" in
+  let st = { fresh_asks = 0 } in
+  (* One transaction per prompt: a replay only reads; a fresh answer is
+     written, and a divergence drops the rest of the old conversation
+     (the entries after [seq]) in the same commit. *)
+  let answer id ~rid ~seq ~prompt =
+    match Option.map decode_entry (Kvdb.get kv id (entry_key rid seq)) with
+    | Some (logged_prompt, input) when logged_prompt = prompt ->
+      input (* replay: the user never sees the prompt again *)
+    | found ->
+      st.fresh_asks <- st.fresh_asks + 1;
+      let input = user ~rid ~seq ~prompt in
+      if found <> None then begin
+        let rec drop sq =
+          let key = entry_key rid sq in
+          if Kvdb.get kv id key <> None then begin
+            Kvdb.delete kv id key;
+            drop (sq + 1)
+          end
+        in
+        drop (seq + 1)
+      end;
+      Kvdb.put kv id (entry_key rid seq) (encode_entry (prompt, input));
+      input
   in
   Net.add_service node "display" (fun msg ->
       match msg with
       | D_ask { rid; seq; prompt } -> begin
-        match Hashtbl.find_opt st.entries (rid, seq) with
-        | Some (logged_prompt, input) when logged_prompt = prompt ->
-          D_input input (* replay: the user never sees the prompt again *)
-        | found ->
-          st.fresh_asks <- st.fresh_asks + 1;
-          let input = user ~rid ~seq ~prompt in
-          (match found with
-          | Some _ ->
-            (* Divergence: the rest of the old conversation no longer
-               applies. Drop it, here and durably. *)
-            Hashtbl.filter_map_inplace
-              (fun (r, sq) v -> if r = rid && sq >= seq then None else Some v)
-              st.entries;
-            Hashtbl.replace st.entries (rid, seq) (prompt, input);
-            checkpoint ()
-          | None ->
-            Hashtbl.replace st.entries (rid, seq) (prompt, input);
-            Codec.reset scratch;
-            encode_entry scratch (rid, seq) (prompt, input);
-            Wal.append_enc wal scratch;
-            Wal.sync wal;
-            if Rrq_txn.Node_log.checkpoint_due wal then checkpoint ());
-          D_input input
+        let txn = Tm.begin_txn tm in
+        Tm.join txn (Kvdb.participant kv);
+        match answer (Tm.txn_id txn) ~rid ~seq ~prompt with
+        | input -> begin
+          match Tm.commit tm txn with
+          | Tm.Committed -> D_input input
+          | Tm.Aborted -> failwith "display: commit refused"
+        end
+        | exception e ->
+          Tm.abort tm txn;
+          raise e
       end
       | _ -> raise (Invalid_argument "display service: unexpected message"));
   st

@@ -58,14 +58,14 @@ val install_display :
   Rrq_net.Net.node ->
   user:(rid:string -> seq:int -> prompt:string -> string) -> display
 (** Install the client-side display service with its durable I/O replay
-    log. [user] produces fresh intermediate input; replayed prompts are
-    answered from the log without consulting the user. Re-run this after a
-    client restart (the log is recovered from the node's disk). A
-    divergent prompt drops the later entries of its conversation durably:
-    the log is checkpointed to the live entries then, and whenever it
-    outgrows them by {!Rrq_txn.Node_log.checkpoint_due}. Only the
-    node's service table and the caller hold the display, so it dies with
-    its world. *)
+    log, a {!Rrq_kvdb.Kvdb} store on the node's ["display"] node log with
+    one key per (rid, seq). [user] produces fresh intermediate input;
+    replayed prompts are answered from the log without consulting the
+    user. Each fresh answer commits before it is returned, with the
+    later entries of its conversation dropped if the prompt diverged.
+    Re-run this after a client restart (the log is recovered from the
+    node's disk). Only the node's service table and the caller hold the
+    display, so it dies with its world. *)
 
 val display_asks : display -> int
 (** How many prompts reached the user (as opposed to being replayed) —

@@ -101,7 +101,7 @@ let pull_intent = function
   | Site.Q_enqueue { queue; registrant; tag = Some tg; _ } ->
     Some (queue, registrant, `Enqueue tg)
   | Site.Q_dequeue { queue; registrant; tag = Some tg; _ } ->
-    Some (queue, registrant, `Dequeue tg)
+    Some (queue, registrant, `Dequeue (Tag.rid_piece tg))
   | _ -> None
 
 (* The designed misroute-during-map-change anomaly: a forwarder that drops

@@ -13,9 +13,8 @@
     [q ^ "#" ^ c], where [q] is the first of [sharded_queues], so the
     server transaction that dequeues a request and enqueues its reply
     commits on one shard. That hash ignores pins on [q#c]; a pin on
-    [reply.<c>] itself wins. Every other queue (a clerk's custom
-    [?reply_queue] among them) routes by its name alone. A map with no
-    sharded queue places every queue by its name.
+    [reply.<c>] itself wins. Every other queue routes by its name alone.
+    A map with no sharded queue places every queue by its name.
 
     {b Routing.} A clerk ({!Clerk}) routes every operation by a map: to
     the current candidate of the shard owning the operation's key. It

@@ -230,34 +230,31 @@ let clerk_service t msg =
       R_eid eid)
   | Q_dequeue { registrant; queue; tag; filter; timeout } ->
     let h, last = Qm.register qm ~queue ~registrant ~stable:true in
-    (* A retried Receive gets the element its first attempt took, but only
-       a reply to the request it waits for: a stray (an older request's
-       reply that came back after a crash) would otherwise answer every
-       later Receive with the same rid, and the next reply would never
-       be dequeued. *)
-    let saved =
-      match (tag, last) with
-      | Some tg, Some ({ Qm.element_copy = Some el; _ } as l)
-        when Tag.repeats (`Dequeue tg) ~kind:l.Qm.op_kind ~tag:l.Qm.tag
-             && Element.prop el "rid" = Tag.rid_piece tg ->
-        Some el
-      | _ -> None
-    in
-    begin match saved with
-    | Some el -> R_element (Some (view_of_element el))
-    | None ->
+    let rid = Option.bind tag Tag.rid_piece in
+    begin match last with
+    | Some ({ Qm.element_copy = Some el; _ } as l)
+      when Tag.repeats (`Dequeue rid) ~kind:l.Qm.op_kind ~tag:l.Qm.tag ->
+      (* A retried Receive gets the element its first attempt took. *)
+      R_element (Some (view_of_element el))
+    | _ ->
       let wait =
         match timeout with None -> Qm.No_wait | Some d -> Qm.Timeout d
       in
-      (* A Receive from the registrant's own reply queue is lazy: a reply
-         may be seen twice (paper §3), and the clerk fences it before its
-         next Send or Disconnect is acknowledged. Any other queue may have
-         other dequeuers, who must not see an element come back. *)
-      let deq id = Qm.dequeue qm id h ?tag ?filter wait in
-      let el =
-        if reply_client queue = Some registrant then Qm.auto_commit_lazy qm deq
-        else Qm.auto_commit qm deq
+      (* A Receive from the registrant's own reply queue takes only the
+         reply to the rid its tag names, so a reply a crash gave back (a
+         stray) stays queued. And it is lazy: a reply may be seen twice
+         (paper §3), and the clerk fences it before its next Send or
+         Disconnect is acknowledged. Any other queue may have other
+         dequeuers, who must not see an element come back. *)
+      let own = reply_client queue = Some registrant in
+      let filter =
+        match (own, rid, filter) with
+        | true, Some r, None -> Some (Filter.Prop_eq ("rid", r))
+        | true, Some r, Some f -> Some (Filter.And (Filter.Prop_eq ("rid", r), f))
+        | _ -> filter
       in
+      let deq id = Qm.dequeue qm id h ?tag ?filter wait in
+      let el = if own then Qm.auto_commit_lazy qm deq else Qm.auto_commit qm deq in
       R_element (Option.map view_of_element el)
     end
   | Q_fence _ ->

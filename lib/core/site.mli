@@ -172,15 +172,15 @@ type Rrq_net.Net.payload +=
       timeout : float option;  (** [None] = no wait. *)
     }
       (** A client's Receive. From the registrant's own reply queue
-          ({!reply_queue} [registrant]) it is a lazy dequeue
-          ({!Rrq_qm.Qm.auto_commit_lazy}): it answers once everything
+          ({!reply_queue} [registrant]) it takes only an element whose
+          [rid] property is its tag's rid, if the tag names one, and is
+          lazy ({!Rrq_qm.Qm.auto_commit_lazy}): it answers once everything
           logged before its record is durable (and shipped, on a Sync HA
           pair), not its record itself, so a crash before the next force
           of this log gives the element back. From any other queue, which
           other dequeuers may share, it commits with a force of its own.
           A retry with the same rid gets the element its first attempt
-          took, when that element is a reply to that rid; else it
-          dequeues afresh. *)
+          took. *)
   | R_element of elem_view option
   | Q_fence of string
       (** Make everything the repository of this queue has logged durable

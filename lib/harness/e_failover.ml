@@ -78,12 +78,7 @@ let one_run ~mode ~cold ~warmup ~seed =
                 Sched.sleep 0.25;
                 None
             in
-            match reply with
-            | Some env
-              when env.Envelope.kind <> "intermediate"
-                   && env.Envelope.rid = rid ->
-              ()
-            | _ -> recv ()
+            if reply = None then recv ()
           in
           recv ()
         in

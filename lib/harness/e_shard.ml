@@ -116,12 +116,7 @@ let one_run ~colocated ~shards:n ~clients ~reqs ~seed =
                          let rid = Printf.sprintf "%s-%d" client_id r in
                          ignore (Clerk.send clerk ~rid ("work:" ^ rid));
                          let rec recv () =
-                           match Clerk.receive clerk ~timeout:5.0 () with
-                           | Some env
-                             when env.Envelope.kind <> "intermediate"
-                                  && env.Envelope.rid = rid ->
-                             ()
-                           | _ -> recv ()
+                           if Clerk.receive clerk ~timeout:5.0 () = None then recv ()
                          in
                          recv ()
                        done;

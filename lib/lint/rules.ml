@@ -236,7 +236,7 @@ let layers =
     };
     {
       l_mod = "Group_commit";
-      l_funcs = [ "append"; "append_frame"; "append_force"; "force" ];
+      l_funcs = [ "append_enc"; "append_frame"; "append_force"; "force" ];
       l_allowed = rm_dirs;
       l_what = "raw group-commit append/force";
       l_hint =
@@ -493,6 +493,10 @@ let blocking =
 
 let is_blocking m f =
   List.exists (fun (bm, fs) -> bm = m && List.mem f fs) blocking
+
+let named =
+  List.concat_map (fun (m, fs) -> List.map (fun f -> (m, f)) fs)
+    (List.map (fun l -> (l.l_mod, l.l_funcs)) layers @ blocking)
 
 let r5_node acc (n : CG.node) =
   let held = ref false in

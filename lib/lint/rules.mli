@@ -10,6 +10,9 @@
 val all : (string * string * string) list
 (** [(id, slug, description)] for every rule, R1..R8, in order. *)
 
+val named : (string * string) list
+(** The [(module, function)] pairs R3's layers and R5's blocking table name. *)
+
 val check_structure : file:string -> Parsetree.structure -> Finding.t list
 (** Run the syntactic rules (R1–R4) over one parsed implementation. [file]
     is the path used in findings and in R3's layer checks (so fixture

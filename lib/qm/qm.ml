@@ -130,7 +130,10 @@ type state = {
   mutable clock : unit -> float;
   mutable internal_seq : float;
   mutable auto_n : int;
-  auto_origin : string; (* qm_name ^ "!auto", hoisted off the commit path *)
+  auto_origin : string; (* names built once, off the commit path *)
+  auto_commits : string;
+  commit_latency : string;
+  commit_lazy_latency : string; (* a lazy commit waits for less *)
 }
 
 (* ---- codecs -------------------------------------------------------- *)
@@ -766,6 +769,9 @@ let attach ?(triggers = []) log ~name:qm_name =
       internal_seq = 0.0;
       auto_n = 0;
       auto_origin = qm_name ^ "!auto";
+      auto_commits = "qm.auto_commits:" ^ qm_name;
+      commit_latency = "qm.commit.latency:" ^ qm_name;
+      commit_lazy_latency = "qm.commit_lazy.latency:" ^ qm_name;
     }
   in
   List.iter
@@ -1053,7 +1059,7 @@ let commit = Base.commit
 let remembered = Base.remembered
 let incarnation t = (Base.state t).incarnations
 
-let auto_run commit t f =
+let auto_run ~lazy_ t f =
   let s = Base.state t in
   s.auto_n <- s.auto_n + 1;
   let id = Txid.make ~origin:s.auto_origin ~inc:s.incarnations ~n:s.auto_n in
@@ -1063,11 +1069,11 @@ let auto_run commit t f =
     (* Only count transactions that buffered work: polling an empty queue
        auto-commits too, and counting those would skew commit rates. *)
     let worked = Base.has_workspace t id in
-    commit t id;
+    if lazy_ then Base.commit_lazy t id else commit t id;
     if worked && Rrq_obs.enabled () then begin
-      Rrq_obs.Metrics.inc ("qm.auto_commits:" ^ s.qm_name);
+      Rrq_obs.Metrics.inc s.auto_commits;
       Rrq_obs.Metrics.observe
-        ("qm.commit.latency:" ^ s.qm_name)
+        (if lazy_ then s.commit_lazy_latency else s.commit_latency)
         (s.clock () -. t0)
     end;
     v
@@ -1075,8 +1081,8 @@ let auto_run commit t f =
     Base.abort t id;
     raise e
 
-let auto_commit t f = auto_run commit t f
-let auto_commit_lazy t f = auto_run Base.commit_lazy t f
+let auto_commit t f = auto_run ~lazy_:false t f
+let auto_commit_lazy t f = auto_run ~lazy_:true t f
 
 (* A janitor abort returns what the workspace held without counting a
    failed delivery. The owner hears first: an owner on this node must not

@@ -273,7 +273,8 @@ val auto_commit : t -> (Rrq_txn.Txid.t -> 'a) -> 'a
 (** Run one or more QM operations as a standalone atomic action: effects
     are durable and visible when the call returns (the paper's
     outside-a-transaction mode, visible "before the operation returns").
-    Uses an internal transaction id. *)
+    Uses an internal transaction id. One that buffered work counts in
+    [qm.auto_commits:<qm>] and [qm.commit.latency:<qm>]. *)
 
 val auto_commit_lazy : t -> (Rrq_txn.Txid.t -> 'a) -> 'a
 (** {!auto_commit} whose own record is not waited for
@@ -287,7 +288,8 @@ val auto_commit_lazy : t -> (Rrq_txn.Txid.t -> 'a) -> 'a
     ({!Rrq_core.Clerk}). Its locks go at the append, which is safe for a
     dequeue from a client's own reply queue: only its registrant
     dequeues there, one Receive at a time, so no other transaction waits
-    on those locks or could take an element after the one given back. *)
+    on those locks or could take an element after the one given back.
+    Its latency series is [qm.commit_lazy.latency:<qm>]. *)
 
 val abort_stale : t -> older_than:float -> int
 (** Unilaterally abort active (unprepared) workspaces idle longer than the

@@ -998,6 +998,27 @@ let test_reply_delivery_counts () =
           (received+queued)" ))
     !detail
 
+(* Request-reply matching: the auditor flags a Receive that got another
+   request's reply. On quickstart, a kill of the backend at the 20th
+   sync of its log undoes c0's lazy Receive of c0-r0's reply, which puts
+   the reply back in the queue. A Receive that took the head of its
+   reply queue would give c0-r1's Receive c0-r0's reply
+   ("reply-matching: c0-r1: awaited, got the reply to c0-r0"); taking
+   only the reply to its rid, it gets its own, and the given-back reply
+   waits in the queue, where reply-delivery counts it as a copy seen
+   once more after one crash. *)
+let test_reply_matching () =
+  Alcotest.(check string) "the auditor"
+    "reply-matching: r2: awaited, got the reply to r1"
+    (C.Audit.findings_to_string
+       (C.Audit.run
+          [ C.Audit.reply_matching ~answers:(fun () -> [ ("r1", "r1"); ("r2", "r1") ]) ]));
+  let site = "wal.sync:backend.log" in
+  let o = C.Scenario.crash_at ~site ~hit:20 ~recover_after:1.0 C.Scenario.quickstart in
+  Alcotest.(check bool) "the crash fired" true (C.Scenario.crash_fired o ~site);
+  Alcotest.(check string) "quickstart, killed after a Receive" "all auditors passed"
+    (C.Audit.findings_to_string o.C.Scenario.findings)
+
 let () =
   Alcotest.run "rrq-check"
     [
@@ -1106,5 +1127,8 @@ let () =
       ( "properties",
         [ QCheck_alcotest.to_alcotest ~long:true prop_quickstart_audits_hold ] );
       ( "audit",
-        [ Alcotest.test_case "reply delivery counts" `Quick test_reply_delivery_counts ] );
+        [
+          Alcotest.test_case "reply delivery counts" `Quick test_reply_delivery_counts;
+          Alcotest.test_case "reply matching" `Quick test_reply_matching;
+        ] );
     ]

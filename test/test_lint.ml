@@ -523,6 +523,44 @@ let ordinary_exn_still_fails () =
   Sched.run s;
   Alcotest.(check int) "failure recorded" 1 (List.length (Sched.failures s))
 
+(* ---- rule tables name real functions --------------------------------------- *)
+
+(* Every (module, function) pair R3 and R5 name is declared by a [val] in
+   that module's interface under lib/: a name that no longer exists
+   matches nothing, so its rule would silently check less. *)
+let rec mli_files dir =
+  List.concat_map
+    (fun entry ->
+      let path = Filename.concat dir entry in
+      if Sys.is_directory path then mli_files path
+      else if Filename.check_suffix entry ".mli" then [ path ]
+      else [])
+    (Array.to_list (Sys.readdir dir))
+
+let declares path f =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.exists (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | "val" :: name :: _ -> name = f || name = f ^ ":"
+         | _ -> false)
+
+let rule_names_declared () =
+  (* From the test's build directory under [dune runtest], else from the
+     repository root. *)
+  let mlis = mli_files (if Sys.file_exists "../lib" then "../lib" else "lib") in
+  let missing =
+    List.filter
+      (fun (m, f) ->
+        let file = String.uncapitalize_ascii m ^ ".mli" in
+        not
+          (List.exists
+             (fun path -> Filename.basename path = file && declares path f)
+             mlis))
+      Rules.named
+  in
+  Alcotest.(check (list (pair string string))) "undeclared names" [] missing
+
 (* ---- runner ------------------------------------------------------------- *)
 
 let quick name f = Alcotest.test_case name `Quick f
@@ -550,6 +588,7 @@ let () =
       ( "r6",
         [ quick "fires: missing mli" r6_fires; quick "silent: covered" r6_silent ]
       );
+      ("names", [ quick "R3 and R5 name declared functions" rule_names_declared ]);
       ("parse", [ quick "syntax error reported" parse_error_reported ]);
       ( "baseline",
         [

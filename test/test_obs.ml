@@ -6,6 +6,8 @@
      stay untouched);
    - the commit-redelivery gauge of the commit path ([tm.pending]),
      recorded when on and absent when off;
+   - forced and lazy queue auto-commits (a Send, a Receive) observed in
+     separate latency series;
    - the trace ring buffer: bounded, wraps around dropping oldest first,
      and timestamps come from the pluggable clock;
    - the JSON-lines rendering of an event. *)
@@ -239,6 +241,42 @@ let test_pending_metrics () =
   Alcotest.(check bool) "no tm.pending gauge" false
     (List.mem_assoc "tm.pending:tm1" snap.Obs.Metrics.s_gauges)
 
+(* A Send's auto-commit forces the log and a Receive's is lazy: each
+   lands in its own latency series, so [qm.commit.latency] holds forced
+   commits only. *)
+let test_commit_series () =
+  with_obs (fun () ->
+      let after_send, after_receive =
+        Rrq_test_support.Sim_harness.run_fiber' (fun s ->
+            let net = Rrq_net.Net.create ~latency:0.005 s (Rrq_util.Rng.create 42) in
+            let _world =
+              Rrq_check.World.build net
+                {
+                  (Rrq_check.World.single "backend") with
+                  server = Rrq_check.World.counting_server 1;
+                }
+            in
+            let clerk, _ =
+              Rrq_core.Clerk.connect
+                ~client_node:(Rrq_net.Net.make_node net "client")
+                ~system:"backend" ~client_id:"alice" ~req_queue:"req" ()
+            in
+            let samples () =
+              let snap = Obs.Metrics.snapshot () in
+              let n series =
+                Rrq_util.Histogram.count
+                  (Obs.Metrics.histogram snap (series ^ ":qm@backend"))
+              in
+              (n "qm.commit.latency", n "qm.commit_lazy.latency")
+            in
+            ignore (Rrq_core.Clerk.send clerk ~rid:"r1" "work");
+            let after_send = samples () in
+            ignore (Rrq_core.Clerk.receive clerk ());
+            (after_send, samples ()))
+      in
+      Alcotest.(check (pair int int)) "the Send: forced" (1, 0) after_send;
+      Alcotest.(check (pair int int)) "the Receive: lazy" (1, 1) after_receive)
+
 (* ---- trace ring buffer -------------------------------------------------- *)
 
 let read_event i =
@@ -311,6 +349,8 @@ let () =
           Alcotest.test_case "tm.pending" `Quick test_pending_metrics;
           Alcotest.test_case "parallel commit: events, rounds, memory" `Quick
             test_parallel_commit_observed;
+          Alcotest.test_case "forced and lazy auto-commit series" `Quick
+            test_commit_series;
         ] );
       ( "trace",
         [

@@ -12,6 +12,7 @@ module Site = Rrq_core.Site
 module Clerk = Rrq_core.Clerk
 module Server = Rrq_core.Server
 module Session = Rrq_core.Session
+module Stream_clerk = Rrq_core.Stream_clerk
 module Forwarder = Rrq_core.Forwarder
 module Envelope = Rrq_core.Envelope
 module World = Rrq_check.World
@@ -331,6 +332,93 @@ let test_volatile_queue_pair () =
   in
   ()
 
+(* Request-reply matching under a crash (paper §3): the backend crashes
+   right after the client's first Receive, before its next Send, which
+   undoes that lazy Receive and puts r1's reply back in the queue. Each
+   client must still take the reply to the request it sent: the reply
+   rids it processes are r1, r2, r3. [drive ~client_node ~crash] runs
+   one client and returns those rids; [crash ()] restarts the backend,
+   the first time only. *)
+let reply_rids drive =
+  let rids = ref [] in
+  let _ =
+    H.run (fun s ->
+        let backend, client_node = make_rig s in
+        let crashed = ref false in
+        let crash () =
+          if not !crashed then begin
+            crashed := true;
+            Site.crash_restart backend ~after:1.0
+          end
+        in
+        ignore
+          (Sched.spawn s ~group:"client" ~name:"alice" (fun () ->
+               rids := drive ~client_node ~crash)))
+  in
+  !rids
+
+let connect_alice client_node =
+  fst
+    (Clerk.connect ~client_node ~system:"backend" ~client_id:"alice"
+       ~req_queue:"req" ())
+
+let test_session_matches_after_crash () =
+  let rids =
+    reply_rids (fun ~client_node ~crash ->
+        let got = ref [] in
+        let config =
+          {
+            Session.default_config with
+            next_request =
+              (fun n -> if n <= 3 then Some (Session.rid_of_seq n, "job") else None);
+            process_reply =
+              (fun env ->
+                got := env.Envelope.rid :: !got;
+                crash ());
+          }
+        in
+        ignore (Session.run (connect_alice client_node) config);
+        List.rev !got)
+  in
+  Alcotest.(check (list string)) "fig. 2 client processed" [ "r1"; "r2"; "r3" ] rids
+
+let test_transceive_matches_after_crash () =
+  let rids =
+    reply_rids (fun ~client_node ~crash ->
+        let clerk = connect_alice client_node in
+        List.map
+          (fun rid ->
+            let rec get () =
+              match Clerk.transceive clerk ~rid ~timeout:3.0 "job" with
+              | Some env -> env.Envelope.rid
+              | None -> get ()
+            in
+            let got = get () in
+            crash ();
+            got)
+          [ "r1"; "r2"; "r3" ])
+  in
+  Alcotest.(check (list string)) "transceive got" [ "r1"; "r2"; "r3" ] rids
+
+let test_stream_clerk_matches_after_crash () =
+  let rids =
+    reply_rids (fun ~client_node ~crash ->
+        let st =
+          Stream_clerk.connect ~client_node ~system:"backend" ~client_id:"alice"
+            ~req_queue:"req" ~width:1 ()
+        in
+        List.map
+          (fun rid ->
+            Stream_clerk.submit st ~rid "job";
+            match Stream_clerk.next_reply st () with
+            | Some env ->
+              crash ();
+              env.Envelope.rid
+            | None -> "none")
+          [ "r1"; "r2"; "r3" ])
+  in
+  Alcotest.(check (list string)) "stream clerk got" [ "r1"; "r2"; "r3" ] rids
+
 let () =
   Alcotest.run "rrq-protocol-edges"
     [
@@ -352,5 +440,11 @@ let () =
             test_duplicate_send_suppressed;
           Alcotest.test_case "volatile queue pair" `Quick
             test_volatile_queue_pair;
+          Alcotest.test_case "fig. 2 client matches replies after a crash" `Quick
+            test_session_matches_after_crash;
+          Alcotest.test_case "transceive matches replies after a crash" `Quick
+            test_transceive_matches_after_crash;
+          Alcotest.test_case "stream clerk matches replies after a crash" `Quick
+            test_stream_clerk_matches_after_crash;
         ] );
     ]

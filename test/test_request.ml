@@ -5,6 +5,7 @@ module Sched = Rrq_sim.Sched
 module Rng = Rrq_util.Rng
 module Net = Rrq_net.Net
 module Qm = Rrq_qm.Qm
+module Element = Rrq_qm.Element
 module Site = Rrq_core.Site
 module Clerk = Rrq_core.Clerk
 module Server = Rrq_core.Server
@@ -118,17 +119,14 @@ let test_server_crash_exactly_once () =
                  let rid = Printf.sprintf "r%d" i in
                  ignore (Clerk.send clerk ~rid ("w" ^ string_of_int i));
                  (* A crash before this Send can undo the last Receive:
-                    that reply comes back once, as a stray. *)
-                 let rec get ~strays =
+                    that reply stays queued, and no Receive of [rid]
+                    takes it. *)
+                 let rec get () =
                    match Clerk.receive clerk ~timeout:3.0 () with
-                   | Some reply
-                     when reply.Envelope.rid = Printf.sprintf "r%d" (i - 1)
-                          && strays = 0 ->
-                     get ~strays:1
                    | Some reply -> reply
-                   | None -> get ~strays
+                   | None -> get ()
                  in
-                 let reply = get ~strays:0 in
+                 let reply = get () in
                  Alcotest.(check string) "matching reply" rid reply.Envelope.rid;
                  Sched.sleep 1.0
                done;
@@ -576,10 +574,10 @@ let test_receive_waits_for_its_reply_only () =
     ]
 
 (* A crash after the Receive and before the next Send undoes the Receive:
-   the same reply (same eid) comes back, as a stray before the next
-   request's reply. *)
-let test_crash_before_send_redelivers_a_stray () =
-  let seen = ref [] in
+   the same reply (same eid) comes back to the queue, a stray. The next
+   request's Receive takes its own reply, and the stray stays queued. *)
+let test_crash_before_send_leaves_a_stray () =
+  let seen = ref [] and left = ref [] in
   let _ =
     H.run (fun s ->
         let rig = make_rig s in
@@ -597,19 +595,24 @@ let test_crash_before_send_redelivers_a_stray () =
                Sched.sleep 1.0;
                ignore (Clerk.send clerk ~rid:"r2" "w2");
                receive ();
-               receive ())))
+               left :=
+                 List.map
+                   (fun el -> (Option.get (Element.prop el "rid"), Some el.Element.eid))
+                   (Qm.elements (Site.qm rig.backend) "reply.alice"))))
   in
   match List.rev !seen with
-  | [ ("r1", e1); ("r1", e1'); ("r2", _) ] ->
-    Alcotest.(check (option int64)) "the same reply" e1 e1'
+  | [ ("r1", e1); ("r2", _) ] ->
+    Alcotest.(check (list (pair string (option int64))))
+      "r1's reply queued again, with the same eid" [ ("r1", e1) ] !left
   | l ->
     Alcotest.fail
       ("receipts: " ^ String.concat ", " (List.map fst l))
 
-(* A retried Receive answers with the element its first attempt took only
-   when that is a reply to its rid: after a stray, it dequeues afresh. *)
+(* A Receive takes only the reply to the rid its tag names: with r0's
+   reply queued ahead of r1's, a Receive tagged r1 gets r1, and so does
+   its retry (the element its first attempt took), while r0 waits. *)
 let test_stray_is_not_a_retry () =
-  let got = ref [] in
+  let got = ref [] and left = ref [] in
   let _ =
     H.run (fun s ->
         let rig = make_rig s in
@@ -626,9 +629,14 @@ let test_stray_is_not_a_retry () =
                      (Envelope.of_parts ~props:v.Site.v_props v.Site.v_payload).Envelope.rid
                      :: !got
                  | _ -> got := "none" :: !got
-               done)))
+               done;
+               left :=
+                 List.filter_map
+                   (fun el -> Element.prop el "rid")
+                   (Qm.elements (Site.qm site) "reply.c"))))
   in
-  Alcotest.(check (list string)) "r0, then r1" [ "r0"; "r1" ] (List.rev !got)
+  Alcotest.(check (list string)) "r1, then r1 again" [ "r1"; "r1" ] (List.rev !got);
+  Alcotest.(check (list string)) "r0 still queued" [ "r0" ] !left
 
 (* The clerk's map (v2) puts its requests with its reply queue on s1,
    whose router still holds v1 and relays the Send to s0. The clerk sends
@@ -794,8 +802,8 @@ let suite =
       test_server_crash_time_sweep;
     Alcotest.test_case "lazy Receive: waits for its reply's transaction only" `Quick
       test_receive_waits_for_its_reply_only;
-    Alcotest.test_case "lazy Receive: a crash before the next Send gives a stray"
-      `Quick test_crash_before_send_redelivers_a_stray;
+    Alcotest.test_case "lazy Receive: a crash before the next Send leaves a stray queued"
+      `Quick test_crash_before_send_leaves_a_stray;
     Alcotest.test_case "a stray is not a retried Receive" `Quick test_stray_is_not_a_retry;
     Alcotest.test_case "lazy Receive: the cross-shard fence" `Quick test_cross_shard_fence;
     Alcotest.test_case "lazy Receive: only from its own reply queue" `Quick
